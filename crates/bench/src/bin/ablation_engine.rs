@@ -1,8 +1,10 @@
 //! Ablation of the SPARQL extraction machinery (the optimizations
 //! Algorithm 3 argues for):
 //!
-//! 1. **pagination batch size** (`bs`) — many tiny pages pay per-request
-//!    overhead; one huge page loses the streaming benefit,
+//! 1. **pagination batch size** (`bs`) — every subquery is evaluated once
+//!    whatever `bs` is, so the sweep shows what a request itself costs (an
+//!    O(bs) slice plus accounting): a small constant factor from 64 to 1M,
+//!    not a cost linear in the request count,
 //! 2. **worker threads** (`P`) — subqueries are fetched in parallel,
 //! 3. **index choice** — hexastore prefix scans vs a forced full scan
 //!    (what a store without the six orderings would have to do).
@@ -11,7 +13,7 @@ use std::time::Instant;
 
 use kgtosa_bench::Env;
 use kgtosa_core::{compile_subqueries, GraphPattern};
-use kgtosa_rdf::{fetch_triples, FetchConfig, InProcessEndpoint, RdfStore};
+use kgtosa_rdf::{fetch_triples_robust, FetchConfig, InProcessEndpoint, RdfStore};
 use serde::Serialize;
 
 #[global_allocator]
@@ -45,14 +47,15 @@ fn main() {
     for bs in [64usize, 512, 4096, 32_768, 1_000_000] {
         let ep = InProcessEndpoint::new(&store);
         let start = Instant::now();
-        let triples = fetch_triples(
+        let triples = fetch_triples_robust(
             &ep,
             &store,
             &queries,
             (&vars.0, &vars.1, &vars.2),
             &FetchConfig { batch_size: bs, threads: 2, ..FetchConfig::default() },
         )
-        .unwrap();
+        .unwrap()
+        .triples;
         let secs = start.elapsed().as_secs_f64();
         println!(
             "{:>10} {:>10.4} {:>10} {:>10}",
@@ -75,14 +78,15 @@ fn main() {
     for threads in [1usize, 2, 4, 8] {
         let ep = InProcessEndpoint::new(&store);
         let start = Instant::now();
-        let triples = fetch_triples(
+        let triples = fetch_triples_robust(
             &ep,
             &store,
             &queries,
             (&vars.0, &vars.1, &vars.2),
             &FetchConfig { batch_size: 4096, threads, ..FetchConfig::default() },
         )
-        .unwrap();
+        .unwrap()
+        .triples;
         let secs = start.elapsed().as_secs_f64();
         println!("{:>10} {:>10.4} {:>10}", threads, secs, triples.len());
         rows.push(SweepRow {

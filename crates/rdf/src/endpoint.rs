@@ -8,12 +8,16 @@
 //!
 //! * [`SparqlEndpoint`] — what Virtuoso's HTTP endpoint provides (here an
 //!   in-process trait so the whole pipeline runs without a network),
-//! * [`InProcessEndpoint`] — parse + plan + execute against an [`RdfStore`],
-//!   with per-request accounting standing in for transfer/compression,
-//! * [`fetch_triples`] — the `initializeWorkers`/`RequestHandler` loop.
+//! * [`InProcessEndpoint`] — plan + execute against an [`RdfStore`], one
+//!   evaluation per paginated query, with per-request accounting standing
+//!   in for transfer/compression,
+//! * [`fetch_triples_robust`] — the `initializeWorkers`/`RequestHandler`
+//!   loop.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 use kgtosa_kg::Triple;
 use kgtosa_par::Pool;
@@ -21,7 +25,7 @@ use kgtosa_par::Pool;
 use crate::ast::Query;
 use crate::checkpoint::FetchCheckpoint;
 use crate::error::RdfError;
-use crate::exec::{ResultSet, SparqlEngine, NULL_ID};
+use crate::exec::{ResultSet, Solved, SparqlEngine, NULL_ID};
 use crate::fault::{fnv64, FaultPlan, FaultyEndpoint};
 use crate::pagecache::{CachingEndpoint, PageCache};
 use crate::retry::{RetryPolicy, RetryingEndpoint};
@@ -66,6 +70,7 @@ impl<E: SparqlEndpoint + ?Sized> SparqlEndpoint for &E {
 #[derive(Debug, Default)]
 pub struct EndpointStats {
     requests: AtomicUsize,
+    evaluations: AtomicUsize,
     rows: AtomicUsize,
     bytes: AtomicUsize,
 }
@@ -74,6 +79,12 @@ impl EndpointStats {
     /// Number of SELECT requests served.
     pub fn requests(&self) -> usize {
         self.requests.load(Ordering::Relaxed)
+    }
+
+    /// Number of query evaluations behind those requests: every page of
+    /// one pagination is sliced from a single evaluation.
+    pub fn evaluations(&self) -> usize {
+        self.evaluations.load(Ordering::Relaxed)
     }
 
     /// Total solution rows returned.
@@ -87,23 +98,45 @@ impl EndpointStats {
         self.bytes.load(Ordering::Relaxed)
     }
 
-    fn record(&self, rs: &ResultSet) {
+    /// Books one served request of `rows` rows by `width` columns, `start`
+    /// being when it arrived.
+    fn record(&self, start: Instant, rows: usize, width: usize) {
+        // Per-request latency feeds the global histogram and, through it,
+        // the scoped view of whichever telemetry context issued the
+        // request (an SLO `gauge:`/histogram signal per tenant later).
+        kgtosa_obs::histogram("rdf.request_s").observe(start.elapsed().as_secs_f64());
         self.requests.fetch_add(1, Ordering::Relaxed);
-        self.rows.fetch_add(rs.len(), Ordering::Relaxed);
-        let bytes = rs.len() * rs.vars.len() * 4;
+        self.rows.fetch_add(rows, Ordering::Relaxed);
+        let bytes = rows * width * 4;
         self.bytes.fetch_add(bytes, Ordering::Relaxed);
         // Mirror into the process-global registry so traces see endpoint
         // load even when the endpoint object is short-lived.
         kgtosa_obs::counter("rdf.requests").inc();
-        kgtosa_obs::counter("rdf.rows").add(rs.len() as u64);
+        kgtosa_obs::counter("rdf.rows").add(rows as u64);
         kgtosa_obs::counter("rdf.bytes").add(bytes as u64);
     }
 }
 
+/// Most request handlers a fetch runs by default, and so the most
+/// paginations an [`InProcessEndpoint`] keeps resumable at once.
+const MAX_HANDLERS: usize = 16;
+
 /// An endpoint executing queries directly against an in-memory store.
+///
+/// A paginated query is evaluated once: the first page's evaluation is
+/// parked as a cursor under the query's text without `LIMIT`/`OFFSET`,
+/// later pages are slices of it, and the page that comes back short (the
+/// pagination's last) drops it. Every page is byte-for-byte what a fresh
+/// evaluation of that page's query returns — the store is immutable for
+/// the endpoint's lifetime — so the cursor is invisible to callers except
+/// through [`EndpointStats::evaluations`].
 pub struct InProcessEndpoint<'s, 'kg> {
     store: &'s RdfStore<'kg>,
     stats: EndpointStats,
+    /// Parked paginations, oldest first. Capped at [`MAX_HANDLERS`]: a
+    /// pagination abandoned mid-way is evicted by newer ones, and one
+    /// evicted while still live merely evaluates again.
+    cursors: Mutex<Vec<(String, Arc<Solved>)>>,
 }
 
 impl<'s, 'kg> InProcessEndpoint<'s, 'kg> {
@@ -112,6 +145,7 @@ impl<'s, 'kg> InProcessEndpoint<'s, 'kg> {
         Self {
             store,
             stats: EndpointStats::default(),
+            cursors: Mutex::new(Vec::new()),
         }
     }
 
@@ -124,18 +158,95 @@ impl<'s, 'kg> InProcessEndpoint<'s, 'kg> {
     pub fn store(&self) -> &'s RdfStore<'kg> {
         self.store
     }
+
+    /// Number of paginations currently parked.
+    pub fn open_cursors(&self) -> usize {
+        self.lock_cursors().len()
+    }
+
+    fn lock_cursors(&self) -> std::sync::MutexGuard<'_, Vec<(String, Arc<Solved>)>> {
+        // The table is only pushed to and removed from, so it is valid
+        // even if a handler panicked while holding the lock.
+        self.cursors.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The parked answer of `key`, taken out of the table when `last`.
+    fn parked(&self, key: &str, last: impl FnOnce(&Solved) -> bool) -> Option<Arc<Solved>> {
+        let mut cursors = self.lock_cursors();
+        let at = cursors.iter().position(|(k, _)| k == key)?;
+        if last(&cursors[at].1) {
+            Some(cursors.remove(at).1)
+        } else {
+            Some(Arc::clone(&cursors[at].1))
+        }
+    }
+
+    /// Evaluates `query` (outside the table lock: handlers evaluate their
+    /// subqueries in parallel).
+    fn solve(&self, query: &Query) -> Result<Solved, RdfError> {
+        self.stats.evaluations.fetch_add(1, Ordering::Relaxed);
+        SparqlEngine::new(self.store).solve(query)
+    }
+
+    fn park(&self, key: String, solved: Solved) -> Arc<Solved> {
+        let solved = Arc::new(solved);
+        let mut cursors = self.lock_cursors();
+        cursors.retain(|(k, _)| *k != key);
+        if cursors.len() == MAX_HANDLERS {
+            cursors.remove(0);
+        }
+        cursors.push((key, Arc::clone(&solved)));
+        solved
+    }
+}
+
+/// What a query's cursor is parked under: its text without the page.
+fn cursor_key(query: &Query) -> String {
+    let mut unpaged = query.clone();
+    unpaged.limit = None;
+    unpaged.offset = None;
+    unpaged.to_string()
 }
 
 impl SparqlEndpoint for InProcessEndpoint<'_, '_> {
     fn select(&self, query: &Query) -> Result<ResultSet, RdfError> {
-        // Per-request latency feeds the global histogram and, through it,
-        // the scoped view of whichever telemetry context issued the
-        // request (an SLO `gauge:`/histogram signal per tenant later).
-        let start = std::time::Instant::now();
-        let rs = SparqlEngine::new(self.store).execute(query)?;
-        kgtosa_obs::histogram("rdf.request_s").observe(start.elapsed().as_secs_f64());
-        self.stats.record(&rs);
+        let start = Instant::now();
+        let key = cursor_key(query);
+        let rs = match self.parked(&key, |solved| solved.is_last_page(query)) {
+            // The last page took the cursor out of the table; if no other
+            // handler still holds it, the page is moved out, not copied.
+            Some(solved) => match Arc::try_unwrap(solved) {
+                Ok(solved) => solved.into_page(query),
+                Err(solved) => solved.page(query),
+            },
+            None => {
+                let solved = self.solve(query)?;
+                if solved.is_last_page(query) {
+                    // Nothing left to resume: unpaged queries and results
+                    // that fit one page never park anything.
+                    solved.into_page(query)
+                } else {
+                    self.park(key, solved).page(query)
+                }
+            }
+        };
+        self.stats.record(start, rs.len(), rs.vars.len());
         Ok(rs)
+    }
+
+    /// `getGraphSize` shares the pagination's one evaluation: it reads a
+    /// parked cursor's solution count, or evaluates `query` itself (not a
+    /// `COUNT` rewrite of it) and parks that for the pages to come. Booked
+    /// as the one-row, one-column request the `COUNT` query would be.
+    fn count(&self, query: &Query) -> Result<usize, RdfError> {
+        let start = Instant::now();
+        let key = cursor_key(query);
+        let solved = match self.parked(&key, |_| false) {
+            Some(solved) => solved,
+            None => self.park(key, self.solve(query)?),
+        };
+        self.stats.record(start, 1, 1);
+        Ok(solved.solutions())
     }
 }
 
@@ -191,7 +302,7 @@ impl Default for FetchConfig {
     fn default() -> Self {
         Self {
             batch_size: 100_000,
-            threads: kgtosa_par::current_threads().min(16),
+            threads: kgtosa_par::current_threads().min(MAX_HANDLERS),
             retry: None,
             fault: None,
             mode: FetchMode::Strict,
@@ -247,27 +358,6 @@ struct SubFetch {
     error: Option<RdfError>,
 }
 
-/// Fetches all data triples matched by a set of subqueries.
-///
-/// Each subquery must bind the three `triple_vars` to the subject,
-/// predicate and object of a matched triple. Subqueries are distributed
-/// over `cfg.threads` request handlers on the shared pool; each handler
-/// pages its subquery with `LIMIT`/`OFFSET` until exhaustion. Rows with
-/// unbound triple variables or synthetic `rdf:type` components are
-/// skipped; the merged result is deduplicated (Algorithm 3 line 10).
-///
-/// This is the strict fail-fast entry point; [`fetch_triples_robust`]
-/// exposes retry, fault injection, checkpoint resume, and partial mode.
-pub fn fetch_triples<E: SparqlEndpoint>(
-    endpoint: &E,
-    store: &RdfStore<'_>,
-    subqueries: &[Query],
-    triple_vars: (&str, &str, &str),
-    cfg: &FetchConfig,
-) -> Result<Vec<Triple>, RdfError> {
-    fetch_triples_robust(endpoint, store, subqueries, triple_vars, cfg).map(|o| o.triples)
-}
-
 /// Stable fingerprint of a fetch shape, binding checkpoints to the exact
 /// subqueries, page size, and projection they were written for.
 fn fetch_key(subqueries: &[Query], triple_vars: (&str, &str, &str), batch_size: usize) -> u64 {
@@ -279,12 +369,21 @@ fn fetch_key(subqueries: &[Query], triple_vars: (&str, &str, &str), batch_size: 
     fnv64(text.as_bytes())
 }
 
-/// [`fetch_triples`] with the full fault-tolerance layer engaged: wraps
-/// the endpoint per `cfg.fault` / `cfg.retry`, resumes completed pages
-/// from `cfg.checkpoint`, and in [`FetchMode::Partial`] degrades to an
-/// incomplete result (with an explicit completeness fraction) instead of
-/// aborting. Even in strict mode, pages completed before the failure are
-/// saved to the checkpoint so the re-run does not repeat them.
+/// Fetches all data triples matched by a set of subqueries.
+///
+/// Each subquery must bind the three `triple_vars` to the subject,
+/// predicate and object of a matched triple. Subqueries are distributed
+/// over `cfg.threads` request handlers on the shared pool; each handler
+/// pages its subquery with `LIMIT`/`OFFSET` until exhaustion. Rows with
+/// unbound triple variables or synthetic `rdf:type` components are
+/// skipped; the merged result is deduplicated (Algorithm 3 line 10).
+///
+/// The fault-tolerance layer is engaged per `cfg`: the endpoint is wrapped
+/// per `cfg.fault` / `cfg.retry`, completed pages resume from
+/// `cfg.checkpoint`, and [`FetchMode::Partial`] degrades to an incomplete
+/// result (with an explicit completeness fraction) instead of aborting.
+/// Even in strict mode, pages completed before the failure are saved to
+/// the checkpoint so the re-run does not repeat them.
 pub fn fetch_triples_robust<E: SparqlEndpoint>(
     endpoint: &E,
     store: &RdfStore<'_>,
@@ -293,6 +392,10 @@ pub fn fetch_triples_robust<E: SparqlEndpoint>(
     cfg: &FetchConfig,
 ) -> Result<FetchOutcome, RdfError> {
     let _guard = kgtosa_obs::span!("rdf.fetch");
+    if cfg.batch_size == 0 {
+        // A zero-row page is never short, so pagination could not end.
+        return Err(RdfError::exec("fetch batch_size must be at least 1"));
+    }
     // Assemble the endpoint stack: faults innermost (they model the
     // flaky engine), retries around them (they model our client).
     let base: &dyn SparqlEndpoint = endpoint;
@@ -432,7 +535,7 @@ fn page_subquery(
     // handler just cannot continue past an error.
     if cfg.mode == FetchMode::Partial {
         match endpoint.count(query) {
-            Ok(rows) => out.estimate = rows.div_ceil(cfg.batch_size.max(1)),
+            Ok(rows) => out.estimate = rows.div_ceil(cfg.batch_size),
             Err(e) => kgtosa_obs::info!("rdf.fetch: getGraphSize failed: {e}"),
         }
     }
@@ -555,7 +658,9 @@ mod tests {
             threads: 3,
             ..FetchConfig::default()
         };
-        let triples = fetch_triples(&ep, &store, &[q], ("s", "p", "o"), &cfg).unwrap();
+        let triples = fetch_triples_robust(&ep, &store, &[q], ("s", "p", "o"), &cfg)
+            .unwrap()
+            .triples;
         // 25 writes triples; rdf:type rows are filtered.
         assert_eq!(triples.len(), 25);
         // Pagination forced multiple requests.
@@ -569,7 +674,7 @@ mod tests {
         let ep = InProcessEndpoint::new(&store);
         let q1 = parse("SELECT ?s ?p ?o WHERE { ?s ?p ?o . ?s a <Author> }").unwrap();
         let q2 = parse("SELECT ?s ?p ?o WHERE { ?s <writes> ?o . ?s ?p ?o }").unwrap();
-        let triples = fetch_triples(
+        let triples = fetch_triples_robust(
             &ep,
             &store,
             &[q1, q2],
@@ -580,7 +685,8 @@ mod tests {
                 ..FetchConfig::default()
             },
         )
-        .unwrap();
+        .unwrap()
+        .triples;
         assert_eq!(triples.len(), 8, "overlapping subqueries must dedup");
     }
 
@@ -590,7 +696,7 @@ mod tests {
         let store = RdfStore::new(&kg);
         let ep = InProcessEndpoint::new(&store);
         let q = parse("SELECT ?s WHERE { ?s ?p ?o }").unwrap();
-        let err = fetch_triples(&ep, &store, &[q], ("s", "p", "o"), &FetchConfig::default());
+        let err = fetch_triples_robust(&ep, &store, &[q], ("s", "p", "o"), &FetchConfig::default());
         assert!(err.is_err());
     }
 
@@ -599,9 +705,32 @@ mod tests {
         let kg = kg(3);
         let store = RdfStore::new(&kg);
         let ep = InProcessEndpoint::new(&store);
-        let triples =
-            fetch_triples(&ep, &store, &[], ("s", "p", "o"), &FetchConfig::default()).unwrap();
-        assert!(triples.is_empty());
+        let outcome =
+            fetch_triples_robust(&ep, &store, &[], ("s", "p", "o"), &FetchConfig::default())
+                .unwrap();
+        assert!(outcome.triples.is_empty());
+    }
+
+    /// Regression: a zero-row page is never "short", so `batch_size: 0`
+    /// paged forever (and grew its page list without bound).
+    #[test]
+    fn zero_batch_size_is_rejected() {
+        let kg = kg(3);
+        let store = RdfStore::new(&kg);
+        let ep = InProcessEndpoint::new(&store);
+        let q = parse("SELECT ?s ?p ?o WHERE { ?s ?p ?o . ?s a <Author> }").unwrap();
+        for mode in [FetchMode::Strict, FetchMode::Partial] {
+            let cfg = FetchConfig {
+                batch_size: 0,
+                mode,
+                ..FetchConfig::default()
+            };
+            let err =
+                fetch_triples_robust(&ep, &store, std::slice::from_ref(&q), ("s", "p", "o"), &cfg)
+                    .unwrap_err();
+            assert!(matches!(err, RdfError::Exec(_)), "{err}");
+        }
+        assert_eq!(ep.stats().requests(), 0);
     }
 
     /// Regression: `count` used to index `rs.row(0)` and panic when the
@@ -624,7 +753,7 @@ mod tests {
         let store = RdfStore::new(&kg);
         let ep = InProcessEndpoint::new(&store);
         let q = parse("SELECT ?s ?p ?o WHERE { ?s ?p ?o . ?s a <Author> }").unwrap();
-        let clean = fetch_triples(
+        let clean = fetch_triples_robust(
             &ep,
             &store,
             std::slice::from_ref(&q),
@@ -635,7 +764,8 @@ mod tests {
                 ..FetchConfig::default()
             },
         )
-        .unwrap();
+        .unwrap()
+        .triples;
         let chaotic = fetch_triples_robust(
             &ep,
             &store,

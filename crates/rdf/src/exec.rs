@@ -8,8 +8,11 @@
 //!    first, using `O(log m)` index counts as the cardinality estimate,
 //! 3. each pattern is joined by an index range scan per intermediate row,
 //! 4. `UNION` branches are evaluated per-row and concatenated (bag
-//!    semantics), then `DISTINCT` / `OFFSET` / `LIMIT` apply to the
-//!    projected rows.
+//!    semantics), then `DISTINCT` applies to the projected rows.
+//!
+//! That is `SparqlEngine::solve`; `OFFSET` / `LIMIT` are a separate slice of
+//! its answer (`Solved::page`), so the endpoint, which holds on to a
+//! `Solved`, serves every page of a query from one evaluation.
 
 use crate::ast::{CompareOp, Constraint, Element, Group, Query, Selection, Term, TriplePattern};
 use crate::error::RdfError;
@@ -105,6 +108,66 @@ impl ResultSet {
     }
 }
 
+/// A query's whole answer, its `LIMIT`/`OFFSET` ignored: what
+/// [`SparqlEngine::solve`] returns and every page is sliced from.
+#[derive(Debug)]
+pub(crate) struct Solved {
+    /// Every projected row (deduplicated under `DISTINCT`).
+    rows: ResultSet,
+    /// Solutions of the `WHERE` group — what `COUNT(*)` reports. Differs
+    /// from `rows.len()` under `DISTINCT` and for zero-width projections.
+    solutions: usize,
+}
+
+impl Solved {
+    /// Number of solutions of the query's group (`COUNT(*)`), before
+    /// projection and `DISTINCT`.
+    pub(crate) fn solutions(&self) -> usize {
+        self.solutions
+    }
+
+    /// Rows `query`'s `OFFSET`/`LIMIT` select (`COUNT` answers are not
+    /// paged), and whether that range reaches the end of the answer.
+    fn page_range(&self, query: &Query) -> (std::ops::Range<usize>, bool) {
+        let len = self.rows.len();
+        if matches!(query.select, Selection::Count) {
+            return (0..len, true);
+        }
+        let offset = query.offset.unwrap_or(0).min(len);
+        let limit = query.limit.unwrap_or(usize::MAX);
+        let keep = (len - offset).min(limit);
+        (offset..offset + keep, keep < limit)
+    }
+
+    /// Whether `query`'s page is the last one: it returns fewer rows than
+    /// its `LIMIT`, which is how a pagination loop learns it is done.
+    pub(crate) fn is_last_page(&self, query: &Query) -> bool {
+        self.page_range(query).1
+    }
+
+    /// Copies out the page `query`'s `OFFSET`/`LIMIT` select.
+    pub(crate) fn page(&self, query: &Query) -> ResultSet {
+        let (range, _) = self.page_range(query);
+        let width = self.rows.width;
+        ResultSet {
+            vars: self.rows.vars.clone(),
+            pred_cols: self.rows.pred_cols.clone(),
+            width,
+            data: self.rows.data[range.start * width..range.end * width].to_vec(),
+        }
+    }
+
+    /// [`Solved::page`] by value: a page that is the whole answer is moved
+    /// out, not copied.
+    pub(crate) fn into_page(self, query: &Query) -> ResultSet {
+        if self.page_range(query).0 == (0..self.rows.len()) {
+            self.rows
+        } else {
+            self.page(query)
+        }
+    }
+}
+
 /// Flat intermediate binding table used during evaluation. The row count
 /// is tracked explicitly so zero-width tables (queries without variables)
 /// still represent "one empty solution" correctly.
@@ -141,8 +204,8 @@ impl Rows {
         self.count += 1;
     }
 
-    fn iter(&self) -> RowsIter<'_> {
-        RowsIter {
+    fn view(&self) -> RowsView<'_> {
+        RowsView {
             data: &self.data,
             width: self.width,
             remaining: self.count,
@@ -150,14 +213,34 @@ impl Rows {
     }
 }
 
-/// Row iterator that also handles the zero-width case.
-struct RowsIter<'a> {
+/// A borrowed binding table — a whole [`Rows`] or a single row of one.
+/// Iterating yields its rows and also handles the zero-width case.
+#[derive(Clone)]
+struct RowsView<'a> {
     data: &'a [u32],
     width: usize,
     remaining: usize,
 }
 
-impl<'a> Iterator for RowsIter<'a> {
+impl<'a> RowsView<'a> {
+    fn single(row: &'a [u32]) -> Self {
+        Self {
+            data: row,
+            width: row.len(),
+            remaining: 1,
+        }
+    }
+
+    fn to_rows(&self) -> Rows {
+        Rows {
+            width: self.width,
+            count: self.remaining,
+            data: self.data.to_vec(),
+        }
+    }
+}
+
+impl<'a> Iterator for RowsView<'a> {
     type Item = &'a [u32];
 
     fn next(&mut self) -> Option<&'a [u32]> {
@@ -266,8 +349,14 @@ impl<'s, 'kg> SparqlEngine<'s, 'kg> {
         self.execute(&q)
     }
 
-    /// Executes a parsed query.
+    /// Executes a parsed query: one page of its answer.
     pub fn execute(&self, query: &Query) -> Result<ResultSet, RdfError> {
+        Ok(self.solve(query)?.into_page(query))
+    }
+
+    /// Evaluates a parsed query in full — join, project, `DISTINCT` —
+    /// ignoring its `LIMIT`/`OFFSET`.
+    pub(crate) fn solve(&self, query: &Query) -> Result<Solved, RdfError> {
         // Assign every variable in the query (plus projected-only vars) a slot.
         let mut vars = query.group.variables();
         if let Selection::Vars(vs) = &query.select {
@@ -283,12 +372,17 @@ impl<'s, 'kg> SparqlEngine<'s, 'kg> {
             .iter()
             .map(|v| pred_vars.iter().any(|pv| pv == v))
             .collect();
-        let rows = self.eval_group(&query.group, Rows::single_empty(width), &vars, &pred_flags)?;
+        let seed = Rows::single_empty(width);
+        let rows = self.eval_group(&query.group, seed.view(), &vars, &pred_flags)?;
+        let solutions = rows.len();
 
         if let Selection::Count = query.select {
             let mut rs = ResultSet::new(vec!["count".to_string()]);
-            rs.data.push(rows.len() as u32);
-            return Ok(rs);
+            rs.data.push(solutions as u32);
+            return Ok(Solved {
+                rows: rs,
+                solutions,
+            });
         }
 
         // Project.
@@ -304,7 +398,7 @@ impl<'s, 'kg> SparqlEngine<'s, 'kg> {
         let mut rs = ResultSet::new(proj_vars);
         rs.pred_cols = proj.iter().map(|&i| pred_flags[i]).collect();
         rs.data.reserve(rows.len() * proj.len());
-        for row in rows.iter() {
+        for row in rows.view() {
             for &i in &proj {
                 rs.data.push(row[i]);
             }
@@ -320,24 +414,17 @@ impl<'s, 'kg> SparqlEngine<'s, 'kg> {
             }
             rs.data = deduped;
         }
-
-        // OFFSET then LIMIT over whole rows.
-        let offset = query.offset.unwrap_or(0).min(rs.len());
-        let limit = query.limit.unwrap_or(usize::MAX);
-        let keep = rs.len().saturating_sub(offset).min(limit);
-        if offset > 0 || keep < rs.len() {
-            let start = offset * rs.width;
-            let end = (offset + keep) * rs.width;
-            rs.data = rs.data[start..end].to_vec();
-        }
-        Ok(rs)
+        Ok(Solved {
+            rows: rs,
+            solutions,
+        })
     }
 
     /// Evaluates a group against every input row.
     fn eval_group(
         &self,
         group: &Group,
-        input: Rows,
+        input: RowsView<'_>,
         vars: &[String],
         pred_flags: &[bool],
     ) -> Result<Rows, RdfError> {
@@ -354,14 +441,17 @@ impl<'s, 'kg> SparqlEngine<'s, 'kg> {
             }
         }
 
-        let mut rows = input;
+        // The first join reads the borrowed input; only a group without
+        // patterns has to copy it.
+        let mut joined: Option<Rows> = None;
         // Greedy join order over the patterns.
         let mut remaining: Vec<CompiledPattern> = patterns;
-        let mut bound = self.initially_bound(&rows);
+        let mut bound = self.initially_bound(&input);
         while !remaining.is_empty() {
             let next = self.pick_next(&remaining, &bound);
             let pattern = remaining.swap_remove(next);
-            rows = self.join_pattern(&pattern, rows)?;
+            let current = joined.as_ref().map_or(input.clone(), Rows::view);
+            let rows = self.join_pattern(&pattern, current);
             for comp in [pattern.s, pattern.p, pattern.o] {
                 if let Comp::Var(i) = comp {
                     bound[i] = true;
@@ -371,20 +461,17 @@ impl<'s, 'kg> SparqlEngine<'s, 'kg> {
                 // Short-circuit: the join is already empty.
                 return Ok(rows);
             }
+            joined = Some(rows);
         }
+        let mut rows = joined.unwrap_or_else(|| input.to_rows());
 
         // Apply unions: each input row fans out across branches.
         for branches in unions {
-            let width = rows.width;
-            let mut out = Rows::empty(width);
-            for row in rows.iter() {
+            let mut out = Rows::empty(rows.width);
+            for row in rows.view() {
                 for branch in branches.iter() {
-                    let seed = Rows {
-                        width,
-                        count: 1,
-                        data: row.to_vec(),
-                    };
-                    let produced = self.eval_group(branch, seed, vars, pred_flags)?;
+                    let produced =
+                        self.eval_group(branch, RowsView::single(row), vars, pred_flags)?;
                     out.count += produced.count;
                     out.data.extend_from_slice(&produced.data);
                 }
@@ -396,7 +483,7 @@ impl<'s, 'kg> SparqlEngine<'s, 'kg> {
         if !filters.is_empty() {
             let width = rows.width;
             let mut out = Rows::empty(width);
-            'rows: for row in rows.iter() {
+            'rows: for row in rows.view() {
                 for f in &filters {
                     if !f.eval(row) {
                         continue 'rows;
@@ -439,10 +526,10 @@ impl<'s, 'kg> SparqlEngine<'s, 'kg> {
         }
     }
 
-    fn initially_bound(&self, rows: &Rows) -> Vec<bool> {
+    fn initially_bound(&self, rows: &RowsView<'_>) -> Vec<bool> {
         // A var is considered bound for planning if it is bound in the first
         // input row (all rows share binding shape for our query forms).
-        match rows.iter().next() {
+        match rows.clone().next() {
             Some(row) => row.iter().map(|&v| v != NULL_ID).collect(),
             None => vec![false; rows.width],
         }
@@ -509,13 +596,13 @@ impl<'s, 'kg> SparqlEngine<'s, 'kg> {
     }
 
     /// Joins one pattern against all rows via index scans.
-    fn join_pattern(&self, pat: &CompiledPattern, rows: Rows) -> Result<Rows, RdfError> {
+    fn join_pattern(&self, pat: &CompiledPattern, rows: RowsView<'_>) -> Rows {
         let mut out = Rows::empty(rows.width);
         if pat.has_unresolvable() {
-            return Ok(out);
+            return out;
         }
         let hex = self.store.hexastore();
-        for row in rows.iter() {
+        for row in rows {
             let fix = |c: Comp| -> Option<u32> {
                 match c {
                     Comp::Const(id) => Some(id),
@@ -525,16 +612,22 @@ impl<'s, 'kg> SparqlEngine<'s, 'kg> {
             };
             let (s, p, o) = (fix(pat.s), fix(pat.p), fix(pat.o));
             for [ts, tp, to] in hex.scan(s, p, o) {
-                let mut new_row = row.to_vec();
-                if Self::bind(&mut new_row, pat.s, ts)
-                    && Self::bind(&mut new_row, pat.p, tp)
-                    && Self::bind(&mut new_row, pat.o, to)
+                // Bind in place at the end of `out`; a mismatch on a
+                // repeated variable takes the candidate row back off.
+                let start = out.data.len();
+                out.data.extend_from_slice(row);
+                let new_row = &mut out.data[start..];
+                if Self::bind(new_row, pat.s, ts)
+                    && Self::bind(new_row, pat.p, tp)
+                    && Self::bind(new_row, pat.o, to)
                 {
-                    out.push_row(&new_row);
+                    out.count += 1;
+                } else {
+                    out.data.truncate(start);
                 }
             }
         }
-        Ok(out)
+        out
     }
 
     /// Collects variables that appear in predicate position anywhere in the

@@ -50,8 +50,8 @@ pub use breaker::{
 };
 pub use checkpoint::FetchCheckpoint;
 pub use endpoint::{
-    fetch_triples, fetch_triples_robust, EndpointStats, FetchConfig, FetchMode, FetchOutcome,
-    InProcessEndpoint, SparqlEndpoint,
+    fetch_triples_robust, EndpointStats, FetchConfig, FetchMode, FetchOutcome, InProcessEndpoint,
+    SparqlEndpoint,
 };
 pub use error::RdfError;
 pub use fault::{FaultDecision, FaultPlan, FaultyEndpoint};

@@ -8,7 +8,7 @@ use std::sync::atomic::Ordering;
 
 use kgtosa_kg::{KnowledgeGraph, Triple};
 use kgtosa_rdf::{
-    fetch_triples, parse, FaultPlan, FetchConfig, InProcessEndpoint, PageCache, RdfStore,
+    fetch_triples_robust, parse, FaultPlan, FetchConfig, InProcessEndpoint, PageCache, RdfStore,
     RetryPolicy,
 };
 
@@ -35,7 +35,9 @@ fn arb_kg() -> impl Strategy<Value = KnowledgeGraph> {
 fn fetch_all(store: &RdfStore<'_>, cfg: &FetchConfig) -> Vec<Triple> {
     let q = parse("SELECT ?s ?p ?o WHERE { ?s ?p ?o . }").expect("query parses");
     let endpoint = InProcessEndpoint::new(store);
-    fetch_triples(&endpoint, store, &[q], ("s", "p", "o"), cfg).expect("fetch succeeds")
+    fetch_triples_robust(&endpoint, store, &[q], ("s", "p", "o"), cfg)
+        .expect("fetch succeeds")
+        .triples
 }
 
 fn cfg(batch: usize, threads: usize) -> FetchConfig {
@@ -105,8 +107,9 @@ proptest! {
         };
         let q = parse("SELECT ?s ?p ?o WHERE { ?s ?p ?o . }").expect("query parses");
         let endpoint = InProcessEndpoint::new(&store);
-        let cold = fetch_triples(&endpoint, &store, std::slice::from_ref(&q), ("s", "p", "o"), &cached_cfg)
-            .expect("cold fetch succeeds");
+        let cold = fetch_triples_robust(&endpoint, &store, std::slice::from_ref(&q), ("s", "p", "o"), &cached_cfg)
+            .expect("cold fetch succeeds")
+            .triples;
         prop_assert_eq!(&cold, &clean);
 
         // Every page was a miss and was inserted exactly once, no matter
@@ -123,8 +126,9 @@ proptest! {
 
         // Warm re-fetch: all hits, zero new endpoint requests, zero new
         // insertions, same bytes out.
-        let warm = fetch_triples(&endpoint, &store, &[q], ("s", "p", "o"), &cached_cfg)
-            .expect("warm fetch succeeds");
+        let warm = fetch_triples_robust(&endpoint, &store, &[q], ("s", "p", "o"), &cached_cfg)
+            .expect("warm fetch succeeds")
+            .triples;
         prop_assert_eq!(&warm, &clean);
         prop_assert_eq!(endpoint.stats().requests(), cold_requests,
             "warm fetch must not reach the endpoint");

@@ -1,11 +1,14 @@
 //! Property-based tests: the hexastore and executor must agree with naive
 //! reference implementations on arbitrary inputs.
 
+use std::sync::Barrier;
+
 use proptest::prelude::*;
 
 use kgtosa_kg::KnowledgeGraph;
 use kgtosa_rdf::{
-    fetch_triples, parse, FetchConfig, Hexastore, InProcessEndpoint, RdfStore, SparqlEngine,
+    fetch_triples_robust, parse, FetchConfig, Hexastore, InProcessEndpoint, Query, RdfError,
+    RdfStore, ResultSet, SparqlEndpoint, SparqlEngine,
 };
 
 fn arb_triples() -> impl Strategy<Value = Vec<[u32; 3]>> {
@@ -51,7 +54,184 @@ fn naive_scan(
     out
 }
 
+/// The endpoint's cursor cap (`MAX_HANDLERS` in `endpoint.rs`).
+const CURSOR_CAP: usize = 16;
+
+/// 21 distinct queries — more than the cursor cap — over the shapes the
+/// engine supports: plain BGP, type-anchored star, UNION, FILTER, DISTINCT.
+fn query_pool() -> Vec<Query> {
+    let mut texts = Vec::new();
+    for r in 0..4 {
+        texts.push(format!("SELECT ?s ?o WHERE {{ ?s <r{r}> ?o }}"));
+        texts.push(format!("SELECT ?s ?o WHERE {{ ?s <r{r}> ?o . FILTER (?s != ?o) }}"));
+        texts.push(format!("SELECT DISTINCT ?s WHERE {{ ?s <r{r}> ?o }}"));
+    }
+    for c in 0..3 {
+        texts.push(format!("SELECT ?s ?p ?o WHERE {{ ?s ?p ?o . ?s a <C{c}> }}"));
+        texts.push(format!(
+            "SELECT * WHERE {{ ?v a <C{c}> . {{ ?v <r0> ?o }} UNION {{ ?i <r1> ?v }} }}"
+        ));
+        texts.push(format!("SELECT DISTINCT ?p WHERE {{ ?s ?p ?o . ?s a <C{c}> }}"));
+    }
+    texts.iter().map(|t| parse(t).expect("pool query parses")).collect()
+}
+
+/// What a page must be: its query evaluated on an engine that has never
+/// seen another request.
+fn fresh_page(store: &RdfStore<'_>, paged: &Query) -> ResultSet {
+    SparqlEngine::new(store).execute(paged).expect("query executes")
+}
+
+/// An endpoint that has only `select`, so `count` is the trait's default
+/// `COUNT(*)` rewrite — what `InProcessEndpoint::count` was before it
+/// shared the pagination's evaluation.
+struct SelectOnly<'a, 's, 'kg>(&'a InProcessEndpoint<'s, 'kg>);
+
+impl SparqlEndpoint for SelectOnly<'_, '_, '_> {
+    fn select(&self, query: &Query) -> Result<ResultSet, RdfError> {
+        self.0.select(query)
+    }
+}
+
+/// Pages `query` from offset 0 until the short page, checking each page.
+fn page_to_exhaustion(
+    ep: &InProcessEndpoint<'_, '_>,
+    store: &RdfStore<'_>,
+    query: &Query,
+    bs: usize,
+) -> Result<(), TestCaseError> {
+    for page in 0.. {
+        let paged = query.with_page(bs, page * bs);
+        let got = ep.select(&paged).expect("page is served");
+        prop_assert_eq!(&got, &fresh_page(store, &paged), "page {} of {}", page, query);
+        if got.len() < bs {
+            break;
+        }
+    }
+    Ok(())
+}
+
 proptest! {
+    /// Requests in any order — sequential, shuffled, repeated, skipping
+    /// pages, queries interleaved, `count` anywhere, more live queries than
+    /// the cursor cap — get from one long-lived endpoint exactly what a
+    /// fresh engine answers, and the endpoint evaluates only when a model
+    /// of its cursor table says it has nothing parked.
+    #[test]
+    fn cursor_pages_equal_fresh_evaluation(
+        kg in arb_kg(),
+        bs in 1usize..9,
+        first in 0usize..21,
+        queries in 1usize..22,
+        schedule in proptest::collection::vec((0usize..21, 0usize..8), 1..200),
+    ) {
+        let store = RdfStore::new(&kg);
+        let pool = query_pool();
+        let live: Vec<usize> = (0..queries).map(|i| (first + i) % pool.len()).collect();
+        let ep = InProcessEndpoint::new(&store);
+        // Model of the cursor table: parked query texts, oldest first.
+        let mut parked: Vec<String> = Vec::new();
+        let mut evaluations = 0usize;
+        for (step, &(slot, action)) in schedule.iter().enumerate() {
+            let query = &pool[live[slot % live.len()]];
+            let key = query.to_string();
+            let was_parked = parked.contains(&key);
+            // Actions 6 and 7 are `count`, the rest a page index.
+            let keep_parked = if action >= 6 {
+                let expected = SelectOnly(&InProcessEndpoint::new(&store)).count(query).unwrap();
+                prop_assert_eq!(ep.count(query).unwrap(), expected, "count of {}", query);
+                true
+            } else {
+                let paged = query.with_page(bs, action * bs);
+                let expected = fresh_page(&store, &paged);
+                prop_assert_eq!(&ep.select(&paged).unwrap(), &expected, "{}", paged);
+                expected.len() == bs
+            };
+            if !was_parked {
+                evaluations += 1;
+            }
+            match (was_parked, keep_parked) {
+                (true, false) => parked.retain(|k| *k != key),
+                (false, true) => {
+                    if parked.len() == CURSOR_CAP {
+                        parked.remove(0);
+                    }
+                    parked.push(key);
+                }
+                _ => {}
+            }
+            prop_assert_eq!(ep.stats().requests(), step + 1);
+            prop_assert_eq!(ep.stats().evaluations(), evaluations, "after step {}", step);
+            prop_assert_eq!(ep.open_cursors(), parked.len(), "after step {}", step);
+        }
+    }
+
+    /// The fetcher's own access pattern: up to the cap's worth of distinct
+    /// queries, each paged in order by one of 1 or 4 handler threads, cost
+    /// one evaluation each and leave nothing parked.
+    #[test]
+    fn sequential_pagination_evaluates_once(
+        kg in arb_kg(),
+        bs in 1usize..9,
+        first in 0usize..21,
+        queries in 1usize..=CURSOR_CAP,
+        threads in proptest::sample::select(vec![1usize, 4]),
+    ) {
+        let store = RdfStore::new(&kg);
+        let pool = query_pool();
+        let live: Vec<usize> = (0..queries).map(|i| (first + i) % pool.len()).collect();
+        let ep = InProcessEndpoint::new(&store);
+        // All handlers start together, so paginations really interleave.
+        let start = Barrier::new(threads);
+        let results: Vec<Result<(), TestCaseError>> = std::thread::scope(|scope| {
+            let handlers: Vec<_> = (0..threads)
+                .map(|t| {
+                    let (ep, store, pool, live, start) = (&ep, &store, &pool, &live, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        for &q in live.iter().skip(t).step_by(threads) {
+                            page_to_exhaustion(ep, store, &pool[q], bs)?;
+                        }
+                        Ok(())
+                    })
+                })
+                .collect();
+            handlers.into_iter().map(|h| h.join().expect("handler panicked")).collect()
+        });
+        for result in results {
+            result?;
+        }
+        prop_assert_eq!(ep.stats().evaluations(), live.len());
+        prop_assert_eq!(ep.open_cursors(), 0, "exhaustion empties the table");
+    }
+
+    /// Round-robin over all 21 queries keeps more paginations live than
+    /// the cap: evictions cost re-evaluations, never a wrong page.
+    #[test]
+    fn eviction_only_costs_evaluations(kg in arb_kg(), bs in 1usize..4) {
+        let store = RdfStore::new(&kg);
+        let pool = query_pool();
+        let ep = InProcessEndpoint::new(&store);
+        let mut live: Vec<&Query> = pool.iter().collect();
+        let mut page = 0;
+        while !live.is_empty() {
+            let mut still_live = Vec::new();
+            for query in live {
+                let paged = query.with_page(bs, page * bs);
+                let got = ep.select(&paged).unwrap();
+                prop_assert_eq!(&got, &fresh_page(&store, &paged), "{}", paged);
+                if got.len() == bs {
+                    still_live.push(query);
+                }
+            }
+            live = still_live;
+            page += 1;
+            prop_assert!(ep.open_cursors() <= CURSOR_CAP);
+        }
+        prop_assert!(ep.stats().evaluations() >= pool.len());
+        prop_assert_eq!(ep.open_cursors(), 0, "exhaustion empties the table");
+    }
+
     /// Every bound-component combination returns exactly the naive filter's
     /// triple set, regardless of which of the six orderings serves it.
     #[test]
@@ -100,15 +280,15 @@ proptest! {
         let store = RdfStore::new(&kg);
         let ep = InProcessEndpoint::new(&store);
         let q = parse("SELECT ?s ?p ?o WHERE { ?s ?p ?o . ?s a <C0> }").unwrap();
-        let paged = fetch_triples(
+        let paged = fetch_triples_robust(
             &ep, &store, std::slice::from_ref(&q), ("s", "p", "o"),
             &FetchConfig { batch_size: batch, threads: 2, ..FetchConfig::default() },
         ).unwrap();
-        let full = fetch_triples(
+        let full = fetch_triples_robust(
             &ep, &store, &[q], ("s", "p", "o"),
             &FetchConfig { batch_size: 1_000_000, threads: 1, ..FetchConfig::default() },
         ).unwrap();
-        prop_assert_eq!(paged, full);
+        prop_assert_eq!(paged.triples, full.triples);
     }
 
     /// DISTINCT never returns duplicates and preserves the solution set.

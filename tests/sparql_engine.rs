@@ -6,7 +6,8 @@ use kgtosa::core::{compile_subqueries, compile_union, ExtractionTask, GraphPatte
 use kgtosa::datagen;
 use kgtosa::kg::Triple;
 use kgtosa::rdf::{
-    fetch_triples, FetchConfig, InProcessEndpoint, RdfStore, SparqlEndpoint, SparqlEngine, NULL_ID,
+    fetch_triples_robust, FetchConfig, FetchMode, InProcessEndpoint, Query, RdfError, RdfStore,
+    ResultSet, SparqlEndpoint, SparqlEngine, NULL_ID,
 };
 
 #[test]
@@ -63,7 +64,7 @@ fn union_query_equals_paginated_subqueries() {
                 sq.triple_vars.1.as_str(),
                 sq.triple_vars.2.as_str(),
             );
-            let mut part = fetch_triples(
+            let part = fetch_triples_robust(
                 &ep,
                 &store,
                 std::slice::from_ref(&sq.query),
@@ -71,7 +72,7 @@ fn union_query_equals_paginated_subqueries() {
                 &FetchConfig { batch_size: 53, threads: 2, ..Default::default() },
             )
             .unwrap();
-            fetched.append(&mut part);
+            fetched.extend(part.triples);
         }
         fetched.sort_unstable();
         fetched.dedup();
@@ -106,4 +107,92 @@ fn endpoint_counts_plan_pagination() {
         let rows = engine.execute(&sq.query).unwrap().len();
         assert_eq!(count, rows);
     }
+}
+
+/// An endpoint whose page at one offset is permanently broken.
+struct BrokenAt<'a, 's, 'kg> {
+    ep: &'a InProcessEndpoint<'s, 'kg>,
+    offset: usize,
+}
+
+impl SparqlEndpoint for BrokenAt<'_, '_, '_> {
+    fn select(&self, query: &Query) -> Result<ResultSet, RdfError> {
+        if query.offset == Some(self.offset) {
+            return Err(RdfError::exec("page permanently broken"));
+        }
+        self.ep.select(query)
+    }
+}
+
+#[test]
+fn paged_fetch_evaluates_each_subquery_once() {
+    // Algorithm 3 pages every subquery off one evaluation: the request
+    // count follows the page count, the evaluation count does not.
+    const BS: usize = 53;
+    let d = datagen::yago3_10(0.05, 4);
+    let kg = &d.gen.kg;
+    let task = ExtractionTask::node_classification(
+        "t",
+        "Person",
+        kg.nodes_of_class(kg.find_class("Person").unwrap()),
+    );
+    let store = RdfStore::new(kg);
+    let subs = compile_subqueries(&task, &GraphPattern::D2H1);
+    let fetch = |ep: &dyn SparqlEndpoint, sq: &kgtosa::core::Subquery, cfg: &FetchConfig| {
+        let (s, p, o) = &sq.triple_vars;
+        fetch_triples_robust(&ep, &store, std::slice::from_ref(&sq.query), (s, p, o), cfg)
+    };
+    let strict = FetchConfig { batch_size: BS, threads: 2, ..Default::default() };
+
+    let ep = InProcessEndpoint::new(&store);
+    let mut pages = 0;
+    let mut triples: Vec<Triple> = Vec::new();
+    for sq in &subs {
+        let outcome = fetch(&ep, sq, &strict).unwrap();
+        pages += outcome.completed_pages;
+        triples.extend(outcome.triples);
+    }
+    assert!(pages >= 3 * subs.len(), "bs = {BS} must really paginate: {pages} pages");
+    assert_eq!(ep.stats().requests(), pages);
+    assert_eq!(ep.stats().evaluations(), subs.len());
+    assert_eq!(ep.open_cursors(), 0, "every pagination ran to its short page");
+
+    // Partial mode adds one getGraphSize request per subquery — and no
+    // evaluation: the count parks what the pages are sliced from.
+    let partial_ep = InProcessEndpoint::new(&store);
+    let partial = FetchConfig { mode: FetchMode::Partial, ..strict.clone() };
+    let mut partial_triples: Vec<Triple> = Vec::new();
+    for sq in &subs {
+        let outcome = fetch(&partial_ep, sq, &partial).unwrap();
+        assert!(outcome.is_complete());
+        partial_triples.extend(outcome.triples);
+    }
+    assert_eq!(partial_triples, triples);
+    assert_eq!(partial_ep.stats().requests(), pages + subs.len());
+    assert_eq!(partial_ep.stats().evaluations(), subs.len());
+    assert_eq!(partial_ep.open_cursors(), 0);
+
+    // Checkpoint resume: a first run dies on its third page, the re-run
+    // skips the two checkpointed pages and starts mid-pagination — still
+    // one evaluation for all the pages that remain.
+    let first_ep = InProcessEndpoint::new(&store);
+    let longest = subs
+        .iter()
+        .max_by_key(|sq| first_ep.count(&sq.query).unwrap())
+        .unwrap();
+    let whole = fetch(&first_ep, longest, &strict).unwrap();
+    assert!(whole.completed_pages > 3);
+    let dir = std::env::temp_dir().join(format!("kgtosa-cursor-resume-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let resumable = FetchConfig { checkpoint: Some(dir.join("fetch.ckpt")), ..strict.clone() };
+    let broken = BrokenAt { ep: &first_ep, offset: 2 * BS };
+    assert!(fetch(&broken, longest, &resumable).is_err());
+    let resumed_ep = InProcessEndpoint::new(&store);
+    let resumed = fetch(&resumed_ep, longest, &resumable).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(resumed.resumed_pages, 2);
+    assert_eq!(resumed.triples, whole.triples);
+    assert_eq!(resumed_ep.stats().requests(), whole.completed_pages - 2);
+    assert_eq!(resumed_ep.stats().evaluations(), 1);
+    assert_eq!(resumed_ep.open_cursors(), 0);
 }
