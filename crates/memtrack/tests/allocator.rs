@@ -2,18 +2,31 @@
 //! exercising the real alloc/dealloc/realloc paths, which unit tests
 //! cannot do (no `#[global_allocator]` in lib tests).
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 use kgtosa_memtrack::{format_bytes, live_bytes, measure_peak, peak_bytes, reset_peak};
 
 #[global_allocator]
 static ALLOC: kgtosa_memtrack::TrackingAllocator = kgtosa_memtrack::TrackingAllocator;
 
+/// The live/peak counters are process-global and every test here asserts
+/// on them around megabyte allocations of its own, so the tests take
+/// turns instead of running on the harness's parallel threads. The
+/// harness still frees a finished test's bookkeeping while the next one
+/// runs, so every bound below leaves far more slack than that.
+fn serial() -> MutexGuard<'static, ()> {
+    static TURN: Mutex<()> = Mutex::new(());
+    TURN.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 #[test]
 fn tracks_vec_allocations() {
+    let _turn = serial();
     let before = live_bytes();
-    let v: Vec<u8> = vec![0u8; 1 << 20];
+    let v: Vec<u8> = vec![0u8; 2 << 20];
     assert!(
         live_bytes() >= before + (1 << 20),
-        "1 MiB allocation must be visible"
+        "2 MiB allocation must be visible"
     );
     drop(v);
     assert!(live_bytes() < before + (1 << 20));
@@ -21,6 +34,7 @@ fn tracks_vec_allocations() {
 
 #[test]
 fn peak_survives_drop() {
+    let _turn = serial();
     reset_peak();
     let base = peak_bytes();
     {
@@ -35,8 +49,9 @@ fn peak_survives_drop() {
 
 #[test]
 fn measure_peak_isolates_phases() {
+    let _turn = serial();
     let (_, peak1) = measure_peak(|| {
-        let _v: Vec<u8> = vec![1; 2 << 20];
+        let _v: Vec<u8> = vec![1; 3 << 20];
     });
     let (_, peak2) = measure_peak(|| {
         let _v: Vec<u8> = vec![1; 64];
@@ -47,6 +62,7 @@ fn measure_peak_isolates_phases() {
 
 #[test]
 fn realloc_keeps_accounting_consistent() {
+    let _turn = serial();
     reset_peak();
     let before = live_bytes();
     let mut v: Vec<u8> = Vec::new();

@@ -1,13 +1,10 @@
 //! Profiler differential contract: arming kgtosa-prof must not change
-//! trainer outputs by a single bit, and the span-mirroring + sampling
-//! tick must stay within the documented wall-clock overhead budget.
+//! trainer outputs by a single bit. (Its wall-clock overhead is a
+//! benchmark number — `bench.trace_overhead_pct` in `BENCHMARK.json` —
+//! not a unit-test assertion: a timing bound flakes on a loaded box.)
 //!
 //! Single `#[test]`: `enable_prof` is process-global and sticky, so the
-//! unprofiled baseline must run (and be timed) before the profiler is
-//! armed. Keeping the file to one test also keeps the timing loop from
-//! sharing cores with sibling tests in the same binary.
-
-use std::time::Instant;
+//! unprofiled baseline must run before the profiler is armed.
 
 use kgtosa_kg::{HeteroGraph, KnowledgeGraph, Vid};
 use kgtosa_models::{train_rgcn_nc, NcDataset, TrainConfig, TrainReport};
@@ -19,7 +16,8 @@ use kgtosa_tensor::IGNORE_LABEL;
 static ALLOC: kgtosa_memtrack::TrackingAllocator = kgtosa_memtrack::TrackingAllocator;
 
 /// Citation-flavoured toy graph, sized so a training run is long enough
-/// (hundreds of milliseconds) to time stably but short enough for CI.
+/// (hundreds of milliseconds) for the sampler to tick but short enough
+/// for CI.
 fn toy_nc(papers: usize) -> (KnowledgeGraph, Vec<u32>, Vec<Vid>) {
     let mut kg = KnowledgeGraph::new();
     for i in 0..papers {
@@ -48,7 +46,7 @@ fn train_once(data: &NcDataset<'_>) -> TrainReport {
 }
 
 #[test]
-fn profiling_is_bit_invisible_and_cheap() {
+fn profiling_is_bit_invisible() {
     let (kg, labels, papers) = toy_nc(160);
     let graph = HeteroGraph::build(&kg);
     let (train, rest) = papers.split_at(120);
@@ -62,22 +60,6 @@ fn profiling_is_bit_invisible_and_cheap() {
         valid,
         test,
     };
-
-    const REPS: usize = 5;
-    let time_min = |data: &NcDataset<'_>| -> (f64, TrainReport) {
-        let mut best = f64::INFINITY;
-        let mut last = None;
-        for _ in 0..REPS {
-            let start = Instant::now();
-            let report = train_once(data);
-            best = best.min(start.elapsed().as_secs_f64());
-            last = Some(report);
-        }
-        (best, last.expect("at least one rep"))
-    };
-
-    // Warm-up rep so allocator/page-cache effects hit neither side.
-    let _ = train_once(&data);
 
     // Scratch-arena allocation gate: the marginal cost of an extra
     // steady-state epoch must be a handful of bookkeeping allocations
@@ -117,11 +99,11 @@ fn profiling_is_bit_invisible_and_cheap() {
     });
 
     assert!(!kgtosa_obs::prof_enabled(), "profiler must start disarmed");
-    let (base_s, base) = time_min(&data);
+    let base = train_once(&data);
 
     kgtosa_obs::enable_prof(kgtosa_obs::DEFAULT_PROF_HZ);
     assert!(kgtosa_obs::prof_enabled());
-    let (prof_s, prof) = time_min(&data);
+    let prof = train_once(&data);
     assert!(kgtosa_obs::sample_ticks() > 0, "sampler thread must have ticked");
 
     // Bit-identical trainer outputs: the profiler only mirrors span
@@ -134,16 +116,5 @@ fn profiling_is_bit_invisible_and_cheap() {
         base.trace.iter().map(|p| p.metric.to_bits()).collect::<Vec<_>>(),
         prof.trace.iter().map(|p| p.metric.to_bits()).collect::<Vec<_>>(),
         "profiling changed the validation trace"
-    );
-
-    // Overhead budget: the contract is <2% wall at the default 97 Hz
-    // (span path adds one relaxed load when off, one short mutex op when
-    // on; the tick only reads mirrored stacks). Min-of-N absorbs most
-    // scheduler noise; the small absolute slack keeps a loaded CI box
-    // from flaking on a bound the hardware meets comfortably.
-    let budget = base_s * 1.02 + 0.015;
-    assert!(
-        prof_s <= budget,
-        "profiled run too slow: base={base_s:.4}s profiled={prof_s:.4}s budget={budget:.4}s"
     );
 }

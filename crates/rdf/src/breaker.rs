@@ -1,9 +1,11 @@
-//! A deterministic circuit breaker for [`SparqlEndpoint`] stacks.
+//! A deterministic circuit breaker: the stage of the request pipeline
+//! (DESIGN.md §4) that gates what the retry loop may send.
 //!
 //! When the backend starts failing *permanently* (give-ups, fatal
 //! errors), retrying harder only cascades the failure: every doomed
 //! request still burns a worker for its full retry budget. The breaker
-//! cuts that loop. It watches outcomes flowing through the endpoint and,
+//! cuts that loop. It watches the final outcomes of requests — give-ups
+//! and fatal errors, not the transient attempts a retry absorbed — and,
 //! after `trip_threshold` consecutive failures, *opens*: subsequent
 //! requests are rejected immediately with [`RdfError::BreakerOpen`],
 //! without touching the backend. After a cooldown it *half-opens* and
@@ -33,11 +35,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::ast::Query;
-use crate::endpoint::SparqlEndpoint;
 use crate::error::RdfError;
-use crate::exec::ResultSet;
-use crate::fault::{mix64, request_key};
+use crate::fault::mix64;
 
 /// When the breaker trips and how long it stays open.
 ///
@@ -75,14 +74,13 @@ impl BreakerPolicy {
                 .split_once('=')
                 .ok_or_else(|| format!("breaker entry {pair:?} is not key=value"))?;
             let (key, value) = (key.trim(), value.trim());
-            let int = |v: &str| {
-                v.parse::<u64>()
-                    .map_err(|_| format!("breaker {key}={value:?}: expected an integer"))
-            };
+            // Each value is parsed at its field's own width: one that does
+            // not fit is an error, not a truncation.
+            let bad = |_| format!("breaker {key}={value:?}: expected an integer");
             match key {
-                "trip" => policy.trip_threshold = int(value)? as u32,
-                "cooldown" => policy.cooldown_requests = int(value)? as u32,
-                "seed" => policy.seed = int(value)?,
+                "trip" => policy.trip_threshold = value.parse().map_err(bad)?,
+                "cooldown" => policy.cooldown_requests = value.parse().map_err(bad)?,
+                "seed" => policy.seed = value.parse().map_err(bad)?,
                 other => return Err(format!("unknown breaker key {other:?}")),
             }
         }
@@ -168,9 +166,9 @@ struct BreakerCounters {
     reopens: AtomicU64,
 }
 
-/// A shared circuit breaker: clone it to compose the same state machine
-/// around any number of endpoint stacks (all fetches of one serving
-/// backend share one breaker).
+/// A shared circuit breaker: clone it to gate any number of fetches with
+/// the same state machine (all fetches of one serving backend share one
+/// breaker).
 #[derive(Debug, Clone)]
 pub struct CircuitBreaker {
     policy: BreakerPolicy,
@@ -178,16 +176,14 @@ pub struct CircuitBreaker {
     counters: Arc<BreakerCounters>,
 }
 
-/// What the breaker decided for one request.
+/// How the breaker let a request through; its outcome is owed back to
+/// [`CircuitBreaker::settle`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Admission {
-    /// Send the request; report the outcome back.
+pub(crate) enum Admission {
+    /// An ordinary request while closed.
     Admit,
-    /// Send the request as the half-open probe; its outcome decides the
-    /// next state.
+    /// The half-open probe: its outcome decides the next state.
     Probe,
-    /// Reject without sending.
-    Reject,
 }
 
 impl CircuitBreaker {
@@ -269,36 +265,36 @@ impl CircuitBreaker {
         }
     }
 
-    fn admit(&self) -> Admission {
+    /// Gates request `key`: `Ok` says send it and [`settle`](Self::settle)
+    /// its outcome, `Err` is the rejection — the backend is not touched.
+    pub(crate) fn admit(&self, key: u64) -> Result<Admission, RdfError> {
         let mut inner = self.lock();
         inner.requests += 1;
         match inner.state {
-            BreakerState::Closed => Admission::Admit,
+            BreakerState::Closed => return Ok(Admission::Admit),
             BreakerState::Open => {
                 inner.rejected_this_open += 1;
-                self.counters.rejections.fetch_add(1, Ordering::Relaxed);
-                kgtosa_obs::counter("rdf.breaker.rejections").inc();
                 if inner.rejected_this_open >= inner.cooldown {
                     Self::transition(&mut inner, BreakerState::HalfOpen);
                     inner.probe_in_flight = false;
                 }
-                Admission::Reject
             }
-            BreakerState::HalfOpen => {
-                if inner.probe_in_flight {
-                    // Only one probe at a time; everyone else keeps being
-                    // rejected so a failing backend sees a single request.
-                    self.counters.rejections.fetch_add(1, Ordering::Relaxed);
-                    kgtosa_obs::counter("rdf.breaker.rejections").inc();
-                    Admission::Reject
-                } else {
-                    inner.probe_in_flight = true;
-                    self.counters.probes.fetch_add(1, Ordering::Relaxed);
-                    kgtosa_obs::counter("rdf.breaker.probes").inc();
-                    Admission::Probe
-                }
+            BreakerState::HalfOpen if !inner.probe_in_flight => {
+                inner.probe_in_flight = true;
+                self.counters.probes.fetch_add(1, Ordering::Relaxed);
+                kgtosa_obs::counter("rdf.breaker.probes").inc();
+                return Ok(Admission::Probe);
             }
+            // Only one probe at a time; everyone else keeps being rejected
+            // so a failing backend sees a single request.
+            BreakerState::HalfOpen => {}
         }
+        drop(inner);
+        self.counters.rejections.fetch_add(1, Ordering::Relaxed);
+        kgtosa_obs::counter("rdf.breaker.rejections").inc();
+        Err(RdfError::breaker_open(format!(
+            "request {key:016x} rejected while the backend is quarantined"
+        )))
     }
 
     fn trip(&self, inner: &mut BreakerInner) {
@@ -348,74 +344,31 @@ impl CircuitBreaker {
         }
     }
 
-    /// Wraps an endpoint so its outcomes drive this breaker and its
-    /// requests are gated by it. The same breaker (cloned) can wrap many
-    /// endpoint stacks.
-    pub fn wrap<E: SparqlEndpoint>(&self, inner: E) -> BreakerEndpoint<E> {
-        BreakerEndpoint { inner, breaker: self.clone() }
-    }
-}
-
-/// A [`SparqlEndpoint`] gated by a [`CircuitBreaker`].
-///
-/// Composes *outside* the retry layer: the breaker sees give-ups and
-/// fatal errors (the signals that the backend is truly failing), not the
-/// individual transient attempts the retry layer absorbs. Deadline
-/// give-ups do **not** count as backend failures — a caller with an
-/// aggressive budget must not trip the breaker for everyone else.
-pub struct BreakerEndpoint<E> {
-    inner: E,
-    breaker: CircuitBreaker,
-}
-
-impl<E> BreakerEndpoint<E> {
-    /// The shared breaker driving this endpoint.
-    pub fn breaker(&self) -> &CircuitBreaker {
-        &self.breaker
-    }
-}
-
-impl<E: SparqlEndpoint> SparqlEndpoint for BreakerEndpoint<E> {
-    fn select(&self, query: &Query) -> Result<ResultSet, RdfError> {
-        match self.breaker.admit() {
-            Admission::Reject => {
-                let key = request_key(query);
-                Err(RdfError::breaker_open(format!(
-                    "request {key:016x} rejected while the backend is quarantined"
-                )))
-            }
-            Admission::Admit => {
-                let result = self.inner.select(query);
-                self.breaker.record(outcome_is_success(&result));
-                result
-            }
-            Admission::Probe => {
-                let result = self.inner.select(query);
-                self.breaker.record_probe(outcome_is_success(&result));
-                result
-            }
+    /// Reports an admitted request's final outcome. `Ok` is success;
+    /// deadline exhaustion is *neutral* (treated as success, so a caller
+    /// with an aggressive budget cannot quarantine a healthy backend for
+    /// everyone else); everything else — give-ups, fatal errors, raw
+    /// transients no retry policy absorbed — is failure.
+    pub(crate) fn settle<T>(&self, admission: Admission, outcome: &Result<T, RdfError>) {
+        let success = match outcome {
+            Ok(_) => true,
+            Err(e) => e.is_deadline(),
+        };
+        match admission {
+            Admission::Admit => self.record(success),
+            Admission::Probe => self.record_probe(success),
         }
-    }
-}
-
-/// Whether an outcome counts as backend health for the breaker: `Ok` is
-/// success; deadline exhaustion is *neutral* (treated as success so a
-/// tight caller budget cannot quarantine a healthy backend); everything
-/// else — give-ups, fatal errors, raw transients that escaped a retry
-/// layer — is failure.
-fn outcome_is_success(result: &Result<ResultSet, RdfError>) -> bool {
-    match result {
-        Ok(_) => true,
-        Err(e) => e.is_deadline(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::Query;
+    use crate::endpoint::{FetchConfig, InProcessEndpoint, Pipeline, SparqlEndpoint};
+    use crate::exec::ResultSet;
     use crate::parser::parse;
     use crate::store::RdfStore;
-    use crate::InProcessEndpoint;
     use kgtosa_kg::KnowledgeGraph;
 
     fn kg() -> KnowledgeGraph {
@@ -433,6 +386,10 @@ mod tests {
         }
     }
 
+    fn gated_by(breaker: &CircuitBreaker) -> FetchConfig {
+        FetchConfig { breaker: Some(breaker.clone()), ..FetchConfig::default() }
+    }
+
     #[test]
     fn parse_spec() {
         let p = BreakerPolicy::parse("trip=3,cooldown=8,seed=11").unwrap();
@@ -441,6 +398,9 @@ mod tests {
         assert_eq!(p.seed, 11);
         assert!(BreakerPolicy::parse("trip=0").is_err());
         assert!(BreakerPolicy::parse("cooldown=0").is_err());
+        // Used to wrap to 1 and 2.
+        assert!(BreakerPolicy::parse("trip=4294967297").is_err());
+        assert!(BreakerPolicy::parse("cooldown=4294967298").is_err());
         assert!(BreakerPolicy::parse("bogus=1").is_err());
         assert!(BreakerPolicy::parse("").is_ok());
     }
@@ -449,7 +409,8 @@ mod tests {
     fn trips_after_threshold_and_rejects_during_cooldown() {
         let policy = BreakerPolicy { trip_threshold: 3, cooldown_requests: 4, seed: 7 };
         let breaker = CircuitBreaker::new(policy);
-        let ep = breaker.wrap(FailingEndpoint);
+        let cfg = gated_by(&breaker);
+        let ep = Pipeline::new(&FailingEndpoint, &cfg).unwrap();
         let q = parse("SELECT ?s ?o WHERE { ?s <writes> ?o }").unwrap();
         for _ in 0..3 {
             let err = ep.select(&q).unwrap_err();
@@ -472,10 +433,11 @@ mod tests {
         let q = parse("SELECT ?s ?o WHERE { ?s <writes> ?o }").unwrap();
 
         // Trip via the failing endpoint, then recover through the good one
-        // — same breaker, two stacks (the serve daemon's shape).
+        // — same breaker, two fetches (the serve daemon's shape).
         let breaker = CircuitBreaker::new(policy.clone());
-        let bad_ep = breaker.wrap(FailingEndpoint);
-        let good_ep = breaker.wrap(&good);
+        let cfg = gated_by(&breaker);
+        let bad_ep = Pipeline::new(&FailingEndpoint, &cfg).unwrap();
+        let good_ep = Pipeline::new(&good, &cfg).unwrap();
         for _ in 0..2 {
             bad_ep.select(&q).unwrap_err();
         }
@@ -494,7 +456,8 @@ mod tests {
 
         // Same dance against a still-broken backend: the probe re-opens.
         let breaker2 = CircuitBreaker::new(policy);
-        let bad2 = breaker2.wrap(FailingEndpoint);
+        let cfg2 = gated_by(&breaker2);
+        let bad2 = Pipeline::new(&FailingEndpoint, &cfg2).unwrap();
         for _ in 0..2 {
             bad2.select(&q).unwrap_err();
         }
@@ -520,7 +483,8 @@ mod tests {
             trip_threshold: 2,
             ..BreakerPolicy::default()
         });
-        let ep = breaker.wrap(DeadlineEndpoint);
+        let cfg = gated_by(&breaker);
+        let ep = Pipeline::new(&DeadlineEndpoint, &cfg).unwrap();
         let q = parse("SELECT ?s ?o WHERE { ?s <writes> ?o }").unwrap();
         for _ in 0..10 {
             assert!(ep.select(&q).unwrap_err().is_deadline());
@@ -550,7 +514,8 @@ mod tests {
             cooldown_requests: 1,
             seed: 7,
         });
-        let ep = breaker.wrap(FailingEndpoint);
+        let cfg = gated_by(&breaker);
+        let ep = Pipeline::new(&FailingEndpoint, &cfg).unwrap();
         let q = parse("SELECT ?s ?o WHERE { ?s <writes> ?o }").unwrap();
         ep.select(&q).unwrap_err();
         let hops = breaker.trajectory();

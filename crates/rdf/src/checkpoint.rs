@@ -33,6 +33,10 @@ use kgtosa_kg::{Rid, Triple, Vid};
 use crate::fault::fnv64;
 
 const MAGIC: &[u8; 8] = b"KGTOSAF\n";
+/// Serialized size of a subquery's header (`u8 exhausted, u32 num_pages`).
+const SUB_HEADER_BYTES: usize = 5;
+/// Serialized size of one triple.
+const TRIPLE_BYTES: usize = 12;
 
 /// Progress of one subquery's pagination.
 #[derive(Debug, Clone, Default)]
@@ -151,16 +155,23 @@ impl FetchCheckpoint {
             return Err(bad("not a fetch checkpoint (bad magic)"));
         }
         let key = read_u64(&mut r)?;
-        let payload_len = read_u64(&mut r)? as usize;
+        let payload_len = read_u64(&mut r)?;
         let checksum = read_u64(&mut r)?;
-        let mut payload = vec![0u8; payload_len];
-        r.read_exact(&mut payload)?;
+        // No checksum covers the header, so `payload_len` is whatever the
+        // file says: read at most that much of what is really there
+        // instead of allocating for it up front.
+        let mut payload = Vec::new();
+        r.take(payload_len).read_to_end(&mut payload)?;
+        if payload.len() as u64 != payload_len {
+            return Err(bad("fetch checkpoint truncated"));
+        }
         if fnv64(&payload) != checksum {
             return Err(bad("fetch checkpoint payload corrupt (checksum mismatch)"));
         }
+        // Counts are trusted no further than the bytes left to hold them.
         let mut p = &payload[..];
         let num_subs = read_u32(&mut p)? as usize;
-        let mut subs = Vec::with_capacity(num_subs);
+        let mut subs = Vec::with_capacity(num_subs.min(p.len() / SUB_HEADER_BYTES));
         for _ in 0..num_subs {
             let mut flag = [0u8; 1];
             p.read_exact(&mut flag)?;
@@ -169,7 +180,7 @@ impl FetchCheckpoint {
             for _ in 0..num_pages {
                 let offset = read_u64(&mut p)?;
                 let num_triples = read_u32(&mut p)? as usize;
-                let mut triples = Vec::with_capacity(num_triples);
+                let mut triples = Vec::with_capacity(num_triples.min(p.len() / TRIPLE_BYTES));
                 for _ in 0..num_triples {
                     let s = read_u32(&mut p)?;
                     let pred = read_u32(&mut p)?;
@@ -293,5 +304,43 @@ mod tests {
         fs::remove_file(&path).unwrap();
         assert_eq!(FetchCheckpoint::load_or_new(&path, 1, 2).completed_pages(), 0);
         let _ = fs::remove_dir(&dir);
+    }
+    /// Regression: the header is outside the checksum, and `payload_len`
+    /// used to size an allocation before a single payload byte was read —
+    /// one flipped high bit asked for exabytes and aborted the run the
+    /// checkpoint exists to save.
+    #[test]
+    fn damaged_header_or_truncation_starts_fresh_without_panicking() {
+        let mut ckpt = FetchCheckpoint::new(7, 2);
+        ckpt.record_page(0, 0, vec![t(1, 2, 3), t(4, 5, 6)]);
+        ckpt.record_page(1, 50, vec![t(7, 8, 9)]);
+        ckpt.mark_exhausted(1);
+        let mut good = Vec::new();
+        ckpt.write_to(&mut good).unwrap();
+        let resumes = |bytes: &[u8]| {
+            FetchCheckpoint::read_from(bytes)
+                .is_ok_and(|c| c.matches(7, 2) && c.completed_pages() == 2)
+        };
+        assert!(resumes(&good));
+        for byte in 0..32 {
+            for bit in 0..8 {
+                let mut bad = good.clone();
+                bad[byte] ^= 1 << bit;
+                assert!(!resumes(&bad), "header byte {byte} bit {bit} flipped, still trusted");
+            }
+        }
+        for len in 0..good.len() {
+            assert!(!resumes(&good[..len]), "truncated to {len} bytes, still trusted");
+        }
+
+        // And through the file path `--checkpoint-dir` takes.
+        let dir = std::env::temp_dir().join(format!("kgtosa-ckpt-header-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("fetch.ckpt");
+        let mut bad = good.clone();
+        bad[23] ^= 0x40; // payload_len += 2^62
+        fs::write(&path, &bad).unwrap();
+        assert_eq!(FetchCheckpoint::load_or_new(&path, 7, 2).completed_pages(), 0);
+        fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -12,8 +12,12 @@
 //!   evaluation per paginated query, with per-request accounting standing
 //!   in for transfer/compression,
 //! * [`fetch_triples_robust`] — the `initializeWorkers`/`RequestHandler`
-//!   loop.
+//!   loop,
+//! * `Pipeline` — the one path a handler's request takes to the endpoint
+//!   when the fetch has a fault plan, retry policy, circuit breaker or
+//!   page cache configured (DESIGN.md §4, "request pipeline").
 
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -22,13 +26,14 @@ use std::time::Instant;
 use kgtosa_kg::Triple;
 use kgtosa_par::Pool;
 
-use crate::ast::Query;
+use crate::ast::{Query, Selection};
+use crate::breaker::CircuitBreaker;
 use crate::checkpoint::FetchCheckpoint;
 use crate::error::RdfError;
 use crate::exec::{ResultSet, Solved, SparqlEngine, NULL_ID};
-use crate::fault::{fnv64, FaultPlan, FaultyEndpoint};
-use crate::pagecache::{CachingEndpoint, PageCache};
-use crate::retry::{RetryPolicy, RetryingEndpoint};
+use crate::fault::{fnv64, FaultPlan};
+use crate::pagecache::PageCache;
+use crate::retry::RetryPolicy;
 use crate::store::RdfStore;
 
 /// A SPARQL SELECT endpoint.
@@ -40,21 +45,31 @@ pub trait SparqlEndpoint: Sync {
     /// `getGraphSize`, used to plan the pagination batches). An empty
     /// result set means zero solutions, not an error.
     fn count(&self, query: &Query) -> Result<usize, RdfError> {
-        let mut counting = query.clone();
-        counting.select = crate::ast::Selection::Count;
-        counting.limit = None;
-        counting.offset = None;
-        let rs = self.select(&counting)?;
-        if rs.is_empty() {
-            return Ok(0);
-        }
-        Ok(rs.row(0)[0] as usize)
+        Ok(counted(&self.select(&counting(query))?))
     }
 }
 
-/// Endpoint wrappers ([`FaultyEndpoint`], [`RetryingEndpoint`]) take their
-/// inner endpoint by value; this blanket impl lets them borrow one instead,
-/// and makes `&dyn SparqlEndpoint` an endpoint in its own right.
+/// The `COUNT` request `getGraphSize` sends for `query`.
+fn counting(query: &Query) -> Query {
+    Query {
+        select: Selection::Count,
+        limit: None,
+        offset: None,
+        ..query.clone()
+    }
+}
+
+/// The number a `COUNT` request's answer carries.
+fn counted(answer: &ResultSet) -> usize {
+    if answer.is_empty() {
+        0
+    } else {
+        answer.row(0)[0] as usize
+    }
+}
+
+/// A borrowed endpoint — `&dyn SparqlEndpoint` included — is an endpoint
+/// in its own right.
 impl<E: SparqlEndpoint + ?Sized> SparqlEndpoint for &E {
     fn select(&self, query: &Query) -> Result<ResultSet, RdfError> {
         (**self).select(query)
@@ -264,7 +279,9 @@ pub enum FetchMode {
 }
 
 /// Configuration of the parallel paginated retrieval (Algorithm 3 inputs
-/// `bs` and `P`), plus the fault-tolerance layer around it.
+/// `bs` and `P`), plus the fault-tolerance layer around it: `retry`,
+/// `fault`, `page_cache` and `breaker` are the stages of the request
+/// pipeline (DESIGN.md §4).
 #[derive(Debug, Clone)]
 pub struct FetchConfig {
     /// Page size per request (`bs`).
@@ -287,15 +304,11 @@ pub struct FetchConfig {
     pub checkpoint: Option<PathBuf>,
     /// In-memory LRU of page results, shared across fetches of the same
     /// dataset within one process (e.g. `compare` running FG plus three
-    /// TOSG patterns). Composed *outside* the retry layer, so a page
-    /// that needed retries still fills the cache exactly once.
+    /// TOSG patterns).
     pub page_cache: Option<PageCache>,
     /// Circuit breaker shared across fetches against the same backend
-    /// (clone of one [`CircuitBreaker`]). Composed outside the retry
-    /// layer — it sees give-ups and fatal errors, not absorbed transient
-    /// attempts — and inside the page cache, so cached pages are served
-    /// even while the backend is quarantined.
-    pub breaker: Option<crate::breaker::CircuitBreaker>,
+    /// (clone of one [`CircuitBreaker`]).
+    pub breaker: Option<CircuitBreaker>,
 }
 
 impl Default for FetchConfig {
@@ -348,6 +361,103 @@ impl FetchOutcome {
     }
 }
 
+/// The request pipeline: every request of a fetch that has a fault plan,
+/// retry policy, circuit breaker or page cache configured goes through
+/// [`Pipeline::send`], which is the one place their order is decided. A
+/// fetch builds one, so the fault plan's issue counts and the fetch
+/// deadline's clock are per fetch.
+pub(crate) struct Pipeline<'a, E> {
+    endpoint: &'a E,
+    cfg: &'a FetchConfig,
+    /// How often each request has been issued, retries included: where in
+    /// its scheduled burst the fault plan finds a request.
+    issues: Mutex<HashMap<u64, u32>>,
+    /// The clock [`RetryPolicy::fetch_deadline`] runs on.
+    started: Instant,
+}
+
+impl<'a, E: SparqlEndpoint> Pipeline<'a, E> {
+    /// The pipeline `cfg` asks for in front of `endpoint`, `None` when it
+    /// configures no stage and requests go to the endpoint as they are.
+    pub(crate) fn new(endpoint: &'a E, cfg: &'a FetchConfig) -> Option<Self> {
+        let staged = cfg.fault.is_some()
+            || cfg.retry.is_some()
+            || cfg.breaker.is_some()
+            || cfg.page_cache.is_some();
+        staged.then(|| Self {
+            endpoint,
+            cfg,
+            issues: Mutex::new(HashMap::new()),
+            started: Instant::now(),
+        })
+    }
+
+    /// Sends one request, `call`, under the identity of `request`'s
+    /// rendered text — rendered once: the text keys the page cache, its
+    /// FNV the fault schedule, the retry jitter and the trace events.
+    ///
+    /// Page cache outermost: a hit touches nothing else, and a request
+    /// that needed retries fills it exactly once, with its final answer.
+    /// The breaker next, outside the retry loop: it is charged give-ups
+    /// and fatal errors, never the transient attempts a retry absorbed,
+    /// and cached pages are served while the backend is quarantined.
+    /// Faults innermost: they model the flaky engine, the retries our
+    /// client.
+    fn send(
+        &self,
+        request: &Query,
+        call: impl Fn() -> Result<ResultSet, RdfError>,
+    ) -> Result<ResultSet, RdfError> {
+        let FetchConfig { fault, retry, breaker, page_cache, .. } = self.cfg;
+        let text = request.to_string();
+        let key = fnv64(text.as_bytes());
+        if let Some(page) = page_cache.as_ref().and_then(|cache| cache.get(&text)) {
+            return Ok(page);
+        }
+        let admission = breaker.as_ref().map(|b| b.admit(key)).transpose()?;
+        let request_start = Instant::now();
+        let mut attempt = 1u32;
+        let outcome = loop {
+            let injected = fault.as_ref().map_or(Ok(()), |plan| plan.inject(&self.issues, key));
+            let err = match injected.and_then(|()| call()) {
+                Ok(answer) => break Ok(answer),
+                Err(e) => e,
+            };
+            let Some(policy) = retry.as_ref().filter(|_| err.is_transient()) else {
+                break Err(err);
+            };
+            if let Err(gave_up) = policy.back_off(key, attempt, request_start, self.started, &err) {
+                break Err(gave_up);
+            }
+            attempt += 1;
+        };
+        if let (Some(breaker), Some(admission)) = (breaker, admission) {
+            breaker.settle(admission, &outcome);
+        }
+        let answer = outcome?;
+        if let Some(cache) = page_cache {
+            cache.put(text, answer.clone());
+        }
+        Ok(answer)
+    }
+}
+
+impl<E: SparqlEndpoint> SparqlEndpoint for Pipeline<'_, E> {
+    fn select(&self, query: &Query) -> Result<ResultSet, RdfError> {
+        self.send(query, || self.endpoint.select(query))
+    }
+
+    /// `getGraphSize` is, to every stage, the `COUNT` request it would be
+    /// on the wire, but reaches the endpoint as `count(query)`, so an
+    /// [`InProcessEndpoint`] answers it off the pagination's cursor.
+    fn count(&self, query: &Query) -> Result<usize, RdfError> {
+        let answer = self.send(&counting(query), || {
+            self.endpoint.count(query).map(ResultSet::count_answer)
+        })?;
+        Ok(counted(&answer))
+    }
+}
+
 /// Per-subquery result of one request handler.
 struct SubFetch {
     new_pages: Vec<(u64, Vec<Triple>)>,
@@ -378,8 +488,8 @@ fn fetch_key(subqueries: &[Query], triple_vars: (&str, &str, &str), batch_size: 
 /// unbound triple variables or synthetic `rdf:type` components are
 /// skipped; the merged result is deduplicated (Algorithm 3 line 10).
 ///
-/// The fault-tolerance layer is engaged per `cfg`: the endpoint is wrapped
-/// per `cfg.fault` / `cfg.retry`, completed pages resume from
+/// The fault-tolerance layer is engaged per `cfg`: requests go through the
+/// request pipeline it configures, completed pages resume from
 /// `cfg.checkpoint`, and [`FetchMode::Partial`] degrades to an incomplete
 /// result (with an explicit completeness fraction) instead of aborting.
 /// Even in strict mode, pages completed before the failure are saved to
@@ -396,45 +506,10 @@ pub fn fetch_triples_robust<E: SparqlEndpoint>(
         // A zero-row page is never short, so pagination could not end.
         return Err(RdfError::exec("fetch batch_size must be at least 1"));
     }
-    // Assemble the endpoint stack: faults innermost (they model the
-    // flaky engine), retries around them (they model our client).
-    let base: &dyn SparqlEndpoint = endpoint;
-    let faulty;
-    let base: &dyn SparqlEndpoint = match &cfg.fault {
-        Some(plan) => {
-            faulty = FaultyEndpoint::new(base, plan.clone());
-            &faulty
-        }
-        None => base,
-    };
-    let retrying;
-    let base: &dyn SparqlEndpoint = match &cfg.retry {
-        Some(policy) => {
-            retrying = RetryingEndpoint::new(base, policy.clone());
-            &retrying
-        }
-        None => base,
-    };
-    // Breaker outside the retries: it reacts to give-ups and fatal
-    // errors (the backend is genuinely failing), never to the transient
-    // attempts the retry layer absorbs.
-    let breaking;
-    let base: &dyn SparqlEndpoint = match &cfg.breaker {
-        Some(breaker) => {
-            breaking = breaker.wrap(base);
-            &breaking
-        }
-        None => base,
-    };
-    // Page cache outermost: a hit skips retries and faults entirely, and
-    // a retried miss inserts only the one final successful page.
-    let caching;
-    let base: &dyn SparqlEndpoint = match &cfg.page_cache {
-        Some(cache) => {
-            caching = CachingEndpoint::new(base, cache.clone());
-            &caching
-        }
-        None => base,
+    let pipeline = Pipeline::new(endpoint, cfg);
+    let endpoint: &dyn SparqlEndpoint = match &pipeline {
+        Some(pipeline) => pipeline,
+        None => endpoint,
     };
 
     let key = fetch_key(subqueries, triple_vars, cfg.batch_size);
@@ -455,7 +530,7 @@ pub fn fetch_triples_robust<E: SparqlEndpoint>(
     let ckpt_ref = &ckpt;
     let per_subquery: Vec<SubFetch> =
         Pool::new(cfg.threads).par_map_collect("rdf.fetch", subqueries, |i, q| {
-            let result = page_subquery(base, store, i, q, triple_vars, cfg, ckpt_ref);
+            let result = page_subquery(endpoint, store, i, q, triple_vars, cfg, ckpt_ref);
             if let Some(progress) = &progress {
                 progress.advance(1);
             }

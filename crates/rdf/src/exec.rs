@@ -51,6 +51,13 @@ impl ResultSet {
         Self::new(vars)
     }
 
+    /// The one-row, one-column answer of a `COUNT` query.
+    pub(crate) fn count_answer(solutions: usize) -> Self {
+        let mut rs = Self::new(vec!["count".to_string()]);
+        rs.data.push(solutions as u32);
+        rs
+    }
+
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.data.len().checked_div(self.width).unwrap_or(0)
@@ -377,10 +384,8 @@ impl<'s, 'kg> SparqlEngine<'s, 'kg> {
         let solutions = rows.len();
 
         if let Selection::Count = query.select {
-            let mut rs = ResultSet::new(vec!["count".to_string()]);
-            rs.data.push(solutions as u32);
             return Ok(Solved {
-                rows: rs,
+                rows: ResultSet::count_answer(solutions),
                 solutions,
             });
         }

@@ -1,33 +1,26 @@
-//! Deterministic fault injection for [`SparqlEndpoint`] implementations.
+//! Deterministic fault injection: the innermost stage of the request
+//! pipeline (DESIGN.md §4).
 //!
 //! A real deployment of Algorithm 3 talks to a live RDF endpoint over HTTP,
 //! where requests time out, get rate-limited, or land on a slow replica.
-//! [`FaultyEndpoint`] reproduces that failure surface *deterministically*:
-//! a [`FaultPlan`] derives, from a seed and the rendered query text, a
-//! reproducible schedule of injected transient errors and latency spikes
-//! per logical request. Keying the schedule on the request (rather than on
-//! a global call counter) keeps it independent of worker interleaving, so
-//! a chaos run is reproducible at any thread count — which is what lets
-//! the fault-tolerance property tests compare faulty and fault-free
-//! fetches bit for bit.
+//! A [`FaultPlan`] reproduces that failure surface *deterministically*: it
+//! derives, from a seed and the rendered query text, a reproducible
+//! schedule of injected transient errors and latency spikes per logical
+//! request. Keying the schedule on the request (rather than on a global
+//! call counter) keeps it independent of worker interleaving, so a chaos
+//! run is reproducible at any thread count — which is what lets the
+//! fault-tolerance property tests compare faulty and fault-free fetches
+//! bit for bit.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use crate::ast::Query;
-use crate::endpoint::SparqlEndpoint;
 use crate::error::RdfError;
-use crate::exec::ResultSet;
 
-/// FNV-1a over the rendered query: the stable identity of a logical
-/// request (two pages of one subquery render differently, so they get
-/// independent fault draws).
-pub(crate) fn request_key(query: &Query) -> u64 {
-    fnv64(query.to_string().as_bytes())
-}
-
+/// FNV-1a. Over a request's rendered text it is the request's stable
+/// identity: two pages of one subquery render differently, so they get
+/// independent fault draws, retry jitter and trace ids.
 pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -178,6 +171,41 @@ impl FaultPlan {
             FaultDecision::Pass
         }
     }
+
+    /// The pipeline's fault stage: books one more issue of request `key`
+    /// in `issues` (one fetch's issue count per request, retries
+    /// included), sleeps a latency spike scheduled for its first issue,
+    /// and fails the issue if the plan says so. `Ok` lets the request
+    /// through to the endpoint.
+    pub(crate) fn inject(
+        &self,
+        issues: &Mutex<HashMap<u64, u32>>,
+        key: u64,
+    ) -> Result<(), RdfError> {
+        let issue = {
+            let mut issues = issues.lock().unwrap_or_else(|e| e.into_inner());
+            let n = issues.entry(key).or_insert(0);
+            *n += 1;
+            *n
+        };
+        if issue == 1 {
+            if let Some(spike) = self.latency_spike(key) {
+                kgtosa_obs::counter("rdf.faults.latency").inc();
+                std::thread::sleep(spike);
+            }
+        }
+        let fault = match self.decide(key, issue) {
+            FaultDecision::Pass => return Ok(()),
+            FaultDecision::Transient => RdfError::transient(format!(
+                "injected fault (request {key:016x}, issue {issue})"
+            )),
+            FaultDecision::Fatal => {
+                RdfError::exec(format!("injected fatal fault (request {key:016x})"))
+            }
+        };
+        kgtosa_obs::counter("rdf.faults").inc();
+        Err(fault)
+    }
 }
 
 fn parse_rate(value: &str) -> Option<f64> {
@@ -185,81 +213,14 @@ fn parse_rate(value: &str) -> Option<f64> {
     (0.0..=1.0).contains(&rate).then_some(rate)
 }
 
-/// A [`SparqlEndpoint`] wrapper that injects the faults a [`FaultPlan`]
-/// schedules, standing in for a flaky network/endpoint in chaos tests.
-pub struct FaultyEndpoint<E> {
-    inner: E,
-    plan: FaultPlan,
-    /// Issue count per request key — how many times each logical request
-    /// has been sent (retries included).
-    issues: Mutex<HashMap<u64, u32>>,
-    injected: AtomicU64,
-}
-
-impl<E: SparqlEndpoint> FaultyEndpoint<E> {
-    /// Wraps an endpoint under a fault plan.
-    pub fn new(inner: E, plan: FaultPlan) -> Self {
-        Self {
-            inner,
-            plan,
-            issues: Mutex::new(HashMap::new()),
-            injected: AtomicU64::new(0),
-        }
-    }
-
-    /// Number of faults injected so far (latency spikes not included).
-    pub fn injected(&self) -> u64 {
-        self.injected.load(Ordering::Relaxed)
-    }
-
-    /// The wrapped endpoint.
-    pub fn into_inner(self) -> E {
-        self.inner
-    }
-}
-
-impl<E: SparqlEndpoint> SparqlEndpoint for FaultyEndpoint<E> {
-    fn select(&self, query: &Query) -> Result<ResultSet, RdfError> {
-        let key = request_key(query);
-        let issue = {
-            let mut issues = self.issues.lock().unwrap_or_else(|e| e.into_inner());
-            let n = issues.entry(key).or_insert(0);
-            *n += 1;
-            *n
-        };
-        if issue == 1 {
-            if let Some(spike) = self.plan.latency_spike(key) {
-                kgtosa_obs::counter("rdf.faults.latency").inc();
-                std::thread::sleep(spike);
-            }
-        }
-        match self.plan.decide(key, issue) {
-            FaultDecision::Pass => self.inner.select(query),
-            FaultDecision::Transient => {
-                self.injected.fetch_add(1, Ordering::Relaxed);
-                kgtosa_obs::counter("rdf.faults").inc();
-                Err(RdfError::transient(format!(
-                    "injected fault (request {key:016x}, issue {issue})"
-                )))
-            }
-            FaultDecision::Fatal => {
-                self.injected.fetch_add(1, Ordering::Relaxed);
-                kgtosa_obs::counter("rdf.faults").inc();
-                Err(RdfError::exec(format!(
-                    "injected fatal fault (request {key:016x})"
-                )))
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::endpoint::{FetchConfig, InProcessEndpoint, Pipeline, SparqlEndpoint};
     use crate::parser::parse;
     use crate::store::RdfStore;
-    use crate::InProcessEndpoint;
     use kgtosa_kg::KnowledgeGraph;
+    use kgtosa_obs::TelemetryContext;
 
     fn kg() -> KnowledgeGraph {
         let mut kg = KnowledgeGraph::new();
@@ -312,8 +273,11 @@ mod tests {
             max_burst: 2,
             ..FaultPlan::default()
         };
-        let faulty = FaultyEndpoint::new(&ep, plan.clone());
+        let cfg = FetchConfig { fault: Some(plan.clone()), ..FetchConfig::default() };
+        let faulty = Pipeline::new(&ep, &cfg).unwrap();
         let q = parse("SELECT ?s ?o WHERE { ?s <writes> ?o }").unwrap();
+        let ctx = TelemetryContext::new("faults");
+        let _scope = ctx.enter();
         let mut failures = 0;
         loop {
             match faulty.select(&q) {
@@ -329,7 +293,7 @@ mod tests {
             }
         }
         assert!(failures >= 1, "rate=1.0 must fault at least once");
-        assert_eq!(faulty.injected(), failures as u64);
+        assert_eq!(ctx.counter_delta("rdf.faults"), failures as u64);
     }
 
     #[test]
@@ -342,7 +306,8 @@ mod tests {
             fatal_rate: 1.0,
             ..FaultPlan::default()
         };
-        let faulty = FaultyEndpoint::new(&ep, plan);
+        let cfg = FetchConfig { fault: Some(plan), ..FetchConfig::default() };
+        let faulty = Pipeline::new(&ep, &cfg).unwrap();
         let q = parse("SELECT ?s ?o WHERE { ?s <writes> ?o }").unwrap();
         for _ in 0..5 {
             let err = faulty.select(&q).unwrap_err();

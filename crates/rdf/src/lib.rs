@@ -45,20 +45,18 @@ pub mod retry;
 pub mod store;
 
 pub use ast::{Element, Group, Query, Selection, Term, TriplePattern};
-pub use breaker::{
-    BreakerEndpoint, BreakerPolicy, BreakerState, BreakerTransition, CircuitBreaker,
-};
+pub use breaker::{BreakerPolicy, BreakerState, BreakerTransition, CircuitBreaker};
 pub use checkpoint::FetchCheckpoint;
 pub use endpoint::{
     fetch_triples_robust, EndpointStats, FetchConfig, FetchMode, FetchOutcome, InProcessEndpoint,
     SparqlEndpoint,
 };
 pub use error::RdfError;
-pub use fault::{FaultDecision, FaultPlan, FaultyEndpoint};
-pub use retry::{RetryPolicy, RetryingEndpoint};
+pub use fault::{FaultDecision, FaultPlan};
+pub use retry::RetryPolicy;
 pub use exec::{ResultSet, SparqlEngine, NULL_ID};
 pub use hexastore::{Hexastore, Order};
 pub use ntriples::{read_ntriples, write_ntriples};
-pub use pagecache::{CachingEndpoint, PageCache, PageCacheStats, DEFAULT_PAGE_CACHE_BYTES};
+pub use pagecache::{PageCache, PageCacheStats, DEFAULT_PAGE_CACHE_BYTES};
 pub use parser::parse;
 pub use store::{NodeTerm, RdfStore, RDF_TYPE};

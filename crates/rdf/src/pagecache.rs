@@ -7,12 +7,9 @@
 //! memory, keyed by the rendered query text (which pins the subquery,
 //! its projection, and its `LIMIT`/`OFFSET` page).
 //!
-//! Composition order matters and is load-bearing for correctness of the
-//! accounting: [`CachingEndpoint`] must wrap **outside**
-//! [`crate::retry::RetryingEndpoint`] (see `fetch_triples_robust`), so a
-//! page that needed three transient retries still performs exactly one
-//! cache fill — the cache sees only the final successful result, and a
-//! cache hit performs zero retries. Errors are never cached.
+//! It is the outermost stage of the request pipeline (DESIGN.md §4): a
+//! hit touches no other stage, and only a request's final successful
+//! answer is filled in. Errors are never cached.
 //!
 //! The cache is an explicit per-dataset handle, not a process global: a
 //! rendered query is only unambiguous relative to one store's contents,
@@ -22,9 +19,6 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
-use crate::ast::Query;
-use crate::error::RdfError;
-use crate::endpoint::SparqlEndpoint;
 use crate::exec::ResultSet;
 
 /// Default byte budget: enough for every page of the bundled benchmark
@@ -188,43 +182,12 @@ impl Default for PageCache {
     }
 }
 
-/// An endpoint that serves repeated queries from a [`PageCache`].
-pub struct CachingEndpoint<E> {
-    inner: E,
-    cache: PageCache,
-}
-
-impl<E: SparqlEndpoint> CachingEndpoint<E> {
-    pub fn new(inner: E, cache: PageCache) -> Self {
-        CachingEndpoint { inner, cache }
-    }
-
-    pub fn cache(&self) -> &PageCache {
-        &self.cache
-    }
-}
-
-impl<E: SparqlEndpoint> SparqlEndpoint for CachingEndpoint<E> {
-    fn select(&self, query: &Query) -> Result<ResultSet, RdfError> {
-        let key = query.to_string();
-        if let Some(page) = self.cache.get(&key) {
-            return Ok(page);
-        }
-        // Miss: one inner select — behind this call the retry layer may
-        // attempt several times, but only the final success is inserted,
-        // exactly once.
-        let page = self.inner.select(query)?;
-        self.cache.put(key, page.clone());
-        Ok(page)
-    }
-    // `count` intentionally uses the trait default, which routes the
-    // rewritten COUNT query through `select` — so counts cache too.
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::endpoint::InProcessEndpoint;
+    use crate::ast::Query;
+    use crate::endpoint::{FetchConfig, InProcessEndpoint, Pipeline, SparqlEndpoint};
+    use crate::error::RdfError;
     use crate::parser::parse;
     use crate::store::RdfStore;
     use kgtosa_kg::KnowledgeGraph;
@@ -237,13 +200,18 @@ mod tests {
         kg
     }
 
+    fn cached_in(cache: &PageCache) -> FetchConfig {
+        FetchConfig { page_cache: Some(cache.clone()), ..FetchConfig::default() }
+    }
+
     #[test]
     fn second_select_is_served_from_cache() {
         let kg = kg();
         let store = RdfStore::new(&kg);
         let ep = InProcessEndpoint::new(&store);
         let cache = PageCache::new();
-        let caching = CachingEndpoint::new(&ep, cache.clone());
+        let cfg = cached_in(&cache);
+        let caching = Pipeline::new(&ep, &cfg).unwrap();
         let q = parse("SELECT ?s ?o WHERE { ?s <writes> ?o }").unwrap();
         let first = caching.select(&q).unwrap();
         let second = caching.select(&q).unwrap();
@@ -259,7 +227,8 @@ mod tests {
         let kg = kg();
         let store = RdfStore::new(&kg);
         let ep = InProcessEndpoint::new(&store);
-        let caching = CachingEndpoint::new(&ep, PageCache::new());
+        let cfg = cached_in(&PageCache::new());
+        let caching = Pipeline::new(&ep, &cfg).unwrap();
         let q = parse("SELECT ?s ?o WHERE { ?s <writes> ?o }").unwrap();
         let p0 = caching.select(&q.with_page(4, 0)).unwrap();
         let p1 = caching.select(&q.with_page(4, 4)).unwrap();
@@ -268,11 +237,12 @@ mod tests {
     }
 
     #[test]
-    fn count_is_cached_via_select_default() {
+    fn count_is_cached_under_its_count_rendering() {
         let kg = kg();
         let store = RdfStore::new(&kg);
         let ep = InProcessEndpoint::new(&store);
-        let caching = CachingEndpoint::new(&ep, PageCache::new());
+        let cfg = cached_in(&PageCache::new());
+        let caching = Pipeline::new(&ep, &cfg).unwrap();
         let q = parse("SELECT ?s ?o WHERE { ?s <writes> ?o }").unwrap();
         assert_eq!(caching.count(&q).unwrap(), 12);
         assert_eq!(caching.count(&q).unwrap(), 12);
@@ -295,7 +265,8 @@ mod tests {
         }
         let flaky = Flaky { calls: AtomicU64::new(0) };
         let cache = PageCache::new();
-        let caching = CachingEndpoint::new(&flaky, cache.clone());
+        let cfg = cached_in(&cache);
+        let caching = Pipeline::new(&flaky, &cfg).unwrap();
         let q = parse("SELECT ?s WHERE { ?s <w> ?o }").unwrap();
         assert!(caching.select(&q).is_err());
         assert_eq!(cache.len(), 0, "an error must leave no cache entry");
@@ -313,7 +284,8 @@ mod tests {
         let one_page = ep.select(&q.with_page(4, 0)).unwrap().approx_bytes();
         // Budget for roughly two pages (plus key overhead slack).
         let cache = PageCache::with_budget(2 * one_page + 160);
-        let caching = CachingEndpoint::new(&ep, cache.clone());
+        let cfg = cached_in(&cache);
+        let caching = Pipeline::new(&ep, &cfg).unwrap();
         caching.select(&q.with_page(4, 0)).unwrap();
         caching.select(&q.with_page(4, 4)).unwrap();
         // Touch page 0 so page 4 is the LRU victim.
@@ -332,7 +304,8 @@ mod tests {
         let store = RdfStore::new(&kg);
         let ep = InProcessEndpoint::new(&store);
         let cache = PageCache::new();
-        let caching = CachingEndpoint::new(&ep, cache.clone());
+        let cfg = cached_in(&cache);
+        let caching = Pipeline::new(&ep, &cfg).unwrap();
         let q = parse("SELECT ?s ?o WHERE { ?s <writes> ?o }").unwrap();
         caching.select(&q).unwrap();
         assert_eq!(cache.len(), 1);
@@ -350,7 +323,8 @@ mod tests {
         let store = RdfStore::new(&kg);
         let ep = InProcessEndpoint::new(&store);
         let cache = PageCache::with_budget(8);
-        let caching = CachingEndpoint::new(&ep, cache.clone());
+        let cfg = cached_in(&cache);
+        let caching = Pipeline::new(&ep, &cfg).unwrap();
         let q = parse("SELECT ?s ?o WHERE { ?s <writes> ?o }").unwrap();
         caching.select(&q).unwrap();
         assert_eq!(cache.len(), 0);

@@ -1,23 +1,17 @@
-//! Retry/backoff layer over [`SparqlEndpoint`].
+//! Retry/backoff: the stage of the request pipeline (DESIGN.md §4) that
+//! loops around the endpoint.
 //!
 //! Algorithm 3's request handlers fire thousands of paginated requests at
 //! the RDF engine; in a live deployment any of them can fail transiently.
-//! [`RetryingEndpoint`] makes that loop survivable: transient errors (as
+//! A [`RetryPolicy`] makes that loop survivable: transient errors (as
 //! classified by [`RdfError::is_transient`]) are retried with exponential
 //! backoff and *seeded* jitter — deterministic per request, so chaos runs
 //! reproduce — while fatal errors (parse/exec) propagate immediately.
-//! Every retry bumps the `rdf.retries` counter and emits an `rdf.retry`
-//! event into the kgtosa-obs trace; exhausting the policy bumps
-//! `rdf.giveups`.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use crate::ast::Query;
-use crate::endpoint::SparqlEndpoint;
 use crate::error::RdfError;
-use crate::exec::ResultSet;
-use crate::fault::{mix64, request_key, unit_frac};
+use crate::fault::{mix64, unit_frac};
 
 /// When to stop retrying and how long to wait in between.
 ///
@@ -73,12 +67,12 @@ impl RetryPolicy {
                 .split_once('=')
                 .ok_or_else(|| format!("retry entry {pair:?} is not key=value"))?;
             let (key, value) = (key.trim(), value.trim());
-            let int = |v: &str| {
-                v.parse::<u64>()
-                    .map_err(|_| format!("retry {key}={value:?}: expected an integer"))
-            };
+            let bad = || format!("retry {key}={value:?}: expected an integer");
+            let int = |v: &str| v.parse::<u64>().map_err(|_| bad());
             match key {
-                "attempts" => policy.max_attempts = int(value)? as u32,
+                // Parsed at the field's own width: a value that does not
+                // fit is an error, not a truncation.
+                "attempts" => policy.max_attempts = value.parse().map_err(|_| bad())?,
                 "base-us" => policy.base_backoff_us = int(value)?,
                 "max-us" => policy.max_backoff_us = int(value)?,
                 "seed" => policy.jitter_seed = int(value)?,
@@ -126,153 +120,127 @@ impl RetryPolicy {
     }
 }
 
-/// A [`SparqlEndpoint`] wrapper retrying transient failures per
-/// [`RetryPolicy`], with obs counters and retry events.
-pub struct RetryingEndpoint<E> {
-    inner: E,
-    policy: RetryPolicy,
-    started: Instant,
-    retries: AtomicU64,
-    giveups: AtomicU64,
+/// Why the retry stage abandoned a request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum GiveUp {
+    /// Every attempt the policy allows failed.
+    AttemptsExhausted,
+    /// A wall-clock budget ran out, or cannot cover the next backoff; the
+    /// text says which.
+    Deadline(&'static str),
 }
 
-impl<E: SparqlEndpoint> RetryingEndpoint<E> {
-    /// Wraps an endpoint. The whole-fetch deadline clock starts here.
-    pub fn new(inner: E, policy: RetryPolicy) -> Self {
-        Self {
-            inner,
-            policy,
-            started: Instant::now(),
-            retries: AtomicU64::new(0),
-            giveups: AtomicU64::new(0),
+impl RetryPolicy {
+    /// The verdict after attempt number `attempt` of request `key` failed
+    /// transiently: how long to back off before the next attempt, or why
+    /// there will be none. The request deadline runs from `request_start`,
+    /// the fetch deadline from `fetch_start`.
+    fn next_backoff(
+        &self,
+        key: u64,
+        attempt: u32,
+        request_start: Instant,
+        fetch_start: Instant,
+    ) -> Result<Duration, GiveUp> {
+        let spent = |deadline: Option<Duration>, start: Instant, more: Duration| {
+            deadline.is_some_and(|d| start.elapsed() + more >= d)
+        };
+        if attempt >= self.max_attempts {
+            return Err(GiveUp::AttemptsExhausted);
         }
+        if spent(self.fetch_deadline, fetch_start, Duration::ZERO) {
+            return Err(GiveUp::Deadline("fetch deadline exceeded"));
+        }
+        if spent(self.request_deadline, request_start, Duration::ZERO) {
+            return Err(GiveUp::Deadline("request deadline exceeded"));
+        }
+        let backoff = self.backoff(key, attempt);
+        // A backoff that would sleep past the remaining budget cannot
+        // lead to a successful retry — the next attempt would start
+        // already expired. Give up now instead of burning a worker on
+        // a sleep whose outcome is predetermined.
+        if spent(self.request_deadline, request_start, backoff) {
+            return Err(GiveUp::Deadline("request deadline precludes next backoff"));
+        }
+        if spent(self.fetch_deadline, fetch_start, backoff) {
+            return Err(GiveUp::Deadline("fetch deadline precludes next backoff"));
+        }
+        Ok(backoff)
     }
 
-    /// Retries performed so far.
-    pub fn retries(&self) -> u64 {
-        self.retries.load(Ordering::Relaxed)
-    }
-
-    /// Requests abandoned after exhausting the policy.
-    pub fn giveups(&self) -> u64 {
-        self.giveups.load(Ordering::Relaxed)
-    }
-
-    fn fetch_deadline_exceeded(&self) -> bool {
-        self.policy
-            .fetch_deadline
-            .is_some_and(|d| self.started.elapsed() >= d)
-    }
-
-    fn give_up(&self, key: u64, attempt: u32, why: &str, err: RdfError) -> RdfError {
-        self.giveups.fetch_add(1, Ordering::Relaxed);
-        kgtosa_obs::counter("rdf.giveups").inc();
+    /// The pipeline's retry stage, entered when attempt number `attempt`
+    /// of request `key` failed with the transient `err`: sleeps the
+    /// backoff and returns `Ok` for the request to be sent again, or gives
+    /// up with the request's final error. Every retry bumps `rdf.retries`
+    /// and emits an `rdf.retry` trace event, every give-up `rdf.giveups`
+    /// and `rdf.giveup`.
+    pub(crate) fn back_off(
+        &self,
+        key: u64,
+        attempt: u32,
+        request_start: Instant,
+        fetch_start: Instant,
+        err: &RdfError,
+    ) -> Result<(), RdfError> {
+        let backoff = self
+            .next_backoff(key, attempt, request_start, fetch_start)
+            .map_err(|why| give_up(key, attempt, why, err))?;
+        kgtosa_obs::counter("rdf.retries").inc();
         if kgtosa_obs::telemetry_active() {
             kgtosa_obs::emit_event(
-                "rdf.giveup",
+                "rdf.retry",
                 vec![
                     ("request".into(), kgtosa_obs::Json::Str(format!("{key:016x}"))),
-                    ("attempts".into(), kgtosa_obs::Json::Num(attempt as f64)),
-                    ("why".into(), kgtosa_obs::Json::Str(why.into())),
+                    ("attempt".into(), kgtosa_obs::Json::Num(attempt as f64)),
+                    ("backoff_us".into(), kgtosa_obs::Json::Num(backoff.as_micros() as f64)),
+                    ("error".into(), kgtosa_obs::Json::Str(err.to_string())),
                 ],
             );
         }
-        let msg = format!("gave up after {attempt} attempts ({why}): {err}");
-        // The give-up is final: neither variant is transient, so no outer
-        // layer retries a request this policy already abandoned. Deadline
-        // give-ups keep their classification so the serving layer can
-        // answer with a budget-exhausted status instead of a plain error.
-        if why.contains("deadline") {
-            RdfError::deadline(msg)
-        } else {
-            RdfError::exec(msg)
-        }
+        std::thread::sleep(backoff);
+        Ok(())
     }
 }
 
-impl<E: SparqlEndpoint> SparqlEndpoint for RetryingEndpoint<E> {
-    fn select(&self, query: &Query) -> Result<ResultSet, RdfError> {
-        let key = request_key(query);
-        let request_start = Instant::now();
-        let mut attempt = 1u32;
-        loop {
-            let err = match self.inner.select(query) {
-                Ok(rs) => return Ok(rs),
-                Err(e) if !e.is_transient() => return Err(e),
-                Err(e) => e,
-            };
-            if attempt >= self.policy.max_attempts {
-                return Err(self.give_up(key, attempt, "attempts exhausted", err));
-            }
-            if self.fetch_deadline_exceeded() {
-                return Err(self.give_up(key, attempt, "fetch deadline exceeded", err));
-            }
-            if self
-                .policy
-                .request_deadline
-                .is_some_and(|d| request_start.elapsed() >= d)
-            {
-                return Err(self.give_up(key, attempt, "request deadline exceeded", err));
-            }
-            let backoff = self.policy.backoff(key, attempt);
-            // A backoff that would sleep past the remaining budget cannot
-            // lead to a successful retry — the next attempt would start
-            // already expired. Give up now instead of burning a worker on
-            // a sleep whose outcome is predetermined.
-            if self
-                .policy
-                .request_deadline
-                .is_some_and(|d| request_start.elapsed() + backoff >= d)
-            {
-                return Err(self.give_up(
-                    key,
-                    attempt,
-                    "request deadline precludes next backoff",
-                    err,
-                ));
-            }
-            if self
-                .policy
-                .fetch_deadline
-                .is_some_and(|d| self.started.elapsed() + backoff >= d)
-            {
-                return Err(self.give_up(
-                    key,
-                    attempt,
-                    "fetch deadline precludes next backoff",
-                    err,
-                ));
-            }
-            self.retries.fetch_add(1, Ordering::Relaxed);
-            kgtosa_obs::counter("rdf.retries").inc();
-            if kgtosa_obs::telemetry_active() {
-                kgtosa_obs::emit_event(
-                    "rdf.retry",
-                    vec![
-                        ("request".into(), kgtosa_obs::Json::Str(format!("{key:016x}"))),
-                        ("attempt".into(), kgtosa_obs::Json::Num(attempt as f64)),
-                        (
-                            "backoff_us".into(),
-                            kgtosa_obs::Json::Num(backoff.as_micros() as f64),
-                        ),
-                        ("error".into(), kgtosa_obs::Json::Str(err.to_string())),
-                    ],
-                );
-            }
-            std::thread::sleep(backoff);
-            attempt += 1;
-        }
+/// Books a give-up and builds the abandoned request's final error.
+fn give_up(key: u64, attempt: u32, why: GiveUp, err: &RdfError) -> RdfError {
+    let text = match why {
+        GiveUp::AttemptsExhausted => "attempts exhausted",
+        GiveUp::Deadline(which) => which,
+    };
+    kgtosa_obs::counter("rdf.giveups").inc();
+    if kgtosa_obs::telemetry_active() {
+        kgtosa_obs::emit_event(
+            "rdf.giveup",
+            vec![
+                ("request".into(), kgtosa_obs::Json::Str(format!("{key:016x}"))),
+                ("attempts".into(), kgtosa_obs::Json::Num(attempt as f64)),
+                ("why".into(), kgtosa_obs::Json::Str(text.into())),
+            ],
+        );
+    }
+    let msg = format!("gave up after {attempt} attempts ({text}): {err}");
+    // The give-up is final: neither variant is transient, so nothing
+    // retries a request this policy already abandoned. Deadline give-ups
+    // keep their classification so the serving layer can answer with a
+    // budget-exhausted status instead of a plain error.
+    match why {
+        GiveUp::AttemptsExhausted => RdfError::exec(msg),
+        GiveUp::Deadline(_) => RdfError::deadline(msg),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{FaultPlan, FaultyEndpoint};
+    use crate::ast::Query;
+    use crate::endpoint::{FetchConfig, InProcessEndpoint, Pipeline, SparqlEndpoint};
+    use crate::exec::ResultSet;
+    use crate::fault::FaultPlan;
     use crate::parser::parse;
     use crate::store::RdfStore;
-    use crate::InProcessEndpoint;
     use kgtosa_kg::KnowledgeGraph;
+    use kgtosa_obs::TelemetryContext;
 
     fn kg() -> KnowledgeGraph {
         let mut kg = KnowledgeGraph::new();
@@ -290,6 +258,10 @@ mod tests {
         }
     }
 
+    fn faulty_retrying(plan: FaultPlan, policy: RetryPolicy) -> FetchConfig {
+        FetchConfig { fault: Some(plan), retry: Some(policy), ..FetchConfig::default() }
+    }
+
     #[test]
     fn parse_spec() {
         let p = RetryPolicy::parse("attempts=7,base-us=50,max-us=500,request-deadline-ms=9")
@@ -299,6 +271,8 @@ mod tests {
         assert_eq!(p.max_backoff_us, 500);
         assert_eq!(p.request_deadline, Some(Duration::from_millis(9)));
         assert!(RetryPolicy::parse("attempts=0").is_err());
+        // Used to wrap to 1.
+        assert!(RetryPolicy::parse("attempts=4294967297").is_err());
         assert!(RetryPolicy::parse("bogus=1").is_err());
     }
 
@@ -328,12 +302,16 @@ mod tests {
             max_burst: 3,
             ..FaultPlan::default()
         };
-        let retrying = RetryingEndpoint::new(FaultyEndpoint::new(&ep, plan), fast_policy());
+        let cfg = faulty_retrying(plan, fast_policy());
+        let retrying = Pipeline::new(&ep, &cfg).unwrap();
         let q = parse("SELECT ?s ?o WHERE { ?s <writes> ?o }").unwrap();
+        let ctx = TelemetryContext::new("retries");
+        let _scope = ctx.enter();
         let rs = retrying.select(&q).unwrap();
         assert_eq!(rs.len(), 6);
-        assert!(retrying.retries() >= 1 && retrying.retries() <= 3);
-        assert_eq!(retrying.giveups(), 0);
+        let retries = ctx.counter_delta("rdf.retries");
+        assert!((1..=3).contains(&retries));
+        assert_eq!(ctx.counter_delta("rdf.giveups"), 0);
     }
 
     #[test]
@@ -350,13 +328,16 @@ mod tests {
             max_attempts: 3,
             ..fast_policy()
         };
-        let retrying = RetryingEndpoint::new(FaultyEndpoint::new(&ep, plan), policy);
+        let cfg = faulty_retrying(plan, policy);
+        let retrying = Pipeline::new(&ep, &cfg).unwrap();
         let q = parse("SELECT ?s ?o WHERE { ?s <writes> ?o }").unwrap();
+        let ctx = TelemetryContext::new("giveup");
+        let _scope = ctx.enter();
         let err = retrying.select(&q).unwrap_err();
         assert!(!err.is_transient(), "give-up must not invite outer retries");
         assert!(err.to_string().contains("gave up after 3 attempts"));
-        assert_eq!(retrying.retries(), 2);
-        assert_eq!(retrying.giveups(), 1);
+        assert_eq!(ctx.counter_delta("rdf.retries"), 2);
+        assert_eq!(ctx.counter_delta("rdf.giveups"), 1);
     }
 
     #[test]
@@ -378,8 +359,11 @@ mod tests {
             request_deadline: Some(Duration::from_millis(50)),
             ..RetryPolicy::default()
         };
-        let retrying = RetryingEndpoint::new(FaultyEndpoint::new(&ep, plan), policy);
+        let cfg = faulty_retrying(plan, policy);
+        let retrying = Pipeline::new(&ep, &cfg).unwrap();
         let q = parse("SELECT ?s ?o WHERE { ?s <writes> ?o }").unwrap();
+        let ctx = TelemetryContext::new("deadline");
+        let _scope = ctx.enter();
         let start = Instant::now();
         let err = retrying.select(&q).unwrap_err();
         assert!(err.is_deadline(), "expected deadline classification: {err}");
@@ -389,8 +373,8 @@ mod tests {
             "gave up after {:?} — it slept through the doomed backoff",
             start.elapsed()
         );
-        assert_eq!(retrying.retries(), 0, "no retry can fit in the budget");
-        assert_eq!(retrying.giveups(), 1);
+        assert_eq!(ctx.counter_delta("rdf.retries"), 0, "no retry can fit in the budget");
+        assert_eq!(ctx.counter_delta("rdf.giveups"), 1);
     }
 
     #[test]
@@ -415,11 +399,14 @@ mod tests {
                 Err(RdfError::exec("boom"))
             }
         }
-        let retrying = RetryingEndpoint::new(FatalEndpoint, fast_policy());
+        let cfg = FetchConfig { retry: Some(fast_policy()), ..FetchConfig::default() };
+        let retrying = Pipeline::new(&FatalEndpoint, &cfg).unwrap();
         let q = parse("SELECT ?s ?o WHERE { ?s <writes> ?o }").unwrap();
+        let ctx = TelemetryContext::new("fatal");
+        let _scope = ctx.enter();
         let err = retrying.select(&q).unwrap_err();
         assert_eq!(err, RdfError::exec("boom"));
-        assert_eq!(retrying.retries(), 0);
-        assert_eq!(retrying.giveups(), 0);
+        assert_eq!(ctx.counter_delta("rdf.retries"), 0);
+        assert_eq!(ctx.counter_delta("rdf.giveups"), 0);
     }
 }

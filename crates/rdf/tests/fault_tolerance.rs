@@ -136,3 +136,150 @@ proptest! {
         prop_assert_eq!(stats.hits.load(Ordering::Relaxed), cold_misses);
     }
 }
+
+/// The golden scenario: one line per fetch holding every number the four
+/// request policies and the endpoint expose, the breaker's trajectory, and
+/// the endpoint's evaluation count.
+fn golden_run(threads: usize, breaker_spec: &str) -> (Vec<String>, Vec<String>, usize) {
+    use kgtosa_obs::TelemetryContext;
+    use kgtosa_rdf::{BreakerPolicy, CircuitBreaker, FetchMode};
+
+    // 36 nodes over three classes, 150 seeded triples over four relations.
+    let mut kg = KnowledgeGraph::new();
+    for v in 0..36u32 {
+        kg.add_node(&format!("n{v}"), &format!("C{}", v % 3));
+    }
+    for r in 0..4u32 {
+        kg.add_relation(&format!("r{r}"));
+    }
+    let mut x = 0x2545_F491_4F6C_DD1Du64;
+    for _ in 0..150 {
+        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        let (s, p, o) = ((x >> 33) % 36, (x >> 20) % 4, (x >> 45) % 36);
+        let s = kg.find_node(&format!("n{s}")).unwrap();
+        let o = kg.find_node(&format!("n{o}")).unwrap();
+        let p = kg.find_relation(&format!("r{p}")).unwrap();
+        kg.add_triple(s, p, o);
+    }
+    let store = RdfStore::new(&kg);
+    let subs: Vec<_> = [
+        "SELECT ?s ?p ?o WHERE { ?s ?p ?o . ?s a <C0> }",
+        "SELECT ?s ?p ?o WHERE { ?s ?p ?o . ?s a <C1> }",
+        "SELECT ?s ?p ?o WHERE { ?s ?p ?o . ?o a <C2> }",
+    ]
+    .iter()
+    .map(|q| parse(q).expect("query parses"))
+    .collect();
+
+    let endpoint = InProcessEndpoint::new(&store);
+    let breaker = CircuitBreaker::new(BreakerPolicy::parse(breaker_spec).unwrap());
+    let cache = PageCache::new();
+    let cfg = FetchConfig {
+        batch_size: 4,
+        threads,
+        fault: Some(FaultPlan::parse("seed=11,rate=0.6,burst=2,fatal-rate=0.1").unwrap()),
+        retry: Some(RetryPolicy::parse("attempts=2,base-us=1,max-us=8,seed=11").unwrap()),
+        mode: FetchMode::Partial,
+        page_cache: Some(cache.clone()),
+        breaker: Some(breaker.clone()),
+        ..FetchConfig::default()
+    };
+    let mut lines = Vec::new();
+    for phase in ["cold", "warm"] {
+        let ctx = TelemetryContext::new(phase);
+        let outcome = {
+            let _scope = ctx.enter();
+            fetch_triples_robust(&endpoint, &store, &subs, ("s", "p", "o"), &cfg)
+                .expect("partial mode degrades instead of failing")
+        };
+        let mut fnv = 0xcbf2_9ce4_8422_2325u64;
+        for id in outcome.triples.iter().flat_map(|t| t.raw()) {
+            fnv = (fnv ^ id as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        let c = |name: &str| ctx.counter_delta(name);
+        let (stats, pc) = (endpoint.stats(), cache.stats());
+        lines.push(format!(
+            "{phase}: pages {}/{} failed {} triples {} fnv {fnv:016x} | endpoint {} req {} rows {} B | \
+             faults {} retries {} giveups {} | breaker {} trips {} rejections {} probes {} closes | \
+             cache {} hits {} misses {} insertions {} entries",
+            outcome.completed_pages,
+            outcome.planned_pages,
+            outcome.failed_pages,
+            outcome.triples.len(),
+            stats.requests(),
+            stats.rows(),
+            stats.bytes(),
+            c("rdf.faults"),
+            c("rdf.retries"),
+            c("rdf.giveups"),
+            c("rdf.breaker.trips"),
+            c("rdf.breaker.rejections"),
+            c("rdf.breaker.probes"),
+            c("rdf.breaker.closes"),
+            c("rdf.pagecache.hits"),
+            c("rdf.pagecache.misses"),
+            pc.insertions.load(Ordering::Relaxed),
+            cache.len(),
+        ));
+    }
+    (lines, breaker.trajectory(), endpoint.stats().evaluations())
+}
+
+/// Characterisation of the whole request path — fault injection, retry,
+/// circuit breaker and page cache all on at once, where the other suites
+/// compose three at most. The literals were recorded at commit 93619a4;
+/// a change to how the four policies are composed must reproduce them.
+#[test]
+fn policy_composition_golden() {
+    let (lines, trajectory, evaluations) = golden_run(1, "trip=3,cooldown=4,seed=11");
+    assert_eq!(
+        lines,
+        [
+            "cold: pages 17/32 failed 15 triples 46 fnv d761b4aec2c943d2 | endpoint 19 req 63 rows 740 B | \
+             faults 30 retries 18 giveups 12 | breaker 1 trips 4 rejections 1 probes 1 closes | \
+             cache 0 hits 35 misses 19 insertions 19 entries",
+            "warm: pages 18/32 failed 14 triples 49 fnv e870a31e305b35ca | endpoint 20 req 67 rows 788 B | \
+             faults 16 retries 8 giveups 7 | breaker 4 trips 7 rejections 3 probes 1 closes | \
+             cache 19 hits 16 misses 20 insertions 20 entries",
+        ]
+    );
+    assert_eq!(
+        trajectory,
+        [
+            "closed->open@12",
+            "open->half-open@16",
+            "half-open->closed@17",
+            "closed->open@38",
+            "open->half-open@40",
+            "half-open->open@41",
+            "open->half-open@43",
+            "half-open->closed@44",
+            "closed->open@47",
+            "open->half-open@50",
+            "half-open->open@51",
+        ]
+    );
+    // The one number allowed to move, and only down: 6 at 93619a4, where a
+    // `getGraphSize` behind any policy paid an evaluation of its own.
+    assert!(evaluations <= 6, "{evaluations} evaluations");
+
+    // Which request a tripped breaker rejects depends on how the handlers
+    // interleave, so the thread-independent subset is everything but its
+    // verdicts: under a breaker that admits, records and never trips,
+    // four handlers must reproduce the single handler's numbers.
+    let (quiet, trajectory, evaluations) = golden_run(1, "trip=1000,cooldown=4,seed=11");
+    assert_eq!(
+        quiet,
+        [
+            "cold: pages 19/32 failed 13 triples 53 fnv 87a06e13c2d350d7 | endpoint 21 req 71 rows 836 B | \
+             faults 34 retries 20 giveups 13 | breaker 0 trips 0 rejections 0 probes 0 closes | \
+             cache 0 hits 35 misses 21 insertions 21 entries",
+            "warm: pages 19/32 failed 13 triples 53 fnv 87a06e13c2d350d7 | endpoint 21 req 71 rows 836 B | \
+             faults 27 retries 13 giveups 13 | breaker 0 trips 0 rejections 0 probes 0 closes | \
+             cache 21 hits 14 misses 21 insertions 21 entries",
+        ]
+    );
+    assert!(trajectory.is_empty());
+    assert!(evaluations <= 5, "{evaluations} evaluations");
+    assert_eq!(golden_run(4, "trip=1000,cooldown=4,seed=11").0, quiet);
+}

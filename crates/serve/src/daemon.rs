@@ -20,7 +20,7 @@ use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use kgtosa_obs::httpd::{read_request, write_response, HttpResponse, RequestError, MAX_HEAD_BYTES};
@@ -129,7 +129,7 @@ impl Server {
             match listener.accept() {
                 Ok((stream, _peer)) => {
                     let (lock, cvar) = &*queue;
-                    let mut q = lock.lock().unwrap();
+                    let mut q = lock.lock().unwrap_or_else(PoisonError::into_inner);
                     if q.len() >= state.cfg.queue_cap {
                         drop(q);
                         sheds.inc();
@@ -137,7 +137,7 @@ impl Server {
                         // request (avoiding a reset racing the response)
                         // and answers 429 off the accept path.
                         let (slock, scvar) = &*shed_queue;
-                        let mut sq = slock.lock().unwrap();
+                        let mut sq = slock.lock().unwrap_or_else(PoisonError::into_inner);
                         if sq.len() < SHED_BACKLOG_CAP {
                             sq.push_back(stream);
                             drop(sq);
@@ -163,7 +163,8 @@ impl Server {
 
         // Stop taking connections *now*; queued work still drains below.
         drop(listener);
-        kgtosa_obs::info!("serve: draining ({} queued)", queue.0.lock().unwrap().len());
+        let queued = queue.0.lock().unwrap_or_else(PoisonError::into_inner).len();
+        kgtosa_obs::info!("serve: draining ({} queued)", queued);
         queue.1.notify_all();
         shed_queue.1.notify_all();
         for w in workers {
@@ -193,7 +194,7 @@ fn worker_loop(state: Arc<ServeState>, queue: Queue) {
     let (lock, cvar) = &*queue;
     loop {
         let job = {
-            let mut q = lock.lock().unwrap();
+            let mut q = lock.lock().unwrap_or_else(PoisonError::into_inner);
             loop {
                 if let Some(job) = q.pop_front() {
                     kgtosa_obs::gauge("serve.queue_depth").set(q.len() as i64);
@@ -202,7 +203,9 @@ fn worker_loop(state: Arc<ServeState>, queue: Queue) {
                 if state.draining.load(Ordering::SeqCst) {
                     break None;
                 }
-                let (guard, _) = cvar.wait_timeout(q, Duration::from_millis(50)).unwrap();
+                let (guard, _) = cvar
+                    .wait_timeout(q, Duration::from_millis(50))
+                    .unwrap_or_else(PoisonError::into_inner);
                 q = guard;
             }
         };
@@ -254,7 +257,7 @@ fn shedder_loop(state: Arc<ServeState>, queue: ShedQueue) {
     let (lock, cvar) = &*queue;
     loop {
         let stream = {
-            let mut q = lock.lock().unwrap();
+            let mut q = lock.lock().unwrap_or_else(PoisonError::into_inner);
             loop {
                 if let Some(s) = q.pop_front() {
                     break Some(s);
@@ -262,7 +265,9 @@ fn shedder_loop(state: Arc<ServeState>, queue: ShedQueue) {
                 if state.draining.load(Ordering::SeqCst) {
                     break None;
                 }
-                let (guard, _) = cvar.wait_timeout(q, Duration::from_millis(50)).unwrap();
+                let (guard, _) = cvar
+                    .wait_timeout(q, Duration::from_millis(50))
+                    .unwrap_or_else(PoisonError::into_inner);
                 q = guard;
             }
         };

@@ -7,6 +7,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
+use std::sync::PoisonError;
 use std::time::{Duration, Instant};
 
 use kgtosa_cache::CacheOutcome;
@@ -144,7 +145,7 @@ fn extract_handler(state: &ServeState, body: &Json, remaining: Duration) -> Http
     let breaker_before = state.breaker.state();
     let fetch = FetchConfig {
         retry: Some(state.cfg.retry.capped_to_budget(remaining)),
-        fault: state.fault.lock().unwrap().clone(),
+        fault: state.fault.lock().unwrap_or_else(PoisonError::into_inner).clone(),
         page_cache: Some(epoch.page_cache.clone()),
         breaker: Some(state.breaker.clone()),
         ..FetchConfig::default()
@@ -365,7 +366,7 @@ fn admin_fault(state: &ServeState, req: &HttpRequest) -> HttpResponse {
         return HttpResponse::error(400, "body must carry \"spec\" or \"off\": true");
     };
     let armed = next.is_some();
-    *state.fault.lock().unwrap() = next;
+    *state.fault.lock().unwrap_or_else(PoisonError::into_inner) = next;
     HttpResponse::json(
         200,
         Json::Obj(vec![("fault_armed".into(), Json::Bool(armed))]).to_string(),

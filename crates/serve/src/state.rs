@@ -18,7 +18,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 use kgtosa_cache::ArtifactCache;
 use kgtosa_core::transform;
@@ -181,7 +181,7 @@ impl ServeState {
     pub fn epoch(&self) -> Arc<KgEpoch> {
         self.epoch
             .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .unwrap_or_else(PoisonError::into_inner)
             .clone()
     }
 
@@ -191,7 +191,7 @@ impl ServeState {
         *self
             .epoch
             .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = next;
+            .unwrap_or_else(PoisonError::into_inner) = next;
     }
 
     /// The dataset's node-classification tasks. Their target vertex ids
@@ -217,7 +217,8 @@ impl ServeState {
         num_labels: usize,
     ) -> Result<Arc<RgcnNcModel>, String> {
         let key = (info.fingerprint, epoch.graph.num_nodes());
-        if let Some(m) = self.models.lock().unwrap().get(&key) {
+        let models = || self.models.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(m) = models().get(&key) {
             return Ok(m.clone());
         }
         let (_, state) = read_validated_state(&info.path)
@@ -234,7 +235,7 @@ impl ServeState {
             RgcnNcModel::from_state(shape, &state)
                 .map_err(|e| format!("checkpoint {} does not fit shape {shape:?}: {e}", info.path.display()))?,
         );
-        self.models.lock().unwrap().insert(key, model.clone());
+        models().insert(key, model.clone());
         Ok(model)
     }
 }

@@ -25,7 +25,7 @@
 //! leak (see [`KgEpoch`]), which grows without bound under a sustained
 //! update stream.
 
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError};
 use std::time::Instant;
 
 use kgtosa_cache::EntryInfo;
@@ -92,7 +92,9 @@ pub fn admin_update(state: &ServeState, req: &HttpRequest) -> HttpResponse {
 
     let started = Instant::now();
     // One update at a time; readers keep cloning the epoch Arc meanwhile.
-    let _serialized = state.update_lock.lock().unwrap();
+    // The lock guards no data, so one left poisoned by an update that
+    // panicked (handlers run under `catch_unwind`) is as good as new.
+    let _serialized = state.update_lock.lock().unwrap_or_else(PoisonError::into_inner);
     let old = state.epoch();
 
     if let Some(base) = body.get("base_fingerprint").and_then(Json::as_str) {

@@ -10,10 +10,11 @@ use std::time::Duration;
 
 use kgtosa_core::{extract_sparql, ExtractionTask, GraphPattern};
 use kgtosa_kg::{apply_delta, DeltaOp, KgDelta, MultisetFingerprint, Vid};
+use kgtosa_obs::httpd::HttpRequest;
 use kgtosa_obs::Json;
 use kgtosa_rdf::{FetchConfig, RdfStore};
 use kgtosa_serve::client::{get, post_json, HttpReply};
-use kgtosa_serve::{DrainReport, ServeConfig, ServeState, Server};
+use kgtosa_serve::{handle_guarded, DrainReport, ServeConfig, ServeState, Server};
 
 const SCALE: f64 = 0.02;
 const SEED: u64 = 7;
@@ -332,4 +333,39 @@ fn update_validates_requests_and_invalidates_without_repair() {
 
     daemon.shutdown();
     let _ = std::fs::remove_dir_all(&cache_dir);
+}
+
+/// Regression: handlers run under `catch_unwind`, so an update that
+/// panicked left `update_lock` poisoned and the daemon up — and every
+/// later `/admin/update` hit `.lock().unwrap()` and answered 500 until
+/// restart.
+#[test]
+fn update_survives_a_poisoned_update_lock() {
+    let state = ServeState::from_dataset(base_config()).expect("serve state");
+    let poisoner = Arc::clone(&state);
+    std::thread::spawn(move || {
+        let _held = poisoner.update_lock.lock().unwrap();
+        panic!("an update dies holding the lock");
+    })
+    .join()
+    .expect_err("the poisoner panics");
+    assert!(state.update_lock.is_poisoned());
+
+    let dataset = kgtosa_datagen::mag(SCALE, SEED);
+    let target_term = dataset.gen.kg.node_term(dataset.nc[0].targets()[0]);
+    let req = HttpRequest {
+        method: "POST".into(),
+        path: "/admin/update".into(),
+        query: String::new(),
+        headers: Vec::new(),
+        body: format!(
+            "{{\"ops\":[{{\"op\":\"add\",\"s\":\"Paper_delta_new\",\"s_class\":\"Paper\",\
+             \"p\":\"cites\",\"o\":\"{target_term}\",\"o_class\":\"Paper\"}}]}}"
+        )
+        .into_bytes(),
+    };
+    let resp = handle_guarded(&state, &req, std::time::Instant::now());
+    let body = String::from_utf8_lossy(&resp.body);
+    assert_eq!(resp.status, 200, "update behind a poisoned lock: {body}");
+    assert_eq!(state.epoch().version, 1);
 }

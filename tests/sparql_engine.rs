@@ -6,8 +6,9 @@ use kgtosa::core::{compile_subqueries, compile_union, ExtractionTask, GraphPatte
 use kgtosa::datagen;
 use kgtosa::kg::Triple;
 use kgtosa::rdf::{
-    fetch_triples_robust, FetchConfig, FetchMode, InProcessEndpoint, Query, RdfError, RdfStore,
-    ResultSet, SparqlEndpoint, SparqlEngine, NULL_ID,
+    fetch_triples_robust, BreakerPolicy, CircuitBreaker, FaultPlan, FetchConfig, FetchMode,
+    InProcessEndpoint, PageCache, Query, RdfError, RdfStore, ResultSet, RetryPolicy,
+    SparqlEndpoint, SparqlEngine, NULL_ID,
 };
 
 #[test]
@@ -171,6 +172,29 @@ fn paged_fetch_evaluates_each_subquery_once() {
     assert_eq!(partial_ep.stats().requests(), pages + subs.len());
     assert_eq!(partial_ep.stats().evaluations(), subs.len());
     assert_eq!(partial_ep.open_cursors(), 0);
+
+    // The same behind every request policy at once: most requests fail
+    // once or twice before the retry gets them through, and an injected
+    // fault never reaches the endpoint — so neither the request count nor
+    // the evaluation count moves, getGraphSize included.
+    let policed_ep = InProcessEndpoint::new(&store);
+    let policed = FetchConfig {
+        fault: Some(FaultPlan { fault_rate: 0.7, max_burst: 2, ..Default::default() }),
+        retry: Some(RetryPolicy { base_backoff_us: 1, max_backoff_us: 8, ..Default::default() }),
+        breaker: Some(CircuitBreaker::new(BreakerPolicy::default())),
+        page_cache: Some(PageCache::new()),
+        ..partial.clone()
+    };
+    let mut policed_triples: Vec<Triple> = Vec::new();
+    for sq in &subs {
+        let outcome = fetch(&policed_ep, sq, &policed).unwrap();
+        assert!(outcome.is_complete());
+        policed_triples.extend(outcome.triples);
+    }
+    assert_eq!(policed_triples, triples);
+    assert_eq!(policed_ep.stats().requests(), pages + subs.len());
+    assert_eq!(policed_ep.stats().evaluations(), subs.len());
+    assert_eq!(policed_ep.open_cursors(), 0);
 
     // Checkpoint resume: a first run dies on its third page, the re-run
     // skips the two checkpointed pages and starts mid-pagination — still
