@@ -1,8 +1,9 @@
 //! `kernels` — serial vs parallel wall time for the `kgtosa-par` kernel
 //! layer: dense matmul (all three transpose variants), RGCN mean
-//! aggregation, batched PPR, and CSR construction, each at 1/2/4/8
-//! threads (capped by `KGTOSA_THREADS`, so CI can produce a
-//! single-thread row set and an 8-thread row set from the same bin).
+//! aggregation, one whole RGCN layer pass over a typed KG, batched PPR, and
+//! CSR construction, each at 1/2/4/8 threads (capped by `KGTOSA_THREADS`,
+//! so CI can produce a single-thread row set and an 8-thread row set from
+//! the same bin).
 //!
 //! Every measurement re-checks the determinism contract: the output at
 //! every thread count must be bit-identical to the single-threaded run.
@@ -18,11 +19,11 @@
 //! (`results/history.jsonl`, override with `KGTOSA_HISTORY`; set it
 //! empty to skip) for the `trace-trend` rolling-window CI gate.
 
-use kgtosa_kg::{Csr, HeteroGraph, KnowledgeGraph, Vid};
-use kgtosa_nn::mean_aggregate;
+use kgtosa_kg::{Csr, HeteroGraph, KnowledgeGraph, Rid, Vid};
+use kgtosa_nn::{mean_aggregate, RgcnGrads, RgcnLayer};
 use kgtosa_par::with_threads;
 use kgtosa_sampler::{approximate_ppr_batch, PprConfig};
-use kgtosa_tensor::{xavier_uniform, Matrix};
+use kgtosa_tensor::{relu_backward, relu_inplace, xavier_uniform, Matrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
@@ -191,6 +192,85 @@ fn naive_mean_aggregate(csr: &Csr, h: &Matrix, out: &mut Matrix) {
     }
 }
 
+/// Output, input gradient and every parameter gradient of one layer pass,
+/// flattened for the bit-identity comparison.
+fn flatten_pass(out: &Matrix, grad_h: &Matrix, grads: &RgcnGrads) -> Vec<f32> {
+    let weights = grads.w_fwd.iter().chain(&grads.w_rev).chain([&grads.w_self]);
+    let mut flat = [out.data(), grad_h.data(), &grads.b].concat();
+    for w in weights {
+        flat.extend_from_slice(w.data());
+    }
+    flat
+}
+
+/// One forward + backward pass of the dense per-relation formulation
+/// `RgcnLayer` ran before its operands became row-compact, assembled from
+/// the public kernels: every relation-direction aggregates into a
+/// zero-filled |V|-row matrix and multiplies all |V| rows, and the gather
+/// into `grad_h` scans every vertex.
+fn naive_rgcn_layer(layer: &RgcnLayer, g: &HeteroGraph, h: &Matrix, grad_out: &Matrix) -> Vec<f32> {
+    let n = g.num_nodes();
+    let (din, dout) = (layer.in_dim(), layer.out_dim());
+    let directions = |r: usize| {
+        let adj = g.relation(Rid(r as u32));
+        [(&adj.inc, &adj.out, &layer.w_fwd[r]), (&adj.out, &adj.inc, &layer.w_rev[r])]
+    };
+
+    let mut out = h.matmul(&layer.w_self);
+    let mut agg = Matrix::zeros(n, din);
+    for r in 0..g.num_relations() {
+        for (csr, _, w) in directions(r) {
+            if csr.num_edges() > 0 {
+                mean_aggregate(csr, h, &mut agg);
+                agg.matmul_acc_into(w, &mut out);
+            }
+        }
+    }
+    for row in 0..n {
+        for (v, &b) in out.row_mut(row).iter_mut().zip(&layer.b) {
+            *v += b;
+        }
+    }
+    let mask = layer.relu.then(|| relu_inplace(&mut out));
+
+    let mut grad_out = grad_out.clone();
+    if let Some(mask) = &mask {
+        relu_backward(&mut grad_out, mask);
+    }
+    let mut b = vec![0.0f32; dout];
+    for row in 0..n {
+        for (gb, &v) in b.iter_mut().zip(grad_out.row(row)) {
+            *gb += v;
+        }
+    }
+    let mut grad_h = grad_out.matmul_t(&layer.w_self);
+    let w_self = h.t_matmul(&grad_out);
+    let mut scratch = Matrix::zeros(n, din);
+    let (mut w_fwd, mut w_rev) = (Vec::new(), Vec::new());
+    for r in 0..g.num_relations() {
+        for (dir, (csr, csr_t, w)) in directions(r).into_iter().enumerate() {
+            let mut grad_w = Matrix::zeros(din, dout);
+            if csr.num_edges() > 0 {
+                mean_aggregate(csr, h, &mut agg);
+                agg.t_matmul_into(&grad_out, &mut grad_w);
+                grad_out.matmul_t_into(w, &mut scratch);
+                for j in 0..n {
+                    for &i in csr_t.neighbors(Vid(j as u32)) {
+                        let inv = 1.0 / csr.degree(Vid(i)) as f32;
+                        let src = scratch.row(i as usize);
+                        #[allow(clippy::assign_op_pattern)]
+                        for (d, &s) in grad_h.row_mut(j).iter_mut().zip(src) {
+                            *d = s * inv + *d;
+                        }
+                    }
+                }
+            }
+            if dir == 0 { &mut w_fwd } else { &mut w_rev }.push(grad_w);
+        }
+    }
+    flatten_pass(&out, &grad_h, &RgcnGrads { w_fwd, w_rev, w_self, b })
+}
+
 fn random_edges(n: u32, m: usize, rng: &mut StdRng) -> Vec<(u32, u32)> {
     (0..m).map(|_| (rng.gen_range(0..n), rng.gen_range(0..n))).collect()
 }
@@ -268,8 +348,12 @@ fn main() {
     // Full-KG-scale aggregation: 50k nodes (12.8 MB feature matrix),
     // 800k edges. The random gather spills past L2, so every kernel —
     // naive or blocked — converges to the memory system's line-fetch
-    // floor; this row documents that floor (and why extraction, not
-    // kernel tuning, is what makes full-KG aggregation affordable).
+    // floor; this row documents that floor. It is the floor of a relation
+    // that reaches every vertex, though: `rgcn_layer_typed` below shows
+    // that on a typed KG most of a full-graph layer's cost was never the
+    // gather but the rows no relation reaches, and that part kernel work
+    // does remove. Extraction then shrinks what is left — |V|, |R| and the
+    // working set — which no kernel can.
     let xl_nodes = 50_000usize;
     let xl_problem = "50000nx800000exd64";
     let xl_edges = random_edges(xl_nodes as u32, 800_000, &mut rng);
@@ -285,6 +369,42 @@ fn main() {
         mean_aggregate(&xl_csr, &xl_h, &mut out);
         out.data().to_vec()
     });
+
+    // One RGCN layer, forward + backward, d = 64, over the full MAG-shaped
+    // KG at scale 0.5 (62 relations, 124 non-empty directions): the typed
+    // case the aggregation rows above leave out, where a relation's active
+    // rows are a small share of |V|. The naive twin is the dense
+    // per-relation formulation; the two must agree bit for bit.
+    let mag = kgtosa_datagen::mag(0.5, 7);
+    let typed = HeteroGraph::build(&mag.gen.kg);
+    let active_rows: usize = (0..typed.num_relations())
+        .map(|r| typed.relation(Rid(r as u32)))
+        .map(|adj| adj.inc.active_rows().len() + adj.out.active_rows().len())
+        .sum();
+    let typed_problem = format!(
+        "{}nx{}ex{}rx{}activexd64",
+        typed.num_nodes(),
+        typed.num_edges(),
+        typed.num_relations(),
+        active_rows
+    );
+    let layer = RgcnLayer::new(typed.num_relations(), 64, 64, true, &mut rng);
+    let typed_h = xavier_uniform(typed.num_nodes(), 64, &mut rng);
+    let typed_grad = xavier_uniform(typed.num_nodes(), 64, &mut rng);
+    let run_layer = || {
+        let (out, cache) = layer.forward(&typed, &typed_h);
+        let (grad_h, grads) = layer.backward(&typed, &typed_h, &cache, typed_grad.clone());
+        flatten_pass(&out, &grad_h, &grads)
+    };
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+    assert!(
+        bits(&run_layer()) == bits(&naive_rgcn_layer(&layer, &typed, &typed_h, &typed_grad)),
+        "rgcn_layer_typed: row-compact pass differs from the dense formulation"
+    );
+    let naive_layer = bench_naive("rgcn_layer_typed_naive", &typed_problem, &mut rows, || {
+        with_threads(1, || naive_rgcn_layer(&layer, &typed, &typed_h, &typed_grad).len())
+    });
+    bench_kernel("rgcn_layer_typed", &typed_problem, Some(naive_layer), &mut rows, run_layer);
 
     // Batched PPR: 256 seeds over a 20k-node graph.
     let g = ppr_graph(&mut rng);

@@ -25,13 +25,31 @@ use crate::triples::{KnowledgeGraph, Triple};
 /// placement exactly, so payload arrays come out bit-identical at any
 /// thread count. Slot arithmetic is integral — unlike the float kernels in
 /// `kgtosa-tensor`, chunk boundaries here may follow the worker count
-/// without breaking determinism.
-fn par_counting_sort<E, S, W>(n: usize, edges: &[E], src: S, write: W) -> Box<[u32]>
+/// without breaking determinism. `active(v)` is called in ascending order
+/// for every source with at least one edge, from inside the prefix-sum
+/// pass that already visits each degree.
+fn par_counting_sort<E, S, W, A>(
+    n: usize,
+    edges: &[E],
+    src: S,
+    write: W,
+    mut active: A,
+) -> Box<[u32]>
 where
     E: Copy + Sync,
     S: Fn(E) -> u32 + Sync,
     W: Fn(usize, E) + Sync,
+    A: FnMut(u32),
 {
+    // In-place degrees → offsets (`counts[v + 1]` holds `v`'s degree).
+    let mut prefix_sum = |counts: &mut [u32]| {
+        for i in 0..n {
+            if counts[i + 1] != 0 {
+                active(i as u32);
+            }
+            counts[i + 1] += counts[i];
+        }
+    };
     let m = edges.len();
     let pool = Pool::for_work(m);
     // The parallel passes cost O(workers · n) histogram memory and zeroing;
@@ -41,9 +59,7 @@ where
         for &e in edges {
             counts[src(e) as usize + 1] += 1;
         }
-        for i in 0..n {
-            counts[i + 1] += counts[i];
-        }
+        prefix_sum(&mut counts);
         let offsets = counts.clone().into_boxed_slice();
         let mut cursor = counts;
         for &e in edges {
@@ -75,9 +91,7 @@ where
             offsets[s + 1] += c;
         }
     }
-    for i in 0..n {
-        offsets[i + 1] += offsets[i];
-    }
+    prefix_sum(&mut offsets);
     let mut carry: Vec<u32> = offsets[..n].to_vec();
     for h in &mut histograms {
         for (s, slot) in h.iter_mut().enumerate() {
@@ -106,11 +120,15 @@ where
 /// A compressed sparse-row adjacency structure.
 ///
 /// `offsets` has `n + 1` entries; the neighbours of vertex `v` are
-/// `targets[offsets[v] .. offsets[v + 1]]`.
+/// `targets[offsets[v] .. offsets[v + 1]]`. `active` lists, ascending, the
+/// vertices that have any — in a typed KG a relation touches a small share
+/// of the vertices, and kernels that walk this list instead of `0..n` pay
+/// for the relation, not for the graph.
 #[derive(Debug, Clone, Default)]
 pub struct Csr {
     offsets: Box<[u32]>,
     targets: Box<[u32]>,
+    active: Box<[u32]>,
 }
 
 impl Csr {
@@ -128,11 +146,18 @@ impl Csr {
     pub fn from_edge_list(n: usize, edges: &[(u32, u32)]) -> Self {
         let mut targets = vec![0u32; edges.len()].into_boxed_slice();
         let shared = SharedSliceMut::new(&mut targets);
-        let offsets = par_counting_sort(n, edges, |(s, _)| s, |slot, (_, d)| {
-            // SAFETY: counting-sort slots are disjoint across all edges.
-            unsafe { shared.write(slot, d) }
-        });
-        Self { offsets, targets }
+        let mut active = Vec::new();
+        let offsets = par_counting_sort(
+            n,
+            edges,
+            |(s, _)| s,
+            |slot, (_, d)| {
+                // SAFETY: counting-sort slots are disjoint across all edges.
+                unsafe { shared.write(slot, d) }
+            },
+            |v| active.push(v),
+        );
+        Self { offsets, targets, active: active.into_boxed_slice() }
     }
 
     /// Number of vertices.
@@ -172,6 +197,12 @@ impl Csr {
     pub fn targets(&self) -> &[u32] {
         &self.targets
     }
+
+    /// The vertices with at least one neighbour, ascending.
+    #[inline]
+    pub fn active_rows(&self) -> &[u32] {
+        &self.active
+    }
 }
 
 /// Forward (`out`) and reverse (`inc`) adjacency for one relation.
@@ -184,6 +215,10 @@ pub struct RelAdj {
 }
 
 /// A merged adjacency over all relations with per-edge relation labels.
+///
+/// The inner [`Csr`] is built without its active-row list (walks, PPR and
+/// BFS start from a vertex and never scan rows), which is why it is not
+/// handed out.
 #[derive(Debug, Clone, Default)]
 pub struct LabeledCsr {
     csr: Csr,
@@ -197,15 +232,21 @@ impl LabeledCsr {
         let mut rels = vec![0u32; edges.len()].into_boxed_slice();
         let shared_t = SharedSliceMut::new(&mut targets);
         let shared_r = SharedSliceMut::new(&mut rels);
-        let offsets = par_counting_sort(n, edges, |(s, _, _)| s, |slot, (_, d, r)| {
-            // SAFETY: counting-sort slots are disjoint across all edges.
-            unsafe {
-                shared_t.write(slot, d);
-                shared_r.write(slot, r);
-            }
-        });
+        let offsets = par_counting_sort(
+            n,
+            edges,
+            |(s, _, _)| s,
+            |slot, (_, d, r)| {
+                // SAFETY: counting-sort slots are disjoint across all edges.
+                unsafe {
+                    shared_t.write(slot, d);
+                    shared_r.write(slot, r);
+                }
+            },
+            |_| {},
+        );
         Self {
-            csr: Csr { offsets, targets },
+            csr: Csr { offsets, targets, active: Box::default() },
             rels,
         }
     }
@@ -234,9 +275,9 @@ impl LabeledCsr {
         self.csr.num_edges()
     }
 
-    /// Underlying unlabeled CSR.
-    pub fn csr(&self) -> &Csr {
-        &self.csr
+    /// Raw target array, parallel to the relation labels.
+    pub fn targets(&self) -> &[u32] {
+        self.csr.targets()
     }
 }
 
@@ -252,7 +293,10 @@ pub struct HeteroGraph {
 }
 
 impl HeteroGraph {
-    /// Builds every view from a knowledge graph. `O(|V| + |R|·|V| + |T|)`.
+    /// Builds every view from a knowledge graph. `O(|R|·|V| + |T|)` time and
+    /// memory: each of the `2|R|` per-relation CSRs carries `|V| + 1`
+    /// offsets (plus its active rows, `≤ min(|V|, |T_r|)`), the two merged
+    /// views `|V| + 1` offsets and `|T|` resp. `2|T|` labelled targets.
     pub fn build(kg: &KnowledgeGraph) -> Self {
         Self::from_triples(
             kg.num_nodes(),
@@ -360,7 +404,7 @@ impl HeteroGraph {
     /// Approximate heap bytes of all adjacency arrays, reported as the
     /// "adjacency matrix" footprint in experiments.
     pub fn heap_bytes(&self) -> usize {
-        let csr_bytes = |c: &Csr| (c.offsets.len() + c.targets.len()) * 4;
+        let csr_bytes = |c: &Csr| (c.offsets.len() + c.targets.len() + c.active.len()) * 4;
         let labeled = |l: &LabeledCsr| csr_bytes(&l.csr) + l.rels.len() * 4;
         self.rels
             .iter()

@@ -142,13 +142,17 @@ mod parallel_csr_determinism {
     use kgtosa_kg::Csr;
     use kgtosa_par::{with_threads, MIN_PAR_WORK};
 
+    /// `(offsets, targets, active rows)`.
+    type FlatCsr = (Vec<u32>, Vec<u32>, Vec<u32>);
+
     /// Reference serial counting sort, kept independent of the production
     /// code path.
-    fn reference_csr(n: usize, edges: &[(u32, u32)]) -> (Vec<u32>, Vec<u32>) {
+    fn reference_csr(n: usize, edges: &[(u32, u32)]) -> FlatCsr {
         let mut counts = vec![0u32; n + 1];
         for &(s, _) in edges {
             counts[s as usize + 1] += 1;
         }
+        let active = (0..n as u32).filter(|&v| counts[v as usize + 1] > 0).collect();
         for i in 0..n {
             counts[i + 1] += counts[i];
         }
@@ -159,15 +163,15 @@ mod parallel_csr_determinism {
             targets[cursor[s as usize] as usize] = d;
             cursor[s as usize] += 1;
         }
-        (offsets, targets)
+        (offsets, targets, active)
     }
 
-    fn flat_csr(csr: &Csr) -> (Vec<u32>, Vec<u32>) {
+    fn flat_csr(csr: &Csr) -> FlatCsr {
         let mut offsets = vec![0u32];
         for v in 0..csr.num_nodes() {
             offsets.push(offsets[v] + csr.degree(Vid(v as u32)) as u32);
         }
-        (offsets, csr.targets().to_vec())
+        (offsets, csr.targets().to_vec(), csr.active_rows().to_vec())
     }
 
     /// Deterministic pseudo-random edge list large enough to exercise the
@@ -213,13 +217,13 @@ mod parallel_csr_determinism {
         for threads in [2usize, 4, 8] {
             let g = with_threads(threads, || HeteroGraph::build(&kg));
             assert_eq!(
-                g.merged_out().csr().targets(),
-                base.merged_out().csr().targets(),
+                g.merged_out().targets(),
+                base.merged_out().targets(),
                 "merged targets, threads={threads}"
             );
             assert_eq!(
-                g.undirected().csr().targets(),
-                base.undirected().csr().targets(),
+                g.undirected().targets(),
+                base.undirected().targets(),
                 "undirected targets, threads={threads}"
             );
             for r in 0..3u32 {

@@ -10,10 +10,11 @@
 //! from any number of threads and every response is bit-identical to a
 //! fresh in-process forward pass (the repo's determinism contract).
 
+use std::cell::RefCell;
 use std::io::{self, Read};
 
 use kgtosa_kg::{HeteroGraph, Vid};
-use kgtosa_tensor::{argmax_rows, Matrix, StateIo};
+use kgtosa_tensor::{argmax_rows, Matrix, ScratchArena, StateIo};
 
 use crate::checkpoint::state_fingerprint;
 use crate::common::TrainConfig;
@@ -52,6 +53,16 @@ pub struct RgcnNcModel {
     embed: EmbeddingTable,
     stack: RgcnStack,
     shape: NcModelShape,
+    /// Fingerprint of the loaded state; the model never changes after the
+    /// load, so it is computed there, once.
+    param_hash: u64,
+}
+
+thread_local! {
+    /// Intermediates of [`RgcnNcModel::predict_nodes`]'s forward pass, kept
+    /// by each calling thread between calls: a daemon worker's steady-state
+    /// `/infer` allocates no |V|-row matrix.
+    static PREDICT_ARENA: RefCell<ScratchArena> = RefCell::new(ScratchArena::new());
 }
 
 impl RgcnNcModel {
@@ -79,7 +90,11 @@ impl RgcnNcModel {
                 "checkpoint state longer than the given model shape",
             ));
         }
-        Ok(Self { embed, stack, shape })
+        let param_hash = state_fingerprint(|w| {
+            embed.save_state(w)?;
+            stack.save_state(w)
+        });
+        Ok(Self { embed, stack, shape, param_hash })
     }
 
     /// The shape this model was rebuilt under.
@@ -97,10 +112,19 @@ impl RgcnNcModel {
         argmax_rows(&self.logits(graph))
     }
 
-    /// Predicted classes for a subset of nodes, in the order given.
+    /// Predicted classes for a subset of nodes, in the order given:
+    /// [`RgcnNcModel::predict`] at `nodes`, with the argmax taken over those
+    /// rows only and the forward pass run in this thread's recycled arena.
     pub fn predict_nodes(&self, graph: &HeteroGraph, nodes: &[Vid]) -> Vec<u32> {
-        let all = self.predict(graph);
-        nodes.iter().map(|v| all[v.idx()]).collect()
+        let rows: Vec<u32> = nodes.iter().map(|v| v.0).collect();
+        PREDICT_ARENA.with(|arena| {
+            let arena = &mut *arena.borrow_mut();
+            let (logits, cache) = self.stack.forward_arena(graph, &self.embed.weight, arena);
+            let preds = argmax_rows(&logits.gather_rows(&rows));
+            arena.put(logits);
+            cache.recycle(arena);
+            preds
+        })
     }
 
     /// Trainable parameter count.
@@ -112,10 +136,7 @@ impl RgcnNcModel {
     /// [`crate::common::TrainReport::param_hash`]: equality proves the
     /// served model is bit-identical to the trainer's final state.
     pub fn param_hash(&self) -> u64 {
-        state_fingerprint(|w| {
-            self.embed.save_state(w)?;
-            self.stack.save_state(w)
-        })
+        self.param_hash
     }
 }
 
@@ -184,5 +205,53 @@ mod tests {
         assert!(RgcnNcModel::from_state(wrong, &state).is_err());
 
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `predict_nodes` ≡ `predict` indexed at the nodes — on a thread's
+    /// first call, on its second (which runs in the arena the first one
+    /// refilled), and from two threads inside the call at the same time.
+    #[test]
+    fn predict_nodes_is_predict_at_the_nodes() {
+        let (kg, _, papers) = crate::testutil::toy_nc();
+        let graph = HeteroGraph::build(&kg);
+        let shape = NcModelShape {
+            nodes: graph.num_nodes(),
+            relations: graph.num_relations(),
+            dim: 8,
+            num_labels: 3,
+            lr: 0.05,
+            seed: 11,
+        };
+        // An untrained model: the Xavier state a trainer would start from.
+        let mut state = Vec::new();
+        EmbeddingTable::new(shape.nodes, shape.dim, shape.lr, shape.seed)
+            .save_state(&mut state)
+            .unwrap();
+        RgcnStack::new(shape.relations, shape.dim, shape.dim, shape.num_labels, shape.lr, shape.seed + 1)
+            .save_state(&mut state)
+            .unwrap();
+        let model = RgcnNcModel::from_state(shape, &state).unwrap();
+
+        let all = model.predict(&graph);
+        assert!(all.iter().any(|&p| p != all[0]), "a constant prediction proves nothing");
+        // Out of order, with a repeat, and a strict subset of the graph.
+        let nodes: Vec<Vid> = papers.iter().rev().chain(&papers[..3]).copied().collect();
+        let expect: Vec<u32> = nodes.iter().map(|v| all[v.idx()]).collect();
+
+        assert_eq!(model.predict_nodes(&graph, &nodes), expect, "first call");
+        assert_eq!(model.predict_nodes(&graph, &nodes), expect, "reused arena");
+        assert_eq!(model.predict_nodes(&graph, &[]), Vec::<u32>::new());
+
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    barrier.wait();
+                    for call in 0..3 {
+                        assert_eq!(model.predict_nodes(&graph, &nodes), expect, "call {call}");
+                    }
+                });
+            }
+        });
     }
 }

@@ -16,6 +16,14 @@
 //!
 //! To keep memory proportional to one activation matrix, per-relation
 //! aggregates are *recomputed* during backward instead of cached.
+//!
+//! A relation of a typed KG reaches a small share of the vertices, so every
+//! per-relation operand is **row-compact**: row `k` of the aggregate (and of
+//! the gathered `out` / `grad_out` rows it is multiplied with) stands for
+//! vertex `csr.active_rows()[k]`, and a layer pass costs `Σ_r |active_r|`
+//! rows of aggregation and matmul, not `|R|·|V|`. The rows left out are the
+//! ones a dense formulation would fill with zeros; DESIGN.md ("Kernel
+//! compute core") has the argument that leaving them out changes no bit.
 
 use kgtosa_kg::{Csr, HeteroGraph, Rid, Vid};
 use kgtosa_par::Pool;
@@ -121,21 +129,28 @@ impl RgcnLayer {
         assert_eq!(h.cols(), self.in_dim(), "feature dim mismatch");
         let mut out = arena.take(h.rows(), self.out_dim());
         h.matmul_into(&self.w_self, &mut out);
-        let mut agg = arena.take(h.rows(), h.cols());
-        for r in 0..g.num_relations().min(self.w_fwd.len()) {
+        let relations = g.num_relations().min(self.w_fwd.len());
+        let cap = max_active_rows(g, relations);
+        let mut agg = arena.take(cap, h.cols());
+        let mut out_rows = arena.take(cap, self.out_dim());
+        for r in 0..relations {
             let adj = g.relation(Rid(r as u32));
-            // Incoming edges: N_i^r = { j : (j, r, i) ∈ T }.
-            if adj.inc.num_edges() > 0 {
-                mean_aggregate(&adj.inc, h, &mut agg);
-                agg.matmul_acc_into(&self.w_fwd[r], &mut out);
-            }
-            // Outgoing (inverse) edges.
-            if adj.out.num_edges() > 0 {
-                mean_aggregate(&adj.out, h, &mut agg);
-                agg.matmul_acc_into(&self.w_rev[r], &mut out);
+            // Incoming edges, N_i^r = { j : (j, r, i) ∈ T }, then outgoing
+            // (inverse) ones.
+            for (csr, w) in [(&adj.inc, &self.w_fwd[r]), (&adj.out, &self.w_rev[r])] {
+                let act = csr.active_rows();
+                if act.is_empty() {
+                    continue;
+                }
+                mean_aggregate_active(csr, h, &mut agg);
+                out_rows.resize_rows(act.len());
+                out.gather_rows_into(act, &mut out_rows);
+                agg.matmul_acc_into(w, &mut out_rows);
+                scatter_rows(&out_rows, act, &mut out);
             }
         }
         arena.put(agg);
+        arena.put(out_rows);
         for row in 0..out.rows() {
             let r = out.row_mut(row);
             for (v, &b) in r.iter_mut().zip(&self.b) {
@@ -188,43 +203,27 @@ impl RgcnLayer {
         h.t_matmul_into(&grad_out, &mut grad_w_self);
         let mut grad_w_fwd = Vec::with_capacity(self.w_fwd.len());
         let mut grad_w_rev = Vec::with_capacity(self.w_rev.len());
-        let mut agg = arena.take(h.rows(), h.cols());
-        let mut scratch = arena.take(h.rows(), h.cols());
+        let cap = max_active_rows(g, g.num_relations().min(self.w_fwd.len()));
+        let mut bufs = BackwardBufs {
+            agg: arena.take(cap, self.in_dim()),
+            grad_out_rows: arena.take(cap, self.out_dim()),
+            scratch: arena.take(h.rows(), self.in_dim()),
+        };
         for r in 0..self.w_fwd.len() {
-            let (gf, gr) = if r < g.num_relations() {
+            let mut gf = arena.take(self.in_dim(), self.out_dim());
+            let mut gr = arena.take(self.in_dim(), self.out_dim());
+            if r < g.num_relations() {
                 let adj = g.relation(Rid(r as u32));
-                let gf = direction_backward(
-                    (&adj.inc, &adj.out),
-                    h,
-                    &self.w_fwd[r],
-                    &grad_out,
-                    &mut grad_h,
-                    &mut agg,
-                    &mut scratch,
-                    arena,
-                );
-                let gr = direction_backward(
-                    (&adj.out, &adj.inc),
-                    h,
-                    &self.w_rev[r],
-                    &grad_out,
-                    &mut grad_h,
-                    &mut agg,
-                    &mut scratch,
-                    arena,
-                );
-                (gf, gr)
-            } else {
-                (
-                    arena.take(self.in_dim(), self.out_dim()),
-                    arena.take(self.in_dim(), self.out_dim()),
-                )
-            };
+                let (inc, out) = (&adj.inc, &adj.out);
+                direction_backward((inc, out), h, &self.w_fwd[r], &grad_out, &mut grad_h, &mut gf, &mut bufs);
+                direction_backward((out, inc), h, &self.w_rev[r], &grad_out, &mut grad_h, &mut gr, &mut bufs);
+            }
             grad_w_fwd.push(gf);
             grad_w_rev.push(gr);
         }
-        arena.put(agg);
-        arena.put(scratch);
+        arena.put(bufs.agg);
+        arena.put(bufs.grad_out_rows);
+        arena.put(bufs.scratch);
         arena.put(grad_out);
         (
             grad_h,
@@ -426,12 +425,13 @@ fn accum_row(
     }
 }
 
-/// Rows per parallel chunk for a CSR-walking kernel: the real per-row cost
-/// is `(avg_degree + 1)·d`, not the dense `d` — sizing chunks by the dense
-/// row cost makes sparse TOSG aggregations cut far too many chunks (and
-/// spin up workers) for the work they actually contain.
-fn csr_chunk_rows(csr: &Csr, d: usize) -> usize {
-    let avg_deg = csr.num_edges() / csr.num_nodes().max(1);
+/// Rows per parallel chunk for a kernel that walks `csr` once over `rows`
+/// output rows: the real per-row cost is `(avg_degree + 1)·d`, not the dense
+/// `d` — sizing chunks by the dense row cost makes sparse TOSG aggregations
+/// cut far too many chunks (and spin up workers) for the work they actually
+/// contain.
+fn csr_chunk_rows(csr: &Csr, rows: usize, d: usize) -> usize {
+    let avg_deg = csr.num_edges() / rows.max(1);
     kgtosa_par::chunk_rows((avg_deg + 1).saturating_mul(d))
 }
 
@@ -446,7 +446,7 @@ pub fn mean_aggregate(csr: &Csr, h: &Matrix, out: &mut Matrix) {
     out.fill_zero();
     let d = h.cols();
     let level = simd_level();
-    let block = csr_chunk_rows(csr, d);
+    let block = csr_chunk_rows(csr, csr.num_nodes(), d);
     let pool = Pool::for_work(csr.num_edges().saturating_mul(d));
     pool.par_chunks_mut("nn.mean_aggregate", out.data_mut(), block * d, |ci, band| {
         for (off, out_row) in band.chunks_mut(d).enumerate() {
@@ -464,57 +464,113 @@ pub fn mean_aggregate(csr: &Csr, h: &Matrix, out: &mut Matrix) {
     });
 }
 
+/// The most active rows any direction of the first `relations` relations
+/// has. A layer call takes its compact operands from the arena **once**, at
+/// this row count, and re-views them per relation ([`Matrix::resize_rows`]
+/// within capacity): a take per relation would zero-fill and search the
+/// pool 2|R| times per call, for buffers whose every row is overwritten
+/// anyway.
+fn max_active_rows(g: &HeteroGraph, relations: usize) -> usize {
+    (0..relations)
+        .map(|r| {
+            let adj = g.relation(Rid(r as u32));
+            adj.inc.active_rows().len().max(adj.out.active_rows().len())
+        })
+        .max()
+        .unwrap_or(0)
+}
+
+/// `agg[k] = mean_{j ∈ csr(i)} h[j]` for `i = csr.active_rows()[k]` —
+/// [`mean_aggregate`] without the rows that have nothing to average, same
+/// strips, same single-writer row blocks (cut by the compact shape). `agg`
+/// is re-viewed to one row per active row and every row is overwritten.
+fn mean_aggregate_active(csr: &Csr, h: &Matrix, agg: &mut Matrix) {
+    let act = csr.active_rows();
+    agg.resize_rows(act.len());
+    let d = h.cols();
+    let level = simd_level();
+    let block = csr_chunk_rows(csr, act.len(), d);
+    let pool = Pool::for_work(csr.num_edges().saturating_mul(d));
+    pool.par_chunks_mut("nn.mean_aggregate", agg.data_mut(), block * d, |ci, band| {
+        for (row, &i) in band.chunks_mut(d).zip(&act[ci * block..]) {
+            let nbrs = csr.neighbors(Vid(i));
+            let inv = 1.0 / nbrs.len() as f32;
+            accum_row(level, row, h, nbrs, &StripWeight::Uniform(inv), true);
+        }
+    });
+}
+
+/// `dst[ids[k]] = src[k]`: puts gathered rows back
+/// ([`Matrix::gather_rows_into`]'s inverse).
+fn scatter_rows(src: &Matrix, ids: &[u32], dst: &mut Matrix) {
+    for (k, &i) in ids.iter().enumerate() {
+        dst.row_mut(i as usize).copy_from_slice(src.row(k));
+    }
+}
+
+/// Scratch of one backward call (see [`max_active_rows`]). The first two
+/// are compact: row `k` stands for the current direction's `k`-th active
+/// row.
+struct BackwardBufs {
+    /// The recomputed aggregate; once `grad_w` has consumed it, the product
+    /// `grad_out_rows · Wᵀ` (same shape).
+    agg: Matrix,
+    /// `grad_out`'s active rows.
+    grad_out_rows: Matrix,
+    /// That product scattered to one row per vertex, where the gather over
+    /// `csr_t` looks rows up by vertex id. Only the current direction's
+    /// active rows are ever read, so stale rows are harmless.
+    scratch: Matrix,
+}
+
 /// Backward through one direction of one relation:
-/// * `grad_W = aggᵀ · grad_out` (agg recomputed),
+/// * `grad_w = aggᵀ · grad_out` over the active rows (agg recomputed; an
+///   inactive row's aggregate is zero and adds nothing),
 /// * `grad_h += Âᵀ · (grad_out · Wᵀ)`, accumulated in **gather form** over
 ///   the transpose adjacency `csr_t` so each `grad_h` row is written by
 ///   exactly one worker (deterministic row-blocked parallelism; the
-///   scatter form would race on shared rows).
-///
-/// Returns `grad_W` (drawn from `arena`).
-#[allow(clippy::too_many_arguments)]
+///   scatter form would race on shared rows). The gather reads row `i` of
+///   the product only for `i` with neighbours in `csr`: the active rows.
 fn direction_backward(
     (csr, csr_t): (&Csr, &Csr),
     h: &Matrix,
     w: &Matrix,
     grad_out: &Matrix,
     grad_h: &mut Matrix,
-    agg: &mut Matrix,
-    scratch: &mut Matrix,
-    arena: &mut ScratchArena,
-) -> Matrix {
-    let mut grad_w = arena.take(w.rows(), w.cols());
-    if csr.num_edges() == 0 {
-        return grad_w;
+    grad_w: &mut Matrix,
+    bufs: &mut BackwardBufs,
+) {
+    let act = csr.active_rows();
+    if act.is_empty() {
+        return;
     }
-    mean_aggregate(csr, h, agg);
-    agg.t_matmul_into(grad_out, &mut grad_w);
-    // scratch = grad_out @ Wᵀ
-    grad_out.matmul_t_into(w, scratch);
-    mean_backward_gather(csr, csr_t, scratch, grad_h);
-    grad_w
+    mean_aggregate_active(csr, h, &mut bufs.agg);
+    bufs.grad_out_rows.resize_rows(act.len());
+    grad_out.gather_rows_into(act, &mut bufs.grad_out_rows);
+    bufs.agg.t_matmul_rows_into(act, &bufs.grad_out_rows, grad_w);
+    bufs.grad_out_rows.matmul_t_into(w, &mut bufs.agg);
+    scatter_rows(&bufs.agg, act, &mut bufs.scratch);
+    mean_backward_gather(csr, csr_t, &bufs.scratch, grad_h);
 }
 
 /// `grad_h[j] += Σ_{i : j ∈ N_i} (1/|N_i|) · scratch[i]` — the backward of
 /// [`mean_aggregate`], in gather form over the transpose adjacency `csr_t`
 /// (the i's with `j ∈ csr(i)` are exactly the neighbours of `j` in `csr_t`)
 /// so each `grad_h` row has a single writer and row-blocked parallelism is
-/// deterministic. Shared with the basis-decomposition layer.
+/// deterministic. Within its band of `grad_h` a worker visits only
+/// `csr_t`'s active rows. Shared with the basis-decomposition layer.
 pub(crate) fn mean_backward_gather(csr: &Csr, csr_t: &Csr, scratch: &Matrix, grad_h: &mut Matrix) {
     let d = scratch.cols();
     let level = simd_level();
-    let block = csr_chunk_rows(csr_t, d);
+    let block = csr_chunk_rows(csr_t, csr_t.num_nodes(), d);
+    let act = csr_t.active_rows();
     let pool = Pool::for_work(csr.num_edges().saturating_mul(d));
     pool.par_chunks_mut("nn.rgcn.grad_h", grad_h.data_mut(), block * d, |ci, band| {
-        for (off, dst) in band.chunks_mut(d).enumerate() {
-            let j = ci * block + off;
-            if j >= csr_t.num_nodes() {
-                continue;
-            }
-            let nbrs = csr_t.neighbors(Vid(j as u32));
-            if nbrs.is_empty() {
-                continue;
-            }
+        let lo = ci * block;
+        let first = act.partition_point(|&j| (j as usize) < lo);
+        for &j in act[first..].iter().take_while(|&&j| (j as usize) < lo + block) {
+            let dst = &mut band[(j as usize - lo) * d..][..d];
+            let nbrs = csr_t.neighbors(Vid(j));
             accum_row(level, dst, scratch, nbrs, &StripWeight::InvDegree(csr), false);
         }
     });

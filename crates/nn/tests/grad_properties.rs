@@ -84,9 +84,10 @@ proptest! {
 /// every thread count, and identical to a naive serial reference.
 mod parallel_determinism {
     use super::*;
-    use kgtosa_kg::{HeteroGraph, KnowledgeGraph, Rid, Vid};
-    use kgtosa_nn::mean_aggregate;
+    use kgtosa_kg::{Cid, HeteroGraph, KnowledgeGraph, Rid, Triple, Vid};
+    use kgtosa_nn::{mean_aggregate, RgcnGrads, RgcnLayer};
     use kgtosa_par::with_threads;
+    use kgtosa_tensor::{relu_backward, relu_inplace, set_simd_level, simd_level, SimdLevel};
     use rand::Rng;
 
     /// The pre-parallel serial semantics of mean aggregation.
@@ -172,5 +173,201 @@ mod parallel_determinism {
                 }
             }
         }
+    }
+
+    /// A *typed* random graph — what `random_graph`'s single class and
+    /// relation cannot produce: most rows of most relations have no
+    /// neighbour. Classes own stripes of `stripe` consecutive ids handed
+    /// out round-robin, so one class (and with it a relation's active
+    /// rows) sits in several non-adjacent id ranges; 4–10 relations each
+    /// join one class pair, from a handful of edges up to a few per source
+    /// vertex, with duplicates; one vertex in seven takes part in none of
+    /// them; the second-to-last relation has no edges at all, and with
+    /// `ring` the last one touches every vertex in both directions.
+    fn typed_graph(nodes: usize, stripe: usize, ring: bool, seed: u64) -> HeteroGraph {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let classes = rng.gen_range(3..=6usize);
+        let class_of = |v: usize| (v / stripe) % classes;
+        let node_class: Vec<Cid> = (0..nodes).map(|v| Cid(class_of(v) as u32)).collect();
+        let mut members = vec![Vec::new(); classes];
+        for v in (0..nodes).filter(|v| v % 7 != 3) {
+            members[class_of(v)].push(Vid(v as u32));
+        }
+        let typed = rng.gen_range(4..=10u32);
+        let mut triples = Vec::new();
+        for p in 0..typed {
+            let from = &members[rng.gen_range(0..classes)];
+            let to = &members[rng.gen_range(0..classes)];
+            if from.is_empty() || to.is_empty() {
+                continue;
+            }
+            let edges = if p % 3 == 0 {
+                rng.gen_range(1..8usize)
+            } else {
+                from.len() * rng.gen_range(1..4usize)
+            };
+            for _ in 0..edges {
+                let t = Triple {
+                    s: from[rng.gen_range(0..from.len())],
+                    p: Rid(p),
+                    o: to[rng.gen_range(0..to.len())],
+                };
+                triples.push(t);
+                if rng.gen_range(0..10) == 0 {
+                    triples.push(t);
+                }
+            }
+        }
+        if ring {
+            for v in 0..nodes {
+                triples.push(Triple {
+                    s: Vid(v as u32),
+                    p: Rid(typed + 1),
+                    o: Vid(((v + 1) % nodes) as u32),
+                });
+            }
+        }
+        HeteroGraph::from_triples(nodes, typed as usize + 2, classes, node_class, &triples)
+    }
+
+    /// Everything one forward + backward pass of a layer produces.
+    struct Pass {
+        out: Matrix,
+        grad_h: Matrix,
+        grads: RgcnGrads,
+    }
+
+    /// The dense per-relation formulation of [`RgcnLayer`], assembled from
+    /// the public kernels only: every relation-direction aggregates into a
+    /// zero-filled |V|-row matrix and multiplies all |V| rows. The oracle
+    /// the layer's row-compact kernels must match bit for bit.
+    fn dense_oracle(layer: &RgcnLayer, g: &HeteroGraph, h: &Matrix, grad_out: &Matrix) -> Pass {
+        let n = g.num_nodes();
+        let (din, dout) = (layer.in_dim(), layer.out_dim());
+        let directions = |r: usize| {
+            let adj = g.relation(Rid(r as u32));
+            [(&adj.inc, &adj.out, &layer.w_fwd[r]), (&adj.out, &adj.inc, &layer.w_rev[r])]
+        };
+
+        let mut out = h.matmul(&layer.w_self);
+        let mut agg = Matrix::zeros(n, din);
+        for r in 0..g.num_relations() {
+            for (csr, _, w) in directions(r) {
+                if csr.num_edges() > 0 {
+                    mean_aggregate(csr, h, &mut agg);
+                    agg.matmul_acc_into(w, &mut out);
+                }
+            }
+        }
+        for row in 0..n {
+            for (v, &b) in out.row_mut(row).iter_mut().zip(&layer.b) {
+                *v += b;
+            }
+        }
+        let mask = layer.relu.then(|| relu_inplace(&mut out));
+
+        let mut grad_out = grad_out.clone();
+        if let Some(mask) = &mask {
+            relu_backward(&mut grad_out, mask);
+        }
+        let mut b = vec![0.0f32; dout];
+        for row in 0..n {
+            for (gb, &v) in b.iter_mut().zip(grad_out.row(row)) {
+                *gb += v;
+            }
+        }
+        let mut grad_h = grad_out.matmul_t(&layer.w_self);
+        let w_self = h.t_matmul(&grad_out);
+        let mut scratch = Matrix::zeros(n, din);
+        let (mut w_fwd, mut w_rev) = (Vec::new(), Vec::new());
+        for r in 0..g.num_relations() {
+            for (dir, (csr, csr_t, w)) in directions(r).into_iter().enumerate() {
+                let mut grad_w = Matrix::zeros(din, dout);
+                if csr.num_edges() > 0 {
+                    mean_aggregate(csr, h, &mut agg);
+                    agg.t_matmul_into(&grad_out, &mut grad_w);
+                    grad_out.matmul_t_into(w, &mut scratch);
+                    // grad_h[j] += Σ_{i ∈ csr_t(j)} scratch[i] / |csr(i)|,
+                    // each element in neighbour order, unfused.
+                    for j in 0..n {
+                        for &i in csr_t.neighbors(Vid(j as u32)) {
+                            let inv = 1.0 / csr.degree(Vid(i)) as f32;
+                            let src = scratch.row(i as usize);
+                            #[allow(clippy::assign_op_pattern)]
+                            for (d, &s) in grad_h.row_mut(j).iter_mut().zip(src) {
+                                *d = s * inv + *d;
+                            }
+                        }
+                    }
+                }
+                if dir == 0 { &mut w_fwd } else { &mut w_rev }.push(grad_w);
+            }
+        }
+        Pass { out, grad_h, grads: RgcnGrads { w_fwd, w_rev, w_self, b } }
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn assert_same_bits(got: &Pass, want: &Pass, what: &str) {
+        assert_eq!(bits(got.out.data()), bits(want.out.data()), "out, {what}");
+        assert_eq!(bits(got.grad_h.data()), bits(want.grad_h.data()), "grad_h, {what}");
+        assert_eq!(bits(got.grads.w_self.data()), bits(want.grads.w_self.data()), "w_self, {what}");
+        assert_eq!(bits(&got.grads.b), bits(&want.grads.b), "b, {what}");
+        assert_eq!(got.grads.w_fwd.len(), want.grads.w_fwd.len());
+        for (r, (a, b)) in got.grads.w_fwd.iter().zip(&want.grads.w_fwd).enumerate() {
+            assert_eq!(bits(a.data()), bits(b.data()), "w_fwd[{r}], {what}");
+        }
+        for (r, (a, b)) in got.grads.w_rev.iter().zip(&want.grads.w_rev).enumerate() {
+            assert_eq!(bits(a.data()), bits(b.data()), "w_rev[{r}], {what}");
+        }
+    }
+
+    /// `RgcnLayer` ≡ the dense oracle as `u32` bit patterns — output, input
+    /// gradient and every parameter gradient — at 1/2/4/8 threads and both
+    /// SIMD levels. The shapes put |V| past `chunk_rows(max(c, n))` (512
+    /// rows at d = 64, 2048 at d = 16), so `Aᵀ·B` runs its chunked
+    /// reduction, and the class stripes leave whole chunks without an
+    /// active row; the last shape stays inside one chunk.
+    #[test]
+    fn rgcn_layer_matches_dense_oracle_bit_for_bit() {
+        let restore = simd_level();
+        // (nodes, stripe, in_dim, out_dim, relu)
+        let shapes = [
+            (1_150usize, 190usize, 64usize, 64usize, true),
+            (4_300, 700, 16, 16, true),
+            (2_300, 600, 16, 5, false),
+            (61, 9, 8, 3, true),
+        ];
+        for (case, &(nodes, stripe, din, dout, relu)) in shapes.iter().enumerate() {
+            for ring in [false, true] {
+                let seed = 40 + case as u64 * 2 + ring as u64;
+                let g = typed_graph(nodes, stripe, ring, seed);
+                let mut rng = StdRng::seed_from_u64(seed ^ 0xd1ff);
+                let layer = RgcnLayer::new(g.num_relations(), din, dout, relu, &mut rng);
+                let h = xavier_uniform(nodes, din, &mut rng);
+                let grad_out = xavier_uniform(nodes, dout, &mut rng);
+                let want = dense_oracle(&layer, &g, &h, &grad_out);
+                for level in [SimdLevel::Portable, SimdLevel::Avx2] {
+                    if set_simd_level(level).is_err() {
+                        continue;
+                    }
+                    for threads in [1usize, 2, 4, 8] {
+                        let got = with_threads(threads, || {
+                            let (out, cache) = layer.forward(&g, &h);
+                            let (grad_h, grads) = layer.backward(&g, &h, &cache, grad_out.clone());
+                            Pass { out, grad_h, grads }
+                        });
+                        let what = format!(
+                            "{nodes} nodes d={din}x{dout} ring={ring} {} threads={threads}",
+                            level.name()
+                        );
+                        assert_same_bits(&got, &want, &what);
+                    }
+                }
+            }
+        }
+        set_simd_level(restore).unwrap();
     }
 }

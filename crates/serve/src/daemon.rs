@@ -18,7 +18,7 @@
 
 use std::collections::VecDeque;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -48,6 +48,9 @@ type ShedQueue = Arc<(Mutex<VecDeque<TcpStream>>, Condvar)>;
 /// Beyond this many connections waiting for their `429`, further shed
 /// connections are dropped without a response (extreme-flood backstop).
 const SHED_BACKLOG_CAP: usize = 256;
+/// Bytes of a refused (`413`) request's body a worker discards before it
+/// closes the connection.
+const DRAIN_CAP: u64 = 1 << 20;
 
 /// A bound-but-not-yet-running daemon.
 pub struct Server {
@@ -224,6 +227,12 @@ fn handle_stream(state: &ServeState, mut stream: TcpStream, admitted: Instant) {
         Ok(req) => req,
         Err(RequestError::TooLarge) => {
             let _ = write_response(&mut stream, &HttpResponse::error(413, "request too large"));
+            // The body was never read, and closing a socket with unread
+            // data resets the connection — which can take the reply just
+            // written with it. Half-close, then discard what the peer
+            // still sends (bounded by `DRAIN_CAP` and the read timeout).
+            let _ = stream.shutdown(Shutdown::Write);
+            let _ = io::copy(&mut io::Read::take(&mut stream, DRAIN_CAP), &mut io::sink());
             return;
         }
         Err(RequestError::Malformed(m)) => {

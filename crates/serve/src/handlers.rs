@@ -294,7 +294,9 @@ fn infer_handler(state: &ServeState, body: &Json, remaining: Duration) -> HttpRe
             let mut out = Vec::with_capacity(items.len());
             for item in items {
                 match item.as_f64() {
-                    Some(n) if n >= 0.0 && (n as usize) < epoch.graph.num_nodes() => {
+                    Some(n)
+                        if n >= 0.0 && n.fract() == 0.0 && (n as usize) < epoch.graph.num_nodes() =>
+                    {
                         out.push(Vid(n as u32))
                     }
                     _ => {

@@ -131,6 +131,22 @@ fn extract_and_infer_round_trip() {
         other => panic!("predictions missing: {other:?}"),
     }
 
+    // "nodes" entries are node ids: a fraction, a negative or an id past
+    // the graph is a 400 — never an answer for the truncated id.
+    let infer_nodes = |nodes: &str| {
+        let body = format!("{{\"checkpoint\":\"RGCN\",\"task\":\"{task_name}\",\"nodes\":[{nodes}]}}");
+        post_json(daemon.addr, "/infer", &body, Duration::from_secs(30)).unwrap()
+    };
+    for bad in ["3.7", "-1", "1e30", "2, 3.7"] {
+        assert_eq!(infer_nodes(bad).status, 400, "nodes [{bad}]");
+    }
+    let three = ok_json(&infer_nodes("3"));
+    match three.get("predictions") {
+        Some(Json::Arr(preds)) => assert_eq!(preds.len(), 1),
+        other => panic!("predictions missing: {other:?}"),
+    }
+    assert_eq!(three.get("param_hash"), reply.get("param_hash"));
+
     // Unknowns are 4xx, not daemon damage.
     let bad_task = post_json(daemon.addr, "/extract", "{\"task\":\"nope\"}", Duration::from_secs(5)).unwrap();
     assert_eq!(bad_task.status, 404);

@@ -116,6 +116,13 @@ impl Matrix {
         self.data.fill(0.0);
     }
 
+    /// Sets the row count, keeping the columns and — when the new size fits
+    /// its capacity — the allocation; rows past the old count are zero.
+    pub fn resize_rows(&mut self, rows: usize) {
+        self.data.resize(rows * self.cols, 0.0);
+        self.rows = rows;
+    }
+
     /// Consumes the matrix, returning its flat buffer (capacity intact) —
     /// how [`ScratchArena`](crate::workspace::ScratchArena) recycles
     /// intermediates without freeing them.
@@ -187,31 +194,66 @@ impl Matrix {
     /// order** — the same structure serially and in parallel, so results
     /// match bit-for-bit at every thread count.
     pub fn t_matmul_into(&self, other: &Matrix, out: &mut Matrix) {
+        let chunk = kgtosa_par::chunk_rows(self.cols.max(other.cols));
+        let rows = self.rows;
+        self.t_matmul_chunks(other, out, rows.div_ceil(chunk), |ci| {
+            ci * chunk..((ci + 1) * chunk).min(rows)
+        });
+    }
+
+    /// `out = Âᵀ @ B̂`, where `Â` and `B̂` are `self` and `other` with their
+    /// row `k` placed at row `rows[k]` (strictly ascending) of an otherwise
+    /// all-zero matrix: [`Matrix::t_matmul_into`] on the zero-padded
+    /// operands, at the cost of the rows that are there.
+    ///
+    /// The reduction is cut where the padded product cuts it — at multiples
+    /// of `chunk_rows(max(c, n))` in *original* row numbers — and merged in
+    /// the same order, and the rows it skips would each add `0·b = ±0` to
+    /// an accumulator that started at `+0.0` and so never holds `−0.0`: the
+    /// result has the padded product's bits at every thread count. (A
+    /// non-finite `b` under a padded zero is the exception: `0·∞` is NaN.)
+    pub fn t_matmul_rows_into(&self, rows: &[u32], other: &Matrix, out: &mut Matrix) {
+        assert_eq!(self.rows, rows.len(), "one original row id per row");
+        debug_assert!(rows.windows(2).all(|w| w[0] < w[1]), "row ids must ascend");
+        let chunk = kgtosa_par::chunk_rows(self.cols.max(other.cols));
+        let n_chunks = rows.last().map_or(0, |&last| last as usize / chunk + 1);
+        self.t_matmul_chunks(other, out, n_chunks, |ci| {
+            rows.partition_point(|&r| (r as usize) < ci * chunk)
+                ..rows.partition_point(|&r| (r as usize) < (ci + 1) * chunk)
+        });
+    }
+
+    /// The ordered chunked reduction behind both `Aᵀ·B` forms: chunk `ci`
+    /// reduces operand rows `span(ci)` into its own zeroed partial, and the
+    /// non-empty partials are added to a zeroed `out` in chunk order.
+    fn t_matmul_chunks(
+        &self,
+        other: &Matrix,
+        out: &mut Matrix,
+        n_chunks: usize,
+        span: impl Fn(usize) -> std::ops::Range<usize> + Sync,
+    ) {
         assert_eq!(self.rows, other.rows, "row mismatch for t_matmul");
         assert_eq!(out.shape(), (self.cols, other.cols), "output shape");
         let n = other.cols;
         let c = self.cols;
         let level = simd_level();
-        let chunk = kgtosa_par::chunk_rows(c.max(n));
-        if self.rows <= chunk {
-            out.fill_zero();
+        out.fill_zero();
+        if n_chunks <= 1 {
             gemm::rank1_update(level, &self.data, c, &other.data, n, 0, self.rows, &mut out.data);
             return;
         }
-        let n_chunks = self.rows.div_ceil(chunk);
-        let rows = self.rows;
         with_workspace(|ws| {
             let partials = ws.partials(n_chunks * c * n);
-            let pool = Pool::for_work(rows * c * n);
+            let pool = Pool::for_work(self.rows * c * n);
             pool.par_chunks_mut("tensor.t_matmul", partials, c * n, |ci, part| {
-                part.fill(0.0);
-                let lo = ci * chunk;
-                let hi = (lo + chunk).min(rows);
-                gemm::rank1_update(level, &self.data, c, &other.data, n, lo, hi, part);
+                let rows = span(ci);
+                if !rows.is_empty() {
+                    part.fill(0.0);
+                    gemm::rank1_update(level, &self.data, c, &other.data, n, rows.start, rows.end, part);
+                }
             });
-            // Ordered merge into the single output accumulator.
-            out.data.copy_from_slice(&partials[..c * n]);
-            for ci in 1..n_chunks {
+            for ci in (0..n_chunks).filter(|&ci| !span(ci).is_empty()) {
                 let part = &partials[ci * c * n..(ci + 1) * c * n];
                 for (o, &p) in out.data.iter_mut().zip(part) {
                     *o += p;

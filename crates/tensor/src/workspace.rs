@@ -11,11 +11,11 @@
 //!   calls via [`with_workspace`], so steady-state kernel calls allocate
 //!   nothing.
 //! * [`ScratchArena`] — a trainer-owned pool of `Matrix` buffers for
-//!   forward/backward intermediates. `take` hands out a zeroed matrix
-//!   (reusing a returned buffer's capacity when one is available), `put`
-//!   returns one. After the first epoch every buffer in the cycle has
-//!   grown to its steady-state capacity, so subsequent epochs run the
-//!   whole forward/backward at zero matrix allocations — asserted by the
+//!   forward/backward intermediates. `take` hands out a zeroed matrix in
+//!   the returned buffer that fits it best, `put` returns one. After the
+//!   first epoch the pool holds a buffer for every size an epoch has
+//!   outstanding at once, so subsequent epochs run the whole
+//!   forward/backward at zero matrix allocations — asserted by the
 //!   alloc-count gate in `crates/models/tests/prof_differential.rs`.
 
 use std::cell::RefCell;
@@ -72,14 +72,19 @@ pub fn with_workspace<R>(f: impl FnOnce(&mut Workspace) -> R) -> R {
 /// A pool of recyclable `Matrix` buffers for training intermediates.
 ///
 /// Not a classic bump allocator: buffers are individually `take`n and
-/// `put` back (LIFO), because backward passes interleave the lifetimes of
+/// `put` back, because backward passes interleave the lifetimes of
 /// activations, gradients, and scratch. The *bump-reset* part is
 /// [`ScratchArena::reset`], called once per epoch: it asserts the epoch
 /// returned everything it took and keeps the freed buffers for the next
-/// epoch. The take/put sequence of an epoch is deterministic, so from the
-/// second epoch on every `take` pops a buffer whose capacity already fits.
+/// epoch. `take` is best-fit, so from the second epoch on every `take`
+/// finds a buffer whose capacity already fits and the pool stops growing.
+/// (Handing out whichever buffer was returned last does not converge: an
+/// RGCN epoch holds hundreds of `d × d` gradient buffers beside a few
+/// `|V| × d` ones, and every epoch a few more of the small ones would be
+/// grown to `|V| × d` and then buried under small requests again.)
 #[derive(Default)]
 pub struct ScratchArena {
+    /// Returned buffers, ascending by capacity.
     free: Vec<Vec<f32>>,
     outstanding: usize,
     takes: u64,
@@ -92,18 +97,23 @@ impl ScratchArena {
         Self::default()
     }
 
-    /// A zeroed `rows × cols` matrix, reusing a returned buffer when one
-    /// is available (zeroing reuses capacity and does not allocate).
+    /// A zeroed `rows × cols` matrix in the smallest returned buffer that
+    /// holds it (zeroing reuses capacity and does not allocate); when none
+    /// does, the largest one is grown, and a new one made only when the
+    /// pool is empty.
     pub fn take(&mut self, rows: usize, cols: usize) -> Matrix {
         let need = rows * cols;
         self.takes += 1;
-        let mut buf = match self.free.pop() {
-            Some(buf) => {
-                self.reuses += 1;
-                buf
-            }
-            None => Vec::new(),
+        // `free` ascends by capacity: the first buffer that fits is the
+        // smallest that does, and the last one the largest there is.
+        let fits = self.free.partition_point(|buf| buf.capacity() < need);
+        let recycled = if fits < self.free.len() {
+            Some(self.free.remove(fits))
+        } else {
+            self.free.pop()
         };
+        self.reuses += u64::from(recycled.is_some());
+        let mut buf = recycled.unwrap_or_default();
         buf.clear();
         buf.resize(need, 0.0);
         self.outstanding += 1;
@@ -114,7 +124,9 @@ impl ScratchArena {
     pub fn put(&mut self, m: Matrix) {
         debug_assert!(self.outstanding > 0, "put without matching take");
         self.outstanding = self.outstanding.saturating_sub(1);
-        self.free.push(m.into_data());
+        let buf = m.into_data();
+        let at = self.free.partition_point(|b| b.capacity() < buf.capacity());
+        self.free.insert(at, buf);
     }
 
     /// Epoch boundary: verifies the epoch's takes were all returned (debug
@@ -156,6 +168,26 @@ mod tests {
         let (takes, reuses) = arena.stats();
         assert_eq!(takes, 2);
         assert_eq!(reuses, 1);
+    }
+
+    #[test]
+    fn take_is_best_fit() {
+        let mut arena = ScratchArena::new();
+        let (big, small) = (arena.take(100, 10), arena.take(2, 2));
+        let (big_at, small_at) = (big.data().as_ptr(), small.data().as_ptr());
+        // Big one returned last: handing out the latest return would give
+        // it to the small request and grow the small one for the big.
+        arena.put(small);
+        arena.put(big);
+        let (small, big) = (arena.take(1, 3), arena.take(50, 20));
+        assert_eq!(small.data().as_ptr(), small_at);
+        assert_eq!(big.data().as_ptr(), big_at);
+        arena.put(small);
+        arena.put(big);
+        // Nothing fits: the largest buffer grows, the small one stays small.
+        let huge = arena.take(300, 10);
+        assert_eq!(arena.take(2, 2).data().as_ptr(), small_at);
+        assert_eq!(huge.shape(), (300, 10));
     }
 
     #[test]

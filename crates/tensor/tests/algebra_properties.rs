@@ -217,6 +217,53 @@ mod parallel_determinism {
         }
     }
 
+    /// The row-indexed `Aᵀ·B` has the bits of `t_matmul_into` on the
+    /// zero-padded operands, at every thread count: for the empty subset,
+    /// every row, random subsets dense and sparse, one confined to the
+    /// first chunk (the unchunked path on the compact side, the chunked one
+    /// on the padded side), and one that skips whole chunks.
+    #[test]
+    fn t_matmul_rows_matches_zero_padded() {
+        let (total, c, n) = (9_000usize, 8usize, 12usize);
+        let chunk = kgtosa_par::chunk_rows(c.max(n));
+        assert!(total > 3 * chunk, "the padded product must span four chunks");
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut one_in = |k: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            matches!(state % k, 0)
+        };
+        let all = 0..total as u32;
+        let subsets: Vec<Vec<u32>> = vec![
+            Vec::new(),
+            all.clone().collect(),
+            all.clone().filter(|_| one_in(3)).collect(),
+            all.clone().filter(|_| one_in(400)).collect(),
+            all.clone().filter(|&r| (r as usize) < chunk && one_in(2)).collect(),
+            all.filter(|&r| matches!(r as usize / chunk, 0 | 3) && one_in(5)).collect(),
+            vec![(total - 1) as u32],
+        ];
+        for ids in &subsets {
+            let a = big_matrix(ids.len(), c, 0.41);
+            let b = big_matrix(ids.len(), n, 0.23);
+            let (mut padded_a, mut padded_b) = (Matrix::zeros(total, c), Matrix::zeros(total, n));
+            for (k, &r) in ids.iter().enumerate() {
+                padded_a.row_mut(r as usize).copy_from_slice(a.row(k));
+                padded_b.row_mut(r as usize).copy_from_slice(b.row(k));
+            }
+            let expect = with_threads(1, || padded_a.t_matmul(&padded_b));
+            let expect: Vec<u32> = expect.data().iter().map(|v| v.to_bits()).collect();
+            for threads in [1usize, 2, 4, 8] {
+                // Stale output contents must not leak into the product.
+                let mut got = big_matrix(c, n, 0.9);
+                with_threads(threads, || a.t_matmul_rows_into(ids, &b, &mut got));
+                let got: Vec<u32> = got.data().iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, expect, "{} of {total} rows, threads={threads}", ids.len());
+            }
+        }
+    }
+
     /// Portable vs AVX2 instantiations produce identical bits — the
     /// instruction-set half of the determinism contract. (On hardware
     /// without AVX2 this degenerates to portable ≡ portable, which still
