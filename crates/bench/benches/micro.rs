@@ -11,7 +11,7 @@ use kgtosa_kg::{Dictionary, HeteroGraph, KnowledgeGraph, Vid};
 use kgtosa_nn::RgcnLayer;
 use kgtosa_rdf::{parse, Hexastore, RdfStore, SparqlEngine};
 use kgtosa_sampler::{
-    approximate_ppr, biased_random_walk, uniform_random_walk, IbsConfig, PprConfig, WalkConfig,
+    biased_random_walk, uniform_random_walk, IbsConfig, PprConfig, PprScratch, WalkConfig,
 };
 use kgtosa_tensor::xavier_uniform;
 use rand::rngs::StdRng;
@@ -103,8 +103,11 @@ fn bench_samplers(c: &mut Criterion) {
             biased_random_walk(&g, &targets, &walk, &mut rng).len()
         })
     });
+    // One scratch across iterations: its O(|V|) build is per worker chunk
+    // in IBS, not per push run.
+    let mut scratch = PprScratch::new(&g, &PprConfig::default());
     group.bench_function("ppr_push", |b| {
-        b.iter(|| approximate_ppr(&g, black_box(targets[0]), &PprConfig::default()).len())
+        b.iter(|| scratch.run(black_box(targets[0])).len())
     });
     group.finish();
 }

@@ -1,9 +1,9 @@
 //! `kernels` — serial vs parallel wall time for the `kgtosa-par` kernel
 //! layer: dense matmul (all three transpose variants), RGCN mean
-//! aggregation, one whole RGCN layer pass over a typed KG, batched PPR, and
-//! CSR construction, each at 1/2/4/8 threads (capped by `KGTOSA_THREADS`,
-//! so CI can produce a single-thread row set and an 8-thread row set from
-//! the same bin).
+//! aggregation, one whole RGCN layer pass over a typed KG, batched PPR, IBS
+//! node selection, and CSR construction, each at 1/2/4/8 threads (capped by
+//! `KGTOSA_THREADS`, so CI can produce a single-thread row set and an
+//! 8-thread row set from the same bin).
 //!
 //! Every measurement re-checks the determinism contract: the output at
 //! every thread count must be bit-identical to the single-threaded run.
@@ -22,7 +22,8 @@
 use kgtosa_kg::{Csr, HeteroGraph, KnowledgeGraph, Rid, Vid};
 use kgtosa_nn::{mean_aggregate, RgcnGrads, RgcnLayer};
 use kgtosa_par::with_threads;
-use kgtosa_sampler::{approximate_ppr_batch, PprConfig};
+use kgtosa_sampler::ppr::approximate_ppr_reference;
+use kgtosa_sampler::{approximate_ppr_batch, ibs_sample, IbsConfig, PprConfig};
 use kgtosa_tensor::{relu_backward, relu_inplace, xavier_uniform, Matrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -406,15 +407,58 @@ fn main() {
     });
     bench_kernel("rgcn_layer_typed", &typed_problem, Some(naive_layer), &mut rows, run_layer);
 
-    // Batched PPR: 256 seeds over a 20k-node graph.
+    // Batched PPR: 256 seeds over a 20k-node graph. The naive twin is the
+    // hash-map push kernel the dense scratch replaced; the two must agree
+    // on every vertex and every score bit.
     let g = ppr_graph(&mut rng);
     let seeds: Vec<Vid> = (0..256u32).map(|i| Vid(i * 7)).collect();
     let ppr_cfg = PprConfig::default();
-    bench_kernel("ppr_batch", "20000nx120000ex256seeds", None, &mut rows, || {
+    let ppr_problem = "20000nx120000ex256seeds";
+    let reference_batch = || {
+        seeds
+            .iter()
+            .map(|&seed| approximate_ppr_reference(&g, seed, &ppr_cfg).0)
+            .collect::<Vec<_>>()
+    };
+    let score_sets = |batch: Vec<Vec<(Vid, f32)>>| {
+        batch
+            .into_iter()
+            .map(|scores| {
+                let mut set: Vec<(u32, u32)> =
+                    scores.iter().map(|&(v, s)| (v.raw(), s.to_bits())).collect();
+                set.sort_unstable();
+                set
+            })
+            .collect::<Vec<_>>()
+    };
+    assert!(
+        score_sets(approximate_ppr_batch(&g, &seeds, &ppr_cfg)) == score_sets(reference_batch()),
+        "ppr_batch: dense push kernel differs from the hash-map reference"
+    );
+    let naive_ppr =
+        bench_naive("ppr_batch_naive", ppr_problem, &mut rows, || reference_batch().len());
+    bench_kernel("ppr_batch", ppr_problem, Some(naive_ppr), &mut rows, || {
         approximate_ppr_batch(&g, &seeds, &ppr_cfg)
             .iter()
             .map(|scores| scores.len())
             .collect::<Vec<_>>()
+    });
+
+    // IBS node selection (Algorithm 2 lines 2-4) for the paper-venue task
+    // on MAG at scale 1, k = 16: 12 000 push-PPR runs plus top-k.
+    let mag1 = kgtosa_datagen::mag(1.0, 7);
+    let mag1_graph = HeteroGraph::build(&mag1.gen.kg);
+    let ibs_targets = mag1.nc[0].targets();
+    let ibs_problem = format!(
+        "{}nx{}ex{}targetsxk16",
+        mag1_graph.num_nodes(),
+        mag1_graph.num_edges(),
+        ibs_targets.len()
+    );
+    bench_kernel("ibs_sample", &ibs_problem, None, &mut rows, || {
+        // The default thread count is read here, inside `with_threads`.
+        let ibs_cfg = IbsConfig { k: 16, ..Default::default() };
+        ibs_sample(&mag1_graph, &ibs_targets, &ibs_cfg).iter().collect::<Vec<_>>()
     });
 
     // CSR construction: counting sort of 4M edges over 500k vertices.

@@ -10,7 +10,7 @@
 use kgtosa_kg::{HeteroGraph, NodeSet, Vid};
 use kgtosa_par::Pool;
 
-use crate::ppr::{approximate_ppr, top_k, PprConfig};
+use crate::ppr::{seed_chunk, select_top_k, PprConfig, PprScratch};
 
 /// Configuration of IBS (the paper's defaults: `bs = 20000`, `k = 16`,
 /// `α = 0.25`, `ε = 2e-4`).
@@ -48,61 +48,68 @@ pub struct Partition {
     pub members: Vec<Vid>,
 }
 
-/// Runs Algorithm 2 through partition construction. Returns the partitions
-/// (line 4); [`ibs_sample`] unions them into the final `V_s`.
-pub fn ibs_partitions(g: &HeteroGraph, targets: &[Vid], cfg: &IbsConfig) -> Vec<Partition> {
+/// Lines 2-3 of Algorithm 2: per-target influence scores → top-k, in
+/// parallel over fixed-size target chunks. Returns one `stride`-wide row
+/// per target, in target order, holding its influencers and padded with
+/// the target itself (a member of every set the rows are unioned into),
+/// plus `stride`. Per-target runs are independent and each row is written
+/// by exactly one worker, so the rows are identical at any thread count.
+fn influencer_rows(g: &HeteroGraph, targets: &[Vid], cfg: &IbsConfig) -> (Vec<Vid>, usize) {
+    cfg.ppr.assert_valid();
     let _span = kgtosa_obs::span!("sample.ibs");
     kgtosa_obs::counter("sample.ibs.ppr_runs").add(targets.len() as u64);
     // Live rate/ETA over completed per-target PPR runs.
     let progress = kgtosa_obs::telemetry_active()
         .then(|| kgtosa_obs::progress_task("sample.ibs", Some(targets.len() as u64)));
-    // Lines 2-3: per-target influence scores → top-k pairs, in parallel.
-    // Per-target runs are independent, so the shared pool's dynamically
-    // scheduled, order-restoring map keeps the result deterministic.
-    let per_target: Vec<Vec<Vid>> =
-        Pool::new(cfg.threads).par_map_collect("sampler.ibs", targets, |_, &target| {
-            let scores = approximate_ppr(g, target, &cfg.ppr);
-            let selected: Vec<Vid> = top_k(&scores, target, cfg.k)
-                .into_iter()
-                .map(|(v, _)| v)
-                .collect();
-            if let Some(progress) = &progress {
-                progress.advance(1);
+    let stride = cfg.k.min(g.num_nodes()).max(1);
+    let per_chunk = seed_chunk(g);
+    let mut rows = vec![Vid(0); targets.len() * stride];
+    let pool = Pool::new(cfg.threads);
+    pool.par_chunks_mut("sampler.ibs", &mut rows, per_chunk * stride, |chunk, rows| {
+        let targets = &targets[chunk * per_chunk..][..rows.len() / stride];
+        let mut scratch = PprScratch::new(g, &cfg.ppr);
+        let mut top = Vec::new();
+        for (&target, row) in targets.iter().zip(rows.chunks_mut(stride)) {
+            select_top_k(scratch.run(target), target, cfg.k, &mut top);
+            row.fill(target);
+            for (slot, &(v, _)) in row.iter_mut().zip(&top) {
+                *slot = v;
             }
-            selected
-        });
+        }
+        // Exact work counts, summed locally and published once per chunk.
+        let work = scratch.work();
+        kgtosa_obs::counter("sample.ibs.pushes").add(work.pushes);
+        kgtosa_obs::counter("sample.ibs.edge_visits").add(work.edge_visits);
+        if let Some(progress) = &progress {
+            progress.advance(targets.len() as u64);
+        }
+    });
+    (rows, stride)
+}
 
-    // Line 4: group bs targets per partition.
+/// Runs Algorithm 2 through partition construction. Returns the partitions
+/// (line 4): `bs` targets each, with their selected influencers.
+pub fn ibs_partitions(g: &HeteroGraph, targets: &[Vid], cfg: &IbsConfig) -> Vec<Partition> {
+    let (rows, stride) = influencer_rows(g, targets, cfg);
     let bs = cfg.batch_size.max(1);
     targets
         .chunks(bs)
-        .enumerate()
-        .map(|(chunk_idx, chunk)| {
-            let mut members = NodeSet::new(g.num_nodes());
-            for (off, &t) in chunk.iter().enumerate() {
-                members.insert(t);
-                for &v in &per_target[chunk_idx * bs + off] {
-                    members.insert(v);
-                }
-            }
-            Partition {
-                targets: chunk.to_vec(),
-                members: members.iter().collect(),
-            }
+        .zip(rows.chunks(bs.saturating_mul(stride)))
+        .map(|(targets, rows)| Partition {
+            targets: targets.to_vec(),
+            members: NodeSet::from_iter(g.num_nodes(), targets.iter().chain(rows).copied())
+                .iter()
+                .collect(),
         })
         .collect()
 }
 
-/// Full IBS sampling: union of all partition members, ready for
-/// `extractSubgraph` (Algorithm 2 line 5).
+/// Full IBS sampling: the union of every target and its influencers —
+/// what the partitions' members add up to — ready for `extractSubgraph`
+/// (Algorithm 2 line 5).
 pub fn ibs_sample(g: &HeteroGraph, targets: &[Vid], cfg: &IbsConfig) -> NodeSet {
-    let mut out = NodeSet::new(g.num_nodes());
-    for part in ibs_partitions(g, targets, cfg) {
-        for v in part.members {
-            out.insert(v);
-        }
-    }
-    out
+    let (rows, _) = influencer_rows(g, targets, cfg);
+    NodeSet::from_iter(g.num_nodes(), targets.iter().chain(&rows).copied())
 }
 
 #[cfg(test)]
@@ -186,6 +193,30 @@ mod tests {
         );
         assert_eq!(parts.len(), 2);
         assert!(parts.iter().all(|p| p.targets.len() == 1));
+    }
+
+    #[test]
+    fn k_zero_keeps_only_the_targets() {
+        let (kg, targets) = kg();
+        let g = HeteroGraph::build(&kg);
+        let vs = ibs_sample(&g, &targets, &IbsConfig { k: 0, threads: 1, ..Default::default() });
+        assert_eq!(vs.iter().collect::<Vec<_>>(), targets);
+    }
+
+    /// `k` beyond what any PPR vector holds (and beyond |V|) keeps every
+    /// influencer, and the partitions' members add up to the sample.
+    #[test]
+    fn partition_members_add_up_to_the_sample() {
+        let (kg, targets) = kg();
+        let g = HeteroGraph::build(&kg);
+        let cfg = IbsConfig { k: usize::MAX, batch_size: 1, threads: 1, ..Default::default() };
+        let parts = ibs_partitions(&g, &targets, &cfg);
+        let n2 = kg.find_node("n2").unwrap();
+        assert!(parts.iter().all(|p| p.members.contains(&p.targets[0]) && p.members.contains(&n2)));
+        let union = NodeSet::from_iter(g.num_nodes(), parts.iter().flat_map(|p| p.members.clone()));
+        let sample = ibs_sample(&g, &targets, &cfg);
+        assert_eq!(union.iter().collect::<Vec<_>>(), sample.iter().collect::<Vec<_>>());
+        assert_eq!(sample.len(), 5, "the four-vertex star plus n2, no far clique");
     }
 
     #[test]
