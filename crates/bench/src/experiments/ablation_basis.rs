@@ -8,28 +8,21 @@
 //! variant, and basis sharing trades a little accuracy for a lot of
 //! parameters on both inputs.
 
-use kgtosa_bench::{measure, remap_nc, save_json, Env, Record};
-use kgtosa_core::{extract_sparql, GraphPattern};
+use crate::{measure, print_panel, record_from_report, remap_nc, Kg, Record, World};
 use kgtosa_models::{train_rgcn_basis_nc, train_rgcn_nc, NcDataset, TrainReport};
-use kgtosa_rdf::{FetchConfig, RdfStore};
 
-#[global_allocator]
-static ALLOC: kgtosa_memtrack::TrackingAllocator = kgtosa_memtrack::TrackingAllocator;
-
-fn main() {
-    let env = Env::from_env();
+pub fn run(world: &World<'_>) -> Vec<Record> {
+    let env = world.env;
     let cfg = env.train_config();
-    println!(
+    say!(
+        world,
         "Ablation — full RGCN vs basis decomposition, FG vs KG-TOSA_d1h1 (scale {})",
         env.scale
     );
-    let dataset = kgtosa_datagen::mag(env.scale, env.seed);
+    let dataset = world.dataset(Kg::Mag);
     let kg = &dataset.gen.kg;
     let task = &dataset.nc[0];
-    let ext_task = kgtosa_bench::nc_extraction_task(task);
-    let store = RdfStore::new(kg);
-    let tosg = extract_sparql(&store, &ext_task, &GraphPattern::D1H1, &FetchConfig::default())
-        .expect("extraction");
+    let tosg = world.d1h1(Kg::Mag, 0);
     let view = remap_nc(&tosg.subgraph, task);
 
     type Trainer<'a> = Box<dyn Fn(&NcDataset<'_>) -> TrainReport + 'a>;
@@ -56,18 +49,9 @@ fn main() {
             (trainer(&data), tsecs)
         });
         rows.push(Record {
-            task: task.name.clone(),
             method: format!("RGCN-{name}"),
-            input: "FG".into(),
-            metric: report.metric,
-            extraction_s: 0.0,
-            transformation_s: tsecs,
-            training_s: report.training_s,
-            inference_s: report.inference_s,
-            params: report.param_count,
-            peak_bytes: peak,
-            subgraph_triples: 0,
             trace: vec![],
+            ..record_from_report(task.name.clone(), "FG", report, 0.0, tsecs, peak, 0)
         });
         // KG'.
         let sub = &tosg.subgraph;
@@ -85,20 +69,19 @@ fn main() {
             (trainer(&data), tsecs)
         });
         rows.push(Record {
-            task: task.name.clone(),
             method: format!("RGCN-{name}"),
-            input: "KG-TOSA_d1h1".into(),
-            metric: report.metric,
-            extraction_s: tosg.report.seconds,
-            transformation_s: tsecs,
-            training_s: report.training_s,
-            inference_s: report.inference_s,
-            params: report.param_count,
-            peak_bytes: peak,
-            subgraph_triples: tosg.report.triples,
             trace: vec![],
+            ..record_from_report(
+                task.name.clone(),
+                "KG-TOSA_d1h1",
+                report,
+                tosg.report.seconds,
+                tsecs,
+                peak,
+                tosg.report.triples,
+            )
         });
     }
-    kgtosa_bench::print_panel("Ablation: parameter taming", &rows);
-    save_json("ablation_basis", &rows);
+    print_panel(world, "Ablation: parameter taming", &rows);
+    rows
 }

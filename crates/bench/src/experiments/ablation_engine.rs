@@ -11,16 +11,13 @@
 
 use std::time::Instant;
 
-use kgtosa_bench::Env;
+use crate::{nc_extraction_task, Columns, Kg, World};
 use kgtosa_core::{compile_subqueries, GraphPattern};
-use kgtosa_rdf::{fetch_triples_robust, FetchConfig, InProcessEndpoint, RdfStore};
+use kgtosa_rdf::{fetch_triples_robust, FetchConfig, InProcessEndpoint};
 use serde::Serialize;
 
-#[global_allocator]
-static ALLOC: kgtosa_memtrack::TrackingAllocator = kgtosa_memtrack::TrackingAllocator;
-
 #[derive(Serialize)]
-struct SweepRow {
+pub struct SweepRow {
     what: String,
     value: String,
     seconds: f64,
@@ -28,13 +25,16 @@ struct SweepRow {
     triples: usize,
 }
 
-fn main() {
-    let env = Env::from_env();
-    println!("Ablation — SPARQL extraction machinery (scale {})", env.scale);
-    let dataset = kgtosa_datagen::mag(env.scale, env.seed);
+impl Columns for SweepRow {
+    const MEASURED: &'static [&'static str] = &["seconds"];
+}
+
+pub fn run(world: &World<'_>) -> Vec<SweepRow> {
+    say!(world, "Ablation — SPARQL extraction machinery (scale {})", world.env.scale);
+    let dataset = world.dataset(Kg::Mag);
     let kg = &dataset.gen.kg;
-    let task = kgtosa_bench::nc_extraction_task(&dataset.nc[0]);
-    let store = RdfStore::new(kg);
+    let task = nc_extraction_task(&dataset.nc[0]);
+    let store = world.store(Kg::Mag);
     // d1h1 keeps a single triple-var projection across subqueries, which
     // keeps the sweep loops simple.
     let subqueries = compile_subqueries(&task, &GraphPattern::D1H1);
@@ -42,14 +42,14 @@ fn main() {
     let vars = subqueries[0].triple_vars.clone();
     let mut rows: Vec<SweepRow> = Vec::new();
 
-    println!("\n-- pagination batch size (threads = 2) --");
-    println!("{:>10} {:>10} {:>10} {:>10}", "bs", "seconds", "requests", "triples");
+    say!(world, "\n-- pagination batch size (threads = 2) --");
+    say!(world, "{:>10} {:>10} {:>10} {:>10}", "bs", "seconds", "requests", "triples");
     for bs in [64usize, 512, 4096, 32_768, 1_000_000] {
-        let ep = InProcessEndpoint::new(&store);
+        let ep = InProcessEndpoint::new(store);
         let start = Instant::now();
         let triples = fetch_triples_robust(
             &ep,
-            &store,
+            store,
             &queries,
             (&vars.0, &vars.1, &vars.2),
             &FetchConfig { batch_size: bs, threads: 2, ..FetchConfig::default() },
@@ -57,7 +57,8 @@ fn main() {
         .unwrap()
         .triples;
         let secs = start.elapsed().as_secs_f64();
-        println!(
+        say!(
+            world,
             "{:>10} {:>10.4} {:>10} {:>10}",
             bs,
             secs,
@@ -73,14 +74,14 @@ fn main() {
         });
     }
 
-    println!("\n-- worker threads (bs = 4096) --");
-    println!("{:>10} {:>10} {:>10}", "P", "seconds", "triples");
+    say!(world, "\n-- worker threads (bs = 4096) --");
+    say!(world, "{:>10} {:>10} {:>10}", "P", "seconds", "triples");
     for threads in [1usize, 2, 4, 8] {
-        let ep = InProcessEndpoint::new(&store);
+        let ep = InProcessEndpoint::new(store);
         let start = Instant::now();
         let triples = fetch_triples_robust(
             &ep,
-            &store,
+            store,
             &queries,
             (&vars.0, &vars.1, &vars.2),
             &FetchConfig { batch_size: 4096, threads, ..FetchConfig::default() },
@@ -88,7 +89,7 @@ fn main() {
         .unwrap()
         .triples;
         let secs = start.elapsed().as_secs_f64();
-        println!("{:>10} {:>10.4} {:>10}", threads, secs, triples.len());
+        say!(world, "{:>10} {:>10.4} {:>10}", threads, secs, triples.len());
         rows.push(SweepRow {
             what: "threads".into(),
             value: threads.to_string(),
@@ -98,7 +99,7 @@ fn main() {
         });
     }
 
-    println!("\n-- index choice: hexastore prefix scan vs full scan --");
+    say!(world, "\n-- index choice: hexastore prefix scan vs full scan --");
     let hex = store.hexastore();
     let raw: Vec<[u32; 3]> = hex.scan(None, None, None).collect();
     // Probe: all (s, ?, ?) scans for the first 2000 subjects.
@@ -116,7 +117,8 @@ fn main() {
     }
     let full = start.elapsed().as_secs_f64();
     assert_eq!(indexed_hits, scan_hits);
-    println!(
+    say!(
+        world,
         "{} probes: hexastore {:.4}s vs full scan {:.4}s ({:.0}x)",
         probes.len(),
         indexed,
@@ -137,6 +139,5 @@ fn main() {
         requests: probes.len(),
         triples: scan_hits,
     });
-
-    kgtosa_bench::save_json("ablation_engine", &rows);
+    rows
 }

@@ -5,21 +5,22 @@
 //! content-addressed artifact cache makes that amortization literal:
 //! the first (cold) extraction per pattern pays the full SPARQL fetch,
 //! every later (warm) run loads the published artifact with zero
-//! endpoint requests. This binary measures both phases for all four
-//! `KG-TOSA_{d,h}` patterns and reports the speedup.
+//! endpoint requests. This experiment measures both phases for all four
+//! `KG-TOSA_{d,h}` patterns and reports the speedup. The cache (cleared
+//! first) lives in `KGTOSA_CACHE_DIR`, else `cache-bench/` under the output
+//! directory; a world without an output directory gets a temporary
+//! directory, removed afterwards, whatever the environment says.
 
-use kgtosa_bench::{measure, nc_extraction_task, save_json, Env};
+use crate::{measure, nc_extraction_task, Columns, Kg, World};
 use kgtosa_cache::{ArtifactCache, CacheOutcome};
 use kgtosa_core::{extract_sparql_cached, GraphPattern};
-use kgtosa_rdf::{FetchConfig, RdfStore};
+use kgtosa_rdf::FetchConfig;
 use serde::Serialize;
-
-#[global_allocator]
-static ALLOC: kgtosa_memtrack::TrackingAllocator = kgtosa_memtrack::TrackingAllocator;
+use std::path::PathBuf;
 
 /// One phase of one pattern's extraction.
 #[derive(Debug, Serialize)]
-struct CacheRecord {
+pub struct CacheRecord {
     pattern: String,
     phase: String,
     outcome: String,
@@ -29,37 +30,48 @@ struct CacheRecord {
     peak_bytes: usize,
 }
 
-fn main() {
-    let env = Env::from_env();
-    println!(
+impl Columns for CacheRecord {
+    const MEASURED: &'static [&'static str] = &["seconds", "peak_bytes"];
+}
+
+pub fn run(world: &World<'_>) -> Vec<CacheRecord> {
+    say!(
+        world,
         "Cache amortization — cold vs warm SPARQL extraction on MAG (scale {})",
-        env.scale
+        world.env.scale
     );
-    let dataset = kgtosa_datagen::mag(env.scale, env.seed);
+    let dataset = world.dataset(Kg::Mag);
     let kg = &dataset.gen.kg;
     let task = nc_extraction_task(&dataset.nc[0]);
-    println!("MAG (scaled): {} nodes, {} triples", kg.num_nodes(), kg.num_triples());
+    say!(world, "MAG (scaled): {} nodes, {} triples", kg.num_nodes(), kg.num_triples());
 
-    let dir = std::env::var("KGTOSA_CACHE_DIR").unwrap_or_else(|_| "results/cache-bench".into());
+    let kept = world.out().map(|out| {
+        std::env::var_os("KGTOSA_CACHE_DIR").map_or_else(|| out.join("cache-bench"), PathBuf::from)
+    });
+    let dir = kept.clone().unwrap_or_else(|| {
+        std::env::temp_dir().join(format!("kgtosa-cache-bench-{}", std::process::id()))
+    });
     let cache = ArtifactCache::open(&dir).expect("open cache dir");
     cache.clear().expect("reset cache dir"); // cold must mean cold
-    let store = RdfStore::new(kg);
+    let store = world.store(Kg::Mag);
     let fetch = FetchConfig::default();
 
     let mut records: Vec<CacheRecord> = Vec::new();
-    println!(
+    say!(
+        world,
         "{:<8} {:<5} {:<8} {:>10} {:>9} {:>10} {:>12}",
         "pattern", "phase", "outcome", "seconds", "requests", "triples", "peak-mem"
     );
     for pattern in GraphPattern::VARIANTS {
         for phase in ["cold", "warm"] {
             let ((res, outcome), seconds, peak) = measure(|| {
-                extract_sparql_cached(&store, &task, &pattern, &fetch, &cache)
+                extract_sparql_cached(store, &task, &pattern, &fetch, &cache)
                     .expect("extraction")
             });
             let expected = if phase == "cold" { CacheOutcome::Miss } else { CacheOutcome::Hit };
             assert_eq!(outcome, expected, "{phase} {} resolved unexpectedly", pattern.label());
-            println!(
+            say!(
+                world,
                 "{:<8} {:<5} {:<8} {:>10.4} {:>9} {:>10} {:>12}",
                 pattern.label(),
                 phase,
@@ -81,10 +93,11 @@ fn main() {
         }
     }
 
-    println!("\namortization (cold seconds / warm seconds):");
+    say!(world, "\namortization (cold seconds / warm seconds):");
     for pair in records.chunks(2) {
         if let [cold, warm] = pair {
-            println!(
+            say!(
+                world,
                 "  {:<8} {:>8.1}x  ({} requests saved per warm run)",
                 cold.pattern,
                 cold.seconds / warm.seconds.max(1e-9),
@@ -93,6 +106,9 @@ fn main() {
         }
     }
     let disk = cache.disk_stats().expect("cache stats");
-    println!("cache dir {dir}: {} artifacts, {} bytes", disk.entries, disk.bytes);
-    save_json("cache", &records);
+    say!(world, "cache dir {}: {} artifacts, {} bytes", dir.display(), disk.entries, disk.bytes);
+    if kept.is_none() {
+        std::fs::remove_dir_all(&dir).expect("remove temporary cache dir");
+    }
+    records
 }

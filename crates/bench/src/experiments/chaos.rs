@@ -10,19 +10,15 @@
 //!    mode degrades to an incomplete subgraph with an explicit
 //!    completeness fraction instead of aborting.
 //!
-//! Prints a per-regime table (seconds, retries, completeness) and writes
-//! `results/chaos.json`.
+//! Prints a per-regime table (seconds, retries, completeness).
 
-use kgtosa_bench::{measure, save_json, Env};
+use crate::{measure, nc_extraction_task, Columns, Kg, World};
 use kgtosa_core::{extract_sparql, ExtractionResult, GraphPattern};
-use kgtosa_rdf::{FaultPlan, FetchConfig, FetchMode, RdfStore, RetryPolicy};
+use kgtosa_rdf::{FaultPlan, FetchConfig, FetchMode, RetryPolicy};
 use serde::Serialize;
 
-#[global_allocator]
-static ALLOC: kgtosa_memtrack::TrackingAllocator = kgtosa_memtrack::TrackingAllocator;
-
 #[derive(Debug, Clone, Serialize)]
-struct ChaosRow {
+pub struct ChaosRow {
     regime: String,
     seconds: f64,
     triples: usize,
@@ -33,17 +29,20 @@ struct ChaosRow {
     faults_injected: u64,
 }
 
-fn main() {
-    let env = Env::from_env();
-    println!(
+impl Columns for ChaosRow {
+    const MEASURED: &'static [&'static str] = &["seconds"];
+}
+
+pub fn run(world: &World<'_>) -> Vec<ChaosRow> {
+    let env = world.env;
+    say!(
+        world,
         "Chaos — KG-TOSA_d2h1 extraction on PV/MAG under injected endpoint faults (scale {})",
         env.scale
     );
 
-    let dataset = kgtosa_datagen::mag(env.scale, env.seed);
-    let task = &dataset.nc[0];
-    let ext_task = kgtosa_bench::nc_extraction_task(task);
-    let store = RdfStore::new(&dataset.gen.kg);
+    let ext_task = nc_extraction_task(&world.dataset(Kg::Mag).nc[0]);
+    let store = world.store(Kg::Mag);
     let pattern = GraphPattern::D2H1;
     // Small pages so the fault schedule has many requests to hit even at
     // bench scales.
@@ -60,7 +59,7 @@ fn main() {
         let (res, seconds, _) = {
             let _scope = ctx.enter();
             measure(|| {
-                extract_sparql(&store, &ext_task, &pattern, fetch)
+                extract_sparql(store, &ext_task, &pattern, fetch)
                     .unwrap_or_else(|e| panic!("{regime} extraction failed: {e}"))
             })
         };
@@ -119,12 +118,14 @@ fn main() {
         "a degraded extraction cannot contain more than the full one"
     );
 
-    println!(
+    say!(
+        world,
         "\n{:<16} {:>9} {:>9} {:>9} {:>13} {:>8} {:>8} {:>8}",
         "regime", "secs", "triples", "requests", "completeness", "faults", "retries", "giveups"
     );
     for r in &rows {
-        println!(
+        say!(
+            world,
             "{:<16} {:>9.3} {:>9} {:>9} {:>12.1}% {:>8} {:>8} {:>8}",
             r.regime,
             r.seconds,
@@ -141,7 +142,6 @@ fn main() {
     } else {
         0.0
     };
-    println!("\nretry-layer overhead under 100% transient fault rate: {overhead:+.1}%");
-
-    save_json("chaos", &rows);
+    say!(world, "\nretry-layer overhead under 100% transient fault rate: {overhead:+.1}%");
+    rows
 }

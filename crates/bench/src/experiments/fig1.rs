@@ -10,18 +10,14 @@
 //! Panels: (A) accuracy, (B) training time incl. preprocessing,
 //! (C) training memory.
 
-use kgtosa_bench::{nc_fg_record, nc_tosg_record, print_panel, save_json, Env, NcMethod};
-use kgtosa_core::{
-    extract_sparql, ExtractionReport, ExtractionResult, ExtractionTask, GraphPattern,
+use crate::{
+    nc_extraction_task, nc_fg_record, nc_tosg_record, print_panel, Kg, NcMethod, Record, World,
 };
+use kgtosa_core::{ExtractionReport, ExtractionResult, ExtractionTask};
 use kgtosa_kg::{map_targets, subgraph_from_triples_and_nodes, KnowledgeGraph, NodeSet, Triple};
-use kgtosa_rdf::{FetchConfig, RdfStore};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
-
-#[global_allocator]
-static ALLOC: kgtosa_memtrack::TrackingAllocator = kgtosa_memtrack::TrackingAllocator;
 
 /// Emulates the handcrafted OGBN-MAG subgraph: keep only the four curated
 /// node types and their four relations, with manual pruning of context
@@ -72,28 +68,29 @@ fn handcrafted_ogbn_mag(
     }
 }
 
-fn main() {
-    let env = Env::from_env();
+pub fn run(world: &World<'_>) -> Vec<Record> {
+    let env = world.env;
     let cfg = env.train_config();
-    println!(
+    say!(
+        world,
         "Figure 1 — PV on MAG (scale {}): FG vs handcrafted OGBN-MAG vs KG-TOSA_d1h1",
         env.scale
     );
-    let dataset = kgtosa_datagen::mag(env.scale, env.seed);
+    let dataset = world.dataset(Kg::Mag);
     let kg = &dataset.gen.kg;
     let task = &dataset.nc[0]; // PV/MAG
-    let ext_task = kgtosa_bench::nc_extraction_task(task);
-    println!(
+    let ext_task = nc_extraction_task(task);
+    say!(
+        world,
         "MAG-42M (scaled): {} nodes, {} triples",
         kg.num_nodes(),
         kg.num_triples()
     );
 
     let handcrafted = handcrafted_ogbn_mag(kg, &ext_task, env.seed);
-    let store = RdfStore::new(kg);
-    let tosg = extract_sparql(&store, &ext_task, &GraphPattern::D1H1, &FetchConfig::default())
-        .expect("extraction");
-    println!(
+    let tosg = world.d1h1(Kg::Mag, 0);
+    say!(
+        world,
         "inputs: FG {}t | OGBN-MAG {}t | KG-TOSA_d1h1 {}t",
         kg.num_triples(),
         handcrafted.report.triples,
@@ -104,8 +101,8 @@ fn main() {
     for method in [NcMethod::ShadowSaint, NcMethod::SeHgnn] {
         records.push(nc_fg_record(kg, task, method, &cfg));
         records.push(nc_tosg_record(task, &handcrafted, method, &cfg));
-        records.push(nc_tosg_record(task, &tosg, method, &cfg));
+        records.push(nc_tosg_record(task, tosg, method, &cfg));
     }
-    print_panel("Figure 1 (A/B/C)", &records);
-    save_json("fig1", &records);
+    print_panel(world, "Figure 1 (A/B/C)", &records);
+    records
 }

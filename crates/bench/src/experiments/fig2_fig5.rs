@@ -7,39 +7,34 @@
 //! disconnected from every target while BRW does not. Both are walk
 //! samplers with h=2 and 20 initial vertices, as in §III-A.
 
-use kgtosa_bench::{print_quality, save_json, Env};
+use crate::{nc_extraction_task, print_quality, Kg, World};
 use kgtosa_core::{extract_brw, extract_urw, QualityRow};
-use kgtosa_kg::HeteroGraph;
 use kgtosa_sampler::WalkConfig;
 
-#[global_allocator]
-static ALLOC: kgtosa_memtrack::TrackingAllocator = kgtosa_memtrack::TrackingAllocator;
-
-fn main() {
-    let env = Env::from_env();
-    println!(
+pub fn run(world: &World<'_>) -> Vec<QualityRow> {
+    let env = world.env;
+    say!(
+        world,
         "Figures 2 & 5 — URW vs BRW sample composition (scale {}, h=2, 20 roots)",
         env.scale
     );
     let walk = WalkConfig { roots: 20, walk_length: 2 };
 
-    let yago = kgtosa_datagen::yago30(env.scale, env.seed + 100);
-    let mag = kgtosa_datagen::mag(env.scale, env.seed);
-    let dblp = kgtosa_datagen::dblp(env.scale, env.seed + 200);
     let cases = [
-        (&yago, 1usize), // CG/YAGO (second NC task)
-        (&mag, 0usize),  // PV/MAG
-        (&dblp, 0usize), // PV/DBLP
+        (Kg::Yago30, 1usize), // CG/YAGO (second NC task)
+        (Kg::Mag, 0usize),    // PV/MAG
+        (Kg::Dblp, 0usize),   // PV/DBLP
     ];
 
     let mut rows = Vec::new();
-    for (dataset, task_idx) in cases {
+    for (which, task_idx) in cases {
+        let dataset = world.dataset(which);
         let task = &dataset.nc[task_idx];
         let kg = &dataset.gen.kg;
-        let graph = HeteroGraph::build(kg);
-        let ext_task = kgtosa_bench::nc_extraction_task(task);
-        let urw = extract_urw(kg, &graph, &ext_task, &walk, env.seed);
-        let brw = extract_brw(kg, &graph, &ext_task, &walk, env.seed);
+        let graph = world.graph(which);
+        let ext_task = nc_extraction_task(task);
+        let urw = extract_urw(kg, graph, &ext_task, &walk, env.seed);
+        let brw = extract_brw(kg, graph, &ext_task, &walk, env.seed);
         let mut panel = vec![
             QualityRow::from_extraction(&urw),
             QualityRow::from_extraction(&brw),
@@ -47,12 +42,13 @@ fn main() {
         for r in &mut panel {
             r.method = format!("{} {}", r.method, task.name);
         }
-        print_quality(&format!("{} — URW (Fig 2) vs BRW (Fig 5)", task.name), &panel);
+        print_quality(world, &format!("{} — URW (Fig 2) vs BRW (Fig 5)", task.name), &panel);
         rows.extend(panel);
     }
-    println!(
+    say!(
+        world,
         "\nExpected shape: BRW raises the target-vertex ratio on every task \
          and drives target-disconnection to 0% (URW does not guarantee either)."
     );
-    save_json("fig2_fig5", &rows);
+    rows
 }

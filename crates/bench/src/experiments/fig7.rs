@@ -7,37 +7,39 @@
 //! KGs), LHGNN runs only on the smallest dataset unless
 //! `KGTOSA_LHGNN_ALL=1`.
 
-use kgtosa_bench::{lp_fg_record, lp_tosg_record, print_panel, save_json, Env, LpMethod};
+use crate::{
+    lp_extraction_task, lp_fg_record, lp_tosg_record, print_panel, Kg, LpMethod, Record, World,
+};
 use kgtosa_core::{extract_sparql, GraphPattern};
-use kgtosa_rdf::{FetchConfig, RdfStore};
+use kgtosa_rdf::FetchConfig;
 
-#[global_allocator]
-static ALLOC: kgtosa_memtrack::TrackingAllocator = kgtosa_memtrack::TrackingAllocator;
-
-fn main() {
-    let env = Env::from_env();
+pub fn run(world: &World<'_>) -> Vec<Record> {
+    let env = world.env;
     let cfg = env.train_config();
     let lhgnn_all = std::env::var("KGTOSA_LHGNN_ALL").is_ok();
-    println!(
+    say!(
+        world,
         "Figure 7 — LP tasks, 3 methods x (FG, KG-TOSA_d2h1), scale {}",
         env.scale
     );
 
-    let yago3 = kgtosa_datagen::yago3_10(env.scale, env.seed + 400);
-    let wiki = kgtosa_datagen::wikikg2(env.scale, env.seed + 300);
-    let dblp = kgtosa_datagen::dblp(env.scale, env.seed + 200);
-    let cases = [(&yago3, true), (&wiki, false), (&dblp, false)];
+    let cases = [(Kg::Yago310, true), (Kg::Wikikg2, false), (Kg::Dblp, false)];
 
     let mut all = Vec::new();
-    for (dataset, smallest) in cases {
+    for (which, smallest) in cases {
+        let dataset = world.dataset(which);
         let task = &dataset.lp[0];
         let kg = &dataset.gen.kg;
-        let ext_task = kgtosa_bench::lp_extraction_task(task, &dataset.gen);
-        let store = RdfStore::new(kg);
-        let tosg =
-            extract_sparql(&store, &ext_task, &GraphPattern::D2H1, &FetchConfig::default())
-                .expect("extraction");
-        println!(
+        let ext_task = lp_extraction_task(task, &dataset.gen);
+        let tosg = extract_sparql(
+            world.store(which),
+            &ext_task,
+            &GraphPattern::D2H1,
+            &FetchConfig::default(),
+        )
+        .expect("extraction");
+        say!(
+            world,
             "\n{}: FG {} triples → KG' {} triples ({:.1}%), extracted in {:.2}s",
             task.name,
             kg.num_triples(),
@@ -49,14 +51,14 @@ fn main() {
         let mut rows = Vec::new();
         for method in LpMethod::ALL {
             if method == LpMethod::Lhgnn && !smallest && !lhgnn_all {
-                println!("  (skipping LHGNN on {} — exceeds budget, as in the paper)", task.name);
+                say!(world, "  (skipping LHGNN on {} — exceeds budget, as in the paper)", task.name);
                 continue;
             }
             rows.push(lp_fg_record(kg, task, method, &cfg));
             rows.push(lp_tosg_record(kg, task, &tosg, method, &cfg));
         }
-        print_panel(&format!("Figure 7 — {}", task.name), &rows);
+        print_panel(world, &format!("Figure 7 — {}", task.name), &rows);
         all.extend(rows);
     }
-    save_json("fig7", &all);
+    all
 }

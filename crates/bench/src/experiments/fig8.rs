@@ -7,35 +7,32 @@
 //! time; memory. Parameters follow the paper: BRW h=3 with an initial set
 //! covering the targets, IBS top-k=16, α=0.25, ε=2e-4.
 
-use kgtosa_bench::{
-    measure, nc_tosg_record, print_panel, save_json, Env, Record,
+use crate::{
+    measure, nc_extraction_task, nc_tosg_record, print_panel, record_from_report, Kg, NcMethod,
+    Record, World,
 };
 use kgtosa_core::{extract_ibs, extract_sparql, GraphPattern};
 use kgtosa_models::{train_graphsaint_nc, NcDataset, SaintSampler};
-use kgtosa_rdf::{FetchConfig, RdfStore};
+use kgtosa_rdf::FetchConfig;
 use kgtosa_sampler::IbsConfig;
 
-#[global_allocator]
-static ALLOC: kgtosa_memtrack::TrackingAllocator = kgtosa_memtrack::TrackingAllocator;
-
-fn main() {
-    let env = Env::from_env();
+pub fn run(world: &World<'_>) -> Vec<Record> {
+    let env = world.env;
     let cfg = env.train_config();
-    println!(
+    say!(
+        world,
         "Figure 8 — GraphSAINT+BRW on FG vs IBS vs KG-TOSA_dihj (scale {})",
         env.scale
     );
 
-    let mag = kgtosa_datagen::mag(env.scale, env.seed);
-    let dblp = kgtosa_datagen::dblp(env.scale, env.seed + 200);
-    let yago = kgtosa_datagen::yago30(env.scale, env.seed + 100);
-    let cases = [(&mag, 0usize), (&dblp, 0usize), (&yago, 0usize)];
+    let cases = [(Kg::Mag, 0usize), (Kg::Dblp, 0usize), (Kg::Yago30, 0usize)];
 
     let mut all = Vec::new();
-    for (dataset, task_idx) in cases {
+    for (which, task_idx) in cases {
+        let dataset = world.dataset(which);
         let task = &dataset.nc[task_idx];
         let kg = &dataset.gen.kg;
-        let ext_task = kgtosa_bench::nc_extraction_task(task);
+        let ext_task = nc_extraction_task(task);
         let mut rows: Vec<Record> = Vec::new();
 
         // --- GraphSAINT+BRW directly on the full graph -------------------
@@ -52,41 +49,27 @@ fn main() {
             };
             (train_graphsaint_nc(&data, &cfg, SaintSampler::Biased), tsecs)
         });
-        rows.push(Record {
-            task: task.name.clone(),
-            method: report.method.clone(),
-            input: "FG".into(),
-            metric: report.metric,
-            extraction_s: 0.0,
-            transformation_s,
-            training_s: report.training_s,
-            inference_s: report.inference_s,
-            params: report.param_count,
-            peak_bytes: peak,
-            subgraph_triples: 0,
-            trace: report.trace.iter().map(|p| (p.elapsed_s, p.metric)).collect(),
-        });
+        rows.push(record_from_report(task.name.clone(), "FG", report, 0.0, transformation_s, peak, 0));
 
         // --- IBS extraction, then GraphSAINT ------------------------------
-        let graph = kgtosa_core::transform(kg).0;
         let ibs = extract_ibs(
             kg,
-            &graph,
+            world.graph(which),
             &ext_task,
             &IbsConfig { k: 16, threads: 4, ..Default::default() },
         );
-        rows.push(nc_tosg_record(task, &ibs, kgtosa_bench::NcMethod::GraphSaint, &cfg));
+        rows.push(nc_tosg_record(task, &ibs, NcMethod::GraphSaint, &cfg));
 
         // --- The four SPARQL variants -------------------------------------
-        let store = RdfStore::new(kg);
         for pattern in GraphPattern::VARIANTS {
-            let tosg = extract_sparql(&store, &ext_task, &pattern, &FetchConfig::default())
-                .expect("extraction");
-            rows.push(nc_tosg_record(task, &tosg, kgtosa_bench::NcMethod::GraphSaint, &cfg));
+            let tosg =
+                extract_sparql(world.store(which), &ext_task, &pattern, &FetchConfig::default())
+                    .expect("extraction");
+            rows.push(nc_tosg_record(task, &tosg, NcMethod::GraphSaint, &cfg));
         }
 
-        print_panel(&format!("Figure 8 — {}", task.name), &rows);
+        print_panel(world, &format!("Figure 8 — {}", task.name), &rows);
         all.extend(rows);
     }
-    save_json("fig8", &all);
+    all
 }

@@ -8,23 +8,24 @@
 //! edge type scored) on the full DBLP graph, versus (b) MorsE trained for
 //! the `affiliatedWith` predicate only on the KG-TOSA_{d2h1} subgraph.
 
-use kgtosa_bench::{lp_fg_record, lp_tosg_record, measure, save_json, Env, LpMethod, Record};
+use crate::{
+    lp_extraction_task, lp_fg_record, lp_tosg_record, measure, print_panel, record_from_report, Kg,
+    LpMethod, Record, World,
+};
 use kgtosa_core::{extract_sparql, GraphPattern};
 use kgtosa_datagen::LpTask;
 use kgtosa_models::{train_morse_lp, LpDataset};
-use kgtosa_rdf::{FetchConfig, RdfStore};
+use kgtosa_rdf::FetchConfig;
 
-#[global_allocator]
-static ALLOC: kgtosa_memtrack::TrackingAllocator = kgtosa_memtrack::TrackingAllocator;
-
-fn main() {
-    let env = Env::from_env();
+pub fn run(world: &World<'_>) -> Vec<Record> {
+    let env = world.env;
     let cfg = env.train_config();
-    println!(
+    say!(
+        world,
         "KG completion vs predicate-scoped LP (MorsE on DBLP, scale {})",
         env.scale
     );
-    let dataset = kgtosa_datagen::dblp(env.scale, env.seed + 200);
+    let dataset = world.dataset(Kg::Dblp);
     let kg = &dataset.gen.kg;
     let task = &dataset.lp[0];
 
@@ -51,36 +52,40 @@ fn main() {
         (train_morse_lp(&data, &cfg), tsecs)
     });
     let completion = Record {
-        task: completion_task.name.clone(),
         method: "MorsE".into(),
-        input: "FG (all predicates)".into(),
-        metric: report.metric,
-        extraction_s: 0.0,
-        transformation_s,
-        training_s: report.training_s,
-        inference_s: report.inference_s,
-        params: report.param_count,
-        peak_bytes: peak,
-        subgraph_triples: 0,
         trace: vec![],
+        ..record_from_report(
+            completion_task.name.clone(),
+            "FG (all predicates)",
+            report,
+            0.0,
+            transformation_s,
+            peak,
+            0,
+        )
     };
 
     // --- (b) Single-predicate LP on the KG-TOSA_{d2h1} subgraph.
-    let ext_task = kgtosa_bench::lp_extraction_task(task, &dataset.gen);
-    let store = RdfStore::new(kg);
-    let tosg = extract_sparql(&store, &ext_task, &GraphPattern::D2H1, &FetchConfig::default())
-        .expect("extraction");
+    let ext_task = lp_extraction_task(task, &dataset.gen);
+    let tosg = extract_sparql(
+        world.store(Kg::Dblp),
+        &ext_task,
+        &GraphPattern::D2H1,
+        &FetchConfig::default(),
+    )
+    .expect("extraction");
     let scoped = lp_tosg_record(kg, task, &tosg, LpMethod::Morse, &cfg);
     // Also the single-predicate FG run for reference.
     let fg_scoped = lp_fg_record(kg, task, LpMethod::Morse, &cfg);
 
     let rows = vec![completion, fg_scoped, scoped];
-    kgtosa_bench::print_panel("MorsE: completion vs predicate-scoped", &rows);
+    print_panel(world, "MorsE: completion vs predicate-scoped", &rows);
     let time_ratio = rows[0].training_s / rows[2].training_s.max(1e-9);
     let mem_ratio = rows[0].peak_bytes as f64 / rows[2].peak_bytes.max(1) as f64;
-    println!(
+    say!(
+        world,
         "\npredicate-scoped LP on KG' is {time_ratio:.1}x faster and uses {mem_ratio:.1}x \
          less peak memory than full completion on FG\n(paper: ~12.7x time, ~30x memory)"
     );
-    save_json("kg_completion", &rows);
+    rows
 }

@@ -1,14 +1,11 @@
 //! Table I — benchmark statistics: nodes, edges, node types, edge types
 //! for the five (scaled) KGs.
 
-use kgtosa_bench::{save_json, Env};
+use crate::{Columns, World};
 use serde::Serialize;
 
-#[global_allocator]
-static ALLOC: kgtosa_memtrack::TrackingAllocator = kgtosa_memtrack::TrackingAllocator;
-
 #[derive(Serialize)]
-struct Row {
+pub struct Row {
     dataset: String,
     nodes: usize,
     edges: usize,
@@ -16,17 +13,22 @@ struct Row {
     edge_types: usize,
 }
 
-fn main() {
-    let env = Env::from_env();
-    println!("Table I — Benchmark statistics (scale {})", env.scale);
-    println!(
+impl Columns for Row {
+    const MEASURED: &'static [&'static str] = &[];
+}
+
+pub fn run(world: &World<'_>) -> Vec<Row> {
+    say!(world, "Table I — Benchmark statistics (scale {})", world.env.scale);
+    say!(
+        world,
         "{:<14} {:>9} {:>9} {:>8} {:>8}",
         "KG-Dataset", "#nodes", "#edges", "#n-type", "#e-type"
     );
     let mut rows = Vec::new();
-    for d in kgtosa_datagen::all_datasets(env.scale, env.seed) {
+    for d in world.datasets() {
         let kg = &d.gen.kg;
-        println!(
+        say!(
+            world,
             "{:<14} {:>9} {:>9} {:>8} {:>8}",
             d.gen.spec.name,
             kg.num_nodes(),
@@ -42,5 +44,5 @@ fn main() {
             edge_types: kg.num_relations(),
         });
     }
-    save_json("table1", &rows);
+    rows
 }

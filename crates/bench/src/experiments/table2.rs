@@ -1,14 +1,11 @@
 //! Table II — task summary: task type, name, KG, split kind, split ratio,
 //! and evaluation metric for the six NC and three LP tasks.
 
-use kgtosa_bench::{save_json, Env};
+use crate::{Columns, World};
 use serde::Serialize;
 
-#[global_allocator]
-static ALLOC: kgtosa_memtrack::TrackingAllocator = kgtosa_memtrack::TrackingAllocator;
-
 #[derive(Serialize)]
-struct Row {
+pub struct Row {
     task_type: &'static str,
     name: String,
     kg: String,
@@ -18,20 +15,25 @@ struct Row {
     targets: usize,
 }
 
-fn main() {
-    let env = Env::from_env();
-    println!("Table II — GNN task summary (scale {})", env.scale);
-    println!(
+impl Columns for Row {
+    const MEASURED: &'static [&'static str] = &[];
+}
+
+pub fn run(world: &World<'_>) -> Vec<Row> {
+    say!(world, "Table II — GNN task summary (scale {})", world.env.scale);
+    say!(
+        world,
         "{:<4} {:<14} {:<14} {:<8} {:<14} {:<9} {:>8}",
         "TT", "Name", "KG", "Split", "Ratio", "Metric", "targets"
     );
     let mut rows = Vec::new();
-    for d in kgtosa_datagen::all_datasets(env.scale, env.seed) {
+    for d in world.datasets() {
         for t in &d.nc {
             let total = t.train.len() + t.valid.len() + t.test.len();
             let pct = |n: usize| format!("{:.0}", 100.0 * n as f64 / total as f64);
             let ratio = format!("{}/{}/{}", pct(t.train.len()), pct(t.valid.len()), pct(t.test.len()));
-            println!(
+            say!(
+                world,
                 "{:<4} {:<14} {:<14} {:<8} {:<14} {:<9} {:>8}",
                 "NC", t.name, d.gen.spec.name, format!("{:?}", t.split), ratio, "Accuracy", total
             );
@@ -49,7 +51,8 @@ fn main() {
             let total = t.train.len() + t.valid.len() + t.test.len();
             let pct = |n: usize| format!("{:.1}", 100.0 * n as f64 / total as f64);
             let ratio = format!("{}/{}/{}", pct(t.train.len()), pct(t.valid.len()), pct(t.test.len()));
-            println!(
+            say!(
+                world,
                 "{:<4} {:<14} {:<14} {:<8} {:<14} {:<9} {:>8}",
                 "LP", t.name, d.gen.spec.name, "Time", ratio, "Hits@10", total
             );
@@ -64,5 +67,5 @@ fn main() {
             });
         }
     }
-    save_json("table2", &rows);
+    rows
 }

@@ -4,21 +4,17 @@
 //! and peak training memory — for the traditional pipeline (FG) versus
 //! KG-TOSA_{d1h1} (KG').
 
-use kgtosa_bench::{nc_fg_record, nc_tosg_record, save_json, Env, NcMethod, Record};
-use kgtosa_core::{extract_sparql, GraphPattern};
-use kgtosa_rdf::{FetchConfig, RdfStore};
+use crate::{nc_fg_record, nc_tosg_record, Kg, NcMethod, Record, World};
 
-#[global_allocator]
-static ALLOC: kgtosa_memtrack::TrackingAllocator = kgtosa_memtrack::TrackingAllocator;
-
-fn print_pair(task: &str, fg: &Record, kgp: &Record) {
-    println!("\n--- {task} ---");
-    println!(
+fn print_pair(world: &World<'_>, task: &str, fg: &Record, kgp: &Record) {
+    say!(world, "\n--- {task} ---");
+    say!(
+        world,
         "{:<24} {:>12} {:>12}",
         "step", "FG", "KG'"
     );
     let row = |name: &str, a: f64, b: f64, unit: &str| {
-        println!("{:<24} {:>11.2}{} {:>11.2}{}", name, a, unit, b, unit);
+        say!(world, "{:<24} {:>11.2}{} {:>11.2}{}", name, a, unit, b, unit);
     };
     row("KG extraction time", fg.extraction_s, kgp.extraction_s, "s");
     row("transformation time", fg.transformation_s, kgp.transformation_s, "s");
@@ -30,12 +26,14 @@ fn print_pair(task: &str, fg: &Record, kgp: &Record) {
         "s",
     );
     row("accuracy (%)", fg.metric * 100.0, kgp.metric * 100.0, "");
-    println!(
+    say!(
+        world,
         "{:<24} {:>12} {:>12}",
         "model size (#params)", fg.params, kgp.params
     );
     row("inference time", fg.inference_s, kgp.inference_s, "s");
-    println!(
+    say!(
+        world,
         "{:<24} {:>12} {:>12}",
         "training memory",
         kgtosa_memtrack::format_bytes(fg.peak_bytes),
@@ -43,42 +41,31 @@ fn print_pair(task: &str, fg: &Record, kgp: &Record) {
     );
 }
 
-fn main() {
-    let env = Env::from_env();
+pub fn run(world: &World<'_>) -> Vec<Record> {
+    let env = world.env;
     let cfg = env.train_config();
-    println!(
+    say!(
+        world,
         "Table IV — cost breakdown, traditional pipeline (FG) vs KG-TOSA_d1h1 (KG'), scale {}",
         env.scale
     );
 
-    let mag = kgtosa_datagen::mag(env.scale, env.seed);
-    let dblp = kgtosa_datagen::dblp(env.scale, env.seed + 200);
-    let yago = kgtosa_datagen::yago30(env.scale, env.seed + 100);
     // Table IV order: PV/MAG, PD/MAG, PV/DBLP, AC/DBLP, PC/YAGO, CG/YAGO.
-    let tasks: Vec<(&kgtosa_datagen::Dataset, usize)> = vec![
-        (&mag, 0),
-        (&mag, 1),
-        (&dblp, 0),
-        (&dblp, 1),
-        (&yago, 0),
-        (&yago, 1),
-    ];
+    let tasks =
+        [(Kg::Mag, 0), (Kg::Mag, 1), (Kg::Dblp, 0), (Kg::Dblp, 1), (Kg::Yago30, 0), (Kg::Yago30, 1)];
 
     let mut all = Vec::new();
-    for (dataset, idx) in tasks {
+    for (which, idx) in tasks {
+        let dataset = world.dataset(which);
         let task = &dataset.nc[idx];
         let kg = &dataset.gen.kg;
-        let ext_task = kgtosa_bench::nc_extraction_task(task);
-        let store = RdfStore::new(kg);
-        let tosg =
-            extract_sparql(&store, &ext_task, &GraphPattern::D1H1, &FetchConfig::default())
-                .expect("extraction");
+        let tosg = world.d1h1(which, idx);
 
         let fg = nc_fg_record(kg, task, NcMethod::GraphSaint, &cfg);
-        let kgp = nc_tosg_record(task, &tosg, NcMethod::GraphSaint, &cfg);
-        print_pair(&task.name, &fg, &kgp);
+        let kgp = nc_tosg_record(task, tosg, NcMethod::GraphSaint, &cfg);
+        print_pair(world, &task.name, &fg, &kgp);
         all.push(fg);
         all.push(kgp);
     }
-    save_json("table4", &all);
+    all
 }

@@ -1,39 +1,59 @@
 //! # kgtosa-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper (see DESIGN.md §5):
+//! One binary, `reproduce`, regenerates every table and figure of the
+//! paper (see DESIGN.md §5); its only arguments are experiment names
+//! (`cargo run --release -p kgtosa-bench --bin reproduce -- <name>…|all`):
 //!
-//! | binary | regenerates |
+//! | experiment | regenerates |
 //! |---|---|
 //! | `table1` | Table I — benchmark statistics |
 //! | `table2` | Table II — task summary |
 //! | `fig1` | Figure 1 — motivation: FG vs handcrafted vs KG-TOSA |
 //! | `fig2_fig5` | Figures 2 & 5 — URW vs BRW sample composition |
-//! | `fig6` | Figure 6 — NC tasks, 4 methods × FG/KG' |
+//! | `fig6`, `fig6_supplement` | Figure 6 — NC tasks, 4 methods × FG/KG' |
 //! | `fig7` | Figure 7 — LP tasks, 3 methods × FG/KG' |
 //! | `fig8` | Figure 8 — BRW/IBS vs the four SPARQL variants |
 //! | `fig9` | Figure 9 — convergence traces FG vs KG' |
 //! | `table3` | Table III — subgraph quality indicators |
 //! | `table4` | Table IV — cost breakdown for the six NC tasks |
+//! | `kg_completion` | §V-B2 — completion vs predicate-scoped LP |
+//! | `ablation_basis`, `ablation_engine`, `ablation_sampling` | ablations |
+//! | `cache`, `chaos` | cold/warm extraction, extraction under faults |
 //!
-//! Every binary honours the environment variables `KGTOSA_SCALE` (dataset
-//! scale factor, default 0.1), `KGTOSA_SEED`, `KGTOSA_EPOCHS`,
-//! `KGTOSA_DIM`, and writes machine-readable JSON rows to
-//! `results/<name>.json` next to the printed table.
+//! Each experiment is a `experiments::<name>::run(&World) -> rows`
+//! function over one shared [`World`]; the driver writes the rows to
+//! `results/<name>.json`. Configuration is the environment variables
+//! `KGTOSA_SCALE` (dataset scale factor, default 0.1), `KGTOSA_SEED`,
+//! `KGTOSA_EPOCHS`, `KGTOSA_DIM` ([`Env::from_env`]). The `kernels`,
+//! `loadgen` and `update` binaries are separate because CI gates on them.
 
+/// `println!` on an experiment's console table, silent when the [`World`]
+/// has no output directory.
+macro_rules! say {
+    ($world:expr, $($arg:tt)*) => {
+        $world.say(format_args!($($arg)*))
+    };
+}
+
+pub mod experiments;
+
+use std::cell::OnceCell;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use kgtosa_core::{ExtractionTask, QualityRow};
-use kgtosa_datagen::{GeneratedKg, LpTask, NcTask};
-use kgtosa_kg::{InducedSubgraph, Triple, Vid};
+use kgtosa_core::{extract_sparql, ExtractionResult, ExtractionTask, GraphPattern, QualityRow};
+use kgtosa_datagen::{Dataset, GeneratedKg, LpTask, NcTask};
+use kgtosa_kg::{HeteroGraph, InducedSubgraph, Triple, Vid};
 use kgtosa_models::{
     train_graphsaint_nc, train_lhgnn_lp, train_morse_lp, train_rgcn_lp, train_rgcn_nc,
     train_sehgnn_nc, train_shadowsaint_nc, LpDataset, NcDataset, SaintSampler, TrainConfig,
     TrainReport,
 };
+use kgtosa_rdf::{FetchConfig, RdfStore};
 use serde::Serialize;
 
 /// Experiment-wide knobs, read from the environment.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Env {
     /// Dataset scale factor relative to the `scale = 1` presets.
     pub scale: f64,
@@ -46,28 +66,42 @@ pub struct Env {
 }
 
 impl Env {
-    /// Reads `KGTOSA_*` variables with bench-friendly defaults. Also arms
-    /// the JSONL trace sink when `KGTOSA_TRACE` names a file and the live
-    /// metrics endpoint when `KGTOSA_METRICS_ADDR` names an address, so
-    /// every bench binary can be traced and scraped without code changes.
-    /// A panic hook flushes the trace on crash, so a failed bench run
-    /// still leaves an inspectable JSONL file behind.
-    pub fn from_env() -> Self {
-        kgtosa_obs::install_panic_hook();
-        kgtosa_obs::init_trace_from_env();
-        kgtosa_obs::init_serve_from_env();
-        let get = |k: &str, d: f64| -> f64 {
-            std::env::var(k)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(d)
-        };
-        Self {
-            scale: get("KGTOSA_SCALE", 0.1),
-            seed: get("KGTOSA_SEED", 7.0) as u64,
-            epochs: get("KGTOSA_EPOCHS", 15.0) as usize,
-            dim: get("KGTOSA_DIM", 16.0) as usize,
+    /// Parses the four knobs from `lookup` — the process environment in
+    /// [`Env::from_env`], a closure in tests. An unset variable takes its
+    /// default; a set one that does not parse is an error naming the
+    /// variable and the value, never a silent default.
+    pub fn parse(lookup: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
+        fn get<T: std::str::FromStr>(
+            lookup: &impl Fn(&str) -> Option<String>,
+            key: &str,
+            default: T,
+            what: &str,
+            valid: impl Fn(&T) -> bool,
+        ) -> Result<T, String> {
+            let Some(v) = lookup(key) else { return Ok(default) };
+            let parsed = v.trim().parse().ok().filter(valid);
+            parsed.ok_or_else(|| format!("{key}={v:?}: expected {what}"))
         }
+        let unsigned = "an unsigned integer";
+        Ok(Self {
+            scale: get(&lookup, "KGTOSA_SCALE", 0.1, "a finite number > 0", |s: &f64| {
+                s.is_finite() && *s > 0.0
+            })?,
+            seed: get(&lookup, "KGTOSA_SEED", 7, unsigned, |_| true)?,
+            epochs: get(&lookup, "KGTOSA_EPOCHS", 15, unsigned, |_| true)?,
+            dim: get(&lookup, "KGTOSA_DIM", 16, unsigned, |_| true)?,
+        })
+    }
+
+    /// [`Env::parse`] over the process environment, after
+    /// [`arm_telemetry`]; a malformed variable ends the process with
+    /// exit code 2 and the parse error on stderr.
+    pub fn from_env() -> Self {
+        arm_telemetry();
+        Self::parse(|k| std::env::var(k).ok()).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        })
     }
 
     /// The shared training configuration. Epoch telemetry is attached only
@@ -92,6 +126,17 @@ impl Env {
             checkpoint: None,
         }
     }
+}
+
+/// Arms the JSONL trace sink when `KGTOSA_TRACE` names a file and the live
+/// metrics endpoint when `KGTOSA_METRICS_ADDR` names an address, so every
+/// bench binary can be traced and scraped without code changes. A panic
+/// hook flushes the trace on crash, so a failed run still leaves an
+/// inspectable JSONL file behind.
+pub fn arm_telemetry() {
+    kgtosa_obs::install_panic_hook();
+    kgtosa_obs::init_trace_from_env();
+    kgtosa_obs::init_serve_from_env();
 }
 
 /// An NC task remapped into a subgraph's id space.
@@ -242,6 +287,19 @@ pub fn measure<T>(f: impl FnOnce() -> T) -> (T, f64, usize) {
     (out, start.elapsed().as_secs_f64(), peak)
 }
 
+/// The columns of a result row. Every column the row serializes is
+/// deterministic — a function of `Env` and the code alone, pinned exactly
+/// by the golden gate (`tests/golden.rs`) — except the ones named here,
+/// which are measured (seconds, bytes): single-run and host-dependent.
+pub trait Columns: Serialize {
+    /// The measured columns.
+    const MEASURED: &'static [&'static str];
+}
+
+impl Columns for QualityRow {
+    const MEASURED: &'static [&'static str] = &["extraction_s"];
+}
+
 /// One experiment record, serialized to `results/<file>.json`.
 #[derive(Debug, Clone, Serialize)]
 pub struct Record {
@@ -269,28 +327,47 @@ pub struct Record {
     pub subgraph_triples: usize,
     /// Convergence trace (elapsed_s, metric) pairs.
     pub trace: Vec<(f64, f64)>,
+    /// `TrainReport::param_hash` of the final trainable state, in hex (a
+    /// JSON number cannot carry 64 bits).
+    pub param_hash: String,
+}
+
+impl Columns for Record {
+    const MEASURED: &'static [&'static str] = &[
+        "extraction_s",
+        "transformation_s",
+        "training_s",
+        "inference_s",
+        "peak_bytes",
+        "trace",
+    ];
 }
 
 /// Writes any serializable result set as JSON under `results/`.
 pub fn save_json<T: Serialize>(name: &str, value: &T) {
-    let dir = std::path::Path::new("results");
+    let json = serde_json::to_string_pretty(value).expect("serialize results");
+    write_json(Path::new("results"), name, &json);
+}
+
+fn write_json(dir: &Path, name: &str, json: &str) {
     std::fs::create_dir_all(dir).expect("create results dir");
     let path = dir.join(format!("{name}.json"));
-    let json = serde_json::to_string_pretty(value).expect("serialize results");
     std::fs::write(&path, json).expect("write results");
     eprintln!("[saved {}]", path.display());
 }
 
 /// Prints a formatted metric/time/memory block like the paper's grouped
 /// bar panels.
-pub fn print_panel(title: &str, rows: &[Record]) {
-    println!("\n=== {title} ===");
-    println!(
+pub fn print_panel(world: &World<'_>, title: &str, rows: &[Record]) {
+    say!(world, "\n=== {title} ===");
+    say!(
+        world,
         "{:<14} {:<14} {:>9} {:>9} {:>9} {:>9} {:>11} {:>10}",
         "method", "input", "metric", "prep(s)", "train(s)", "infer(s)", "params", "peak-mem"
     );
     for r in rows {
-        println!(
+        say!(
+            world,
             "{:<14} {:<14} {:>9.4} {:>9.2} {:>9.2} {:>9.3} {:>11} {:>10}",
             r.method,
             r.input,
@@ -304,12 +381,12 @@ pub fn print_panel(title: &str, rows: &[Record]) {
     }
 }
 
-/// Quality-row printing shared by the table3/fig2 binaries.
-pub fn print_quality(title: &str, rows: &[QualityRow]) {
-    println!("\n=== {title} ===");
-    println!("{}", QualityRow::header());
+/// Quality-row printing shared by the table3/fig2 experiments.
+pub fn print_quality(world: &World<'_>, title: &str, rows: &[QualityRow]) {
+    say!(world, "\n=== {title} ===");
+    say!(world, "{}", QualityRow::header());
     for r in rows {
-        println!("{}", r.format_row());
+        say!(world, "{}", r.format_row());
     }
 }
 
@@ -426,7 +503,9 @@ pub fn lp_tosg_record(
     )
 }
 
-fn record_from_report(
+/// The row of one training run: `report`'s columns plus what the caller
+/// measured around it.
+pub fn record_from_report(
     task: String,
     input: &str,
     report: TrainReport,
@@ -448,6 +527,112 @@ fn record_from_report(
         peak_bytes,
         subgraph_triples,
         trace: report.trace.iter().map(|p| (p.elapsed_s, p.metric)).collect(),
+        param_hash: format!("{:016x}", report.param_hash),
+    }
+}
+
+/// The five benchmark KGs in Table I order (the order of
+/// `kgtosa_datagen::all_datasets`, which also owns the per-dataset seed
+/// offsets).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kg {
+    /// MAG-42M: PV/MAG, PD/MAG.
+    Mag,
+    /// YAGO-30M: PC/YAGO, CG/YAGO.
+    Yago30,
+    /// DBLP-15M: PV/DBLP, AC/DBLP, AA/DBLP.
+    Dblp,
+    /// ogbl-wikikg2: PO/wikikg2.
+    Wikikg2,
+    /// YAGO3-10: CA/YAGO3-10.
+    Yago310,
+}
+
+/// The generated KGs a [`World`] borrows (an `RdfStore` borrows its KG, so
+/// the owner has to outlive the world). All five are generated together,
+/// on first use.
+pub struct Datasets {
+    env: Env,
+    all: OnceCell<Vec<Dataset>>,
+}
+
+impl Datasets {
+    /// Nothing is generated yet.
+    pub fn new(env: Env) -> Self {
+        Self { env, all: OnceCell::new() }
+    }
+}
+
+/// What every experiment derives from `Env` before it measures anything:
+/// the datasets, their stores and adjacency, and the d1h1 extraction of
+/// each NC task — each built once, on first use. Training runs are never
+/// shared: every row trains (and measures) its own.
+pub struct World<'d> {
+    /// The configuration everything here was derived from.
+    pub env: Env,
+    data: &'d Datasets,
+    out: Option<PathBuf>,
+    stores: [OnceCell<RdfStore<'d>>; 5],
+    graphs: [OnceCell<HeteroGraph>; 5],
+    d1h1: [[OnceCell<ExtractionResult>; 2]; 5],
+}
+
+impl<'d> World<'d> {
+    /// `out` is where the driver writes `<name>.json` (and experiments
+    /// their scratch). `None` is no output at all — no file, no console
+    /// table: the rows are only returned.
+    pub fn new(data: &'d Datasets, out: Option<PathBuf>) -> Self {
+        Self {
+            env: data.env,
+            data,
+            out,
+            stores: Default::default(),
+            graphs: Default::default(),
+            d1h1: Default::default(),
+        }
+    }
+
+    /// The output directory, if the caller gave one.
+    pub fn out(&self) -> Option<&Path> {
+        self.out.as_deref()
+    }
+
+    /// Prints one line of an experiment's console table (see `say!`).
+    pub fn say(&self, line: std::fmt::Arguments<'_>) {
+        if self.out.is_some() {
+            println!("{line}");
+        }
+    }
+
+    /// All five datasets, in Table I order.
+    pub fn datasets(&self) -> &'d [Dataset] {
+        let env = self.env;
+        self.data.all.get_or_init(|| kgtosa_datagen::all_datasets(env.scale, env.seed))
+    }
+
+    /// One dataset.
+    pub fn dataset(&self, kg: Kg) -> &'d Dataset {
+        &self.datasets()[kg as usize]
+    }
+
+    /// The dataset's hexastore-backed RDF store.
+    pub fn store(&self, kg: Kg) -> &RdfStore<'d> {
+        self.stores[kg as usize].get_or_init(|| RdfStore::new(&self.dataset(kg).gen.kg))
+    }
+
+    /// The dataset's full-graph adjacency.
+    pub fn graph(&self, kg: Kg) -> &HeteroGraph {
+        self.graphs[kg as usize].get_or_init(|| HeteroGraph::build(&self.dataset(kg).gen.kg))
+    }
+
+    /// `KG-TOSA_{d1h1}` (the paper's NC default) of the dataset's
+    /// `nc`-th node-classification task.
+    pub fn d1h1(&self, kg: Kg, nc: usize) -> &ExtractionResult {
+        self.d1h1[kg as usize][nc].get_or_init(|| {
+            let task = nc_extraction_task(&self.dataset(kg).nc[nc]);
+            extract_sparql(self.store(kg), &task, &GraphPattern::D1H1, &FetchConfig::default())
+                .expect("extraction")
+        })
     }
 }
 
@@ -455,11 +640,47 @@ fn record_from_report(
 mod tests {
     use super::*;
 
+    fn parse(vars: &[(&str, &str)]) -> Result<Env, String> {
+        Env::parse(|k| vars.iter().find(|(name, _)| *name == k).map(|(_, v)| v.to_string()))
+    }
+
     #[test]
     fn env_defaults() {
-        let env = Env::from_env();
-        assert!(env.scale > 0.0);
-        assert!(env.epochs > 0);
+        let env = parse(&[]).unwrap();
+        assert_eq!((env.scale, env.seed, env.epochs, env.dim), (0.1, 7, 15, 16));
+    }
+
+    #[test]
+    fn env_reads_each_variable_at_its_own_width() {
+        let env = parse(&[
+            ("KGTOSA_SCALE", "0.25"),
+            ("KGTOSA_SEED", "18446744073709551615"),
+            ("KGTOSA_EPOCHS", " 3 "),
+            ("KGTOSA_DIM", "8"),
+        ])
+        .unwrap();
+        assert_eq!((env.scale, env.seed, env.epochs, env.dim), (0.25, u64::MAX, 3, 8));
+    }
+
+    #[test]
+    fn env_rejects_malformed_values_naming_variable_and_value() {
+        for (key, value) in [
+            ("KGTOSA_EPOCHS", "2O"),
+            ("KGTOSA_EPOCHS", "1.5"),
+            ("KGTOSA_EPOCHS", "-1"),
+            ("KGTOSA_DIM", ""),
+            ("KGTOSA_SEED", "18446744073709551616"),
+            ("KGTOSA_SEED", "7.0"),
+            ("KGTOSA_SCALE", "0"),
+            ("KGTOSA_SCALE", "-0.1"),
+            ("KGTOSA_SCALE", "inf"),
+            ("KGTOSA_SCALE", "NaN"),
+            ("KGTOSA_SCALE", "fast"),
+        ] {
+            let err = parse(&[(key, value)]).expect_err(value);
+            assert!(err.contains(key), "{err}");
+            assert!(err.contains(&format!("{value:?}")), "{err}");
+        }
     }
 
     #[test]
