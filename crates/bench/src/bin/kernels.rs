@@ -1,7 +1,9 @@
 //! `kernels` — serial vs parallel wall time for the `kgtosa-par` kernel
 //! layer: dense matmul (all three transpose variants), RGCN mean
 //! aggregation, one whole RGCN layer pass over a typed KG, batched PPR, IBS
-//! node selection, and CSR construction, each at 1/2/4/8 threads (capped by
+//! node selection, task-oriented inference (`predict_nodes` against the full
+//! forward, along the MAG scale ladder), and CSR construction, each at
+//! 1/2/4/8 threads (capped by
 //! `KGTOSA_THREADS`, so CI can produce a single-thread row set and an
 //! 8-thread row set from the same bin).
 //!
@@ -19,7 +21,9 @@
 //! (`results/history.jsonl`, override with `KGTOSA_HISTORY`; set it
 //! empty to skip) for the `trace-trend` rolling-window CI gate.
 
+use kgtosa_datagen::Dataset;
 use kgtosa_kg::{Csr, HeteroGraph, KnowledgeGraph, Rid, Vid};
+use kgtosa_models::{NcModelShape, RgcnNcModel};
 use kgtosa_nn::{mean_aggregate, RgcnGrads, RgcnLayer};
 use kgtosa_par::with_threads;
 use kgtosa_sampler::ppr::approximate_ppr_reference;
@@ -272,6 +276,57 @@ fn naive_rgcn_layer(layer: &RgcnLayer, g: &HeteroGraph, h: &Matrix, grad_out: &M
     flatten_pass(&out, &grad_h, &RgcnGrads { w_fwd, w_rev, w_self, b })
 }
 
+/// The model `benchmark/` serves (d = 16, seed 7), untrained: prediction
+/// cost does not depend on the weights' values.
+fn served_model(data: &Dataset, graph: &HeteroGraph) -> RgcnNcModel {
+    RgcnNcModel::untrained(NcModelShape {
+        nodes: graph.num_nodes(),
+        relations: graph.num_relations(),
+        dim: 16,
+        num_labels: data.nc[0].num_labels,
+        lr: 0.01,
+        seed: 7,
+    })
+}
+
+/// Times `predict_nodes` over `requests` against a full forward per
+/// request (the `<name>_naive` row); both must predict the same classes.
+fn bench_predict_nodes(
+    name: &str,
+    model: &RgcnNcModel,
+    graph: &HeteroGraph,
+    requests: &[Vec<Vid>],
+    rows: &mut Vec<KernelRow>,
+) {
+    let problem = format!(
+        "{}nx{}ex{}requestsx{}nodesxd16",
+        graph.num_nodes(),
+        graph.num_edges(),
+        requests.len(),
+        requests[0].len()
+    );
+    let full_forward = || {
+        requests
+            .iter()
+            .map(|nodes| {
+                let all = model.predict(graph);
+                nodes.iter().map(|v| all[v.idx()]).collect::<Vec<u32>>()
+            })
+            .collect::<Vec<_>>()
+    };
+    let restricted = || {
+        requests
+            .iter()
+            .map(|nodes| model.predict_nodes(graph, nodes))
+            .collect::<Vec<_>>()
+    };
+    assert!(restricted() == full_forward(), "{name}: predict_nodes differs from the full forward");
+    let naive = bench_naive(&format!("{name}_naive"), &problem, rows, || {
+        with_threads(1, || full_forward().len())
+    });
+    bench_kernel(name, &problem, Some(naive), rows, restricted);
+}
+
 fn random_edges(n: u32, m: usize, rng: &mut StdRng) -> Vec<(u32, u32)> {
     (0..m).map(|_| (rng.gen_range(0..n), rng.gen_range(0..n))).collect()
 }
@@ -460,6 +515,34 @@ fn main() {
         let ibs_cfg = IbsConfig { k: 16, ..Default::default() };
         ibs_sample(&mag1_graph, &ibs_targets, &ibs_cfg).iter().collect::<Vec<_>>()
     });
+
+    // Task-oriented inference along the scale ladder: 32 requests of 64
+    // seeded test nodes each (what `/infer` is asked in `benchmark/`), at
+    // the served model's d = 16. The naive twin answers each request the way
+    // `predict_nodes` used to — one full forward, then 64 rows of it — so
+    // the pair shows the request's cost following its receptive field while
+    // the full forward's follows |V|. The last row asks for every vertex of
+    // MAG 0.25 at once, where the selection rule must hand the request to
+    // the full forward.
+    let mag_small = kgtosa_datagen::mag(0.25, 7);
+    let small_graph = HeteroGraph::build(&mag_small.gen.kg);
+    let mag2 = kgtosa_datagen::mag(2.0, 7);
+    for (tag, data, graph) in [
+        ("mag025", &mag_small, &small_graph),
+        ("mag1", &mag1, &mag1_graph),
+        ("mag2", &mag2, &HeteroGraph::build(&mag2.gen.kg)),
+    ] {
+        let mut draw = StdRng::seed_from_u64(7);
+        let test = &data.nc[0].test;
+        let requests: Vec<Vec<Vid>> = (0..32)
+            .map(|_| (0..64).map(|_| test[draw.gen_range(0..test.len())]).collect())
+            .collect();
+        let name = format!("predict_nodes_64_{tag}");
+        bench_predict_nodes(&name, &served_model(data, graph), graph, &requests, &mut rows);
+    }
+    let every = [(0..small_graph.num_nodes() as u32).map(Vid).collect::<Vec<Vid>>()];
+    let small_model = served_model(&mag_small, &small_graph);
+    bench_predict_nodes("predict_nodes_all_mag025", &small_model, &small_graph, &every, &mut rows);
 
     // CSR construction: counting sort of 4M edges over 500k vertices.
     let build_edges = random_edges(500_000, 4_000_000, &mut rng);

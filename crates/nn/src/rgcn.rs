@@ -151,14 +151,84 @@ impl RgcnLayer {
         }
         arena.put(agg);
         arena.put(out_rows);
+        let relu_mask = self.bias_and_activate(&mut out);
+        (out, RgcnCache { relu_mask })
+    }
+
+    /// `out += b` per row, then the ReLU when the layer has one (returning
+    /// its mask): the tail of every forward.
+    fn bias_and_activate(&self, out: &mut Matrix) -> Option<Vec<bool>> {
         for row in 0..out.rows() {
-            let r = out.row_mut(row);
-            for (v, &b) in r.iter_mut().zip(&self.b) {
+            for (v, &b) in out.row_mut(row).iter_mut().zip(&self.b) {
                 *v += b;
             }
         }
-        let relu_mask = self.relu.then(|| relu_inplace(&mut out));
-        (out, RgcnCache { relu_mask })
+        self.relu.then(|| relu_inplace(out))
+    }
+
+    /// Forward pass restricted to the distinct vertices `rows`: row `k` of
+    /// the result is row `rows[k]` of [`RgcnLayer::forward_arena`]'s, bit for
+    /// bit, computed from those vertices and their neighbours alone. Per
+    /// relation direction only the requested rows with neighbours are
+    /// aggregated, multiplied and scattered back, in `forward_arena`'s
+    /// relation/direction order; an output element accumulates over the same
+    /// neighbours and the same `k` in the same order whichever other rows
+    /// share its operand (DESIGN.md, "Kernel compute core").
+    ///
+    /// `pos` inverts `rows` over the graph's vertices: `pos[rows[k]] == k`,
+    /// and `pos[v] >= rows.len()` for every other `v` — so a direction with
+    /// fewer active rows than the request is matched from its side, and
+    /// selecting costs `Σ_r min(|active_r|, |rows|)`. `h_row[v]` is the row
+    /// of `h` holding vertex `v`'s features and must be valid for every
+    /// vertex in `rows` and every neighbour of one; other entries are never
+    /// read. `None` means `h` has one row per vertex.
+    ///
+    /// Also returns the number of neighbour rows read — the call's exact
+    /// memory-bound work, `Σ_{v ∈ rows} deg(v)` over every direction of the
+    /// relations the layer has weights for.
+    pub fn forward_rows_arena(
+        &self,
+        g: &HeteroGraph,
+        h: &Matrix,
+        h_row: Option<&[u32]>,
+        rows: &[u32],
+        pos: &[u32],
+        arena: &mut ScratchArena,
+    ) -> (Matrix, u64) {
+        assert_eq!(h.cols(), self.in_dim(), "feature dim mismatch");
+        if h_row.is_none() {
+            assert_eq!(h.rows(), g.num_nodes(), "one feature row per node");
+        }
+        let at = |v: u32| h_row.map_or(v, |m| m[v as usize]);
+        // The widest operand any direction can need is one row per request.
+        let mut agg = arena.take(rows.len(), h.cols());
+        for (k, &v) in rows.iter().enumerate() {
+            agg.row_mut(k).copy_from_slice(h.row(at(v) as usize));
+        }
+        let mut out = arena.take(rows.len(), self.out_dim());
+        agg.matmul_into(&self.w_self, &mut out);
+        let mut out_rows = arena.take(rows.len(), self.out_dim());
+        let mut reached = ReachedRows::default();
+        let mut edge_visits = 0u64;
+        for r in 0..g.num_relations().min(self.w_fwd.len()) {
+            let adj = g.relation(Rid(r as u32));
+            for (csr, w) in [(&adj.inc, &self.w_fwd[r]), (&adj.out, &self.w_rev[r])] {
+                reached.select(csr, rows, pos, at);
+                if reached.rows.is_empty() {
+                    continue;
+                }
+                edge_visits += reached.nbrs.len() as u64;
+                reached.mean_aggregate(h, &mut agg);
+                out_rows.resize_rows(reached.rows.len());
+                out.gather_rows_into(&reached.rows, &mut out_rows);
+                agg.matmul_acc_into(w, &mut out_rows);
+                scatter_rows(&out_rows, &reached.rows, &mut out);
+            }
+        }
+        arena.put(agg);
+        arena.put(out_rows);
+        self.bias_and_activate(&mut out);
+        (out, edge_visits)
     }
 
     /// Backward pass. `h` is the forward input; `grad_out` is `∂L/∂output`.
@@ -431,7 +501,13 @@ fn accum_row(
 /// cut far too many chunks (and spin up workers) for the work they actually
 /// contain.
 fn csr_chunk_rows(csr: &Csr, rows: usize, d: usize) -> usize {
-    let avg_deg = csr.num_edges() / rows.max(1);
+    gather_chunk_rows(csr.num_edges(), rows, d)
+}
+
+/// [`csr_chunk_rows`] for a gather of `edges` neighbour rows into `rows`
+/// output rows.
+fn gather_chunk_rows(edges: usize, rows: usize, d: usize) -> usize {
+    let avg_deg = edges / rows.max(1);
     kgtosa_par::chunk_rows((avg_deg + 1).saturating_mul(d))
 }
 
@@ -498,6 +574,71 @@ fn mean_aggregate_active(csr: &Csr, h: &Matrix, agg: &mut Matrix) {
             accum_row(level, row, h, nbrs, &StripWeight::Uniform(inv), true);
         }
     });
+}
+
+/// What one relation direction contributes to a rows-restricted forward
+/// ([`RgcnLayer::forward_rows_arena`]): the requested rows it reaches and the
+/// input rows each averages. One value serves a whole call; its buffers are
+/// refilled per direction.
+#[derive(Default)]
+struct ReachedRows {
+    /// Positions in the request (= compact output rows) with a neighbour.
+    rows: Vec<u32>,
+    /// `nbrs[starts[i]..starts[i + 1]]` are the rows of the input matrix
+    /// that `rows[i]` averages, in CSR neighbour order.
+    starts: Vec<u32>,
+    nbrs: Vec<u32>,
+}
+
+impl ReachedRows {
+    /// Refills `self` for `csr` over the requested vertices (`pos` inverts
+    /// `request`, see [`RgcnLayer::forward_rows_arena`]), walking whichever
+    /// of the request and `csr`'s active rows is shorter; `at` maps a vertex
+    /// to its row of the input matrix.
+    fn select(&mut self, csr: &Csr, request: &[u32], pos: &[u32], at: impl Fn(u32) -> u32) {
+        self.rows.clear();
+        self.nbrs.clear();
+        self.starts.clear();
+        self.starts.push(0);
+        let mut reach = |k: u32, nbrs: &[u32]| {
+            self.rows.push(k);
+            self.nbrs.extend(nbrs.iter().map(|&j| at(j)));
+            self.starts.push(self.nbrs.len() as u32);
+        };
+        if csr.active_rows().len() < request.len() {
+            for &v in csr.active_rows() {
+                let k = pos[v as usize];
+                if (k as usize) < request.len() {
+                    reach(k, csr.neighbors(Vid(v)));
+                }
+            }
+        } else {
+            for (k, &v) in request.iter().enumerate() {
+                let nbrs = csr.neighbors(Vid(v));
+                if !nbrs.is_empty() {
+                    reach(k as u32, nbrs);
+                }
+            }
+        }
+    }
+
+    /// `agg[i] = mean_j h[j]` over the input rows `rows[i]` averages —
+    /// [`mean_aggregate_active`] for the reached rows: same strips, same
+    /// neighbour order, single-writer row blocks cut by the compact shape.
+    fn mean_aggregate(&self, h: &Matrix, agg: &mut Matrix) {
+        agg.resize_rows(self.rows.len());
+        let d = h.cols();
+        let level = simd_level();
+        let block = gather_chunk_rows(self.nbrs.len(), self.rows.len(), d);
+        let pool = Pool::for_work(self.nbrs.len().saturating_mul(d));
+        pool.par_chunks_mut("nn.mean_aggregate", agg.data_mut(), block * d, |ci, band| {
+            for (row, span) in band.chunks_mut(d).zip(self.starts[ci * block..].windows(2)) {
+                let nbrs = &self.nbrs[span[0] as usize..span[1] as usize];
+                let inv = 1.0 / nbrs.len() as f32;
+                accum_row(level, row, h, nbrs, &StripWeight::Uniform(inv), true);
+            }
+        });
+    }
 }
 
 /// `dst[ids[k]] = src[k]`: puts gathered rows back

@@ -230,6 +230,112 @@ mod parallel_determinism {
         HeteroGraph::from_triples(nodes, typed as usize + 2, classes, node_class, &triples)
     }
 
+    /// A hub-heavy graph: relation 0 points every vertex but one in five at
+    /// one of three hubs (so a hub's neighbour list is ≈ |V|/4 long and a
+    /// request that touches a hub reads most of the graph), relation 1 is a
+    /// sparse random relation with duplicates, relation 2 has no edges.
+    fn hub_graph(nodes: usize, seed: u64) -> HeteroGraph {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let hubs = [Vid(0), Vid((nodes / 2) as u32), Vid((nodes - 1) as u32)];
+        let mut triples = Vec::new();
+        for v in (0..nodes).filter(|v| v % 5 != 2) {
+            triples.push(Triple { s: Vid(v as u32), p: Rid(0), o: hubs[rng.gen_range(0..3usize)] });
+        }
+        for _ in 0..nodes / 2 {
+            let s = Vid(rng.gen_range(0..nodes) as u32);
+            let o = Vid(rng.gen_range(0..nodes) as u32);
+            triples.push(Triple { s, p: Rid(1), o });
+            if rng.gen_range(0..4) == 0 {
+                triples.push(Triple { s, p: Rid(1), o });
+            }
+        }
+        HeteroGraph::from_triples(nodes, 3, 1, vec![Cid(0); nodes], &triples)
+    }
+
+    /// `forward_rows_arena` ≡ the same rows of `forward`, as `u32` bit
+    /// patterns, and its work count ≡ the rows' degrees summed over the
+    /// per-relation CSRs — for the empty request, every vertex, and random
+    /// subsets that include isolated vertices, in shuffled order, at 1/2/4/8
+    /// threads (the first and last graph put the larger requests past
+    /// `MIN_PAR_WORK`, in several row blocks); once against the full input
+    /// and once against an input that holds only the rows of the request and
+    /// its neighbours (how a second layer is fed).
+    #[test]
+    fn rows_restricted_forward_matches_forward_bit_for_bit() {
+        const ABSENT: u32 = u32::MAX;
+        // (graph, in_dim, out_dim, relu)
+        let cases = [
+            (typed_graph(4_300, 700, true, 61), 64usize, 64usize, true),
+            (typed_graph(2_300, 600, false, 62), 16, 5, false),
+            (typed_graph(61, 9, false, 63), 8, 3, true),
+            (hub_graph(4_000, 64), 32, 16, true),
+        ];
+        for (case, (g, din, dout, relu)) in cases.iter().enumerate() {
+            let n = g.num_nodes();
+            let mut rng = StdRng::seed_from_u64(70 + case as u64);
+            let layer = RgcnLayer::new(g.num_relations(), *din, *dout, *relu, &mut rng);
+            let h = xavier_uniform(n, *din, &mut rng);
+            let want = layer.forward(g, &h).0;
+            let isolated: Vec<u32> = (0..n as u32)
+                .filter(|&v| g.undirected().degree(Vid(v)) == 0)
+                .collect();
+            let mut requests: Vec<Vec<u32>> = vec![Vec::new(), (0..n as u32).collect()];
+            for size in [1, 7, n / 10, n / 2] {
+                let mut all: Vec<u32> = (0..n as u32).collect();
+                for i in 0..size {
+                    let j = rng.gen_range(i..n);
+                    all.swap(i, j);
+                }
+                all.truncate(size);
+                if let Some(&lonely) = isolated.first() {
+                    if !all.contains(&lonely) {
+                        all.push(lonely);
+                    }
+                }
+                requests.push(all);
+            }
+            for rows in &requests {
+                // The request first, then its neighbours: `pos` inverts both
+                // `rows` (positions below `rows.len()`) and the closure.
+                let mut pos = vec![ABSENT; n];
+                let mut closure = Vec::new();
+                let enter = |v: u32, pos: &mut Vec<u32>, closure: &mut Vec<u32>| {
+                    if pos[v as usize] == ABSENT {
+                        pos[v as usize] = closure.len() as u32;
+                        closure.push(v);
+                    }
+                };
+                rows.iter().for_each(|&v| enter(v, &mut pos, &mut closure));
+                for &v in rows {
+                    for &j in g.undirected().neighbors(Vid(v)) {
+                        enter(j, &mut pos, &mut closure);
+                    }
+                }
+                let h_closure = h.gather_rows(&closure);
+                let expect = want.gather_rows(rows);
+                let expect_visits: u64 = (0..g.num_relations())
+                    .map(|r| g.relation(Rid(r as u32)))
+                    .flat_map(|adj| rows.iter().map(|&v| adj.inc.degree(Vid(v)) + adj.out.degree(Vid(v))))
+                    .sum::<usize>() as u64;
+                for threads in [1usize, 2, 4, 8] {
+                    let mut arena = kgtosa_tensor::ScratchArena::new();
+                    let (full_in, compact_in) = with_threads(threads, || {
+                        (
+                            layer.forward_rows_arena(g, &h, None, rows, &pos, &mut arena),
+                            layer.forward_rows_arena(g, &h_closure, Some(&pos), rows, &pos, &mut arena),
+                        )
+                    });
+                    let what = format!("case {case}, {} rows, threads={threads}", rows.len());
+                    for (got, visits) in [full_in, compact_in] {
+                        assert_eq!(got.shape(), expect.shape(), "{what}");
+                        assert_eq!(bits(got.data()), bits(expect.data()), "{what}");
+                        assert_eq!(visits, expect_visits, "{what}");
+                    }
+                }
+            }
+        }
+    }
+
     /// Everything one forward + backward pass of a layer produces.
     struct Pass {
         out: Matrix,

@@ -15,10 +15,18 @@
 //! deadline expired while queued answer `504`, they are not silently
 //! dropped — and then returns so the caller can flush telemetry sinks and
 //! exit 0.
+//!
+//! The accept loop blocks in `accept`, so a connection is queued the moment
+//! it arrives. Polling a non-blocking listener instead would make every
+//! request wait for the next tick — for a closed-loop client by an amount
+//! set by how long its *previous* request took, modulo the tick, which
+//! couples the latency of one route to the speed of another. What polls is
+//! the wait for a drain request, on its own thread ([`DRAIN_POLL`]); it ends
+//! the blocked `accept` by connecting to the listener once.
 
 use std::collections::VecDeque;
 use std::io;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -51,6 +59,8 @@ const SHED_BACKLOG_CAP: usize = 256;
 /// Bytes of a refused (`413`) request's body a worker discards before it
 /// closes the connection.
 const DRAIN_CAP: u64 = 1 << 20;
+/// How often the drain watcher looks for a drain request.
+const DRAIN_POLL: Duration = Duration::from_millis(5);
 
 /// A bound-but-not-yet-running daemon.
 pub struct Server {
@@ -84,7 +94,6 @@ impl Server {
     pub fn run(self) -> io::Result<DrainReport> {
         let Server { state, listener, addr } = self;
         signal::install();
-        listener.set_nonblocking(true)?;
 
         let requests = kgtosa_obs::counter("serve.requests");
         let sheds = kgtosa_obs::counter("serve.sheds");
@@ -122,14 +131,41 @@ impl Server {
             state.cfg.max_inflight_bytes
         );
 
-        loop {
-            if signal::triggered() {
-                state.draining.store(true, Ordering::SeqCst);
+        let watcher = {
+            let state = Arc::clone(&state);
+            // A wildcard bind is reached through loopback.
+            let mut knock = addr;
+            if knock.ip().is_unspecified() {
+                knock.set_ip(match knock {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
             }
-            if state.draining.load(Ordering::SeqCst) {
-                break;
-            }
+            std::thread::Builder::new()
+                .name("serve-drain-watcher".into())
+                .spawn(move || {
+                    while !(signal::triggered() || state.draining.load(Ordering::SeqCst)) {
+                        std::thread::sleep(DRAIN_POLL);
+                    }
+                    state.draining.store(true, Ordering::SeqCst);
+                    // Any connection ends the blocked `accept`; the loop
+                    // sees `draining` and leaves. Refused means it already
+                    // has, and closed the listener.
+                    match TcpStream::connect_timeout(&knock, Duration::from_secs(1)) {
+                        Err(e) if e.kind() != io::ErrorKind::ConnectionRefused => {
+                            kgtosa_obs::info!("serve: cannot wake the accept loop for drain: {e}")
+                        }
+                        _ => {}
+                    }
+                })
+                .expect("spawn serve drain watcher")
+        };
+
+        while !state.draining.load(Ordering::SeqCst) {
             match listener.accept() {
+                // The watcher's knock, or a client that arrived after the
+                // drain request: no new admissions.
+                Ok(_) if state.draining.load(Ordering::SeqCst) => break,
                 Ok((stream, _peer)) => {
                     let (lock, cvar) = &*queue;
                     let mut q = lock.lock().unwrap_or_else(PoisonError::into_inner);
@@ -153,9 +189,6 @@ impl Server {
                         cvar.notify_one();
                     }
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => {
                     kgtosa_obs::info!("serve: accept error: {e}");
@@ -174,6 +207,7 @@ impl Server {
             let _ = w.join();
         }
         let _ = shedder.join();
+        let _ = watcher.join();
         depth_gauge.set(0);
 
         let report = DrainReport {

@@ -19,7 +19,7 @@ use kgtosa_obs::httpd::{builtin_route, HttpRequest, HttpResponse};
 use kgtosa_obs::Json;
 use kgtosa_rdf::{BreakerState, FaultPlan, FetchConfig};
 
-use crate::state::{KgEpoch, ServeState};
+use crate::state::{KgEpoch, ModelError, ServeState};
 
 /// Parses the body as JSON when non-empty; an empty body is `{}`.
 pub(crate) fn body_json(req: &HttpRequest) -> Result<Json, String> {
@@ -316,7 +316,8 @@ fn infer_handler(state: &ServeState, body: &Json, remaining: Duration) -> HttpRe
     let started = Instant::now();
     let model = match state.model_for(&epoch, &info, task.num_labels) {
         Ok(m) => m,
-        Err(e) => return HttpResponse::error(500, e),
+        Err(e @ ModelError::Misfit { .. }) => return HttpResponse::error(409, e.to_string()),
+        Err(e) => return HttpResponse::error(500, e.to_string()),
     };
     // The forward pass is all-or-nothing; refuse it up front when the
     // remaining budget is already gone rather than burn a worker.

@@ -45,4 +45,4 @@ pub use client::HttpReply;
 pub use config::ServeConfig;
 pub use daemon::{DrainReport, Server};
 pub use handlers::handle_guarded;
-pub use state::{KgEpoch, ServeState};
+pub use state::{KgEpoch, ModelError, ServeState};

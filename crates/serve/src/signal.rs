@@ -2,7 +2,7 @@
 //!
 //! No runtime, no pipe tricks: the handler stores one relaxed atomic and
 //! returns (the only thing that is async-signal-safe anyway), and the
-//! nonblocking accept loop polls [`triggered`] between accepts.
+//! daemon's drain watcher polls [`triggered`].
 
 #[cfg(unix)]
 mod imp {

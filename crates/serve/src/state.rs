@@ -106,7 +106,9 @@ pub struct ServeState {
     /// Frozen inference models, keyed by (checkpoint fingerprint, node
     /// count of the epoch they were materialized against) — a delta that
     /// grows the graph must not serve a model shaped for the old size.
-    models: Mutex<HashMap<(u64, usize), Arc<RgcnNcModel>>>,
+    /// A checkpoint that does not fit the key's shape is remembered as
+    /// such, so the file is read and validated once per key either way.
+    models: Mutex<HashMap<(u64, usize), LoadedModel>>,
     /// Extraction artifact cache (the breaker-open degraded-answer path).
     pub cache: Option<ArtifactCache>,
     /// Circuit breaker shared by every extraction against the backend.
@@ -209,20 +211,23 @@ impl ServeState {
     /// shaped against `epoch`'s graph. The state blob is
     /// checksum-verified on first load; later requests share one frozen
     /// in-memory model. A checkpoint trained against a differently-sized
-    /// graph fails shape validation here rather than predicting garbage.
+    /// graph fails shape validation here rather than predicting garbage,
+    /// and that verdict is shared by later requests too.
     pub fn model_for(
         &self,
         epoch: &KgEpoch,
         info: &CheckpointInfo,
         num_labels: usize,
-    ) -> Result<Arc<RgcnNcModel>, String> {
+    ) -> LoadedModel {
         let key = (info.fingerprint, epoch.graph.num_nodes());
         let models = || self.models.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(m) = models().get(&key) {
-            return Ok(m.clone());
+        if let Some(known) = models().get(&key) {
+            return known.clone();
         }
-        let (_, state) = read_validated_state(&info.path)
-            .map_err(|e| format!("checkpoint {} unreadable: {e}", info.path.display()))?;
+        // A read failure may pass; it is not remembered.
+        let (_, state) = read_validated_state(&info.path).map_err(|e| {
+            ModelError::Unusable(format!("checkpoint {} unreadable: {e}", info.path.display()))
+        })?;
         let shape = NcModelShape {
             nodes: epoch.graph.num_nodes(),
             relations: epoch.graph.num_relations(),
@@ -231,12 +236,53 @@ impl ServeState {
             lr: self.cfg.lr,
             seed: self.cfg.seed,
         };
-        let model = Arc::new(
-            RgcnNcModel::from_state(shape, &state)
-                .map_err(|e| format!("checkpoint {} does not fit shape {shape:?}: {e}", info.path.display()))?,
-        );
-        models().insert(key, model.clone());
-        Ok(model)
+        let loaded = match NcModelShape::trained_nodes(&state) {
+            Some(trained) if trained != shape.nodes => Err(ModelError::Misfit {
+                checkpoint_nodes: trained,
+                epoch_nodes: shape.nodes,
+            }),
+            _ => RgcnNcModel::from_state(shape, &state).map(Arc::new).map_err(|e| {
+                ModelError::Unusable(format!(
+                    "checkpoint {} does not fit shape {shape:?}: {e}",
+                    info.path.display()
+                ))
+            }),
+        };
+        models().insert(key, loaded.clone());
+        loaded
+    }
+}
+
+/// What [`ServeState::model_for`] answers: the frozen model, or why there is
+/// none.
+pub type LoadedModel = Result<Arc<RgcnNcModel>, ModelError>;
+
+/// Why a checkpoint cannot serve an epoch.
+#[derive(Debug, Clone)]
+pub enum ModelError {
+    /// The checkpoint was trained on a graph of another size — what every
+    /// checkpoint becomes once `/admin/update` adds a vertex.
+    Misfit {
+        /// Rows of the checkpoint's embedding table.
+        checkpoint_nodes: usize,
+        /// Vertices of the epoch asked about.
+        epoch_nodes: usize,
+    },
+    /// The file cannot be read, or disagrees with the daemon's model
+    /// configuration in some other way.
+    Unusable(String),
+}
+
+impl std::fmt::Display for ModelError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ModelError::Misfit { checkpoint_nodes, epoch_nodes } => write!(
+                f,
+                "checkpoint was trained on {checkpoint_nodes} nodes but the served graph now has \
+                 {epoch_nodes}; retrain on the updated graph"
+            ),
+            ModelError::Unusable(why) => f.write_str(why),
+        }
     }
 }
 

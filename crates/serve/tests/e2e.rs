@@ -147,6 +147,22 @@ fn extract_and_infer_round_trip() {
     }
     assert_eq!(three.get("param_hash"), reply.get("param_hash"));
 
+    // A node list is answered from its receptive field; the default request
+    // (the whole test split) is the reference it must agree with, position
+    // by position — out of order and with a repeat.
+    let test = &kgtosa_datagen::mag(SCALE, SEED).nc[0].test;
+    let picks = [test.len() - 1, 0, 2, 0];
+    let ids: Vec<String> = picks.iter().map(|&i| test[i].0.to_string()).collect();
+    let (Some(Json::Arr(all)), Some(Json::Arr(some))) = (
+        reply.get("predictions"),
+        ok_json(&infer_nodes(&ids.join(","))).get("predictions").cloned(),
+    ) else {
+        panic!("predictions missing");
+    };
+    let expect: Vec<Json> = picks.iter().map(|&i| all[i].clone()).collect();
+    assert_eq!(some, expect);
+    assert_eq!(ok_json(&infer_nodes("")).get("predictions"), Some(&Json::Arr(Vec::new())));
+
     // Unknowns are 4xx, not daemon damage.
     let bad_task = post_json(daemon.addr, "/extract", "{\"task\":\"nope\"}", Duration::from_secs(5)).unwrap();
     assert_eq!(bad_task.status, 404);

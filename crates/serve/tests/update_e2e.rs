@@ -369,3 +369,75 @@ fn update_survives_a_poisoned_update_lock() {
     assert_eq!(resp.status, 200, "update behind a poisoned lock: {body}");
     assert_eq!(state.epoch().version, 1);
 }
+
+/// Regression: a delta that adds a vertex leaves every checkpoint shaped
+/// for the old graph. `/infer` used to re-read and re-validate the file on
+/// every request and answer 500 from the failed load; the misfit is a
+/// conflict between the request and the daemon's state (409, naming both
+/// node counts), and it is decided once — the second answer comes without
+/// the file.
+#[test]
+fn infer_after_a_growing_update_is_a_remembered_409() {
+    let ckpt_dir = temp_dir("misfit-ckpt");
+    let dataset = kgtosa_datagen::mag(SCALE, SEED);
+    let task = &dataset.nc[0];
+    let (graph, _) = kgtosa_core::transform(&dataset.gen.kg);
+    let data = kgtosa_models::NcDataset {
+        kg: &dataset.gen.kg,
+        graph: &graph,
+        labels: &task.labels,
+        num_labels: task.num_labels,
+        train: &task.train,
+        valid: &task.valid,
+        test: &task.test,
+    };
+    let cfg = kgtosa_models::TrainConfig {
+        epochs: 1,
+        dim: 8,
+        seed: SEED,
+        checkpoint: Some(kgtosa_models::CheckpointConfig::new(&ckpt_dir)),
+        ..Default::default()
+    };
+    kgtosa_models::train_rgcn_nc(&data, &cfg);
+
+    let state = ServeState::from_dataset(ServeConfig {
+        checkpoint_dir: Some(ckpt_dir.clone()),
+        ..base_config()
+    })
+    .expect("serve state");
+    let post = |path: &str, body: String| {
+        let req = HttpRequest {
+            method: "POST".into(),
+            path: path.into(),
+            query: String::new(),
+            headers: Vec::new(),
+            body: body.into_bytes(),
+        };
+        let resp = handle_guarded(&state, &req, std::time::Instant::now());
+        (resp.status, String::from_utf8_lossy(&resp.body).into_owned())
+    };
+    let infer = || post("/infer", "{\"checkpoint\":\"RGCN\",\"nodes\":[3]}".into());
+
+    let (status, body) = infer();
+    assert_eq!(status, 200, "the checkpoint fits the startup epoch: {body}");
+    let target_term = dataset.gen.kg.node_term(task.targets()[0]);
+    let (status, body) = post(
+        "/admin/update",
+        format!(
+            "{{\"ops\":[{{\"op\":\"add\",\"s\":\"Paper_delta_new\",\"s_class\":\"Paper\",\
+             \"p\":\"cites\",\"o\":\"{target_term}\",\"o_class\":\"Paper\"}}]}}"
+        ),
+    );
+    assert_eq!(status, 200, "{body}");
+
+    let nodes = graph.num_nodes();
+    let (status, first) = infer();
+    assert_eq!(status, 409, "{first}");
+    assert!(
+        first.contains(&nodes.to_string()) && first.contains(&(nodes + 1).to_string()),
+        "the 409 names both node counts ({nodes}, {}): {first}",
+        nodes + 1
+    );
+    std::fs::remove_dir_all(&ckpt_dir).unwrap();
+    assert_eq!(infer(), (409, first), "the verdict is remembered, not re-derived from the file");
+}
