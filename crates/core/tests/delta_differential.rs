@@ -109,7 +109,7 @@ fn resolve_ops(kg: &KnowledgeGraph, specs: &[OpSpec], fresh: &mut usize) -> Vec<
                     kg.node_term(v).to_string(),
                     kg.class_term(kg.class_of(v)).to_string(),
                 )
-            } else if pick % 2 == 0 {
+            } else if pick.is_multiple_of(2) {
                 // Sometimes the new vertex's *term* is a class name: the
                 // store resolves query constants vertex-first, so this
                 // shadows the class's anchor mid-stream and repair must
@@ -267,7 +267,7 @@ proptest! {
                     continue;
                 }
                 let t = nc_task(&kg, class);
-                let new_res = extract_sparql(&new_store, &t, &GraphPattern::VARIANTS
+                let new_res = extract_sparql(&new_store, &t, GraphPattern::VARIANTS
                     .iter()
                     .find(|p| p.label() == label)
                     .unwrap(), &fetch)

@@ -78,17 +78,6 @@ impl Dictionary {
             .enumerate()
             .map(|(i, s)| (i as u32, &**s))
     }
-
-    /// Approximate heap footprint in bytes (strings + tables), used by the
-    /// experiment harness to report transformation memory.
-    pub fn heap_bytes(&self) -> usize {
-        let strings: usize = self.reverse.iter().map(|s| s.len()).sum();
-        // Each map entry holds a boxed str clone plus bookkeeping.
-        strings * 2
-            + self.reverse.capacity() * std::mem::size_of::<Box<str>>()
-            + self.forward.capacity()
-                * (std::mem::size_of::<Box<str>>() + std::mem::size_of::<u32>() + 8)
-    }
 }
 
 #[cfg(test)]

@@ -400,20 +400,6 @@ impl HeteroGraph {
     pub fn total_degree(&self, v: Vid) -> usize {
         self.undirected.degree(v)
     }
-
-    /// Approximate heap bytes of all adjacency arrays, reported as the
-    /// "adjacency matrix" footprint in experiments.
-    pub fn heap_bytes(&self) -> usize {
-        let csr_bytes = |c: &Csr| (c.offsets.len() + c.targets.len() + c.active.len()) * 4;
-        let labeled = |l: &LabeledCsr| csr_bytes(&l.csr) + l.rels.len() * 4;
-        self.rels
-            .iter()
-            .map(|r| csr_bytes(&r.out) + csr_bytes(&r.inc))
-            .sum::<usize>()
-            + labeled(&self.merged_out)
-            + labeled(&self.undirected)
-            + self.node_class.len() * std::mem::size_of::<Cid>()
-    }
 }
 
 #[cfg(test)]

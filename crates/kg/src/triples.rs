@@ -231,15 +231,6 @@ impl KnowledgeGraph {
         self.classes.iter().map(|(i, s)| (Cid(i), s))
     }
 
-    /// Approximate heap footprint in bytes, used in experiment reports.
-    pub fn heap_bytes(&self) -> usize {
-        self.nodes.heap_bytes()
-            + self.relations.heap_bytes()
-            + self.classes.heap_bytes()
-            + self.node_class.capacity() * std::mem::size_of::<Cid>()
-            + self.triples.capacity() * std::mem::size_of::<Triple>()
-    }
-
     /// Keeps only the triples for which `f` returns `true`, preserving
     /// insertion order. Vertices, relations and classes are never removed:
     /// dictionaries are append-only so ids stay stable across mutations

@@ -96,7 +96,7 @@ impl Order {
 }
 
 /// An immutable triple index with all six orderings materialized.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Hexastore {
     // Index 0..6 corresponds to Order::ALL.
     indices: [Box<[[u32; 3]]>; 6],
@@ -181,11 +181,6 @@ impl Hexastore {
     /// Membership test for a fully-bound triple. `O(log m)`.
     pub fn contains(&self, s: u32, p: u32, o: u32) -> bool {
         self.index(Order::Spo).binary_search(&[s, p, o]).is_ok()
-    }
-
-    /// Approximate heap bytes of all six indices.
-    pub fn heap_bytes(&self) -> usize {
-        self.indices.iter().map(|i| i.len() * 12).sum()
     }
 }
 

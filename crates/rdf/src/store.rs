@@ -12,6 +12,9 @@
 //!   `N + cid` (classes appear as objects of `rdf:type`),
 //! * predicate position: relation ids `0..R`, then `R` = `rdf:type`.
 
+use std::ops::Deref;
+use std::sync::Arc;
+
 use kgtosa_kg::{Cid, KnowledgeGraph, Rid, Triple, Vid};
 
 use crate::hexastore::Hexastore;
@@ -29,18 +32,50 @@ pub enum NodeTerm {
     Class(Cid),
 }
 
+/// How a store holds the graph it indexes: borrowed when the store lives
+/// in the frame that owns the graph, shared when it must outlive every
+/// frame (a daemon epoch). Either way the graph is indexed in place.
+enum KgHolder<'kg> {
+    Borrowed(&'kg KnowledgeGraph),
+    Shared(Arc<KnowledgeGraph>),
+}
+
+impl Deref for KgHolder<'_> {
+    type Target = KnowledgeGraph;
+
+    #[inline]
+    fn deref(&self) -> &KnowledgeGraph {
+        match self {
+            KgHolder::Borrowed(kg) => kg,
+            KgHolder::Shared(kg) => kg,
+        }
+    }
+}
+
 /// An immutable, six-way-indexed RDF store over a knowledge graph.
 pub struct RdfStore<'kg> {
-    kg: &'kg KnowledgeGraph,
+    kg: KgHolder<'kg>,
     hex: Hexastore,
     num_nodes: u32,
     num_relations: u32,
+}
+
+impl RdfStore<'static> {
+    /// [`RdfStore::new`] over a graph the store co-owns: the graph lives
+    /// until the store and every other holder of the `Arc` are dropped.
+    pub fn shared(kg: Arc<KnowledgeGraph>) -> Self {
+        Self::build(KgHolder::Shared(kg))
+    }
 }
 
 impl<'kg> RdfStore<'kg> {
     /// Builds the store: copies all data triples, adds `rdf:type`
     /// assertions, and constructs the six orderings.
     pub fn new(kg: &'kg KnowledgeGraph) -> Self {
+        Self::build(KgHolder::Borrowed(kg))
+    }
+
+    fn build(kg: KgHolder<'kg>) -> Self {
         let num_nodes = kg.num_nodes() as u32;
         let num_relations = kg.num_relations() as u32;
         let type_rel = num_relations;
@@ -61,8 +96,8 @@ impl<'kg> RdfStore<'kg> {
     }
 
     /// The underlying knowledge graph.
-    pub fn kg(&self) -> &'kg KnowledgeGraph {
-        self.kg
+    pub fn kg(&self) -> &KnowledgeGraph {
+        &self.kg
     }
 
     /// The sextuple index.

@@ -1,11 +1,12 @@
 //! Property-based tests: the hexastore and executor must agree with naive
 //! reference implementations on arbitrary inputs.
 
-use std::sync::Barrier;
+use std::sync::{Arc, Barrier};
 
 use proptest::prelude::*;
 
-use kgtosa_kg::KnowledgeGraph;
+use kgtosa_core::{extract_sparql, ExtractionTask, GraphPattern};
+use kgtosa_kg::{write_snapshot, KnowledgeGraph};
 use kgtosa_rdf::{
     fetch_triples_robust, parse, FetchConfig, Hexastore, InProcessEndpoint, Query, RdfError,
     RdfStore, ResultSet, SparqlEndpoint, SparqlEngine,
@@ -244,6 +245,39 @@ proptest! {
         got.sort_unstable();
         prop_assert_eq!(got, naive_scan(&triples, s, p, o));
         prop_assert_eq!(hex.count(s, p, o), naive_scan(&triples, s, p, o).len());
+    }
+
+    /// Borrowing a graph and co-owning it give one store: the same six
+    /// orderings, the same answer for every term, the same extraction bytes.
+    #[test]
+    fn borrowed_and_shared_stores_agree(kg in arb_kg()) {
+        let kg = Arc::new(kg);
+        let borrowed = RdfStore::new(&kg);
+        let shared = RdfStore::shared(Arc::clone(&kg));
+        prop_assert_eq!(borrowed.hexastore(), shared.hexastore());
+        for id in 0..(kg.num_nodes() + kg.num_classes()) as u32 {
+            let term = borrowed.node_term_str(id);
+            prop_assert_eq!(term, shared.node_term_str(id));
+            prop_assert_eq!(borrowed.resolve_node_term(term), shared.resolve_node_term(term));
+        }
+        for id in 0..=kg.num_relations() as u32 {
+            let term = borrowed.pred_term_str(id);
+            prop_assert_eq!(term, shared.pred_term_str(id));
+            prop_assert_eq!(borrowed.resolve_pred_term(term), shared.resolve_pred_term(term));
+        }
+        prop_assert_eq!(shared.resolve_node_term("absent"), None);
+        prop_assert_eq!(shared.resolve_pred_term("absent"), None);
+
+        let targets = kg.nodes_of_class(kg.find_class("C0").unwrap());
+        let task = ExtractionTask::node_classification("c0", "C0", targets);
+        let snapshot = |store: &RdfStore<'_>| {
+            let tosg = extract_sparql(store, &task, &GraphPattern::D1H1, &FetchConfig::default())
+                .unwrap();
+            let mut bytes = Vec::new();
+            write_snapshot(&tosg.subgraph.kg, &mut bytes).unwrap();
+            bytes
+        };
+        prop_assert_eq!(snapshot(&borrowed), snapshot(&shared));
     }
 
     /// A two-pattern join matches a brute-force double loop.

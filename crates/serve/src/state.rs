@@ -34,19 +34,14 @@ use crate::config::ServeConfig;
 /// One immutable generation of the served KG and everything derived from
 /// its contents.
 ///
-/// The graph is leaked to `'static`: the daemon serves each epoch for an
-/// unbounded time (in-flight requests may hold it arbitrarily long after
-/// a swap), and [`RdfStore`] borrows it. Updates are operator actions,
-/// not a hot path — one deliberate leak per applied delta, not a drip.
-/// The derived state below is dropped with the epoch's `Arc`, but the
-/// leaked graphs themselves accumulate at O(|KG|) per update with no
-/// cap: the `delta.epochs_leaked` / `delta.leaked_kg_bytes` gauges on
-/// `/metrics` expose the growth, and deployments driving a sustained
-/// update stream should restart on a cadence keyed to those gauges
-/// (see README "Live updates & incremental repair").
+/// The epoch owns its graph: `kg` and the store share one
+/// `Arc<KnowledgeGraph>`, so whoever drops the last `Arc<KgEpoch>` — the
+/// swap in `/admin/update`, or the last in-flight request still holding
+/// the old epoch — frees the graph, store, adjacency and page cache
+/// together.
 pub struct KgEpoch {
     /// The knowledge graph this epoch serves.
-    pub kg: &'static KnowledgeGraph,
+    pub kg: Arc<KnowledgeGraph>,
     /// The RDF store indexing it.
     pub store: RdfStore<'static>,
     /// Adjacency views for inference forward passes.
@@ -71,14 +66,14 @@ impl KgEpoch {
     /// `stats` are passed in because the update path maintains them
     /// incrementally; the startup path computes them from scratch.
     pub fn build(
-        kg: &'static KnowledgeGraph,
+        kg: Arc<KnowledgeGraph>,
         fingerprint: u64,
         multiset: MultisetFingerprint,
         stats: KgStats,
         version: u64,
     ) -> Self {
-        let store = RdfStore::new(kg);
-        let (graph, _) = transform(kg);
+        let store = RdfStore::shared(kg.clone());
+        let (graph, _) = transform(&kg);
         KgEpoch {
             kg,
             store,
@@ -101,7 +96,7 @@ pub struct ServeState {
     /// Serializes delta application (epoch build + cache sweep). Readers
     /// never take this; they only clone the epoch `Arc`.
     pub update_lock: Mutex<()>,
-    nc_tasks: &'static [NcTask],
+    nc_tasks: Vec<NcTask>,
     registry: CheckpointRegistry,
     /// Frozen inference models, keyed by (checkpoint fingerprint, node
     /// count of the epoch they were materialized against) — a delta that
@@ -130,16 +125,10 @@ impl ServeState {
     pub fn from_dataset(cfg: ServeConfig) -> Result<Arc<Self>, String> {
         let guard = kgtosa_obs::span!("serve.startup");
         let d = dataset_by_name(&cfg.dataset, cfg.scale, cfg.seed)?;
-        let d: &'static Dataset = Box::leak(Box::new(d));
-        let kg = &d.gen.kg;
-        let fingerprint = kgtosa_kg::fingerprint(kg);
-        let epoch = KgEpoch::build(
-            kg,
-            fingerprint,
-            MultisetFingerprint::of(kg),
-            KgStats::compute(kg),
-            0,
-        );
+        let kg = Arc::new(d.gen.kg);
+        let fingerprint = kgtosa_kg::fingerprint(&kg);
+        let (multiset, stats) = (MultisetFingerprint::of(&kg), KgStats::compute(&kg));
+        let epoch = KgEpoch::build(kg, fingerprint, multiset, stats, 0);
         let registry = match &cfg.checkpoint_dir {
             Some(dir) => CheckpointRegistry::scan(dir)
                 .map_err(|e| format!("cannot scan checkpoint dir {}: {e}", dir.display()))?,
@@ -158,15 +147,15 @@ impl ServeState {
         kgtosa_obs::info!(
             "serve: loaded {} ({} nodes, {} triples, fingerprint {fingerprint:016x}), {} checkpoint(s)",
             cfg.dataset,
-            kg.num_nodes(),
-            kg.num_triples(),
+            epoch.kg.num_nodes(),
+            epoch.kg.num_triples(),
             registry.entries().len()
         );
         Ok(Arc::new(Self {
             cfg,
             epoch: RwLock::new(Arc::new(epoch)),
             update_lock: Mutex::new(()),
-            nc_tasks: &d.nc,
+            nc_tasks: d.nc,
             registry,
             models: Mutex::new(HashMap::new()),
             cache,
@@ -199,7 +188,7 @@ impl ServeState {
     /// The dataset's node-classification tasks. Their target vertex ids
     /// stay valid across deltas (vertex ids are append-only).
     pub fn nc_tasks(&self) -> &[NcTask] {
-        self.nc_tasks
+        &self.nc_tasks
     }
 
     /// The checkpoint registry scanned at startup.

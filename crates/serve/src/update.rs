@@ -20,10 +20,12 @@
 //! Everything is counted: `delta.applied`, `delta.ops`,
 //! `delta.migrations`, `delta.invalidations`, `delta.repairs`,
 //! `delta.rebuilds` — visible per-request through the telemetry context
-//! and globally on `/metrics`. The `delta.epochs_leaked` /
-//! `delta.leaked_kg_bytes` gauges track the deliberate per-update KG
-//! leak (see [`KgEpoch`]), which grows without bound under a sustained
-//! update stream.
+//! and globally on `/metrics`.
+//!
+//! The graph `apply_delta` returns is moved into the next epoch, and the
+//! handler's own hold on the old epoch ends when it returns: from then on
+//! only requests that began before the swap keep the old graph alive (see
+//! [`KgEpoch`]).
 
 use std::sync::{Arc, PoisonError};
 use std::time::Instant;
@@ -34,7 +36,7 @@ use kgtosa_core::{
     sweep_cache_after_delta, task_params, DeltaSweepOutcome, ExtractionTask, GraphPattern,
     RepairConfig, StalenessOracle,
 };
-use kgtosa_kg::{apply_delta, DeltaApplication, DeltaOp, KgDelta, KnowledgeGraph, Triple, Vid};
+use kgtosa_kg::{apply_delta, DeltaApplication, DeltaOp, KgDelta, Triple, Vid};
 use kgtosa_obs::httpd::{HttpRequest, HttpResponse};
 use kgtosa_obs::Json;
 use kgtosa_rdf::FetchConfig;
@@ -119,7 +121,7 @@ pub fn admin_update(state: &ServeState, req: &HttpRequest) -> HttpResponse {
         ops,
     };
     let num_ops = delta.ops.len();
-    let app = match apply_delta(old.kg, old.fingerprint, old.multiset, &delta) {
+    let app = match apply_delta(&old.kg, old.fingerprint, old.multiset, &delta) {
         Ok(app) => app,
         // The base fingerprint is ours by construction, so any rejection
         // here is a bad op (unknown term on remove, absent triple, ...).
@@ -134,18 +136,9 @@ pub fn admin_update(state: &ServeState, req: &HttpRequest) -> HttpResponse {
         removed,
         new_nodes,
     } = app;
-    // Each epoch's KG is leaked for the daemon's lifetime — in-flight
-    // requests may hold the old epoch arbitrarily long after the swap (see
-    // KgEpoch). The derived state (store/adjacency/page cache) is dropped
-    // with the old epoch's Arc, but the leaked graphs accumulate at
-    // O(|KG|) per applied delta; `delta.epochs_leaked` /
-    // `delta.leaked_kg_bytes` make that growth visible so operators on a
-    // sustained update stream know when to restart.
-    let kg: &'static KnowledgeGraph = Box::leak(Box::new(kg));
-    kgtosa_obs::gauge("delta.leaked_kg_bytes").add(kg.heap_bytes() as i64);
-    let fingerprint = kgtosa_kg::fingerprint(kg);
+    let fingerprint = kgtosa_kg::fingerprint(&kg);
     let epoch = Arc::new(KgEpoch::build(
-        kg,
+        Arc::new(kg),
         fingerprint,
         multiset,
         stats,
@@ -158,15 +151,12 @@ pub fn admin_update(state: &ServeState, req: &HttpRequest) -> HttpResponse {
     let swapped_after = started.elapsed();
     kgtosa_obs::counter("delta.applied").inc();
     kgtosa_obs::counter("delta.ops").add(num_ops as u64);
-    // version == number of applied deltas == number of KGs leaked beyond
-    // the startup graph.
-    kgtosa_obs::gauge("delta.epochs_leaked").set(epoch.version as i64);
 
     let sweep_started = Instant::now();
     let mut outcome = DeltaSweepOutcome::default();
     let mut rebuilds = 0u64;
     if let Some(cache) = &state.cache {
-        let oracle = StalenessOracle::new(epoch.kg, &added, &removed, &new_nodes);
+        let oracle = StalenessOracle::new(&epoch.kg, &added, &removed, &new_nodes);
         let repair_cfg = RepairConfig {
             max_candidate_ratio: state.cfg.repair_frontier_ratio,
             ..RepairConfig::default()
@@ -306,7 +296,7 @@ fn repair_entry(
     if info.params != Some(task_params(&task)) {
         return None;
     }
-    let old_triples = parent_triples(epoch.kg, &dec.subgraph);
+    let old_triples = parent_triples(&epoch.kg, &dec.subgraph);
     let fetch = FetchConfig {
         page_cache: Some(epoch.page_cache.clone()),
         ..FetchConfig::default()

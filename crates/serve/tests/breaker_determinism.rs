@@ -14,11 +14,10 @@
 //! transition ordinals depend on interleaving — so it is deliberately
 //! excluded here and covered by the loadgen invariants instead.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use kgtosa_core::{extract_sparql, ExtractionTask, GraphPattern};
-use kgtosa_datagen::Dataset;
 use kgtosa_obs::httpd::HttpRequest;
 use kgtosa_obs::Json;
 use kgtosa_rdf::{
@@ -27,17 +26,15 @@ use kgtosa_rdf::{
 use kgtosa_serve::{handle_guarded, ServeConfig, ServeState};
 use proptest::prelude::*;
 
-static DS: OnceLock<Dataset> = OnceLock::new();
-static STORE: OnceLock<RdfStore<'static>> = OnceLock::new();
-
-fn store() -> &'static RdfStore<'static> {
-    let ds = DS.get_or_init(|| kgtosa_datagen::mag(0.02, 7));
-    STORE.get_or_init(|| RdfStore::new(&ds.gen.kg))
-}
-
-fn nc_task() -> ExtractionTask {
-    let t = &DS.get().expect("store() first").nc[0];
-    ExtractionTask::node_classification(&t.name, &t.target_class, t.targets())
+/// The store (owning its graph) and the NC task every schedule extracts.
+fn world() -> &'static (RdfStore<'static>, ExtractionTask) {
+    static WORLD: OnceLock<(RdfStore<'static>, ExtractionTask)> = OnceLock::new();
+    WORLD.get_or_init(|| {
+        let ds = kgtosa_datagen::mag(0.02, 7);
+        let t = &ds.nc[0];
+        let task = ExtractionTask::node_classification(&t.name, &t.target_class, t.targets());
+        (RdfStore::shared(Arc::new(ds.gen.kg)), task)
+    })
 }
 
 /// Everything the `rdf.breaker.*` counters are derived from, read off one
@@ -55,8 +52,7 @@ struct Snapshot {
 /// Replays the fixed request schedule (two passes over the serialized
 /// patterns) through a fresh breaker at the given thread count.
 fn run_schedule(fault_seed: u64, threads: usize) -> Snapshot {
-    let store = store();
-    let task = nc_task();
+    let (store, task) = world();
     let breaker = CircuitBreaker::new(BreakerPolicy {
         trip_threshold: 2,
         cooldown_requests: 4,
@@ -91,7 +87,7 @@ fn run_schedule(fault_seed: u64, threads: usize) -> Snapshot {
             // Partial mode keeps paginating past failures, so the breaker
             // sees the full page schedule either way; an Err here (e.g.
             // breaker open at fetch start) is part of the trajectory.
-            let _ = extract_sparql(store, &task, pattern, &cfg);
+            let _ = extract_sparql(store, task, pattern, &cfg);
         }
     }
     Snapshot {
@@ -127,8 +123,7 @@ proptest! {
 /// count.
 #[test]
 fn all_fatal_schedule_trips_and_rejects_identically() {
-    let store = store();
-    let task = nc_task();
+    let (store, task) = world();
     let mut snaps = Vec::new();
     for threads in [1usize, 4, 8] {
         let breaker = CircuitBreaker::new(BreakerPolicy {
@@ -152,7 +147,7 @@ fn all_fatal_schedule_trips_and_rejects_identically() {
                 breaker: Some(breaker.clone()),
                 ..FetchConfig::default()
             };
-            let _ = extract_sparql(store, &task, &GraphPattern::D2H1, &cfg);
+            let _ = extract_sparql(store, task, &GraphPattern::D2H1, &cfg);
         }
         snaps.push((breaker.trips(), breaker.rejections(), breaker.trajectory()));
     }

@@ -1,7 +1,8 @@
 //! End-to-end tests for `POST /admin/update`: a live delta swaps the
 //! epoch, stale cache entries are repaired (or invalidated with repair
-//! off) while untouched ones keep hitting, and the repaired answer is
-//! bit-identical to a fresh extraction against the updated graph.
+//! off) while untouched ones keep hitting, the repaired answer is
+//! bit-identical to a fresh extraction against the updated graph, and a
+//! replaced epoch's graph is freed with its last holder.
 
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -14,7 +15,7 @@ use kgtosa_obs::httpd::HttpRequest;
 use kgtosa_obs::Json;
 use kgtosa_rdf::{FetchConfig, RdfStore};
 use kgtosa_serve::client::{get, post_json, HttpReply};
-use kgtosa_serve::{handle_guarded, DrainReport, ServeConfig, ServeState, Server};
+use kgtosa_serve::{handle_guarded, DrainReport, KgEpoch, ServeConfig, ServeState, Server};
 
 const SCALE: f64 = 0.02;
 const SEED: u64 = 7;
@@ -37,8 +38,11 @@ struct Daemon {
 
 impl Daemon {
     fn spawn(cfg: ServeConfig) -> Self {
-        let state = ServeState::from_dataset(cfg).expect("serve state");
-        let server = Server::bind(Arc::clone(&state)).expect("bind");
+        Self::serve(ServeState::from_dataset(cfg).expect("serve state"))
+    }
+
+    fn serve(state: Arc<ServeState>) -> Self {
+        let server = Server::bind(state).expect("bind");
         let addr = server.addr();
         let thread = std::thread::spawn(move || server.run().expect("serve loop"));
         Daemon { addr, thread }
@@ -333,6 +337,64 @@ fn update_validates_requests_and_invalidates_without_repair() {
 
     daemon.shutdown();
     let _ = std::fs::remove_dir_all(&cache_dir);
+}
+
+/// An epoch held across an update (as an in-flight request holds it) keeps
+/// answering from the graph it was built on, and that graph is freed the
+/// moment the holder lets go — for the startup graph (round 0) and for one
+/// `apply_delta` built (round 1).
+#[test]
+fn a_replaced_epoch_serves_its_holder_and_then_frees_its_graph() {
+    let state = ServeState::from_dataset(base_config()).expect("serve state");
+    let daemon = Daemon::serve(Arc::clone(&state));
+    let task = &state.nc_tasks()[0];
+    let etask = ExtractionTask::node_classification(&task.name, &task.target_class, task.targets());
+    // (KG fingerprint, KG triples, d1h1 TOSG fingerprint) as `epoch` answers.
+    let answers = |epoch: &KgEpoch| {
+        let tosg = extract_sparql(&epoch.store, &etask, &GraphPattern::D1H1, &FetchConfig::default())
+            .expect("extraction against a held epoch");
+        (
+            epoch.fingerprint,
+            epoch.kg.num_triples(),
+            kgtosa_kg::fingerprint(&tosg.subgraph.kg),
+        )
+    };
+    let target_term = state.epoch().kg.node_term(task.targets()[0]).to_string();
+
+    for round in 0..2u64 {
+        let held = state.epoch();
+        let graph = Arc::downgrade(&held.kg);
+        let before = answers(&held);
+
+        // A new paper citing a target: the class-anchored d1h1 TOSG grows.
+        let upd = ok_json(
+            &post_json(
+                daemon.addr,
+                "/admin/update",
+                &format!(
+                    "{{\"ops\":[{{\"op\":\"add\",\"s\":\"Paper_delta_{round}\",\"s_class\":\"Paper\",\
+                     \"p\":\"cites\",\"o\":\"{target_term}\",\"o_class\":\"Paper\"}}]}}"
+                ),
+                Duration::from_secs(60),
+            )
+            .unwrap(),
+        );
+
+        let current = state.epoch();
+        assert_eq!(current.version, round + 1);
+        let after = answers(&current);
+        assert_eq!(format!("{:016x}", after.0), str_field(&upd, "kg_fingerprint"));
+        assert_eq!(after.1, before.1 + 1);
+        assert_ne!(after.2, before.2, "the daemon serves the updated graph");
+        assert_eq!(answers(&held), before, "round {round}: the held epoch answers from its own graph");
+
+        drop(held);
+        assert!(
+            graph.upgrade().is_none(),
+            "round {round}: the replaced epoch's graph outlived its last holder"
+        );
+    }
+    daemon.shutdown();
 }
 
 /// Regression: handlers run under `catch_unwind`, so an update that
