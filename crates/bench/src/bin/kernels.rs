@@ -16,10 +16,8 @@
 //! warmup count and the machine's `available_parallelism`, so a baseline
 //! recorded on a core-starved box reads as what it is.
 //!
-//! Results go to `BENCH_kernels.json` in the working directory, and a
-//! compact summary record is appended to the perf-history ledger
-//! (`results/history.jsonl`, override with `KGTOSA_HISTORY`; set it
-//! empty to skip) for the `trace-trend` rolling-window CI gate.
+//! Results go to `BENCH_kernels.json` in the working directory; CI gates
+//! a fresh run against the committed copy with `kgtosa trace-diff`.
 
 use kgtosa_datagen::Dataset;
 use kgtosa_kg::{Csr, HeteroGraph, KnowledgeGraph, Rid, Vid};
@@ -565,42 +563,4 @@ fn main() {
     let json = serde_json::to_string_pretty(&report).expect("serialize kernel rows");
     std::fs::write("BENCH_kernels.json", json).expect("write BENCH_kernels.json");
     eprintln!("[saved BENCH_kernels.json]");
-
-    // Ledger record: one span per (kernel, threads) measurement, keyed
-    // `<kernel>@<threads>t` — the same naming the diff/trend parsers give
-    // BENCH rows, so a ledger baseline diffs directly against a fresh
-    // BENCH_kernels.json.
-    let history_path =
-        std::env::var("KGTOSA_HISTORY").unwrap_or_else(|_| "results/history.jsonl".to_string());
-    if !history_path.is_empty() {
-        let aggs: Vec<kgtosa_obs::SpanAgg> = report
-            .rows
-            .iter()
-            .map(|r| kgtosa_obs::SpanAgg {
-                name: format!("{}@{}t", r.kernel, r.threads),
-                count: 1,
-                total_s: r.seconds,
-                mean_s: r.seconds,
-                p95_s: r.seconds,
-                max_s: r.seconds,
-                peak_max_bytes: 0,
-                allocs: 0,
-            })
-            .collect();
-        let t_unix = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0);
-        let record = kgtosa_obs::HistoryRecord::from_aggs(
-            t_unix,
-            &kgtosa_obs::current_git_rev(),
-            report.available_parallelism,
-            &aggs,
-            &[],
-        );
-        match kgtosa_obs::append_record(&history_path, &record) {
-            Ok(()) => eprintln!("[appended ledger record to {history_path}]"),
-            Err(e) => eprintln!("[warn] cannot append {history_path}: {e}"),
-        }
-    }
 }

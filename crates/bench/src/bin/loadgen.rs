@@ -34,6 +34,11 @@ use serde::Serialize;
 #[global_allocator]
 static ALLOC: kgtosa_memtrack::TrackingAllocator = kgtosa_memtrack::TrackingAllocator;
 
+/// Requests sent in each regime.
+const N_STEADY: usize = 600;
+const N_OVERLOAD: usize = 400;
+const N_STORM: usize = 200;
+
 /// One request's fate, as observed by the client.
 #[derive(Debug, Clone)]
 struct Outcome {
@@ -177,12 +182,6 @@ fn main() {
     if chrome_out.is_some() {
         kgtosa_obs::arm_chrome();
     }
-    let getn = |k: &str, d: usize| -> usize {
-        std::env::var(k).ok().and_then(|v| v.parse().ok()).unwrap_or(d)
-    };
-    let n_steady = getn("KGTOSA_LOADGEN_STEADY", 600);
-    let n_overload = getn("KGTOSA_LOADGEN_OVERLOAD", 400);
-    let n_storm = getn("KGTOSA_LOADGEN_STORM", 200);
 
     println!(
         "loadgen — kgtosa-serve under steady / overload / fault-storm regimes (scale {})",
@@ -255,7 +254,7 @@ fn main() {
     let server = Server::bind(state).expect("bind daemon");
     let addr = server.addr();
     let server_thread = std::thread::spawn(move || server.run().expect("serve loop"));
-    println!("daemon on http://{addr} — steady {n_steady}, overload {n_overload}, storm {n_storm} requests");
+    println!("daemon on http://{addr} — steady {N_STEADY}, overload {N_OVERLOAD}, storm {N_STORM} requests");
 
     let panics0 = kgtosa_obs::counter("serve.handler_panics").get();
     let extract_body = |pattern: &str| {
@@ -269,7 +268,7 @@ fn main() {
     // Regime 1 — steady: 4 clients, 2:1 extract (d1h1/d2h1, warming the
     // artifact cache) to infer.
     let t0 = Instant::now();
-    let steady = run_clients(addr, 4, n_steady, |i| match i % 3 {
+    let steady = run_clients(addr, 4, N_STEADY, |i| match i % 3 {
         0 => ("/infer".into(), infer_body.clone()),
         1 => ("/extract".into(), extract_body("d1h1")),
         _ => ("/extract".into(), extract_body("d2h1")),
@@ -291,7 +290,7 @@ fn main() {
     // workers; /infer is uncacheable full-graph work, so the queue backs
     // up and admission must shed.
     let t0 = Instant::now();
-    let overload = run_clients(addr, 48, n_overload, |_| ("/infer".into(), infer_body.clone()));
+    let overload = run_clients(addr, 48, N_OVERLOAD, |_| ("/infer".into(), infer_body.clone()));
     rows.push(summarize("overload", &overload, t0.elapsed().as_secs_f64()));
 
     // Regime 3 — fault storm: 100% fatal faults; d2h2 misses the cache
@@ -301,7 +300,7 @@ fn main() {
     let r = post_json(addr, "/admin/fault", &storm_spec, Duration::from_secs(5)).expect("arm fault");
     assert_eq!(r.status, 200, "arming the fault plan failed: {}", r.body);
     let t0 = Instant::now();
-    let storm = run_clients(addr, 8, n_storm, |i| {
+    let storm = run_clients(addr, 8, N_STORM, |i| {
         if i % 2 == 0 {
             ("/extract".into(), extract_body("d1h1"))
         } else {

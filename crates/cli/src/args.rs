@@ -17,7 +17,13 @@ pub struct Args {
 
 impl Args {
     /// Parses `std::env::args`-style input (excluding the program name).
-    pub fn parse(mut input: impl Iterator<Item = String>) -> Result<Args, String> {
+    /// `known` lists every accepted option as `(name, is_flag)`: a flag
+    /// never takes the following token as its value (so `--quiet FILE`
+    /// leaves `FILE` positional), and an option not listed is an error.
+    pub fn parse(
+        mut input: impl Iterator<Item = String>,
+        known: &[(&str, bool)],
+    ) -> Result<Args, String> {
         let command = input.next().unwrap_or_default();
         let mut options = BTreeMap::new();
         let mut positionals = Vec::new();
@@ -27,7 +33,13 @@ impl Args {
                 if let Some(key) = pending_key.take() {
                     options.insert(key, "true".to_string());
                 }
-                pending_key = Some(stripped.to_string());
+                match known.iter().find(|(name, _)| *name == stripped) {
+                    None => return Err(format!("unknown option --{stripped}")),
+                    Some((_, true)) => {
+                        options.insert(stripped.to_string(), "true".to_string());
+                    }
+                    Some((_, false)) => pending_key = Some(stripped.to_string()),
+                }
             } else if let Some(key) = pending_key.take() {
                 options.insert(key, token);
             } else {
@@ -65,7 +77,7 @@ impl Args {
 
     /// Boolean flag.
     pub fn flag(&self, key: &str) -> bool {
-        self.options.get(key).is_some_and(|v| v != "false")
+        self.options.contains_key(key)
     }
 }
 
@@ -73,8 +85,20 @@ impl Args {
 mod tests {
     use super::*;
 
+    const KNOWN: &[(&str, bool)] = &[
+        ("kg", false),
+        ("pattern", false),
+        ("quiet", true),
+        ("scale", false),
+        ("verbose", true),
+    ];
+
+    fn try_parse(tokens: &[&str]) -> Result<Args, String> {
+        Args::parse(tokens.iter().map(|s| s.to_string()), KNOWN)
+    }
+
     fn parse(tokens: &[&str]) -> Args {
-        Args::parse(tokens.iter().map(|s| s.to_string())).unwrap()
+        try_parse(tokens).unwrap()
     }
 
     #[test]
@@ -109,5 +133,19 @@ mod tests {
         // A value following `--key` still binds to the key, not positionals.
         let b = parse(&["extract", "--kg", "g.nt"]);
         assert!(b.positionals.is_empty());
+    }
+
+    #[test]
+    fn flags_never_take_a_value() {
+        let a = parse(&["trace-summary", "--quiet", "trace.jsonl", "--kg", "g.nt"]);
+        assert!(a.flag("quiet"));
+        assert_eq!(a.positionals, vec!["trace.jsonl"]);
+        assert_eq!(a.required("kg").unwrap(), "g.nt");
+    }
+
+    #[test]
+    fn unknown_option_is_an_error_naming_it() {
+        let err = try_parse(&["generate", "--kg", "g.nt", "--bogus-option", "3"]).unwrap_err();
+        assert!(err.contains("--bogus-option"), "{err}");
     }
 }

@@ -415,103 +415,6 @@ fn github_step_summary(markdown: &str) {
     }
 }
 
-/// `kgtosa trace-trend HISTORY NEW`: gates a new run (JSONL trace or
-/// BENCH_*.json) against the rolling-window median of the perf-history
-/// ledger. A missing or empty ledger passes — the first run seeds history
-/// instead of failing on it.
-pub fn trace_trend(args: &Args) -> Result<(), String> {
-    if args.flag("compact") {
-        return trace_trend_compact(args);
-    }
-    let (history_path, new_path) = match args.positionals.as_slice() {
-        [history, new] => (history.as_str(), new.as_str()),
-        _ => {
-            return Err(
-                "usage: kgtosa trace-trend <history.jsonl> <new> [--window K] [--threshold PCT]"
-                    .into(),
-            )
-        }
-    };
-    let window: usize = args.parse_or("window", 10)?;
-    let base = kgtosa_obs::DiffOptions::default();
-    let opts = kgtosa_obs::DiffOptions {
-        threshold_pct: args.parse_or("threshold", base.threshold_pct)?,
-        min_seconds: args.parse_or("min-seconds", base.min_seconds)?,
-        ..base
-    };
-    let history_text = match std::fs::read_to_string(history_path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-        Err(e) => return Err(format!("cannot read {history_path}: {e}")),
-    };
-    let new_text =
-        std::fs::read_to_string(new_path).map_err(|e| format!("cannot read {new_path}: {e}"))?;
-    let new_aggs = kgtosa_obs::parse_trace_or_bench(&new_text)
-        .map_err(|e| format!("new run {new_path}: {e}"))?;
-    let trend = kgtosa_obs::trend_against_history(&history_text, &new_aggs, window, &opts)
-        .map_err(|e| format!("ledger {history_path}: {e}"))?;
-    eprintln!(
-        "trace-trend: {} ledger record(s) in window (asked {})",
-        trend.baseline_records, trend.window
-    );
-    print!("{}", trend.diff.render());
-    github_step_summary(&kgtosa_obs::render_markdown(
-        &trend.diff,
-        &format!(
-            "trace-trend: {new_path} vs median of last {} ledger record(s)",
-            trend.baseline_records
-        ),
-    ));
-    let regressions = trend.diff.regressions();
-    if regressions > 0 {
-        return Err(format!(
-            "{regressions} span(s) regressed beyond {:.0}% vs the rolling ledger median \
-             (ledger: {history_path}, new: {new_path})",
-            trend.diff.threshold_pct
-        ));
-    }
-    Ok(())
-}
-
-/// `kgtosa trace-trend --compact HISTORY`: rewrites the perf-history
-/// ledger in place, keeping only the newest `--cap` records per
-/// (kernel-set, threads) key. Rolling medians gate on the last `--window`
-/// records of a key, so any cap ≥ the window leaves every gate decision
-/// bit-identical while bounding ledger growth.
-fn trace_trend_compact(args: &Args) -> Result<(), String> {
-    // `--compact history.jsonl` parses as key=value, `history.jsonl
-    // --compact` as a positional — accept the ledger path from either.
-    let compact_val = args.options.get("compact").map(|s| s.as_str()).unwrap_or("true");
-    let history_path = match args.positionals.as_slice() {
-        [history] => history.as_str(),
-        [] if compact_val != "true" => compact_val,
-        _ => return Err("usage: kgtosa trace-trend --compact <history.jsonl> [--cap 64]".into()),
-    };
-    let cap: usize = args.parse_or("cap", 64)?;
-    let text = std::fs::read_to_string(history_path)
-        .map_err(|e| format!("cannot read {history_path}: {e}"))?;
-    let (compacted, report) = kgtosa_obs::compact_history(&text, cap)
-        .map_err(|e| format!("ledger {history_path}: {e}"))?;
-    if report.dropped == 0 {
-        println!(
-            "trace-trend: {history_path} already within cap ({} record(s), cap {cap} per key)",
-            report.kept
-        );
-        return Ok(());
-    }
-    // Write-then-rename so a crash mid-compaction never truncates the
-    // ledger CI gates on.
-    let tmp = format!("{history_path}.tmp");
-    std::fs::write(&tmp, &compacted).map_err(|e| format!("cannot write {tmp}: {e}"))?;
-    std::fs::rename(&tmp, history_path)
-        .map_err(|e| format!("cannot replace {history_path}: {e}"))?;
-    println!(
-        "trace-trend: compacted {history_path}: kept {} record(s), dropped {} (cap {cap} per key)",
-        report.kept, report.dropped
-    );
-    Ok(())
-}
-
 /// `kgtosa trace-validate TRACE`: load-validates a Chrome-trace JSON file
 /// (as written by `--chrome-out`): event schema, monotone per-track
 /// timestamps, balanced B/E nesting, counter tracks. Exits nonzero on a
@@ -529,43 +432,6 @@ pub fn trace_validate(args: &Args) -> Result<(), String> {
          {} process track(s), max span depth {}",
         stats.span_events, stats.counter_events, stats.pids, stats.max_depth
     );
-    Ok(())
-}
-
-/// `kgtosa prof flame FOLDED`: renders a collapsed-stack file (as written
-/// by `--prof-out`) into a self-contained SVG flamegraph on stdout.
-pub fn prof(args: &Args) -> Result<(), String> {
-    match args.positionals.as_slice() {
-        [action, folded_path] if action.as_str() == "flame" => {
-            let text = std::fs::read_to_string(folded_path)
-                .map_err(|e| format!("cannot read {folded_path}: {e}"))?;
-            let svg = kgtosa_obs::render_flame_svg(&text, folded_path)
-                .map_err(|e| format!("{folded_path}: {e}"))?;
-            print!("{svg}");
-            Ok(())
-        }
-        _ => Err("usage: kgtosa prof flame <run.folded>  (> flame.svg)".into()),
-    }
-}
-
-/// `kgtosa report TRACE`: folds a JSONL trace into a single-file HTML run
-/// report (span tree with self-time attribution, hot spans, flamegraph,
-/// metrics, extraction quality). Writes stdout, or `--out FILE`.
-pub fn report(args: &Args) -> Result<(), String> {
-    let path = args
-        .positionals
-        .first()
-        .map(|s| s.as_str())
-        .ok_or("usage: kgtosa report <trace.jsonl> [--out report.html]")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let html = kgtosa_obs::render_html_report(&text, path)?;
-    match args.options.get("out") {
-        Some(out) => {
-            std::fs::write(out, &html).map_err(|e| format!("cannot write {out}: {e}"))?;
-            kgtosa_obs::info!("report: wrote {out} ({} bytes)", html.len());
-        }
-        None => print!("{html}"),
-    }
     Ok(())
 }
 

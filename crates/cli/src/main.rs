@@ -61,35 +61,18 @@ COMMANDS:
                kgtosa cache ls|stats|clear (--cache-dir DIR or
                KGTOSA_CACHE_DIR=DIR)
   trace-summary
-             Aggregate a JSONL trace into a per-span table
+             Aggregate a JSONL trace into a per-span table with self time
+             (wall minus direct children) and its share of the run
                kgtosa trace-summary trace.jsonl
   trace-diff Compare two JSONL traces (or BENCH_*.json reports) per span
              and exit nonzero on regressions beyond the threshold
                kgtosa trace-diff OLD NEW [--threshold 25]
                [--min-seconds 0.001]
-  trace-trend
-             Gate a new run against the rolling-window median of the
-             perf-history ledger (results/history.jsonl); exits nonzero
-             on regressions, passes when the ledger is empty
-               kgtosa trace-trend HISTORY NEW [--window 10]
-               [--threshold 25] [--min-seconds 0.001]
-             With --compact, rewrite the ledger in place instead,
-             keeping only the newest records per (kernel, threads) key
-             so rolling medians are unaffected
-               kgtosa trace-trend --compact HISTORY [--cap 64]
   trace-validate
              Load-validate a Chrome-trace JSON file (as written by
              --chrome-out): schema, per-track span nesting discipline,
              counter tracks; exits nonzero on malformed traces
                kgtosa trace-validate trace.json
-  prof       Profiler utilities
-               kgtosa prof flame run.folded > flame.svg
-             renders a collapsed-stack file (from --prof-out) as a
-             self-contained SVG flamegraph
-  report     Fold a JSONL trace into a single-file HTML run report (span
-             tree with self-time %, hot spans, flamegraph, metrics,
-             extraction quality, Table IV cost breakdown)
-               kgtosa report trace.jsonl [--out report.html]
   help       Show this message
 
 GLOBAL OPTIONS (any command):
@@ -119,11 +102,6 @@ GLOBAL OPTIONS (any command):
                      same, KGTOSA_SLO_MS sets the sweep interval
   --strict-slo       Exit with status 3 when any SLO rule was violated
                      during the run (for CI gating)
-  --prof-out FILE    Arm the profiler (span-stack mirroring plus a
-                     KGTOSA_PROF_HZ sampling tick, default 97 Hz; 0
-                     disables the tick) and write collapsed stacks to
-                     FILE at exit — feed it to `kgtosa prof flame`;
-                     setting KGTOSA_PROF_HZ alone also arms the profiler
   --quiet            Silence progress chatter on stderr (result lines on
                      stdout are unaffected)
 
@@ -159,12 +137,30 @@ FAULT TOLERANCE (extract with --method sparql; train/compare TOSG runs):
                      Save a training snapshot every N epochs (default 1)
 ";
 
+/// Every `--option` some command reads, sorted by name; anything else is
+/// rejected with exit status 2. `true` marks a bare flag, which never
+/// takes the token after it as a value.
+const OPTIONS: &[(&str, bool)] = &[
+    ("addr", false), ("breaker", false), ("cache-budget", false), ("cache-dir", false),
+    ("checkpoint-dir", false), ("checkpoint-interval", false), ("chrome-out", false),
+    ("dataset", false), ("default-deadline-ms", false), ("dim", false), ("epochs", false),
+    ("explain", true), ("fault-spec", false), ("kg", false), ("limit", false), ("lr", false),
+    ("max-body-bytes", false), ("max-deadline-ms", false), ("max-inflight-bytes", false),
+    ("max-len", false), ("max-paths", false), ("method", false), ("metrics-addr", false),
+    ("min-seconds", false), ("no-cache", true), ("out", false), ("partial", true),
+    ("pattern", false), ("queue-cap", false), ("quiet", true), ("retry", false),
+    ("roots", false), ("scale", false), ("seed", false), ("slo", false), ("sparql", false),
+    ("strict-slo", true), ("target-class", false), ("task", false), ("threads", false),
+    ("threshold", false), ("top-k", false), ("tosg", false), ("trace", false),
+    ("trace-out", false), ("walk-length", false), ("workers", false),
+];
+
 fn main() {
     // Crash-path telemetry: a panic emits a final `panic` event (message,
     // location, live span stack) and flushes the JSONL trace before the
     // default hook prints its backtrace.
     kgtosa_obs::install_panic_hook();
-    let args = match Args::parse(std::env::args().skip(1)) {
+    let args = match Args::parse(std::env::args().skip(1), OPTIONS) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
@@ -181,13 +177,6 @@ fn main() {
             std::process::exit(2);
         }
         None => {}
-    }
-    // Arm the profiler when an output path is given or a sampling rate is
-    // configured; off otherwise, so the span hot path stays a single
-    // relaxed atomic load.
-    let prof_out = args.options.get("prof-out").cloned();
-    if prof_out.is_some() || std::env::var("KGTOSA_PROF_HZ").is_ok() {
-        kgtosa_obs::enable_prof_from_env();
     }
     let traced = match args.options.get("trace-out") {
         Some(path) => kgtosa_obs::init_trace_to(path)
@@ -256,10 +245,7 @@ fn main() {
             "cache" => commands::cache(&args),
             "trace-summary" => commands::trace_summary(&args),
             "trace-diff" => commands::trace_diff(&args),
-            "trace-trend" => commands::trace_trend(&args),
             "trace-validate" => commands::trace_validate(&args),
-            "prof" => commands::prof(&args),
-            "report" => commands::report(&args),
             "help" | "" | "--help" | "-h" => {
                 println!("{USAGE}");
                 Ok(())
@@ -292,12 +278,6 @@ fn main() {
             Err(e) => eprintln!("chrome: cannot write {path}: {e}"),
         }
     }
-    if let Some(path) = &prof_out {
-        match kgtosa_obs::write_folded(path) {
-            Ok(()) => eprintln!("prof: wrote collapsed stacks to {path}"),
-            Err(e) => eprintln!("prof: cannot write {path}: {e}"),
-        }
-    }
     if let Err(e) = result {
         eprintln!("error: {e}");
         std::process::exit(1);
@@ -306,5 +286,36 @@ fn main() {
     if strict_slo && violations > 0 {
         eprintln!("slo: {violations} violation(s) during the run (--strict-slo)");
         std::process::exit(3);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::OPTIONS;
+    use std::collections::BTreeSet;
+
+    /// `OPTIONS` is exactly the set of option names the sources read: a
+    /// name missing from it would be rejected before its command ran, and
+    /// a name nothing reads would be accepted and ignored.
+    #[test]
+    fn options_list_matches_what_the_commands_read() {
+        let mut read = BTreeSet::new();
+        for src in [include_str!("main.rs"), include_str!("commands.rs")] {
+            let mut pieces = src.split("(\"");
+            let mut before = pieces.next().unwrap_or("");
+            for piece in pieces {
+                let accessor = ["flag", "required", "get_or", "parse_or", ".get", "contains_key"]
+                    .iter()
+                    .any(|a| before.trim_end().ends_with(a));
+                let name = piece.split('"').next().unwrap_or("");
+                if accessor && name.bytes().all(|b| b.is_ascii_lowercase() || b == b'-') {
+                    read.insert(name);
+                }
+                before = piece;
+            }
+        }
+        let listed: Vec<&str> = OPTIONS.iter().map(|(name, _)| *name).collect();
+        assert!(listed.windows(2).all(|w| w[0] < w[1]), "OPTIONS must stay sorted and unique");
+        assert_eq!(listed, read.into_iter().collect::<Vec<_>>());
     }
 }

@@ -63,7 +63,7 @@ pub fn train_rgcn_nc(data: &NcDataset<'_>, cfg: &TrainConfig) -> TrainReport {
     }
     // Per-trainer scratch arena: after the first epoch warms its buffer
     // pool, forward/backward run at zero matrix allocations per epoch
-    // (asserted in tests/prof_differential.rs).
+    // (asserted in tests/epoch_allocs.rs).
     let mut arena = ScratchArena::new();
     for epoch in first_epoch..=cfg.epochs {
         let (logits, cache) = stack.forward_arena(data.graph, &embed.weight, &mut arena);

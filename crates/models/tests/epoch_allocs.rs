@@ -1,10 +1,5 @@
-//! Profiler differential contract: arming kgtosa-prof must not change
-//! trainer outputs by a single bit. (Its wall-clock overhead is a
-//! benchmark number — `bench.trace_overhead_pct` in `BENCHMARK.json` —
-//! not a unit-test assertion: a timing bound flakes on a loaded box.)
-//!
-//! Single `#[test]`: `enable_prof` is process-global and sticky, so the
-//! unprofiled baseline must run before the profiler is armed.
+//! Scratch-arena allocation gate: a steady-state RGCN training epoch
+//! performs fewer than 100 heap allocations.
 
 use kgtosa_kg::{HeteroGraph, KnowledgeGraph, Vid};
 use kgtosa_models::{train_rgcn_nc, NcDataset, TrainConfig, TrainReport};
@@ -15,9 +10,7 @@ use kgtosa_tensor::IGNORE_LABEL;
 #[global_allocator]
 static ALLOC: kgtosa_memtrack::TrackingAllocator = kgtosa_memtrack::TrackingAllocator;
 
-/// Citation-flavoured toy graph, sized so a training run is long enough
-/// (hundreds of milliseconds) for the sampler to tick but short enough
-/// for CI.
+/// Citation-flavoured toy graph.
 fn toy_nc(papers: usize) -> (KnowledgeGraph, Vec<u32>, Vec<Vid>) {
     let mut kg = KnowledgeGraph::new();
     for i in 0..papers {
@@ -34,19 +27,8 @@ fn toy_nc(papers: usize) -> (KnowledgeGraph, Vec<u32>, Vec<Vid>) {
     (kg, labels, paper_ids)
 }
 
-fn train_once(data: &NcDataset<'_>) -> TrainReport {
-    let cfg = TrainConfig {
-        epochs: 12,
-        dim: 32,
-        lr: 0.05,
-        batch_size: 16,
-        ..Default::default()
-    };
-    train_rgcn_nc(data, &cfg)
-}
-
 #[test]
-fn profiling_is_bit_invisible() {
+fn steady_state_epoch_stays_under_100_allocations() {
     let (kg, labels, papers) = toy_nc(160);
     let graph = HeteroGraph::build(&kg);
     let (train, rest) = papers.split_at(120);
@@ -97,24 +79,4 @@ fn profiling_is_bit_invisible() {
              (short run {short_allocs}, long run {long_allocs})"
         );
     });
-
-    assert!(!kgtosa_obs::prof_enabled(), "profiler must start disarmed");
-    let base = train_once(&data);
-
-    kgtosa_obs::enable_prof(kgtosa_obs::DEFAULT_PROF_HZ);
-    assert!(kgtosa_obs::prof_enabled());
-    let prof = train_once(&data);
-    assert!(kgtosa_obs::sample_ticks() > 0, "sampler thread must have ticked");
-
-    // Bit-identical trainer outputs: the profiler only mirrors span
-    // stacks and snapshots them from a side thread, it never touches the
-    // numeric path.
-    assert_eq!(base.param_hash, prof.param_hash, "profiling changed trained parameters");
-    assert_eq!(base.param_count, prof.param_count);
-    assert_eq!(base.metric, prof.metric, "profiling changed the test metric");
-    assert_eq!(
-        base.trace.iter().map(|p| p.metric.to_bits()).collect::<Vec<_>>(),
-        prof.trace.iter().map(|p| p.metric.to_bits()).collect::<Vec<_>>(),
-        "profiling changed the validation trace"
-    );
 }

@@ -8,8 +8,10 @@
 //! the format is auto-detected, so the same gate covers both the tracing
 //! pipeline and the kernel benchmarks.
 
+use std::fmt::Write as _;
+
 use crate::json::Json;
-use crate::summary::{summarize_jsonl, SpanAgg};
+use crate::summary::{render_aligned, summarize_jsonl, SpanAgg};
 
 /// Knobs of the regression check.
 #[derive(Debug, Clone)]
@@ -77,9 +79,8 @@ impl DiffReport {
 
     /// Renders the aligned delta table plus the appeared/disappeared notes.
     pub fn render(&self) -> String {
-        let mut out = String::new();
         let headers = ["span", "old(s)", "new(s)", "Δ%", "old peak", "new peak", "allocs Δ", "status"];
-        let mut cells: Vec<[String; 8]> = vec![headers.map(str::to_string)];
+        let mut cells = vec![headers.map(str::to_string)];
         for r in &self.rows {
             let alloc_delta = r.new_allocs as i128 - r.old_allocs as i128;
             cells.push([
@@ -97,27 +98,7 @@ impl DiffReport {
                 },
             ]);
         }
-        let mut widths = [0usize; 8];
-        for row in &cells {
-            for (w, cell) in widths.iter_mut().zip(row) {
-                *w = (*w).max(cell.len());
-            }
-        }
-        for (i, row) in cells.iter().enumerate() {
-            for (j, (cell, width)) in row.iter().zip(widths).enumerate() {
-                if j == 0 {
-                    out.push_str(&format!("{cell:<width$}"));
-                } else {
-                    out.push_str(&format!("  {cell:>width$}"));
-                }
-            }
-            out.push('\n');
-            if i == 0 {
-                let total: usize = widths.iter().sum::<usize>() + 2 * (widths.len() - 1);
-                out.push_str(&"-".repeat(total));
-                out.push('\n');
-            }
-        }
+        let mut out = render_aligned(&cells);
         if !self.only_old.is_empty() {
             out.push_str(&format!("only in baseline: {}\n", self.only_old.join(", ")));
         }
@@ -126,6 +107,50 @@ impl DiffReport {
         }
         out
     }
+}
+
+/// Markdown summary table for a diff report — what `trace-diff` writes
+/// to the GitHub step summary. `title` heads the section.
+pub fn render_markdown(report: &DiffReport, title: &str) -> String {
+    let mut out = String::new();
+    let _ = writeln!(out, "### {title}\n");
+    let _ = writeln!(
+        out,
+        "| span | old (s) | new (s) | Δ% | old peak | new peak | status |"
+    );
+    let _ = writeln!(out, "|---|---:|---:|---:|---:|---:|---|");
+    for r in &report.rows {
+        let status = if r.regressed.is_empty() {
+            "ok".to_string()
+        } else {
+            format!("**REGRESSED ({})**", r.regressed.join(", "))
+        };
+        let _ = writeln!(
+            out,
+            "| `{}` | {:.4} | {:.4} | {:+.1} | {} | {} | {} |",
+            r.name,
+            r.old_s,
+            r.new_s,
+            r.delta_pct,
+            kgtosa_memtrack::format_bytes(r.old_peak),
+            kgtosa_memtrack::format_bytes(r.new_peak),
+            status,
+        );
+    }
+    if !report.only_old.is_empty() {
+        let _ = writeln!(out, "\nonly in baseline: {}", report.only_old.join(", "));
+    }
+    if !report.only_new.is_empty() {
+        let _ = writeln!(out, "\nonly in new run: {}", report.only_new.join(", "));
+    }
+    let n = report.regressions();
+    let _ = writeln!(
+        out,
+        "\n{} — threshold {:.0}%",
+        if n == 0 { "**no regressions**".to_string() } else { format!("**{n} regression(s)**") },
+        report.threshold_pct,
+    );
+    out
 }
 
 /// Parses either a JSONL trace or a `BENCH_*.json` kernel report into
@@ -340,5 +365,17 @@ mod tests {
     #[test]
     fn unrecognized_json_document_is_an_error() {
         assert!(parse_trace_or_bench(r#"{"version": 3}"#).is_err());
+    }
+
+    #[test]
+    fn markdown_table_renders() {
+        let old = vec![agg("a", 1.0, 0, 0)];
+        let new = vec![agg("a", 2.0, 0, 0)];
+        let report = diff_spans(&old, &new, &DiffOptions::default());
+        let md = render_markdown(&report, "kernel gate");
+        assert!(md.contains("### kernel gate"));
+        assert!(md.contains("| `a` |"));
+        assert!(md.contains("REGRESSED (wall)"));
+        assert!(md.contains("**1 regression(s)**"));
     }
 }

@@ -21,14 +21,20 @@
 //!   flushes it into the trace so killed runs stay inspectable.
 //! * **Live serving** — an embedded std-only HTTP server
 //!   ([`serve_metrics`], `--metrics-addr` / `KGTOSA_METRICS_ADDR`)
-//!   exposes `/metrics` in Prometheus text format plus `/spans` and
-//!   `/progress` as JSON while a job runs.
+//!   exposes `/metrics` in Prometheus text format plus `/spans`,
+//!   `/progress` and `/prof` as JSON while a job runs.
+//! * **Cost attribution** — [`self_times`] gives every span its *self*
+//!   time (wall minus direct children), a partition of the root's wall
+//!   clock; `kgtosa trace-summary` prints it for a finished trace
+//!   ([`render_trace_table`]) and `/prof` serves it for a live run.
 //! * **Regression diffing** — [`diff_trace_texts`] compares two JSONL
 //!   traces or `BENCH_*.json` reports per span on wall time, peak heap,
-//!   and allocations; `kgtosa trace-diff` and the CI gate sit on top.
+//!   and allocations; `kgtosa trace-diff` and the CI kernel gate sit on
+//!   top.
 //! * **Sinks** — a machine-readable JSONL event stream (enabled with
-//!   `--trace-out` or `KGTOSA_TRACE=<path>`) and a human-readable stderr
-//!   summary tree ([`render_summary_tree`]).
+//!   `--trace-out` or `KGTOSA_TRACE=<path>`), a human-readable stderr
+//!   summary tree ([`render_summary_tree`]), and the Chrome/Perfetto
+//!   export below for the flame view.
 //! * **Crash-path telemetry** — [`install_panic_hook`] arms a panic hook
 //!   that emits a final `panic` event (message, location, live span
 //!   stack) and flushes the trace before the process dies.
@@ -43,18 +49,15 @@
 //!
 //! Everything is std-only: no external dependencies, no global setup
 //! required. With no sink installed, a span costs two `Instant::now`
-//! calls, four atomic loads, and one registry update.
+//! calls, two atomic loads, and one registry update.
 
 mod chrome;
 mod context;
 mod diff;
-mod flame;
-mod history;
 pub mod httpd;
 mod json;
 mod panic_hook;
 mod prof;
-mod report;
 mod progress;
 mod prometheus;
 mod registry;
@@ -73,23 +76,16 @@ pub use context::{
     active_context_count, context_active, contexts_json, ContextScope, CtxHistStat, CtxSpanStat,
     TelemetryContext,
 };
-pub use diff::{diff_spans, diff_trace_texts, parse_trace_or_bench, DiffOptions, DiffReport, DiffRow};
-pub use flame::render_flame_svg;
+pub use diff::{
+    diff_spans, diff_trace_texts, parse_trace_or_bench, render_markdown, DiffOptions, DiffReport,
+    DiffRow,
+};
 pub use httpd::{
     builtin_route, read_request, write_response, HttpRequest, HttpResponse, RequestError,
     MAX_BODY_BYTES, MAX_HEAD_BYTES,
 };
-pub use history::{
-    append_record, baseline_from_window, compact_history, current_git_rev, load_history,
-    render_markdown, trend_against_history, CompactReport, HistoryRecord, TrendReport,
-};
 pub use json::Json;
-pub use prof::{
-    enable_prof, enable_prof_from_env, fold_stack, folded_from_aggs, prof_enabled, prof_json,
-    registry_aggs, render_folded, reset_prof_samples, sample_ticks, samples_folded, self_times,
-    write_folded, SelfTime, DEFAULT_PROF_HZ,
-};
-pub use report::{render_html_report, table_iv_phase};
+pub use prof::{prof_json, registry_aggs, self_times, SelfTime};
 pub use progress::{
     emit_heartbeat, progress_json, progress_snapshot, progress_task, reset_progress,
     start_heartbeat, start_heartbeat_from_env, Progress, ProgressSnapshot,

@@ -179,7 +179,6 @@ pub fn info_str(msg: &str) {
 /// flushes the stream. Safe to call multiple times or with tracing
 /// disabled.
 pub fn shutdown() {
-    crate::prof::stop_sampler();
     crate::progress::stop_heartbeat();
     crate::slo::stop_watchdog();
     if trace_enabled() {

@@ -13,7 +13,6 @@
 use std::cell::RefCell;
 use std::time::Instant;
 
-use crate::prof;
 use crate::registry;
 use crate::sink;
 
@@ -72,7 +71,6 @@ pub fn span(name: &str) -> SpanGuard {
         stack.push(path.clone());
         (path, stack.len())
     });
-    prof::on_span_push(&path);
     let snap = kgtosa_memtrack::snapshot();
     SpanGuard {
         path,
@@ -106,7 +104,6 @@ impl SpanGuard {
             let mut stack = stack.borrow_mut();
             stack.truncate(self.depth.saturating_sub(1));
         });
-        prof::on_span_pop(self.depth);
         registry::record_span(&record.path, record.wall_s, record.peak_delta_bytes, record.allocs);
         crate::context::on_span_record(&record.path, self.start, record.wall_s);
         sink::emit_span(&record);

@@ -3,6 +3,7 @@
 //! rows.
 
 use crate::json::Json;
+use crate::prof::self_times;
 use crate::registry;
 
 /// Aggregate over all events sharing one span name.
@@ -110,16 +111,27 @@ pub fn summarize_jsonl(text: &str) -> Result<Vec<SpanAgg>, String> {
     Ok(rows)
 }
 
-/// Renders the aggregate rows as an aligned text table.
+/// Renders the aggregate rows as an aligned text table. `self(s)` is a
+/// span's wall time minus its direct children's ([`self_times`]), and
+/// `self%` its share of the summed root wall time — the column to read
+/// for "where did the time go": summed over the table it telescopes back
+/// to the roots' `total(s)`.
 pub fn render_trace_table(rows: &[SpanAgg]) -> String {
-    let mut out = String::new();
-    let headers = ["span", "count", "total(s)", "mean(s)", "p95(s)", "max(s)", "peak", "allocs"];
-    let mut cells: Vec<[String; 8]> = vec![headers.map(str::to_string)];
-    for r in rows {
+    let selfs = self_times(rows);
+    let root_wall: f64 = selfs.iter().filter(|s| s.parent.is_none()).map(|s| s.total_s).sum();
+    let headers = [
+        "span", "count", "total(s)", "self(s)", "self%", "mean(s)", "p95(s)", "max(s)", "peak",
+        "allocs",
+    ];
+    let mut cells = vec![headers.map(str::to_string)];
+    // `self_times` keeps input order, so the two zip row for row.
+    for (r, s) in rows.iter().zip(&selfs) {
         cells.push([
             r.name.clone(),
             r.count.to_string(),
             format!("{:.4}", r.total_s),
+            format!("{:.4}", s.self_s),
+            format!("{:.1}", 100.0 * s.self_s / root_wall.max(f64::MIN_POSITIVE)),
             format!("{:.4}", r.mean_s),
             format!("{:.4}", r.p95_s),
             format!("{:.4}", r.max_s),
@@ -127,8 +139,15 @@ pub fn render_trace_table(rows: &[SpanAgg]) -> String {
             r.allocs.to_string(),
         ]);
     }
-    let mut widths = [0usize; 8];
-    for row in &cells {
+    render_aligned(&cells)
+}
+
+/// Lays `cells` (header row first) out as an aligned text table: first
+/// column left-aligned, the rest right-aligned, a rule under the header.
+pub(crate) fn render_aligned<const N: usize>(cells: &[[String; N]]) -> String {
+    let mut out = String::new();
+    let mut widths = [0usize; N];
+    for row in cells {
         for (w, cell) in widths.iter_mut().zip(row) {
             *w = (*w).max(cell.len());
         }

@@ -1,22 +1,20 @@
-//! End-to-end profiler contract: real nested spans → JSONL trace →
-//! self-time attribution that telescopes to the root wall, an HTML run
-//! report, and a collapsed-stack → SVG flamegraph round trip.
+//! End-to-end cost-attribution contract: real nested spans → JSONL trace
+//! → self-time attribution that telescopes to the root wall, both as
+//! [`self_times`] rows and as the `self(s)` column `trace-summary` prints.
 //!
 //! Single `#[test]` on purpose: the trace sink is a process-global
 //! one-shot, so the whole pipeline is exercised in one pass.
 
 use std::time::Duration;
 
-use kgtosa_obs::{
-    render_flame_svg, render_html_report, self_times, span, summarize_jsonl, write_folded,
-};
+use kgtosa_obs::{render_trace_table, self_times, span, summarize_jsonl};
 
 fn busy(ms: u64) {
     std::thread::sleep(Duration::from_millis(ms));
 }
 
 #[test]
-fn trace_to_report_and_flamegraph() {
+fn trace_self_times_telescope_to_root_wall() {
     let dir = std::env::temp_dir().join(format!("kgtosa-prof-e2e-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let trace_path = dir.join("run.jsonl");
@@ -71,32 +69,26 @@ fn trace_to_report_and_flamegraph() {
     let extract = rows.iter().find(|r| r.name.ends_with("extract")).unwrap();
     assert!(extract.self_s < extract.total_s, "extract has children: {extract:?}");
 
-    // HTML report: self-contained, carries the headline sections.
-    let html = render_html_report(&trace, "prof_e2e").expect("render report");
-    for needle in [
-        "<!doctype html>",
-        "Cost breakdown",
-        "Hot spans",
-        "Span tree",
-        "<svg",
-    ] {
-        assert!(html.contains(needle), "report missing {needle:?}");
+    // The printed table carries the same breakdown: its `self(s)` column
+    // sums to the root's `total(s)` (4-decimal cells, hence the 1 %).
+    let table = render_trace_table(&aggs);
+    let mut lines = table.lines();
+    let header: Vec<&str> = lines.next().expect("header row").split_whitespace().collect();
+    let col = |name: &str| header.iter().position(|h| *h == name).expect(name);
+    let (total_col, self_col) = (col("total(s)"), col("self(s)"));
+    let mut printed_self = 0.0;
+    let mut printed_root = 0.0;
+    for line in lines.skip(1) {
+        let cells: Vec<&str> = line.split_whitespace().collect();
+        printed_self += cells[self_col].parse::<f64>().expect("self(s) cell");
+        if cells[0] == "pipeline" {
+            printed_root = cells[total_col].parse().expect("total(s) cell");
+        }
     }
-    assert!(!html.contains("<script"), "report must be script-free");
-
-    // Collapsed stacks (from the registry aggregates, sampler off) round-
-    // trip through the SVG renderer.
-    let folded_path = dir.join("run.folded");
-    write_folded(folded_path.to_str().unwrap()).expect("write folded");
-    let folded = std::fs::read_to_string(&folded_path).expect("read folded");
-    assert!(!folded.trim().is_empty(), "folded output is empty");
-    for line in folded.lines() {
-        let (_stack, count) = line.rsplit_once(' ').expect("`frames count` shape");
-        count.parse::<u64>().expect("count is integral");
-    }
-    let svg = render_flame_svg(&folded, "prof_e2e").expect("render svg");
-    assert!(svg.starts_with("<svg") || svg.starts_with("<?xml"), "svg header");
-    assert!(svg.contains("pipeline"), "flamegraph shows the root frame");
+    assert!(
+        (printed_self - printed_root).abs() <= printed_root * 0.01,
+        "printed self(s) must sum to the root total(s): {printed_self} vs {printed_root}\n{table}"
+    );
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -16,7 +16,7 @@
 //!   first epoch the pool holds a buffer for every size an epoch has
 //!   outstanding at once, so subsequent epochs run the whole
 //!   forward/backward at zero matrix allocations — asserted by the
-//!   alloc-count gate in `crates/models/tests/prof_differential.rs`.
+//!   alloc-count gate in `crates/models/tests/epoch_allocs.rs`.
 
 use std::cell::RefCell;
 
