@@ -2,8 +2,8 @@
 //! layer: dense matmul (all three transpose variants), RGCN mean
 //! aggregation, one whole RGCN layer pass over a typed KG, batched PPR, IBS
 //! node selection, task-oriented inference (`predict_nodes` against the full
-//! forward, along the MAG scale ladder), and CSR construction, each at
-//! 1/2/4/8 threads (capped by
+//! forward, along the MAG scale ladder), the RDF store's index build (along
+//! the same ladder), and CSR construction, each at 1/2/4/8 threads (capped by
 //! `KGTOSA_THREADS`, so CI can produce a single-thread row set and an
 //! 8-thread row set from the same bin).
 //!
@@ -24,6 +24,7 @@ use kgtosa_kg::{Csr, HeteroGraph, KnowledgeGraph, Rid, Vid};
 use kgtosa_models::{NcModelShape, RgcnNcModel};
 use kgtosa_nn::{mean_aggregate, RgcnGrads, RgcnLayer};
 use kgtosa_par::with_threads;
+use kgtosa_rdf::RdfStore;
 use kgtosa_sampler::ppr::approximate_ppr_reference;
 use kgtosa_sampler::{approximate_ppr_batch, ibs_sample, IbsConfig, PprConfig};
 use kgtosa_tensor::{relu_backward, relu_inplace, xavier_uniform, Matrix};
@@ -84,11 +85,24 @@ fn bench_kernel<T: PartialEq + std::fmt::Debug>(
     problem: &str,
     naive_s: Option<f64>,
     rows: &mut Vec<KernelRow>,
+    run: impl FnMut() -> T,
+) {
+    bench_kernel_at(&thread_counts(), name, problem, naive_s, rows, run);
+}
+
+/// [`bench_kernel`] at the given thread counts only (`&[1]` for a kernel
+/// that never enters the pool, whose other rows would be the same number).
+fn bench_kernel_at<T: PartialEq + std::fmt::Debug>(
+    thread_counts: &[usize],
+    name: &str,
+    problem: &str,
+    naive_s: Option<f64>,
+    rows: &mut Vec<KernelRow>,
     mut run: impl FnMut() -> T,
 ) {
     let mut serial_time = 0.0f64;
     let mut serial_out: Option<T> = None;
-    for &threads in &thread_counts() {
+    for &threads in thread_counts {
         let mut best = f64::INFINITY;
         let mut out = None;
         for _ in 0..WARMUP {
@@ -272,6 +286,36 @@ fn naive_rgcn_layer(layer: &RgcnLayer, g: &HeteroGraph, h: &Matrix, grad_out: &M
         }
     }
     flatten_pass(&out, &grad_h, &RgcnGrads { w_fwd, w_rev, w_self, b })
+}
+
+/// The index build `RdfStore::new` ran before orderings were derived from
+/// one another: the store's rows (data triples plus one `rdf:type` assertion
+/// per vertex) permuted into each of the six component orders, each copy
+/// comparison-sorted on its own. Returns the rows indexed.
+fn naive_store_build(kg: &KnowledgeGraph) -> usize {
+    let n = kg.num_nodes() as u32;
+    let type_rel = kg.num_relations() as u32;
+    let raw: Vec<[u32; 3]> = kg
+        .triples()
+        .iter()
+        .map(|t| t.raw())
+        .chain((0..n).map(|v| [v, type_rel, n + kg.class_of(Vid(v)).raw()]))
+        .collect();
+    let orders: [fn([u32; 3]) -> [u32; 3]; 6] = [
+        |[s, p, o]| [s, p, o],
+        |[s, p, o]| [s, o, p],
+        |[s, p, o]| [p, s, o],
+        |[s, p, o]| [p, o, s],
+        |[s, p, o]| [o, s, p],
+        |[s, p, o]| [o, p, s],
+    ];
+    let indices = orders.map(|permute| {
+        let mut rows: Vec<[u32; 3]> = raw.iter().map(|&t| permute(t)).collect();
+        rows.sort_unstable();
+        rows.dedup();
+        rows.into_boxed_slice()
+    });
+    std::hint::black_box(&indices)[0].len()
 }
 
 /// The model `benchmark/` serves (d = 16, seed 7), untrained: prediction
@@ -538,6 +582,25 @@ fn main() {
         let name = format!("predict_nodes_64_{tag}");
         bench_predict_nodes(&name, &served_model(data, graph), graph, &requests, &mut rows);
     }
+    // The RDF store's index build along the same ladder — what every epoch
+    // of the daemon pays on `/admin/update` and every batch run at start-up.
+    // One radix sort and four derived passes against six comparison sorts;
+    // both must index the same number of distinct rows. The build never
+    // enters the pool, so it is measured at one thread only.
+    for (tag, data) in [("mag025", &mag_small), ("mag1", &mag1), ("mag2", &mag2)] {
+        let kg = &data.gen.kg;
+        let problem = format!("{}nx{}triples", kg.num_nodes(), kg.num_triples());
+        assert!(
+            RdfStore::new(kg).len() == naive_store_build(kg),
+            "store_build_{tag}: derived build indexes a different row count"
+        );
+        let name = format!("store_build_{tag}");
+        let naive = bench_naive(&format!("{name}_naive"), &problem, &mut rows, || {
+            naive_store_build(kg)
+        });
+        bench_kernel_at(&[1], &name, &problem, Some(naive), &mut rows, || RdfStore::new(kg).len());
+    }
+
     let every = [(0..small_graph.num_nodes() as u32).map(Vid).collect::<Vec<Vid>>()];
     let small_model = served_model(&mag_small, &small_graph);
     bench_predict_nodes("predict_nodes_all_mag025", &small_model, &small_graph, &every, &mut rows);

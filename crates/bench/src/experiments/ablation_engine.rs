@@ -7,7 +7,7 @@
 //!    not a cost linear in the request count,
 //! 2. **worker threads** (`P`) — subqueries are fetched in parallel,
 //! 3. **index choice** — hexastore prefix scans vs a forced full scan
-//!    (what a store without the six orderings would have to do).
+//!    (what a store without the orderings would have to do).
 
 use std::time::Instant;
 

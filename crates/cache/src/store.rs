@@ -6,6 +6,7 @@
 //! <dir>/<digest-hex>.kgc          the artifact
 //! <dir>/<digest-hex>.touch        zero-byte access marker (LRU clock)
 //! <dir>/<digest-hex>.kgc.quarantine   a corrupt artifact, kept for autopsy
+//! <dir>/<digest-hex>.<pid>-<n>.kgc.tmp a store in flight (one per store call)
 //! ```
 //!
 //! Artifact layout (mirrors `crates/models/checkpoint.rs` conventions —
@@ -223,30 +224,41 @@ impl ArtifactCache {
     /// crash mid-store leaves either the old artifact or none, never a
     /// torn file), then evicts down to the byte budget.
     pub fn store(&self, key: &CacheKey, payload: &[u8]) -> io::Result<PathBuf> {
+        let path = self.store_entry(key, payload)?;
+        self.publish_bytes_gauge();
+        Ok(path)
+    }
+
+    /// [`ArtifactCache::store`] without the `cache.bytes` refresh (a walk
+    /// of the directory), for a caller that stores many entries and
+    /// publishes the gauge once.
+    fn store_entry(&self, key: &CacheKey, payload: &[u8]) -> io::Result<PathBuf> {
+        /// Distinguishes the temp files of one process's concurrent stores.
+        static STORE_SEQ: AtomicU64 = AtomicU64::new(0);
         let path = self.artifact_path(key);
-        let tmp = path.with_extension("kgc.tmp");
-        {
+        // Every store writes its own temp file. Writers of one key — two
+        // workers missing on it at once, or a reader re-extracting while a
+        // sweep migrates it — would otherwise truncate each other's
+        // half-written file and rename a torn artifact into place. The
+        // name still ends in `.kgc.tmp`, so `clear` sweeps leftovers.
+        let seq = STORE_SEQ.fetch_add(1, Ordering::Relaxed);
+        let tmp = path.with_extension(format!("{}-{seq}.kgc.tmp", std::process::id()));
+        let bytes = encode_artifact(key, payload);
+        let publish = || -> io::Result<()> {
             let mut f = fs::File::create(&tmp)?;
-            f.write_all(MAGIC)?;
-            f.write_all(&FORMAT_VERSION.to_le_bytes())?;
-            f.write_all(&key.kg_fingerprint.to_le_bytes())?;
-            f.write_all(&key.params.to_le_bytes())?;
-            for s in [&key.pattern, &key.task, &key.extractor] {
-                f.write_all(&(s.len() as u32).to_le_bytes())?;
-                f.write_all(s.as_bytes())?;
-            }
-            f.write_all(&(payload.len() as u64).to_le_bytes())?;
-            f.write_all(payload)?;
-            f.write_all(&fnv64(payload).to_le_bytes())?;
+            f.write_all(&bytes)?;
             f.sync_all()?;
+            fs::rename(&tmp, &path)
+        };
+        if let Err(e) = publish() {
+            let _ = fs::remove_file(&tmp);
+            return Err(e);
         }
-        fs::rename(&tmp, &path)?;
         let touch = self.touch_path_for(&path);
         let _ = fs::remove_file(&touch);
         let _ = fs::File::create(&touch);
         self.stats.stores.fetch_add(1, Ordering::Relaxed);
         self.evict_to_budget()?;
-        self.publish_bytes_gauge();
         Ok(path)
     }
 
@@ -399,7 +411,7 @@ impl ArtifactCache {
                 }
                 SweepAction::Migrate(new_payload) => {
                     let new_key = CacheKey { kg_fingerprint: new_fp, ..old_key };
-                    match self.store(&new_key, &new_payload) {
+                    match self.store_entry(&new_key, &new_payload) {
                         Ok(_) => {
                             remove_entry(&path);
                             report.migrated += 1;
@@ -492,6 +504,25 @@ fn read_header(mut r: impl Read) -> io::Result<Header> {
     Ok(Header { version, kg_fingerprint, params, pattern, task, extractor })
 }
 
+/// The artifact file for `payload` under `key`, in the module-doc layout.
+fn encode_artifact(key: &CacheKey, payload: &[u8]) -> Vec<u8> {
+    let strs = [&key.pattern, &key.task, &key.extractor];
+    let key_len: usize = strs.iter().map(|s| 4 + s.len()).sum();
+    let mut out = Vec::with_capacity(MAGIC.len() + 4 + 8 + 8 + key_len + 8 + payload.len() + 8);
+    out.extend_from_slice(MAGIC);
+    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    out.extend_from_slice(&key.kg_fingerprint.to_le_bytes());
+    out.extend_from_slice(&key.params.to_le_bytes());
+    for s in strs {
+        out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+        out.extend_from_slice(s.as_bytes());
+    }
+    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    out.extend_from_slice(payload);
+    out.extend_from_slice(&fnv64(payload).to_le_bytes());
+    out
+}
+
 /// Full validate-before-load: every check happens before the payload is
 /// handed back, so a partial or tampered artifact can never be mistaken
 /// for a subgraph.
@@ -555,6 +586,13 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    fn assert_no_tmp_files(cache: &ArtifactCache) {
+        for entry in fs::read_dir(cache.dir()).unwrap() {
+            let name = entry.unwrap().file_name();
+            assert!(!name.to_string_lossy().ends_with(".tmp"), "tmp file left behind");
+        }
     }
 
     fn key(task: &str) -> CacheKey {
@@ -741,11 +779,10 @@ mod tests {
         let clean = key("nc:Venue");
         cache.store(&blocked, b"blocked-payload").unwrap();
         cache.store(&clean, b"clean-payload").unwrap();
-        // A directory squatting on the new key's tmp path makes the
-        // re-publish fail for that entry only.
+        // A directory squatting on the new key's artifact path makes the
+        // re-publish (the rename) fail for that entry only.
         let blocked_new = CacheKey { kg_fingerprint: 43, ..key("nc:Paper") };
-        let tmp = cache.artifact_path(&blocked_new).with_extension("kgc.tmp");
-        fs::create_dir(&tmp).unwrap();
+        fs::create_dir(cache.artifact_path(&blocked_new)).unwrap();
 
         let report = cache
             .sweep_fingerprint(42, 43, |_, p| SweepAction::Migrate(p))
@@ -759,6 +796,57 @@ mod tests {
         assert_eq!(cache.lookup(&blocked_new).outcome, CacheOutcome::Miss);
         let clean_new = CacheKey { kg_fingerprint: 43, ..key("nc:Venue") };
         assert_eq!(cache.lookup(&clean_new).outcome, CacheOutcome::Hit);
+        // The failed store cleaned up after itself.
+        assert_no_tmp_files(&cache);
+    }
+
+    #[test]
+    fn racing_stores_of_one_key_never_publish_a_torn_artifact() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Barrier;
+        const WRITERS: usize = 3;
+        const STORES_EACH: usize = 40;
+        let cache = ArtifactCache::open(tmpdir("race")).unwrap();
+        let k = key("nc:Paper");
+        let payload: Vec<u8> = (0..256 * 1024).map(|i| (i % 251) as u8).collect();
+        let start = Barrier::new(WRITERS + 1);
+        let done = AtomicBool::new(false);
+        // Threads report instead of panicking, so a failure cannot leave the
+        // reader spinning on `done`.
+        let (stored, (hits, torn)) = std::thread::scope(|scope| {
+            let writers: Vec<_> = (0..WRITERS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        (0..STORES_EACH).all(|_| cache.store(&k, &payload).is_ok())
+                    })
+                })
+                .collect();
+            let reader = scope.spawn(|| {
+                start.wait();
+                let (mut hits, mut torn) = (0usize, 0usize);
+                while !done.load(Ordering::SeqCst) {
+                    let got = cache.lookup(&k);
+                    match got.outcome {
+                        CacheOutcome::Hit if got.payload.as_deref() == Some(&payload[..]) => hits += 1,
+                        CacheOutcome::Miss => {}
+                        _ => torn += 1,
+                    }
+                }
+                (hits, torn)
+            });
+            let stored = writers.into_iter().all(|w| w.join().unwrap());
+            done.store(true, Ordering::SeqCst);
+            (stored, reader.join().unwrap())
+        });
+        assert!(stored, "a racing store failed");
+        assert_eq!(torn, 0, "a lookup during racing stores was not a clean hit or miss");
+        assert!(hits > 0, "the reader never overlapped a store");
+        assert_eq!(cache.stats().corrupt.load(Ordering::Relaxed), 0);
+        let disk = cache.disk_stats().unwrap();
+        assert_eq!((disk.entries, disk.quarantined), (1, 0));
+        assert_no_tmp_files(&cache);
+        assert_eq!(cache.lookup(&k).outcome, CacheOutcome::Hit);
     }
 
     #[test]
@@ -766,9 +854,6 @@ mod tests {
         let cache = ArtifactCache::open(tmpdir("tmpfile")).unwrap();
         let k = key("nc:Paper");
         cache.store(&k, b"payload").unwrap();
-        for entry in fs::read_dir(cache.dir()).unwrap() {
-            let name = entry.unwrap().file_name();
-            assert!(!name.to_string_lossy().ends_with(".tmp"), "tmp file left behind");
-        }
+        assert_no_tmp_files(&cache);
     }
 }

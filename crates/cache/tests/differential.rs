@@ -13,7 +13,8 @@ use std::sync::{Arc, Mutex};
 
 use kgtosa_cache::{ArtifactCache, CacheOutcome};
 use kgtosa_core::{
-    extract_sparql, extract_sparql_cached, transform, ExtractionResult, ExtractionTask,
+    decode_extraction, encode_extraction, encode_extraction_parts, extract_sparql,
+    extract_sparql_cached, migrate_payload, transform, ExtractionResult, ExtractionTask,
     GraphPattern,
 };
 use kgtosa_kg::{quality, write_snapshot, KnowledgeGraph, Vid};
@@ -114,6 +115,31 @@ proptest! {
             quality(&warm.subgraph.kg, &warm.targets),
             quality(&baseline.subgraph.kg, &baseline.targets)
         );
+    }
+
+    /// Migration patches the payload's `parent_nodes` field in place; the
+    /// bytes must be exactly what decoding against the old parent size and
+    /// re-encoding against the new one produces.
+    #[test]
+    fn migrating_a_payload_equals_decoding_and_re_encoding_it(
+        kg in arb_kg(),
+        pattern in proptest::sample::select(vec![
+            GraphPattern::D1H1, GraphPattern::D2H1, GraphPattern::D1H2, GraphPattern::D2H2,
+        ]),
+        growth in 0usize..40,
+    ) {
+        let task = paper_task(&kg);
+        let store = RdfStore::new(&kg);
+        let res = extract_sparql(&store, &task, &pattern, &FetchConfig::default()).unwrap();
+        let (old, new) = (kg.num_nodes(), kg.num_nodes() + growth);
+        let payload = encode_extraction(&res, old, &quality(&res.subgraph.kg, &res.targets));
+
+        let dec = decode_extraction(&payload, old).unwrap();
+        let re_encoded =
+            encode_extraction_parts(&dec.method, &dec.subgraph, &dec.targets, new, &dec.quality);
+        prop_assert_eq!(migrate_payload(&payload, old, new).unwrap(), re_encoded);
+        prop_assert!(migrate_payload(&payload, old + 1, new).is_err(), "wrong old parent size");
+        prop_assert!(migrate_payload(&payload[..12], old, new).is_err(), "truncated prefix");
     }
 }
 

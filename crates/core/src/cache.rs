@@ -86,8 +86,7 @@ pub fn encode_extraction(
 }
 
 /// The parts-level encoder behind [`encode_extraction`], also used by the
-/// delta path to re-encode a decoded artifact (payload migration after an
-/// update, repaired-subgraph republish).
+/// delta path to publish a repaired subgraph.
 pub fn encode_extraction_parts(
     method: &str,
     subgraph: &InducedSubgraph,
@@ -124,24 +123,41 @@ pub fn encode_extraction_parts(
 
 /// Rewrites an artifact payload for a parent graph that grew from
 /// `old_parent_nodes` to `new_parent_nodes` vertices (delta apply with
-/// vertex interning). The subgraph bytes, mappings and quality are carried
-/// over untouched — only the embedded parent size changes, because
-/// [`decode_extraction`] validates it against the live graph. Valid only
-/// when the entry's extraction is unaffected by the delta; deciding that
-/// is the staleness oracle's job (`crate::delta`).
+/// vertex interning). Only the embedded parent size changes — it is
+/// overwritten in a copy of the bytes, because [`decode_extraction`]
+/// validates it against the live graph — so the subgraph, mappings and
+/// quality are carried over untouched. The payload's prefix (magic, method,
+/// stored parent size) is checked here; the rest is structurally validated
+/// by [`decode_extraction`] on every later load, and a payload it rejects
+/// is re-extracted. Valid only when the entry's extraction is unaffected by
+/// the delta; deciding that is the staleness oracle's job (`crate::delta`).
 pub fn migrate_payload(
     payload: &[u8],
     old_parent_nodes: usize,
     new_parent_nodes: usize,
 ) -> io::Result<Vec<u8>> {
-    let dec = decode_extraction(payload, old_parent_nodes)?;
-    Ok(encode_extraction_parts(
-        &dec.method,
-        &dec.subgraph,
-        &dec.targets,
-        new_parent_nodes,
-        &dec.quality,
-    ))
+    let mut r = Cursor::new(payload);
+    read_payload_prefix(&mut r, old_parent_nodes)?;
+    let end = r.position() as usize;
+    let mut out = payload.to_vec();
+    out[end - 8..end].copy_from_slice(&(new_parent_nodes as u64).to_le_bytes());
+    Ok(out)
+}
+
+/// Reads a payload up to and including its `parent_nodes` field — magic,
+/// method string, parent size — and returns the method. Errors unless the
+/// stored parent size is `parent_nodes`.
+fn read_payload_prefix(r: &mut Cursor<&[u8]>, parent_nodes: usize) -> io::Result<String> {
+    let mut magic = [0u8; 8];
+    r.read_exact(&mut magic)?;
+    if &magic != PAYLOAD_MAGIC {
+        return Err(bad("bad extraction payload magic"));
+    }
+    let method = read_str(r)?;
+    if read_u64(r)? != parent_nodes as u64 {
+        return Err(bad("artifact parent graph size mismatch"));
+    }
+    Ok(method)
 }
 
 /// A decoded artifact payload, before it is dressed up as an
@@ -159,16 +175,7 @@ pub struct DecodedExtraction {
 /// correctly but decodes to inconsistent ids is still rejected.
 pub fn decode_extraction(bytes: &[u8], parent_nodes: usize) -> io::Result<DecodedExtraction> {
     let mut r = Cursor::new(bytes);
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != PAYLOAD_MAGIC {
-        return Err(bad("bad extraction payload magic"));
-    }
-    let method = read_str(&mut r)?;
-    let stored_parent = read_u64(&mut r)? as usize;
-    if stored_parent != parent_nodes {
-        return Err(bad("artifact parent graph size mismatch"));
-    }
+    let method = read_payload_prefix(&mut r, parent_nodes)?;
     let targets = read_vids(&mut r)?;
     let to_parent = read_vids(&mut r)?;
     let num_nodes = read_u64(&mut r)? as usize;

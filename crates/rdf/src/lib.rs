@@ -1,12 +1,13 @@
 //! # kgtosa-rdf — an in-memory RDF engine with a SPARQL subset
 //!
 //! KG-TOSA's headline extraction method (§IV-C of the paper) offloads
-//! subgraph matching to an RDF engine so it can exploit the six triple
+//! subgraph matching to an RDF engine so it can exploit the triple
 //! orderings such engines maintain by default. This crate supplies that
 //! substrate from scratch:
 //!
-//! * [`hexastore::Hexastore`] — sextuple-indexed triple storage with
-//!   `O(log m + k)` pattern scans (Weiss et al., VLDB'08),
+//! * [`hexastore::Hexastore`] — triple storage indexed under the five
+//!   orderings a pattern lookup can reach, with `O(log m + k)` pattern
+//!   scans (after Weiss et al., VLDB'08),
 //! * [`store::RdfStore`] — term encoding over a [`kgtosa_kg::KnowledgeGraph`]
 //!   plus materialized `rdf:type` assertions,
 //! * [`parser`] / [`ast`] — a SPARQL subset covering exactly the query

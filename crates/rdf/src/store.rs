@@ -52,7 +52,7 @@ impl Deref for KgHolder<'_> {
     }
 }
 
-/// An immutable, six-way-indexed RDF store over a knowledge graph.
+/// An immutable, five-way-indexed RDF store over a knowledge graph.
 pub struct RdfStore<'kg> {
     kg: KgHolder<'kg>,
     hex: Hexastore,
@@ -70,7 +70,7 @@ impl RdfStore<'static> {
 
 impl<'kg> RdfStore<'kg> {
     /// Builds the store: copies all data triples, adds `rdf:type`
-    /// assertions, and constructs the six orderings.
+    /// assertions, and constructs the five orderings.
     pub fn new(kg: &'kg KnowledgeGraph) -> Self {
         Self::build(KgHolder::Borrowed(kg))
     }
@@ -89,7 +89,7 @@ impl<'kg> RdfStore<'kg> {
         }
         Self {
             kg,
-            hex: Hexastore::build(&raw),
+            hex: Hexastore::from_triples(raw),
             num_nodes,
             num_relations,
         }
@@ -100,7 +100,7 @@ impl<'kg> RdfStore<'kg> {
         &self.kg
     }
 
-    /// The sextuple index.
+    /// The triple index.
     pub fn hexastore(&self) -> &Hexastore {
         &self.hex
     }
