@@ -4,8 +4,7 @@
 //! `KG-TOSA_{d2h1}`.
 //!
 //! Like the paper (where LHGNN exhausted its budget on the two larger
-//! KGs), LHGNN runs only on the smallest dataset unless
-//! `KGTOSA_LHGNN_ALL=1`.
+//! KGs), LHGNN runs only on the smallest dataset.
 
 use crate::{
     lp_extraction_task, lp_fg_record, lp_tosg_record, print_panel, Kg, LpMethod, Record, World,
@@ -16,7 +15,6 @@ use kgtosa_rdf::FetchConfig;
 pub fn run(world: &World<'_>) -> Vec<Record> {
     let env = world.env;
     let cfg = env.train_config();
-    let lhgnn_all = std::env::var("KGTOSA_LHGNN_ALL").is_ok();
     say!(
         world,
         "Figure 7 — LP tasks, 3 methods x (FG, KG-TOSA_d2h1), scale {}",
@@ -50,7 +48,7 @@ pub fn run(world: &World<'_>) -> Vec<Record> {
 
         let mut rows = Vec::new();
         for method in LpMethod::ALL {
-            if method == LpMethod::Lhgnn && !smallest && !lhgnn_all {
+            if method == LpMethod::Lhgnn && !smallest {
                 say!(world, "  (skipping LHGNN on {} — exceeds budget, as in the paper)", task.name);
                 continue;
             }

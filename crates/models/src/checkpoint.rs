@@ -26,15 +26,13 @@ use std::fs;
 use std::io::{self, Read, Write};
 use std::path::PathBuf;
 
-use kgtosa_kg::{Rid, Triple, Vid};
+use kgtosa_kg::{fnv64, HashingWriter, Rid, Triple, Vid};
 use kgtosa_tensor::state::{read_u64, write_u64};
 use rand::rngs::StdRng;
 
 use crate::common::{LpDataset, NcDataset, TracePoint, TrainConfig};
 
 const MAGIC: &[u8; 8] = b"KGTOSAC1";
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Where and how often trainers snapshot their state.
 #[derive(Debug, Clone)]
@@ -52,41 +50,13 @@ impl CheckpointConfig {
     }
 }
 
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// An [`io::Write`] sink that folds everything written into an FNV-1a hash.
-struct FnvWriter {
-    hash: u64,
-}
-
-impl Write for FnvWriter {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        for &b in buf {
-            self.hash ^= b as u64;
-            self.hash = self.hash.wrapping_mul(FNV_PRIME);
-        }
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
 /// Hashes whatever `save` writes, without materializing the bytes. Trainers
 /// use this to stamp [`crate::TrainReport::param_hash`]: two runs ended in
 /// bit-identical state if and only if their fingerprints match.
 pub fn state_fingerprint(save: impl FnOnce(&mut dyn Write) -> io::Result<()>) -> u64 {
-    let mut w = FnvWriter { hash: FNV_OFFSET };
-    save(&mut w).expect("fingerprint writer cannot fail");
-    w.hash
+    let mut w = HashingWriter::new(io::sink());
+    save(&mut w).expect("hashing into a sink cannot fail");
+    w.finish()
 }
 
 /// Hash of the dataset shape an NC trainer's state depends on, folded into

@@ -1,9 +1,13 @@
-//! Shared dataset views, training configuration and reports for the six
-//! HGNN methods.
+//! Shared dataset views, training configuration and reports for the HGNN
+//! methods, and the one epoch loop (`run_epochs`) they all train through.
+
+use std::time::Instant;
 
 use kgtosa_kg::{HeteroGraph, KnowledgeGraph, Triple, Vid};
-use kgtosa_tensor::Matrix;
+use kgtosa_tensor::{Matrix, StateIo};
 use serde::Serialize;
+
+use crate::checkpoint::{state_fingerprint, Checkpointer};
 
 /// A node-classification dataset over a (sub)graph.
 ///
@@ -177,53 +181,94 @@ pub fn restrict_labels(labels: &[u32], keep: &[Vid], n: usize) -> Vec<u32> {
     out
 }
 
-/// Per-epoch bookkeeping shared by all trainers: builds the convergence
-/// [`TracePoint`], fires the config's telemetry observer with loss,
-/// timing, and heap statistics, and — when a live telemetry consumer
-/// exists — advances a `train[<method>]` progress task so `/progress`
-/// reports rate and ETA for the epoch loop. One call per reported epoch.
-pub(crate) struct EpochLog {
-    method: &'static str,
-    epochs: usize,
-    start: std::time::Instant,
-    last_elapsed_s: f64,
-    progress: Option<kgtosa_obs::Progress>,
+/// What a trainer supplies to [`run_epochs`]: its resumable state through
+/// [`StateIo`] — the one place its state order is spelled, shared by
+/// checkpoint save, resume load and `param_hash` — and its model steps.
+pub(crate) trait TrainRun: StateIo {
+    /// Checkpoint file stem where it must differ from the method label
+    /// (RGCN-LP reports as `RGCN` but must not share `RGCN.ckpt` with the
+    /// NC trainer).
+    const CHECKPOINT: Option<&'static str> = None;
+
+    /// Runs one epoch; returns `(mean training loss, validation metric)`.
+    fn epoch(&mut self) -> (f64, f64);
+
+    /// Test-split metric; the driver times this call as inference.
+    fn test_metric(&self) -> f64;
+
+    /// Trainable parameter count (model size).
+    fn param_count(&self) -> usize;
 }
 
-impl EpochLog {
-    /// `start` is the trainer's epoch-loop start instant, so trace points
-    /// keep the exact timing semantics trainers had before telemetry.
-    pub fn new(method: &'static str, epochs: usize, start: std::time::Instant) -> Self {
-        let progress = kgtosa_obs::telemetry_active().then(|| {
-            kgtosa_obs::progress_task(&format!("train[{method}]"), Some(epochs as u64))
-        });
-        EpochLog { method, epochs, start, last_elapsed_s: 0.0, progress }
+/// The epoch protocol every trainer shares: resume from `cfg.checkpoint`
+/// if a matching file exists, run the remaining epochs — per epoch one
+/// [`TracePoint`], one observer event with loss, timing and heap
+/// statistics, one tick of the `train[<method>]` progress task when a live
+/// telemetry consumer exists, and an interval save — then time the
+/// test-split inference and assemble the report. `start` is the trainer's
+/// clock origin, so the set-up a method counts as training (GraphSAINT's
+/// pre-sampling, SeHGNN's feature propagation) stays inside `training_s`
+/// and the trace.
+pub(crate) fn run_epochs<R: TrainRun>(
+    run: &mut R,
+    cfg: &TrainConfig,
+    method: &str,
+    data_key: u64,
+    start: Instant,
+) -> TrainReport {
+    let ckpt = Checkpointer::from_cfg(cfg, R::CHECKPOINT.unwrap_or(method), data_key);
+    let progress = kgtosa_obs::telemetry_active().then(|| {
+        kgtosa_obs::progress_task(&format!("train[{method}]"), Some(cfg.epochs as u64))
+    });
+    let mut trace = Vec::with_capacity(cfg.epochs);
+    let mut first_epoch = 1;
+    if let Some((done, t)) = ckpt.as_ref().and_then(|c| c.resume(|r| run.load_state(r))) {
+        first_epoch = done + 1;
+        trace = t;
     }
-
-    /// Records epoch `epoch` (1-based, matching `TracePoint.epoch`) with
-    /// its mean loss and validation metric.
-    pub fn epoch(&mut self, cfg: &TrainConfig, epoch: usize, loss: f64, metric: f64) -> TracePoint {
-        let elapsed_s = self.start.elapsed().as_secs_f64();
-        if let Some(progress) = &self.progress {
+    let mut last_elapsed_s = 0.0;
+    for epoch in first_epoch..=cfg.epochs {
+        let (loss, metric) = run.epoch();
+        let elapsed_s = start.elapsed().as_secs_f64();
+        if let Some(progress) = &progress {
             progress.set_done(epoch as u64);
         }
         if cfg.observer.enabled() {
             let mem = kgtosa_memtrack::snapshot();
             cfg.observer.on_epoch(&kgtosa_obs::EpochEvent {
-                method: self.method,
-                epoch: epoch.saturating_sub(1),
-                epochs: self.epochs,
+                method,
+                epoch: epoch - 1,
+                epochs: cfg.epochs,
                 loss,
                 metric,
                 elapsed_s,
-                epoch_s: elapsed_s - self.last_elapsed_s,
+                epoch_s: elapsed_s - last_elapsed_s,
                 live_bytes: mem.live_bytes,
                 peak_bytes: mem.peak_bytes,
                 allocs: mem.alloc_count,
             });
         }
-        self.last_elapsed_s = elapsed_s;
-        TracePoint { epoch, elapsed_s, metric }
+        last_elapsed_s = elapsed_s;
+        trace.push(TracePoint { epoch, elapsed_s, metric });
+        if let Some(c) = &ckpt {
+            c.maybe_save(epoch, cfg.epochs, &trace, |w| run.save_state(w));
+        }
+    }
+    let training_s = start.elapsed().as_secs_f64();
+
+    let infer_start = Instant::now();
+    let metric = run.test_metric();
+    let inference_s = infer_start.elapsed().as_secs_f64();
+
+    TrainReport {
+        method: method.into(),
+        epochs: cfg.epochs,
+        training_s,
+        inference_s,
+        param_count: run.param_count(),
+        metric,
+        param_hash: state_fingerprint(|w| run.save_state(w)),
+        trace,
     }
 }
 

@@ -290,7 +290,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
 
-        let (kg, labels, papers) = crate::testutil::toy_nc();
+        let (kg, labels, papers) = crate::testutil::toy_nc(20);
         let graph = HeteroGraph::build(&kg);
         let (train, rest) = papers.split_at(12);
         let (valid, test) = rest.split_at(4);

@@ -23,34 +23,10 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use crate::checkpoint::{
-    lp_data_key, read_rng, read_triples_into, state_fingerprint, write_rng, write_triples,
-    Checkpointer,
-};
-use crate::common::{EpochLog, LpDataset, TrainConfig, TrainReport};
+use crate::checkpoint::{lp_data_key, read_rng, read_triples_into, write_rng, write_triples};
+use crate::common::{run_epochs, LpDataset, TrainConfig, TrainReport, TrainRun};
 use crate::lp_common::{corrupt_entity, evaluate_ranking, Decoder};
 use crate::stack::EmbeddingTable;
-
-/// All mutable state of one LHGNN run, in checkpoint order (the latent
-/// type assignment `z` is a fixed function of the seed and is rebuilt).
-fn save_all(
-    w: &mut dyn Write,
-    rng: &StdRng,
-    embed: &EmbeddingTable,
-    mats: [&Matrix; 4],
-    adams: [&Adam; 4],
-    train_triples: &[Triple],
-) -> io::Result<()> {
-    write_rng(w, rng)?;
-    embed.save_state(w)?;
-    for m in mats {
-        m.save_state(w)?;
-    }
-    for a in adams {
-        a.save_state(w)?;
-    }
-    write_triples(w, train_triples)
-}
 
 /// Number of latent node types.
 const K: usize = 4;
@@ -182,138 +158,156 @@ impl LatentConv {
     }
 }
 
-/// Trains LHGNN and reports Hits@10/time/size.
-pub fn train_lhgnn_lp(data: &LpDataset<'_>, cfg: &TrainConfig) -> TrainReport {
-    let g = data.graph;
-    let n = g.num_nodes();
-    let nr = g.num_relations().max(1);
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let z = latent_types(g, cfg.seed);
-    let mut embed = EmbeddingTable::new(n, cfg.dim, cfg.lr, cfg.seed);
-    let mut w0 = xavier_uniform(cfg.dim, cfg.dim, &mut rng);
-    let mut w1 = xavier_uniform(cfg.dim, cfg.dim, &mut rng);
-    let mut compat = xavier_uniform(K, K, &mut rng);
-    let mut rel_emb = xavier_uniform(nr, cfg.dim, &mut rng);
-    let adam = AdamConfig { lr: cfg.lr, ..Default::default() };
-    let mut o_w0 = Adam::new(w0.param_count(), adam);
-    let mut o_w1 = Adam::new(w1.param_count(), adam);
-    let mut o_c = Adam::new(compat.param_count(), adam);
-    let mut o_rel = Adam::new(rel_emb.param_count(), adam);
+struct LhgnnRun<'a> {
+    data: &'a LpDataset<'a>,
+    cfg: &'a TrainConfig,
+    /// Latent type assignment: a fixed function of the seed, rebuilt on
+    /// resume rather than saved.
+    z: Matrix,
+    rng: StdRng,
+    embed: EmbeddingTable,
+    w0: Matrix,
+    w1: Matrix,
+    compat: Matrix,
+    rel_emb: Matrix,
+    o_w0: Adam,
+    o_w1: Adam,
+    o_c: Adam,
+    o_rel: Adam,
+    /// Shuffled in place across epochs, so the order is resumable state.
+    train_triples: Vec<Triple>,
+}
 
-    let ckpt = Checkpointer::from_cfg(cfg, "LHGNN", lp_data_key(data));
-    let start = Instant::now();
-    let mut elog = EpochLog::new("LHGNN", cfg.epochs, start);
-    let mut train_triples = data.train.to_vec();
-    let mut trace = Vec::with_capacity(cfg.epochs);
-    let mut first_epoch = 1;
-    if let Some(c) = &ckpt {
-        if let Some((done, t)) = c.resume(|r: &mut dyn Read| {
-            read_rng(r, &mut rng)?;
-            embed.load_state(r)?;
-            for m in [&mut w0, &mut w1, &mut compat, &mut rel_emb] {
-                m.load_state(r)?;
-            }
-            for a in [&mut o_w0, &mut o_w1, &mut o_c, &mut o_rel] {
-                a.load_state(r)?;
-            }
-            read_triples_into(r, &mut train_triples)
-        }) {
-            first_epoch = done + 1;
-            trace = t;
-        }
+impl LhgnnRun<'_> {
+    fn forward(&self) -> (Matrix, Matrix, Vec<bool>) {
+        let Self { data, embed, z, compat, w0, w1, .. } = self;
+        LatentConv::forward(data.graph, &embed.weight, z, compat, w0, w1)
     }
-    for epoch in first_epoch..=cfg.epochs {
-        train_triples.shuffle(&mut rng);
-        let (h, m, mask) = LatentConv::forward(g, &embed.weight, &z, &compat, &w0, &w1);
+}
+
+impl StateIo for LhgnnRun<'_> {
+    fn save_state(&self, w: &mut dyn Write) -> io::Result<()> {
+        write_rng(w, &self.rng)?;
+        self.embed.save_state(w)?;
+        for m in [&self.w0, &self.w1, &self.compat, &self.rel_emb] {
+            m.save_state(w)?;
+        }
+        for a in [&self.o_w0, &self.o_w1, &self.o_c, &self.o_rel] {
+            a.save_state(w)?;
+        }
+        write_triples(w, &self.train_triples)
+    }
+
+    fn load_state(&mut self, r: &mut dyn Read) -> io::Result<()> {
+        read_rng(r, &mut self.rng)?;
+        self.embed.load_state(r)?;
+        for m in [&mut self.w0, &mut self.w1, &mut self.compat, &mut self.rel_emb] {
+            m.load_state(r)?;
+        }
+        for a in [&mut self.o_w0, &mut self.o_w1, &mut self.o_c, &mut self.o_rel] {
+            a.load_state(r)?;
+        }
+        read_triples_into(r, &mut self.train_triples)
+    }
+}
+
+impl TrainRun for LhgnnRun<'_> {
+    fn epoch(&mut self) -> (f64, f64) {
+        let (g, cfg) = (self.data.graph, self.cfg);
+        let n = g.num_nodes();
+        self.train_triples.shuffle(&mut self.rng);
+        let (h, m, mask) = self.forward();
         let mut grad_h = Matrix::zeros(n, cfg.dim);
-        let mut grad_rel = Matrix::zeros(nr, cfg.dim);
+        let mut grad_rel = Matrix::zeros(self.rel_emb.rows(), cfg.dim);
         let mut epoch_loss = 0.0f64;
-        for t in &train_triples {
+        for t in &self.train_triples {
+            let rel_emb = &self.rel_emb;
             let (hs, rp, to) = (t.s.idx(), t.p.idx(), t.o.idx());
             let score = kgtosa_nn::distmult_score(h.row(hs), rel_emb.row(rp), h.row(to));
             let (pos_loss, d) = bce_positive(score);
             epoch_loss += pos_loss as f64;
-            scatter(&h, &rel_emb, hs, rp, to, d, &mut grad_h, &mut grad_rel);
+            scatter(&h, rel_emb, hs, rp, to, d, &mut grad_h, &mut grad_rel);
             for _ in 0..cfg.negatives.max(1) {
-                let neg = corrupt_entity(&mut rng, n, t.o.raw()) as usize;
+                let neg = corrupt_entity(&mut self.rng, n, t.o.raw()) as usize;
                 let s = kgtosa_nn::distmult_score(h.row(hs), rel_emb.row(rp), h.row(neg));
                 let (neg_loss, d) = bce_negative(s);
                 epoch_loss += neg_loss as f64;
-                scatter(&h, &rel_emb, hs, rp, neg, d, &mut grad_h, &mut grad_rel);
+                scatter(&h, rel_emb, hs, rp, neg, d, &mut grad_h, &mut grad_rel);
             }
         }
-        let scale = 1.0 / train_triples.len().max(1) as f32;
+        let scale = 1.0 / self.train_triples.len().max(1) as f32;
         grad_h.scale(scale);
         grad_rel.scale(scale);
         let (grad_x, gw0, gw1, gc) = LatentConv::backward(
             g,
-            &embed.weight,
-            &z,
-            &compat,
-            &w0,
-            &w1,
+            &self.embed.weight,
+            &self.z,
+            &self.compat,
+            &self.w0,
+            &self.w1,
             &m,
             &mask,
             grad_h,
         );
-        o_w0.step(&mut w0, &gw0);
-        o_w1.step(&mut w1, &gw1);
-        o_c.step(&mut compat, &gc);
-        o_rel.step(&mut rel_emb, &grad_rel);
-        embed.step(&grad_x);
+        self.o_w0.step(&mut self.w0, &gw0);
+        self.o_w1.step(&mut self.w1, &gw1);
+        self.o_c.step(&mut self.compat, &gc);
+        self.o_rel.step(&mut self.rel_emb, &grad_rel);
+        self.embed.step(&grad_x);
 
-        let sample: Vec<_> = data.valid.iter().copied().take(200).collect();
+        let sample: Vec<_> = self.data.valid.iter().copied().take(200).collect();
         let metric = if sample.is_empty() {
             0.0
         } else {
-            let (h, _, _) = LatentConv::forward(g, &embed.weight, &z, &compat, &w0, &w1);
-            evaluate_ranking(&h, &rel_emb, &sample, Decoder::DistMult).hits_at_10
+            let (h, _, _) = self.forward();
+            evaluate_ranking(&h, &self.rel_emb, &sample, Decoder::DistMult).hits_at_10
         };
-        let mean_loss = epoch_loss * scale as f64;
-        trace.push(elog.epoch(cfg, epoch, mean_loss, metric));
-        if let Some(c) = &ckpt {
-            c.maybe_save(epoch, cfg.epochs, &trace, |w| {
-                save_all(
-                    w,
-                    &rng,
-                    &embed,
-                    [&w0, &w1, &compat, &rel_emb],
-                    [&o_w0, &o_w1, &o_c, &o_rel],
-                    &train_triples,
-                )
-            });
-        }
+        (epoch_loss * scale as f64, metric)
     }
-    let training_s = start.elapsed().as_secs_f64();
 
-    let infer_start = Instant::now();
-    let (h, _, _) = LatentConv::forward(g, &embed.weight, &z, &compat, &w0, &w1);
-    let metrics = evaluate_ranking(&h, &rel_emb, data.test, Decoder::DistMult);
-    let inference_s = infer_start.elapsed().as_secs_f64();
-
-    TrainReport {
-        method: "LHGNN".into(),
-        epochs: cfg.epochs,
-        training_s,
-        inference_s,
-        param_count: embed.param_count()
-            + w0.param_count()
-            + w1.param_count()
-            + compat.param_count()
-            + rel_emb.param_count(),
-        metric: metrics.hits_at_10,
-        param_hash: state_fingerprint(|w| {
-            save_all(
-                w,
-                &rng,
-                &embed,
-                [&w0, &w1, &compat, &rel_emb],
-                [&o_w0, &o_w1, &o_c, &o_rel],
-                &train_triples,
-            )
-        }),
-        trace,
+    fn test_metric(&self) -> f64 {
+        let (h, _, _) = self.forward();
+        evaluate_ranking(&h, &self.rel_emb, self.data.test, Decoder::DistMult).hits_at_10
     }
+
+    fn param_count(&self) -> usize {
+        self.embed.param_count()
+            + self.w0.param_count()
+            + self.w1.param_count()
+            + self.compat.param_count()
+            + self.rel_emb.param_count()
+    }
+}
+
+/// Trains LHGNN and reports Hits@10/time/size.
+pub fn train_lhgnn_lp(data: &LpDataset<'_>, cfg: &TrainConfig) -> TrainReport {
+    let g = data.graph;
+    let nr = g.num_relations().max(1);
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let z = latent_types(g, cfg.seed);
+    let embed = EmbeddingTable::new(g.num_nodes(), cfg.dim, cfg.lr, cfg.seed);
+    let w0 = xavier_uniform(cfg.dim, cfg.dim, &mut rng);
+    let w1 = xavier_uniform(cfg.dim, cfg.dim, &mut rng);
+    let compat = xavier_uniform(K, K, &mut rng);
+    let rel_emb = xavier_uniform(nr, cfg.dim, &mut rng);
+    let adam = AdamConfig { lr: cfg.lr, ..Default::default() };
+    let mut run = LhgnnRun {
+        data,
+        cfg,
+        z,
+        rng,
+        embed,
+        o_w0: Adam::new(w0.param_count(), adam),
+        o_w1: Adam::new(w1.param_count(), adam),
+        o_c: Adam::new(compat.param_count(), adam),
+        o_rel: Adam::new(rel_emb.param_count(), adam),
+        w0,
+        w1,
+        compat,
+        rel_emb,
+        train_triples: data.train.to_vec(),
+    };
+    run_epochs(&mut run, cfg, "LHGNN", lp_data_key(data), Instant::now())
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -350,7 +344,7 @@ mod tests {
 
     #[test]
     fn latent_types_are_distributions() {
-        let (kg, _) = crate::testutil_lp::toy_lp();
+        let (kg, _) = crate::testutil::toy_lp();
         let g = HeteroGraph::build(&kg);
         let z = latent_types(&g, 0);
         assert_eq!(z.shape(), (g.num_nodes(), K));
@@ -362,7 +356,7 @@ mod tests {
 
     #[test]
     fn learns_toy_lp_task() {
-        let (kg, triples) = crate::testutil_lp::toy_lp();
+        let (kg, triples) = crate::testutil::toy_lp();
         let graph = HeteroGraph::build(&kg);
         let (train, rest) = triples.split_at(triples.len() - 6);
         let (valid, test) = rest.split_at(3);

@@ -13,8 +13,10 @@
 //! | [`morse::train_morse_lp`] | LP | entity-independent initializer + TransE (MorsE-TransE) |
 //! | [`lhgnn::train_lhgnn_lp`] | LP | latent-type-weighted message passing + DistMult |
 //!
-//! Every trainer accepts the same dataset/config types and emits a
-//! [`common::TrainReport`] covering accuracy/Hits@10, training and
+//! Every trainer accepts the same dataset/config types, builds its run
+//! state and hands it to one crate-private epoch loop
+//! (`common::run_epochs`: resume → epochs → checkpoints → report), which
+//! emits a [`common::TrainReport`] covering accuracy/Hits@10, training and
 //! inference time, parameter count, and a convergence trace — the exact
 //! quantities Figures 1/6/7/9 and Table IV report.
 
@@ -32,8 +34,9 @@ pub mod saint_nc;
 pub mod sehgnn_nc;
 pub mod shadow_nc;
 pub mod stack;
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
 mod testutil;
-mod testutil_lp;
 pub mod view;
 
 pub use checkpoint::{parse_checkpoint_bytes, state_fingerprint, CheckpointConfig, RawCheckpoint};

@@ -18,41 +18,10 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use crate::checkpoint::{
-    lp_data_key, read_rng, read_triples_into, state_fingerprint, write_rng, write_triples,
-    Checkpointer,
-};
-use crate::common::{EpochLog, LpDataset, TrainConfig, TrainReport};
+use crate::checkpoint::{lp_data_key, read_rng, read_triples_into, write_rng, write_triples};
+use crate::common::{run_epochs, LpDataset, TrainConfig, TrainReport, TrainRun};
 use crate::lp_common::{corrupt_entity, evaluate_ranking, Decoder};
 use crate::stack::RgcnLayerOpt;
-
-/// All mutable state of one MorsE run, in checkpoint order: relation
-/// embeddings, refinement layers, their optimizers, RNG stream, and the
-/// cumulative training-triple shuffle.
-fn save_all(
-    w: &mut dyn Write,
-    rng: &StdRng,
-    mats: [&Matrix; 3],
-    layers: [&RgcnLayer; 2],
-    adams: [&Adam; 3],
-    layer_opts: [&RgcnLayerOpt; 2],
-    train_triples: &[Triple],
-) -> io::Result<()> {
-    write_rng(w, rng)?;
-    for m in mats {
-        m.save_state(w)?;
-    }
-    for l in layers {
-        l.save_state(w)?;
-    }
-    for a in adams {
-        a.save_state(w)?;
-    }
-    for o in layer_opts {
-        o.save_state(w)?;
-    }
-    write_triples(w, train_triples)
-}
 
 /// Entity initializer: `e_v = (Σ_r deg_out_r(v)·R_out[r] +
 /// Σ_r deg_in_r(v)·R_in[r]) / deg(v)`.
@@ -136,152 +105,166 @@ fn init_backward(
     }
 }
 
-/// Trains MorsE-TransE and reports Hits@10/time/size.
-pub fn train_morse_lp(data: &LpDataset<'_>, cfg: &TrainConfig) -> TrainReport {
-    let g = data.graph;
-    let n = g.num_nodes();
-    let nr = g.num_relations().max(1);
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut r_out = xavier_uniform(nr, cfg.dim, &mut rng);
-    let mut r_in = xavier_uniform(nr, cfg.dim, &mut rng);
-    let mut trans = xavier_uniform(nr, cfg.dim, &mut rng);
+struct MorseRun<'a> {
+    data: &'a LpDataset<'a>,
+    cfg: &'a TrainConfig,
+    rng: StdRng,
+    r_out: Matrix,
+    r_in: Matrix,
+    trans: Matrix,
     // Two refinement layers: one hop is not enough to break structural
     // symmetries between entities sharing a relation signature.
-    let mut refine1 = RgcnLayer::new(g.num_relations(), cfg.dim, cfg.dim, true, &mut rng);
-    let mut refine2 = RgcnLayer::new(g.num_relations(), cfg.dim, cfg.dim, false, &mut rng);
-    let adam = AdamConfig { lr: cfg.lr, ..Default::default() };
-    let mut opt_out = Adam::new(r_out.param_count(), adam);
-    let mut opt_in = Adam::new(r_in.param_count(), adam);
-    let mut opt_trans = Adam::new(trans.param_count(), adam);
-    let mut opt_refine1 = crate::stack::RgcnLayerOpt::new(&refine1, adam);
-    let mut opt_refine2 = crate::stack::RgcnLayerOpt::new(&refine2, adam);
+    refine1: RgcnLayer,
+    refine2: RgcnLayer,
+    opt_out: Adam,
+    opt_in: Adam,
+    opt_trans: Adam,
+    opt_refine1: RgcnLayerOpt,
+    opt_refine2: RgcnLayerOpt,
+    /// Shuffled in place across epochs, so the order is resumable state.
+    train_triples: Vec<Triple>,
+}
 
-    let ckpt = Checkpointer::from_cfg(cfg, "MorsE", lp_data_key(data));
-    let start = Instant::now();
-    let mut elog = EpochLog::new("MorsE", cfg.epochs, start);
-    let mut train_triples = data.train.to_vec();
-    let mut trace = Vec::with_capacity(cfg.epochs);
-    let mut first_epoch = 1;
-    if let Some(c) = &ckpt {
-        if let Some((done, t)) = c.resume(|r: &mut dyn Read| {
-            read_rng(r, &mut rng)?;
-            for m in [&mut r_out, &mut r_in, &mut trans] {
-                m.load_state(r)?;
-            }
-            for l in [&mut refine1, &mut refine2] {
-                l.load_state(r)?;
-            }
-            for a in [&mut opt_out, &mut opt_in, &mut opt_trans] {
-                a.load_state(r)?;
-            }
-            for o in [&mut opt_refine1, &mut opt_refine2] {
-                o.load_state(r)?;
-            }
-            read_triples_into(r, &mut train_triples)
-        }) {
-            first_epoch = done + 1;
-            trace = t;
-        }
+impl MorseRun<'_> {
+    /// Entity embeddings under the current parameters.
+    fn encode(&self) -> Matrix {
+        let g = self.data.graph;
+        let e_init = init_entities(g, &self.r_out, &self.r_in);
+        let (h1, _) = self.refine1.forward(g, &e_init);
+        self.refine2.forward(g, &h1).0
     }
-    for epoch in first_epoch..=cfg.epochs {
-        train_triples.shuffle(&mut rng);
-        let e_init = init_entities(g, &r_out, &r_in);
-        let (h1, cache1) = refine1.forward(g, &e_init);
-        let (z, cache2) = refine2.forward(g, &h1);
+}
+
+impl StateIo for MorseRun<'_> {
+    fn save_state(&self, w: &mut dyn Write) -> io::Result<()> {
+        write_rng(w, &self.rng)?;
+        for m in [&self.r_out, &self.r_in, &self.trans] {
+            m.save_state(w)?;
+        }
+        for l in [&self.refine1, &self.refine2] {
+            l.save_state(w)?;
+        }
+        for a in [&self.opt_out, &self.opt_in, &self.opt_trans] {
+            a.save_state(w)?;
+        }
+        for o in [&self.opt_refine1, &self.opt_refine2] {
+            o.save_state(w)?;
+        }
+        write_triples(w, &self.train_triples)
+    }
+
+    fn load_state(&mut self, r: &mut dyn Read) -> io::Result<()> {
+        read_rng(r, &mut self.rng)?;
+        for m in [&mut self.r_out, &mut self.r_in, &mut self.trans] {
+            m.load_state(r)?;
+        }
+        for l in [&mut self.refine1, &mut self.refine2] {
+            l.load_state(r)?;
+        }
+        for a in [&mut self.opt_out, &mut self.opt_in, &mut self.opt_trans] {
+            a.load_state(r)?;
+        }
+        for o in [&mut self.opt_refine1, &mut self.opt_refine2] {
+            o.load_state(r)?;
+        }
+        read_triples_into(r, &mut self.train_triples)
+    }
+}
+
+impl TrainRun for MorseRun<'_> {
+    fn epoch(&mut self) -> (f64, f64) {
+        let (g, cfg) = (self.data.graph, self.cfg);
+        let n = g.num_nodes();
+        let nr = self.trans.rows();
+        self.train_triples.shuffle(&mut self.rng);
+        let e_init = init_entities(g, &self.r_out, &self.r_in);
+        let (h1, cache1) = self.refine1.forward(g, &e_init);
+        let (z, cache2) = self.refine2.forward(g, &h1);
         let mut grad_z = Matrix::zeros(n, cfg.dim);
         let mut grad_trans = Matrix::zeros(nr, cfg.dim);
         let mut epoch_loss = 0.0f64;
-        for t in &train_triples {
+        for t in &self.train_triples {
             for _ in 0..cfg.negatives.max(1) {
-                let neg = corrupt_entity(&mut rng, n, t.o.raw()) as usize;
+                let neg = corrupt_entity(&mut self.rng, n, t.o.raw()) as usize;
                 let (hs, rp, to) = (t.s.idx(), t.p.idx(), t.o.idx());
-                let d_pos =
-                    kgtosa_nn::transe_distance(z.row(hs), trans.row(rp), z.row(to));
-                let d_neg =
-                    kgtosa_nn::transe_distance(z.row(hs), trans.row(rp), z.row(neg));
+                let trans = &self.trans;
+                let d_pos = kgtosa_nn::transe_distance(z.row(hs), trans.row(rp), z.row(to));
+                let d_neg = kgtosa_nn::transe_distance(z.row(hs), trans.row(rp), z.row(neg));
                 let (pair_loss, active) = margin_loss(d_pos, d_neg, cfg.margin);
                 epoch_loss += pair_loss as f64;
                 if !active {
                     continue;
                 }
                 // ∂loss/∂d_pos = 1, ∂loss/∂d_neg = −1.
-                scatter_transe(&z, &trans, hs, rp, to, 1.0, &mut grad_z, &mut grad_trans);
-                scatter_transe(&z, &trans, hs, rp, neg, -1.0, &mut grad_z, &mut grad_trans);
+                scatter_transe(&z, trans, hs, rp, to, 1.0, &mut grad_z, &mut grad_trans);
+                scatter_transe(&z, trans, hs, rp, neg, -1.0, &mut grad_z, &mut grad_trans);
             }
         }
-        let scale = 1.0 / train_triples.len().max(1) as f32;
+        let scale = 1.0 / self.train_triples.len().max(1) as f32;
         grad_z.scale(scale);
         grad_trans.scale(scale);
-        let (grad_h1, refine2_grads) = refine2.backward(g, &h1, &cache2, grad_z);
-        let (grad_e, refine1_grads) = refine1.backward(g, &e_init, &cache1, grad_h1);
+        let (grad_h1, refine2_grads) = self.refine2.backward(g, &h1, &cache2, grad_z);
+        let (grad_e, refine1_grads) = self.refine1.backward(g, &e_init, &cache1, grad_h1);
         let mut grad_r_out = Matrix::zeros(nr, cfg.dim);
         let mut grad_r_in = Matrix::zeros(nr, cfg.dim);
         init_backward(g, &grad_e, &mut grad_r_out, &mut grad_r_in);
-        opt_refine1.step(&mut refine1, &refine1_grads);
-        opt_refine2.step(&mut refine2, &refine2_grads);
-        opt_out.step(&mut r_out, &grad_r_out);
-        opt_in.step(&mut r_in, &grad_r_in);
-        opt_trans.step(&mut trans, &grad_trans);
+        self.opt_refine1.step(&mut self.refine1, &refine1_grads);
+        self.opt_refine2.step(&mut self.refine2, &refine2_grads);
+        self.opt_out.step(&mut self.r_out, &grad_r_out);
+        self.opt_in.step(&mut self.r_in, &grad_r_in);
+        self.opt_trans.step(&mut self.trans, &grad_trans);
 
-        let sample: Vec<_> = data.valid.iter().copied().take(200).collect();
+        let sample: Vec<_> = self.data.valid.iter().copied().take(200).collect();
         let metric = if sample.is_empty() {
             0.0
         } else {
-            let e_init = init_entities(g, &r_out, &r_in);
-            let (h1, _) = refine1.forward(g, &e_init);
-            let (z, _) = refine2.forward(g, &h1);
-            evaluate_ranking(&z, &trans, &sample, Decoder::TransE).hits_at_10
+            evaluate_ranking(&self.encode(), &self.trans, &sample, Decoder::TransE).hits_at_10
         };
-        let mean_loss = epoch_loss / train_triples.len().max(1) as f64;
-        trace.push(elog.epoch(cfg, epoch, mean_loss, metric));
-        if let Some(c) = &ckpt {
-            c.maybe_save(epoch, cfg.epochs, &trace, |w| {
-                save_all(
-                    w,
-                    &rng,
-                    [&r_out, &r_in, &trans],
-                    [&refine1, &refine2],
-                    [&opt_out, &opt_in, &opt_trans],
-                    [&opt_refine1, &opt_refine2],
-                    &train_triples,
-                )
-            });
-        }
+        (epoch_loss / self.train_triples.len().max(1) as f64, metric)
     }
-    let training_s = start.elapsed().as_secs_f64();
 
-    let infer_start = Instant::now();
-    let e_init = init_entities(g, &r_out, &r_in);
-    let (h1, _) = refine1.forward(g, &e_init);
-    let (z, _) = refine2.forward(g, &h1);
-    let metrics = evaluate_ranking(&z, &trans, data.test, Decoder::TransE);
-    let inference_s = infer_start.elapsed().as_secs_f64();
-
-    TrainReport {
-        method: "MorsE".into(),
-        epochs: cfg.epochs,
-        training_s,
-        inference_s,
-        // Entity-independent: parameters do not scale with |V|.
-        param_count: r_out.param_count()
-            + r_in.param_count()
-            + trans.param_count()
-            + refine1.param_count()
-            + refine2.param_count(),
-        metric: metrics.hits_at_10,
-        param_hash: state_fingerprint(|w| {
-            save_all(
-                w,
-                &rng,
-                [&r_out, &r_in, &trans],
-                [&refine1, &refine2],
-                [&opt_out, &opt_in, &opt_trans],
-                [&opt_refine1, &opt_refine2],
-                &train_triples,
-            )
-        }),
-        trace,
+    fn test_metric(&self) -> f64 {
+        evaluate_ranking(&self.encode(), &self.trans, self.data.test, Decoder::TransE).hits_at_10
     }
+
+    // Entity-independent: parameters do not scale with |V|.
+    fn param_count(&self) -> usize {
+        self.r_out.param_count()
+            + self.r_in.param_count()
+            + self.trans.param_count()
+            + self.refine1.param_count()
+            + self.refine2.param_count()
+    }
+}
+
+/// Trains MorsE-TransE and reports Hits@10/time/size.
+pub fn train_morse_lp(data: &LpDataset<'_>, cfg: &TrainConfig) -> TrainReport {
+    let g = data.graph;
+    let nr = g.num_relations().max(1);
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let r_out = xavier_uniform(nr, cfg.dim, &mut rng);
+    let r_in = xavier_uniform(nr, cfg.dim, &mut rng);
+    let trans = xavier_uniform(nr, cfg.dim, &mut rng);
+    let refine1 = RgcnLayer::new(g.num_relations(), cfg.dim, cfg.dim, true, &mut rng);
+    let refine2 = RgcnLayer::new(g.num_relations(), cfg.dim, cfg.dim, false, &mut rng);
+    let adam = AdamConfig { lr: cfg.lr, ..Default::default() };
+    let mut run = MorseRun {
+        data,
+        cfg,
+        rng,
+        opt_out: Adam::new(r_out.param_count(), adam),
+        opt_in: Adam::new(r_in.param_count(), adam),
+        opt_trans: Adam::new(trans.param_count(), adam),
+        opt_refine1: RgcnLayerOpt::new(&refine1, adam),
+        opt_refine2: RgcnLayerOpt::new(&refine2, adam),
+        r_out,
+        r_in,
+        trans,
+        refine1,
+        refine2,
+        train_triples: data.train.to_vec(),
+    };
+    run_epochs(&mut run, cfg, "MorsE", lp_data_key(data), Instant::now())
 }
 
 /// Accumulates `coeff · ∂dist/∂(h,r,t)` into the gradient buffers.
@@ -336,7 +319,7 @@ mod tests {
 
     #[test]
     fn learns_toy_lp_task() {
-        let (kg, triples) = crate::testutil_lp::toy_lp();
+        let (kg, triples) = crate::testutil::toy_lp();
         let graph = HeteroGraph::build(&kg);
         let (train, rest) = triples.split_at(triples.len() - 6);
         let (valid, test) = rest.split_at(3);

@@ -149,7 +149,7 @@ mod tests {
     }
 
     fn train_toy_into(dir: &Path) -> crate::common::TrainReport {
-        let (kg, labels, papers) = crate::testutil::toy_nc();
+        let (kg, labels, papers) = crate::testutil::toy_nc(20);
         let graph = kgtosa_kg::HeteroGraph::build(&kg);
         let (train, rest) = papers.split_at(12);
         let (valid, test) = rest.split_at(4);

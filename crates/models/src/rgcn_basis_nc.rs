@@ -8,12 +8,12 @@ use std::time::Instant;
 
 use kgtosa_nn::RgcnBasisLayer;
 use kgtosa_tensor::state::{expect_u64, write_u64};
-use kgtosa_tensor::{softmax_cross_entropy, Adam, AdamConfig, Matrix, StateIo};
+use kgtosa_tensor::{softmax_cross_entropy, Adam, AdamConfig, StateIo};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::checkpoint::{nc_data_key, state_fingerprint, Checkpointer};
-use crate::common::{restrict_labels, EpochLog, NcDataset, TrainConfig, TrainReport};
+use crate::checkpoint::nc_data_key;
+use crate::common::{restrict_labels, run_epochs, NcDataset, TrainConfig, TrainReport, TrainRun};
 use crate::rgcn_nc::accuracy_at;
 use crate::stack::EmbeddingTable;
 
@@ -71,21 +71,57 @@ impl StateIo for BasisOpt {
     }
 }
 
-/// All mutable state of one basis-RGCN run, in checkpoint order.
-#[allow(clippy::too_many_arguments)]
-fn save_all(
-    w: &mut dyn Write,
-    embed: &EmbeddingTable,
-    layer1: &RgcnBasisLayer,
-    layer2: &RgcnBasisLayer,
-    opt1: &BasisOpt,
-    opt2: &BasisOpt,
-) -> io::Result<()> {
-    embed.save_state(w)?;
-    layer1.save_state(w)?;
-    layer2.save_state(w)?;
-    opt1.save_state(w)?;
-    opt2.save_state(w)
+struct BasisRun<'a> {
+    data: &'a NcDataset<'a>,
+    embed: EmbeddingTable,
+    layer1: RgcnBasisLayer,
+    layer2: RgcnBasisLayer,
+    opt1: BasisOpt,
+    opt2: BasisOpt,
+    train_labels: Vec<u32>,
+}
+
+impl StateIo for BasisRun<'_> {
+    fn save_state(&self, w: &mut dyn Write) -> io::Result<()> {
+        self.embed.save_state(w)?;
+        self.layer1.save_state(w)?;
+        self.layer2.save_state(w)?;
+        self.opt1.save_state(w)?;
+        self.opt2.save_state(w)
+    }
+
+    fn load_state(&mut self, r: &mut dyn Read) -> io::Result<()> {
+        self.embed.load_state(r)?;
+        self.layer1.load_state(r)?;
+        self.layer2.load_state(r)?;
+        self.opt1.load_state(r)?;
+        self.opt2.load_state(r)
+    }
+}
+
+impl TrainRun for BasisRun<'_> {
+    fn epoch(&mut self) -> (f64, f64) {
+        let graph = self.data.graph;
+        let (h1, c1) = self.layer1.forward(graph, &self.embed.weight);
+        let (logits, c2) = self.layer2.forward(graph, &h1);
+        let (loss, grad) = softmax_cross_entropy(&logits, &self.train_labels);
+        let (grad_h1, g2) = self.layer2.backward(graph, &h1, &c2, grad);
+        let (grad_x, g1) = self.layer1.backward(graph, &self.embed.weight, &c1, grad_h1);
+        self.opt2.step(&mut self.layer2, &g2);
+        self.opt1.step(&mut self.layer1, &g1);
+        self.embed.step(&grad_x);
+        (loss as f64, accuracy_at(&logits, self.data.labels, self.data.valid))
+    }
+
+    fn test_metric(&self) -> f64 {
+        let (h1, _) = self.layer1.forward(self.data.graph, &self.embed.weight);
+        let (logits, _) = self.layer2.forward(self.data.graph, &h1);
+        accuracy_at(&logits, self.data.labels, self.data.test)
+    }
+
+    fn param_count(&self) -> usize {
+        self.embed.param_count() + self.layer1.param_count() + self.layer2.param_count()
+    }
 }
 
 /// Trains a two-layer basis-decomposed RGCN classifier.
@@ -97,70 +133,21 @@ pub fn train_rgcn_basis_nc(
     let n = data.graph.num_nodes();
     let nr = data.graph.num_relations();
     let mut rng = StdRng::seed_from_u64(cfg.seed + 1);
-    let mut embed = EmbeddingTable::new(n, cfg.dim, cfg.lr, cfg.seed);
-    let mut layer1 = RgcnBasisLayer::new(nr, num_bases, cfg.dim, cfg.dim, true, &mut rng);
-    let mut layer2 =
-        RgcnBasisLayer::new(nr, num_bases, cfg.dim, data.num_labels, false, &mut rng);
+    let embed = EmbeddingTable::new(n, cfg.dim, cfg.lr, cfg.seed);
+    let layer1 = RgcnBasisLayer::new(nr, num_bases, cfg.dim, cfg.dim, true, &mut rng);
+    let layer2 = RgcnBasisLayer::new(nr, num_bases, cfg.dim, data.num_labels, false, &mut rng);
     let adam = AdamConfig { lr: cfg.lr, ..Default::default() };
-    let mut opt1 = BasisOpt::new(&layer1, adam);
-    let mut opt2 = BasisOpt::new(&layer2, adam);
-    let train_labels = restrict_labels(data.labels, data.train, n);
-
+    let mut run = BasisRun {
+        data,
+        embed,
+        opt1: BasisOpt::new(&layer1, adam),
+        opt2: BasisOpt::new(&layer2, adam),
+        layer1,
+        layer2,
+        train_labels: restrict_labels(data.labels, data.train, n),
+    };
     let method = format!("RGCN-basis{num_bases}");
-    let ckpt = Checkpointer::from_cfg(cfg, &method, nc_data_key(data));
-    let start = Instant::now();
-    let mut elog = EpochLog::new("RGCN-basis", cfg.epochs, start);
-    let mut trace = Vec::with_capacity(cfg.epochs);
-    let mut first_epoch = 1;
-    if let Some(c) = &ckpt {
-        if let Some((done, t)) = c.resume(|r: &mut dyn Read| {
-            embed.load_state(r)?;
-            layer1.load_state(r)?;
-            layer2.load_state(r)?;
-            opt1.load_state(r)?;
-            opt2.load_state(r)
-        }) {
-            first_epoch = done + 1;
-            trace = t;
-        }
-    }
-    for epoch in first_epoch..=cfg.epochs {
-        let (h1, c1) = layer1.forward(data.graph, &embed.weight);
-        let (logits, c2) = layer2.forward(data.graph, &h1);
-        let (loss, grad) = softmax_cross_entropy(&logits, &train_labels);
-        let (grad_h1, g2) = layer2.backward(data.graph, &h1, &c2, grad);
-        let (grad_x, g1) = layer1.backward(data.graph, &embed.weight, &c1, grad_h1);
-        opt2.step(&mut layer2, &g2);
-        opt1.step(&mut layer1, &g1);
-        embed.step(&grad_x);
-        let metric = accuracy_at(&logits, data.labels, data.valid);
-        trace.push(elog.epoch(cfg, epoch, loss as f64, metric));
-        if let Some(c) = &ckpt {
-            c.maybe_save(epoch, cfg.epochs, &trace, |w| {
-                save_all(w, &embed, &layer1, &layer2, &opt1, &opt2)
-            });
-        }
-    }
-    let training_s = start.elapsed().as_secs_f64();
-
-    let infer_start = Instant::now();
-    let (h1, _) = layer1.forward(data.graph, &embed.weight);
-    let (logits, _): (Matrix, _) = layer2.forward(data.graph, &h1);
-    let metric = accuracy_at(&logits, data.labels, data.test);
-    let inference_s = infer_start.elapsed().as_secs_f64();
-
-    TrainReport {
-        method,
-        epochs: cfg.epochs,
-        training_s,
-        inference_s,
-        param_count: embed.param_count() + layer1.param_count() + layer2.param_count(),
-        metric,
-        param_hash: state_fingerprint(|w| {
-            save_all(w, &embed, &layer1, &layer2, &opt1, &opt2)
-        }),
-        trace,
-    }
+    run_epochs(&mut run, cfg, &method, nc_data_key(data), Instant::now())
 }
 
 #[cfg(test)]
@@ -170,7 +157,7 @@ mod tests {
 
     #[test]
     fn learns_toy_task_with_few_bases() {
-        let (kg, labels, papers) = crate::testutil::toy_nc();
+        let (kg, labels, papers) = crate::testutil::toy_nc(20);
         let graph = HeteroGraph::build(&kg);
         let (train, rest) = papers.split_at(12);
         let (valid, test) = rest.split_at(4);

@@ -11,8 +11,8 @@ use std::time::Instant;
 use kgtosa_kg::Vid;
 use kgtosa_tensor::{argmax_rows, softmax_cross_entropy_into, Matrix, ScratchArena, StateIo};
 
-use crate::checkpoint::{nc_data_key, state_fingerprint, Checkpointer};
-use crate::common::{restrict_labels, EpochLog, NcDataset, TrainConfig, TrainReport};
+use crate::checkpoint::nc_data_key;
+use crate::common::{restrict_labels, run_epochs, NcDataset, TrainConfig, TrainReport, TrainRun};
 use crate::stack::{EmbeddingTable, RgcnStack};
 
 /// Computes accuracy of `logits` rows at `nodes` against `labels`.
@@ -28,76 +28,73 @@ pub(crate) fn accuracy_at(logits: &Matrix, labels: &[u32], nodes: &[Vid]) -> f64
     correct as f64 / nodes.len() as f64
 }
 
-/// Trains full-batch RGCN and reports metric/time/size (Figure 6 rows).
-pub fn train_rgcn_nc(data: &NcDataset<'_>, cfg: &TrainConfig) -> TrainReport {
-    let n = data.graph.num_nodes();
-    let mut embed = EmbeddingTable::new(n, cfg.dim, cfg.lr, cfg.seed);
-    let mut stack = RgcnStack::new(
-        data.graph.num_relations(),
-        cfg.dim,
-        cfg.dim,
-        data.num_labels,
-        cfg.lr,
-        cfg.seed + 1,
-    );
-    let train_labels = restrict_labels(data.labels, data.train, n);
-
-    fn save_all(w: &mut dyn Write, embed: &EmbeddingTable, stack: &RgcnStack) -> io::Result<()> {
-        embed.save_state(w)?;
-        stack.save_state(w)
-    }
-
-    let ckpt = Checkpointer::from_cfg(cfg, "RGCN", nc_data_key(data));
-    let start = Instant::now();
-    let mut elog = EpochLog::new("RGCN", cfg.epochs, start);
-    let mut trace = Vec::with_capacity(cfg.epochs);
-    let mut first_epoch = 1;
-    if let Some(c) = &ckpt {
-        if let Some((done, t)) = c.resume(|r: &mut dyn Read| {
-            embed.load_state(r)?;
-            stack.load_state(r)
-        }) {
-            first_epoch = done + 1;
-            trace = t;
-        }
-    }
+struct RgcnRun<'a> {
+    data: &'a NcDataset<'a>,
+    embed: EmbeddingTable,
+    stack: RgcnStack,
+    train_labels: Vec<u32>,
     // Per-trainer scratch arena: after the first epoch warms its buffer
     // pool, forward/backward run at zero matrix allocations per epoch
     // (asserted in tests/epoch_allocs.rs).
-    let mut arena = ScratchArena::new();
-    for epoch in first_epoch..=cfg.epochs {
-        let (logits, cache) = stack.forward_arena(data.graph, &embed.weight, &mut arena);
+    arena: ScratchArena,
+}
+
+impl StateIo for RgcnRun<'_> {
+    fn save_state(&self, w: &mut dyn Write) -> io::Result<()> {
+        self.embed.save_state(w)?;
+        self.stack.save_state(w)
+    }
+
+    fn load_state(&mut self, r: &mut dyn Read) -> io::Result<()> {
+        self.embed.load_state(r)?;
+        self.stack.load_state(r)
+    }
+}
+
+impl TrainRun for RgcnRun<'_> {
+    fn epoch(&mut self) -> (f64, f64) {
+        let Self { data, embed, stack, train_labels, arena } = self;
+        let (logits, cache) = stack.forward_arena(data.graph, &embed.weight, arena);
         let mut grad = arena.take(logits.rows(), logits.cols());
-        let loss = softmax_cross_entropy_into(&logits, &train_labels, &mut grad);
-        let grad_x = stack.backward_step_arena(data.graph, &embed.weight, &cache, grad, &mut arena);
+        let loss = softmax_cross_entropy_into(&logits, train_labels, &mut grad);
+        let grad_x = stack.backward_step_arena(data.graph, &embed.weight, &cache, grad, arena);
         embed.step(&grad_x);
         arena.put(grad_x);
         let metric = accuracy_at(&logits, data.labels, data.valid);
         arena.put(logits);
-        cache.recycle(&mut arena);
+        cache.recycle(arena);
         arena.reset();
-        trace.push(elog.epoch(cfg, epoch, loss as f64, metric));
-        if let Some(c) = &ckpt {
-            c.maybe_save(epoch, cfg.epochs, &trace, |w| save_all(w, &embed, &stack));
-        }
+        (loss as f64, metric)
     }
-    let training_s = start.elapsed().as_secs_f64();
 
-    let infer_start = Instant::now();
-    let (logits, _) = stack.forward(data.graph, &embed.weight);
-    let metric = accuracy_at(&logits, data.labels, data.test);
-    let inference_s = infer_start.elapsed().as_secs_f64();
-
-    TrainReport {
-        method: "RGCN".into(),
-        epochs: cfg.epochs,
-        training_s,
-        inference_s,
-        param_count: embed.param_count() + stack.param_count(),
-        metric,
-        param_hash: state_fingerprint(|w| save_all(w, &embed, &stack)),
-        trace,
+    fn test_metric(&self) -> f64 {
+        let (logits, _) = self.stack.forward(self.data.graph, &self.embed.weight);
+        accuracy_at(&logits, self.data.labels, self.data.test)
     }
+
+    fn param_count(&self) -> usize {
+        self.embed.param_count() + self.stack.param_count()
+    }
+}
+
+/// Trains full-batch RGCN and reports metric/time/size (Figure 6 rows).
+pub fn train_rgcn_nc(data: &NcDataset<'_>, cfg: &TrainConfig) -> TrainReport {
+    let n = data.graph.num_nodes();
+    let mut run = RgcnRun {
+        data,
+        embed: EmbeddingTable::new(n, cfg.dim, cfg.lr, cfg.seed),
+        stack: RgcnStack::new(
+            data.graph.num_relations(),
+            cfg.dim,
+            cfg.dim,
+            data.num_labels,
+            cfg.lr,
+            cfg.seed + 1,
+        ),
+        train_labels: restrict_labels(data.labels, data.train, n),
+        arena: ScratchArena::new(),
+    };
+    run_epochs(&mut run, cfg, "RGCN", nc_data_key(data), Instant::now())
 }
 
 #[cfg(test)]
@@ -109,7 +106,7 @@ mod tests {
 
     #[test]
     fn learns_separable_task() {
-        let (kg, labels, papers) = toy_nc();
+        let (kg, labels, papers) = toy_nc(20);
         let graph = HeteroGraph::build(&kg);
         let (train, rest) = papers.split_at(12);
         let (valid, test) = rest.split_at(4);

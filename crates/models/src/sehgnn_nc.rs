@@ -22,8 +22,8 @@ use kgtosa_tensor::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::checkpoint::{nc_data_key, state_fingerprint, Checkpointer};
-use crate::common::{EpochLog, NcDataset, TrainConfig, TrainReport};
+use crate::checkpoint::nc_data_key;
+use crate::common::{run_epochs, NcDataset, TrainConfig, TrainReport, TrainRun};
 
 /// One step of a metapath: a relation traversed in a direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,6 +58,103 @@ fn hop1_paths(g: &HeteroGraph, targets: &[Vid], max_paths: usize) -> Vec<PathSte
     scored.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.rel.cmp(&b.1.rel)));
     scored.truncate(max_paths);
     scored.into_iter().map(|(_, s)| s).collect()
+}
+
+/// SeHGNN epochs are plain MLP passes — orders of magnitude cheaper than a
+/// message-passing epoch — so the method's tuned default runs many more of
+/// them within the same budget. Telemetry and checkpoints follow the
+/// reporting cadence (one logical epoch), not the inner passes.
+const EPOCH_MULTIPLIER: usize = 20;
+
+/// MLP weights + moments are the whole mutable state: the heavy metapath
+/// features are recomputed deterministically on resume.
+struct SehgnnRun<'a> {
+    data: &'a NcDataset<'a>,
+    /// Feature row of each task vertex (train ∪ valid ∪ test).
+    row_of: FxHashMap<u32, usize>,
+    features: Matrix,
+    /// Per-row labels, with non-train rows ignored during loss.
+    train_labels: Vec<u32>,
+    l1: Linear,
+    l2: Linear,
+    o1w: Adam,
+    o1b: Adam,
+    o2w: Adam,
+    o2b: Adam,
+}
+
+impl SehgnnRun<'_> {
+    fn forward(&self) -> (Matrix, Matrix, Vec<bool>) {
+        let mut h = self.l1.forward(&self.features);
+        let mask = relu_inplace(&mut h);
+        let logits = self.l2.forward(&h);
+        (h, logits, mask)
+    }
+
+    /// One MLP training pass; returns the loss and the pre-step logits.
+    fn pass(&mut self) -> (f32, Matrix) {
+        let (h, logits, mask) = self.forward();
+        let (loss, grad) = softmax_cross_entropy(&logits, &self.train_labels);
+        let (mut grad_h, g2) = self.l2.backward(&h, &grad);
+        relu_backward(&mut grad_h, &mask);
+        let (_, g1) = self.l1.backward(&self.features, &grad_h);
+        self.o2w.step(&mut self.l2.w, &g2.w);
+        self.o2b.step_slice(&mut self.l2.b, &g2.b);
+        self.o1w.step(&mut self.l1.w, &g1.w);
+        self.o1b.step_slice(&mut self.l1.b, &g1.b);
+        (loss, logits)
+    }
+
+    fn accuracy(&self, logits: &Matrix, nodes: &[Vid]) -> f64 {
+        if nodes.is_empty() {
+            return 0.0;
+        }
+        let preds = argmax_rows(logits);
+        let correct = nodes
+            .iter()
+            .filter(|&&v| preds[self.row_of[&v.raw()]] == self.data.labels[v.idx()])
+            .count();
+        correct as f64 / nodes.len() as f64
+    }
+}
+
+impl StateIo for SehgnnRun<'_> {
+    fn save_state(&self, w: &mut dyn Write) -> io::Result<()> {
+        self.l1.save_state(w)?;
+        self.l2.save_state(w)?;
+        for o in [&self.o1w, &self.o1b, &self.o2w, &self.o2b] {
+            o.save_state(w)?;
+        }
+        Ok(())
+    }
+
+    fn load_state(&mut self, r: &mut dyn Read) -> io::Result<()> {
+        self.l1.load_state(r)?;
+        self.l2.load_state(r)?;
+        for o in [&mut self.o1w, &mut self.o1b, &mut self.o2w, &mut self.o2b] {
+            o.load_state(r)?;
+        }
+        Ok(())
+    }
+}
+
+impl TrainRun for SehgnnRun<'_> {
+    fn epoch(&mut self) -> (f64, f64) {
+        for _ in 1..EPOCH_MULTIPLIER {
+            self.pass();
+        }
+        let (loss, logits) = self.pass();
+        (loss as f64, self.accuracy(&logits, self.data.valid))
+    }
+
+    fn test_metric(&self) -> f64 {
+        let (_, logits, _) = self.forward();
+        self.accuracy(&logits, self.data.test)
+    }
+
+    fn param_count(&self) -> usize {
+        self.l1.param_count() + self.l2.param_count()
+    }
 }
 
 /// Trains SeHGNN and reports metric/time/size.
@@ -113,126 +210,26 @@ pub fn train_sehgnn_nc(data: &NcDataset<'_>, cfg: &TrainConfig) -> TrainReport {
     }
 
     // --- MLP training ---------------------------------------------------
-    let mut l1 = Linear::new(width, cfg.dim, &mut rng);
-    let mut l2 = Linear::new(cfg.dim, data.num_labels, &mut rng);
+    let l1 = Linear::new(width, cfg.dim, &mut rng);
+    let l2 = Linear::new(cfg.dim, data.num_labels, &mut rng);
     let adam_cfg = AdamConfig { lr: cfg.lr, ..Default::default() };
-    let mut o1w = Adam::new(l1.w.param_count(), adam_cfg);
-    let mut o1b = Adam::new(l1.b.len(), adam_cfg);
-    let mut o2w = Adam::new(l2.w.param_count(), adam_cfg);
-    let mut o2b = Adam::new(l2.b.len(), adam_cfg);
-
-    // Per-row labels, with non-train rows ignored during loss.
     let mut train_labels = vec![kgtosa_tensor::IGNORE_LABEL; t];
     for &v in data.train {
         train_labels[row_of[&v.raw()]] = data.labels[v.idx()];
     }
-
-    let forward = |l1: &Linear, l2: &Linear, f: &Matrix| -> (Matrix, Matrix, Vec<bool>) {
-        let mut h = l1.forward(f);
-        let mask = relu_inplace(&mut h);
-        let logits = l2.forward(&h);
-        (h, logits, mask)
+    let mut run = SehgnnRun {
+        data,
+        row_of,
+        features,
+        train_labels,
+        o1w: Adam::new(l1.w.param_count(), adam_cfg),
+        o1b: Adam::new(l1.b.len(), adam_cfg),
+        o2w: Adam::new(l2.w.param_count(), adam_cfg),
+        o2b: Adam::new(l2.b.len(), adam_cfg),
+        l1,
+        l2,
     };
-
-    // MLP weights + moments are the whole mutable state: the heavy
-    // metapath features are recomputed deterministically on resume.
-    #[allow(clippy::too_many_arguments)]
-    fn save_all(
-        w: &mut dyn Write,
-        l1: &Linear,
-        l2: &Linear,
-        opts: [&Adam; 4],
-    ) -> io::Result<()> {
-        l1.save_state(w)?;
-        l2.save_state(w)?;
-        for o in opts {
-            o.save_state(w)?;
-        }
-        Ok(())
-    }
-
-    // SeHGNN epochs are plain MLP passes — orders of magnitude cheaper
-    // than a message-passing epoch — so the method's tuned default runs
-    // many more of them within the same budget.
-    const EPOCH_MULTIPLIER: usize = 20;
-    let total_epochs = cfg.epochs * EPOCH_MULTIPLIER;
-    // Telemetry follows the reporting cadence (one event per logical
-    // epoch), not the 20× inner MLP passes; checkpoints land on the same
-    // logical-epoch boundaries.
-    let ckpt = Checkpointer::from_cfg(cfg, "SeHGNN", nc_data_key(data));
-    let mut elog = EpochLog::new("SeHGNN", cfg.epochs, start);
-    let mut trace = Vec::with_capacity(cfg.epochs);
-    let mut first_epoch = 1;
-    if let Some(c) = &ckpt {
-        if let Some((done, t)) = c.resume(|r: &mut dyn Read| {
-            l1.load_state(r)?;
-            l2.load_state(r)?;
-            for o in [&mut o1w, &mut o1b, &mut o2w, &mut o2b] {
-                o.load_state(r)?;
-            }
-            Ok(())
-        }) {
-            first_epoch = done * EPOCH_MULTIPLIER + 1;
-            trace = t;
-        }
-    }
-    for epoch in first_epoch..=total_epochs {
-        let (h, logits, mask) = forward(&l1, &l2, &features);
-        let (loss, grad) = softmax_cross_entropy(&logits, &train_labels);
-        let (mut grad_h, g2) = l2.backward(&h, &grad);
-        relu_backward(&mut grad_h, &mask);
-        let (_, g1) = l1.backward(&features, &grad_h);
-        o2w.step(&mut l2.w, &g2.w);
-        o2b.step_slice(&mut l2.b, &g2.b);
-        o1w.step(&mut l1.w, &g1.w);
-        o1b.step_slice(&mut l1.b, &g1.b);
-
-        if epoch % EPOCH_MULTIPLIER == 0 {
-            let preds = argmax_rows(&logits);
-            let metric = split_accuracy(&preds, data, &row_of, data.valid);
-            let lepoch = epoch / EPOCH_MULTIPLIER;
-            trace.push(elog.epoch(cfg, lepoch, loss as f64, metric));
-            if let Some(c) = &ckpt {
-                c.maybe_save(lepoch, cfg.epochs, &trace, |w| {
-                    save_all(w, &l1, &l2, [&o1w, &o1b, &o2w, &o2b])
-                });
-            }
-        }
-    }
-    let training_s = start.elapsed().as_secs_f64();
-
-    let infer_start = Instant::now();
-    let (_, logits, _) = forward(&l1, &l2, &features);
-    let preds = argmax_rows(&logits);
-    let metric = split_accuracy(&preds, data, &row_of, data.test);
-    let inference_s = infer_start.elapsed().as_secs_f64();
-
-    TrainReport {
-        method: "SeHGNN".into(),
-        epochs: cfg.epochs,
-        training_s,
-        inference_s,
-        param_count: l1.param_count() + l2.param_count(),
-        metric,
-        param_hash: state_fingerprint(|w| save_all(w, &l1, &l2, [&o1w, &o1b, &o2w, &o2b])),
-        trace,
-    }
-}
-
-fn split_accuracy(
-    preds: &[u32],
-    data: &NcDataset<'_>,
-    row_of: &FxHashMap<u32, usize>,
-    nodes: &[Vid],
-) -> f64 {
-    if nodes.is_empty() {
-        return 0.0;
-    }
-    let correct = nodes
-        .iter()
-        .filter(|&&v| preds[row_of[&v.raw()]] == data.labels[v.idx()])
-        .count();
-    correct as f64 / nodes.len() as f64
+    run_epochs(&mut run, cfg, "SeHGNN", nc_data_key(data), start)
 }
 
 #[cfg(test)]
@@ -242,7 +239,7 @@ mod tests {
 
     #[test]
     fn learns_toy_task() {
-        let (kg, labels, papers) = crate::testutil::toy_nc();
+        let (kg, labels, papers) = crate::testutil::toy_nc(20);
         let graph = HeteroGraph::build(&kg);
         let (train, rest) = papers.split_at(12);
         let (valid, test) = rest.split_at(4);
@@ -268,7 +265,7 @@ mod tests {
 
     #[test]
     fn hop1_selection_prefers_covered_relations() {
-        let (kg, _, papers) = crate::testutil::toy_nc();
+        let (kg, _, papers) = crate::testutil::toy_nc(20);
         let graph = HeteroGraph::build(&kg);
         let paths = hop1_paths(&graph, &papers, 12);
         assert!(!paths.is_empty());

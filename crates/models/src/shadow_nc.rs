@@ -20,10 +20,8 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use crate::checkpoint::{
-    nc_data_key, read_rng, read_vids_into, state_fingerprint, write_rng, write_vids, Checkpointer,
-};
-use crate::common::{EpochLog, NcDataset, TrainConfig, TrainReport};
+use crate::checkpoint::{nc_data_key, read_rng, read_vids_into, write_rng, write_vids};
+use crate::common::{run_epochs, NcDataset, TrainConfig, TrainReport, TrainRun};
 use crate::stack::{EmbeddingTable, RgcnStack};
 use crate::view::SubgraphView;
 
@@ -85,74 +83,55 @@ fn forward_root(
     logits.row(0).to_vec()
 }
 
-/// Trains ShaDowSAINT and reports metric/time/size.
-pub fn train_shadowsaint_nc(data: &NcDataset<'_>, cfg: &TrainConfig) -> TrainReport {
-    let n = data.graph.num_nodes();
-    let shadow = ShadowConfig { depth: 2, fanout: 10 };
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut embed = EmbeddingTable::new(n, cfg.dim, cfg.lr, cfg.seed);
-    let mut embed_opt =
-        SparseAdam::new(n, cfg.dim, AdamConfig { lr: cfg.lr, ..Default::default() });
-    let mut stack = RgcnStack::new(
-        data.graph.num_relations(),
-        cfg.dim,
-        cfg.dim,
-        data.num_labels,
-        cfg.lr,
-        cfg.seed + 1,
-    );
-
-    // The in-place shuffle of `train_nodes` accumulates across epochs, so
-    // the current order is resumable state alongside the RNG stream.
-    fn save_all(
-        w: &mut dyn Write,
-        rng: &StdRng,
-        embed: &EmbeddingTable,
-        embed_opt: &SparseAdam,
-        stack: &RgcnStack,
-        train_nodes: &[Vid],
-    ) -> io::Result<()> {
-        write_rng(w, rng)?;
-        embed.save_state(w)?;
-        embed_opt.save_state(w)?;
-        stack.save_state(w)?;
-        write_vids(w, train_nodes)
-    }
-
-    let ckpt = Checkpointer::from_cfg(cfg, "ShaDowSAINT", nc_data_key(data));
-    let start = Instant::now();
-    let mut elog = EpochLog::new("ShaDowSAINT", cfg.epochs, start);
-    let mut train_nodes: Vec<Vid> = data.train.to_vec();
-    let mut trace = Vec::with_capacity(cfg.epochs);
-    let mut first_epoch = 1;
-    if let Some(c) = &ckpt {
-        if let Some((done, t)) = c.resume(|r: &mut dyn Read| {
-            read_rng(r, &mut rng)?;
-            embed.load_state(r)?;
-            embed_opt.load_state(r)?;
-            stack.load_state(r)?;
-            read_vids_into(r, &mut train_nodes)
-        }) {
-            first_epoch = done + 1;
-            trace = t;
-        }
-    }
+struct ShadowRun<'a> {
+    data: &'a NcDataset<'a>,
+    cfg: &'a TrainConfig,
+    shadow: ShadowConfig,
+    rng: StdRng,
+    embed: EmbeddingTable,
+    embed_opt: SparseAdam,
+    stack: RgcnStack,
+    // The in-place shuffle accumulates across epochs, so the current order
+    // is resumable state alongside the RNG stream.
+    train_nodes: Vec<Vid>,
     // Per-trainer scratch arena: ego subgraph shapes vary per root, but
     // the buffer pool converges to the largest scope and stops allocating.
-    let mut arena = ScratchArena::new();
-    for epoch in first_epoch..=cfg.epochs {
-        train_nodes.shuffle(&mut rng);
+    arena: ScratchArena,
+}
+
+impl StateIo for ShadowRun<'_> {
+    fn save_state(&self, w: &mut dyn Write) -> io::Result<()> {
+        write_rng(w, &self.rng)?;
+        self.embed.save_state(w)?;
+        self.embed_opt.save_state(w)?;
+        self.stack.save_state(w)?;
+        write_vids(w, &self.train_nodes)
+    }
+
+    fn load_state(&mut self, r: &mut dyn Read) -> io::Result<()> {
+        read_rng(r, &mut self.rng)?;
+        self.embed.load_state(r)?;
+        self.embed_opt.load_state(r)?;
+        self.stack.load_state(r)?;
+        read_vids_into(r, &mut self.train_nodes)
+    }
+}
+
+impl TrainRun for ShadowRun<'_> {
+    fn epoch(&mut self) -> (f64, f64) {
+        let Self { data, cfg, shadow, rng, embed, embed_opt, stack, train_nodes, arena } = self;
+        train_nodes.shuffle(rng);
         let mut epoch_loss = 0.0f64;
         for batch in train_nodes.chunks(cfg.batch_size.max(1)) {
-            let (mut acc1, mut acc2) = zero_grads(&stack);
+            let (mut acc1, mut acc2) = zero_grads(stack);
             let mut embed_grads: FxHashMap<u32, Vec<f32>> = FxHashMap::default();
             for &root in batch {
-                let ego = ego_subgraph(data.graph, root, &shadow, &mut rng);
+                let ego = ego_subgraph(data.graph, root, shadow, rng);
                 let view = SubgraphView::build_ordered(data.kg, &ego);
                 let rows = view.parent_rows();
                 let mut x = arena.take(rows.len(), cfg.dim);
                 embed.weight.gather_rows_into(&rows, &mut x);
-                let (logits, cache) = stack.forward_arena(&view.graph, &x, &mut arena);
+                let (logits, cache) = stack.forward_arena(&view.graph, &x, arena);
                 // Loss only at the root (row 0).
                 let mut labels = vec![kgtosa_tensor::IGNORE_LABEL; rows.len()];
                 labels[0] = data.labels[root.idx()];
@@ -165,16 +144,16 @@ pub fn train_shadowsaint_nc(data: &NcDataset<'_>, cfg: &TrainConfig) -> TrainRep
                     cache_h1(&cache),
                     cache_c2(&cache),
                     grad,
-                    &mut arena,
+                    arena,
                 );
                 let (grad_x, g1) =
                     stack
                         .layer1
-                        .backward_arena(&view.graph, &x, cache_c1(&cache), grad_h1, &mut arena);
+                        .backward_arena(&view.graph, &x, cache_c1(&cache), grad_h1, arena);
                 acc_grads(&mut acc1, &g1);
                 acc_grads(&mut acc2, &g2);
-                recycle_rgcn_grads(g1, &mut arena);
-                recycle_rgcn_grads(g2, &mut arena);
+                recycle_rgcn_grads(g1, arena);
+                recycle_rgcn_grads(g2, arena);
                 for (i, &row) in rows.iter().enumerate() {
                     let slot = embed_grads
                         .entry(row)
@@ -185,7 +164,7 @@ pub fn train_shadowsaint_nc(data: &NcDataset<'_>, cfg: &TrainConfig) -> TrainRep
                 }
                 arena.put(grad_x);
                 arena.put(logits);
-                cache.recycle(&mut arena);
+                cache.recycle(arena);
                 arena.put(x);
             }
             let inv = 1.0 / batch.len().max(1) as f32;
@@ -208,34 +187,43 @@ pub fn train_shadowsaint_nc(data: &NcDataset<'_>, cfg: &TrainConfig) -> TrainRep
         arena.reset();
         // Validation via ego forward per node, fixed eval seed.
         let mut eval_rng = StdRng::seed_from_u64(12345);
-        let metric = eval_accuracy(data, &stack, &embed.weight, data.valid, &shadow, &mut eval_rng);
-        let mean_loss = epoch_loss / train_nodes.len().max(1) as f64;
-        trace.push(elog.epoch(cfg, epoch, mean_loss, metric));
-        if let Some(c) = &ckpt {
-            c.maybe_save(epoch, cfg.epochs, &trace, |w| {
-                save_all(w, &rng, &embed, &embed_opt, &stack, &train_nodes)
-            });
-        }
+        let metric = eval_accuracy(data, stack, &embed.weight, data.valid, shadow, &mut eval_rng);
+        (epoch_loss / train_nodes.len().max(1) as f64, metric)
     }
-    let training_s = start.elapsed().as_secs_f64();
 
-    let infer_start = Instant::now();
-    let mut eval_rng = StdRng::seed_from_u64(999);
-    let metric = eval_accuracy(data, &stack, &embed.weight, data.test, &shadow, &mut eval_rng);
-    let inference_s = infer_start.elapsed().as_secs_f64();
-
-    TrainReport {
-        method: "ShaDowSAINT".into(),
-        epochs: cfg.epochs,
-        training_s,
-        inference_s,
-        param_count: embed.param_count() + stack.param_count(),
-        metric,
-        param_hash: state_fingerprint(|w| {
-            save_all(w, &rng, &embed, &embed_opt, &stack, &train_nodes)
-        }),
-        trace,
+    fn test_metric(&self) -> f64 {
+        let mut eval_rng = StdRng::seed_from_u64(999);
+        let Self { data, stack, embed, shadow, .. } = self;
+        eval_accuracy(data, stack, &embed.weight, data.test, shadow, &mut eval_rng)
     }
+
+    fn param_count(&self) -> usize {
+        self.embed.param_count() + self.stack.param_count()
+    }
+}
+
+/// Trains ShaDowSAINT and reports metric/time/size.
+pub fn train_shadowsaint_nc(data: &NcDataset<'_>, cfg: &TrainConfig) -> TrainReport {
+    let n = data.graph.num_nodes();
+    let mut run = ShadowRun {
+        data,
+        cfg,
+        shadow: ShadowConfig { depth: 2, fanout: 10 },
+        rng: StdRng::seed_from_u64(cfg.seed),
+        embed: EmbeddingTable::new(n, cfg.dim, cfg.lr, cfg.seed),
+        embed_opt: SparseAdam::new(n, cfg.dim, AdamConfig { lr: cfg.lr, ..Default::default() }),
+        stack: RgcnStack::new(
+            data.graph.num_relations(),
+            cfg.dim,
+            cfg.dim,
+            data.num_labels,
+            cfg.lr,
+            cfg.seed + 1,
+        ),
+        train_nodes: data.train.to_vec(),
+        arena: ScratchArena::new(),
+    };
+    run_epochs(&mut run, cfg, "ShaDowSAINT", nc_data_key(data), Instant::now())
 }
 
 fn eval_accuracy(
@@ -280,7 +268,7 @@ mod tests {
 
     #[test]
     fn learns_toy_task() {
-        let (kg, labels, papers) = crate::testutil::toy_nc();
+        let (kg, labels, papers) = crate::testutil::toy_nc(20);
         let graph = HeteroGraph::build(&kg);
         let (train, rest) = papers.split_at(12);
         let (valid, test) = rest.split_at(4);

@@ -9,73 +9,12 @@ use std::path::PathBuf;
 
 use kgtosa_kg::HeteroGraph;
 use kgtosa_models::{
-    train_graphsaint_nc, train_lhgnn_lp, train_morse_lp, train_rgcn_basis_nc, train_rgcn_lp,
-    train_rgcn_nc, train_sehgnn_nc, train_shadowsaint_nc, CheckpointConfig, LpDataset, NcDataset,
-    SaintSampler, TrainConfig, TrainReport,
+    read_validated_state, state_fingerprint, train_graphsaint_nc, train_lhgnn_lp, train_morse_lp,
+    train_rgcn_basis_nc, train_rgcn_lp, train_rgcn_nc, train_sehgnn_nc, train_shadowsaint_nc,
+    CheckpointConfig, LpDataset, NcDataset, SaintSampler, TrainConfig, TrainReport,
 };
 
-// Fixtures mirroring the crate's internal test datasets (src/testutil*.rs,
-// which are `cfg(test)`-private): a separable two-venue NC task and a
-// two-hop-implied affiliation LP task.
-mod fixtures {
-    use kgtosa_kg::{KnowledgeGraph, Triple, Vid};
-    use kgtosa_tensor::IGNORE_LABEL;
-
-    pub fn toy_nc() -> (KnowledgeGraph, Vec<u32>, Vec<Vid>) {
-        let mut kg = KnowledgeGraph::new();
-        for i in 0..20 {
-            let venue = if i % 2 == 0 { "v0" } else { "v1" };
-            kg.add_triple_terms(&format!("p{i}"), "Paper", "publishedIn", venue, "Venue");
-            kg.add_triple_terms(
-                &format!("a{}", i % 5),
-                "Author",
-                "writes",
-                &format!("p{i}"),
-                "Paper",
-            );
-        }
-        let papers = kg.nodes_of_class(kg.find_class("Paper").unwrap());
-        let mut labels = vec![IGNORE_LABEL; kg.num_nodes()];
-        for &p in &papers {
-            let term = kg.node_term(p);
-            let i: usize = term[1..].parse().unwrap();
-            labels[p.idx()] = (i % 2) as u32;
-        }
-        (kg, labels, papers)
-    }
-
-    pub fn toy_lp() -> (KnowledgeGraph, Vec<Triple>) {
-        let mut kg = KnowledgeGraph::new();
-        let aff = kg.add_relation("affiliatedWith");
-        let mut triples = Vec::new();
-        for o in 0..3 {
-            let org = kg.add_node(&format!("org{o}"), "Org");
-            for d in 0..2 {
-                let dept = kg.add_node(&format!("dept{o}_{d}"), "Dept");
-                let part_of = kg.add_relation("partOf");
-                kg.add_triple(dept, part_of, org);
-                for a in 0..5 {
-                    let author = kg.add_node(&format!("auth{o}_{d}_{a}"), "Author");
-                    let works_in = kg.add_relation("worksIn");
-                    kg.add_triple(author, works_in, dept);
-                    triples.push(Triple::new(author, aff, org));
-                }
-            }
-        }
-        let held_out: Vec<Triple> = triples.iter().copied().skip(4).step_by(5).take(6).collect();
-        let train: Vec<Triple> = triples
-            .iter()
-            .copied()
-            .filter(|t| !held_out.contains(t))
-            .collect();
-        for t in &train {
-            kg.add_triple(t.s, t.p, t.o);
-        }
-        let mut ordered = train;
-        ordered.extend(held_out);
-        (kg, ordered)
-    }
-}
+mod common;
 
 const TOTAL_EPOCHS: usize = 8;
 const KILL_AT: usize = 3;
@@ -98,8 +37,9 @@ fn base_cfg() -> TrainConfig {
 }
 
 /// Runs `train` three ways — uninterrupted, killed at `KILL_AT`, resumed —
-/// and asserts the resumed run ends bit-identical to the uninterrupted one.
-fn assert_resumable(tag: &str, train: impl Fn(&TrainConfig) -> TrainReport) {
+/// and asserts the resumed run ends bit-identical to the uninterrupted one
+/// and leaves `<stem>.ckpt` holding exactly the state `param_hash` covers.
+fn assert_resumable(tag: &str, stem: &str, train: impl Fn(&TrainConfig) -> TrainReport) {
     let dir = temp_dir(tag);
 
     let straight = train(&base_cfg());
@@ -141,11 +81,22 @@ fn assert_resumable(tag: &str, train: impl Fn(&TrainConfig) -> TrainReport) {
     let again = train(&resume_cfg);
     assert_eq!(again.param_hash, straight.param_hash, "{tag}: idempotent resume");
 
+    // Save order ≡ hash order: the final checkpoint's state blob is the
+    // byte stream `param_hash` was folded over.
+    let (info, state) = read_validated_state(dir.join(format!("{stem}.ckpt")))
+        .unwrap_or_else(|e| panic!("{tag}: {stem}.ckpt: {e}"));
+    assert_eq!(info.completed_epoch, TOTAL_EPOCHS, "{tag}: final checkpoint epoch");
+    assert_eq!(
+        state_fingerprint(|w| w.write_all(&state)),
+        straight.param_hash,
+        "{tag}: checkpointed state is not the state param_hash covers"
+    );
+
     let _ = fs::remove_dir_all(&dir);
 }
 
 fn with_nc_data<T>(f: impl FnOnce(&NcDataset<'_>) -> T) -> T {
-    let (kg, labels, papers) = fixtures::toy_nc();
+    let (kg, labels, papers) = common::toy_nc(20);
     let graph = HeteroGraph::build(&kg);
     let (train, rest) = papers.split_at(12);
     let (valid, test) = rest.split_at(4);
@@ -161,7 +112,7 @@ fn with_nc_data<T>(f: impl FnOnce(&NcDataset<'_>) -> T) -> T {
 }
 
 fn with_lp_data<T>(f: impl FnOnce(&LpDataset<'_>) -> T) -> T {
-    let (kg, triples) = fixtures::toy_lp();
+    let (kg, triples) = common::toy_lp();
     let graph = HeteroGraph::build(&kg);
     let (train, rest) = triples.split_at(triples.len() - 6);
     let (valid, test) = rest.split_at(3);
@@ -170,52 +121,52 @@ fn with_lp_data<T>(f: impl FnOnce(&LpDataset<'_>) -> T) -> T {
 
 #[test]
 fn rgcn_nc_resumes_bit_identical() {
-    with_nc_data(|data| assert_resumable("rgcn-nc", |cfg| train_rgcn_nc(data, cfg)));
+    with_nc_data(|data| assert_resumable("rgcn-nc", "RGCN", |cfg| train_rgcn_nc(data, cfg)));
 }
 
 #[test]
 fn rgcn_basis_nc_resumes_bit_identical() {
     with_nc_data(|data| {
-        assert_resumable("rgcn-basis-nc", |cfg| train_rgcn_basis_nc(data, cfg, 2))
+        assert_resumable("rgcn-basis-nc", "RGCN-basis2", |cfg| train_rgcn_basis_nc(data, cfg, 2))
     });
 }
 
 #[test]
 fn graphsaint_resumes_bit_identical() {
     with_nc_data(|data| {
-        for (tag, sampler) in [
-            ("saint-urw", SaintSampler::Uniform),
-            ("saint-brw", SaintSampler::Biased),
-            ("saint-edge", SaintSampler::Edge),
+        for (tag, stem, sampler) in [
+            ("saint-urw", "GraphSAINT", SaintSampler::Uniform),
+            ("saint-brw", "GraphSAINT-BRW", SaintSampler::Biased),
+            ("saint-edge", "GraphSAINT-edge", SaintSampler::Edge),
         ] {
-            assert_resumable(tag, |cfg| train_graphsaint_nc(data, cfg, sampler));
+            assert_resumable(tag, stem, |cfg| train_graphsaint_nc(data, cfg, sampler));
         }
     });
 }
 
 #[test]
 fn shadowsaint_resumes_bit_identical() {
-    with_nc_data(|data| assert_resumable("shadow-nc", |cfg| train_shadowsaint_nc(data, cfg)));
+    with_nc_data(|data| assert_resumable("shadow-nc", "ShaDowSAINT", |cfg| train_shadowsaint_nc(data, cfg)));
 }
 
 #[test]
 fn sehgnn_resumes_bit_identical() {
-    with_nc_data(|data| assert_resumable("sehgnn-nc", |cfg| train_sehgnn_nc(data, cfg)));
+    with_nc_data(|data| assert_resumable("sehgnn-nc", "SeHGNN", |cfg| train_sehgnn_nc(data, cfg)));
 }
 
 #[test]
 fn rgcn_lp_resumes_bit_identical() {
-    with_lp_data(|data| assert_resumable("rgcn-lp", |cfg| train_rgcn_lp(data, cfg)));
+    with_lp_data(|data| assert_resumable("rgcn-lp", "RGCN-LP", |cfg| train_rgcn_lp(data, cfg)));
 }
 
 #[test]
 fn morse_resumes_bit_identical() {
-    with_lp_data(|data| assert_resumable("morse-lp", |cfg| train_morse_lp(data, cfg)));
+    with_lp_data(|data| assert_resumable("morse-lp", "MorsE", |cfg| train_morse_lp(data, cfg)));
 }
 
 #[test]
 fn lhgnn_resumes_bit_identical() {
-    with_lp_data(|data| assert_resumable("lhgnn-lp", |cfg| train_lhgnn_lp(data, cfg)));
+    with_lp_data(|data| assert_resumable("lhgnn-lp", "LHGNN", |cfg| train_lhgnn_lp(data, cfg)));
 }
 
 /// A checkpoint left by one config must not leak into a different config's

@@ -1,7 +1,31 @@
-//! Shared link-prediction fixture for trainer unit tests.
-#![cfg(test)]
+//! The toy datasets of the trainer tests, defined once: the integration
+//! tests pull this in as `mod common;` and the crate's unit tests as
+//! `crate::testutil` (a `#[path]` include in `src/lib.rs`).
+#![allow(dead_code)] // each test binary uses a subset
 
-use kgtosa_kg::{KnowledgeGraph, Triple};
+use kgtosa_kg::{KnowledgeGraph, Triple, Vid};
+use kgtosa_tensor::IGNORE_LABEL;
+
+/// A separable toy NC task: `papers` papers connect to exactly one of two
+/// venues and the venue determines the label. Returns
+/// `(kg, labels, paper_vertices)`.
+pub fn toy_nc(papers: usize) -> (KnowledgeGraph, Vec<u32>, Vec<Vid>) {
+    let mut kg = KnowledgeGraph::new();
+    for i in 0..papers {
+        let venue = if i % 2 == 0 { "v0" } else { "v1" };
+        kg.add_triple_terms(&format!("p{i}"), "Paper", "publishedIn", venue, "Venue");
+        // A second relation adds heterogeneity without changing the signal.
+        kg.add_triple_terms(&format!("a{}", i % 5), "Author", "writes", &format!("p{i}"), "Paper");
+    }
+    let papers = kg.nodes_of_class(kg.find_class("Paper").unwrap());
+    let mut labels = vec![IGNORE_LABEL; kg.num_nodes()];
+    for &p in &papers {
+        let term = kg.node_term(p);
+        let i: usize = term[1..].parse().unwrap();
+        labels[p.idx()] = (i % 2) as u32;
+    }
+    (kg, labels, papers)
+}
 
 /// A learnable toy LP task: authors work in departments, departments are
 /// part of organisations, and `affiliatedWith(author, org)` follows from
@@ -10,7 +34,7 @@ use kgtosa_kg::{KnowledgeGraph, Triple};
 ///
 /// Returns `(kg, affiliation_triples)` where the first `len - 6` triples
 /// are training edges present in the graph.
-pub(crate) fn toy_lp() -> (KnowledgeGraph, Vec<Triple>) {
+pub fn toy_lp() -> (KnowledgeGraph, Vec<Triple>) {
     let mut kg = KnowledgeGraph::new();
     let aff = kg.add_relation("affiliatedWith");
     let mut triples = Vec::new();

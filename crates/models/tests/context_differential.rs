@@ -5,30 +5,14 @@
 //! number — `bench.trace_overhead_pct` in `BENCHMARK.json` — not a
 //! unit-test assertion: a timing bound flakes on a loaded box.)
 
-use kgtosa_kg::{HeteroGraph, KnowledgeGraph, Vid};
+use kgtosa_kg::HeteroGraph;
 use kgtosa_models::{train_rgcn_nc, NcDataset, TrainConfig, TrainReport};
 use kgtosa_obs::TelemetryContext;
-use kgtosa_tensor::IGNORE_LABEL;
+
+mod common;
 
 #[global_allocator]
 static ALLOC: kgtosa_memtrack::TrackingAllocator = kgtosa_memtrack::TrackingAllocator;
-
-/// Citation-flavoured toy graph.
-fn toy_nc(papers: usize) -> (KnowledgeGraph, Vec<u32>, Vec<Vid>) {
-    let mut kg = KnowledgeGraph::new();
-    for i in 0..papers {
-        let venue = format!("v{}", i % 2);
-        kg.add_triple_terms(&format!("p{i}"), "Paper", "publishedIn", &venue, "Venue");
-        kg.add_triple_terms(&format!("a{}", i % 7), "Author", "writes", &format!("p{i}"), "Paper");
-    }
-    let paper_ids = kg.nodes_of_class(kg.find_class("Paper").unwrap());
-    let mut labels = vec![IGNORE_LABEL; kg.num_nodes()];
-    for &p in &paper_ids {
-        let term = kg.node_term(p);
-        labels[p.idx()] = (term[1..].parse::<usize>().unwrap() % 2) as u32;
-    }
-    (kg, labels, paper_ids)
-}
 
 fn train_once(data: &NcDataset<'_>) -> TrainReport {
     let cfg = TrainConfig {
@@ -47,7 +31,7 @@ fn train_once(data: &NcDataset<'_>) -> TrainReport {
 
 #[test]
 fn contexts_are_bit_invisible_and_capture_their_runs() {
-    let (kg, labels, papers) = toy_nc(160);
+    let (kg, labels, papers) = common::toy_nc(160);
     let graph = HeteroGraph::build(&kg);
     let (train, rest) = papers.split_at(120);
     let (valid, test) = rest.split_at(20);

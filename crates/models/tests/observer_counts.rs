@@ -1,23 +1,26 @@
 //! Telemetry contract: every trainer fires its `TrainObserver` exactly
 //! `cfg.epochs` times, regardless of internal epoch multipliers (SeHGNN),
-//! skipped updates (GraphSAINT empty samples), or batching (ShaDowSAINT).
+//! skipped updates (GraphSAINT empty samples), or batching (ShaDowSAINT),
+//! and labels every event with the method its `TrainReport` carries.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use kgtosa_kg::{HeteroGraph, KnowledgeGraph, Triple, Vid};
+use kgtosa_kg::HeteroGraph;
 use kgtosa_models::{
     train_graphsaint_nc, train_lhgnn_lp, train_morse_lp, train_rgcn_basis_nc, train_rgcn_lp,
     train_rgcn_nc, train_sehgnn_nc, train_shadowsaint_nc, LpDataset, NcDataset, SaintSampler,
     TrainConfig,
 };
 use kgtosa_obs::{EpochEvent, Observer, TrainObserver};
-use kgtosa_tensor::IGNORE_LABEL;
+
+mod common;
 
 /// Counts callbacks and sanity-checks each event's invariants.
 struct CountingObserver {
     calls: AtomicUsize,
     epochs: usize,
+    method: Mutex<String>,
 }
 
 impl TrainObserver for CountingObserver {
@@ -28,12 +31,16 @@ impl TrainObserver for CountingObserver {
         assert!(ev.loss.is_finite(), "{}: non-finite loss", ev.method);
         assert!(ev.epoch_s >= 0.0 && ev.elapsed_s >= ev.epoch_s - 1e-9);
         assert!(ev.peak_bytes >= ev.live_bytes);
-        assert!(!ev.method.is_empty());
+        *self.method.lock().unwrap() = ev.method.to_string();
     }
 }
 
 fn counted_cfg(epochs: usize) -> (TrainConfig, Arc<CountingObserver>) {
-    let obs = Arc::new(CountingObserver { calls: AtomicUsize::new(0), epochs });
+    let obs = Arc::new(CountingObserver {
+        calls: AtomicUsize::new(0),
+        epochs,
+        method: Mutex::default(),
+    });
     let cfg = TrainConfig {
         epochs,
         dim: 4,
@@ -45,45 +52,11 @@ fn counted_cfg(epochs: usize) -> (TrainConfig, Arc<CountingObserver>) {
     (cfg, obs)
 }
 
-fn toy_nc() -> (KnowledgeGraph, Vec<u32>, Vec<Vid>) {
-    let mut kg = KnowledgeGraph::new();
-    for i in 0..12 {
-        let venue = if i % 2 == 0 { "v0" } else { "v1" };
-        kg.add_triple_terms(&format!("p{i}"), "Paper", "publishedIn", venue, "Venue");
-    }
-    let papers = kg.nodes_of_class(kg.find_class("Paper").unwrap());
-    let mut labels = vec![IGNORE_LABEL; kg.num_nodes()];
-    for &p in &papers {
-        let term = kg.node_term(p);
-        labels[p.idx()] = (term[1..].parse::<usize>().unwrap() % 2) as u32;
-    }
-    (kg, labels, papers)
-}
-
-fn toy_lp() -> (KnowledgeGraph, Vec<Triple>) {
-    let mut kg = KnowledgeGraph::new();
-    let aff = kg.add_relation("affiliatedWith");
-    let works_in = kg.add_relation("worksIn");
-    let mut triples = Vec::new();
-    for o in 0..2 {
-        let org = kg.add_node(&format!("org{o}"), "Org");
-        for a in 0..4 {
-            let author = kg.add_node(&format!("auth{o}_{a}"), "Author");
-            kg.add_triple(author, works_in, org);
-            triples.push(Triple::new(author, aff, org));
-        }
-    }
-    for t in &triples {
-        kg.add_triple(t.s, t.p, t.o);
-    }
-    (kg, triples)
-}
-
 const EPOCHS: usize = 3;
 
 #[test]
 fn nc_trainers_fire_observer_once_per_epoch() {
-    let (kg, labels, papers) = toy_nc();
+    let (kg, labels, papers) = common::toy_nc(12);
     let graph = HeteroGraph::build(&kg);
     let (train, rest) = papers.split_at(8);
     let (valid, test) = rest.split_at(2);
@@ -114,12 +87,13 @@ fn nc_trainers_fire_observer_once_per_epoch() {
             "{name}: observer calls != epochs"
         );
         assert_eq!(report.trace.len(), EPOCHS, "{name}: trace length");
+        assert_eq!(*obs.method.lock().unwrap(), report.method, "{name}: event label");
     }
 }
 
 #[test]
 fn lp_trainers_fire_observer_once_per_epoch() {
-    let (kg, triples) = toy_lp();
+    let (kg, triples) = common::toy_lp();
     let graph = HeteroGraph::build(&kg);
     let (train, rest) = triples.split_at(triples.len() - 2);
     let (valid, test) = rest.split_at(1);
@@ -145,5 +119,6 @@ fn lp_trainers_fire_observer_once_per_epoch() {
             "{name}: observer calls != epochs"
         );
         assert_eq!(report.trace.len(), EPOCHS, "{name}: trace length");
+        assert_eq!(*obs.method.lock().unwrap(), report.method, "{name}: event label");
     }
 }

@@ -88,7 +88,7 @@ pub use json::Json;
 pub use prof::{prof_json, registry_aggs, self_times, SelfTime};
 pub use progress::{
     emit_heartbeat, progress_json, progress_snapshot, progress_task, reset_progress,
-    start_heartbeat, start_heartbeat_from_env, Progress, ProgressSnapshot,
+    Progress, ProgressSnapshot,
 };
 pub use panic_hook::{install_panic_hook, panic_hook_installed};
 pub use prometheus::render_prometheus;

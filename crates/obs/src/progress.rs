@@ -266,19 +266,21 @@ pub fn emit_heartbeat() {
 static HEARTBEAT_STARTED: AtomicBool = AtomicBool::new(false);
 static HEARTBEAT_STOP: AtomicBool = AtomicBool::new(false);
 
+/// Interval between heartbeat flushes.
+const HEARTBEAT_MS: u64 = 1000;
+
 /// Starts the background heartbeat thread (idempotent). Every
-/// `interval_ms` it snapshots progress into the trace via
-/// [`emit_heartbeat`]. Interval 0 disables the thread entirely.
-pub fn start_heartbeat(interval_ms: u64) {
-    if interval_ms == 0 || HEARTBEAT_STARTED.swap(true, Ordering::SeqCst) {
+/// [`HEARTBEAT_MS`] it snapshots progress into the trace via
+/// [`emit_heartbeat`].
+pub(crate) fn start_heartbeat() {
+    if HEARTBEAT_STARTED.swap(true, Ordering::SeqCst) {
         return;
     }
     let _ = std::thread::Builder::new()
         .name("kgtosa-heartbeat".into())
-        .spawn(move || {
-            // Sleep in short slices so shutdown is prompt even with long
-            // heartbeat intervals.
-            let slice = std::time::Duration::from_millis(interval_ms.min(200));
+        .spawn(|| {
+            // Sleep in short slices so shutdown is prompt.
+            let slice = std::time::Duration::from_millis(200);
             let mut acc = 0u64;
             loop {
                 if HEARTBEAT_STOP.load(Ordering::Relaxed) {
@@ -286,21 +288,12 @@ pub fn start_heartbeat(interval_ms: u64) {
                 }
                 std::thread::sleep(slice);
                 acc += slice.as_millis() as u64;
-                if acc >= interval_ms {
+                if acc >= HEARTBEAT_MS {
                     acc = 0;
                     emit_heartbeat();
                 }
             }
         });
-}
-
-/// Reads `KGTOSA_HEARTBEAT_MS` (default 1000) and starts the flusher.
-pub fn start_heartbeat_from_env() {
-    let interval = std::env::var("KGTOSA_HEARTBEAT_MS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1000);
-    start_heartbeat(interval);
 }
 
 /// Signals the heartbeat thread to exit (called by [`crate::shutdown`]).

@@ -40,15 +40,14 @@ fn trace_epoch() -> Instant {
 }
 
 /// Installs a JSONL trace stream writing to `path` (truncates), and arms
-/// the heartbeat flusher (`KGTOSA_HEARTBEAT_MS`, default 1 s) so the
-/// stream reaches disk periodically even if the process never exits
-/// cleanly.
+/// the once-a-second heartbeat flusher so the stream reaches disk
+/// periodically even if the process never exits cleanly.
 pub fn init_trace_to(path: &str) -> std::io::Result<()> {
     let file = File::create(path)?;
     trace_epoch(); // pin t=0 at install time
     *trace_writer().lock().unwrap_or_else(std::sync::PoisonError::into_inner) = Some(BufWriter::new(file));
     TRACE_ON.store(true, Ordering::Release);
-    crate::progress::start_heartbeat_from_env();
+    crate::progress::start_heartbeat();
     Ok(())
 }
 

@@ -28,9 +28,7 @@ use std::fs;
 use std::io::{self, Read, Write};
 use std::path::Path;
 
-use kgtosa_kg::{Rid, Triple, Vid};
-
-use crate::fault::fnv64;
+use kgtosa_kg::{fnv64, Rid, Triple, Vid};
 
 const MAGIC: &[u8; 8] = b"KGTOSAF\n";
 /// Serialized size of a subquery's header (`u8 exhausted, u32 num_pages`).

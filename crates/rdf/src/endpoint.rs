@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use kgtosa_kg::Triple;
+use kgtosa_kg::{fnv64, Triple};
 use kgtosa_par::Pool;
 
 use crate::ast::{Query, Selection};
@@ -31,7 +31,7 @@ use crate::breaker::CircuitBreaker;
 use crate::checkpoint::FetchCheckpoint;
 use crate::error::RdfError;
 use crate::exec::{ResultSet, Solved, SparqlEngine, NULL_ID};
-use crate::fault::{fnv64, FaultPlan};
+use crate::fault::FaultPlan;
 use crate::pagecache::PageCache;
 use crate::retry::RetryPolicy;
 use crate::store::RdfStore;
@@ -410,6 +410,9 @@ impl<'a, E: SparqlEndpoint> Pipeline<'a, E> {
     ) -> Result<ResultSet, RdfError> {
         let FetchConfig { fault, retry, breaker, page_cache, .. } = self.cfg;
         let text = request.to_string();
+        // The request's stable identity: two pages of one subquery render
+        // differently, so they get independent fault draws, retry jitter
+        // and trace ids.
         let key = fnv64(text.as_bytes());
         if let Some(page) = page_cache.as_ref().and_then(|cache| cache.get(&text)) {
             return Ok(page);

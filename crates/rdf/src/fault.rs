@@ -18,18 +18,6 @@ use std::time::Duration;
 
 use crate::error::RdfError;
 
-/// FNV-1a. Over a request's rendered text it is the request's stable
-/// identity: two pages of one subquery render differently, so they get
-/// independent fault draws, retry jitter and trace ids.
-pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// One round of splitmix64: a cheap avalanche mixer for deriving
 /// independent per-request decisions from a seed.
 pub(crate) fn mix64(mut z: u64) -> u64 {

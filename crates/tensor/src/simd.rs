@@ -20,11 +20,10 @@
 //! scalar ≡ portable-SIMD ≡ AVX2 holds by construction (property-tested in
 //! `tests/algebra_properties.rs`).
 //!
-//! Dispatch: [`simd_level`] resolves once per process from the `KGTOSA_SIMD`
-//! environment variable (`auto` | `portable` | `avx2`) falling back to
-//! runtime CPU feature detection. Kernels read the level at their entry
-//! point and call a monomorphized instantiation: the same `#[inline(always)]`
-//! body compiled once as plain Rust and once under
+//! Dispatch: [`simd_level`] resolves once per process by runtime CPU
+//! feature detection. Kernels read the level at their entry point and call
+//! a monomorphized instantiation: the same `#[inline(always)]` body
+//! compiled once as plain Rust and once under
 //! `#[target_feature(enable = "avx2")]`, which lets LLVM lower [`F32x8`]
 //! arithmetic to 256-bit `vmulps`/`vaddps` without any `unsafe` intrinsics
 //! in kernel code.
@@ -70,20 +69,10 @@ const LEVEL_AVX2: u8 = 2;
 static LEVEL: AtomicU8 = AtomicU8::new(LEVEL_UNSET);
 
 fn resolve_level() -> u8 {
-    let env = std::env::var("KGTOSA_SIMD").ok();
-    match env.as_deref().map(str::trim) {
-        Some("portable") => LEVEL_PORTABLE,
-        // `avx2`, `auto`, unset, anything else: use avx2 when the CPU has
-        // it. An explicit `avx2` request on hardware without it would fault
-        // on the first 256-bit instruction; degrade to portable instead
-        // (the bits are identical either way, only the speed differs).
-        _ => {
-            if avx2_supported() {
-                LEVEL_AVX2
-            } else {
-                LEVEL_PORTABLE
-            }
-        }
+    if avx2_supported() {
+        LEVEL_AVX2
+    } else {
+        LEVEL_PORTABLE
     }
 }
 
