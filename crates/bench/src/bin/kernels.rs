@@ -30,14 +30,13 @@ use kgtosa_sampler::{approximate_ppr_batch, ibs_sample, IbsConfig, PprConfig};
 use kgtosa_tensor::{relu_backward, relu_inplace, xavier_uniform, Matrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::Serialize;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const REPS: usize = 5;
 /// Untimed iterations per thread count before measurement starts.
 const WARMUP: usize = 1;
 
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 struct KernelRow {
     kernel: String,
     threads: usize,
@@ -50,6 +49,27 @@ struct KernelRow {
     warmup: usize,
     available_parallelism: usize,
 }
+
+kgtosa_obs::json_row!(KernelRow {
+    kernel,
+    threads,
+    seconds,
+    speedup_vs_serial,
+    speedup_vs_naive,
+    problem,
+    warmup,
+    available_parallelism,
+});
+
+/// What `BENCH_kernels.json` holds. Speedups only materialize up to the
+/// machine's core count; recording it lets results from core-starved
+/// machines read as what they are.
+struct Report {
+    available_parallelism: usize,
+    rows: Vec<KernelRow>,
+}
+
+kgtosa_obs::json_row!(Report { available_parallelism, rows });
 
 /// Thread counts this run measures: `THREAD_COUNTS` capped by
 /// `KGTOSA_THREADS` when set (the cap itself is included, so e.g. `=3`
@@ -612,18 +632,11 @@ fn main() {
         csr.targets().to_vec()
     });
 
-    // Speedups only materialize up to the machine's core count; record it
-    // so results from core-starved machines read as what they are.
-    #[derive(Serialize)]
-    struct Report {
-        available_parallelism: usize,
-        rows: Vec<KernelRow>,
-    }
     let report = Report {
         available_parallelism: available_parallelism(),
         rows,
     };
-    let json = serde_json::to_string_pretty(&report).expect("serialize kernel rows");
+    let json = kgtosa_obs::Json::from(report).to_string_pretty();
     std::fs::write("BENCH_kernels.json", json).expect("write BENCH_kernels.json");
     eprintln!("[saved BENCH_kernels.json]");
 }

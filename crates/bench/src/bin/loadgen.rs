@@ -29,7 +29,6 @@ use kgtosa_obs::Json;
 use kgtosa_rdf::{BreakerPolicy, RetryPolicy};
 use kgtosa_serve::client::{get, post_json};
 use kgtosa_serve::{ServeConfig, ServeState, Server};
-use serde::Serialize;
 
 #[global_allocator]
 static ALLOC: kgtosa_memtrack::TrackingAllocator = kgtosa_memtrack::TrackingAllocator;
@@ -48,7 +47,7 @@ struct Outcome {
     fingerprint: Option<String>,
 }
 
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 struct RegimeRow {
     regime: String,
     requests: usize,
@@ -65,7 +64,23 @@ struct RegimeRow {
     elapsed_s: f64,
 }
 
-#[derive(Debug, Serialize)]
+kgtosa_obs::json_row!(RegimeRow {
+    regime,
+    requests,
+    ok,
+    shed_429,
+    breaker_503,
+    deadline_504,
+    other_errors,
+    degraded,
+    p50_ms,
+    p95_ms,
+    p99_ms,
+    goodput_rps,
+    elapsed_s,
+});
+
+#[derive(Debug)]
 struct ServeBenchReport {
     scale: f64,
     seed: u64,
@@ -78,6 +93,19 @@ struct ServeBenchReport {
     handler_panics: u64,
     deadline_expired: u64,
 }
+
+kgtosa_obs::json_row!(ServeBenchReport {
+    scale,
+    seed,
+    regimes,
+    breaker_trips,
+    breaker_closes,
+    breaker_trajectory,
+    drained_served,
+    drained_sheds,
+    handler_panics,
+    deadline_expired,
+});
 
 fn percentile(sorted_ms: &[f64], q: f64) -> f64 {
     if sorted_ms.is_empty() {
@@ -377,7 +405,7 @@ fn main() {
 
     save_json(
         "serve",
-        &ServeBenchReport {
+        ServeBenchReport {
             scale: env.scale,
             seed: env.seed,
             regimes: rows,

@@ -31,7 +31,6 @@ use kgtosa_core::{
 };
 use kgtosa_kg::{apply_delta, fingerprint, DeltaOp, HeteroGraph, KgDelta, MultisetFingerprint};
 use kgtosa_rdf::{FetchConfig, RdfStore};
-use serde::Serialize;
 
 #[global_allocator]
 static ALLOC: kgtosa_memtrack::TrackingAllocator = kgtosa_memtrack::TrackingAllocator;
@@ -40,7 +39,7 @@ const ROUNDS: usize = 4;
 const OPS_PER_ROUND: usize = 8;
 
 /// One delta round at one scale, all four patterns folded in.
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 struct RoundRecord {
     scale: f64,
     round: usize,
@@ -56,7 +55,22 @@ struct RoundRecord {
     staleness_window_s: f64,
 }
 
-#[derive(Debug, Serialize, Default)]
+kgtosa_obs::json_row!(RoundRecord {
+    scale,
+    round,
+    ops,
+    kg_triples,
+    candidates,
+    repair_s,
+    full_s,
+    identical,
+    migrated,
+    repaired,
+    invalidated,
+    staleness_window_s,
+});
+
+#[derive(Debug, Default)]
 struct Totals {
     repair_s: f64,
     full_s: f64,
@@ -66,7 +80,9 @@ struct Totals {
     mismatches: usize,
 }
 
-#[derive(Debug, Serialize)]
+kgtosa_obs::json_row!(Totals { repair_s, full_s, migrations, repairs, invalidations, mismatches });
+
+#[derive(Debug)]
 struct Scaling {
     small_scale: f64,
     large_scale: f64,
@@ -83,12 +99,27 @@ struct Scaling {
     full_ratio: f64,
 }
 
-#[derive(Debug, Serialize)]
+kgtosa_obs::json_row!(Scaling {
+    small_scale,
+    large_scale,
+    small_triples,
+    large_triples,
+    repair_s_small,
+    repair_s_large,
+    full_s_small,
+    full_s_large,
+    repair_ratio,
+    full_ratio,
+});
+
+#[derive(Debug)]
 struct Report {
     rounds: Vec<RoundRecord>,
     totals: Totals,
     scaling: Scaling,
 }
+
+kgtosa_obs::json_row!(Report { rounds, totals, scaling });
 
 fn witness(res: &ExtractionResult) -> (Vec<u8>, String) {
     let mut buf = Vec::new();
@@ -348,5 +379,5 @@ fn main() {
         scaling.repair_ratio,
         scaling.full_ratio
     );
-    save_json("delta", &Report { rounds: records, totals, scaling });
+    save_json("delta", Report { rounds: records, totals, scaling });
 }

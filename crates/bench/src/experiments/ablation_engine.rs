@@ -14,9 +14,7 @@ use std::time::Instant;
 use crate::{nc_extraction_task, Columns, Kg, World};
 use kgtosa_core::{compile_subqueries, GraphPattern};
 use kgtosa_rdf::{fetch_triples_robust, FetchConfig, InProcessEndpoint};
-use serde::Serialize;
 
-#[derive(Serialize)]
 pub struct SweepRow {
     what: String,
     value: String,
@@ -24,6 +22,8 @@ pub struct SweepRow {
     requests: usize,
     triples: usize,
 }
+
+kgtosa_obs::json_row!(SweepRow { what, value, seconds, requests, triples });
 
 impl Columns for SweepRow {
     const MEASURED: &'static [&'static str] = &["seconds"];

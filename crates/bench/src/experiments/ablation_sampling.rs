@@ -6,9 +6,7 @@
 use crate::{nc_extraction_task, Columns, Kg, World};
 use kgtosa_core::{extract_brw, extract_ibs, QualityRow};
 use kgtosa_sampler::{IbsConfig, PprConfig, WalkConfig};
-use serde::Serialize;
 
-#[derive(Serialize)]
 pub struct Row {
     sweep: String,
     value: String,
@@ -18,6 +16,8 @@ pub struct Row {
     target_ratio_pct: f64,
     entropy: f64,
 }
+
+kgtosa_obs::json_row!(Row { sweep, value, nodes, triples, seconds, target_ratio_pct, entropy });
 
 impl Columns for Row {
     const MEASURED: &'static [&'static str] = &["seconds"];

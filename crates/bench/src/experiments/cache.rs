@@ -15,11 +15,10 @@ use crate::{measure, nc_extraction_task, Columns, Kg, World};
 use kgtosa_cache::{ArtifactCache, CacheOutcome};
 use kgtosa_core::{extract_sparql_cached, GraphPattern};
 use kgtosa_rdf::FetchConfig;
-use serde::Serialize;
 use std::path::PathBuf;
 
 /// One phase of one pattern's extraction.
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 pub struct CacheRecord {
     pattern: String,
     phase: String,
@@ -29,6 +28,16 @@ pub struct CacheRecord {
     triples: usize,
     peak_bytes: usize,
 }
+
+kgtosa_obs::json_row!(CacheRecord {
+    pattern,
+    phase,
+    outcome,
+    seconds,
+    requests,
+    triples,
+    peak_bytes,
+});
 
 impl Columns for CacheRecord {
     const MEASURED: &'static [&'static str] = &["seconds", "peak_bytes"];

@@ -15,9 +15,8 @@
 use crate::{measure, nc_extraction_task, Columns, Kg, World};
 use kgtosa_core::{extract_sparql, ExtractionResult, GraphPattern};
 use kgtosa_rdf::{FaultPlan, FetchConfig, FetchMode, RetryPolicy};
-use serde::Serialize;
 
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ChaosRow {
     regime: String,
     seconds: f64,
@@ -28,6 +27,17 @@ pub struct ChaosRow {
     giveups: u64,
     faults_injected: u64,
 }
+
+kgtosa_obs::json_row!(ChaosRow {
+    regime,
+    seconds,
+    triples,
+    requests,
+    completeness,
+    retries,
+    giveups,
+    faults_injected,
+});
 
 impl Columns for ChaosRow {
     const MEASURED: &'static [&'static str] = &["seconds"];

@@ -15,13 +15,13 @@ pub struct Output {
 }
 
 impl Output {
-    fn of<R: Columns>(rows: &[R]) -> Self {
+    fn of<R: Columns>(rows: Vec<R>) -> Self {
+        let rows: Vec<Json> = rows.into_iter().map(Into::into).collect();
         let deterministic = rows
             .iter()
             .map(|row| {
-                let compact = serde_json::to_string(row).expect("serialize row");
-                let Ok(Json::Obj(mut columns)) = Json::parse(&compact) else {
-                    panic!("a row serializes as a JSON object: {compact}");
+                let Json::Obj(mut columns) = row.clone() else {
+                    panic!("a row converts to a JSON object: {row}");
                 };
                 let all = columns.len();
                 columns.retain(|(name, _)| !R::MEASURED.contains(&name.as_str()));
@@ -33,9 +33,8 @@ impl Output {
                 Json::Obj(columns)
             })
             .collect();
-        let json = serde_json::to_string_pretty(rows).expect("serialize results");
         Self {
-            json,
+            json: Json::Arr(rows).to_string_pretty(),
             deterministic,
         }
     }
@@ -50,7 +49,7 @@ macro_rules! experiments {
 
         /// Every experiment, in the order `all` runs them.
         pub const ALL: &[Experiment] =
-            &[$((stringify!($name), |world| Output::of(&$name::run(world)))),*];
+            &[$((stringify!($name), |world| Output::of($name::run(world)))),*];
     };
 }
 
@@ -136,10 +135,7 @@ pub const SMOKE: Env = Env {
 pub fn golden(env: Env, selected: &[Experiment]) -> String {
     let data = Datasets::new(env);
     let outputs = run(&World::new(&data, None), selected);
-    let mut text = format!(
-        "{{\n\"env\": [\n{}\n]",
-        serde_json::to_string(&env).expect("serialize env")
-    );
+    let mut text = format!("{{\n\"env\": [\n{}\n]", Json::from(env));
     for (name, output) in &outputs {
         let rows: Vec<String> = output.deterministic.iter().map(Json::to_string).collect();
         text.push_str(&format!(",\n\"{name}\": [\n{}\n]", rows.join(",\n")));

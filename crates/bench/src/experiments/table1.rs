@@ -2,9 +2,7 @@
 //! for the five (scaled) KGs.
 
 use crate::{Columns, World};
-use serde::Serialize;
 
-#[derive(Serialize)]
 pub struct Row {
     dataset: String,
     nodes: usize,
@@ -12,6 +10,8 @@ pub struct Row {
     node_types: usize,
     edge_types: usize,
 }
+
+kgtosa_obs::json_row!(Row { dataset, nodes, edges, node_types, edge_types });
 
 impl Columns for Row {
     const MEASURED: &'static [&'static str] = &[];

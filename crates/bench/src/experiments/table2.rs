@@ -2,9 +2,7 @@
 //! and evaluation metric for the six NC and three LP tasks.
 
 use crate::{Columns, World};
-use serde::Serialize;
 
-#[derive(Serialize)]
 pub struct Row {
     task_type: &'static str,
     name: String,
@@ -14,6 +12,8 @@ pub struct Row {
     metric: &'static str,
     targets: usize,
 }
+
+kgtosa_obs::json_row!(Row { task_type, name, kg, split, ratio, metric, targets });
 
 impl Columns for Row {
     const MEASURED: &'static [&'static str] = &[];

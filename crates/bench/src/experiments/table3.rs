@@ -9,15 +9,27 @@
 
 use crate::{nc_extraction_task, nc_tosg_record, Columns, Kg, NcMethod, World};
 use kgtosa_core::{extract_brw, extract_ibs, extract_urw, QualityRow};
+use kgtosa_obs::Json;
 use kgtosa_sampler::{IbsConfig, WalkConfig};
-use serde::Serialize;
 
-#[derive(Serialize)]
 pub struct Row {
     task: String,
-    #[serde(flatten)]
+    /// Spliced between `task` and `accuracy` as columns of their own.
     quality: QualityRow,
     accuracy: f64,
+}
+
+impl From<Row> for Json {
+    fn from(row: Row) -> Self {
+        let Row { task, quality, accuracy } = row;
+        let Json::Obj(quality) = Json::from(quality) else {
+            unreachable!("json_row! builds objects")
+        };
+        let mut columns = vec![("task".into(), task.into())];
+        columns.extend(quality);
+        columns.push(("accuracy".into(), accuracy.into()));
+        Json::Obj(columns)
+    }
 }
 
 impl Columns for Row {

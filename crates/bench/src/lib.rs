@@ -49,11 +49,11 @@ use kgtosa_models::{
     train_sehgnn_nc, train_shadowsaint_nc, LpDataset, NcDataset, SaintSampler, TrainConfig,
     TrainReport,
 };
+use kgtosa_obs::Json;
 use kgtosa_rdf::{FetchConfig, RdfStore};
-use serde::Serialize;
 
 /// Experiment-wide knobs, read from the environment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Env {
     /// Dataset scale factor relative to the `scale = 1` presets.
     pub scale: f64,
@@ -64,6 +64,8 @@ pub struct Env {
     /// Embedding dimension.
     pub dim: usize,
 }
+
+kgtosa_obs::json_row!(Env { scale, seed, epochs, dim });
 
 impl Env {
     /// Parses the four knobs from `lookup` — the process environment in
@@ -291,7 +293,7 @@ pub fn measure<T>(f: impl FnOnce() -> T) -> (T, f64, usize) {
 /// deterministic — a function of `Env` and the code alone, pinned exactly
 /// by the golden gate (`tests/golden.rs`) — except the ones named here,
 /// which are measured (seconds, bytes): single-run and host-dependent.
-pub trait Columns: Serialize {
+pub trait Columns: Into<Json> {
     /// The measured columns.
     const MEASURED: &'static [&'static str];
 }
@@ -301,7 +303,7 @@ impl Columns for QualityRow {
 }
 
 /// One experiment record, serialized to `results/<file>.json`.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Record {
     /// Task name.
     pub task: String,
@@ -332,6 +334,22 @@ pub struct Record {
     pub param_hash: String,
 }
 
+kgtosa_obs::json_row!(Record {
+    task,
+    method,
+    input,
+    metric,
+    extraction_s,
+    transformation_s,
+    training_s,
+    inference_s,
+    params,
+    peak_bytes,
+    subgraph_triples,
+    trace,
+    param_hash,
+});
+
 impl Columns for Record {
     const MEASURED: &'static [&'static str] = &[
         "extraction_s",
@@ -343,10 +361,9 @@ impl Columns for Record {
     ];
 }
 
-/// Writes any serializable result set as JSON under `results/`.
-pub fn save_json<T: Serialize>(name: &str, value: &T) {
-    let json = serde_json::to_string_pretty(value).expect("serialize results");
-    write_json(Path::new("results"), name, &json);
+/// Writes a report as pretty JSON to `results/<name>.json`.
+pub fn save_json(name: &str, value: impl Into<Json>) {
+    write_json(Path::new("results"), name, &value.into().to_string_pretty());
 }
 
 fn write_json(dir: &Path, name: &str, json: &str) {

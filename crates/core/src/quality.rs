@@ -5,12 +5,11 @@
 //! paper's Table III.
 
 use kgtosa_kg::{quality, SubgraphQuality};
-use serde::Serialize;
 
 use crate::extract::ExtractionResult;
 
 /// One row of Table III.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct QualityRow {
     /// Extraction method label.
     pub method: String,
@@ -35,6 +34,20 @@ pub struct QualityRow {
     /// Extraction seconds.
     pub extraction_s: f64,
 }
+
+kgtosa_obs::json_row!(QualityRow {
+    method,
+    target_count,
+    target_ratio_pct,
+    num_classes,
+    num_relations,
+    target_disconnected_pct,
+    avg_dist_to_target,
+    avg_entropy,
+    num_nodes,
+    num_triples,
+    extraction_s,
+});
 
 /// Publishes a finished extraction's quality indicators into the obs
 /// layer: `extract.quality.*` gauges (scraped on `/metrics`) and one

@@ -5,7 +5,6 @@ use std::time::Instant;
 
 use kgtosa_kg::{HeteroGraph, KnowledgeGraph, Triple, Vid};
 use kgtosa_tensor::{Matrix, StateIo};
-use serde::Serialize;
 
 use crate::checkpoint::{state_fingerprint, Checkpointer};
 
@@ -89,7 +88,7 @@ impl Default for TrainConfig {
 
 /// One point of a convergence trace (Figure 9): elapsed wall-clock seconds
 /// and the validation metric at that moment.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TracePoint {
     /// Epoch index (1-based).
     pub epoch: usize,
@@ -101,7 +100,7 @@ pub struct TracePoint {
 
 /// The outcome of one training run, covering every quantity the paper
 /// reports per method (Figures 1, 6, 7; Table IV).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TrainReport {
     /// Method label (e.g. `RGCN`, `GraphSAINT`).
     pub method: String,

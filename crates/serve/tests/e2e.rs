@@ -204,6 +204,21 @@ fn inflight_byte_budget_sheds_with_429() {
 }
 
 #[test]
+fn deeply_nested_body_is_400_and_the_daemon_keeps_serving() {
+    let daemon = Daemon::spawn(base_config());
+    // Parsed on a 2 MiB worker stack: without a nesting cap this overflows
+    // it and aborts the whole process.
+    let hostile = "[".repeat(100_000);
+    let reply = post_json(daemon.addr, "/extract", &hostile, Duration::from_secs(30)).unwrap();
+    assert_eq!(reply.status, 400, "{}", reply.body);
+    assert!(reply.body.contains("nesting"), "{}", reply.body);
+    let task = &kgtosa_datagen::mag(SCALE, SEED).nc[0].name;
+    let body = format!("{{\"task\":\"{task}\",\"pattern\":\"d1h1\",\"deadline_ms\":30000}}");
+    ok_json(&post_json(daemon.addr, "/extract", &body, Duration::from_secs(30)).unwrap());
+    daemon.shutdown();
+}
+
+#[test]
 fn oversized_body_is_413() {
     let daemon = Daemon::spawn(ServeConfig { max_body_bytes: 64, ..base_config() });
     let big = format!("{{\"pad\":\"{}\"}}", "x".repeat(200));
