@@ -4,13 +4,19 @@
 //! copies) must *never* serve wrong bytes, never panic, and always leave
 //! the slot usable: the damaged file is quarantined (or removed when it
 //! merely looks stale), a re-extraction repopulates the slot, and the
-//! recovered subgraph is bit-identical to the original.
+//! recovered subgraph is bit-identical to the original. Below the store's
+//! checksum, the payload codec's two readers — the borrowed
+//! [`ExtractionView`] a warm `/extract` answers from and the decoder that
+//! builds the subgraph — accept exactly the same damaged payloads.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use kgtosa_cache::{ArtifactCache, CacheKey, CacheOutcome};
-use kgtosa_core::{extract_sparql_cached, sparql_cache_key, ExtractionTask, GraphPattern};
+use kgtosa_core::{
+    decode_extraction, extract_sparql_cached, sparql_cache_key, ExtractionTask, ExtractionView,
+    GraphPattern,
+};
 use kgtosa_kg::{fingerprint, write_snapshot, KnowledgeGraph};
 use kgtosa_rdf::{FetchConfig, RdfStore};
 use proptest::prelude::*;
@@ -24,6 +30,8 @@ struct Setup {
     pristine: Vec<u8>,
     /// Snapshot bytes of the correctly extracted subgraph.
     baseline: Vec<u8>,
+    /// The payload a hit on the pristine artifact serves.
+    payload: Vec<u8>,
 }
 
 fn academic_kg() -> (KnowledgeGraph, ExtractionTask) {
@@ -69,7 +77,8 @@ fn setup() -> &'static Setup {
         let pristine = std::fs::read(dir.join(&file_name)).unwrap();
         let mut baseline = Vec::new();
         write_snapshot(&res.subgraph.kg, &mut baseline).unwrap();
-        Setup { kg, key, file_name, pristine, baseline }
+        let payload = cache.lookup(&key).payload.expect("the published artifact hits");
+        Setup { kg, key, file_name, pristine, baseline, payload }
     })
 }
 
@@ -102,6 +111,28 @@ fn assert_recovers(cache: &ArtifactCache, setup: &Setup) -> Result<(), TestCaseE
     prop_assert_eq!(&bytes, &setup.baseline, "recovery must rebuild the exact subgraph");
     let hit = cache.lookup(&setup.key);
     prop_assert_eq!(hit.outcome, CacheOutcome::Hit, "the slot is healthy after recovery");
+    Ok(())
+}
+
+/// The view accepts `payload` exactly when the decoder does, and then
+/// answers what the decoded subgraph holds.
+fn assert_view_agrees(payload: &[u8], parent_nodes: usize) -> Result<(), TestCaseError> {
+    let view = ExtractionView::parse(payload, parent_nodes);
+    let decoded = decode_extraction(payload, parent_nodes);
+    prop_assert_eq!(view.is_ok(), decoded.is_ok());
+    if let (Ok(view), Ok(dec)) = (view, decoded) {
+        let kg = &dec.subgraph.kg;
+        prop_assert_eq!(view.fingerprint(), fingerprint(kg));
+        prop_assert_eq!(
+            (
+                view.snapshot().num_nodes(),
+                view.snapshot().num_triples(),
+                view.num_targets()
+            ),
+            (kg.num_nodes(), kg.num_triples(), dec.targets.len())
+        );
+        prop_assert_eq!(view.method(), dec.method.as_str());
+    }
     Ok(())
 }
 
@@ -165,5 +196,31 @@ proptest! {
         prop_assert_ne!(lookup.outcome, CacheOutcome::Hit);
         prop_assert!(lookup.payload.is_none());
         assert_recovers(&cache, s)?;
+    }
+
+    /// A flipped payload bit — what the store's checksum exists to catch —
+    /// is judged the same by the view and the decoder, whatever it hits:
+    /// counts, ids, quality bits, dictionary terms or triple varints.
+    #[test]
+    fn view_and_decoder_agree_on_flipped_payloads(
+        byte_pick in 0usize..1 << 16,
+        bit in 0u8..8,
+        parent_delta in 0usize..2,
+    ) {
+        let s = setup();
+        let mut payload = s.payload.clone();
+        let idx = byte_pick % payload.len();
+        payload[idx] ^= 1 << bit;
+        assert_view_agrees(&payload, s.kg.num_nodes() + parent_delta)?;
+    }
+
+    /// Every truncation of a payload is judged the same by both readers
+    /// (and, the snapshot being the payload's end, rejected by both).
+    #[test]
+    fn view_and_decoder_agree_on_truncated_payloads(cut in 0usize..1 << 16) {
+        let s = setup();
+        let keep = cut % s.payload.len();
+        prop_assert!(ExtractionView::parse(&s.payload[..keep], s.kg.num_nodes()).is_err());
+        assert_view_agrees(&s.payload[..keep], s.kg.num_nodes())?;
     }
 }

@@ -14,10 +14,10 @@ use std::sync::{Arc, Mutex};
 use kgtosa_cache::{ArtifactCache, CacheOutcome};
 use kgtosa_core::{
     decode_extraction, encode_extraction, encode_extraction_parts, extract_sparql,
-    extract_sparql_cached, migrate_payload, transform, ExtractionResult, ExtractionTask,
-    GraphPattern,
+    extract_sparql_cached, migrate_payload, parent_triples, transform, ExtractionResult,
+    ExtractionTask, ExtractionView, GraphPattern,
 };
-use kgtosa_kg::{quality, write_snapshot, KnowledgeGraph, Vid};
+use kgtosa_kg::{fingerprint, quality, write_snapshot, KnowledgeGraph, Vid};
 use kgtosa_models::{train_rgcn_nc, NcDataset, TrainConfig};
 use kgtosa_rdf::{FetchConfig, RdfStore};
 use proptest::prelude::*;
@@ -140,6 +140,37 @@ proptest! {
         prop_assert_eq!(migrate_payload(&payload, old, new).unwrap(), re_encoded);
         prop_assert!(migrate_payload(&payload, old + 1, new).is_err(), "wrong old parent size");
         prop_assert!(migrate_payload(&payload[..12], old, new).is_err(), "truncated prefix");
+    }
+
+    /// A warm `/extract` answers from the payload's view, a cold one from
+    /// the fresh extraction: the view's counts, targets, parent mapping
+    /// and fingerprint must be what decoding the payload (and extracting
+    /// afresh) gives.
+    #[test]
+    fn the_view_answers_what_decoding_gives(
+        kg in arb_kg(),
+        pattern in proptest::sample::select(vec![
+            GraphPattern::D1H1, GraphPattern::D2H1, GraphPattern::D1H2, GraphPattern::D2H2,
+        ]),
+    ) {
+        let task = paper_task(&kg);
+        let store = RdfStore::new(&kg);
+        let res = extract_sparql(&store, &task, &pattern, &FetchConfig::default()).unwrap();
+        let payload = encode_extraction(&res, kg.num_nodes(), &quality(&res.subgraph.kg, &res.targets));
+
+        let view = ExtractionView::parse(&payload, kg.num_nodes()).unwrap();
+        let dec = decode_extraction(&payload, kg.num_nodes()).unwrap();
+        prop_assert_eq!(view.fingerprint(), fingerprint(&dec.subgraph.kg));
+        prop_assert_eq!(view.fingerprint(), fingerprint(&res.subgraph.kg));
+        prop_assert_eq!(view.snapshot().num_nodes(), dec.subgraph.kg.num_nodes());
+        prop_assert_eq!(view.snapshot().num_triples(), dec.subgraph.kg.num_triples());
+        prop_assert_eq!(view.num_targets(), dec.targets.len());
+        prop_assert_eq!(view.method(), dec.method.as_str());
+        prop_assert_eq!(view.quality(), &dec.quality);
+        let targets: Vec<Vid> = view.targets().map(|t| view.map_up(t)).collect();
+        let decoded: Vec<Vid> = dec.targets.iter().map(|&t| dec.subgraph.map_up(t)).collect();
+        prop_assert_eq!(targets, decoded);
+        prop_assert_eq!(view.parent_triples(&kg), Some(parent_triples(&kg, &dec.subgraph)));
     }
 }
 

@@ -46,9 +46,9 @@ pub mod repair;
 
 pub use bgp::{compile_subqueries, compile_union, Subquery};
 pub use cache::{
-    decode_extraction, encode_extraction, encode_extraction_parts, extract_sparql_cached,
-    extract_sparql_cached_with_fingerprint, migrate_payload, sparql_cache_key, task_label,
-    task_params, DecodedExtraction,
+    decode_extraction, encode_extraction, encode_extraction_parts, extract_and_publish,
+    extract_sparql_cached, extract_sparql_cached_with_fingerprint, load_cached, migrate_payload,
+    sparql_cache_key, task_label, task_params, DecodedExtraction, ExtractionView,
 };
 pub use delta::{sweep_cache_after_delta, DeltaSweepOutcome, StalenessOracle};
 pub use extract::{

@@ -50,7 +50,7 @@ use std::io::{self, Read, Write};
 use crate::fingerprint::{Fnv64, HashingReader, HashingWriter};
 use crate::fxhash::FxHashMap;
 use crate::ids::Vid;
-use crate::snapshot::{read_varint, write_varint};
+use crate::snapshot::write_varint;
 use crate::triples::{KnowledgeGraph, Triple};
 
 /// Magic prefix of the delta wire format.
@@ -107,6 +107,24 @@ fn bad(msg: &str) -> io::Error {
 fn write_str(w: &mut impl Write, s: &str) -> io::Result<()> {
     write_varint(w, s.len() as u64)?;
     w.write_all(s.as_bytes())
+}
+
+/// LEB128 unsigned varint.
+fn read_varint(r: &mut impl Read) -> io::Result<u64> {
+    let mut out = 0u64;
+    let mut shift = 0u32;
+    loop {
+        let mut byte = [0u8; 1];
+        r.read_exact(&mut byte)?;
+        if shift >= 64 {
+            return Err(bad("varint overflow"));
+        }
+        out |= ((byte[0] & 0x7f) as u64) << shift;
+        if byte[0] & 0x80 == 0 {
+            return Ok(out);
+        }
+        shift += 7;
+    }
 }
 
 fn read_str(r: &mut impl Read) -> io::Result<String> {

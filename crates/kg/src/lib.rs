@@ -53,7 +53,7 @@ pub use ids::{Cid, Rid, Vid};
 pub use metapath::{count_instances, schema_metapaths, Metapath, MetapathStep, SchemaMetapath};
 pub use fingerprint::{fingerprint, fnv64, Fnv64, HashingReader, HashingWriter};
 pub use snapshot::{
-    read_snapshot, read_snapshot_fingerprinted, write_snapshot, write_snapshot_fingerprinted,
+    read_snapshot, write_snapshot, write_snapshot_fingerprinted, SnapshotView, SnapshotVisitor,
 };
 pub use stats::{
     average_degree, distances_to_targets, neighbor_type_entropy, quality, quality_with_graph,

@@ -13,19 +13,39 @@
 //! ```
 //!
 //! Varint + delta encoding makes triples ~3–5 bytes each instead of 12.
+//!
+//! ## Canonical form
+//!
+//! [`write_snapshot`] emits exactly one byte stream per graph content, and
+//! [`SnapshotView::parse`] accepts nothing else:
+//!
+//! - every varint (term lengths, deltas, ids) is minimal LEB128 — no
+//!   trailing `0x00` continuation group, nothing beyond 64 bits;
+//! - class terms, relation terms and node terms are each unique;
+//! - every node's class id and every triple id is in range;
+//! - triples are sorted by `(s, p, o)` (duplicates are kept: the triple
+//!   list is a multiset).
+//!
+//! So for every snapshot the view accepts, re-writing the decoded graph
+//! reproduces the accepted bytes, and [`SnapshotView::fingerprint`] — FNV-1a
+//! over those bytes — equals [`crate::fingerprint::fingerprint`] of the
+//! graph without building it. One private walker is the only code that
+//! reads the layout: the view, [`read_snapshot`] and every consumer of a
+//! view's contents go through it.
 
+use std::collections::HashSet;
 use std::io::{self, Read, Write};
 
-use crate::fingerprint::{HashingReader, HashingWriter};
-use crate::ids::{Rid, Vid};
-use crate::triples::KnowledgeGraph;
+use crate::fingerprint::{fnv64, HashingWriter};
+use crate::ids::{Cid, Rid, Vid};
+use crate::triples::{KnowledgeGraph, Triple};
 
 const MAGIC: &[u8; 8] = b"KGTOSA1\n";
 
-/// Cap on `Vec::with_capacity` driven by header counts: a hostile
-/// header must not be able to force a multi-gigabyte preallocation
-/// before any payload byte has been validated. Real data beyond the
-/// cap still loads — the vectors just grow normally.
+/// Cap on preallocation driven by header counts: a hostile header must
+/// not be able to force a multi-gigabyte allocation before any payload
+/// byte has been validated. Real data beyond the cap still loads — the
+/// collections just grow normally.
 const MAX_PREALLOC: usize = 1 << 16;
 
 /// Writes a snapshot of `kg`.
@@ -62,70 +82,6 @@ pub fn write_snapshot(kg: &KnowledgeGraph, mut w: impl Write) -> io::Result<()> 
     Ok(())
 }
 
-/// Reads a snapshot produced by [`write_snapshot`].
-pub fn read_snapshot(mut r: impl Read) -> io::Result<KnowledgeGraph> {
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(bad("bad magic: not a KGTOSA snapshot"));
-    }
-    let num_classes = read_u32(&mut r)? as usize;
-    let mut class_terms = Vec::with_capacity(num_classes.min(MAX_PREALLOC));
-    for _ in 0..num_classes {
-        class_terms.push(read_str(&mut r)?);
-    }
-    let num_relations = read_u32(&mut r)? as usize;
-    let mut kg = KnowledgeGraph::new();
-    for term in &class_terms {
-        kg.add_class(term);
-    }
-    for _ in 0..num_relations {
-        let term = read_str(&mut r)?;
-        kg.add_relation(&term);
-    }
-    let num_nodes = read_u32(&mut r)? as usize;
-    for i in 0..num_nodes {
-        let class_id = read_u32(&mut r)? as usize;
-        let term = read_str(&mut r)?;
-        let class = class_terms
-            .get(class_id)
-            .ok_or_else(|| bad("node references unknown class"))?;
-        let vid = kg.add_node(&term, class);
-        if vid.idx() != i {
-            return Err(bad("duplicate node term in snapshot"));
-        }
-    }
-    let mut len_buf = [0u8; 8];
-    r.read_exact(&mut len_buf)?;
-    let num_triples = u64::from_le_bytes(len_buf);
-    // With ids bounded by num_nodes/num_relations there can be at most
-    // nodes² · relations distinct triples; a count beyond that is a
-    // forged header (the multiset in `kg` allows duplicates, but a
-    // duplicate-heavy header that large is equally implausible and
-    // would only make us loop on garbage).
-    let max_triples = (num_nodes as u64)
-        .saturating_mul(num_nodes as u64)
-        .saturating_mul(num_relations.max(1) as u64);
-    if num_triples > max_triples {
-        return Err(bad("triple count exceeds what the dictionaries allow"));
-    }
-    let mut prev_s = 0u32;
-    for _ in 0..num_triples {
-        let ds = read_varint_u32(&mut r)?;
-        let p = read_varint_u32(&mut r)?;
-        let o = read_varint_u32(&mut r)?;
-        let s = prev_s
-            .checked_add(ds)
-            .ok_or_else(|| bad("subject delta overflows u32"))?;
-        prev_s = s;
-        if s as usize >= num_nodes || o as usize >= num_nodes || p as usize >= num_relations {
-            return Err(bad("triple id out of range"));
-        }
-        kg.add_triple(Vid(s), Rid(p), Vid(o));
-    }
-    Ok(kg)
-}
-
 /// Writes a snapshot of `kg` while folding every emitted byte into an
 /// FNV-1a hash; returns the graph's content fingerprint. This is the
 /// "free" way to obtain [`crate::fingerprint::fingerprint`] when a
@@ -136,43 +92,289 @@ pub fn write_snapshot_fingerprinted(kg: &KnowledgeGraph, w: impl Write) -> io::R
     Ok(hw.finish())
 }
 
-/// Reads a snapshot while hashing the consumed bytes; returns the graph
-/// together with its content fingerprint (equal to what
-/// [`write_snapshot_fingerprinted`] returned when the bytes were
-/// produced, since the reader consumes exactly the canonical stream).
-pub fn read_snapshot_fingerprinted(r: impl Read) -> io::Result<(KnowledgeGraph, u64)> {
-    let mut hr = HashingReader::new(r);
-    let kg = read_snapshot(&mut hr)?;
-    Ok((kg, hr.finish()))
+/// Reads a snapshot produced by [`write_snapshot`]: reads `r` to the end,
+/// then builds the graph from the snapshot at the start of those bytes
+/// (anything after it is ignored). Bytes that are not a canonical snapshot
+/// are an error.
+pub fn read_snapshot(mut r: impl Read) -> io::Result<KnowledgeGraph> {
+    let mut bytes = Vec::new();
+    r.read_to_end(&mut bytes)?;
+    let mut build = Materialise::default();
+    walk(&bytes, &mut build)?;
+    Ok(build.kg)
+}
+
+/// Receives a snapshot's contents, in stream order, as the walker behind
+/// [`SnapshotView`] validates them. Every method ignores its argument
+/// unless overridden.
+pub trait SnapshotVisitor<'a> {
+    /// The next class term; ids count up from 0.
+    fn class(&mut self, _term: &'a str) {}
+    /// The next relation term; ids count up from 0.
+    fn relation(&mut self, _term: &'a str) {}
+    /// The next node; ids count up from 0.
+    fn node(&mut self, _class: Cid, _term: &'a str) {}
+    /// The next triple, in `(s, p, o)` order.
+    fn triple(&mut self, _t: Triple) {}
+}
+
+/// Validation only.
+impl SnapshotVisitor<'_> for () {}
+
+/// A validated, borrowed snapshot: the bytes of one canonical snapshot and
+/// its section counts. Nothing is decoded into owned structures until a
+/// caller asks ([`Self::to_graph`], [`Self::visit`]).
+#[derive(Debug, Clone, Copy)]
+pub struct SnapshotView<'a> {
+    bytes: &'a [u8],
+    num_classes: usize,
+    num_relations: usize,
+    num_nodes: usize,
+    num_triples: usize,
+}
+
+impl<'a> SnapshotView<'a> {
+    /// Validates the snapshot at the start of `bytes` — every check
+    /// [`read_snapshot`] makes, canonical form included. Bytes after the
+    /// snapshot are not part of the view ([`Self::bytes`] ends where the
+    /// snapshot does).
+    pub fn parse(bytes: &'a [u8]) -> io::Result<Self> {
+        walk(bytes, &mut ())
+    }
+
+    /// Exactly the snapshot's bytes.
+    pub fn bytes(&self) -> &'a [u8] {
+        self.bytes
+    }
+
+    /// The content fingerprint of the snapshot's graph — equal to
+    /// [`crate::fingerprint::fingerprint`] of [`Self::to_graph`], because
+    /// the bytes are canonical.
+    pub fn fingerprint(&self) -> u64 {
+        fnv64(self.bytes)
+    }
+
+    pub fn num_classes(&self) -> usize {
+        self.num_classes
+    }
+
+    pub fn num_relations(&self) -> usize {
+        self.num_relations
+    }
+
+    pub fn num_nodes(&self) -> usize {
+        self.num_nodes
+    }
+
+    pub fn num_triples(&self) -> usize {
+        self.num_triples
+    }
+
+    /// Walks the snapshot again, handing its contents to `visitor`.
+    pub fn visit(&self, visitor: &mut impl SnapshotVisitor<'a>) {
+        walk(self.bytes, visitor).expect("a parsed snapshot walks again");
+    }
+
+    /// Builds the graph the snapshot describes.
+    pub fn to_graph(&self) -> KnowledgeGraph {
+        let mut build = Materialise::default();
+        self.visit(&mut build);
+        build.kg
+    }
+}
+
+/// Builds a [`KnowledgeGraph`] from a walk.
+#[derive(Default)]
+struct Materialise<'a> {
+    kg: KnowledgeGraph,
+    classes: Vec<&'a str>,
+}
+
+impl<'a> SnapshotVisitor<'a> for Materialise<'a> {
+    fn class(&mut self, term: &'a str) {
+        self.kg.add_class(term);
+        self.classes.push(term);
+    }
+
+    fn relation(&mut self, term: &'a str) {
+        self.kg.add_relation(term);
+    }
+
+    fn node(&mut self, class: Cid, term: &'a str) {
+        self.kg.add_node(term, self.classes[class.idx()]);
+    }
+
+    fn triple(&mut self, t: Triple) {
+        self.kg.add_triple(t.s, t.p, t.o);
+    }
+}
+
+/// Validates the snapshot at the start of `bytes`, handing each class,
+/// relation, node and triple to `visitor` once it has passed its checks.
+/// This is the format's only reader.
+fn walk<'a>(
+    bytes: &'a [u8],
+    visitor: &mut impl SnapshotVisitor<'a>,
+) -> io::Result<SnapshotView<'a>> {
+    let mut r = Bytes { rest: bytes };
+    if r.take(MAGIC.len())? != MAGIC {
+        return Err(bad("bad magic: not a KGTOSA snapshot"));
+    }
+    // Terms come from outside the program: the default hasher keeps
+    // crafted collisions from making this set quadratic.
+    let mut seen: HashSet<&str> = HashSet::new();
+    let num_classes = r.u32()? as usize;
+    for _ in 0..num_classes {
+        let term = r.str()?;
+        if !seen.insert(term) {
+            return Err(bad("duplicate class term in snapshot"));
+        }
+        visitor.class(term);
+    }
+    seen.clear();
+    let num_relations = r.u32()? as usize;
+    for _ in 0..num_relations {
+        let term = r.str()?;
+        if !seen.insert(term) {
+            return Err(bad("duplicate relation term in snapshot"));
+        }
+        visitor.relation(term);
+    }
+    seen.clear();
+    let num_nodes = r.u32()? as usize;
+    seen.reserve(num_nodes.min(MAX_PREALLOC));
+    for _ in 0..num_nodes {
+        let class = r.u32()?;
+        let term = r.str()?;
+        if class as usize >= num_classes {
+            return Err(bad("node references unknown class"));
+        }
+        if !seen.insert(term) {
+            return Err(bad("duplicate node term in snapshot"));
+        }
+        visitor.node(Cid(class), term);
+    }
+    let num_triples = r.u64()?;
+    // With ids bounded by num_nodes/num_relations there can be at most
+    // nodes² · relations distinct triples; a count beyond that is a
+    // forged header (the multiset allows duplicates, but a duplicate-heavy
+    // header that large is equally implausible and would only make us
+    // loop on garbage).
+    let max_triples = (num_nodes as u64)
+        .saturating_mul(num_nodes as u64)
+        .saturating_mul(num_relations.max(1) as u64);
+    if num_triples > max_triples {
+        return Err(bad("triple count exceeds what the dictionaries allow"));
+    }
+    let mut prev = [0u32; 3];
+    for _ in 0..num_triples {
+        let ds = r.varint_u32()?;
+        let p = r.varint_u32()?;
+        let o = r.varint_u32()?;
+        let s = prev[0]
+            .checked_add(ds)
+            .ok_or_else(|| bad("subject delta overflows u32"))?;
+        if s as usize >= num_nodes || o as usize >= num_nodes || p as usize >= num_relations {
+            return Err(bad("triple id out of range"));
+        }
+        if ds == 0 && (p, o) < (prev[1], prev[2]) {
+            return Err(bad("triples not sorted"));
+        }
+        prev = [s, p, o];
+        visitor.triple(Triple::new(Vid(s), Rid(p), Vid(o)));
+    }
+    Ok(SnapshotView {
+        bytes: &bytes[..bytes.len() - r.rest.len()],
+        num_classes,
+        num_relations,
+        num_nodes,
+        num_triples: num_triples as usize,
+    })
 }
 
 fn bad(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-fn write_u32(w: &mut impl Write, v: u32) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
+fn truncated() -> io::Error {
+    io::Error::new(io::ErrorKind::UnexpectedEof, "snapshot truncated")
 }
 
-fn read_u32(r: &mut impl Read) -> io::Result<u32> {
-    let mut buf = [0u8; 4];
-    r.read_exact(&mut buf)?;
-    Ok(u32::from_le_bytes(buf))
+/// A cursor over borrowed bytes: `rest` is what is still unread. Running
+/// past the end is `UnexpectedEof`.
+struct Bytes<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> Bytes<'a> {
+    fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
+        if n > self.rest.len() {
+            return Err(truncated());
+        }
+        let (head, rest) = self.rest.split_at(n);
+        self.rest = rest;
+        Ok(head)
+    }
+
+    fn u32(&mut self) -> io::Result<u32> {
+        Ok(u32::from_le_bytes(
+            self.take(4)?.try_into().expect("4 bytes"),
+        ))
+    }
+
+    fn u64(&mut self) -> io::Result<u64> {
+        Ok(u64::from_le_bytes(
+            self.take(8)?.try_into().expect("8 bytes"),
+        ))
+    }
+
+    fn str(&mut self) -> io::Result<&'a str> {
+        let len = self.varint()?;
+        if len > 1 << 24 {
+            return Err(bad("unreasonable string length"));
+        }
+        std::str::from_utf8(self.take(len as usize)?).map_err(|_| bad("invalid UTF-8 in snapshot"))
+    }
+
+    /// A varint that must fit in a `u32` (an id or delta): a wider value
+    /// is an error, never truncated to a small in-range id.
+    fn varint_u32(&mut self) -> io::Result<u32> {
+        u32::try_from(self.varint()?).map_err(|_| bad("id varint exceeds u32 range"))
+    }
+
+    /// A minimal LEB128 varint of at most 64 bits (ten 7-bit groups, the
+    /// last carrying one bit).
+    fn varint(&mut self) -> io::Result<u64> {
+        let mut out = 0u64;
+        for (i, &byte) in self.rest.iter().take(10).enumerate() {
+            let low = u64::from(byte & 0x7f);
+            if i == 9 && low > 1 {
+                return Err(bad("varint overflow"));
+            }
+            out |= low << (7 * i);
+            if byte & 0x80 == 0 {
+                if byte == 0 && i > 0 {
+                    return Err(bad("non-minimal varint"));
+                }
+                self.rest = &self.rest[i + 1..];
+                return Ok(out);
+            }
+        }
+        Err(if self.rest.len() < 10 {
+            truncated()
+        } else {
+            bad("varint overflow")
+        })
+    }
+}
+
+fn write_u32(w: &mut impl Write, v: u32) -> io::Result<()> {
+    w.write_all(&v.to_le_bytes())
 }
 
 fn write_str(w: &mut impl Write, s: &str) -> io::Result<()> {
     write_varint(w, s.len() as u64)?;
     w.write_all(s.as_bytes())
-}
-
-fn read_str(r: &mut impl Read) -> io::Result<String> {
-    let len = read_varint(r)? as usize;
-    if len > 1 << 24 {
-        return Err(bad("unreasonable string length"));
-    }
-    let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf)?;
-    String::from_utf8(buf).map_err(|_| bad("invalid UTF-8 in snapshot"))
 }
 
 /// LEB128 unsigned varint.
@@ -187,36 +389,9 @@ pub(crate) fn write_varint(w: &mut impl Write, mut v: u64) -> io::Result<()> {
     }
 }
 
-/// Reads a varint that must fit in a `u32` (an id or delta). The
-/// unchecked `as u32` cast this replaces silently truncated hostile
-/// values like `u32::MAX + 2` down to small in-range ids, yielding a
-/// *wrong graph* instead of an error.
-fn read_varint_u32(r: &mut impl Read) -> io::Result<u32> {
-    let v = read_varint(r)?;
-    u32::try_from(v).map_err(|_| bad("id varint exceeds u32 range"))
-}
-
-pub(crate) fn read_varint(r: &mut impl Read) -> io::Result<u64> {
-    let mut out = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let mut byte = [0u8; 1];
-        r.read_exact(&mut byte)?;
-        if shift >= 64 {
-            return Err(bad("varint overflow"));
-        }
-        out |= ((byte[0] & 0x7f) as u64) << shift;
-        if byte[0] & 0x80 == 0 {
-            return Ok(out);
-        }
-        shift += 7;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::triples::Triple;
     use std::io::Cursor;
 
     fn sample() -> KnowledgeGraph {
@@ -229,17 +404,28 @@ mod tests {
                 &format!("p{}", i / 2),
                 "Paper",
             );
-            kg.add_triple_terms(&format!("a{}", i % 7), "Author", "writes", &format!("p{i}"), "Paper");
+            kg.add_triple_terms(
+                &format!("a{}", i % 7),
+                "Author",
+                "writes",
+                &format!("p{i}"),
+                "Paper",
+            );
         }
         kg.add_node("isolated", "Misc");
         kg
     }
 
+    fn snapshot(kg: &KnowledgeGraph) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_snapshot(kg, &mut buf).unwrap();
+        buf
+    }
+
     #[test]
     fn roundtrip_preserves_everything() {
         let kg = sample();
-        let mut buf = Vec::new();
-        write_snapshot(&kg, &mut buf).unwrap();
+        let buf = snapshot(&kg);
         let back = read_snapshot(Cursor::new(&buf)).unwrap();
         assert_eq!(back.num_nodes(), kg.num_nodes());
         assert_eq!(back.num_relations(), kg.num_relations());
@@ -262,10 +448,31 @@ mod tests {
     }
 
     #[test]
+    fn fingerprinted_roundtrip_matches() {
+        let kg = sample();
+        let mut buf = Vec::new();
+        let fp = write_snapshot_fingerprinted(&kg, &mut buf).unwrap();
+        let len = buf.len();
+        buf.extend_from_slice(b"trailing");
+        let view = SnapshotView::parse(&buf).unwrap();
+        assert_eq!(
+            view.bytes().len(),
+            len,
+            "the view ends where the snapshot does"
+        );
+        assert_eq!(view.num_classes(), kg.num_classes());
+        assert_eq!(view.num_relations(), kg.num_relations());
+        assert_eq!(view.num_nodes(), kg.num_nodes());
+        assert_eq!(view.num_triples(), kg.num_triples());
+        assert_eq!(view.fingerprint(), fp);
+        assert_eq!(fp, crate::fingerprint::fingerprint(&kg));
+        assert_eq!(snapshot(&view.to_graph()), &buf[..len]);
+    }
+
+    #[test]
     fn snapshot_is_compact() {
         let kg = sample();
-        let mut bin = Vec::new();
-        write_snapshot(&kg, &mut bin).unwrap();
+        let bin = snapshot(&kg);
         // Compare with a naive 12-bytes-per-triple + strings layout.
         let naive = kg.num_triples() * 12;
         assert!(
@@ -278,16 +485,17 @@ mod tests {
 
     #[test]
     fn rejects_corruption() {
-        let kg = sample();
-        let mut buf = Vec::new();
-        write_snapshot(&kg, &mut buf).unwrap();
+        let buf = snapshot(&sample());
         // Bad magic.
         let mut bad_magic = buf.clone();
         bad_magic[0] = b'X';
         assert!(read_snapshot(Cursor::new(&bad_magic)).is_err());
         // Truncation at any point errors rather than panics.
         for cut in [8usize, 20, buf.len() / 2, buf.len() - 1] {
-            assert!(read_snapshot(Cursor::new(&buf[..cut])).is_err(), "cut {cut}");
+            assert!(
+                read_snapshot(Cursor::new(&buf[..cut])).is_err(),
+                "cut {cut}"
+            );
         }
     }
 
@@ -296,79 +504,114 @@ mod tests {
         for v in [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX] {
             let mut buf = Vec::new();
             write_varint(&mut buf, v).unwrap();
-            assert_eq!(read_varint(&mut Cursor::new(&buf)).unwrap(), v);
+            assert_eq!(Bytes { rest: &buf }.varint().unwrap(), v);
         }
     }
 
-    /// Byte offset of the `u64` triple-count header in a snapshot.
+    #[test]
+    fn rejects_non_canonical_varints() {
+        for bytes in [
+            &[0x80, 0x00][..],
+            &[0x81, 0x80, 0x00],
+            // 11 groups, and 10 groups carrying more than 64 bits.
+            &[
+                0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x81, 0x00,
+            ],
+            &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02],
+        ] {
+            let err = Bytes { rest: bytes }.varint().unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{bytes:?}");
+        }
+    }
+
+    /// Byte offset of the `u64` triple-count header in a snapshot of
+    /// [`sample`]: the last place its little-endian count appears.
     fn triple_count_offset(buf: &[u8]) -> usize {
-        // Everything before the final num_triples u64 + triple payload
-        // is dictionaries and nodes; find it by re-writing the graph
-        // without triples is fragile, so compute from the known sample:
-        // the count sits 8 bytes before the triple payload. Easiest
-        // robust approach: locate the little-endian count value itself.
-        let kg = sample();
-        let needle = (kg.num_triples() as u64).to_le_bytes();
+        let needle = (sample().num_triples() as u64).to_le_bytes();
         buf.windows(8)
             .rposition(|w| w == needle)
             .expect("triple count header present")
     }
 
+    /// A snapshot of [`sample`] whose triple section is replaced by
+    /// `triples`, written raw (delta, p, o) — no sorting, no checks.
+    fn with_raw_triples(triples: &[[u64; 3]]) -> Vec<u8> {
+        let mut buf = snapshot(&sample());
+        let off = triple_count_offset(&buf);
+        buf.truncate(off);
+        buf.extend_from_slice(&(triples.len() as u64).to_le_bytes());
+        for t in triples {
+            for &v in t {
+                write_varint(&mut buf, v).unwrap();
+            }
+        }
+        buf
+    }
+
+    fn assert_invalid(buf: &[u8]) {
+        let err = read_snapshot(Cursor::new(buf)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(SnapshotView::parse(buf).is_err());
+    }
+
     #[test]
     fn rejects_forged_triple_count() {
-        let kg = sample();
-        let mut buf = Vec::new();
-        write_snapshot(&kg, &mut buf).unwrap();
+        let mut buf = snapshot(&sample());
         let off = triple_count_offset(&buf);
         // A count far beyond nodes² · relations must be rejected up
         // front instead of looping until EOF on garbage.
         buf[off..off + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        let err = read_snapshot(Cursor::new(&buf)).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert_invalid(&buf);
     }
 
     #[test]
     fn rejects_oversized_id_varint() {
-        let kg = sample();
-        let mut buf = Vec::new();
-        write_snapshot(&kg, &mut buf).unwrap();
-        let off = triple_count_offset(&buf);
-        // Replace the triple payload with one triple whose subject
-        // delta is u32::MAX + 2 — under the old `as u32` cast this
-        // silently truncated to 1 and produced a wrong (but valid-
-        // looking) graph.
-        buf.truncate(off);
-        buf.extend_from_slice(&1u64.to_le_bytes());
-        write_varint(&mut buf, u64::from(u32::MAX) + 2).unwrap();
-        write_varint(&mut buf, 0).unwrap();
-        write_varint(&mut buf, 0).unwrap();
-        let err = read_snapshot(Cursor::new(&buf)).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        // A subject delta of u32::MAX + 2 — an unchecked `as u32` cast
+        // would silently truncate it to 1 and produce a wrong (but
+        // valid-looking) graph.
+        assert_invalid(&with_raw_triples(&[[u64::from(u32::MAX) + 2, 0, 0]]));
     }
 
     #[test]
     fn rejects_subject_delta_overflow() {
-        // Two triples whose deltas sum past u32::MAX must error on the
-        // checked add, not wrap around to a small subject id.
-        let kg = sample();
-        let mut buf = Vec::new();
-        write_snapshot(&kg, &mut buf).unwrap();
-        let off = triple_count_offset(&buf);
-        buf.truncate(off);
-        buf.extend_from_slice(&2u64.to_le_bytes());
-        for _ in 0..2 {
-            write_varint(&mut buf, u64::from(u32::MAX)).unwrap();
-            write_varint(&mut buf, 0).unwrap();
-            write_varint(&mut buf, 0).unwrap();
+        // Two deltas summing past u32::MAX must error on the checked add,
+        // not wrap around to a small subject id.
+        let max = u64::from(u32::MAX);
+        assert_invalid(&with_raw_triples(&[[max, 0, 0], [max, 0, 0]]));
+    }
+
+    #[test]
+    fn rejects_unsorted_triples_but_keeps_duplicates() {
+        assert_invalid(&with_raw_triples(&[[1, 1, 0], [0, 0, 5]]));
+        assert_invalid(&with_raw_triples(&[[1, 0, 5], [0, 0, 4]]));
+        let dup = with_raw_triples(&[[1, 0, 5], [0, 0, 5], [1, 0, 0]]);
+        let kg = read_snapshot(Cursor::new(&dup)).unwrap();
+        assert_eq!(kg.num_triples(), 3);
+        assert_eq!(snapshot(&kg), dup);
+    }
+
+    #[test]
+    fn rejects_duplicate_dictionary_terms() {
+        let mut kg = KnowledgeGraph::new();
+        kg.add_triple_terms("n1", "AA", "r1", "n2", "BB");
+        kg.add_triple_terms("n2", "BB", "r2", "n1", "AA");
+        let buf = snapshot(&kg);
+        for (first, second) in [("AA", "BB"), ("r1", "r2"), ("n1", "n2")] {
+            // Same length, so only the term changes; the first occurrence
+            // of `second`'s length-prefixed bytes is its dictionary entry.
+            let mut needle = vec![second.len() as u8];
+            needle.extend_from_slice(second.as_bytes());
+            let at = buf.windows(needle.len()).position(|w| w == needle).unwrap();
+            let mut dup = buf.clone();
+            dup[at + 1..at + needle.len()].copy_from_slice(first.as_bytes());
+            assert_invalid(&dup);
         }
-        let err = read_snapshot(Cursor::new(&buf)).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
 
     #[test]
     fn hostile_dictionary_count_does_not_preallocate() {
         // magic + num_classes = u32::MAX, then nothing: must fail on
-        // the missing class terms, not abort in with_capacity.
+        // the missing class terms, not abort in an allocation.
         let mut buf = Vec::new();
         buf.extend_from_slice(MAGIC);
         buf.extend_from_slice(&u32::MAX.to_le_bytes());
@@ -376,22 +619,39 @@ mod tests {
     }
 
     #[test]
-    fn fingerprinted_roundtrip_matches() {
+    fn visit_reports_contents_in_stream_order() {
+        #[derive(Default)]
+        struct Collect<'a> {
+            relations: Vec<&'a str>,
+            nodes: usize,
+            triples: Vec<Triple>,
+        }
+        impl<'a> SnapshotVisitor<'a> for Collect<'a> {
+            fn relation(&mut self, term: &'a str) {
+                self.relations.push(term);
+            }
+            fn node(&mut self, _class: Cid, _term: &'a str) {
+                self.nodes += 1;
+            }
+            fn triple(&mut self, t: Triple) {
+                self.triples.push(t);
+            }
+        }
         let kg = sample();
-        let mut buf = Vec::new();
-        let fp_w = write_snapshot_fingerprinted(&kg, &mut buf).unwrap();
-        let (back, fp_r) = read_snapshot_fingerprinted(Cursor::new(&buf)).unwrap();
-        assert_eq!(fp_w, fp_r);
-        assert_eq!(back.num_triples(), kg.num_triples());
-        assert_eq!(fp_w, crate::fingerprint::fingerprint(&kg));
+        let buf = snapshot(&kg);
+        let mut seen = Collect::default();
+        SnapshotView::parse(&buf).unwrap().visit(&mut seen);
+        assert_eq!(seen.relations, ["cites", "writes"]);
+        assert_eq!(seen.nodes, kg.num_nodes());
+        let mut sorted = kg.triples().to_vec();
+        sorted.sort_unstable();
+        assert_eq!(seen.triples, sorted);
     }
 
     #[test]
     fn empty_graph_roundtrips() {
         let kg = KnowledgeGraph::new();
-        let mut buf = Vec::new();
-        write_snapshot(&kg, &mut buf).unwrap();
-        let back = read_snapshot(Cursor::new(&buf)).unwrap();
+        let back = read_snapshot(Cursor::new(snapshot(&kg))).unwrap();
         assert_eq!(back.num_nodes(), 0);
         assert_eq!(back.num_triples(), 0);
     }

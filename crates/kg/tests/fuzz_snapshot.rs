@@ -1,12 +1,16 @@
 //! Robustness fuzzing for the `KGTOSA1` snapshot reader, in the style of
 //! `crates/rdf/tests/fuzz_parser.rs`: arbitrary and adversarially mutated
 //! byte streams must never panic, abort, or silently produce a *different*
-//! graph — they either error or round-trip exactly.
+//! graph — they either error or round-trip exactly. Whatever the reader
+//! accepts is canonical: writing the decoded graph back reproduces the
+//! accepted bytes, so their hash is the graph's fingerprint.
 
 use proptest::prelude::*;
 use std::io::Cursor;
 
-use kgtosa_kg::{fingerprint, read_snapshot, write_snapshot, KnowledgeGraph, Triple, Vid};
+use kgtosa_kg::{
+    fingerprint, read_snapshot, write_snapshot, KnowledgeGraph, SnapshotView, Triple, Vid,
+};
 
 /// A small random KG: up to 12 nodes across 3 classes, 4 relations.
 fn arb_kg() -> impl Strategy<Value = KnowledgeGraph> {
@@ -44,6 +48,46 @@ fn sorted_triples(kg: &KnowledgeGraph) -> Vec<Triple> {
     let mut t = kg.triples().to_vec();
     t.sort_unstable();
     t
+}
+
+/// The view and `read_snapshot` accept the same bytes, and accepted bytes
+/// are exactly what `write_snapshot` emits for the decoded graph.
+fn assert_canonical(bytes: &[u8]) -> Result<(), TestCaseError> {
+    match SnapshotView::parse(bytes) {
+        Ok(view) => {
+            let kg = read_snapshot(Cursor::new(bytes))
+                .expect("read_snapshot accepts what the view does");
+            prop_assert_eq!(snapshot_bytes(&kg), view.bytes());
+            prop_assert_eq!(view.bytes(), &bytes[..view.bytes().len()]);
+            prop_assert_eq!(view.fingerprint(), fingerprint(&kg));
+            prop_assert_eq!(
+                (view.num_nodes(), view.num_triples()),
+                (kg.num_nodes(), kg.num_triples())
+            );
+        }
+        Err(_) => prop_assert!(read_snapshot(Cursor::new(bytes)).is_err()),
+    }
+    Ok(())
+}
+
+/// A byte with its continuation bit clear, re-encoded one group longer
+/// (`b` → `b | 0x80, 0x00`): the value is unchanged, the bytes are not
+/// what the writer emits.
+fn pad_varint_at(buf: &mut Vec<u8>, at: usize) {
+    buf[at] |= 0x80;
+    buf.insert(at + 1, 0);
+}
+
+#[test]
+fn padded_varint_is_rejected() {
+    let mut kg = KnowledgeGraph::new();
+    kg.add_triple_terms("a", "A", "r", "b", "B");
+    let mut buf = snapshot_bytes(&kg);
+    // The last byte is the final triple's object id.
+    let last = buf.len() - 1;
+    pad_varint_at(&mut buf, last);
+    assert!(read_snapshot(Cursor::new(&buf)).is_err());
+    assert!(SnapshotView::parse(&buf).is_err());
 }
 
 proptest! {
@@ -98,6 +142,26 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// Accepted bytes are canonical, under bit flips, padded varints,
+    /// dropped bytes and trailing garbage.
+    #[test]
+    fn accepted_bytes_are_canonical(
+        kg in arb_kg(),
+        pick in 0usize..1 << 16,
+        bit in 0u8..8,
+        mutation in 0u8..4,
+    ) {
+        let mut buf = snapshot_bytes(&kg);
+        let at = pick % buf.len();
+        match mutation {
+            0 => buf[at] ^= 1 << bit,
+            1 if buf[at] & 0x80 == 0 => pad_varint_at(&mut buf, at),
+            2 => { buf.remove(at); }
+            _ => buf.push(bit),
+        }
+        assert_canonical(&buf)?;
     }
 
     /// The full round-trip invariant under fuzzing: write → read is exact.

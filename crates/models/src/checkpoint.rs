@@ -160,8 +160,9 @@ pub fn parse_checkpoint_bytes(bytes: &[u8]) -> io::Result<RawCheckpoint<'_>> {
             metric: f64::from_bits(read_u64(&mut r)?),
         });
     }
-    let state_len = read_u64(&mut r)? as usize;
-    if state_len + 8 > r.len() {
+    // The length is read from the file: compare without overflowing.
+    let state_len = usize::try_from(read_u64(&mut r)?).unwrap_or(usize::MAX);
+    if r.len() < 8 || state_len > r.len() - 8 {
         return Err(bad("truncated state blob"));
     }
     let (state, mut tail) = r.split_at(state_len);
@@ -453,6 +454,22 @@ mod tests {
         bytes[n - 12] ^= 0xff;
         fs::write(&path, &bytes).unwrap();
         assert!(ck.resume(|_| panic!("load must not run on corrupt state")).is_none());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn forged_state_length_is_an_error() {
+        let dir = temp_dir("forged-len");
+        let ck = Checkpointer::from_cfg(&cfg_with(&dir), "RGCN", 3).unwrap();
+        ck.maybe_save(1, 10, &[], |w| write_u64(w, 7));
+        let bytes = fs::read(dir.join("RGCN.ckpt")).unwrap();
+        assert!(parse_checkpoint_bytes(&bytes).is_ok());
+        // No trace points: the state length follows the 32-byte header.
+        for forged in [u64::MAX, u64::MAX - 7, bytes.len() as u64] {
+            let mut bad = bytes.clone();
+            bad[32..40].copy_from_slice(&forged.to_le_bytes());
+            assert!(parse_checkpoint_bytes(&bad).is_err(), "state_len {forged}");
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

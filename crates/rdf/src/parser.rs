@@ -4,6 +4,11 @@ use crate::ast::{CompareOp, Constraint, Element, Group, Query, Selection, Term, 
 use crate::error::RdfError;
 use crate::lexer::{tokenize, Keyword, Token};
 
+/// Deepest `{ … }` nesting a query may use, the `WHERE` group included.
+/// Each level is one recursive [`Parser::parse_group`] call, so the cap
+/// bounds the stack a hostile query can take.
+const MAX_GROUP_DEPTH: usize = 64;
+
 /// Parses a query string into a [`Query`].
 pub fn parse(input: &str) -> Result<Query, RdfError> {
     let tokens = tokenize(input)?;
@@ -11,6 +16,7 @@ pub fn parse(input: &str) -> Result<Query, RdfError> {
         tokens,
         pos: 0,
         prefixes: Vec::new(),
+        depth: 0,
     }
     .parse_query()
 }
@@ -19,6 +25,8 @@ struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     prefixes: Vec<(String, String)>,
+    /// Groups currently open.
+    depth: usize,
 }
 
 impl Parser {
@@ -169,6 +177,19 @@ impl Parser {
 
     /// Parses a group body up to (not consuming past) its closing brace.
     fn parse_group(&mut self) -> Result<Group, RdfError> {
+        if self.depth == MAX_GROUP_DEPTH {
+            return Err(RdfError::parse(
+                self.pos,
+                format!("groups nested deeper than {MAX_GROUP_DEPTH}"),
+            ));
+        }
+        self.depth += 1;
+        let group = self.parse_group_elements();
+        self.depth -= 1;
+        group
+    }
+
+    fn parse_group_elements(&mut self) -> Result<Group, RdfError> {
         let mut elements = Vec::new();
         loop {
             match self.peek() {
@@ -366,6 +387,32 @@ mod tests {
         assert!(parse("SELECT * WHERE { ?s ?p }").is_err());
         assert!(parse("SELECT * WHERE { ?s ?p ?o ").is_err());
         assert!(parse("SELECT * WHERE { ?s ?p ?o } EXTRA 1").is_err());
+    }
+
+    fn nested(depth: usize) -> String {
+        format!(
+            "SELECT * WHERE {}?s ?p ?o{}",
+            "{ ".repeat(depth),
+            " }".repeat(depth)
+        )
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        assert!(parse(&nested(MAX_GROUP_DEPTH)).is_ok());
+        assert!(parse(&nested(MAX_GROUP_DEPTH + 1)).is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let query = format!("SELECT * WHERE {}", "{".repeat(100_000));
+        let parsed = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || parse(&query).is_err())
+            .unwrap()
+            .join()
+            .unwrap();
+        assert!(parsed, "100 000 nested groups must be a parse error");
     }
 
     #[test]

@@ -12,7 +12,8 @@ use std::time::{Duration, Instant};
 
 use kgtosa_cache::CacheOutcome;
 use kgtosa_core::{
-    extract_sparql, extract_sparql_cached_with_fingerprint, ExtractionTask, GraphPattern,
+    extract_and_publish, extract_sparql, load_cached, sparql_cache_key, ExtractionResult,
+    ExtractionTask, ExtractionView, GraphPattern,
 };
 use kgtosa_kg::Vid;
 use kgtosa_obs::httpd::{builtin_route, HttpRequest, HttpResponse};
@@ -152,32 +153,38 @@ fn extract_handler(state: &ServeState, body: &Json, remaining: Duration) -> Http
     };
 
     let started = Instant::now();
+    // One lookup per request. A hit is answered from the payload's
+    // validated bytes; no subgraph graph is built for it.
     let outcome = match &state.cache {
-        Some(cache) => extract_sparql_cached_with_fingerprint(
-            &epoch.store,
-            &task,
-            &pattern,
-            &fetch,
-            cache,
-            epoch.fingerprint,
-        )
-        .map(|(res, o)| (res, o == CacheOutcome::Hit)),
-        None => extract_sparql(&epoch.store, &task, &pattern, &fetch).map(|res| (res, false)),
+        Some(cache) => {
+            let key = sparql_cache_key(epoch.fingerprint, &task, &pattern);
+            let lookup = cache.lookup(&key);
+            match lookup
+                .payload
+                .as_deref()
+                .and_then(|p| load_cached(p, epoch.kg.num_nodes()))
+            {
+                Some(view) => Ok(Extracted::from_view(&view)),
+                None => extract_and_publish(&epoch.store, &task, &pattern, &fetch, cache, &key)
+                    .map(|res| Extracted::from_result(&res, lookup.outcome == CacheOutcome::Hit)),
+            }
+        }
+        None => extract_sparql(&epoch.store, &task, &pattern, &fetch)
+            .map(|res| Extracted::from_result(&res, false)),
     };
     match outcome {
-        Ok((res, cache_hit)) => {
-            let cached = cache_hit || res.report.cached;
-            let degraded = cached && breaker_before != BreakerState::Closed;
+        Ok(out) => {
+            let degraded = out.cached && breaker_before != BreakerState::Closed;
             let fields = vec![
                 ("status".into(), Json::Str("ok".into())),
-                ("method".into(), Json::Str(res.report.method.clone())),
+                ("method".into(), Json::Str(out.method)),
                 ("pattern".into(), Json::Str(pattern.label())),
                 ("task".into(), Json::Str(task.name.clone())),
-                ("triples".into(), Json::Num(res.report.triples as f64)),
-                ("nodes".into(), Json::Num(res.subgraph.kg.num_nodes() as f64)),
-                ("targets".into(), Json::Num(res.targets.len() as f64)),
-                ("completeness".into(), Json::Num(res.report.completeness)),
-                ("cached".into(), Json::Bool(cached)),
+                ("triples".into(), Json::Num(out.triples as f64)),
+                ("nodes".into(), Json::Num(out.nodes as f64)),
+                ("targets".into(), Json::Num(out.targets as f64)),
+                ("completeness".into(), Json::Num(out.completeness)),
+                ("cached".into(), Json::Bool(out.cached)),
                 ("degraded".into(), Json::Bool(degraded)),
                 (
                     "breaker".into(),
@@ -185,7 +192,7 @@ fn extract_handler(state: &ServeState, body: &Json, remaining: Duration) -> Http
                 ),
                 (
                     "subgraph_fingerprint".into(),
-                    Json::Str(format!("{:016x}", kgtosa_kg::fingerprint(&res.subgraph.kg))),
+                    Json::Str(format!("{:016x}", out.subgraph_fingerprint)),
                 ),
                 (
                     "kg_fingerprint".into(),
@@ -212,6 +219,43 @@ fn extract_handler(state: &ServeState, body: &Json, remaining: Duration) -> Http
             HttpResponse::error(504, e.to_string())
         }
         Err(e) => HttpResponse::error(500, e.to_string()),
+    }
+}
+
+/// What an `/extract` reply reports about the subgraph it served.
+struct Extracted {
+    method: String,
+    triples: usize,
+    nodes: usize,
+    targets: usize,
+    completeness: f64,
+    cached: bool,
+    subgraph_fingerprint: u64,
+}
+
+impl Extracted {
+    fn from_view(view: &ExtractionView<'_>) -> Self {
+        Extracted {
+            method: view.method().to_string(),
+            triples: view.snapshot().num_triples(),
+            nodes: view.snapshot().num_nodes(),
+            targets: view.num_targets(),
+            completeness: 1.0,
+            cached: true,
+            subgraph_fingerprint: view.fingerprint(),
+        }
+    }
+
+    fn from_result(res: &ExtractionResult, cache_hit: bool) -> Self {
+        Extracted {
+            method: res.report.method.clone(),
+            triples: res.report.triples,
+            nodes: res.subgraph.kg.num_nodes(),
+            targets: res.targets.len(),
+            completeness: res.report.completeness,
+            cached: cache_hit || res.report.cached,
+            subgraph_fingerprint: kgtosa_kg::fingerprint(&res.subgraph.kg),
+        }
     }
 }
 

@@ -32,9 +32,9 @@ use std::time::Instant;
 
 use kgtosa_cache::EntryInfo;
 use kgtosa_core::{
-    decode_extraction, encode_extraction_parts, parent_triples, repair_extraction,
-    sweep_cache_after_delta, task_params, DeltaSweepOutcome, ExtractionTask, GraphPattern,
-    RepairConfig, StalenessOracle,
+    encode_extraction_parts, repair_extraction, sweep_cache_after_delta, task_params,
+    DeltaSweepOutcome, ExtractionTask, ExtractionView, GraphPattern, RepairConfig,
+    StalenessOracle,
 };
 use kgtosa_kg::{apply_delta, DeltaApplication, DeltaOp, KgDelta, Triple, Vid};
 use kgtosa_obs::httpd::{HttpRequest, HttpResponse};
@@ -267,10 +267,12 @@ pub fn admin_update(state: &ServeState, req: &HttpRequest) -> HttpResponse {
 /// to invalidate it instead.
 ///
 /// Only SPARQL node-classification entries are repairable: the entry's
-/// original target set is recovered from the decoded payload (NC targets
-/// always survive extraction, in task order), and the `params` hash must
+/// original target set is recovered from the payload (NC targets always
+/// survive extraction, in task order), and the `params` hash must
 /// round-trip so the republished payload answers exactly the key it is
-/// stored under.
+/// stored under. The old targets and parent-space triples are read
+/// straight from the payload's [`ExtractionView`]; no subgraph graph is
+/// built.
 #[allow(clippy::too_many_arguments)]
 fn repair_entry(
     epoch: &KgEpoch,
@@ -290,13 +292,13 @@ fn repair_entry(
         .iter()
         .find(|p| p.label() == pattern_label)?;
     let class = info.task.as_deref()?.strip_prefix("nc:")?;
-    let dec = decode_extraction(payload, old_parent_nodes).ok()?;
-    let targets: Vec<Vid> = dec.targets.iter().map(|&t| dec.subgraph.map_up(t)).collect();
+    let old = ExtractionView::parse(payload, old_parent_nodes).ok()?;
+    let targets: Vec<Vid> = old.targets().map(|t| old.map_up(t)).collect();
     let task = ExtractionTask::node_classification(class, class, targets);
     if info.params != Some(task_params(&task)) {
         return None;
     }
-    let old_triples = parent_triples(&epoch.kg, &dec.subgraph);
+    let old_triples = old.parent_triples(&epoch.kg)?;
     let fetch = FetchConfig {
         page_cache: Some(epoch.page_cache.clone()),
         ..FetchConfig::default()

@@ -107,16 +107,21 @@ fn extract_and_infer_round_trip() {
     assert_eq!(stats.get("dataset").and_then(Json::as_str), Some("mag"));
     assert_eq!(stats.get("checkpoints").and_then(Json::as_f64), Some(1.0));
 
-    // First extraction misses the cache, an identical one hits it —
-    // with the same subgraph fingerprint (bit-identity through the cache).
-    let body = format!("{{\"task\":\"{task_name}\",\"pattern\":\"d1h1\",\"deadline_ms\":30000}}");
-    let first = ok_json(&post_json(daemon.addr, "/extract", &body, Duration::from_secs(30)).unwrap());
-    assert_eq!(first.get("cached").and_then(Json::as_bool), Some(false));
-    assert_eq!(first.get("degraded").and_then(Json::as_bool), Some(false));
-    let fp = first.get("subgraph_fingerprint").and_then(Json::as_str).unwrap().to_string();
-    let second = ok_json(&post_json(daemon.addr, "/extract", &body, Duration::from_secs(30)).unwrap());
-    assert_eq!(second.get("cached").and_then(Json::as_bool), Some(true));
-    assert_eq!(second.get("subgraph_fingerprint").and_then(Json::as_str), Some(fp.as_str()));
+    // First extraction misses the cache, an identical one hits it. The
+    // hit is answered from the stored payload, the miss from the fresh
+    // extraction: both describe the same subgraph, field for field.
+    for pattern in ["d1h1", "d2h1", "d1h2", "d2h2"] {
+        let body = format!("{{\"task\":\"{task_name}\",\"pattern\":\"{pattern}\",\"deadline_ms\":30000}}");
+        let first = ok_json(&post_json(daemon.addr, "/extract", &body, Duration::from_secs(30)).unwrap());
+        assert_eq!(first.get("cached").and_then(Json::as_bool), Some(false), "{pattern}");
+        assert_eq!(first.get("degraded").and_then(Json::as_bool), Some(false), "{pattern}");
+        let second = ok_json(&post_json(daemon.addr, "/extract", &body, Duration::from_secs(30)).unwrap());
+        assert_eq!(second.get("cached").and_then(Json::as_bool), Some(true), "{pattern}");
+        for field in ["method", "triples", "nodes", "targets", "subgraph_fingerprint"] {
+            assert!(first.get(field).is_some(), "{pattern}: {field} missing");
+            assert_eq!(second.get(field), first.get(field), "{pattern}: {field}");
+        }
+    }
 
     // Inference against the trained checkpoint serves the trainer's
     // exact parameters (param_hash matches the training report).
