@@ -269,13 +269,13 @@ fn run_scale(scale: f64, seed: u64, tag: &str, records: &mut Vec<RoundRecord>) -
                 }
                 let label = info.pattern.as_deref()?;
                 let old = old_results.get(label)?;
-                let pattern = GraphPattern::VARIANTS.iter().find(|p| p.label() == label)?;
+                let pattern = GraphPattern::from_label(label)?;
                 let old_triples = parent_triples(&app.kg, &old.subgraph);
                 let (res, _) = repair_extraction(
                     &new_store,
                     &graph,
                     &task,
-                    pattern,
+                    &pattern,
                     &old_triples,
                     &app.added,
                     &app.removed,

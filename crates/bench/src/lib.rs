@@ -130,15 +130,13 @@ impl Env {
     }
 }
 
-/// Arms the JSONL trace sink when `KGTOSA_TRACE` names a file and the live
-/// metrics endpoint when `KGTOSA_METRICS_ADDR` names an address, so every
-/// bench binary can be traced and scraped without code changes. A panic
-/// hook flushes the trace on crash, so a failed run still leaves an
-/// inspectable JSONL file behind.
+/// Arms the JSONL trace sink when `KGTOSA_TRACE` names a file, so every
+/// bench binary can be traced without code changes. A panic hook flushes
+/// the trace on crash, so a failed run still leaves an inspectable JSONL
+/// file behind.
 pub fn arm_telemetry() {
     kgtosa_obs::install_panic_hook();
     kgtosa_obs::init_trace_from_env();
-    kgtosa_obs::init_serve_from_env();
 }
 
 /// An NC task remapped into a subgraph's id space.

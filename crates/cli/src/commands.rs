@@ -11,7 +11,6 @@ use kgtosa_core::{
     ExtractionResult, ExtractionTask, GraphPattern, MetapathConfig, QualityRow,
 };
 use kgtosa_obs::{render_trace_table, summarize_jsonl};
-use kgtosa_datagen::Dataset;
 use kgtosa_kg::{HeteroGraph, KnowledgeGraph, Vid};
 use kgtosa_models::{
     train_graphsaint_nc, train_lhgnn_lp, train_morse_lp, train_rgcn_lp, train_rgcn_nc,
@@ -47,19 +46,6 @@ fn save_kg(kg: &KnowledgeGraph, path: &str) -> Result<(), String> {
             .map_err(|e| format!("cannot write snapshot {path}: {e}"))
     } else {
         write_ntriples(kg, BufWriter::new(file)).map_err(|e| format!("cannot write {path}: {e}"))
-    }
-}
-
-fn dataset_by_name(name: &str, scale: f64, seed: u64) -> Result<Dataset, String> {
-    match name {
-        "mag" => Ok(kgtosa_datagen::mag(scale, seed)),
-        "yago30" => Ok(kgtosa_datagen::yago30(scale, seed)),
-        "dblp" => Ok(kgtosa_datagen::dblp(scale, seed)),
-        "wikikg2" => Ok(kgtosa_datagen::wikikg2(scale, seed)),
-        "yago3-10" => Ok(kgtosa_datagen::yago3_10(scale, seed)),
-        other => Err(format!(
-            "unknown dataset {other:?} (expected mag|yago30|dblp|wikikg2|yago3-10)"
-        )),
     }
 }
 
@@ -167,9 +153,7 @@ fn train_checkpoint(args: &Args, run: &str) -> Result<Option<CheckpointConfig>, 
 }
 
 fn pattern_by_name(name: &str) -> Result<GraphPattern, String> {
-    GraphPattern::VARIANTS
-        .into_iter()
-        .find(|p| p.label() == name)
+    GraphPattern::from_label(name)
         .ok_or_else(|| format!("unknown pattern {name:?} (expected d1h1|d2h1|d1h2|d2h2)"))
 }
 
@@ -179,7 +163,7 @@ pub fn generate(args: &Args) -> Result<(), String> {
     let out = args.required("out")?;
     let scale = args.parse_or("scale", 0.1)?;
     let seed = args.parse_or("seed", 7u64)?;
-    let d = dataset_by_name(dataset, scale, seed)?;
+    let d = kgtosa_datagen::by_name(dataset, scale, seed)?;
     save_kg(&d.gen.kg, out)?;
     println!(
         "wrote {out}: {} nodes, {} triples, {} node types, {} edge types",
@@ -537,7 +521,7 @@ pub fn train(args: &Args, compare: bool) -> Result<(), String> {
         observer: kgtosa_obs::Observer::new(kgtosa_obs::TelemetryObserver),
         ..Default::default()
     };
-    let d = dataset_by_name(dataset_name, scale, seed)?;
+    let d = kgtosa_datagen::by_name(dataset_name, scale, seed)?;
 
     // NC task?
     if let Some(task) = d.nc.iter().find(|t| t.name == task_name) {

@@ -78,10 +78,6 @@ COMMANDS:
 GLOBAL OPTIONS (any command):
   --trace-out FILE   Write a JSONL event trace (spans, train.epoch, logs,
                      final metrics); KGTOSA_TRACE=FILE does the same
-  --metrics-addr H:P Serve live Prometheus /metrics plus /spans and
-                     /progress JSON on HOST:PORT while the command runs;
-                     KGTOSA_METRICS_ADDR=H:P does the same (port 0 picks
-                     a free port and prints it)
   --threads N        Worker threads for parallel kernels (matmul, sampling,
                      CSR build, SPARQL fetch); KGTOSA_THREADS=N does the
                      same; defaults to the machine's available parallelism.
@@ -146,10 +142,10 @@ const OPTIONS: &[(&str, bool)] = &[
     ("dataset", false), ("default-deadline-ms", false), ("dim", false), ("epochs", false),
     ("explain", true), ("fault-spec", false), ("kg", false), ("limit", false), ("lr", false),
     ("max-body-bytes", false), ("max-deadline-ms", false), ("max-inflight-bytes", false),
-    ("max-len", false), ("max-paths", false), ("method", false), ("metrics-addr", false),
-    ("min-seconds", false), ("no-cache", true), ("out", false), ("partial", true),
-    ("pattern", false), ("queue-cap", false), ("quiet", true), ("retry", false),
-    ("roots", false), ("scale", false), ("seed", false), ("slo", false), ("sparql", false),
+    ("max-len", false), ("max-paths", false), ("method", false), ("min-seconds", false),
+    ("no-cache", true), ("out", false), ("partial", true), ("pattern", false),
+    ("queue-cap", false), ("quiet", true), ("retry", false), ("roots", false),
+    ("scale", false), ("seed", false), ("slo", false), ("sparql", false),
     ("strict-slo", true), ("target-class", false), ("task", false), ("threads", false),
     ("threshold", false), ("top-k", false), ("tosg", false), ("trace", false),
     ("trace-out", false), ("walk-length", false), ("workers", false),
@@ -183,15 +179,6 @@ fn main() {
             .map(|()| true)
             .map_err(|e| format!("cannot open trace file {path:?}: {e}")),
         None => Ok(kgtosa_obs::init_trace_from_env()),
-    };
-    let served = match args.options.get("metrics-addr") {
-        Some(addr) => kgtosa_obs::serve_metrics(addr)
-            .map(|bound| eprintln!("metrics: serving on http://{bound}/metrics"))
-            .map_err(|e| format!("cannot bind metrics server on {addr:?}: {e}")),
-        None => {
-            kgtosa_obs::init_serve_from_env();
-            Ok(())
-        }
     };
     // Chrome-trace export: arm the collector before any span runs so the
     // epoch covers the whole invocation.
@@ -232,7 +219,7 @@ fn main() {
         || chrome_out.is_some()
         || kgtosa_obs::slo_rules_installed() > 0)
     .then(|| kgtosa_obs::TelemetryContext::new(&format!("cli.{}", args.command)));
-    let result = traced.and(served).and_then(|_| {
+    let result = traced.and_then(|_| {
         let _scope = run_ctx.as_ref().map(|c| c.enter());
         match args.command.as_str() {
             "generate" => commands::generate(&args),

@@ -140,10 +140,7 @@ impl StalenessOracle {
             // is predicate-scoped, outside the class-reach argument.
             return true;
         };
-        let Some(pattern) = GraphPattern::VARIANTS
-            .iter()
-            .find(|p| p.label() == pattern_label)
-        else {
+        let Some(pattern) = GraphPattern::from_label(pattern_label) else {
             return true;
         };
         let Some(&cid) = self.class_ids.get(class) else {

@@ -68,6 +68,11 @@ impl GraphPattern {
     pub fn label(&self) -> String {
         format!("d{}h{}", self.direction.d(), self.hops)
     }
+
+    /// The variant whose [`label`](Self::label) is `label`, if any.
+    pub fn from_label(label: &str) -> Option<GraphPattern> {
+        Self::VARIANTS.into_iter().find(|p| p.label() == label)
+    }
 }
 
 /// What a task needs from extraction: where the target vertices are and,
@@ -132,6 +137,10 @@ mod tests {
     fn variants_cover_paper_grid() {
         let labels: Vec<String> = GraphPattern::VARIANTS.iter().map(|p| p.label()).collect();
         assert_eq!(labels, vec!["d1h1", "d2h1", "d1h2", "d2h2"]);
+        for p in GraphPattern::VARIANTS {
+            assert_eq!(GraphPattern::from_label(&p.label()), Some(p));
+        }
+        assert_eq!(GraphPattern::from_label("d3h1"), None);
     }
 
     #[test]

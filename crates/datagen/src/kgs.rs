@@ -345,6 +345,21 @@ pub fn all_datasets(scale: f64, seed: u64) -> Vec<Dataset> {
     ]
 }
 
+/// The dataset named `name` (`mag`, `yago30`, `dblp`, `wikikg2` or
+/// `yago3-10`), as the CLI and the daemon spell it.
+pub fn by_name(name: &str, scale: f64, seed: u64) -> Result<Dataset, String> {
+    match name {
+        "mag" => Ok(mag(scale, seed)),
+        "yago30" => Ok(yago30(scale, seed)),
+        "dblp" => Ok(dblp(scale, seed)),
+        "wikikg2" => Ok(wikikg2(scale, seed)),
+        "yago3-10" => Ok(yago3_10(scale, seed)),
+        other => Err(format!(
+            "unknown dataset {other:?} (expected mag|yago30|dblp|wikikg2|yago3-10)"
+        )),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

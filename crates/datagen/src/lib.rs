@@ -18,6 +18,6 @@ pub mod kgs;
 pub mod spec;
 pub mod tasks;
 
-pub use kgs::{all_datasets, dblp, mag, wikikg2, yago30, yago3_10, Dataset};
+pub use kgs::{all_datasets, by_name, dblp, mag, wikikg2, yago30, yago3_10, Dataset};
 pub use spec::{generate, EdgeTypeSpec, GeneratedKg, KgSpec, NodeTypeSpec};
 pub use tasks::{make_lp_task, make_nc_task, LpTask, NcTask, SplitKind};

@@ -1,4 +1,4 @@
-//! Versioned, checksummed triple add/remove deltas over KG snapshots.
+//! Triple add/remove deltas pinned to the fingerprint of the KG they apply to.
 //!
 //! The paper's extraction pipeline (Algorithms 1–3) assumes a frozen KG;
 //! this module is the mutation story layered on top of it. A [`KgDelta`]
@@ -27,44 +27,14 @@
 //! op instead of O(|KG|) per epoch. [`apply_delta`] maintains it
 //! incrementally; the differential test suite asserts it always equals a
 //! from-scratch [`MultisetFingerprint::of`] over the patched graph.
-//!
-//! ## Wire format (`KGTOSAD1`)
-//!
-//! ```text
-//! magic "KGTOSAD1" | varint version | varint base_fingerprint |
-//! varint num_ops | ops... | u64-le FNV-1a checksum of everything
-//!                           between magic and checksum
-//! ```
-//!
-//! Each op is a tag byte (0 = add, 1 = remove) followed by
-//! length-prefixed UTF-8 terms. The decoder mirrors the snapshot
-//! decoder's hardening: bounded preallocation, capped term lengths and
-//! op counts, varint overflow rejection, and checksum verification —
-//! hostile bytes produce `InvalidData`, never a panic and never a
-//! partially decoded delta.
 
 use std::error::Error;
 use std::fmt;
-use std::io::{self, Read, Write};
 
-use crate::fingerprint::{Fnv64, HashingReader, HashingWriter};
+use crate::fingerprint::Fnv64;
 use crate::fxhash::FxHashMap;
 use crate::ids::Vid;
-use crate::snapshot::write_varint;
 use crate::triples::{KnowledgeGraph, Triple};
-
-/// Magic prefix of the delta wire format.
-pub const DELTA_MAGIC: &[u8; 8] = b"KGTOSAD1";
-/// Current format version.
-pub const DELTA_VERSION: u64 = 1;
-
-/// Hard cap on the declared op count: a hostile header cannot make the
-/// decoder loop forever or balloon memory.
-const MAX_OPS: u64 = 1 << 24;
-/// Hard cap on a single term's byte length (matches the snapshot codec).
-const MAX_TERM_LEN: u64 = 1 << 24;
-/// Never preallocate more than this many elements from untrusted counts.
-const MAX_PREALLOC: usize = 1 << 16;
 
 /// One term-level mutation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -87,142 +57,6 @@ pub struct KgDelta {
     pub base_fingerprint: u64,
     /// Mutations, applied in order.
     pub ops: Vec<DeltaOp>,
-}
-
-impl KgDelta {
-    /// Creates a delta pinned to `base_fingerprint`.
-    pub fn new(base_fingerprint: u64) -> Self {
-        KgDelta { base_fingerprint, ops: Vec::new() }
-    }
-}
-
-// ----------------------------------------------------------------------
-// Wire codec
-// ----------------------------------------------------------------------
-
-fn bad(msg: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg)
-}
-
-fn write_str(w: &mut impl Write, s: &str) -> io::Result<()> {
-    write_varint(w, s.len() as u64)?;
-    w.write_all(s.as_bytes())
-}
-
-/// LEB128 unsigned varint.
-fn read_varint(r: &mut impl Read) -> io::Result<u64> {
-    let mut out = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let mut byte = [0u8; 1];
-        r.read_exact(&mut byte)?;
-        if shift >= 64 {
-            return Err(bad("varint overflow"));
-        }
-        out |= ((byte[0] & 0x7f) as u64) << shift;
-        if byte[0] & 0x80 == 0 {
-            return Ok(out);
-        }
-        shift += 7;
-    }
-}
-
-fn read_str(r: &mut impl Read) -> io::Result<String> {
-    let len = read_varint(r)?;
-    if len > MAX_TERM_LEN {
-        return Err(bad("delta term length exceeds cap"));
-    }
-    let mut buf = vec![0u8; (len as usize).min(MAX_PREALLOC)];
-    let mut out = Vec::with_capacity(buf.len());
-    let mut remaining = len as usize;
-    while remaining > 0 {
-        let chunk = remaining.min(buf.len());
-        r.read_exact(&mut buf[..chunk])?;
-        out.extend_from_slice(&buf[..chunk]);
-        remaining -= chunk;
-    }
-    String::from_utf8(out).map_err(|_| bad("delta term is not valid UTF-8"))
-}
-
-/// Serializes `delta` in the `KGTOSAD1` format, trailing checksum included.
-pub fn write_delta(delta: &KgDelta, mut w: impl Write) -> io::Result<()> {
-    w.write_all(DELTA_MAGIC)?;
-    let mut hw = HashingWriter::new(w);
-    write_varint(&mut hw, DELTA_VERSION)?;
-    write_varint(&mut hw, delta.base_fingerprint)?;
-    write_varint(&mut hw, delta.ops.len() as u64)?;
-    for op in &delta.ops {
-        match op {
-            DeltaOp::Add { s, s_class, p, o, o_class } => {
-                hw.write_all(&[0])?;
-                for term in [s, s_class, p, o, o_class] {
-                    write_str(&mut hw, term)?;
-                }
-            }
-            DeltaOp::Remove { s, p, o } => {
-                hw.write_all(&[1])?;
-                for term in [s, p, o] {
-                    write_str(&mut hw, term)?;
-                }
-            }
-        }
-    }
-    let checksum = hw.finish();
-    let mut w = hw.into_inner();
-    w.write_all(&checksum.to_le_bytes())
-}
-
-/// Decodes a `KGTOSAD1` delta, verifying the trailing checksum.
-///
-/// Any malformed input — wrong magic, unknown version, hostile op count,
-/// oversized varint or term, bad tag, truncation, checksum mismatch —
-/// yields `InvalidData`/`UnexpectedEof`. Nothing is ever half-decoded:
-/// the delta is only returned after the checksum verifies.
-pub fn read_delta(mut r: impl Read) -> io::Result<KgDelta> {
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != DELTA_MAGIC {
-        return Err(bad("not a KGTOSAD1 delta (bad magic)"));
-    }
-    let mut hr = HashingReader::new(r);
-    let version = read_varint(&mut hr)?;
-    if version != DELTA_VERSION {
-        return Err(bad("unsupported delta version"));
-    }
-    let base_fingerprint = read_varint(&mut hr)?;
-    let num_ops = read_varint(&mut hr)?;
-    if num_ops > MAX_OPS {
-        return Err(bad("delta op count implausible"));
-    }
-    let mut ops = Vec::with_capacity((num_ops as usize).min(MAX_PREALLOC));
-    for _ in 0..num_ops {
-        let mut tag = [0u8; 1];
-        hr.read_exact(&mut tag)?;
-        let op = match tag[0] {
-            0 => DeltaOp::Add {
-                s: read_str(&mut hr)?,
-                s_class: read_str(&mut hr)?,
-                p: read_str(&mut hr)?,
-                o: read_str(&mut hr)?,
-                o_class: read_str(&mut hr)?,
-            },
-            1 => DeltaOp::Remove {
-                s: read_str(&mut hr)?,
-                p: read_str(&mut hr)?,
-                o: read_str(&mut hr)?,
-            },
-            _ => return Err(bad("unknown delta op tag")),
-        };
-        ops.push(op);
-    }
-    let computed = hr.finish();
-    let mut r = hr.into_inner();
-    let mut trailer = [0u8; 8];
-    r.read_exact(&mut trailer)?;
-    if u64::from_le_bytes(trailer) != computed {
-        return Err(bad("delta checksum mismatch"));
-    }
-    Ok(KgDelta { base_fingerprint, ops })
 }
 
 // ----------------------------------------------------------------------
@@ -266,11 +100,6 @@ fn triple_hash(kg: &KnowledgeGraph, t: Triple) -> u64 {
 }
 
 impl MultisetFingerprint {
-    /// The empty multiset.
-    pub fn empty() -> Self {
-        MultisetFingerprint(0)
-    }
-
     /// Full recomputation over every element of `kg`. O(|KG|); used at
     /// load time and by the differential tests as ground truth.
     pub fn of(kg: &KnowledgeGraph) -> Self {
@@ -504,34 +333,6 @@ mod tests {
 
     fn remove(s: &str, p: &str, o: &str) -> DeltaOp {
         DeltaOp::Remove { s: s.into(), p: p.into(), o: o.into() }
-    }
-
-    #[test]
-    fn codec_roundtrip() {
-        let delta = KgDelta {
-            base_fingerprint: 0xdead_beef_0123_4567,
-            ops: vec![
-                add("p3", "Paper", "cites", "p1", "Paper"),
-                remove("a1", "writes", "p1"),
-            ],
-        };
-        let mut buf = Vec::new();
-        write_delta(&delta, &mut buf).unwrap();
-        let back = read_delta(std::io::Cursor::new(&buf)).unwrap();
-        assert_eq!(back, delta);
-    }
-
-    #[test]
-    fn checksum_corruption_rejected() {
-        let delta = KgDelta {
-            base_fingerprint: 7,
-            ops: vec![add("x", "T", "r", "y", "T")],
-        };
-        let mut buf = Vec::new();
-        write_delta(&delta, &mut buf).unwrap();
-        let mid = buf.len() / 2;
-        buf[mid] ^= 0x40;
-        assert!(read_delta(std::io::Cursor::new(&buf)).is_err());
     }
 
     #[test]

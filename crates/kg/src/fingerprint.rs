@@ -13,7 +13,7 @@
 //!
 //! The extraction cache (`kgtosa-cache`) keys artifacts on this value.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 
 use crate::triples::KnowledgeGraph;
 
@@ -84,34 +84,6 @@ impl<W: Write> Write for HashingWriter<W> {
 
     fn flush(&mut self) -> io::Result<()> {
         self.inner.flush()
-    }
-}
-
-/// Folds every byte read through it into an [`Fnv64`].
-pub struct HashingReader<R> {
-    inner: R,
-    hash: Fnv64,
-}
-
-impl<R: Read> HashingReader<R> {
-    pub fn new(inner: R) -> Self {
-        HashingReader { inner, hash: Fnv64::new() }
-    }
-
-    pub fn finish(&self) -> u64 {
-        self.hash.finish()
-    }
-
-    pub fn into_inner(self) -> R {
-        self.inner
-    }
-}
-
-impl<R: Read> Read for HashingReader<R> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        self.hash.update(&buf[..n]);
-        Ok(n)
     }
 }
 

@@ -42,25 +42,21 @@ pub mod stats;
 pub mod subgraph;
 pub mod triples;
 
-pub use delta::{
-    apply_delta, read_delta, write_delta, DeltaApplication, DeltaError, DeltaOp, KgDelta,
-    MultisetFingerprint,
-};
+pub use delta::{apply_delta, DeltaApplication, DeltaError, DeltaOp, KgDelta, MultisetFingerprint};
 pub use dict::Dictionary;
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use graph::{Csr, HeteroGraph, LabeledCsr, RelAdj};
 pub use ids::{Cid, Rid, Vid};
 pub use metapath::{count_instances, schema_metapaths, Metapath, MetapathStep, SchemaMetapath};
-pub use fingerprint::{fingerprint, fnv64, Fnv64, HashingReader, HashingWriter};
+pub use fingerprint::{fingerprint, fnv64, Fnv64, HashingWriter};
 pub use snapshot::{
     read_snapshot, write_snapshot, write_snapshot_fingerprinted, SnapshotView, SnapshotVisitor,
 };
 pub use stats::{
-    average_degree, distances_to_targets, neighbor_type_entropy, quality, quality_with_graph,
-    KgStats, SubgraphQuality,
+    distances_to_targets, neighbor_type_entropy, quality, quality_with_graph, SubgraphQuality,
 };
 pub use subgraph::{
-    induced_subgraph, live_classes, live_relations, map_targets, subgraph_from_triples,
-    subgraph_from_triples_and_nodes, InducedSubgraph, NodeSet,
+    induced_subgraph, live_classes, live_relations, map_targets, subgraph_from_triples_and_nodes,
+    InducedSubgraph, NodeSet,
 };
 pub use triples::{KnowledgeGraph, Triple};

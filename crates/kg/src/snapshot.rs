@@ -378,7 +378,7 @@ fn write_str(w: &mut impl Write, s: &str) -> io::Result<()> {
 }
 
 /// LEB128 unsigned varint.
-pub(crate) fn write_varint(w: &mut impl Write, mut v: u64) -> io::Result<()> {
+fn write_varint(w: &mut impl Write, mut v: u64) -> io::Result<()> {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;

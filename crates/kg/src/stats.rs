@@ -168,96 +168,9 @@ pub fn neighbor_type_entropy(g: &HeteroGraph) -> f64 {
         .sum()
 }
 
-/// Average degree of a vertex set within `g` (used to reason about the
-/// extraction cost term `O(d · |V_s|)` in §IV).
-pub fn average_degree(g: &HeteroGraph, nodes: &[Vid]) -> f64 {
-    if nodes.is_empty() {
-        return 0.0;
-    }
-    let sum: usize = nodes.iter().map(|&v| g.total_degree(v)).sum();
-    sum as f64 / nodes.len() as f64
-}
-
-/// Whole-KG summary statistics used by extractor selection and the serve
-/// `/serve` endpoint.
-///
-/// Historically these were computed once at load time and silently went
-/// stale when the graph changed. They are now part of the serve epoch:
-/// [`KgStats::adjust`] patches them in O(|delta|) on every delta apply,
-/// and the regression tests assert the adjusted values always equal a
-/// from-scratch [`KgStats::compute`] over the patched graph.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct KgStats {
-    /// `|V|` — vertices (entities + literals).
-    pub num_nodes: usize,
-    /// `|T|` — triples.
-    pub num_triples: usize,
-    /// `|C|` — interned classes (including currently unused terms).
-    pub num_classes: usize,
-    /// `|R|` — interned relations (including currently unused terms).
-    pub num_relations: usize,
-    /// Vertices per class, indexed by class id.
-    pub class_histogram: Vec<usize>,
-    /// Triples per relation, indexed by relation id.
-    pub relation_histogram: Vec<usize>,
-}
-
-impl KgStats {
-    /// Full O(|KG|) computation, used once at load time.
-    pub fn compute(kg: &KnowledgeGraph) -> Self {
-        let mut relation_histogram = vec![0usize; kg.num_relations()];
-        for t in kg.triples() {
-            relation_histogram[t.p.idx()] += 1;
-        }
-        KgStats {
-            num_nodes: kg.num_nodes(),
-            num_triples: kg.num_triples(),
-            num_classes: kg.num_classes(),
-            num_relations: kg.num_relations(),
-            class_histogram: kg.class_histogram(),
-            relation_histogram,
-        }
-    }
-
-    /// Patches the stats to describe `app.kg` after a delta apply, in
-    /// O(|delta|) — no rescan of the graph. Dictionary growth extends the
-    /// histograms; touched triples adjust the per-relation counts; new
-    /// vertices bump their class bucket.
-    pub fn adjust(&mut self, app: &crate::delta::DeltaApplication) {
-        self.num_nodes = app.kg.num_nodes();
-        self.num_classes = app.kg.num_classes();
-        self.num_relations = app.kg.num_relations();
-        self.class_histogram.resize(self.num_classes, 0);
-        self.relation_histogram.resize(self.num_relations, 0);
-        for &v in &app.new_nodes {
-            self.class_histogram[app.kg.class_of(v).idx()] += 1;
-        }
-        for t in &app.added {
-            self.relation_histogram[t.p.idx()] += 1;
-            self.num_triples += 1;
-        }
-        for t in &app.removed {
-            self.relation_histogram[t.p.idx()] -= 1;
-            self.num_triples -= 1;
-        }
-    }
-
-    /// Mean out-degree `|T| / |V|`, the `d` of the §IV cost term
-    /// `O(d · |V_s|)` that extractor selection reasons about.
-    pub fn avg_degree(&self) -> f64 {
-        if self.num_nodes == 0 {
-            0.0
-        } else {
-            self.num_triples as f64 / self.num_nodes as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::delta::{apply_delta, DeltaOp, KgDelta, MultisetFingerprint};
-    use crate::fingerprint::fingerprint;
 
     /// star: t is target; x1,x2 adjacent to t; y adjacent to x1; z isolated.
     fn star() -> (KnowledgeGraph, Vec<Vid>) {
@@ -324,64 +237,11 @@ mod tests {
     }
 
     #[test]
-    fn average_degree_simple() {
-        let (kg, _) = star();
-        let g = HeteroGraph::build(&kg);
-        let t = kg.find_node("t").unwrap();
-        let z = kg.find_node("z").unwrap();
-        assert!((average_degree(&g, &[t, z]) - 1.0).abs() < 1e-12);
-        assert_eq!(average_degree(&g, &[]), 0.0);
-    }
-
-    #[test]
     fn no_targets_all_disconnected() {
         let (kg, _) = star();
         let q = quality(&kg, &[]);
         assert_eq!(q.target_count, 0);
         assert!((q.target_disconnected_pct - 100.0).abs() < 1e-9);
         assert_eq!(q.avg_dist_to_target, 0.0);
-    }
-
-    #[test]
-    fn kg_stats_compute_matches_graph() {
-        let (kg, _) = star();
-        let s = KgStats::compute(&kg);
-        assert_eq!(s.num_nodes, kg.num_nodes());
-        assert_eq!(s.num_triples, kg.num_triples());
-        assert_eq!(s.class_histogram.iter().sum::<usize>(), kg.num_nodes());
-        assert_eq!(s.relation_histogram.iter().sum::<usize>(), kg.num_triples());
-    }
-
-    /// Regression: load-time stats must not go stale under delta apply —
-    /// the O(|delta|) adjustment has to equal a full recomputation.
-    #[test]
-    fn kg_stats_adjust_equals_recompute() {
-        let (kg, _) = star();
-        let mut stats = KgStats::compute(&kg);
-        let delta = KgDelta {
-            base_fingerprint: fingerprint(&kg),
-            ops: vec![
-                DeltaOp::Add {
-                    s: "w".into(),
-                    s_class: "W".into(),
-                    p: "r".into(),
-                    o: "t".into(),
-                    o_class: "T".into(),
-                },
-                DeltaOp::Add {
-                    s: "t".into(),
-                    s_class: "T".into(),
-                    p: "q".into(),
-                    o: "w".into(),
-                    o_class: "W".into(),
-                },
-                DeltaOp::Remove { s: "x1".into(), p: "s".into(), o: "y".into() },
-            ],
-        };
-        let app =
-            apply_delta(&kg, fingerprint(&kg), MultisetFingerprint::of(&kg), &delta).unwrap();
-        stats.adjust(&app);
-        assert_eq!(stats, KgStats::compute(&app.kg));
-        assert!(stats.avg_degree() > 0.0);
     }
 }

@@ -80,17 +80,6 @@ impl NodeSet {
             BitIter { word: w, base }
         })
     }
-
-    /// In-place union with another set of the same capacity.
-    pub fn union_with(&mut self, other: &NodeSet) {
-        assert_eq!(self.capacity, other.capacity, "capacity mismatch");
-        let mut len = 0usize;
-        for (a, &b) in self.bits.iter_mut().zip(&other.bits) {
-            *a |= b;
-            len += a.count_ones() as usize;
-        }
-        self.len = len;
-    }
 }
 
 struct BitIter {
@@ -167,14 +156,9 @@ pub fn induced_subgraph(kg: &KnowledgeGraph, keep: &NodeSet) -> InducedSubgraph 
 
 /// Builds a compacted subgraph directly from a set of parent triples (used
 /// by the SPARQL extraction path, whose output is a triple stream rather
-/// than a vertex set).
-pub fn subgraph_from_triples(kg: &KnowledgeGraph, triples: &[Triple]) -> InducedSubgraph {
-    subgraph_from_triples_and_nodes(kg, triples, &[])
-}
-
-/// Like [`subgraph_from_triples`] but additionally retains `extra_nodes`
-/// even when no fetched triple touches them (e.g. isolated target vertices,
-/// which must stay visible to the training task).
+/// than a vertex set). `extra_nodes` are retained even when no triple
+/// touches them (e.g. isolated target vertices, which must stay visible to
+/// the training task).
 pub fn subgraph_from_triples_and_nodes(
     kg: &KnowledgeGraph,
     triples: &[Triple],
@@ -269,15 +253,6 @@ mod tests {
     }
 
     #[test]
-    fn nodeset_union() {
-        let mut a = NodeSet::from_iter(100, [Vid(1), Vid(2)]);
-        let b = NodeSet::from_iter(100, [Vid(2), Vid(3)]);
-        a.union_with(&b);
-        assert_eq!(a.len(), 3);
-        assert!(a.contains(Vid(3)));
-    }
-
-    #[test]
     fn induced_subgraph_keeps_internal_triples_only() {
         let kg = chain_kg();
         let keep = NodeSet::from_iter(
@@ -308,9 +283,12 @@ mod tests {
     fn subgraph_from_triples_dedups() {
         let kg = chain_kg();
         let t = kg.triples()[0];
-        let sub = subgraph_from_triples(&kg, &[t, t, kg.triples()[1]]);
+        let d = kg.find_node("d").unwrap();
+        let sub = subgraph_from_triples_and_nodes(&kg, &[t, t, kg.triples()[1]], &[d]);
         assert_eq!(sub.kg.num_triples(), 2);
-        assert_eq!(sub.kg.num_nodes(), 3);
+        // a, b, c from the triples plus the isolated extra node d.
+        assert_eq!(sub.kg.num_nodes(), 4);
+        assert!(sub.map_down(d).is_some());
     }
 
     #[test]

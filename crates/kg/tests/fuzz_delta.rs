@@ -1,17 +1,11 @@
-//! Robustness fuzzing for the `KGTOSAD1` delta-log decoder, in the style
-//! of `fuzz_snapshot.rs`: arbitrary and adversarially mutated byte streams
-//! must never panic, and the delta checksum means corruption can never
-//! survive to the apply path — a delta either decodes exactly or is
-//! rejected whole. Apply itself is all-or-nothing on top of that: a
-//! rejected delta leaves the base graph byte-identical.
+//! Delta apply is all-or-nothing: random op streams either patch the
+//! graph completely, with an incrementally maintained multiset
+//! fingerprint equal to a full recomputation, or are rejected with the
+//! base graph byte-identical.
 
 use proptest::prelude::*;
-use std::io::Cursor;
 
-use kgtosa_kg::{
-    apply_delta, fingerprint, read_delta, write_delta, DeltaOp, KgDelta, KnowledgeGraph,
-    MultisetFingerprint,
-};
+use kgtosa_kg::{apply_delta, fingerprint, DeltaOp, KgDelta, KnowledgeGraph, MultisetFingerprint};
 
 /// A small random KG: up to 12 nodes across 3 classes, 4 relations.
 fn arb_kg() -> impl Strategy<Value = KnowledgeGraph> {
@@ -61,65 +55,8 @@ fn arb_op() -> impl Strategy<Value = DeltaOp> {
     })
 }
 
-fn arb_delta() -> impl Strategy<Value = KgDelta> {
-    (any::<u64>(), proptest::collection::vec(arb_op(), 0..20))
-        .prop_map(|(base_fingerprint, ops)| KgDelta { base_fingerprint, ops })
-}
-
-fn delta_bytes(delta: &KgDelta) -> Vec<u8> {
-    let mut buf = Vec::new();
-    write_delta(delta, &mut buf).expect("in-memory write cannot fail");
-    buf
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// Pure noise never panics the decoder.
-    #[test]
-    fn arbitrary_bytes_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..400)) {
-        let _ = read_delta(Cursor::new(bytes));
-    }
-
-    /// Noise behind a valid magic reaches the varint/op decoders — hostile
-    /// op counts, oversized varints, bad tags — and still never panics.
-    #[test]
-    fn magic_prefixed_noise_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..400)) {
-        let mut buf = b"KGTOSAD1".to_vec();
-        buf.extend_from_slice(&bytes);
-        let _ = read_delta(Cursor::new(buf));
-    }
-
-    /// Bit flips of a real delta never panic, and the trailing checksum
-    /// guarantees a flip can never yield a *different* delta: whatever
-    /// decodes must equal the original exactly.
-    #[test]
-    fn bit_flips_never_yield_wrong_delta(delta in arb_delta(), byte_pick in 0usize..1 << 16, bit in 0u8..8) {
-        let mut buf = delta_bytes(&delta);
-        let i = byte_pick % buf.len();
-        buf[i] ^= 1 << bit;
-        if let Ok(decoded) = read_delta(Cursor::new(buf)) {
-            prop_assert_eq!(decoded, delta);
-        }
-    }
-
-    /// Every truncation point errors: the checksum trailer makes any
-    /// proper prefix undecodable, so a cut stream can never apply at all
-    /// (let alone partially).
-    #[test]
-    fn truncation_always_rejected(delta in arb_delta(), cut_pick in 0usize..1 << 16) {
-        let buf = delta_bytes(&delta);
-        let at = cut_pick % buf.len();
-        prop_assert!(read_delta(Cursor::new(&buf[..at])).is_err());
-    }
-
-    /// Round-trip is exact.
-    #[test]
-    fn roundtrip_exact(delta in arb_delta()) {
-        let buf = delta_bytes(&delta);
-        let back = read_delta(Cursor::new(&buf)).expect("own delta must read");
-        prop_assert_eq!(back, delta);
-    }
 
     /// Apply is all-or-nothing: random op streams either produce a patched
     /// graph whose incrementally maintained multiset fingerprint matches a

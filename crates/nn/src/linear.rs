@@ -70,15 +70,6 @@ impl Linear {
     pub fn param_count(&self) -> usize {
         self.w.param_count() + self.b.len()
     }
-
-    /// Applies a plain SGD step (used by tests; real training uses Adam via
-    /// the model-level parameter registry).
-    pub fn sgd_step(&mut self, grads: &LinearGrads, lr: f32) {
-        self.w.add_scaled(&grads.w, -lr);
-        for (b, &g) in self.b.iter_mut().zip(&grads.b) {
-            *b -= lr * g;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -144,19 +135,6 @@ mod tests {
         }
         // Bias gradient is the batch size for sum loss.
         assert!(grads.b.iter().all(|&g| (g - 2.0).abs() < 1e-5));
-    }
-
-    #[test]
-    fn sgd_step_reduces_sum_loss() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut layer = Linear::new(4, 3, &mut rng);
-        let x = xavier_uniform(5, 4, &mut rng);
-        let loss = |l: &Linear| -> f32 { l.forward(&x).data().iter().sum() };
-        let before = loss(&layer);
-        let grad_out = Matrix::from_vec(5, 3, vec![1.0; 15]);
-        let (_, grads) = layer.backward(&x, &grad_out);
-        layer.sgd_step(&grads, 0.05);
-        assert!(loss(&layer) < before);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Minimal HTTP/1.1 plumbing shared by the embedded metrics server and
-//! the `kgtosa serve` daemon (std-only, no framework).
+//! Minimal HTTP/1.1 plumbing for the `kgtosa serve` daemon (std-only, no
+//! framework).
 //!
 //! [`read_request`] parses one request — method, path, headers, and a
 //! `Content-Length`-delimited body — off a [`TcpStream`] with hard caps
@@ -374,5 +374,128 @@ mod tests {
             ..Default::default()
         };
         assert!(builtin_route(&other).is_none());
+    }
+
+    /// `GET path` through [`builtin_route`]: (status, content type, body).
+    fn get(path: &str) -> (u16, String, String) {
+        let req = HttpRequest {
+            method: "GET".into(),
+            path: path.into(),
+            ..Default::default()
+        };
+        let resp = builtin_route(&req).unwrap_or_else(|| panic!("{path} is a builtin route"));
+        (
+            resp.status,
+            resp.content_type,
+            String::from_utf8(resp.body).unwrap(),
+        )
+    }
+
+    #[test]
+    fn serves_metrics_spans_progress() {
+        crate::counter("test.serve.hits").add(2);
+        let p = crate::progress_task("test.serve.task", Some(5));
+        p.advance(1);
+        crate::span("test_serve_span").finish();
+
+        let (status, ctype, body) = get("/metrics");
+        assert_eq!(status, 200);
+        assert!(ctype.contains("version=0.0.4"), "{ctype}");
+        assert!(body.contains("kgtosa_test_serve_hits_total 2"), "{body}");
+        assert!(body.contains("# TYPE kgtosa_test_serve_hits_total counter"));
+
+        let (status, ctype, body) = get("/spans");
+        assert_eq!(status, 200);
+        assert!(ctype.contains("application/json"));
+        let json = Json::parse(&body).expect("spans is valid JSON");
+        assert!(json.get("spans").unwrap().get("test_serve_span").is_some());
+
+        let (status, _, body) = get("/progress");
+        assert_eq!(status, 200);
+        let json = Json::parse(&body).expect("progress is valid JSON");
+        let tasks = match json.get("tasks") {
+            Some(Json::Arr(items)) => items,
+            other => panic!("expected tasks array, got {other:?}"),
+        };
+        assert!(tasks
+            .iter()
+            .any(|t| t.get("name").and_then(Json::as_str) == Some("test.serve.task")));
+
+        let (status, ctype, body) = get("/prof");
+        assert_eq!(status, 200);
+        assert!(ctype.contains("application/json"));
+        let json = Json::parse(&body).expect("prof is valid JSON");
+        let spans = match json.get("spans") {
+            Some(Json::Arr(items)) => items,
+            other => panic!("expected spans array, got {other:?}"),
+        };
+        assert!(spans
+            .iter()
+            .any(|s| s.get("name").and_then(Json::as_str) == Some("test_serve_span")));
+        assert!(spans.iter().all(|s| s.get("self_s").is_some()));
+    }
+
+    #[test]
+    fn serves_contexts_and_healthz() {
+        let ctx = crate::TelemetryContext::new("serve.test.request");
+        {
+            let _g = ctx.enter();
+            crate::counter("serve.test.lookups").add(4);
+            crate::span("serve_test.work").finish();
+        }
+        ctx.finish();
+
+        let (status, ctype, body) = get("/contexts");
+        assert_eq!(status, 200);
+        assert!(ctype.contains("application/json"));
+        let json = Json::parse(&body).expect("contexts is valid JSON");
+        let items = match json.get("contexts") {
+            Some(Json::Arr(items)) => items,
+            other => panic!("expected contexts array, got {other:?}"),
+        };
+        let mine = items
+            .iter()
+            .find(|c| c.get("name").and_then(Json::as_str) == Some("serve.test.request"))
+            .expect("live context listed");
+        assert_eq!(
+            mine.get("counters")
+                .and_then(|c| c.get("serve.test.lookups"))
+                .and_then(Json::as_f64),
+            Some(4.0)
+        );
+        assert!(mine
+            .get("spans")
+            .and_then(|s| s.get("serve_test.work"))
+            .is_some());
+
+        // Healthy with no SLO rules installed.
+        let (status, ctype, body) = get("/healthz");
+        assert_eq!(status, 200);
+        assert!(ctype.contains("application/json"));
+        let json = Json::parse(&body).expect("healthz is valid JSON");
+        assert_eq!(json.get("ready").and_then(Json::as_bool), Some(true));
+        assert!(json.get("active_contexts").and_then(Json::as_f64).unwrap() >= 1.0);
+
+        // Arm a rule only this test's context can break (every other
+        // context keeps the probe counter at 0 and so satisfies `<=0`),
+        // sweep, and readiness must flip to 503 while the context lives.
+        {
+            let _g = ctx.enter();
+            crate::counter("serve.test.healthz.probe").inc();
+        }
+        let rules = crate::parse_slo_spec("counter:serve.test.healthz.probe<=0").unwrap();
+        crate::install_slo_rules(rules);
+        assert!(crate::evaluate_slo_now() >= 1, "probe rule must fire");
+        let (status, _, body) = get("/healthz");
+        assert_eq!(status, 503, "violating context flips readiness: {body}");
+        let json = Json::parse(&body).unwrap();
+        assert_eq!(json.get("ready").and_then(Json::as_bool), Some(false));
+        assert!(json.get("slo_violations").and_then(Json::as_f64).unwrap() >= 1.0);
+        assert!(!ctx.violations().is_empty());
+
+        // Disarm so sibling tests see a rule-free process again.
+        crate::install_slo_rules(Vec::new());
+        let (status, _, _) = get("/healthz");
+        assert_eq!(status, 200);
     }
 }

@@ -19,10 +19,11 @@
 //!   (epochs, fetch pages, sampler roots); the snapshot derives
 //!   throughput and an ETA, and a background heartbeat periodically
 //!   flushes it into the trace so killed runs stay inspectable.
-//! * **Live serving** — an embedded std-only HTTP server
-//!   ([`serve_metrics`], `--metrics-addr` / `KGTOSA_METRICS_ADDR`)
-//!   exposes `/metrics` in Prometheus text format plus `/spans`,
-//!   `/progress` and `/prof` as JSON while a job runs.
+//! * **Live routes** — [`builtin_route`] answers `/metrics` in Prometheus
+//!   text format plus `/spans`, `/progress`, `/prof`, `/contexts` and
+//!   `/healthz` as JSON; the `kgtosa serve` daemon mounts them. A batch
+//!   run is watched through its trace instead: the heartbeat flushes
+//!   progress into the `--trace-out` file every second.
 //! * **Cost attribution** — [`self_times`] gives every span its *self*
 //!   time (wall minus direct children), a partition of the root's wall
 //!   clock; `kgtosa trace-summary` prints it for a finished trace
@@ -61,7 +62,6 @@ mod prof;
 mod progress;
 mod prometheus;
 mod registry;
-mod serve;
 mod sink;
 mod slo;
 mod span;
@@ -87,8 +87,7 @@ pub use httpd::{
 pub use json::Json;
 pub use prof::{prof_json, registry_aggs, self_times, SelfTime};
 pub use progress::{
-    emit_heartbeat, progress_json, progress_snapshot, progress_task, reset_progress,
-    Progress, ProgressSnapshot,
+    emit_heartbeat, progress_json, progress_snapshot, progress_task, Progress, ProgressSnapshot,
 };
 pub use panic_hook::{install_panic_hook, panic_hook_installed};
 pub use prometheus::render_prometheus;
@@ -96,7 +95,6 @@ pub use registry::{
     counter, gauge, gauge_f64, histogram, histogram_with_bounds, metrics_snapshot,
     reset_registry, span_stats, Counter, Gauge, GaugeF64, Histogram, SpanStat,
 };
-pub use serve::{init_serve_from_env, register_core_metrics, serve_addr, serve_metrics};
 pub use sink::{
     emit_event, info_str, init_trace_from_env, init_trace_to, is_quiet, set_quiet, shutdown,
     trace_enabled,
@@ -110,15 +108,15 @@ pub use span::{span, SpanGuard, SpanRecord};
 pub use summary::{render_summary_tree, render_trace_table, summarize_jsonl, SpanAgg};
 pub use train::{EpochEvent, Observer, TelemetryObserver, TrainObserver};
 
-/// Whether any live telemetry consumer exists — a JSONL trace sink, the
-/// embedded metrics server, or a [`TelemetryContext`] entered on the
-/// calling thread (its scoped deltas feed `/contexts` and the SLO
-/// watchdog, so quality gauges and progress tasks must be captured for
-/// it). Instrumentation sites with a non-trivial cost (e.g. computing
-/// subgraph quality indicators, registering progress tasks) gate on this
-/// so silent runs stay untouched.
+/// Whether any live telemetry consumer exists — a JSONL trace sink or a
+/// [`TelemetryContext`] entered on the calling thread (its scoped deltas
+/// feed `/contexts` and the SLO watchdog, so quality gauges and progress
+/// tasks must be captured for it). Instrumentation sites with a
+/// non-trivial cost (e.g. computing subgraph quality indicators,
+/// registering progress tasks) gate on this so silent runs stay
+/// untouched.
 pub fn telemetry_active() -> bool {
-    trace_enabled() || serve_addr().is_some() || context_active()
+    trace_enabled() || context_active()
 }
 
 /// Opens a hierarchical span: `let _s = span!("extract.brw");`.

@@ -5,8 +5,8 @@
 //! sampling) register a [`Progress`] task with a unit count; workers call
 //! [`Progress::advance`] as units complete. The process-global snapshot
 //! ([`progress_snapshot`] / [`progress_json`]) derives throughput and an
-//! ETA from elapsed wall time, and is served live on `/progress` by the
-//! embedded metrics server and mirrored into the JSONL trace by the
+//! ETA from elapsed wall time, and is served live on `/progress` by
+//! [`crate::builtin_route`] and mirrored into the JSONL trace by the
 //! heartbeat thread.
 //!
 //! Everything on the hot path is one atomic add; registration takes a
@@ -27,8 +27,8 @@ struct TaskState {
     name: String,
     /// Telemetry context current when the task was registered, if any.
     ctx: Option<u64>,
-    /// Total units of work; 0 means unknown (no ETA, rate only).
-    total: AtomicU64,
+    /// Total units of work, when known (otherwise no ETA, rate only).
+    total: Option<u64>,
     done: AtomicU64,
     started: Instant,
     /// Elapsed seconds at completion as f64 bits, or [`RUNNING`].
@@ -67,11 +67,6 @@ impl Progress {
     /// absolute position, e.g. epoch index).
     pub fn set_done(&self, n: u64) {
         self.state.done.store(n, Ordering::Relaxed);
-    }
-
-    /// (Re)declares the total unit count once it becomes known.
-    pub fn set_total(&self, n: u64) {
-        self.state.total.store(n, Ordering::Relaxed);
     }
 
     /// Marks the task complete now (idempotent; also done by `Drop` of the
@@ -129,12 +124,12 @@ fn tasks() -> &'static RwLock<Vec<Arc<TaskState>>> {
 const MAX_TASKS: usize = 256;
 
 /// Registers a new progress task. `total` is the unit count when known
-/// (`None` leaves the ETA open until [`Progress::set_total`]).
+/// (`None`, or `Some(0)`, leaves the ETA open).
 pub fn progress_task(name: &str, total: Option<u64>) -> Progress {
     let state = Arc::new(TaskState {
         name: name.to_string(),
         ctx: crate::context::current_id(),
-        total: AtomicU64::new(total.unwrap_or(0)),
+        total: total.filter(|&n| n > 0),
         done: AtomicU64::new(0),
         started: Instant::now(),
         end_s_bits: AtomicU64::new(RUNNING),
@@ -180,17 +175,13 @@ pub fn progress_snapshot() -> Vec<ProgressSnapshot> {
         .iter()
         .map(|t| {
             let done = t.done.load(Ordering::Relaxed);
-            let total = match t.total.load(Ordering::Relaxed) {
-                0 => None,
-                n => Some(n),
-            };
             let elapsed_s = t.elapsed_s();
             let finished = t.finished();
-            let (rate_per_s, eta_s) = derive_rate_eta(done, total, elapsed_s, finished);
+            let (rate_per_s, eta_s) = derive_rate_eta(done, t.total, elapsed_s, finished);
             ProgressSnapshot {
                 name: t.name.clone(),
                 done,
-                total,
+                total: t.total,
                 elapsed_s,
                 rate_per_s,
                 eta_s,
@@ -231,11 +222,6 @@ pub fn progress_json() -> Json {
         })
         .collect();
     Json::Obj(vec![("tasks".to_string(), Json::Arr(items))])
-}
-
-/// Clears the task list (tests only; live handles keep working detached).
-pub fn reset_progress() {
-    tasks().write().unwrap_or_else(std::sync::PoisonError::into_inner).clear();
 }
 
 /// Writes one `heartbeat` event (progress + instrument counts) into the
@@ -348,10 +334,6 @@ mod tests {
         let s = snap.iter().find(|s| s.name == "test.progress.unknown").unwrap();
         assert_eq!(s.total, None);
         assert!(s.eta_s.is_none());
-        p.set_total(10);
-        let snap = progress_snapshot();
-        let s = snap.iter().find(|s| s.name == "test.progress.unknown").unwrap();
-        assert_eq!(s.total, Some(10));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Prometheus text exposition (format version 0.0.4) of the live
 //! registry: counters, gauges, histograms, per-span aggregates, and the
-//! progress tasks — what the embedded server returns on `/metrics`.
+//! progress tasks — what [`crate::builtin_route`] returns on `/metrics`.
 //!
 //! Naming follows the Prometheus conventions: every family is prefixed
 //! `kgtosa_`, dots become underscores, counters end in `_total`, and

@@ -27,12 +27,11 @@
 //!   style) scheduling never reorders results.
 //!
 //! The pool itself is a *scoped* pool: each parallel region spawns
-//! short-lived scoped threads over the vendored `crossbeam` shim (which
-//! maps onto `std::thread::scope`). That keeps the crate std-only,
-//! borrow-friendly (kernels can capture `&Matrix` without `Arc`), and
-//! free of shutdown hazards; the spawn cost (~tens of microseconds) is
-//! amortized by only going parallel above a work threshold
-//! ([`MIN_PAR_WORK`]).
+//! short-lived threads with `std::thread::scope`. That keeps the crate
+//! std-only, borrow-friendly (kernels can capture `&Matrix` without
+//! `Arc`), and free of shutdown hazards; the spawn cost (~tens of
+//! microseconds) is amortized by only going parallel above a work
+//! threshold ([`MIN_PAR_WORK`]).
 //!
 //! Thread-count resolution, highest priority first:
 //!

@@ -3,9 +3,7 @@
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
-
-use parking_lot::Mutex;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Interned `"par.<name>"` region label. Region names are compile-time
 /// string literals at every call site, so the intern table is bounded by
@@ -17,14 +15,12 @@ fn region_label(name: &str) -> &'static str {
     let labels = LABELS.get_or_init(|| std::sync::RwLock::new(HashMap::new()));
     if let Some(&label) = labels
         .read()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
+        .unwrap_or_else(PoisonError::into_inner)
         .get(name)
     {
         return label;
     }
-    let mut map = labels
-        .write()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let mut map = labels.write().unwrap_or_else(PoisonError::into_inner);
     map.entry(name.to_string())
         .or_insert_with(|| Box::leak(format!("par.{name}").into_boxed_str()))
 }
@@ -179,14 +175,14 @@ impl Pool {
         // chunking and scheduling never read the context.
         let ctx = kgtosa_obs::TelemetryContext::current();
         let region_start = std::time::Instant::now();
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..workers {
-                scope.spawn(|_| {
+                scope.spawn(|| {
                     let _ctx = ctx.as_ref().map(|c| c.enter());
                     let mut handled = 0u64;
                     let mut busy_s = 0.0f64;
                     loop {
-                        let item = queue.lock().next();
+                        let item = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
                         let Some((i, chunk)) = item else { break };
                         telemetry.claimed();
                         handled += 1;
@@ -197,8 +193,7 @@ impl Pool {
                     telemetry.worker_done(handled, busy_s);
                 });
             }
-        })
-        .expect("par_chunks_mut worker panicked");
+        });
         telemetry.region_done(workers, region_start.elapsed().as_secs_f64());
     }
 
@@ -223,9 +218,9 @@ impl Pool {
         let telemetry = Telemetry::new(items.len());
         let ctx = kgtosa_obs::TelemetryContext::current();
         let region_start = std::time::Instant::now();
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..workers {
-                scope.spawn(|_| {
+                scope.spawn(|| {
                     let _ctx = ctx.as_ref().map(|c| c.enter());
                     let mut local: Vec<(usize, R)> = Vec::new();
                     let mut busy_s = 0.0f64;
@@ -240,43 +235,20 @@ impl Pool {
                         busy_s += t0.elapsed().as_secs_f64();
                     }
                     telemetry.worker_done(local.len() as u64, busy_s);
-                    collected.lock().append(&mut local);
+                    collected
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .append(&mut local);
                 });
             }
-        })
-        .expect("par_map_collect worker panicked");
+        });
         telemetry.region_done(workers, region_start.elapsed().as_secs_f64());
-        let mut pairs = collected.into_inner();
+        let mut pairs = collected
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
         pairs.sort_unstable_by_key(|&(i, _)| i);
         debug_assert_eq!(pairs.len(), items.len());
         pairs.into_iter().map(|(_, r)| r).collect()
-    }
-
-    /// Runs two closures, concurrently when the pool has ≥ 2 threads, and
-    /// returns both results in argument order.
-    pub fn par_join<A, B, FA, FB>(&self, fa: FA, fb: FB) -> (A, B)
-    where
-        A: Send,
-        B: Send,
-        FA: FnOnce() -> A + Send,
-        FB: FnOnce() -> B + Send,
-    {
-        if self.threads < 2 {
-            return (fa(), fb());
-        }
-        // `fa` runs on the caller (already in context); only the spawned
-        // side needs to inherit it.
-        let ctx = kgtosa_obs::TelemetryContext::current();
-        crossbeam::thread::scope(|scope| {
-            let hb = scope.spawn(|_| {
-                let _ctx = ctx.as_ref().map(|c| c.enter());
-                fb()
-            });
-            let a = fa();
-            let b = hb.join().expect("par_join closure panicked");
-            (a, b)
-        })
-        .expect("par_join scope failed")
     }
 }
 
@@ -316,7 +288,10 @@ impl Telemetry {
     fn worker_done(&self, handled: u64, busy_s: f64) {
         self.per_worker.observe(handled as f64);
         self.busy.observe(busy_s);
-        *self.busy_total.lock() += busy_s;
+        *self
+            .busy_total
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) += busy_s;
     }
 
     /// Publishes the region's worker utilization: busy worker-seconds over
@@ -327,7 +302,11 @@ impl Telemetry {
     fn region_done(&self, workers: usize, wall_s: f64) {
         let capacity = workers as f64 * wall_s;
         if capacity > 0.0 {
-            let util = (*self.busy_total.lock() / capacity).clamp(0.0, 1.0);
+            let busy = *self
+                .busy_total
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            let util = (busy / capacity).clamp(0.0, 1.0);
             kgtosa_obs::gauge_f64("par.utilization").set(util);
         }
     }
@@ -399,14 +378,6 @@ mod tests {
     }
 
     #[test]
-    fn par_join_returns_in_argument_order() {
-        for threads in [1, 4] {
-            let (a, b) = Pool::new(threads).par_join(|| "left", || 7u8);
-            assert_eq!((a, b), ("left", 7));
-        }
-    }
-
-    #[test]
     fn for_work_selects_serial_below_threshold() {
         assert_eq!(Pool::for_work(MIN_PAR_WORK - 1).threads(), 1);
         let big = Pool::for_work(MIN_PAR_WORK);
@@ -457,14 +428,10 @@ mod tests {
         Pool::new(4).par_chunks_mut("test.ctx", &mut data, 8, |_, chunk| {
             kgtosa_obs::counter("par.test.ctx.units").add(chunk.len() as u64);
         });
-        let (_, _) = Pool::new(2).par_join(
-            || kgtosa_obs::counter("par.test.ctx.units").inc(),
-            || kgtosa_obs::counter("par.test.ctx.units").inc(),
-        );
         // Every unit of work, regardless of which worker thread ran it,
-        // attributed to the spawning thread's context: 3×64 map items,
-        // 128 chunk elements, 2 join sides.
-        assert_eq!(ctx.counter_delta("par.test.ctx.units"), 3 * 64 + 128 + 2);
+        // attributed to the spawning thread's context: 3×64 map items and
+        // 128 chunk elements.
+        assert_eq!(ctx.counter_delta("par.test.ctx.units"), 3 * 64 + 128);
         // The region spans landed in the context's tree too.
         assert!(ctx
             .span_stats()

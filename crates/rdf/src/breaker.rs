@@ -125,16 +125,16 @@ impl BreakerState {
     }
 }
 
-/// One recorded state transition, for trajectory assertions and the
-/// loadgen report.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BreakerTransition {
+/// One recorded state transition, rendered by
+/// [`CircuitBreaker::trajectory`].
+#[derive(Debug)]
+struct BreakerTransition {
     /// State before.
-    pub from: BreakerState,
+    from: BreakerState,
     /// State after.
-    pub to: BreakerState,
+    to: BreakerState,
     /// Requests observed (admitted + rejected) when the transition fired.
-    pub at_request: u64,
+    at_request: u64,
 }
 
 #[derive(Debug)]
@@ -228,11 +228,6 @@ impl CircuitBreaker {
     /// Successful probe closures.
     pub fn closes(&self) -> u64 {
         self.counters.closes.load(Ordering::Relaxed)
-    }
-
-    /// The ordered transition log since construction.
-    pub fn transitions(&self) -> Vec<BreakerTransition> {
-        self.lock().log.clone()
     }
 
     /// Renders the transition log as `closed->open@12` hops, the compact

@@ -46,7 +46,7 @@ pub mod retry;
 pub mod store;
 
 pub use ast::{Element, Group, Query, Selection, Term, TriplePattern};
-pub use breaker::{BreakerPolicy, BreakerState, BreakerTransition, CircuitBreaker};
+pub use breaker::{BreakerPolicy, BreakerState, CircuitBreaker};
 pub use checkpoint::FetchCheckpoint;
 pub use endpoint::{
     fetch_triples_robust, EndpointStats, FetchConfig, FetchMode, FetchOutcome, InProcessEndpoint,

@@ -125,10 +125,7 @@ fn extract_handler(state: &ServeState, body: &Json, remaining: Duration) -> Http
         .get("pattern")
         .and_then(Json::as_str)
         .unwrap_or("d1h1");
-    let Some(pattern) = GraphPattern::VARIANTS
-        .into_iter()
-        .find(|p| p.label() == pattern_label)
-    else {
+    let Some(pattern) = GraphPattern::from_label(pattern_label) else {
         return HttpResponse::error(400, format!("unknown pattern {pattern_label:?}"));
     };
     // One epoch for the whole request: task resolution, extraction, and
@@ -425,6 +422,13 @@ fn admin_fault(state: &ServeState, req: &HttpRequest) -> HttpResponse {
 fn serve_stats(state: &ServeState) -> HttpResponse {
     let b = &state.breaker;
     let epoch = state.epoch();
+    let (nodes, triples) = (epoch.kg.num_nodes(), epoch.kg.num_triples());
+    // Mean out-degree |T| / |V|, the `d` of the §IV cost term O(d · |V_s|).
+    let avg_degree = if nodes == 0 {
+        0.0
+    } else {
+        triples as f64 / nodes as f64
+    };
     let trajectory: Vec<Json> = b.trajectory().into_iter().map(Json::Str).collect();
     let fields = vec![
         ("dataset".into(), Json::Str(state.cfg.dataset.clone())),
@@ -436,14 +440,14 @@ fn serve_stats(state: &ServeState) -> HttpResponse {
             "epoch".into(),
             Json::Obj(vec![
                 ("version".into(), Json::Num(epoch.version as f64)),
-                ("nodes".into(), Json::Num(epoch.stats.num_nodes as f64)),
-                ("triples".into(), Json::Num(epoch.stats.num_triples as f64)),
-                ("classes".into(), Json::Num(epoch.stats.num_classes as f64)),
+                ("nodes".into(), Json::Num(nodes as f64)),
+                ("triples".into(), Json::Num(triples as f64)),
+                ("classes".into(), Json::Num(epoch.kg.num_classes() as f64)),
                 (
                     "relations".into(),
-                    Json::Num(epoch.stats.num_relations as f64),
+                    Json::Num(epoch.kg.num_relations() as f64),
                 ),
-                ("avg_degree".into(), Json::Num(epoch.stats.avg_degree())),
+                ("avg_degree".into(), Json::Num(avg_degree)),
             ]),
         ),
         (

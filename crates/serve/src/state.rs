@@ -5,8 +5,8 @@
 //! ## Epochs
 //!
 //! Everything derived from the KG's *contents* — the RDF store, the
-//! adjacency views, the canonical and multiset fingerprints, the running
-//! stats, and the SPARQL page cache — lives in one immutable [`KgEpoch`]
+//! adjacency views, the canonical and multiset fingerprints, and the
+//! SPARQL page cache — lives in one immutable [`KgEpoch`]
 //! behind an `RwLock<Arc<..>>`. Requests grab an `Arc` once and work
 //! against a consistent world for their whole lifetime; `POST
 //! /admin/update` builds the next epoch off to the side and swaps the
@@ -22,8 +22,8 @@ use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 use kgtosa_cache::ArtifactCache;
 use kgtosa_core::transform;
-use kgtosa_datagen::{Dataset, NcTask};
-use kgtosa_kg::{HeteroGraph, KgStats, KnowledgeGraph, MultisetFingerprint};
+use kgtosa_datagen::NcTask;
+use kgtosa_kg::{HeteroGraph, KnowledgeGraph, MultisetFingerprint};
 use kgtosa_models::{
     read_validated_state, CheckpointInfo, CheckpointRegistry, NcModelShape, RgcnNcModel,
 };
@@ -53,8 +53,6 @@ pub struct KgEpoch {
     /// invariant `MultisetFingerprint::of(kg) == multiset` is what the
     /// delta test harness checks.
     pub multiset: MultisetFingerprint,
-    /// Running KG stats, adjusted (not recomputed) on delta apply.
-    pub stats: KgStats,
     /// SPARQL page cache, fresh per epoch.
     pub page_cache: PageCache,
     /// 0 for the startup epoch, +1 per applied delta.
@@ -62,14 +60,13 @@ pub struct KgEpoch {
 }
 
 impl KgEpoch {
-    /// Builds the derived state for a graph. `fingerprint`/`multiset`/
-    /// `stats` are passed in because the update path maintains them
+    /// Builds the derived state for a graph. `fingerprint`/`multiset`
+    /// are passed in because the update path maintains them
     /// incrementally; the startup path computes them from scratch.
     pub fn build(
         kg: Arc<KnowledgeGraph>,
         fingerprint: u64,
         multiset: MultisetFingerprint,
-        stats: KgStats,
         version: u64,
     ) -> Self {
         let store = RdfStore::shared(kg.clone());
@@ -80,7 +77,6 @@ impl KgEpoch {
             graph,
             fingerprint,
             multiset,
-            stats,
             page_cache: PageCache::new(),
             version,
         }
@@ -124,11 +120,11 @@ impl ServeState {
     /// checkpoint registry, and opens the artifact cache.
     pub fn from_dataset(cfg: ServeConfig) -> Result<Arc<Self>, String> {
         let guard = kgtosa_obs::span!("serve.startup");
-        let d = dataset_by_name(&cfg.dataset, cfg.scale, cfg.seed)?;
+        let d = kgtosa_datagen::by_name(&cfg.dataset, cfg.scale, cfg.seed)?;
         let kg = Arc::new(d.gen.kg);
         let fingerprint = kgtosa_kg::fingerprint(&kg);
-        let (multiset, stats) = (MultisetFingerprint::of(&kg), KgStats::compute(&kg));
-        let epoch = KgEpoch::build(kg, fingerprint, multiset, stats, 0);
+        let multiset = MultisetFingerprint::of(&kg);
+        let epoch = KgEpoch::build(kg, fingerprint, multiset, 0);
         let registry = match &cfg.checkpoint_dir {
             Some(dir) => CheckpointRegistry::scan(dir)
                 .map_err(|e| format!("cannot scan checkpoint dir {}: {e}", dir.display()))?,
@@ -272,18 +268,5 @@ impl std::fmt::Display for ModelError {
             ),
             ModelError::Unusable(why) => f.write_str(why),
         }
-    }
-}
-
-fn dataset_by_name(name: &str, scale: f64, seed: u64) -> Result<Dataset, String> {
-    match name {
-        "mag" => Ok(kgtosa_datagen::mag(scale, seed)),
-        "yago30" => Ok(kgtosa_datagen::yago30(scale, seed)),
-        "dblp" => Ok(kgtosa_datagen::dblp(scale, seed)),
-        "wikikg2" => Ok(kgtosa_datagen::wikikg2(scale, seed)),
-        "yago3-10" => Ok(kgtosa_datagen::yago3_10(scale, seed)),
-        other => Err(format!(
-            "unknown dataset {other:?} (expected mag|yago30|dblp|wikikg2|yago3-10)"
-        )),
     }
 }

@@ -8,7 +8,7 @@
 //! 2. [`kgtosa_kg::apply_delta`] — all-or-nothing; any rejected op leaves
 //!    the daemon serving the old epoch and answers `400`;
 //! 3. build the next [`KgEpoch`] (fresh store/adjacency/page cache,
-//!    incrementally adjusted stats and multiset fingerprint) and **swap it
+//!    incrementally maintained multiset fingerprint) and **swap it
 //!    in before sweeping the cache**, so the staleness window — requests
 //!    that pay a cache miss because their entry has not been migrated yet
 //!    — is bounded by the sweep, not by the epoch build;
@@ -127,8 +127,6 @@ pub fn admin_update(state: &ServeState, req: &HttpRequest) -> HttpResponse {
         // here is a bad op (unknown term on remove, absent triple, ...).
         Err(e) => return HttpResponse::error(400, format!("delta rejected: {e}")),
     };
-    let mut stats = old.stats.clone();
-    stats.adjust(&app);
     let DeltaApplication {
         kg,
         multiset,
@@ -141,7 +139,6 @@ pub fn admin_update(state: &ServeState, req: &HttpRequest) -> HttpResponse {
         Arc::new(kg),
         fingerprint,
         multiset,
-        stats,
         old.version + 1,
     ));
     // Swap *before* sweeping: the daemon serves the new graph immediately;
@@ -288,9 +285,7 @@ fn repair_entry(
         return None;
     }
     let pattern_label = info.pattern.as_deref()?;
-    let pattern = *GraphPattern::VARIANTS
-        .iter()
-        .find(|p| p.label() == pattern_label)?;
+    let pattern = GraphPattern::from_label(pattern_label)?;
     let class = info.task.as_deref()?.strip_prefix("nc:")?;
     let old = ExtractionView::parse(payload, old_parent_nodes).ok()?;
     let targets: Vec<Vid> = old.targets().map(|t| old.map_up(t)).collect();

@@ -144,8 +144,9 @@ impl GroundTruth {
 
     /// Applies the delta locally and freshly extracts the named task at
     /// d1h1, returning (new KG fingerprint, subgraph fingerprint) as the
-    /// hex strings the daemon must report.
-    fn expected(&self, dataset: &kgtosa_datagen::Dataset) -> (String, String) {
+    /// hex strings the daemon must report, plus the updated graph's
+    /// (nodes, triples, classes, relations) counts.
+    fn expected(&self, dataset: &kgtosa_datagen::Dataset) -> (String, String, [f64; 4]) {
         let kg = &dataset.gen.kg;
         let task = &dataset.nc[0];
         let delta = KgDelta {
@@ -158,14 +159,17 @@ impl GroundTruth {
         let store = RdfStore::new(&app.kg);
         let etask =
             ExtractionTask::node_classification(&task.name, &task.target_class, task.targets());
-        let pattern = GraphPattern::VARIANTS
-            .into_iter()
-            .find(|p| p.label() == "d1h1")
-            .unwrap();
-        let fresh = extract_sparql(&store, &etask, &pattern, &FetchConfig::default())
+        let fresh = extract_sparql(&store, &etask, &GraphPattern::D1H1, &FetchConfig::default())
             .expect("fresh extraction on the updated graph");
         let sub_fp = format!("{:016x}", kgtosa_kg::fingerprint(&fresh.subgraph.kg));
-        (kg_fp, sub_fp)
+        let counts = [
+            app.kg.num_nodes(),
+            app.kg.num_triples(),
+            app.kg.num_classes(),
+            app.kg.num_relations(),
+        ]
+        .map(|n| n as f64);
+        (kg_fp, sub_fp, counts)
     }
 }
 
@@ -180,7 +184,7 @@ fn live_update_repairs_stale_entries_and_migrates_fresh_ones() {
     let dataset = kgtosa_datagen::mag(SCALE, SEED);
     let task_name = dataset.nc[0].name.clone();
     let truth = GroundTruth::build(&dataset);
-    let (expected_kg_fp, expected_sub_fp) = truth.expected(&dataset);
+    let (expected_kg_fp, expected_sub_fp, expected_counts) = truth.expected(&dataset);
 
     // Warm two entries: the named Paper task (the delta will touch it)
     // and the Patent cluster (disjoint from every delta class, so the
@@ -252,6 +256,10 @@ fn live_update_repairs_stale_entries_and_migrates_fresh_ones() {
     let stats = ok_json(&get(daemon.addr, "/serve", Duration::from_secs(5)).unwrap());
     assert_eq!(num(&stats, &["epoch", "version"]), 1.0);
     assert_eq!(str_field(&stats, "kg_fingerprint"), expected_kg_fp);
+    // Its counts describe the updated graph, not the one loaded at startup.
+    let served_counts =
+        ["nodes", "triples", "classes", "relations"].map(|k| num(&stats, &["epoch", k]));
+    assert_eq!(served_counts, expected_counts);
     let metrics = get(daemon.addr, "/metrics", Duration::from_secs(5)).unwrap();
     assert_eq!(metrics.status, 200);
     for counter in ["kgtosa_delta_applied_total", "kgtosa_delta_ops_total", "kgtosa_delta_repairs_total", "kgtosa_delta_migrations_total"] {

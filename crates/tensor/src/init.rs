@@ -18,30 +18,6 @@ pub fn xavier_uniform(rows: usize, cols: usize, rng: &mut impl Rng) -> Matrix {
     m
 }
 
-/// Uniform `U(-a, a)` with explicit bound (used by TransE-style embeddings,
-/// which conventionally use `6/sqrt(dim)`).
-pub fn uniform(rows: usize, cols: usize, bound: f32, rng: &mut impl Rng) -> Matrix {
-    let mut m = Matrix::zeros(rows, cols);
-    for v in m.data_mut() {
-        *v = rng.gen_range(-bound..=bound);
-    }
-    m
-}
-
-/// Normalizes every row to unit L2 norm in place (TransE entity embedding
-/// constraint). Zero rows are left untouched.
-pub fn normalize_rows(m: &mut Matrix) {
-    for r in 0..m.rows() {
-        let row = m.row_mut(r);
-        let norm: f32 = row.iter().map(|&x| x * x).sum::<f32>().sqrt();
-        if norm > 1e-12 {
-            for v in row {
-                *v /= norm;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -63,25 +39,5 @@ mod tests {
         let a = xavier_uniform(4, 4, &mut StdRng::seed_from_u64(7));
         let b = xavier_uniform(4, 4, &mut StdRng::seed_from_u64(7));
         assert_eq!(a.data(), b.data());
-    }
-
-    #[test]
-    fn normalize_rows_unit_norm() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut m = uniform(5, 8, 2.0, &mut rng);
-        normalize_rows(&mut m);
-        for r in 0..m.rows() {
-            let n: f32 = m.row(r).iter().map(|&x| x * x).sum::<f32>().sqrt();
-            assert!((n - 1.0).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn normalize_rows_skips_zero_rows() {
-        let mut m = Matrix::zeros(2, 3);
-        m.set(0, 0, 3.0);
-        normalize_rows(&mut m);
-        assert_eq!(m.row(1), &[0.0, 0.0, 0.0]);
-        assert!((m.get(0, 0) - 1.0).abs() < 1e-6);
     }
 }

@@ -4,7 +4,7 @@
 //! PyTorch), so this crate provides the numeric substrate from scratch:
 //! a dense row-major [`Matrix`] with the transpose-variant products that
 //! hand-written backward passes need, Xavier initialization, element/row
-//! operations (ReLU, softmax, dropout), and dense + sparse-row Adam.
+//! operations (ReLU, softmax), and dense + sparse-row Adam.
 //!
 //! Design notes:
 //! * `f32` throughout — all referenced GNN systems train in fp32;
@@ -28,12 +28,11 @@ pub mod state;
 pub mod workspace;
 
 pub use adam::{Adam, AdamConfig, SparseAdam};
-pub use init::{normalize_rows, uniform, xavier_uniform};
+pub use init::xavier_uniform;
 pub use matrix::Matrix;
 pub use ops::{
-    argmax_rows, dropout_backward, dropout_inplace, relu_backward, relu_inplace, sigmoid,
-    softmax_cross_entropy, softmax_cross_entropy_into, softmax_rows, softmax_rows_into,
-    IGNORE_LABEL,
+    argmax_rows, relu_backward, relu_inplace, sigmoid, softmax_cross_entropy,
+    softmax_cross_entropy_into, softmax_rows, softmax_rows_into, IGNORE_LABEL,
 };
 pub use simd::{avx2_supported, set_simd_level, simd_level, F32x8, SimdLevel};
 pub use state::StateIo;

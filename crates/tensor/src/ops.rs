@@ -116,43 +116,9 @@ pub fn sigmoid(x: f32) -> f32 {
     1.0 / (1.0 + (-x).exp())
 }
 
-/// Inverted-dropout forward: zeroes each element with probability `p` and
-/// scales survivors by `1/(1-p)`. Returns the keep mask for backward.
-pub fn dropout_inplace(m: &mut Matrix, p: f32, rng: &mut impl rand::Rng) -> Vec<bool> {
-    assert!((0.0..1.0).contains(&p), "dropout probability in [0,1)");
-    if p == 0.0 {
-        return vec![true; m.param_count()];
-    }
-    let scale = 1.0 / (1.0 - p);
-    let mut mask = vec![false; m.param_count()];
-    for (v, keep) in m.data_mut().iter_mut().zip(&mut mask) {
-        if rng.gen::<f32>() >= p {
-            *keep = true;
-            *v *= scale;
-        } else {
-            *v = 0.0;
-        }
-    }
-    mask
-}
-
-/// Backward of inverted dropout with the same mask and probability.
-pub fn dropout_backward(grad: &mut Matrix, mask: &[bool], p: f32) {
-    let scale = 1.0 / (1.0 - p);
-    for (g, &keep) in grad.data_mut().iter_mut().zip(mask) {
-        if keep {
-            *g *= scale;
-        } else {
-            *g = 0.0;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn relu_roundtrip() {
@@ -205,26 +171,6 @@ mod tests {
     fn argmax_picks_largest() {
         let m = Matrix::from_vec(2, 3, vec![1., 5., 2., 7., 0., 3.]);
         assert_eq!(argmax_rows(&m), vec![1, 0]);
-    }
-
-    #[test]
-    fn dropout_scales_survivors() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let mut m = Matrix::from_vec(1, 1000, vec![1.0; 1000]);
-        let mask = dropout_inplace(&mut m, 0.5, &mut rng);
-        let kept = mask.iter().filter(|&&k| k).count();
-        assert!(kept > 380 && kept < 620, "kept {kept}");
-        // Survivors are scaled to 2.0; expectation preserved.
-        assert!(m.data().iter().all(|&v| v == 0.0 || (v - 2.0).abs() < 1e-6));
-    }
-
-    #[test]
-    fn dropout_zero_probability_is_identity() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut m = Matrix::from_vec(1, 4, vec![1., 2., 3., 4.]);
-        let mask = dropout_inplace(&mut m, 0.0, &mut rng);
-        assert!(mask.iter().all(|&k| k));
-        assert_eq!(m.data(), &[1., 2., 3., 4.]);
     }
 
     #[test]
