@@ -15,10 +15,9 @@
 //!
 //! Prints a per-regime latency/goodput table and writes
 //! `results/serve.json` (rows + breaker trajectory + drain report).
-//! `--strict-slo` mirrors the CLI flag: with `KGTOSA_SLO` rules armed,
-//! any violation exits 3 for CI gating. The run fails hard (exit 1) if
-//! an invariant breaks: sheds in overload, breaker trip *and* re-close,
-//! degraded answers matching the fresh fingerprint, zero handler panics.
+//! The run fails hard (exit 1) if an invariant breaks: sheds in
+//! overload, breaker trip *and* re-close, degraded answers matching the
+//! fresh fingerprint, zero handler panics.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -196,16 +195,6 @@ fn summarize(regime: &str, outcomes: &[Outcome], elapsed_s: f64) -> RegimeRow {
 
 fn main() {
     let env = Env::from_env();
-    let strict_slo = std::env::args().any(|a| a == "--strict-slo");
-    // Mirrors the CLI's --slo handling so CI can gate the daemon's
-    // behavior with declarative rules (KGTOSA_SLO spec).
-    if let Ok(spec) = std::env::var("KGTOSA_SLO") {
-        if !spec.is_empty() {
-            let rules = kgtosa_obs::parse_slo_spec(&spec).expect("KGTOSA_SLO spec");
-            kgtosa_obs::install_slo_rules(rules);
-            kgtosa_obs::start_slo_watchdog(kgtosa_obs::slo_interval_from_env());
-        }
-    }
     let chrome_out = std::env::var("KGTOSA_CHROME_TRACE").ok().filter(|p| !p.is_empty());
     if chrome_out.is_some() {
         kgtosa_obs::arm_chrome();
@@ -420,17 +409,9 @@ fn main() {
     );
 
     let _ = std::fs::remove_dir_all(&workdir);
-    if kgtosa_obs::slo_rules_installed() > 0 {
-        kgtosa_obs::evaluate_slo_now();
-    }
     kgtosa_obs::shutdown();
     if let Some(path) = &chrome_out {
         kgtosa_obs::write_chrome_trace(path).expect("write chrome trace");
         eprintln!("chrome: wrote trace to {path}");
-    }
-    let violations = kgtosa_obs::slo_violation_count();
-    if strict_slo && violations > 0 {
-        eprintln!("slo: {violations} violation(s) during the run (--strict-slo)");
-        std::process::exit(3);
     }
 }

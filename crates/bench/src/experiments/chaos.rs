@@ -61,9 +61,7 @@ pub fn run(world: &World<'_>) -> Vec<ChaosRow> {
     let mut rows: Vec<ChaosRow> = Vec::new();
     // Each regime runs inside its own telemetry context, so the
     // fault-layer counters are scoped deltas rather than diffs of the
-    // process-global counters — and SLO rules (when armed via
-    // KGTOSA_SLO / --slo on the wrapper) see every regime as a separate
-    // evaluation subject.
+    // process-global counters.
     let mut run = |regime: &str, fetch: &FetchConfig| -> ExtractionResult {
         let ctx = kgtosa_obs::TelemetryContext::new(&format!("chaos.{regime}"));
         let (res, seconds, _) = {

@@ -480,8 +480,8 @@ pub fn cache(args: &Args) -> Result<(), String> {
 
 /// Runs one train/compare variant (FG, or a TOSG extraction + training)
 /// inside its own [`kgtosa_obs::TelemetryContext`] so the two runs of a
-/// `compare` stay separately attributable in `/contexts`, the Chrome
-/// trace, and SLO sweeps. With no telemetry consumer the closure runs
+/// `compare` stay separately attributable in `/contexts` and the Chrome
+/// trace. With no telemetry consumer the closure runs
 /// uncontexted — numerics are identical either way.
 fn in_variant_ctx<T>(label: &str, f: impl FnOnce() -> Result<T, String>) -> Result<T, String> {
     let ctx = kgtosa_obs::telemetry_active()

@@ -88,16 +88,6 @@ GLOBAL OPTIONS (any command):
                      and counter tracks sampled at every heartbeat;
                      KGTOSA_CHROME_TRACE=FILE does the same (open the
                      result in ui.perfetto.dev or chrome://tracing)
-  --slo SPEC         Arm the SLO watchdog with declarative per-context
-                     rules, e.g. 'latency_s<=30;retries<=10;
-                     completeness_milli>=990;cache_hit_ratio>=0.5';
-                     signals: latency_s, retries, giveups,
-                     completeness_milli, cache_hit_ratio, counter:NAME,
-                     gauge:NAME; violations emit slo.violation events
-                     and flip /healthz to 503; KGTOSA_SLO=SPEC does the
-                     same, KGTOSA_SLO_MS sets the sweep interval
-  --strict-slo       Exit with status 3 when any SLO rule was violated
-                     during the run (for CI gating)
   --quiet            Silence progress chatter on stderr (result lines on
                      stdout are unaffected)
 
@@ -145,10 +135,10 @@ const OPTIONS: &[(&str, bool)] = &[
     ("max-len", false), ("max-paths", false), ("method", false), ("min-seconds", false),
     ("no-cache", true), ("out", false), ("partial", true), ("pattern", false),
     ("queue-cap", false), ("quiet", true), ("retry", false), ("roots", false),
-    ("scale", false), ("seed", false), ("slo", false), ("sparql", false),
-    ("strict-slo", true), ("target-class", false), ("task", false), ("threads", false),
-    ("threshold", false), ("top-k", false), ("tosg", false), ("trace", false),
-    ("trace-out", false), ("walk-length", false), ("workers", false),
+    ("scale", false), ("seed", false), ("sparql", false), ("target-class", false),
+    ("task", false), ("threads", false), ("threshold", false), ("top-k", false),
+    ("tosg", false), ("trace", false), ("trace-out", false), ("walk-length", false),
+    ("workers", false),
 ];
 
 fn main() {
@@ -190,35 +180,13 @@ fn main() {
     if chrome_out.is_some() {
         kgtosa_obs::arm_chrome();
     }
-    // SLO watchdog: parse the rule spec up front (a malformed spec is a
-    // usage error, same as any bad flag), then arm the sweeping thread.
-    let strict_slo = args.flag("strict-slo");
-    let slo_spec = args
-        .options
-        .get("slo")
-        .cloned()
-        .or_else(|| std::env::var("KGTOSA_SLO").ok().filter(|s| !s.is_empty()));
-    if let Some(spec) = &slo_spec {
-        match kgtosa_obs::parse_slo_spec(spec) {
-            Ok(rules) => {
-                kgtosa_obs::install_slo_rules(rules);
-                kgtosa_obs::start_slo_watchdog(kgtosa_obs::slo_interval_from_env());
-            }
-            Err(e) => {
-                eprintln!("error: --slo: {e}\n\n{USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
     // The run context scopes every span and instrument delta of this
-    // invocation under one trace id, so `/contexts`, the Chrome trace,
-    // and SLO rules all see per-request numbers. Created only when a
-    // consumer exists — silent runs skip the (cheap, but nonzero) scoped
-    // bookkeeping entirely.
-    let run_ctx = (kgtosa_obs::telemetry_active()
-        || chrome_out.is_some()
-        || kgtosa_obs::slo_rules_installed() > 0)
-    .then(|| kgtosa_obs::TelemetryContext::new(&format!("cli.{}", args.command)));
+    // invocation under one trace id, so the JSONL and Chrome traces see
+    // per-request numbers. Created only when one of them is written —
+    // silent runs skip the (cheap, but nonzero) scoped bookkeeping
+    // entirely.
+    let run_ctx = (kgtosa_obs::trace_enabled() || chrome_out.is_some())
+        .then(|| kgtosa_obs::TelemetryContext::new(&format!("cli.{}", args.command)));
     let result = traced.and_then(|_| {
         let _scope = run_ctx.as_ref().map(|c| c.enter());
         match args.command.as_str() {
@@ -240,15 +208,8 @@ fn main() {
             other => Err(format!("unknown command {other:?}\n\n{USAGE}")),
         }
     });
-    // Freeze the run context's wall clock and take a final SLO sweep over
-    // it so a violation in the last interval still counts (and still
-    // matters to --strict-slo even in short-lived batch runs that never
-    // saw a watchdog tick).
     if let Some(ctx) = &run_ctx {
         ctx.finish();
-    }
-    if kgtosa_obs::slo_rules_installed() > 0 {
-        kgtosa_obs::evaluate_slo_now();
     }
     // Final accounting: the summary tree goes to stderr (it is telemetry,
     // not command output), and shutdown flushes the JSONL sink.
@@ -268,11 +229,6 @@ fn main() {
     if let Err(e) = result {
         eprintln!("error: {e}");
         std::process::exit(1);
-    }
-    let violations = kgtosa_obs::slo_violation_count();
-    if strict_slo && violations > 0 {
-        eprintln!("slo: {violations} violation(s) during the run (--strict-slo)");
-        std::process::exit(3);
     }
 }
 

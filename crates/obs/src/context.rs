@@ -6,8 +6,8 @@
 //! still recorded globally exactly as before, and additionally into the
 //! context current on the recording thread. This is what makes two
 //! concurrent extractions attributable — each request enters its own
-//! context, and `/contexts`, the SLO watchdog, and the Chrome-trace
-//! exporter read the scoped view instead of the commingled globals.
+//! context, and `/contexts` and the Chrome-trace exporter read the scoped
+//! view instead of the commingled globals.
 //!
 //! ## Propagation
 //!
@@ -57,11 +57,11 @@ pub struct CtxSpanStat {
 }
 
 /// Per-context aggregate for one histogram.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct CtxHistStat {
-    pub count: u64,
-    pub sum: f64,
-    pub max: f64,
+#[derive(Debug, Default)]
+struct CtxHistStat {
+    count: u64,
+    sum: f64,
+    max: f64,
 }
 
 #[derive(Debug, Default)]
@@ -83,8 +83,6 @@ pub(crate) struct ContextInner {
     /// [`RUNNING`].
     end_s_bits: AtomicU64,
     maps: ContextMaps,
-    /// SLO rules that have already fired for this context (edge trigger).
-    violations: Mutex<Vec<String>>,
 }
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -213,8 +211,7 @@ pub(crate) fn on_span_record(path: &str, start: Instant, wall_s: f64) {
 }
 
 /// A request/task-scoped telemetry identity. Cloning shares the context;
-/// it stays live (listed on `/contexts`, watched by the SLO watchdog) as
-/// long as any handle exists.
+/// it stays live (listed on `/contexts`) as long as any handle exists.
 #[derive(Debug, Clone)]
 pub struct TelemetryContext {
     inner: Arc<ContextInner>,
@@ -239,7 +236,6 @@ impl TelemetryContext {
             started: Instant::now(),
             end_s_bits: AtomicU64::new(RUNNING),
             maps: ContextMaps::default(),
-            violations: Mutex::new(Vec::new()),
         });
         {
             let mut reg = context_registry()
@@ -305,8 +301,8 @@ impl TelemetryContext {
         self.inner.end_s_bits.load(Ordering::Relaxed) != RUNNING
     }
 
-    /// Freezes the context's wall time (idempotent) and returns it. The
-    /// SLO latency signal reads this final value from then on.
+    /// Freezes the context's wall time (idempotent) and returns it;
+    /// [`wall_s`](Self::wall_s) reads this final value from then on.
     pub fn finish(&self) -> f64 {
         let elapsed = self.inner.started.elapsed().as_secs_f64();
         let _ = self.inner.end_s_bits.compare_exchange(
@@ -324,23 +320,6 @@ impl TelemetryContext {
         lock(&self.inner.maps.counters).get(name).copied().unwrap_or(0)
     }
 
-    /// Last value written to an integer gauge while this context was
-    /// current, if any.
-    pub fn gauge_value(&self, name: &str) -> Option<i64> {
-        lock(&self.inner.maps.gauges).get(name).copied()
-    }
-
-    /// Last value written to an f64 gauge while this context was current.
-    pub fn gauge_f64_value(&self, name: &str) -> Option<f64> {
-        lock(&self.inner.maps.gauges_f64).get(name).map(|b| f64::from_bits(*b))
-    }
-
-    /// Scoped count/sum/max of a histogram, if it was observed inside
-    /// this context.
-    pub fn histogram_stats(&self, name: &str) -> Option<CtxHistStat> {
-        lock(&self.inner.maps.hists).get(name).copied()
-    }
-
     /// This context's span tree as `(dotted path, stats)`, sorted by path.
     pub fn span_stats(&self) -> Vec<(String, CtxSpanStat)> {
         let mut rows: Vec<_> = lock(&self.inner.maps.spans)
@@ -354,7 +333,7 @@ impl TelemetryContext {
     /// Derived cache hit ratio over this context's own lookups — the
     /// per-request counterpart of the global `cache.hit_ratio` gauge
     /// (stale and corrupt lookups count as misses). `None` before the
-    /// first lookup, so an SLO rule on it cannot fire early.
+    /// first lookup.
     pub fn cache_hit_ratio(&self) -> Option<f64> {
         let hits = self.counter_delta("cache.hits") as f64;
         let lookups = hits
@@ -362,22 +341,6 @@ impl TelemetryContext {
             + self.counter_delta("cache.stale") as f64
             + self.counter_delta("cache.corrupt") as f64;
         (lookups > 0.0).then(|| hits / lookups)
-    }
-
-    /// Records an SLO violation once per rule; returns whether it was new.
-    pub(crate) fn record_violation(&self, rule: &str) -> bool {
-        let mut v = lock(&self.inner.violations);
-        if v.iter().any(|r| r == rule) {
-            false
-        } else {
-            v.push(rule.to_string());
-            true
-        }
-    }
-
-    /// SLO rules that have fired for this context, in firing order.
-    pub fn violations(&self) -> Vec<String> {
-        lock(&self.inner.violations).clone()
     }
 
     /// The `/contexts` summary object for this context.
@@ -448,10 +411,6 @@ impl TelemetryContext {
             ("counters".into(), Json::Obj(counters)),
             ("gauges".into(), Json::Obj(gauges)),
             ("histograms".into(), Json::Obj(hists)),
-            (
-                "violations".into(),
-                Json::Arr(self.violations().into_iter().map(Json::Str).collect()),
-            ),
         ])
     }
 }
@@ -521,12 +480,17 @@ mod tests {
 
         assert_eq!(outer.counter_delta("ctx.test.counter"), 7);
         assert_eq!(inner.counter_delta("ctx.test.counter"), 10);
-        assert_eq!(inner.gauge_value("ctx.test.gauge"), Some(-7));
-        assert_eq!(outer.gauge_value("ctx.test.gauge"), None);
-        assert_eq!(inner.gauge_f64_value("ctx.test.ratio"), Some(0.5));
-        let h = inner.histogram_stats("ctx.test.hist").unwrap();
-        assert_eq!((h.count, h.sum, h.max), (1, 2.0, 2.0));
-        assert_eq!(outer.histogram_stats("ctx.test.hist"), None);
+        let (inner, outer) = (inner.summary_json(), outer.summary_json());
+        let field = |s: &Json, map: &str, key: &str| {
+            s.get(map).and_then(|m| m.get(key)).map(Json::to_string)
+        };
+        let some = |text: &str| Some(text.to_string());
+        assert_eq!(field(&inner, "gauges", "ctx.test.gauge"), some("-7"));
+        assert_eq!(field(&outer, "gauges", "ctx.test.gauge"), None);
+        assert_eq!(field(&inner, "gauges", "ctx.test.ratio"), some("0.5"));
+        let hist = field(&inner, "histograms", "ctx.test.hist");
+        assert_eq!(hist, some(r#"{"count":1,"mean":2,"max":2}"#));
+        assert_eq!(field(&outer, "histograms", "ctx.test.hist"), None);
     }
 
     #[test]
@@ -627,14 +591,5 @@ mod tests {
             !live_contexts().iter().any(|c| c.id() == id),
             "dropped context still listed: {json}"
         );
-    }
-
-    #[test]
-    fn violations_are_edge_triggered() {
-        let ctx = TelemetryContext::new("ctx.test.viol");
-        assert!(ctx.record_violation("latency_s<1"));
-        assert!(!ctx.record_violation("latency_s<1"), "same rule fires once");
-        assert!(ctx.record_violation("retries<=0"));
-        assert_eq!(ctx.violations().len(), 2);
     }
 }

@@ -225,22 +225,13 @@ pub fn write_response(stream: &mut TcpStream, response: &HttpResponse) -> io::Re
     stream.flush()
 }
 
-/// The `/healthz` payload. Readiness is live: a violating context flips
-/// it to false until that context is dropped.
-fn healthz_json(ready: bool) -> Json {
+/// The `/healthz` payload: a process that answers is ready.
+fn healthz_json() -> Json {
     Json::Obj(vec![
-        ("ready".into(), Json::Bool(ready)),
+        ("ready".into(), Json::Bool(true)),
         (
             "active_contexts".into(),
             Json::Num(crate::context::active_context_count() as f64),
-        ),
-        (
-            "slo_rules".into(),
-            Json::Num(crate::slo::slo_rules_installed() as f64),
-        ),
-        (
-            "slo_violations".into(),
-            Json::Num(crate::slo::slo_violation_count() as f64),
         ),
     ])
 }
@@ -282,13 +273,7 @@ pub fn builtin_route(req: &HttpRequest) -> Option<HttpResponse> {
         "/progress" => HttpResponse::json(200, progress_json().to_string()),
         "/prof" => HttpResponse::json(200, crate::prof::prof_json().to_string()),
         "/contexts" => HttpResponse::json(200, crate::context::contexts_json().to_string()),
-        "/healthz" => {
-            let ready = crate::slo::slo_ready();
-            HttpResponse::json(
-                if ready { 200 } else { 503 },
-                healthz_json(ready).to_string(),
-            )
-        }
+        "/healthz" => HttpResponse::json(200, healthz_json().to_string()),
         _ => return None,
     };
     Some(response)
@@ -468,34 +453,11 @@ mod tests {
             .and_then(|s| s.get("serve_test.work"))
             .is_some());
 
-        // Healthy with no SLO rules installed.
         let (status, ctype, body) = get("/healthz");
         assert_eq!(status, 200);
         assert!(ctype.contains("application/json"));
         let json = Json::parse(&body).expect("healthz is valid JSON");
         assert_eq!(json.get("ready").and_then(Json::as_bool), Some(true));
         assert!(json.get("active_contexts").and_then(Json::as_f64).unwrap() >= 1.0);
-
-        // Arm a rule only this test's context can break (every other
-        // context keeps the probe counter at 0 and so satisfies `<=0`),
-        // sweep, and readiness must flip to 503 while the context lives.
-        {
-            let _g = ctx.enter();
-            crate::counter("serve.test.healthz.probe").inc();
-        }
-        let rules = crate::parse_slo_spec("counter:serve.test.healthz.probe<=0").unwrap();
-        crate::install_slo_rules(rules);
-        assert!(crate::evaluate_slo_now() >= 1, "probe rule must fire");
-        let (status, _, body) = get("/healthz");
-        assert_eq!(status, 503, "violating context flips readiness: {body}");
-        let json = Json::parse(&body).unwrap();
-        assert_eq!(json.get("ready").and_then(Json::as_bool), Some(false));
-        assert!(json.get("slo_violations").and_then(Json::as_f64).unwrap() >= 1.0);
-        assert!(!ctx.violations().is_empty());
-
-        // Disarm so sibling tests see a rule-free process again.
-        crate::install_slo_rules(Vec::new());
-        let (status, _, _) = get("/healthz");
-        assert_eq!(status, 200);
     }
 }

@@ -44,9 +44,8 @@
 //!   workers inherit the spawning context across thread boundaries, so
 //!   concurrent requests stay attributable. The Chrome-trace exporter
 //!   ([`arm_chrome`] / [`write_chrome_trace`]) renders contexts as
-//!   Perfetto process tracks, and the SLO watchdog
-//!   ([`parse_slo_spec`] / [`start_slo_watchdog`]) enforces declarative
-//!   per-context latency/retry/completeness/cache-hit requirements.
+//!   Perfetto process tracks, and `/contexts` serves each live context's
+//!   scoped view.
 //!
 //! Everything is std-only: no external dependencies, no global setup
 //! required. With no sink installed, a span costs two `Instant::now`
@@ -63,7 +62,6 @@ mod progress;
 mod prometheus;
 mod registry;
 mod sink;
-mod slo;
 mod span;
 mod summary;
 mod train;
@@ -73,7 +71,7 @@ pub use chrome::{
     write_chrome_trace, ChromeTraceStats,
 };
 pub use context::{
-    active_context_count, context_active, contexts_json, ContextScope, CtxHistStat, CtxSpanStat,
+    active_context_count, context_active, contexts_json, ContextScope, CtxSpanStat,
     TelemetryContext,
 };
 pub use diff::{
@@ -92,17 +90,12 @@ pub use progress::{
 pub use panic_hook::{install_panic_hook, panic_hook_installed};
 pub use prometheus::render_prometheus;
 pub use registry::{
-    counter, gauge, gauge_f64, histogram, histogram_with_bounds, metrics_snapshot,
-    reset_registry, span_stats, Counter, Gauge, GaugeF64, Histogram, SpanStat,
+    counter, gauge, gauge_f64, histogram, histogram_with_bounds, metrics_snapshot, span_stats,
+    Counter, Gauge, GaugeF64, Histogram, SpanStat,
 };
 pub use sink::{
     emit_event, info_str, init_trace_from_env, init_trace_to, is_quiet, set_quiet, shutdown,
     trace_enabled,
-};
-pub use slo::{
-    evaluate_slo_now, evaluate_slo_rules, install_slo_rules, parse_slo_spec,
-    slo_interval_from_env, slo_ready, slo_rules_installed, slo_violation_count,
-    start_slo_watchdog, SloRule, SloViolation, DEFAULT_SLO_MS,
 };
 pub use span::{span, SpanGuard, SpanRecord};
 pub use summary::{render_summary_tree, render_trace_table, summarize_jsonl, SpanAgg};
@@ -110,7 +103,7 @@ pub use train::{EpochEvent, Observer, TelemetryObserver, TrainObserver};
 
 /// Whether any live telemetry consumer exists — a JSONL trace sink or a
 /// [`TelemetryContext`] entered on the calling thread (its scoped deltas
-/// feed `/contexts` and the SLO watchdog, so quality gauges and progress
+/// feed `/contexts` and the Chrome trace, so quality gauges and progress
 /// tasks must be captured for it). Instrumentation sites with a
 /// non-trivial cost (e.g. computing subgraph quality indicators,
 /// registering progress tasks) gate on this so silent runs stay

@@ -458,17 +458,6 @@ pub fn metrics_snapshot() -> Json {
     ])
 }
 
-/// Clears every instrument. Intended for tests; existing `Arc` handles
-/// keep working but are detached from future lookups.
-pub fn reset_registry() {
-    let reg = registry();
-    reg.counters.write().unwrap_or_else(std::sync::PoisonError::into_inner).clear();
-    reg.gauges.write().unwrap_or_else(std::sync::PoisonError::into_inner).clear();
-    reg.gauges_f64.write().unwrap_or_else(std::sync::PoisonError::into_inner).clear();
-    reg.histograms.write().unwrap_or_else(std::sync::PoisonError::into_inner).clear();
-    reg.spans.write().unwrap_or_else(std::sync::PoisonError::into_inner).clear();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

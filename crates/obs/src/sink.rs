@@ -179,7 +179,6 @@ pub fn info_str(msg: &str) {
 /// disabled.
 pub fn shutdown() {
     crate::progress::stop_heartbeat();
-    crate::slo::stop_watchdog();
     if trace_enabled() {
         let snapshot = registry::metrics_snapshot();
         let fields = match snapshot {
