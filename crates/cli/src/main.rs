@@ -85,7 +85,8 @@ GLOBAL OPTIONS (any command):
   --chrome-out FILE  Write a Chrome-trace / Perfetto JSON file at exit:
                      each telemetry context is a process track, each
                      worker thread a thread track, with B/E span events
-                     and counter tracks sampled at every heartbeat;
+                     and counter tracks sampled at exit (and once a
+                     second with --trace-out);
                      KGTOSA_CHROME_TRACE=FILE does the same (open the
                      result in ui.perfetto.dev or chrome://tracing)
   --quiet            Silence progress chatter on stderr (result lines on

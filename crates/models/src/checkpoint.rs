@@ -11,13 +11,15 @@
 //! On-disk format (`<dir>/<method>.ckpt`):
 //!
 //! ```text
-//! magic "KGTOSAC1" | fingerprint u64 | completed_epoch u64
+//! magic "KGTOSAC2" | fingerprint u64 | completed_epoch u64
 //! | trace count u64 | {epoch u64, elapsed_s f64, metric f64}*
-//! | state_len u64 | state bytes | fnv64(state) u64
+//! | state_len u64 | state bytes | fnv64(everything after the magic) u64
 //! ```
 //!
 //! The fingerprint binds the file to the hyperparameters and dataset shape
-//! that produced it; a mismatched or corrupt checkpoint is *ignored* with a
+//! that produced it, and the trailing checksum covers it, the epoch and the
+//! trace as well as the state; a mismatched or corrupt checkpoint (or one in
+//! the older `KGTOSAC1` layout) is *ignored* with a
 //! warning (training restarts from scratch), never silently loaded. Saves
 //! go through a temp file + rename so a crash mid-save leaves the previous
 //! checkpoint intact.
@@ -32,7 +34,7 @@ use rand::rngs::StdRng;
 
 use crate::common::{LpDataset, NcDataset, TracePoint, TrainConfig};
 
-const MAGIC: &[u8; 8] = b"KGTOSAC1";
+const MAGIC: &[u8; 8] = b"KGTOSAC2";
 
 /// Where and how often trainers snapshot their state.
 #[derive(Debug, Clone)]
@@ -118,7 +120,7 @@ fn sanitize(method: &str) -> String {
         .collect()
 }
 
-/// A `KGTOSAC1` checkpoint file parsed and checksum-verified, but not yet
+/// A `KGTOSAC2` checkpoint file parsed and checksum-verified, but not yet
 /// bound to any particular run's config fingerprint. The serving layer's
 /// [`crate::registry`] works at this level: it trusts the checksum for
 /// integrity and the fingerprint for identity, without needing the
@@ -131,20 +133,24 @@ pub struct RawCheckpoint<'a> {
     pub completed_epoch: usize,
     /// Convergence trace up to that epoch.
     pub trace: Vec<TracePoint>,
-    /// The opaque trainer state blob (checksum already verified).
+    /// The opaque trainer state blob.
     pub state: &'a [u8],
 }
 
-/// Parses checkpoint `bytes` structurally: magic, header, trace, and the
-/// state blob with its FNV-1a checksum verified. Does *not* compare the
+/// Parses checkpoint `bytes`: magic, then the FNV-1a checksum over every
+/// later byte, then header, trace and state blob. Does *not* compare the
 /// fingerprint against anything — callers decide what identity means.
 pub fn parse_checkpoint_bytes(bytes: &[u8]) -> io::Result<RawCheckpoint<'_>> {
     let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
-    let mut r: &[u8] = bytes;
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
+    if bytes.get(..MAGIC.len()) != Some(MAGIC) {
         return Err(bad("bad magic"));
+    }
+    let Some(body_len) = bytes.len().checked_sub(MAGIC.len() + 8) else {
+        return Err(bad("truncated checkpoint"));
+    };
+    let (mut r, mut sum) = bytes[MAGIC.len()..].split_at(body_len);
+    if read_u64(&mut sum)? != fnv64(r) {
+        return Err(bad("checksum mismatch"));
     }
     let fingerprint = read_u64(&mut r)?;
     let completed_epoch = read_u64(&mut r)? as usize;
@@ -160,16 +166,11 @@ pub fn parse_checkpoint_bytes(bytes: &[u8]) -> io::Result<RawCheckpoint<'_>> {
             metric: f64::from_bits(read_u64(&mut r)?),
         });
     }
-    // The length is read from the file: compare without overflowing.
-    let state_len = usize::try_from(read_u64(&mut r)?).unwrap_or(usize::MAX);
-    if r.len() < 8 || state_len > r.len() - 8 {
-        return Err(bad("truncated state blob"));
+    // The state blob is the rest of the checksummed body.
+    if read_u64(&mut r)? != r.len() as u64 {
+        return Err(bad("state length does not match the file"));
     }
-    let (state, mut tail) = r.split_at(state_len);
-    if read_u64(&mut tail)? != fnv64(state) {
-        return Err(bad("state checksum mismatch"));
-    }
-    Ok(RawCheckpoint { fingerprint, completed_epoch, trace, state })
+    Ok(RawCheckpoint { fingerprint, completed_epoch, trace, state: r })
 }
 
 /// Per-trainer checkpoint driver: resolves the file path, validates resume
@@ -196,7 +197,7 @@ impl Checkpointer {
     /// restored the trainer's state and the completed epoch index plus the
     /// recorded convergence trace are returned. A missing, mismatched, or
     /// corrupt file logs a warning and returns `None` — `load` is only
-    /// invoked after the magic, fingerprint, and state checksum all pass,
+    /// invoked after the magic, checksum, and fingerprint all pass,
     /// so trainer state is never partially overwritten by a bad file.
     pub(crate) fn resume(
         &self,
@@ -286,8 +287,8 @@ impl Checkpointer {
             write_u64(&mut out, p.metric.to_bits())?;
         }
         write_u64(&mut out, state.len() as u64)?;
-        let checksum = fnv64(&state);
         out.extend_from_slice(&state);
+        let checksum = fnv64(&out[MAGIC.len()..]);
         write_u64(&mut out, checksum)?;
         if let Some(dir) = self.path.parent() {
             fs::create_dir_all(dir)?;
@@ -469,6 +470,28 @@ mod tests {
             let mut bad = bytes.clone();
             bad[32..40].copy_from_slice(&forged.to_le_bytes());
             assert!(parse_checkpoint_bytes(&bad).is_err(), "state_len {forged}");
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn every_header_and_trace_bit_is_checksummed() {
+        let dir = temp_dir("header-bits");
+        let ck = Checkpointer::from_cfg(&cfg_with(&dir), "RGCN", 4).unwrap();
+        let trace = [
+            TracePoint { epoch: 1, elapsed_s: 0.5, metric: 0.25 },
+            TracePoint { epoch: 2, elapsed_s: 1.0, metric: 0.75 },
+        ];
+        ck.maybe_save(2, 10, &trace, |w| write_u64(w, 7));
+        let bytes = fs::read(dir.join("RGCN.ckpt")).unwrap();
+        assert!(parse_checkpoint_bytes(&bytes).is_ok());
+        // Magic, fingerprint, completed_epoch, trace count, two trace
+        // points and the state length: everything before the state blob.
+        let header_and_trace = 8 + 3 * 8 + trace.len() * 24 + 8;
+        for bit in 0..header_and_trace * 8 {
+            let mut bad = bytes.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            assert!(parse_checkpoint_bytes(&bad).is_err(), "flipped bit {bit} was trusted");
         }
         let _ = fs::remove_dir_all(&dir);
     }

@@ -202,9 +202,8 @@ pub(crate) trait TrainRun: StateIo {
 /// The epoch protocol every trainer shares: resume from `cfg.checkpoint`
 /// if a matching file exists, run the remaining epochs — per epoch one
 /// [`TracePoint`], one observer event with loss, timing and heap
-/// statistics, one tick of the `train[<method>]` progress task when a live
-/// telemetry consumer exists, and an interval save — then time the
-/// test-split inference and assemble the report. `start` is the trainer's
+/// statistics, and an interval save — then time the test-split inference
+/// and assemble the report. `start` is the trainer's
 /// clock origin, so the set-up a method counts as training (GraphSAINT's
 /// pre-sampling, SeHGNN's feature propagation) stays inside `training_s`
 /// and the trace.
@@ -216,9 +215,6 @@ pub(crate) fn run_epochs<R: TrainRun>(
     start: Instant,
 ) -> TrainReport {
     let ckpt = Checkpointer::from_cfg(cfg, R::CHECKPOINT.unwrap_or(method), data_key);
-    let progress = kgtosa_obs::telemetry_active().then(|| {
-        kgtosa_obs::progress_task(&format!("train[{method}]"), Some(cfg.epochs as u64))
-    });
     let mut trace = Vec::with_capacity(cfg.epochs);
     let mut first_epoch = 1;
     if let Some((done, t)) = ckpt.as_ref().and_then(|c| c.resume(|r| run.load_state(r))) {
@@ -229,9 +225,6 @@ pub(crate) fn run_epochs<R: TrainRun>(
     for epoch in first_epoch..=cfg.epochs {
         let (loss, metric) = run.epoch();
         let elapsed_s = start.elapsed().as_secs_f64();
-        if let Some(progress) = &progress {
-            progress.set_done(epoch as u64);
-        }
         if cfg.observer.enabled() {
             let mem = kgtosa_memtrack::snapshot();
             cfg.observer.on_epoch(&kgtosa_obs::EpochEvent {

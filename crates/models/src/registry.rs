@@ -2,7 +2,7 @@
 //!
 //! `kgtosa serve` answers `/infer` against trained models it finds on
 //! disk, addressed by the config+dataset *fingerprint* their trainer
-//! stamped into the `KGTOSAC1` header (see [`crate::checkpoint`]). A
+//! stamped into the `KGTOSAC2` header (see [`crate::checkpoint`]). A
 //! [`CheckpointRegistry`] scans a directory once at startup, keeps the
 //! cheap headers ([`CheckpointInfo`]) of every valid file, and loads the
 //! full state blob lazily per request via [`read_validated_state`] — the
@@ -14,7 +14,6 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::checkpoint::parse_checkpoint_bytes;
-use crate::common::TracePoint;
 
 /// The header of one valid checkpoint file — everything `/infer` routing
 /// needs without the (potentially large) state blob.
@@ -46,17 +45,7 @@ fn method_from_path(path: &Path) -> String {
 /// Parses the header of one checkpoint file (checksum verified, state
 /// discarded). Errors on missing files, bad magic, or corruption.
 pub fn inspect_checkpoint(path: impl AsRef<Path>) -> io::Result<CheckpointInfo> {
-    let path = path.as_ref();
-    let bytes = fs::read(path)?;
-    let raw = parse_checkpoint_bytes(&bytes)?;
-    Ok(CheckpointInfo {
-        path: path.to_path_buf(),
-        method: method_from_path(path),
-        fingerprint: raw.fingerprint,
-        completed_epoch: raw.completed_epoch,
-        state_len: raw.state.len(),
-        last_metric: raw.trace.last().map(|p: &TracePoint| p.metric),
-    })
+    read_validated_state(path).map(|(info, _)| info)
 }
 
 /// Reads one checkpoint file and returns its header plus the state blob,
@@ -73,8 +62,7 @@ pub fn read_validated_state(path: impl AsRef<Path>) -> io::Result<(CheckpointInf
         state_len: raw.state.len(),
         last_metric: raw.trace.last().map(|p| p.metric),
     };
-    let state = raw.state.to_vec();
-    Ok((info, state))
+    Ok((info, raw.state.to_vec()))
 }
 
 /// A directory of trained checkpoints indexed for serving.
@@ -178,7 +166,7 @@ mod tests {
         let report = train_toy_into(&dir);
         // A non-checkpoint file and a corrupt .ckpt must both be ignored.
         fs::write(dir.join("notes.txt"), b"not a checkpoint").unwrap();
-        fs::write(dir.join("broken.ckpt"), b"KGTOSAC1 but then garbage").unwrap();
+        fs::write(dir.join("broken.ckpt"), b"KGTOSAC2 but then garbage").unwrap();
 
         let reg = CheckpointRegistry::scan(&dir).unwrap();
         assert_eq!(reg.entries().len(), 1, "only the valid RGCN checkpoint");

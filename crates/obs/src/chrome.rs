@@ -6,7 +6,8 @@
 //! <https://ui.perfetto.dev>): `pid` = telemetry context id (0 for
 //! uncontexted work), `tid` = a small stable per-OS-thread id, spans as
 //! paired `B`/`E` duration events, plus `C` counter tracks sampled from
-//! the global registry by the heartbeat thread and once at shutdown.
+//! the global registry once a second by the trace flusher and once at
+//! shutdown.
 //!
 //! The renderer re-establishes exact telescoping before emitting: span
 //! intervals come from independent `Instant` reads, so float rounding can
@@ -124,7 +125,7 @@ pub(crate) fn on_context_created(id: u64, name: &str) {
 }
 
 /// Samples every registry counter and gauge into `C` counter-track
-/// events. The heartbeat thread calls this each tick; shutdown takes a
+/// events. The trace flusher calls this once a second; shutdown takes a
 /// final sample so short runs still get at least one point per track.
 pub fn sample_counter_tracks() {
     if !chrome_armed() {

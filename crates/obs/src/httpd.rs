@@ -6,16 +6,14 @@
 //! on head and body size, so a hostile or confused client cannot balloon
 //! the process. [`HttpResponse`] + [`write_response`] render the answer.
 //! [`builtin_route`] answers the observability GET routes (`/metrics`,
-//! `/spans`, `/progress`, `/prof`, `/contexts`, `/healthz`) from the live
-//! registry, so any server built on this module exposes them for free.
+//! `/prof`, `/contexts`, `/healthz`) from the live registry, so any
+//! server built on this module exposes them for free.
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 
 use crate::json::Json;
-use crate::progress::progress_json;
 use crate::prometheus::render_prometheus;
-use crate::registry;
 
 /// Default cap on the request head (request line + headers).
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -236,27 +234,6 @@ fn healthz_json() -> Json {
     ])
 }
 
-/// The `/spans` payload: `{"spans": {<name>: {...}}}` mirroring the final
-/// `metrics` trace event's span section.
-fn spans_json() -> Json {
-    let spans: Vec<(String, Json)> = registry::span_stats()
-        .into_iter()
-        .map(|(name, s)| {
-            (
-                name,
-                Json::Obj(vec![
-                    ("count".into(), Json::Num(s.count as f64)),
-                    ("total_s".into(), Json::Num(s.total_s)),
-                    ("max_s".into(), Json::Num(s.max_s)),
-                    ("peak_delta_max".into(), Json::Num(s.peak_delta_max as f64)),
-                    ("allocs".into(), Json::Num(s.allocs as f64)),
-                ]),
-            )
-        })
-        .collect();
-    Json::Obj(vec![("spans".into(), Json::Obj(spans))])
-}
-
 /// Answers the observability GET routes from the live registry; `None`
 /// when the request is not one of them (the caller's own routes apply).
 pub fn builtin_route(req: &HttpRequest) -> Option<HttpResponse> {
@@ -269,8 +246,6 @@ pub fn builtin_route(req: &HttpRequest) -> Option<HttpResponse> {
             content_type: "text/plain; version=0.0.4; charset=utf-8".into(),
             body: render_prometheus().into_bytes(),
         },
-        "/spans" => HttpResponse::json(200, spans_json().to_string()),
-        "/progress" => HttpResponse::json(200, progress_json().to_string()),
         "/prof" => HttpResponse::json(200, crate::prof::prof_json().to_string()),
         "/contexts" => HttpResponse::json(200, crate::context::contexts_json().to_string()),
         "/healthz" => HttpResponse::json(200, healthz_json().to_string()),
@@ -353,12 +328,16 @@ mod tests {
             ..Default::default()
         };
         assert!(builtin_route(&post).is_none());
-        let other = HttpRequest {
-            method: "GET".into(),
-            path: "/nope".into(),
-            ..Default::default()
-        };
-        assert!(builtin_route(&other).is_none());
+        // Unknown paths, `/progress` and `/spans` among them, fall through
+        // to the caller, which answers them `404`.
+        for path in ["/nope", "/progress", "/spans"] {
+            let other = HttpRequest {
+                method: "GET".into(),
+                path: path.into(),
+                ..Default::default()
+            };
+            assert!(builtin_route(&other).is_none(), "{path}");
+        }
     }
 
     /// `GET path` through [`builtin_route`]: (status, content type, body).
@@ -379,8 +358,6 @@ mod tests {
     #[test]
     fn serves_metrics_spans_progress() {
         crate::counter("test.serve.hits").add(2);
-        let p = crate::progress_task("test.serve.task", Some(5));
-        p.advance(1);
         crate::span("test_serve_span").finish();
 
         let (status, ctype, body) = get("/metrics");
@@ -388,23 +365,6 @@ mod tests {
         assert!(ctype.contains("version=0.0.4"), "{ctype}");
         assert!(body.contains("kgtosa_test_serve_hits_total 2"), "{body}");
         assert!(body.contains("# TYPE kgtosa_test_serve_hits_total counter"));
-
-        let (status, ctype, body) = get("/spans");
-        assert_eq!(status, 200);
-        assert!(ctype.contains("application/json"));
-        let json = Json::parse(&body).expect("spans is valid JSON");
-        assert!(json.get("spans").unwrap().get("test_serve_span").is_some());
-
-        let (status, _, body) = get("/progress");
-        assert_eq!(status, 200);
-        let json = Json::parse(&body).expect("progress is valid JSON");
-        let tasks = match json.get("tasks") {
-            Some(Json::Arr(items)) => items,
-            other => panic!("expected tasks array, got {other:?}"),
-        };
-        assert!(tasks
-            .iter()
-            .any(|t| t.get("name").and_then(Json::as_str) == Some("test.serve.task")));
 
         let (status, ctype, body) = get("/prof");
         assert_eq!(status, 200);
@@ -414,9 +374,13 @@ mod tests {
             Some(Json::Arr(items)) => items,
             other => panic!("expected spans array, got {other:?}"),
         };
-        assert!(spans
+        let mine = spans
             .iter()
-            .any(|s| s.get("name").and_then(Json::as_str) == Some("test_serve_span")));
+            .find(|s| s.get("name").and_then(Json::as_str) == Some("test_serve_span"))
+            .expect("span listed");
+        for field in ["max_s", "peak_delta_max"] {
+            assert!(mine.get(field).and_then(Json::as_f64).is_some(), "{field}: {body}");
+        }
         assert!(spans.iter().all(|s| s.get("self_s").is_some()));
     }
 

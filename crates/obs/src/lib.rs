@@ -15,15 +15,12 @@
 //! * **Training telemetry** — a [`TrainObserver`] hook threaded through
 //!   the model trainers' config so every epoch reports loss, wall time,
 //!   and heap without touching the math.
-//! * **Progress / ETA** — long phases register [`Progress`] tasks
-//!   (epochs, fetch pages, sampler roots); the snapshot derives
-//!   throughput and an ETA, and a background heartbeat periodically
-//!   flushes it into the trace so killed runs stay inspectable.
 //! * **Live routes** — [`builtin_route`] answers `/metrics` in Prometheus
-//!   text format plus `/spans`, `/progress`, `/prof`, `/contexts` and
-//!   `/healthz` as JSON; the `kgtosa serve` daemon mounts them. A batch
-//!   run is watched through its trace instead: the heartbeat flushes
-//!   progress into the `--trace-out` file every second.
+//!   text format plus `/prof`, `/contexts` and `/healthz` as JSON; the
+//!   `kgtosa serve` daemon mounts them. A batch run is watched through its
+//!   trace instead: a background flusher writes the `--trace-out` file to
+//!   disk once a second, so its `span` and `train.epoch` events can be
+//!   followed live and a killed run still leaves a parseable trace.
 //! * **Cost attribution** — [`self_times`] gives every span its *self*
 //!   time (wall minus direct children), a partition of the root's wall
 //!   clock; `kgtosa trace-summary` prints it for a finished trace
@@ -58,7 +55,6 @@ pub mod httpd;
 mod json;
 mod panic_hook;
 mod prof;
-mod progress;
 mod prometheus;
 mod registry;
 mod sink;
@@ -84,9 +80,6 @@ pub use httpd::{
 };
 pub use json::Json;
 pub use prof::{prof_json, registry_aggs, self_times, SelfTime};
-pub use progress::{
-    emit_heartbeat, progress_json, progress_snapshot, progress_task, Progress, ProgressSnapshot,
-};
 pub use panic_hook::{install_panic_hook, panic_hook_installed};
 pub use prometheus::render_prometheus;
 pub use registry::{
@@ -103,11 +96,10 @@ pub use train::{EpochEvent, Observer, TelemetryObserver, TrainObserver};
 
 /// Whether any live telemetry consumer exists — a JSONL trace sink or a
 /// [`TelemetryContext`] entered on the calling thread (its scoped deltas
-/// feed `/contexts` and the Chrome trace, so quality gauges and progress
-/// tasks must be captured for it). Instrumentation sites with a
-/// non-trivial cost (e.g. computing subgraph quality indicators,
-/// registering progress tasks) gate on this so silent runs stay
-/// untouched.
+/// feed `/contexts` and the Chrome trace, so quality gauges must be
+/// captured for it). Instrumentation sites with a non-trivial cost (e.g.
+/// computing subgraph quality indicators) gate on this so silent runs
+/// stay untouched.
 pub fn telemetry_active() -> bool {
     trace_enabled() || context_active()
 }

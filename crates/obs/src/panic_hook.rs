@@ -2,8 +2,8 @@
 //! before the process dies.
 //!
 //! Without it, a panic mid-run loses everything buffered in the JSONL
-//! writer since the last heartbeat flush, and the operator learns nothing
-//! about *where* in the pipeline the crash happened. The hook emits one
+//! writer since the last once-a-second flush, and the operator learns
+//! nothing about *where* in the pipeline the crash happened. The hook emits one
 //! final `panic` event carrying the message, source location, and the
 //! live span stack of the panicking thread, flushes the stream, and then
 //! defers to whatever hook was installed before it (normally the default

@@ -105,11 +105,15 @@ pub fn registry_aggs() -> Vec<SpanAgg> {
         .collect()
 }
 
-/// The `/prof` payload: live self-time attribution over the registry.
+/// The `/prof` payload: live self-time attribution over the registry,
+/// each row with its span's slowest execution and largest peak-heap
+/// growth.
 pub fn prof_json() -> Json {
-    let spans: Vec<Json> = self_times(&registry_aggs())
+    let aggs = registry_aggs();
+    let spans: Vec<Json> = self_times(&aggs)
         .iter()
-        .map(|r| {
+        .zip(&aggs)
+        .map(|(r, a)| {
             Json::Obj(vec![
                 ("name".into(), Json::Str(r.name.clone())),
                 ("depth".into(), Json::Num(r.depth as f64)),
@@ -117,6 +121,8 @@ pub fn prof_json() -> Json {
                 ("self_s".into(), Json::Num(r.self_s)),
                 ("self_allocs".into(), Json::Num(r.self_allocs as f64)),
                 ("count".into(), Json::Num(r.count as f64)),
+                ("max_s".into(), Json::Num(a.max_s)),
+                ("peak_delta_max".into(), Json::Num(a.peak_max_bytes as f64)),
             ])
         })
         .collect();

@@ -1,6 +1,6 @@
 //! Prometheus text exposition (format version 0.0.4) of the live
-//! registry: counters, gauges, histograms, per-span aggregates, and the
-//! progress tasks — what [`crate::builtin_route`] returns on `/metrics`.
+//! registry: counters, gauges, histograms and per-span aggregates — what
+//! [`crate::builtin_route`] returns on `/metrics`.
 //!
 //! Naming follows the Prometheus conventions: every family is prefixed
 //! `kgtosa_`, dots become underscores, counters end in `_total`, and
@@ -9,7 +9,6 @@
 
 use std::fmt::Write as _;
 
-use crate::progress::progress_snapshot;
 use crate::registry;
 
 /// Maps an internal dotted metric name onto a Prometheus metric name.
@@ -57,7 +56,7 @@ fn family(out: &mut String, name: &str, kind: &str, help: &str) {
     let _ = writeln!(out, "# TYPE {name} {kind}");
 }
 
-/// Renders the entire registry + progress state in exposition format.
+/// Renders the entire registry in exposition format.
 pub fn render_prometheus() -> String {
     let mut out = String::with_capacity(4096);
 
@@ -162,55 +161,6 @@ pub fn render_prometheus() -> String {
                 escape_label(name),
                 stat.allocs
             );
-        }
-    }
-
-    let progress = progress_snapshot();
-    if !progress.is_empty() {
-        family(
-            &mut out,
-            "kgtosa_progress_done",
-            "gauge",
-            "Completed units per progress task",
-        );
-        for task in &progress {
-            let _ = writeln!(
-                out,
-                "kgtosa_progress_done{{task=\"{}\"}} {}",
-                escape_label(&task.name),
-                task.done
-            );
-        }
-        family(
-            &mut out,
-            "kgtosa_progress_total",
-            "gauge",
-            "Declared total units per progress task (absent while unknown)",
-        );
-        for task in &progress {
-            if let Some(total) = task.total {
-                let _ = writeln!(
-                    out,
-                    "kgtosa_progress_total{{task=\"{}\"}} {total}",
-                    escape_label(&task.name)
-                );
-            }
-        }
-        family(
-            &mut out,
-            "kgtosa_progress_eta_seconds",
-            "gauge",
-            "Estimated seconds to completion per running task",
-        );
-        for task in &progress {
-            if let Some(eta) = task.eta_s {
-                let _ = writeln!(
-                    out,
-                    "kgtosa_progress_eta_seconds{{task=\"{}\"}} {}",
-                    escape_label(&task.name),
-                    fmt_f64(eta)
-                );
-            }
         }
     }
 
@@ -348,20 +298,5 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("# TYPE kgtosa_span_seconds_total counter"));
-    }
-
-    #[test]
-    fn progress_tasks_render() {
-        let p = crate::progress_task("test.prom.progress", Some(10));
-        p.advance(4);
-        let text = render_prometheus();
-        assert!(
-            text.contains("kgtosa_progress_done{task=\"test.prom.progress\"} 4"),
-            "{text}"
-        );
-        assert!(
-            text.contains("kgtosa_progress_total{task=\"test.prom.progress\"} 10"),
-            "{text}"
-        );
     }
 }

@@ -11,10 +11,12 @@
 //! | `span` | `name`, `wall_s`, `live_bytes`, `peak_delta_bytes`, `allocs` |
 //! | `train.epoch` | `method`, `epoch`, `epochs`, `loss`, `metric`, `elapsed_s`, `epoch_s`, `live_bytes`, `peak_bytes`, `allocs` |
 //! | `log` | `msg` |
-//! | `heartbeat` | `active_tasks`, `progress` (periodic snapshot + flush, written by the background flusher so interrupted runs keep a usable trace) |
 //! | `extract.quality` | `method`, the Table III quality indicators of the finished extraction |
 //! | `metrics` | `counters`, `gauges`, `histograms`, `spans` (final snapshot, written by [`shutdown`]) |
 //! | `panic` | `msg`, `location`, `spans` (last event of a crashed run, written by the panic hook) |
+//!
+//! A background flusher writes the buffered stream to disk once a second,
+//! so an interrupted run keeps every event up to its last flush.
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -40,22 +42,55 @@ fn trace_epoch() -> Instant {
 }
 
 /// Installs a JSONL trace stream writing to `path` (truncates), and arms
-/// the once-a-second heartbeat flusher so the stream reaches disk
-/// periodically even if the process never exits cleanly.
+/// the once-a-second flusher so the stream reaches disk periodically even
+/// if the process never exits cleanly.
 pub fn init_trace_to(path: &str) -> std::io::Result<()> {
     let file = File::create(path)?;
     trace_epoch(); // pin t=0 at install time
     *trace_writer().lock().unwrap_or_else(std::sync::PoisonError::into_inner) = Some(BufWriter::new(file));
     TRACE_ON.store(true, Ordering::Release);
-    crate::progress::start_heartbeat();
+    start_flusher();
     Ok(())
 }
 
-/// Flushes the trace stream to disk (heartbeat ticks call this).
-pub(crate) fn flush_trace() {
+/// Flushes the trace stream to disk.
+fn flush_trace() {
     if let Some(w) = trace_writer().lock().unwrap_or_else(std::sync::PoisonError::into_inner).as_mut() {
         let _ = w.flush();
     }
+}
+
+static FLUSHER_STARTED: AtomicBool = AtomicBool::new(false);
+static FLUSHER_STOP: AtomicBool = AtomicBool::new(false);
+
+/// Interval between periodic flushes.
+const FLUSH_MS: u64 = 1000;
+
+/// Starts the background flusher (idempotent). Every [`FLUSH_MS`] it
+/// samples the Chrome counter tracks and flushes the trace stream.
+fn start_flusher() {
+    if FLUSHER_STARTED.swap(true, Ordering::SeqCst) {
+        return;
+    }
+    let _ = std::thread::Builder::new()
+        .name("kgtosa-flusher".into())
+        .spawn(|| {
+            // Sleep in short slices so shutdown is prompt.
+            let slice = std::time::Duration::from_millis(200);
+            let mut acc = 0u64;
+            loop {
+                if FLUSHER_STOP.load(Ordering::Relaxed) {
+                    return;
+                }
+                std::thread::sleep(slice);
+                acc += slice.as_millis() as u64;
+                if acc >= FLUSH_MS {
+                    acc = 0;
+                    crate::chrome::sample_counter_tracks();
+                    flush_trace();
+                }
+            }
+        });
 }
 
 /// Installs a trace stream from `KGTOSA_TRACE=<path>` if set and
@@ -174,11 +209,10 @@ pub fn info_str(msg: &str) {
     emit_event("log", vec![("msg".into(), Json::Str(msg.to_string()))]);
 }
 
-/// Writes the final `metrics` snapshot, stops the heartbeat thread, and
-/// flushes the stream. Safe to call multiple times or with tracing
-/// disabled.
+/// Writes the final `metrics` snapshot, stops the flusher, and flushes
+/// the stream. Safe to call multiple times or with tracing disabled.
 pub fn shutdown() {
-    crate::progress::stop_heartbeat();
+    FLUSHER_STOP.store(true, Ordering::Relaxed);
     if trace_enabled() {
         let snapshot = registry::metrics_snapshot();
         let fields = match snapshot {
@@ -187,9 +221,7 @@ pub fn shutdown() {
         };
         write_line(&stamp("metrics", fields));
     }
-    if let Some(w) = trace_writer().lock().unwrap_or_else(std::sync::PoisonError::into_inner).as_mut() {
-        let _ = w.flush();
-    }
+    flush_trace();
 }
 
 #[cfg(test)]
@@ -211,6 +243,18 @@ mod tests {
         init_trace_to(&path_str).unwrap();
         crate::span("sink_test.op").finish();
         emit_event("custom", vec![("k".into(), Json::Num(1.0))]);
+        // The flusher puts both lines on disk within about a second, before
+        // `shutdown` ever runs: a killed run keeps them. The deadline only
+        // leaves slack for a loaded machine.
+        let on_disk =
+            |text: &str| text.contains("\"sink_test.op\"") && text.contains("\"ev\":\"custom\"");
+        let deadline = Instant::now() + std::time::Duration::from_secs(3);
+        let mut flushed = String::new();
+        while !on_disk(&flushed) && Instant::now() < deadline {
+            std::thread::sleep(std::time::Duration::from_millis(100));
+            flushed = std::fs::read_to_string(&path).unwrap();
+        }
+        assert!(on_disk(&flushed), "not flushed before shutdown: {flushed}");
         shutdown();
 
         let text = std::fs::read_to_string(&path).unwrap();

@@ -526,20 +526,11 @@ pub fn fetch_triples_robust<E: SparqlEndpoint>(
         kgtosa_obs::info!("rdf.fetch: resuming past {resumed_pages} checkpointed pages");
     }
 
-    // Live progress: one unit per subquery (page counts are unknown until
-    // each handler exhausts its pagination).
-    let progress = kgtosa_obs::telemetry_active()
-        .then(|| kgtosa_obs::progress_task("rdf.fetch", Some(subqueries.len() as u64)));
     let ckpt_ref = &ckpt;
     let per_subquery: Vec<SubFetch> =
         Pool::new(cfg.threads).par_map_collect("rdf.fetch", subqueries, |i, q| {
-            let result = page_subquery(endpoint, store, i, q, triple_vars, cfg, ckpt_ref);
-            if let Some(progress) = &progress {
-                progress.advance(1);
-            }
-            result
+            page_subquery(endpoint, store, i, q, triple_vars, cfg, ckpt_ref)
         });
-    drop(progress);
 
     // Merge handler results into the checkpoint and tally the accounting.
     let (mut planned, mut completed, mut failed) = (0usize, 0usize, 0usize);

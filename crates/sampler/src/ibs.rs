@@ -58,9 +58,6 @@ fn influencer_rows(g: &HeteroGraph, targets: &[Vid], cfg: &IbsConfig) -> (Vec<Vi
     cfg.ppr.assert_valid();
     let _span = kgtosa_obs::span!("sample.ibs");
     kgtosa_obs::counter("sample.ibs.ppr_runs").add(targets.len() as u64);
-    // Live rate/ETA over completed per-target PPR runs.
-    let progress = kgtosa_obs::telemetry_active()
-        .then(|| kgtosa_obs::progress_task("sample.ibs", Some(targets.len() as u64)));
     let stride = cfg.k.min(g.num_nodes()).max(1);
     let per_chunk = seed_chunk(g);
     let mut rows = vec![Vid(0); targets.len() * stride];
@@ -80,9 +77,6 @@ fn influencer_rows(g: &HeteroGraph, targets: &[Vid], cfg: &IbsConfig) -> (Vec<Vi
         let work = scratch.work();
         kgtosa_obs::counter("sample.ibs.pushes").add(work.pushes);
         kgtosa_obs::counter("sample.ibs.edge_visits").add(work.edge_visits);
-        if let Some(progress) = &progress {
-            progress.advance(targets.len() as u64);
-        }
     });
     (rows, stride)
 }

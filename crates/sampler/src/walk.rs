@@ -101,16 +101,8 @@ fn run_walks(
         .len()
         .saturating_mul(len.max(1))
         .saturating_mul(HOP_WORK);
-    // Live rate/ETA over completed walkers; the atomic advance does not
-    // affect the per-walker RNG streams, so determinism is preserved.
-    let progress = kgtosa_obs::telemetry_active()
-        .then(|| kgtosa_obs::progress_task("sample.walk", Some(roots.len() as u64)));
     let paths = Pool::for_work(work).par_map_collect("sampler.walk", &streams, |_, &(root, seed)| {
-        let path = walk_path(g, root, len, seed);
-        if let Some(progress) = &progress {
-            progress.advance(1);
-        }
-        path
+        walk_path(g, root, len, seed)
     });
     for path in paths {
         for v in path {

@@ -80,7 +80,7 @@ fn route(state: &ServeState, req: &HttpRequest, admitted: Instant) -> HttpRespon
         ("GET", "/") => HttpResponse::text(
             200,
             "kgtosa serve\nroutes: POST /extract  POST /infer  GET /serve  \
-             GET /metrics /spans /progress /prof /contexts /healthz  \
+             GET /metrics /prof /contexts /healthz  \
              POST /admin/update /admin/fault /admin/shutdown\n",
         ),
         ("GET", "/serve") => serve_stats(state),
