@@ -7,27 +7,28 @@
 //! the delta into the stale ones. This binary drives R rounds of K-op
 //! deltas against MAG at two scales and reports, per round:
 //!
-//! * `repair_s` vs `full_s` — patching the old TOSG vs re-running the
-//!   full SPARQL extraction (repair must win, and its cost must track
-//!   the delta frontier, not `|KG|`: the per-scale totals expose the
-//!   scaling ratio);
+//! * `repair_s` vs `full_s` — repairing the cached payload the way the
+//!   daemon does (`kgtosa_core::repair_entry`: view, lift, repair,
+//!   re-encode) vs re-running the full SPARQL extraction and encoding its
+//!   payload (repair must win, and its cost must track the delta frontier
+//!   and the TOSG, not `|KG|`: the per-scale totals expose the scaling
+//!   ratio);
 //! * the cache-sweep outcome (migrated / repaired / invalidated) and the
-//!   staleness window it bounds;
-//! * a differential `identical` flag — every repaired TOSG is compared
-//!   byte-for-byte against a fresh extraction before it counts.
+//!   staleness window it bounds, with the same repair function as hook;
+//! * a differential `identical` flag — every repaired payload is compared
+//!   byte-for-byte against the fresh extraction's payload before it counts.
 //!
 //! Results land in `results/delta.json`; CI gates on zero mismatches,
 //! a non-empty invalidation path, and repair beating full re-extract.
 
-use std::collections::HashMap;
 use std::time::Instant;
 
 use kgtosa_bench::{nc_extraction_task, save_json, Env};
 use kgtosa_cache::ArtifactCache;
 use kgtosa_core::{
-    encode_extraction_parts, extract_sparql, extract_sparql_cached_with_fingerprint,
-    parent_triples, repair_extraction, sweep_cache_after_delta, ExtractionResult, ExtractionTask,
-    GraphPattern, RepairConfig, StalenessOracle,
+    encode_extraction, extract_sparql, extract_sparql_cached_with_fingerprint, repair_entry,
+    sparql_cache_key, sweep_cache_after_delta, ExtractionTask, GraphPattern, RepairConfig,
+    StalenessOracle,
 };
 use kgtosa_kg::{apply_delta, fingerprint, DeltaOp, HeteroGraph, KgDelta, MultisetFingerprint};
 use kgtosa_rdf::{FetchConfig, RdfStore};
@@ -121,18 +122,6 @@ struct Report {
 
 kgtosa_obs::json_row!(Report { rounds, totals, scaling });
 
-fn witness(res: &ExtractionResult) -> (Vec<u8>, String) {
-    let mut buf = Vec::new();
-    kgtosa_kg::write_snapshot(&res.subgraph.kg, &mut buf).expect("snapshot write");
-    (
-        buf,
-        format!(
-            "{:?}|{:?}|{:?}|{}",
-            res.subgraph.to_parent, res.subgraph.from_parent, res.targets, res.report.method
-        ),
-    )
-}
-
 /// K ops for round `r`: half adds (a new paper citing an existing one,
 /// and existing papers gaining citations), half removes of live triples.
 /// Deterministic, and sequential-valid by construction.
@@ -196,13 +185,9 @@ fn run_scale(scale: f64, seed: u64, tag: &str, records: &mut Vec<RoundRecord>) -
         // The artifact state a server would hold: every pattern of the
         // paper task cached, plus one unrelated (Patent) entry that each
         // sweep must migrate, never invalidate.
-        let mut old_results: HashMap<String, ExtractionResult> = HashMap::new();
         for pattern in &GraphPattern::VARIANTS {
-            let (res, _) = extract_sparql_cached_with_fingerprint(
-                &old_store, &task, pattern, &fetch, &cache, fp,
-            )
-            .expect("warm extraction");
-            old_results.insert(pattern.label(), res);
+            extract_sparql_cached_with_fingerprint(&old_store, &task, pattern, &fetch, &cache, fp)
+                .expect("warm extraction");
         }
         extract_sparql_cached_with_fingerprint(
             &old_store,
@@ -222,32 +207,41 @@ fn run_scale(scale: f64, seed: u64, tag: &str, records: &mut Vec<RoundRecord>) -
         let new_store = RdfStore::new(&app.kg);
         let graph = HeteroGraph::build(&app.kg);
 
-        // Repair vs full, differentially checked per pattern.
+        // Repair vs full, differentially checked per pattern: each cached
+        // payload is repaired as the daemon repairs it, and must equal the
+        // payload of a fresh extraction on the updated graph.
         let (mut repair_s, mut full_s) = (0.0f64, 0.0f64);
         let mut candidates = 0usize;
         let mut identical = true;
+        let entries = cache.entries().expect("list the cache");
         for pattern in &GraphPattern::VARIANTS {
-            let old = &old_results[&pattern.label()];
-            let old_triples = parent_triples(&app.kg, &old.subgraph);
+            let key = sparql_cache_key(fp, &task, pattern);
+            let info = entries
+                .iter()
+                .find(|e| e.file_name == key.file_name())
+                .expect("the warm entry is listed");
+            let payload = cache.lookup(&key).payload.expect("the warm entry hits");
             let t0 = Instant::now();
-            let (rep, rep_report) = repair_extraction(
+            let (repaired, rep_report) = repair_entry(
                 &new_store,
                 &graph,
-                &task,
-                pattern,
-                &old_triples,
+                info,
+                &payload,
+                kg.num_nodes(),
                 &app.added,
                 &app.removed,
                 &fetch,
                 &RepairConfig::default(),
             )
-            .expect("repair");
+            .expect("a warm paper entry is repairable");
             repair_s += t0.elapsed().as_secs_f64();
             candidates += rep_report.candidates;
             let t1 = Instant::now();
             let fresh = extract_sparql(&new_store, &task, pattern, &fetch).expect("fresh");
+            let quality = kgtosa_kg::quality(&fresh.subgraph.kg, &fresh.targets);
+            let fresh_payload = encode_extraction(&fresh, app.kg.num_nodes(), &quality);
             full_s += t1.elapsed().as_secs_f64();
-            identical &= witness(&rep) == witness(&fresh);
+            identical &= repaired == fresh_payload;
         }
 
         // Sweep the cache the way `kgtosa serve` does. Alternate rounds
@@ -263,37 +257,22 @@ fn run_scale(scale: f64, seed: u64, tag: &str, records: &mut Vec<RoundRecord>) -
             kg.num_nodes(),
             app.kg.num_nodes(),
             &oracle,
-            |info, _payload| {
+            |info, payload| {
                 if !do_repair {
                     return None;
                 }
-                let label = info.pattern.as_deref()?;
-                let old = old_results.get(label)?;
-                let pattern = GraphPattern::from_label(label)?;
-                let old_triples = parent_triples(&app.kg, &old.subgraph);
-                let (res, _) = repair_extraction(
+                repair_entry(
                     &new_store,
                     &graph,
-                    &task,
-                    &pattern,
-                    &old_triples,
+                    info,
+                    payload,
+                    kg.num_nodes(),
                     &app.added,
                     &app.removed,
                     &fetch,
                     &RepairConfig::default(),
                 )
-                .ok()?;
-                if res.report.completeness < 1.0 {
-                    return None;
-                }
-                let q = kgtosa_kg::quality(&res.subgraph.kg, &res.targets);
-                Some(encode_extraction_parts(
-                    &res.report.method,
-                    &res.subgraph,
-                    &res.targets,
-                    app.kg.num_nodes(),
-                    &q,
-                ))
+                .map(|(bytes, _)| bytes)
             },
         )
         .expect("cache sweep");

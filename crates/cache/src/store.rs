@@ -364,8 +364,9 @@ impl ArtifactCache {
     /// caller returns a [`SweepAction`]: `Invalidate` removes the entry
     /// (its extraction no longer matches what a fresh run would produce),
     /// `Migrate(payload)` atomically publishes the given payload under the
-    /// identical key re-pinned to `new_fp` and removes the old file — so
-    /// entries untouched by the delta keep hitting after the update.
+    /// identical key re-pinned to `new_fp` and removes the old file (when
+    /// `new_fp == old_fp` the publish itself replaced it) — so entries
+    /// untouched by the delta keep hitting after the update.
     /// Entries keyed by other fingerprints are skipped; entries whose
     /// bytes fail validation — and `Migrate`s whose re-publish fails —
     /// are removed and counted as `failed`, so a sweep always terminates
@@ -412,8 +413,13 @@ impl ArtifactCache {
                 SweepAction::Migrate(new_payload) => {
                     let new_key = CacheKey { kg_fingerprint: new_fp, ..old_key };
                     match self.store_entry(&new_key, &new_payload) {
-                        Ok(_) => {
-                            remove_entry(&path);
+                        Ok(new_path) => {
+                            // An update that keeps the fingerprint re-keys
+                            // the entry onto its own path, which the store
+                            // has just replaced.
+                            if new_path != path {
+                                remove_entry(&path);
+                            }
                             report.migrated += 1;
                             kgtosa_obs::counter("cache.migrations").inc();
                         }
@@ -757,6 +763,30 @@ mod tests {
         assert_eq!(hit.payload.as_deref(), Some(&b"clean-payload"[..]));
         // The unrelated fingerprint still hits untouched.
         assert_eq!(cache.lookup(&other_fp).outcome, CacheOutcome::Hit);
+    }
+
+    #[test]
+    fn sweep_onto_the_same_fingerprint_keeps_migrated_entries() {
+        let cache = ArtifactCache::open(tmpdir("sweep-same-fp")).unwrap();
+        let (kept, dropped) = (key("nc:Paper"), key("nc:Venue"));
+        cache.store(&kept, b"old-payload").unwrap();
+        cache.store(&dropped, b"dropped-payload").unwrap();
+        let report = cache
+            .sweep_fingerprint(42, 42, |info, _| {
+                if info.task.as_deref() == Some("nc:Paper") {
+                    SweepAction::Migrate(b"new-payload".to_vec())
+                } else {
+                    SweepAction::Invalidate
+                }
+            })
+            .unwrap();
+        assert_eq!((report.migrated, report.invalidated, report.failed), (1, 1, 0));
+        // The republished payload is what the key answers now.
+        let hit = cache.lookup(&kept);
+        assert_eq!(hit.outcome, CacheOutcome::Hit);
+        assert_eq!(hit.payload.as_deref(), Some(&b"new-payload"[..]));
+        assert_eq!(cache.lookup(&dropped).outcome, CacheOutcome::Miss);
+        assert_eq!(cache.disk_stats().unwrap().entries, 1);
     }
 
     #[test]

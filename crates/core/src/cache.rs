@@ -295,10 +295,10 @@ impl<'a> ExtractionView<'a> {
         ))
     }
 
-    /// The subgraph's triples in `parent`'s id space, in snapshot order —
-    /// what [`crate::parent_triples`] computes from a materialised
-    /// subgraph. Each relation term is resolved once; `None` when one is
-    /// not in `parent`.
+    /// The subgraph's triples in `parent`'s id space, ascending — what
+    /// [`crate::parent_triples`] computes from a materialised subgraph.
+    /// Each relation term is resolved once; `None` when one is not in
+    /// `parent`.
     pub fn parent_triples(&self, parent: &KnowledgeGraph) -> Option<Vec<Triple>> {
         struct Lift<'v, 'a> {
             view: &'v ExtractionView<'a>,
@@ -330,6 +330,7 @@ impl<'a> ExtractionView<'a> {
             unresolved: false,
         };
         self.snapshot.visit(&mut lift);
+        crate::repair::sort_subject_runs(&mut lift.triples);
         (!lift.unresolved).then_some(lift.triples)
     }
 

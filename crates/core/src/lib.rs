@@ -59,5 +59,5 @@ pub use pattern::{Direction, ExtractionTask, GraphPattern};
 pub use pipeline::{run_full_graph, run_on_tosg, transform, CostBreakdown};
 pub use quality::QualityRow;
 pub use repair::{
-    parent_triples, repair_extraction, FallbackReason, RepairConfig, RepairReport,
+    parent_triples, repair_entry, repair_extraction, FallbackReason, RepairConfig, RepairReport,
 };

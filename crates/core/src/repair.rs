@@ -12,14 +12,16 @@
 //! 2. re-evaluate the branch predicate for each candidate directly against the
 //!    adjacency index, mirroring the exact branch shapes `crate::bgp` compiles
 //!    (anchor `?v0 a <class>`, then the direction sequence);
-//! 3. splice accepted/rejected candidates into the old parent-space triple
-//!    set and rebuild the compacted subgraph.
+//! 3. splice the candidates' verdicts into the old parent-space triples by
+//!    one sorted merge, and rebuild the compacted subgraph.
 //!
 //! The result is **bit-identical** to a fresh [`extract_sparql`] run on the
 //! updated KG (the differential harness in `tests/delta_differential.rs`
 //! proves this): both paths end in `subgraph_from_triples_and_nodes` over the
-//! same sorted, deduplicated triple set. Repair cost scales with the delta and
-//! its incident frontier, not with `|KG|`.
+//! same sorted, deduplicated triple set. Repair cost scales with the delta,
+//! its incident frontier and the TOSG, not with `|KG|`: no step hashes or
+//! sorts the whole old triple set, and [`repair_entry`] lifts it straight
+//! from the cached payload's bytes.
 //!
 //! When the candidate frontier grows past a configurable fraction of the KG,
 //! a target class's anchor is shadowed by a same-named vertex, or the
@@ -27,12 +29,15 @@
 //! two hops), repair falls back to the full extractor — correctness never
 //! depends on the cheap path being applicable.
 
+use kgtosa_cache::EntryInfo;
 use kgtosa_kg::{
-    subgraph_from_triples_and_nodes, FxHashSet, HeteroGraph, KnowledgeGraph, Rid, Triple, Vid,
+    sorted_unique, subgraph_from_triples_and_nodes, FxHashSet, HeteroGraph, KnowledgeGraph, Rid,
+    Triple, Vid,
 };
 use kgtosa_rdf::{FetchConfig, RdfError, RdfStore};
 
 use crate::bgp::{direction_sequences, Step};
+use crate::cache::{encode_extraction_parts, task_params, ExtractionView};
 use crate::extract::{extract_sparql, ExtractionResult};
 use crate::pattern::{ExtractionTask, GraphPattern};
 
@@ -85,26 +90,45 @@ pub struct RepairReport {
     pub fallback: Option<FallbackReason>,
 }
 
-/// Maps an extracted subgraph's triples back into parent-KG id space.
+/// Maps an extracted subgraph's triples back into parent-KG id space,
+/// ascending (see [`sort_subject_runs`]).
 ///
 /// The subgraph re-interns relations, so predicate ids are translated through
-/// their terms; dictionaries are append-only across deltas, which keeps the
-/// parent ids stable and the lookup infallible for any subgraph extracted
-/// from (an ancestor of) `parent`.
+/// their terms, once per relation; dictionaries are append-only across
+/// deltas, which keeps the parent ids stable and the lookup infallible for
+/// any subgraph extracted from (an ancestor of) `parent`.
 pub fn parent_triples(
     parent: &KnowledgeGraph,
     sub: &kgtosa_kg::InducedSubgraph,
 ) -> Vec<Triple> {
-    sub.kg
+    let relations: Vec<Rid> = sub
+        .kg
+        .relations()
+        .map(|(_, term)| {
+            parent
+                .find_relation(term)
+                .expect("subgraph relation term must exist in parent")
+        })
+        .collect();
+    let mut triples: Vec<Triple> = sub
+        .kg
         .triples()
         .iter()
-        .map(|t| {
-            let p = parent
-                .find_relation(sub.kg.relation_term(t.p))
-                .expect("subgraph relation term must exist in parent");
-            Triple::new(sub.map_up(t.s), p, sub.map_up(t.o))
-        })
-        .collect()
+        .map(|t| Triple::new(sub.map_up(t.s), relations[t.p.idx()], sub.map_up(t.o)))
+        .collect();
+    sort_subject_runs(&mut triples);
+    triples
+}
+
+/// Sorts lifted triples that already ascend by subject — a subgraph's
+/// triples do in its own id space, and `to_parent` ascends for every
+/// extractor's output — by sorting each subject's run: relation ids differ
+/// between the two spaces, so only the order within a run can change. The
+/// result ascends whenever the subjects did.
+pub(crate) fn sort_subject_runs(triples: &mut [Triple]) {
+    for run in triples.chunk_by_mut(|a, b| a.s == b.s) {
+        run.sort_unstable();
+    }
 }
 
 /// Does `t` exist in the (updated) parent KG? Candidates sourced from the
@@ -176,6 +200,8 @@ fn branch_emits(
 ///   `graph` must be built from `store.kg()`.
 /// * `old_parent_triples` — the previous extraction's triples lifted into
 ///   parent id space (see [`parent_triples`]); ids are stable across deltas.
+///   Strictly ascending input (what [`ExtractionView::parent_triples`]
+///   returns) is spliced as it is; anything else is sorted first.
 /// * `added`/`removed` — the delta's ops resolved to parent-space triples
 ///   ([`kgtosa_kg::DeltaApplication::added`] / `removed`).
 /// * `fetch` — only used when repair falls back to the full extractor.
@@ -227,7 +253,7 @@ pub fn repair_extraction(
     // Candidate enumeration: the delta's own triples always qualify; at two
     // hops, any triple incident to a delta endpoint can gain or lose a
     // prefix chain through that endpoint.
-    let mut candidates: FxHashSet<Triple> = added.iter().chain(removed).copied().collect();
+    let mut candidates: Vec<Triple> = added.iter().chain(removed).copied().collect();
     if pattern.hops >= 2 {
         let mut endpoints: FxHashSet<Vid> = FxHashSet::default();
         for t in added.iter().chain(removed) {
@@ -237,15 +263,17 @@ pub fn repair_extraction(
         let merged = graph.merged_out();
         for &v in &endpoints {
             for (&o, &r) in merged.neighbors(v).iter().zip(merged.rels(v)) {
-                candidates.insert(Triple::new(v, Rid(r), Vid(o)));
+                candidates.push(Triple::new(v, Rid(r), Vid(o)));
             }
             for r in 0..graph.num_relations() {
                 for &s in graph.relation(Rid(r as u32)).inc.neighbors(v) {
-                    candidates.insert(Triple::new(Vid(s), Rid(r as u32), v));
+                    candidates.push(Triple::new(Vid(s), Rid(r as u32), v));
                 }
             }
         }
     }
+    candidates.sort_unstable();
+    candidates.dedup();
     let limit = ((kg.num_triples() as f64) * cfg.max_candidate_ratio).ceil() as usize;
     if candidates.len() > limit.max(cfg.min_candidate_floor) {
         return fallback(FallbackReason::FrontierTooLarge, candidates.len());
@@ -264,20 +292,27 @@ pub fn repair_extraction(
         }
     }
 
-    let mut set: FxHashSet<Triple> = old_parent_triples.iter().copied().collect();
+    // The splice: one merge of two ascending lists. A candidate is in the
+    // result iff its verdict says so; every other old triple stays.
+    let old_sorted = sorted_unique(old_parent_triples);
+    let mut old: &[Triple] = &old_sorted;
+    let mut triples: Vec<Triple> = Vec::with_capacity(old.len() + candidates.len());
     for &t in &candidates {
+        let before = old.partition_point(|o| *o < t);
+        triples.extend_from_slice(&old[..before]);
+        old = &old[before..];
+        if old.first() == Some(&t) {
+            old = &old[1..];
+        }
         let member = edge_exists(graph, t)
             && branches
                 .iter()
                 .any(|&(cid, seq)| branch_emits(graph, cid, seq, t));
         if member {
-            set.insert(t);
-        } else {
-            set.remove(&t);
+            triples.push(t);
         }
     }
-    let mut triples: Vec<Triple> = set.into_iter().collect();
-    triples.sort_unstable();
+    triples.extend_from_slice(old);
 
     let sub = subgraph_from_triples_and_nodes(kg, &triples, &task.targets);
     let sampled = sub.kg.num_nodes();
@@ -297,6 +332,74 @@ pub fn repair_extraction(
             fallback: None,
         },
     ))
+}
+
+/// Repairs one stale cache entry against the updated graph, returning the
+/// replacement payload to publish under the entry's own key together with
+/// the repair's report — or `None` when the entry cannot be repaired and is
+/// to be invalidated instead. This is what `kgtosa serve` hands
+/// [`crate::sweep_cache_after_delta`] as its repair hook.
+///
+/// * `store`/`graph` — the **updated** KG, as for [`repair_extraction`];
+/// * `info`/`payload` — the entry as the sweep reads it, the payload
+///   extracted from a parent graph of `old_parent_nodes` vertices;
+/// * `added`/`removed` — the delta's resolved triples.
+///
+/// Only SPARQL node-classification entries are repairable: the entry's
+/// original target set is recovered from the payload (NC targets always
+/// survive extraction, in task order), and the `params` hash must
+/// round-trip so the republished payload answers exactly the key it is
+/// stored under. The old targets and parent-space triples are read
+/// straight from the payload's [`ExtractionView`]; no subgraph graph is
+/// built. A partial result (`completeness < 1`) is never published.
+#[allow(clippy::too_many_arguments)]
+pub fn repair_entry(
+    store: &RdfStore<'_>,
+    graph: &HeteroGraph,
+    info: &EntryInfo,
+    payload: &[u8],
+    old_parent_nodes: usize,
+    added: &[Triple],
+    removed: &[Triple],
+    fetch: &FetchConfig,
+    cfg: &RepairConfig,
+) -> Option<(Vec<u8>, RepairReport)> {
+    if info.extractor.as_deref() != Some("sparql") {
+        return None;
+    }
+    let pattern = GraphPattern::from_label(info.pattern.as_deref()?)?;
+    let class = info.task.as_deref()?.strip_prefix("nc:")?;
+    let old = ExtractionView::parse(payload, old_parent_nodes).ok()?;
+    let targets: Vec<Vid> = old.targets().map(|t| old.map_up(t)).collect();
+    let task = ExtractionTask::node_classification(class, class, targets);
+    if info.params != Some(task_params(&task)) {
+        return None;
+    }
+    let old_triples = old.parent_triples(store.kg())?;
+    let (res, report) = repair_extraction(
+        store,
+        graph,
+        &task,
+        &pattern,
+        &old_triples,
+        added,
+        removed,
+        fetch,
+        cfg,
+    )
+    .ok()?;
+    if res.report.completeness < 1.0 {
+        return None;
+    }
+    let q = kgtosa_kg::quality(&res.subgraph.kg, &res.targets);
+    let bytes = encode_extraction_parts(
+        &res.report.method,
+        &res.subgraph,
+        &res.targets,
+        store.kg().num_nodes(),
+        &q,
+    );
+    Some((bytes, report))
 }
 
 #[cfg(test)]

@@ -7,20 +7,25 @@
 //!    round-tripped through the snapshot codec then patched with the same
 //!    delta lands on the same canonical fingerprint as the live graph.
 //! 2. **Repair ≡ fresh.** [`repair_extraction`] splicing the delta into a
-//!    pre-delta TOSG produces byte-for-byte the subgraph snapshot, parent
-//!    mappings, targets, and quality of [`extract_sparql`] re-run from
-//!    scratch on the patched KG — at 1, 4, and 8 worker threads.
+//!    pre-delta TOSG, and [`repair_entry`] repairing the pre-delta cache
+//!    payload the way the daemon does, both produce byte-for-byte the
+//!    artifact payload (method, targets, parent mapping, quality, snapshot)
+//!    of [`extract_sparql`] re-run from scratch on the patched KG — at 1, 4,
+//!    and 8 worker threads.
 //! 3. **The oracle never lies fresh.** Any (pattern, class) entry the
-//!    [`StalenessOracle`] declares untouched extracts bit-identically on
-//!    the old and new KGs — migrating its cache entry is sound.
+//!    [`StalenessOracle`] declares untouched, migrated with
+//!    [`migrate_payload`], is byte-for-byte the payload a fresh extraction
+//!    on the new KG publishes — migrating its cache entry is sound.
 
 use std::io::Cursor;
 
 use proptest::prelude::*;
 
+use kgtosa_cache::{EntryInfo, FORMAT_VERSION};
 use kgtosa_core::{
-    extract_sparql, parent_triples, repair_extraction, ExtractionResult, ExtractionTask,
-    GraphPattern, RepairConfig, StalenessOracle,
+    encode_extraction, extract_sparql, migrate_payload, parent_triples, repair_entry,
+    repair_extraction, task_label, task_params, ExtractionResult, ExtractionTask, GraphPattern,
+    RepairConfig, StalenessOracle,
 };
 use kgtosa_kg::{
     apply_delta, fingerprint, read_snapshot, write_snapshot, DeltaOp, HeteroGraph, KgDelta,
@@ -147,25 +152,24 @@ fn snapshot_bytes(kg: &KnowledgeGraph) -> Vec<u8> {
     buf
 }
 
-/// Everything two extractions must agree on to count as bit-identical.
-#[derive(Debug, PartialEq)]
-struct Witness {
-    snapshot: Vec<u8>,
-    to_parent: Vec<kgtosa_kg::Vid>,
-    from_parent: Vec<Option<kgtosa_kg::Vid>>,
-    targets: Vec<kgtosa_kg::Vid>,
-    method: String,
-    quality: String,
+/// The artifact payload a cache publishes for `res`, extracted from a
+/// parent graph of `parent_nodes` vertices: everything two extractions
+/// must agree on to count as bit-identical.
+fn payload(res: &ExtractionResult, parent_nodes: usize) -> Vec<u8> {
+    encode_extraction(res, parent_nodes, &kgtosa_kg::quality(&res.subgraph.kg, &res.targets))
 }
 
-fn witness(res: &ExtractionResult) -> Witness {
-    Witness {
-        snapshot: snapshot_bytes(&res.subgraph.kg),
-        to_parent: res.subgraph.to_parent.clone(),
-        from_parent: res.subgraph.from_parent.clone(),
-        targets: res.targets.clone(),
-        method: res.report.method.clone(),
-        quality: format!("{:?}", kgtosa_kg::quality(&res.subgraph.kg, &res.targets)),
+/// The header the cache lists for `task`'s SPARQL entry under `pattern`.
+fn entry_info(task: &ExtractionTask, pattern: &GraphPattern) -> EntryInfo {
+    EntryInfo {
+        file_name: String::new(),
+        bytes: 0,
+        kg_fingerprint: None,
+        params: Some(task_params(task)),
+        pattern: Some(pattern.label()),
+        task: Some(task_label(task)),
+        extractor: Some("sparql".into()),
+        version: Some(FORMAT_VERSION),
     }
 }
 
@@ -206,14 +210,15 @@ proptest! {
             let task = nc_task(&kg, "A");
             let old_store = RdfStore::new(&kg);
             let old_res = extract_sparql(&old_store, &task, &pattern, &fetch).expect("old extraction");
-            // Pre-delta extractions for every (pattern, class) the oracle
-            // will be asked about below.
-            let mut old_witnesses = Vec::new();
+            let old_payload = payload(&old_res, kg.num_nodes());
+            // Pre-delta payloads for every (pattern, class) the oracle will
+            // be asked about below.
+            let mut old_payloads = Vec::new();
             for p in &GraphPattern::VARIANTS {
                 for class in CLASSES {
                     let t = nc_task(&kg, class);
                     let res = extract_sparql(&old_store, &t, p, &fetch).expect("old extraction");
-                    old_witnesses.push((p.label(), class, witness(&res)));
+                    old_payloads.push((*p, class, payload(&res, kg.num_nodes())));
                 }
             }
 
@@ -236,8 +241,9 @@ proptest! {
             let new_store = RdfStore::new(&app.kg);
             let graph = HeteroGraph::build(&app.kg);
             let old_triples = parent_triples(&app.kg, &old_res.subgraph);
+            let (old_nodes, new_nodes) = (kg.num_nodes(), app.kg.num_nodes());
             for &threads in &[1usize, 4, 8] {
-                let (repaired, fresh_w) = kgtosa_par::with_threads(threads, || {
+                let (repaired, from_entry, fresh) = kgtosa_par::with_threads(threads, || {
                     let (rep, _) = repair_extraction(
                         &new_store,
                         &graph,
@@ -250,39 +256,39 @@ proptest! {
                         &RepairConfig::default(),
                     )
                     .expect("repair");
+                    let (from_entry, _) = repair_entry(
+                        &new_store,
+                        &graph,
+                        &entry_info(&task, &pattern),
+                        &old_payload,
+                        old_nodes,
+                        &app.added,
+                        &app.removed,
+                        &fetch,
+                        &RepairConfig::default(),
+                    )
+                    .expect("an NC SPARQL entry is repairable");
                     let fresh_res =
                         extract_sparql(&new_store, &task, &pattern, &fetch).expect("fresh extraction");
-                    (witness(&rep), witness(&fresh_res))
+                    (payload(&rep, new_nodes), from_entry, payload(&fresh_res, new_nodes))
                 });
-                prop_assert_eq!(&repaired, &fresh_w, "repair diverged at {} threads", threads);
+                prop_assert!(repaired == fresh, "repair diverged at {} threads", threads);
+                prop_assert!(from_entry == fresh, "entry repair diverged at {} threads", threads);
             }
 
-            // (3) entries the oracle leaves fresh really are unchanged.
-            // `from_parent` is parent-sized, so a delta that merely grows
-            // the KG appends `None`s — the decode path rebuilds it from
-            // the live node count, so only the old prefix must match.
+            // (3) entries the oracle leaves fresh really are unchanged: the
+            // migrated payload is the one a fresh extraction publishes.
             let oracle = StalenessOracle::new(&app.kg, &app.added, &app.removed, &app.new_nodes);
-            for (label, class, old_w) in old_witnesses {
-                if oracle.entry_is_stale(&label, &format!("nc:{class}")) {
+            for (p, class, old_payload) in old_payloads {
+                if oracle.entry_is_stale(&p.label(), &format!("nc:{class}")) {
                     continue;
                 }
                 let t = nc_task(&kg, class);
-                let new_res = extract_sparql(&new_store, &t, GraphPattern::VARIANTS
-                    .iter()
-                    .find(|p| p.label() == label)
-                    .unwrap(), &fetch)
-                    .expect("new extraction");
-                let new_w = witness(&new_res);
-                let old_len = old_w.from_parent.len();
+                let new_res = extract_sparql(&new_store, &t, &p, &fetch).expect("new extraction");
+                let migrated = migrate_payload(&old_payload, old_nodes, new_nodes).expect("own payload");
                 prop_assert!(
-                    new_w.snapshot == old_w.snapshot
-                        && new_w.to_parent == old_w.to_parent
-                        && new_w.from_parent[..old_len] == old_w.from_parent[..]
-                        && new_w.from_parent[old_len..].iter().all(Option::is_none)
-                        && new_w.targets == old_w.targets
-                        && new_w.method == old_w.method
-                        && new_w.quality == old_w.quality,
-                    "oracle kept {}/nc:{} fresh but the extraction changed", label, class
+                    migrated == payload(&new_res, new_nodes),
+                    "oracle kept {}/nc:{} fresh but the extraction changed", p.label(), class
                 );
             }
 

@@ -46,6 +46,18 @@ impl Dictionary {
         id
     }
 
+    /// Appends a term the caller knows is not interned yet: one hash
+    /// insert, no lookup. Compaction and snapshot decoding use it, since
+    /// their terms come from a dictionary and are unique by construction.
+    pub(crate) fn push_new(&mut self, term: &str) -> u32 {
+        let id = self.reverse.len() as u32;
+        let boxed: Box<str> = term.into();
+        let previous = self.forward.insert(boxed.clone(), id);
+        debug_assert!(previous.is_none(), "push_new of an interned term");
+        self.reverse.push(boxed);
+        id
+    }
+
     /// Looks up an already-interned term without inserting.
     pub fn get(&self, term: &str) -> Option<u32> {
         self.forward.get(term).copied()

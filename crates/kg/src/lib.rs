@@ -52,11 +52,9 @@ pub use fingerprint::{fingerprint, fnv64, Fnv64, HashingWriter};
 pub use snapshot::{
     read_snapshot, write_snapshot, write_snapshot_fingerprinted, SnapshotView, SnapshotVisitor,
 };
-pub use stats::{
-    distances_to_targets, neighbor_type_entropy, quality, quality_with_graph, SubgraphQuality,
-};
+pub use stats::{distances_to_targets, neighbor_type_entropy, quality, SubgraphQuality};
 pub use subgraph::{
-    induced_subgraph, live_classes, live_relations, map_targets, subgraph_from_triples_and_nodes,
-    InducedSubgraph, NodeSet,
+    induced_subgraph, live_classes, live_relations, map_targets, sorted_unique,
+    subgraph_from_triples_and_nodes, InducedSubgraph, NodeSet,
 };
 pub use triples::{KnowledgeGraph, Triple};

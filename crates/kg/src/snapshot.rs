@@ -100,7 +100,7 @@ pub fn read_snapshot(mut r: impl Read) -> io::Result<KnowledgeGraph> {
     let mut bytes = Vec::new();
     r.read_to_end(&mut bytes)?;
     let mut build = Materialise::default();
-    walk(&bytes, &mut build)?;
+    walk(&bytes, &mut build, true)?;
     Ok(build.kg)
 }
 
@@ -139,7 +139,7 @@ impl<'a> SnapshotView<'a> {
     /// snapshot are not part of the view ([`Self::bytes`] ends where the
     /// snapshot does).
     pub fn parse(bytes: &'a [u8]) -> io::Result<Self> {
-        walk(bytes, &mut ())
+        walk(bytes, &mut (), true)
     }
 
     /// Exactly the snapshot's bytes.
@@ -170,9 +170,11 @@ impl<'a> SnapshotView<'a> {
         self.num_triples
     }
 
-    /// Walks the snapshot again, handing its contents to `visitor`.
+    /// Walks the snapshot again, handing its contents to `visitor`. The
+    /// terms were proven unique when the view was parsed, so this walk
+    /// does not check them again.
     pub fn visit(&self, visitor: &mut impl SnapshotVisitor<'a>) {
-        walk(self.bytes, visitor).expect("a parsed snapshot walks again");
+        walk(self.bytes, visitor, false).expect("a parsed snapshot walks again");
     }
 
     /// Builds the graph the snapshot describes.
@@ -183,25 +185,25 @@ impl<'a> SnapshotView<'a> {
     }
 }
 
-/// Builds a [`KnowledgeGraph`] from a walk.
+/// Builds a [`KnowledgeGraph`] from a walk. Every walk it takes part in
+/// has validated (or, re-walking a view, had validated) that the terms of
+/// each dictionary are unique, so they are appended without lookups.
 #[derive(Default)]
-struct Materialise<'a> {
+struct Materialise {
     kg: KnowledgeGraph,
-    classes: Vec<&'a str>,
 }
 
-impl<'a> SnapshotVisitor<'a> for Materialise<'a> {
-    fn class(&mut self, term: &'a str) {
-        self.kg.add_class(term);
-        self.classes.push(term);
+impl SnapshotVisitor<'_> for Materialise {
+    fn class(&mut self, term: &str) {
+        self.kg.push_class(term);
     }
 
-    fn relation(&mut self, term: &'a str) {
-        self.kg.add_relation(term);
+    fn relation(&mut self, term: &str) {
+        self.kg.push_relation(term);
     }
 
-    fn node(&mut self, class: Cid, term: &'a str) {
-        self.kg.add_node(term, self.classes[class.idx()]);
+    fn node(&mut self, class: Cid, term: &str) {
+        self.kg.push_node(term, class);
     }
 
     fn triple(&mut self, t: Triple) {
@@ -211,10 +213,12 @@ impl<'a> SnapshotVisitor<'a> for Materialise<'a> {
 
 /// Validates the snapshot at the start of `bytes`, handing each class,
 /// relation, node and triple to `visitor` once it has passed its checks.
-/// This is the format's only reader.
+/// This is the format's only reader. `check_terms: false` skips the
+/// term-uniqueness check, for re-walking bytes that already passed it.
 fn walk<'a>(
     bytes: &'a [u8],
     visitor: &mut impl SnapshotVisitor<'a>,
+    check_terms: bool,
 ) -> io::Result<SnapshotView<'a>> {
     let mut r = Bytes { rest: bytes };
     if r.take(MAGIC.len())? != MAGIC {
@@ -226,7 +230,7 @@ fn walk<'a>(
     let num_classes = r.u32()? as usize;
     for _ in 0..num_classes {
         let term = r.str()?;
-        if !seen.insert(term) {
+        if check_terms && !seen.insert(term) {
             return Err(bad("duplicate class term in snapshot"));
         }
         visitor.class(term);
@@ -235,21 +239,23 @@ fn walk<'a>(
     let num_relations = r.u32()? as usize;
     for _ in 0..num_relations {
         let term = r.str()?;
-        if !seen.insert(term) {
+        if check_terms && !seen.insert(term) {
             return Err(bad("duplicate relation term in snapshot"));
         }
         visitor.relation(term);
     }
     seen.clear();
     let num_nodes = r.u32()? as usize;
-    seen.reserve(num_nodes.min(MAX_PREALLOC));
+    if check_terms {
+        seen.reserve(num_nodes.min(MAX_PREALLOC));
+    }
     for _ in 0..num_nodes {
         let class = r.u32()?;
         let term = r.str()?;
         if class as usize >= num_classes {
             return Err(bad("node references unknown class"));
         }
-        if !seen.insert(term) {
+        if check_terms && !seen.insert(term) {
             return Err(bad("duplicate node term in snapshot"));
         }
         visitor.node(Cid(class), term);

@@ -12,8 +12,8 @@
 
 use std::collections::VecDeque;
 
-use crate::graph::HeteroGraph;
-use crate::ids::Vid;
+use crate::graph::{Csr, HeteroGraph};
+use crate::ids::{Cid, Vid};
 use crate::subgraph::{live_classes, live_relations, NodeSet};
 use crate::triples::KnowledgeGraph;
 
@@ -44,22 +44,19 @@ pub struct SubgraphQuality {
 
 /// Computes all indicators for `kg` given its targets.
 ///
-/// Builds a transient [`HeteroGraph`]; when the caller already has one, use
-/// [`quality_with_graph`] to avoid rebuilding adjacency.
+/// Distances and entropy read only the undirected adjacency, so this builds
+/// that one CSR (`2|T|` edges), not a [`HeteroGraph`].
 pub fn quality(kg: &KnowledgeGraph, targets: &[Vid]) -> SubgraphQuality {
-    let g = HeteroGraph::build(kg);
-    quality_with_graph(kg, &g, targets)
-}
-
-/// Computes all indicators given a prebuilt adjacency view.
-pub fn quality_with_graph(
-    kg: &KnowledgeGraph,
-    g: &HeteroGraph,
-    targets: &[Vid],
-) -> SubgraphQuality {
     let n = kg.num_nodes();
+    let mut edges = Vec::with_capacity(2 * kg.num_triples());
+    for t in kg.triples() {
+        edges.push((t.s.0, t.o.0));
+        edges.push((t.o.0, t.s.0));
+    }
+    let undirected = Csr::from_edge_list(n, &edges);
+    let neighbors = |v: Vid| undirected.neighbors(v);
     let target_set = NodeSet::from_iter(n, targets.iter().copied());
-    let dist = distances_to_targets(g, targets);
+    let dist = bfs_distances(n, neighbors, targets);
 
     let mut reachable_non_target = 0usize;
     let mut unreachable_non_target = 0usize;
@@ -92,7 +89,7 @@ pub fn quality_with_graph(
         } else {
             dist_sum as f64 / reachable_non_target as f64
         },
-        avg_entropy: neighbor_type_entropy(g),
+        avg_entropy: type_entropy(kg.node_classes(), kg.num_classes(), neighbors),
     }
 }
 
@@ -109,7 +106,15 @@ fn pct(part: usize, whole: usize) -> f64 {
 /// vertex, the hop distance to the nearest target (`u32::MAX` when
 /// unreachable). Targets themselves have distance 0.
 pub fn distances_to_targets(g: &HeteroGraph, targets: &[Vid]) -> Vec<u32> {
-    let mut dist = vec![u32::MAX; g.num_nodes()];
+    bfs_distances(g.num_nodes(), |v| g.undirected().neighbors(v), targets)
+}
+
+fn bfs_distances<'a>(
+    n: usize,
+    neighbors: impl Fn(Vid) -> &'a [u32],
+    targets: &[Vid],
+) -> Vec<u32> {
+    let mut dist = vec![u32::MAX; n];
     let mut queue = VecDeque::with_capacity(targets.len());
     for &t in targets {
         if dist[t.idx()] == u32::MAX {
@@ -119,7 +124,7 @@ pub fn distances_to_targets(g: &HeteroGraph, targets: &[Vid]) -> Vec<u32> {
     }
     while let Some(v) = queue.pop_front() {
         let next = dist[v.idx()] + 1;
-        for &u in g.undirected().neighbors(v) {
+        for &u in neighbors(v) {
             if dist[u as usize] == u32::MAX {
                 dist[u as usize] = next;
                 queue.push_back(Vid(u));
@@ -136,17 +141,24 @@ pub fn distances_to_targets(g: &HeteroGraph, targets: &[Vid]) -> Vec<u32> {
 /// neighbours; `P(k)` is the fraction of vertices whose count is `k`;
 /// `H = -Σ P(k) · log2 P(k)`. Higher values mean a more diverse topology.
 pub fn neighbor_type_entropy(g: &HeteroGraph) -> f64 {
-    let n = g.num_nodes();
+    type_entropy(g.node_classes(), g.num_classes(), |v| g.undirected().neighbors(v))
+}
+
+fn type_entropy<'a>(
+    node_class: &[Cid],
+    num_classes: usize,
+    neighbors: impl Fn(Vid) -> &'a [u32],
+) -> f64 {
+    let n = node_class.len();
     if n == 0 {
         return 0.0;
     }
     let mut histogram: Vec<usize> = Vec::new();
-    let mut seen = vec![u32::MAX; g.num_classes().max(1)];
+    let mut seen = vec![u32::MAX; num_classes.max(1)];
     for v in 0..n {
-        let vid = Vid(v as u32);
         let mut distinct = 0usize;
-        for &u in g.undirected().neighbors(vid) {
-            let c = g.class_of(Vid(u)).idx();
+        for &u in neighbors(Vid(v as u32)) {
+            let c = node_class[u as usize].idx();
             if seen[c] != v as u32 {
                 seen[c] = v as u32;
                 distinct += 1;

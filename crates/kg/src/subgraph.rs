@@ -7,7 +7,9 @@
 //! vertex ids and [`induced_subgraph`] performs the extraction with compact
 //! re-indexing so downstream training sees a small, dense id space.
 
-use crate::ids::Vid;
+use std::borrow::Cow;
+
+use crate::ids::{Cid, Rid, Vid};
 use crate::triples::{KnowledgeGraph, Triple};
 
 /// A fixed-capacity bitset over vertex ids.
@@ -133,32 +135,15 @@ pub fn induced_subgraph(kg: &KnowledgeGraph, keep: &NodeSet) -> InducedSubgraph 
         keep.capacity() >= kg.num_nodes(),
         "node set too small for graph"
     );
-    let mut sub = KnowledgeGraph::with_capacity(keep.len(), kg.num_triples() / 4);
-    let mut from_parent: Vec<Option<Vid>> = vec![None; kg.num_nodes()];
-    let mut to_parent: Vec<Vid> = Vec::with_capacity(keep.len());
-    for v in keep.iter() {
-        let new_id = sub.add_node(kg.node_term(v), kg.class_term(kg.class_of(v)));
-        from_parent[v.idx()] = Some(new_id);
-        to_parent.push(v);
-    }
-    for t in kg.triples() {
-        if let (Some(ns), Some(no)) = (from_parent[t.s.idx()], from_parent[t.o.idx()]) {
-            let np = sub.add_relation(kg.relation_term(t.p));
-            sub.add_triple(ns, np, no);
-        }
-    }
-    InducedSubgraph {
-        kg: sub,
-        to_parent,
-        from_parent,
-    }
+    compact(kg, keep, kg.triples(), kg.num_triples() / 4)
 }
 
 /// Builds a compacted subgraph directly from a set of parent triples (used
 /// by the SPARQL extraction path, whose output is a triple stream rather
 /// than a vertex set). `extra_nodes` are retained even when no triple
 /// touches them (e.g. isolated target vertices, which must stay visible to
-/// the training task).
+/// the training task). The triples are kept sorted and deduplicated; input
+/// that already is (strictly ascending) is used as it is.
 pub fn subgraph_from_triples_and_nodes(
     kg: &KnowledgeGraph,
     triples: &[Triple],
@@ -172,22 +157,50 @@ pub fn subgraph_from_triples_and_nodes(
     for &v in extra_nodes {
         keep.insert(v);
     }
-    let mut sub = KnowledgeGraph::with_capacity(keep.len(), triples.len());
-    let mut from_parent: Vec<Option<Vid>> = vec![None; kg.num_nodes()];
-    let mut to_parent: Vec<Vid> = Vec::with_capacity(keep.len());
-    for v in keep.iter() {
-        let new_id = sub.add_node(kg.node_term(v), kg.class_term(kg.class_of(v)));
-        from_parent[v.idx()] = Some(new_id);
-        to_parent.push(v);
+    let sorted = sorted_unique(triples);
+    compact(kg, &keep, &sorted, sorted.len())
+}
+
+/// `triples` strictly ascending: borrowed when it already is, otherwise
+/// sorted and deduplicated into a copy.
+pub fn sorted_unique(triples: &[Triple]) -> Cow<'_, [Triple]> {
+    if triples.windows(2).all(|w| w[0] < w[1]) {
+        return Cow::Borrowed(triples);
     }
-    let mut sorted: Vec<Triple> = triples.to_vec();
+    let mut sorted = triples.to_vec();
     sorted.sort_unstable();
     sorted.dedup();
-    for t in &sorted {
-        let ns = from_parent[t.s.idx()].expect("endpoint collected above");
-        let no = from_parent[t.o.idx()].expect("endpoint collected above");
-        let np = sub.add_relation(kg.relation_term(t.p));
-        sub.add_triple(ns, np, no);
+    Cow::Owned(sorted)
+}
+
+/// The one compaction both extractors end in: the kept vertices in
+/// ascending parent id, then every given triple whose endpoints are kept,
+/// in the given order. Classes and relations are re-interned in order of
+/// first use, through parent-id tables rather than term lookups; every
+/// term is new to `KG'`, so it is appended without a lookup.
+fn compact(
+    kg: &KnowledgeGraph,
+    keep: &NodeSet,
+    triples: &[Triple],
+    triple_capacity: usize,
+) -> InducedSubgraph {
+    let mut sub = KnowledgeGraph::with_capacity(keep.len(), triple_capacity);
+    let mut from_parent: Vec<Option<Vid>> = vec![None; kg.num_nodes()];
+    let mut to_parent: Vec<Vid> = Vec::with_capacity(keep.len());
+    let mut classes: Vec<Option<Cid>> = vec![None; kg.num_classes()];
+    for v in keep.iter() {
+        let c = kg.class_of(v);
+        let class = *classes[c.idx()].get_or_insert_with(|| sub.push_class(kg.class_term(c)));
+        from_parent[v.idx()] = Some(sub.push_node(kg.node_term(v), class));
+        to_parent.push(v);
+    }
+    let mut relations: Vec<Option<Rid>> = vec![None; kg.num_relations()];
+    for t in triples {
+        if let (Some(s), Some(o)) = (from_parent[t.s.idx()], from_parent[t.o.idx()]) {
+            let p = *relations[t.p.idx()]
+                .get_or_insert_with(|| sub.push_relation(kg.relation_term(t.p)));
+            sub.add_triple(s, p, o);
+        }
     }
     InducedSubgraph {
         kg: sub,
@@ -289,6 +302,9 @@ mod tests {
         // a, b, c from the triples plus the isolated extra node d.
         assert_eq!(sub.kg.num_nodes(), 4);
         assert!(sub.map_down(d).is_some());
+        // Terms are found again through the compacted dictionaries.
+        assert_eq!(sub.kg.find_node("d"), sub.map_down(d));
+        assert!(sub.kg.find_class("D").is_some() && sub.kg.find_relation("r").is_some());
     }
 
     #[test]

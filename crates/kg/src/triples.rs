@@ -94,9 +94,24 @@ impl KnowledgeGraph {
         Rid(self.relations.intern(term))
     }
 
-    /// Interns (or finds) a class without creating any vertex.
-    pub fn add_class(&mut self, term: &str) -> Cid {
-        Cid(self.classes.intern(term))
+    /// Appends a class term that is not interned yet (see
+    /// [`Dictionary::push_new`]).
+    pub(crate) fn push_class(&mut self, term: &str) -> Cid {
+        Cid(self.classes.push_new(term))
+    }
+
+    /// Appends a relation term that is not interned yet.
+    pub(crate) fn push_relation(&mut self, term: &str) -> Rid {
+        Rid(self.relations.push_new(term))
+    }
+
+    /// Appends a vertex whose term is not interned yet, of an existing
+    /// class.
+    pub(crate) fn push_node(&mut self, term: &str, class: Cid) -> Vid {
+        debug_assert!(class.idx() < self.classes.len(), "class out of range");
+        let vid = Vid(self.nodes.push_new(term));
+        self.node_class.push(class);
+        vid
     }
 
     /// Appends a triple between already-created vertices.

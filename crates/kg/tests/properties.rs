@@ -3,8 +3,9 @@
 use proptest::prelude::*;
 
 use kgtosa_kg::{
-    distances_to_targets, induced_subgraph, neighbor_type_entropy, Dictionary, HeteroGraph,
-    KnowledgeGraph, NodeSet, Vid,
+    distances_to_targets, induced_subgraph, live_classes, live_relations, neighbor_type_entropy,
+    quality, subgraph_from_triples_and_nodes, write_snapshot, Dictionary, HeteroGraph,
+    InducedSubgraph, KnowledgeGraph, NodeSet, SubgraphQuality, Triple, Vid,
 };
 
 /// Strategy: a random small KG as raw (s_class, p, o_class) edge templates
@@ -32,7 +33,158 @@ fn arb_kg() -> impl Strategy<Value = KnowledgeGraph> {
     })
 }
 
+/// `quality` as it was computed before it built its own adjacency: from
+/// the undirected view of a full [`HeteroGraph`].
+fn quality_via_hetero_graph(kg: &KnowledgeGraph, targets: &[Vid]) -> SubgraphQuality {
+    let g = HeteroGraph::build(kg);
+    let n = kg.num_nodes();
+    let target_set = NodeSet::from_iter(n, targets.iter().copied());
+    let dist = distances_to_targets(&g, targets);
+    let (mut reachable, mut unreachable, mut dist_sum) = (0usize, 0usize, 0u64);
+    for (v, &d) in dist.iter().enumerate() {
+        if target_set.contains(Vid(v as u32)) {
+            continue;
+        }
+        if d == u32::MAX {
+            unreachable += 1;
+        } else {
+            reachable += 1;
+            dist_sum += u64::from(d);
+        }
+    }
+    let pct = |part: usize, whole: usize| {
+        if whole == 0 {
+            0.0
+        } else {
+            100.0 * part as f64 / whole as f64
+        }
+    };
+    SubgraphQuality {
+        num_nodes: n,
+        num_triples: kg.num_triples(),
+        target_count: target_set.len(),
+        target_ratio_pct: pct(target_set.len(), n),
+        num_classes: live_classes(kg),
+        num_relations: live_relations(kg),
+        target_disconnected_pct: pct(unreachable, reachable + unreachable),
+        avg_dist_to_target: if reachable == 0 {
+            0.0
+        } else {
+            dist_sum as f64 / reachable as f64
+        },
+        avg_entropy: neighbor_type_entropy(&g),
+    }
+}
+
+/// Field-for-field equality, `f64`s compared bit for bit.
+fn same_quality(a: &SubgraphQuality, b: &SubgraphQuality) -> bool {
+    let counts = |q: &SubgraphQuality| {
+        [q.num_nodes, q.num_triples, q.target_count, q.num_classes, q.num_relations]
+    };
+    let ratios = |q: &SubgraphQuality| {
+        [q.target_ratio_pct, q.target_disconnected_pct, q.avg_dist_to_target, q.avg_entropy]
+            .map(f64::to_bits)
+    };
+    counts(a) == counts(b) && ratios(a) == ratios(b)
+}
+
+/// The compaction as it was before it used id tables: every term interned
+/// by lookup, triples sorted and deduplicated first.
+fn compact_by_terms(kg: &KnowledgeGraph, triples: &[Triple], extra: &[Vid]) -> InducedSubgraph {
+    let mut keep = NodeSet::new(kg.num_nodes());
+    for t in triples {
+        keep.insert(t.s);
+        keep.insert(t.o);
+    }
+    for &v in extra {
+        keep.insert(v);
+    }
+    let mut sub = KnowledgeGraph::new();
+    let mut from_parent = vec![None; kg.num_nodes()];
+    let mut to_parent = Vec::new();
+    for v in keep.iter() {
+        from_parent[v.idx()] = Some(sub.add_node(kg.node_term(v), kg.class_term(kg.class_of(v))));
+        to_parent.push(v);
+    }
+    let mut sorted = triples.to_vec();
+    sorted.sort_unstable();
+    sorted.dedup();
+    for t in sorted {
+        let p = sub.add_relation(kg.relation_term(t.p));
+        sub.add_triple(from_parent[t.s.idx()].unwrap(), p, from_parent[t.o.idx()].unwrap());
+    }
+    InducedSubgraph { kg: sub, to_parent, from_parent }
+}
+
+fn snapshot(kg: &KnowledgeGraph) -> Vec<u8> {
+    let mut buf = Vec::new();
+    write_snapshot(kg, &mut buf).unwrap();
+    buf
+}
+
+#[test]
+fn quality_of_the_empty_graph_matches_the_hetero_graph_recomputation() {
+    let kg = KnowledgeGraph::new();
+    assert!(same_quality(&quality(&kg, &[]), &quality_via_hetero_graph(&kg, &[])));
+}
+
 proptest! {
+    /// `quality` is, field for field and bit for bit, what the full
+    /// `HeteroGraph`'s undirected view gives — over graphs with isolated
+    /// vertices and duplicate triples, with and without (duplicate)
+    /// targets.
+    #[test]
+    fn quality_matches_the_hetero_graph_recomputation(
+        kg in arb_kg(),
+        picks in proptest::collection::vec(0usize..40, 0..8),
+    ) {
+        let targets: Vec<Vid> = picks.iter().map(|&i| Vid((i % kg.num_nodes()) as u32)).collect();
+        let got = quality(&kg, &targets);
+        let want = quality_via_hetero_graph(&kg, &targets);
+        prop_assert!(same_quality(&got, &want), "{:?} != {:?}", got, want);
+    }
+
+    /// Shuffled, duplicated triples compact to the same snapshot bytes,
+    /// parent mapping and dictionary order as the sorted set — and to what
+    /// interning every term by lookup gives.
+    #[test]
+    fn compaction_ignores_input_order_and_duplicates(
+        kg in arb_kg(),
+        mask in proptest::collection::vec(any::<bool>(), 1..40),
+        extra in proptest::collection::vec(0usize..40, 0..4),
+        seed in any::<u64>(),
+    ) {
+        let picked: Vec<Triple> = kg
+            .triples()
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| mask[i % mask.len()])
+            .map(|(_, &t)| t)
+            .collect();
+        let extra: Vec<Vid> = extra.iter().map(|&i| Vid((i % kg.num_nodes()) as u32)).collect();
+        let mut sorted = picked.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        // Every picked triple twice, in a seeded shuffle.
+        let mut shuffled: Vec<Triple> = picked.iter().chain(&picked).copied().collect();
+        let mut state = seed | 1;
+        for i in (1..shuffled.len()).rev() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            shuffled.swap(i, (state % (i as u64 + 1)) as usize);
+        }
+        let from_sorted = subgraph_from_triples_and_nodes(&kg, &sorted, &extra);
+        let reference = compact_by_terms(&kg, &shuffled, &extra);
+        for sub in [subgraph_from_triples_and_nodes(&kg, &shuffled, &extra), reference] {
+            prop_assert_eq!(snapshot(&sub.kg), snapshot(&from_sorted.kg));
+            prop_assert_eq!(&sub.to_parent, &from_sorted.to_parent);
+            prop_assert_eq!(&sub.from_parent, &from_sorted.from_parent);
+            prop_assert!(sub.kg.relations().eq(from_sorted.kg.relations()));
+            prop_assert!(sub.kg.classes().eq(from_sorted.kg.classes()));
+        }
+    }
+
     /// Interning any sequence of strings is a bijection onto 0..len.
     #[test]
     fn dictionary_bijection(terms in proptest::collection::vec("[a-z]{1,12}", 1..100)) {

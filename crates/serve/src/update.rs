@@ -14,7 +14,7 @@
 //!    — is bounded by the sweep, not by the epoch build;
 //! 4. sweep the artifact cache: entries the [`StalenessOracle`] proves
 //!    untouched are migrated to the new fingerprint; stale entries are
-//!    incrementally repaired (`kgtosa_core::repair_extraction`) and
+//!    incrementally repaired ([`kgtosa_core::repair_entry`]) and
 //!    republished, or invalidated when repair is disabled or inapplicable.
 //!
 //! Everything is counted: `delta.applied`, `delta.ops`,
@@ -30,13 +30,10 @@
 use std::sync::{Arc, PoisonError};
 use std::time::Instant;
 
-use kgtosa_cache::EntryInfo;
 use kgtosa_core::{
-    encode_extraction_parts, repair_extraction, sweep_cache_after_delta, task_params,
-    DeltaSweepOutcome, ExtractionTask, ExtractionView, GraphPattern, RepairConfig,
-    StalenessOracle,
+    repair_entry, sweep_cache_after_delta, DeltaSweepOutcome, RepairConfig, StalenessOracle,
 };
-use kgtosa_kg::{apply_delta, DeltaApplication, DeltaOp, KgDelta, Triple, Vid};
+use kgtosa_kg::{apply_delta, DeltaApplication, DeltaOp, KgDelta};
 use kgtosa_obs::httpd::{HttpRequest, HttpResponse};
 use kgtosa_obs::Json;
 use kgtosa_rdf::FetchConfig;
@@ -158,6 +155,10 @@ pub fn admin_update(state: &ServeState, req: &HttpRequest) -> HttpResponse {
             max_candidate_ratio: state.cfg.repair_frontier_ratio,
             ..RepairConfig::default()
         };
+        let fetch = FetchConfig {
+            page_cache: Some(epoch.page_cache.clone()),
+            ..FetchConfig::default()
+        };
         let old_nodes = old.kg.num_nodes();
         let swept = sweep_cache_after_delta(
             cache,
@@ -170,16 +171,19 @@ pub fn admin_update(state: &ServeState, req: &HttpRequest) -> HttpResponse {
                 if !do_repair {
                     return None;
                 }
-                repair_entry(
-                    &epoch,
+                let (bytes, report) = repair_entry(
+                    &epoch.store,
+                    &epoch.graph,
                     info,
                     payload,
                     old_nodes,
                     &added,
                     &removed,
+                    &fetch,
                     &repair_cfg,
-                    &mut rebuilds,
-                )
+                )?;
+                rebuilds += u64::from(report.fallback.is_some());
+                Some(bytes)
             },
         );
         match swept {
@@ -257,71 +261,4 @@ pub fn admin_update(state: &ServeState, req: &HttpRequest) -> HttpResponse {
         ),
     ];
     HttpResponse::json(200, Json::Obj(fields).to_string())
-}
-
-/// Repairs one stale cache entry against the new epoch, returning the
-/// replacement payload to publish under the entry's own key — or `None`
-/// to invalidate it instead.
-///
-/// Only SPARQL node-classification entries are repairable: the entry's
-/// original target set is recovered from the payload (NC targets always
-/// survive extraction, in task order), and the `params` hash must
-/// round-trip so the republished payload answers exactly the key it is
-/// stored under. The old targets and parent-space triples are read
-/// straight from the payload's [`ExtractionView`]; no subgraph graph is
-/// built.
-#[allow(clippy::too_many_arguments)]
-fn repair_entry(
-    epoch: &KgEpoch,
-    info: &EntryInfo,
-    payload: &[u8],
-    old_parent_nodes: usize,
-    added: &[Triple],
-    removed: &[Triple],
-    cfg: &RepairConfig,
-    rebuilds: &mut u64,
-) -> Option<Vec<u8>> {
-    if info.extractor.as_deref() != Some("sparql") {
-        return None;
-    }
-    let pattern_label = info.pattern.as_deref()?;
-    let pattern = GraphPattern::from_label(pattern_label)?;
-    let class = info.task.as_deref()?.strip_prefix("nc:")?;
-    let old = ExtractionView::parse(payload, old_parent_nodes).ok()?;
-    let targets: Vec<Vid> = old.targets().map(|t| old.map_up(t)).collect();
-    let task = ExtractionTask::node_classification(class, class, targets);
-    if info.params != Some(task_params(&task)) {
-        return None;
-    }
-    let old_triples = old.parent_triples(&epoch.kg)?;
-    let fetch = FetchConfig {
-        page_cache: Some(epoch.page_cache.clone()),
-        ..FetchConfig::default()
-    };
-    let (res, report) = repair_extraction(
-        &epoch.store,
-        &epoch.graph,
-        &task,
-        &pattern,
-        &old_triples,
-        added,
-        removed,
-        &fetch,
-        cfg,
-    )
-    .ok()?;
-    if report.fallback.is_some() {
-        *rebuilds += 1;
-    }
-    if res.report.completeness < 1.0 {
-        return None;
-    }
-    let q = kgtosa_kg::quality(&res.subgraph.kg, &res.targets);
-    Some(encode_extraction_parts(
-        &res.report.method,
-        &res.subgraph,
-        &res.targets,
-        epoch.kg.num_nodes(),
-        &q,
-    ))
 }

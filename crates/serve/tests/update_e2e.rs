@@ -347,6 +347,84 @@ fn update_validates_requests_and_invalidates_without_repair() {
     let _ = std::fs::remove_dir_all(&cache_dir);
 }
 
+/// Regression: an update that leaves the canonical fingerprint as it was —
+/// here one delta that adds and then removes the same existing triple —
+/// re-keys every entry onto its own path, and the sweep used to delete
+/// each republished file right after writing it while still counting it
+/// `migrated`.
+#[test]
+fn an_update_that_keeps_the_fingerprint_keeps_the_cache() {
+    let cache_dir = temp_dir("same-fp-cache");
+    let daemon = Daemon::spawn(ServeConfig {
+        cache_dir: Some(cache_dir.clone()),
+        ..base_config()
+    });
+    let dataset = kgtosa_datagen::mag(SCALE, SEED);
+    let kg = &dataset.gen.kg;
+    let task = &dataset.nc[0];
+    // An outgoing edge of a target paper: the d1h1 Paper entry is stale
+    // under it (and repaired), the Patent entry is not (and migrated).
+    let t = kg
+        .triples()
+        .iter()
+        .copied()
+        .find(|t| t.s == task.targets()[0])
+        .expect("a target paper has an outgoing edge");
+    let (s, p, o) = (kg.node_term(t.s), kg.relation_term(t.p), kg.node_term(t.o));
+    let (sc, oc) = (kg.class_term(kg.class_of(t.s)), kg.class_term(kg.class_of(t.o)));
+
+    let paper_body = format!(
+        "{{\"task\":\"{}\",\"pattern\":\"d1h1\",\"deadline_ms\":30000}}",
+        task.name
+    );
+    let patent_body = "{\"target_class\":\"Patent\",\"pattern\":\"d1h1\",\"deadline_ms\":30000}";
+    let paper0 = extract(daemon.addr, &paper_body);
+    let patent0 = extract(daemon.addr, patent_body);
+
+    let upd = ok_json(
+        &post_json(
+            daemon.addr,
+            "/admin/update",
+            &format!(
+                "{{\"ops\":[{{\"op\":\"add\",\"s\":\"{s}\",\"s_class\":\"{sc}\",\"p\":\"{p}\",\
+                 \"o\":\"{o}\",\"o_class\":\"{oc}\"}},\
+                 {{\"op\":\"remove\",\"s\":\"{s}\",\"p\":\"{p}\",\"o\":\"{o}\"}}]}}"
+            ),
+            Duration::from_secs(60),
+        )
+        .unwrap(),
+    );
+    assert_eq!(num(&upd, &["epoch"]), 1.0);
+    assert_eq!(
+        str_field(&upd, "kg_fingerprint"),
+        str_field(&upd, "previous_fingerprint")
+    );
+    assert_eq!(num(&upd, &["cache", "stale"]), 1.0);
+    assert_eq!(num(&upd, &["cache", "repaired"]), 1.0);
+    assert_eq!(num(&upd, &["cache", "migrated"]), 2.0);
+    assert_eq!(num(&upd, &["cache", "invalidated"]), 0.0);
+    assert_eq!(num(&upd, &["cache", "failed"]), 0.0);
+    // What `migrated` counts is on disk...
+    let on_disk = std::fs::read_dir(&cache_dir)
+        .unwrap()
+        .filter(|e| e.as_ref().unwrap().path().extension().is_some_and(|x| x == "kgc"))
+        .count();
+    assert_eq!(on_disk, 2);
+    // ...and both warm keys still hit, answering what they answered.
+    for (body, before) in [(paper_body.as_str(), &paper0), (patent_body, &patent0)] {
+        let after = extract(daemon.addr, body);
+        assert_eq!(after.get("cached").and_then(Json::as_bool), Some(true), "{body}: {after}");
+        assert_eq!(num(&after, &["epoch"]), 1.0);
+        assert_eq!(
+            str_field(&after, "subgraph_fingerprint"),
+            str_field(before, "subgraph_fingerprint")
+        );
+    }
+
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&cache_dir);
+}
+
 /// An epoch held across an update (as an in-flight request holds it) keeps
 /// answering from the graph it was built on, and that graph is freed the
 /// moment the holder lets go — for the startup graph (round 0) and for one
