@@ -12,9 +12,10 @@
 
 use kgtosa_kg::Fnv64;
 
-/// Bumped whenever the artifact payload layout changes; stored in the
-/// file header and checked on load.
-pub const FORMAT_VERSION: u32 = 1;
+/// Bumped whenever the artifact layout changes; stored as the version of
+/// the artifact's frame and checked on load. Version 2 moved the artifact
+/// onto the shared `kgtosa_kg::frame`.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Everything that addresses one cached extraction artifact.
 #[derive(Debug, Clone, PartialEq, Eq)]

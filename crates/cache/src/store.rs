@@ -9,45 +9,39 @@
 //! <dir>/<digest-hex>.<pid>-<n>.kgc.tmp a store in flight (one per store call)
 //! ```
 //!
-//! Artifact layout (mirrors `crates/models/checkpoint.rs` conventions —
-//! magic, embedded key, length-prefixed payload, trailing checksum,
-//! atomic tmp+rename publish, validate *everything* before load):
+//! An artifact is a [`kgtosa_kg::frame`] with magic `KGTOSAA1` and
+//! version [`FORMAT_VERSION`] (the frame checksums everything, and is
+//! published by an atomic tmp + rename), whose body is
 //!
 //! ```text
-//! magic "KGTOSAA1" | version u32
-//! | kg_fingerprint u64 | params u64
+//! kg_fingerprint u64 | params u64
 //! | pattern str | task str | extractor str   (u32 len + bytes each)
-//! | payload_len u64 | payload | fnv64(payload) u64
+//! | payload                                   (the rest of the body)
 //! ```
 //!
 //! Lookup classification:
-//! - file absent                         → `Miss`
-//! - bad magic / truncation / bad sum    → `Corrupt` (file quarantined)
-//! - version or embedded key mismatch    → `Stale` (file removed)
-//! - everything checks out               → `Hit` (access marker refreshed)
+//! - file absent                           → `Miss`
+//! - frame or embedded key does not parse  → `Corrupt` (file quarantined)
+//! - version or embedded key mismatch      → `Stale` (file removed)
+//! - everything checks out                 → `Hit` (access marker refreshed)
 //!
 //! A corrupt artifact is *moved aside*, never deleted: the differential
 //! harness (and a human) can inspect what went wrong, and the slot is
 //! free for a clean re-extract. No lookup path panics on hostile bytes.
 
 use std::fs;
-use std::io::{self, Read, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::SystemTime;
 
-use kgtosa_kg::fnv64;
+use kgtosa_kg::{read_framed, write_framed};
 
 use crate::invalidate::{SweepAction, SweepReport};
 use crate::key::{CacheKey, FORMAT_VERSION};
 
 const MAGIC: &[u8; 8] = b"KGTOSAA1";
-/// Upper bound on embedded key strings; anything larger is a forged header.
-const MAX_KEY_STR: usize = 4096;
-/// Upper bound on a payload we will load (1 GiB); beyond this the header
-/// is treated as corrupt rather than letting it drive allocation.
-const MAX_PAYLOAD: u64 = 1 << 30;
 
 /// How a lookup resolved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,7 +102,7 @@ pub struct DiskStats {
 pub struct EntryInfo {
     pub file_name: String,
     pub bytes: u64,
-    /// Header fields, if the header was readable.
+    /// Embedded key fields, if the artifact validated.
     pub kg_fingerprint: Option<u64>,
     pub params: Option<u64>,
     pub pattern: Option<String>,
@@ -158,34 +152,40 @@ impl ArtifactCache {
         artifact.with_extension("touch")
     }
 
+    fn remove_entry(&self, artifact: &Path) {
+        let _ = fs::remove_file(artifact);
+        let _ = fs::remove_file(self.touch_path_for(artifact));
+    }
+
+    /// Refreshes `artifact`'s LRU clock: recreates its zero-byte marker so
+    /// the marker's mtime records this access (std cannot set mtimes).
+    fn touch(&self, artifact: &Path) {
+        let touch = self.touch_path_for(artifact);
+        let _ = fs::remove_file(&touch);
+        let _ = fs::File::create(&touch);
+    }
+
     /// Looks up `key`, validating the artifact end-to-end before any
     /// byte of it is trusted.
     pub fn lookup(&self, key: &CacheKey) -> CacheLookup {
         let path = self.artifact_path(key);
-        let bytes = match fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                return self.resolve(CacheOutcome::Miss, None);
-            }
-            Err(_) => return self.resolve(CacheOutcome::Miss, None),
+        let Ok(bytes) = fs::read(&path) else {
+            return self.resolve(CacheOutcome::Miss, None);
         };
-        match parse_artifact(&bytes, key) {
-            Ok(payload) => {
-                // Refresh the LRU clock: recreate the zero-byte marker so
-                // its mtime records this access (std cannot set mtimes
-                // directly).
-                let touch = self.touch_path_for(&path);
-                let _ = fs::remove_file(&touch);
-                let _ = fs::File::create(&touch);
-                self.resolve(CacheOutcome::Hit, Some(payload))
+        match read_artifact(&bytes) {
+            Ok((stored, payload)) if stored == *key => {
+                self.touch(&path);
+                self.resolve(CacheOutcome::Hit, Some(payload.to_vec()))
             }
-            Err(ParseError::Stale(_why)) => {
-                let _ = fs::remove_file(&path);
-                let _ = fs::remove_file(self.touch_path_for(&path));
+            // Same digest, different key — a collision or tampering — or
+            // another format version: either way the entry cannot serve
+            // this request and a re-extract should overwrite it.
+            Ok(_) | Err(CacheOutcome::Stale) => {
+                self.remove_entry(&path);
                 self.publish_bytes_gauge();
                 self.resolve(CacheOutcome::Stale, None)
             }
-            Err(ParseError::Corrupt(_why)) => {
+            Err(_) => {
                 let mut quarantine = path.as_os_str().to_owned();
                 quarantine.push(".quarantine");
                 let _ = fs::rename(&path, PathBuf::from(quarantine));
@@ -233,30 +233,13 @@ impl ArtifactCache {
     /// of the directory), for a caller that stores many entries and
     /// publishes the gauge once.
     fn store_entry(&self, key: &CacheKey, payload: &[u8]) -> io::Result<PathBuf> {
-        /// Distinguishes the temp files of one process's concurrent stores.
-        static STORE_SEQ: AtomicU64 = AtomicU64::new(0);
         let path = self.artifact_path(key);
-        // Every store writes its own temp file. Writers of one key — two
+        // Every store writes its own temp file: writers of one key — two
         // workers missing on it at once, or a reader re-extracting while a
-        // sweep migrates it — would otherwise truncate each other's
-        // half-written file and rename a torn artifact into place. The
-        // name still ends in `.kgc.tmp`, so `clear` sweeps leftovers.
-        let seq = STORE_SEQ.fetch_add(1, Ordering::Relaxed);
-        let tmp = path.with_extension(format!("{}-{seq}.kgc.tmp", std::process::id()));
-        let bytes = encode_artifact(key, payload);
-        let publish = || -> io::Result<()> {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(&bytes)?;
-            f.sync_all()?;
-            fs::rename(&tmp, &path)
-        };
-        if let Err(e) = publish() {
-            let _ = fs::remove_file(&tmp);
-            return Err(e);
-        }
-        let touch = self.touch_path_for(&path);
-        let _ = fs::remove_file(&touch);
-        let _ = fs::File::create(&touch);
+        // sweep migrates it — never publish each other's half-written
+        // file. Its name ends in `.kgc.tmp`, so `clear` sweeps leftovers.
+        write_framed(&path, MAGIC, FORMAT_VERSION, &artifact_body(key, payload))?;
+        self.touch(&path);
         self.stats.stores.fetch_add(1, Ordering::Relaxed);
         self.evict_to_budget()?;
         Ok(path)
@@ -268,13 +251,8 @@ impl ArtifactCache {
         let Some(budget) = self.budget else { return Ok(()) };
         let mut entries: Vec<(PathBuf, u64, SystemTime)> = Vec::new();
         let mut total = 0u64;
-        for entry in fs::read_dir(&self.dir)? {
-            let entry = entry?;
-            let path = entry.path();
-            if path.extension().and_then(|e| e.to_str()) != Some("kgc") {
-                continue;
-            }
-            let meta = entry.metadata()?;
+        for path in self.artifact_paths()? {
+            let meta = fs::metadata(&path)?;
             let accessed = fs::metadata(self.touch_path_for(&path))
                 .and_then(|m| m.modified())
                 .or_else(|_| meta.modified())
@@ -285,9 +263,9 @@ impl ArtifactCache {
         if total <= budget {
             return Ok(());
         }
-        // Oldest access first; file name tie-break keeps eviction
-        // deterministic when markers share an mtime granule.
-        entries.sort_by(|a, b| a.2.cmp(&b.2).then_with(|| a.0.cmp(&b.0)));
+        // Oldest access first; the stable sort keeps name order among
+        // markers that share an mtime granule, so eviction is deterministic.
+        entries.sort_by_key(|e| e.2);
         for (path, len, _) in entries {
             if total <= budget {
                 break;
@@ -325,52 +303,43 @@ impl ArtifactCache {
         Ok(stats)
     }
 
-    /// Lists artifacts with their embedded key headers (for `cache ls`).
-    pub fn entries(&self) -> io::Result<Vec<EntryInfo>> {
-        let mut rows = Vec::new();
+    /// The `.kgc` files in the store, sorted by name.
+    fn artifact_paths(&self) -> io::Result<Vec<PathBuf>> {
+        let mut paths = Vec::new();
         for entry in fs::read_dir(&self.dir)? {
             let entry = entry?;
             let path = entry.path();
-            if path.extension().and_then(|e| e.to_str()) != Some("kgc") {
-                continue;
+            if path.extension().and_then(|e| e.to_str()) == Some("kgc")
+                && entry.file_type()?.is_file()
+            {
+                paths.push(path);
             }
-            let bytes = entry.metadata()?.len();
-            let file_name = path
-                .file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_default();
-            let header = fs::File::open(&path).ok().and_then(|f| read_header(f).ok());
-            let (kg_fingerprint, params, pattern, task, extractor, version) = match header {
-                Some(h) => (
-                    Some(h.kg_fingerprint),
-                    Some(h.params),
-                    Some(h.pattern),
-                    Some(h.task),
-                    Some(h.extractor),
-                    Some(h.version),
-                ),
-                None => (None, None, None, None, None, None),
-            };
-            rows.push(EntryInfo { file_name, bytes, kg_fingerprint, params, pattern, task, extractor, version });
         }
-        rows.sort_by(|a, b| a.file_name.cmp(&b.file_name));
-        Ok(rows)
+        paths.sort();
+        Ok(paths)
+    }
+
+    /// Lists artifacts with their embedded keys (for `cache ls`); the key
+    /// fields of a file that does not validate are `None`.
+    pub fn entries(&self) -> io::Result<Vec<EntryInfo>> {
+        Ok(self.artifact_paths()?.iter().map(|path| read_entry(path).0).collect())
     }
 
     /// Re-keys the store across a KG fingerprint change (delta apply).
     ///
-    /// Every artifact keyed by `old_fp` is read, validated against its own
-    /// embedded key, and handed to `decide` together with its payload. The
-    /// caller returns a [`SweepAction`]: `Invalidate` removes the entry
-    /// (its extraction no longer matches what a fresh run would produce),
-    /// `Migrate(payload)` atomically publishes the given payload under the
-    /// identical key re-pinned to `new_fp` and removes the old file (when
+    /// Every artifact is read and validated once. One keyed by `old_fp` is
+    /// handed to `decide` together with its payload. The caller returns a
+    /// [`SweepAction`]: `Invalidate` removes the entry (its extraction no
+    /// longer matches what a fresh run would produce), `Migrate(payload)`
+    /// atomically publishes the given payload under the identical key
+    /// re-pinned to `new_fp` and removes the old file (when
     /// `new_fp == old_fp` the publish itself replaced it) — so entries
     /// untouched by the delta keep hitting after the update.
     /// Entries keyed by other fingerprints are skipped; entries whose
-    /// bytes fail validation — and `Migrate`s whose re-publish fails —
-    /// are removed and counted as `failed`, so a sweep always terminates
-    /// with no entries left under `old_fp`.
+    /// bytes fail validation — whatever fingerprint they claim — and
+    /// `Migrate`s whose re-publish fails are removed and counted as
+    /// `failed`, so a sweep always terminates with no entries left under
+    /// `old_fp`.
     pub fn sweep_fingerprint(
         &self,
         old_fp: u64,
@@ -378,35 +347,21 @@ impl ArtifactCache {
         mut decide: impl FnMut(&EntryInfo, Vec<u8>) -> SweepAction,
     ) -> io::Result<SweepReport> {
         let mut report = SweepReport::default();
-        for info in self.entries()? {
+        for path in self.artifact_paths()? {
             report.scanned += 1;
-            if info.kg_fingerprint != Some(old_fp) {
+            let (info, entry) = read_entry(&path);
+            let Some((old_key, payload)) = entry else {
+                self.remove_entry(&path);
+                report.failed += 1;
+                continue;
+            };
+            if old_key.kg_fingerprint != old_fp {
                 report.skipped += 1;
                 continue;
             }
-            let path = self.dir.join(&info.file_name);
-            let remove_entry = |path: &Path| {
-                let _ = fs::remove_file(path);
-                let _ = fs::remove_file(self.touch_path_for(path));
-            };
-            let (Some(params), Some(pattern), Some(task), Some(extractor)) =
-                (info.params, info.pattern.clone(), info.task.clone(), info.extractor.clone())
-            else {
-                remove_entry(&path);
-                report.failed += 1;
-                continue;
-            };
-            let old_key =
-                CacheKey { kg_fingerprint: old_fp, pattern, task, extractor, params };
-            let payload = fs::read(&path).ok().and_then(|bytes| parse_artifact(&bytes, &old_key).ok());
-            let Some(payload) = payload else {
-                remove_entry(&path);
-                report.failed += 1;
-                continue;
-            };
             match decide(&info, payload) {
                 SweepAction::Invalidate => {
-                    remove_entry(&path);
+                    self.remove_entry(&path);
                     report.invalidated += 1;
                     kgtosa_obs::counter("cache.invalidations").inc();
                 }
@@ -418,7 +373,7 @@ impl ArtifactCache {
                             // the entry onto its own path, which the store
                             // has just replaced.
                             if new_path != path {
-                                remove_entry(&path);
+                                self.remove_entry(&path);
                             }
                             report.migrated += 1;
                             kgtosa_obs::counter("cache.migrations").inc();
@@ -431,7 +386,7 @@ impl ArtifactCache {
                         // entry as failed (cold cache, never a wrong
                         // answer).
                         Err(_) => {
-                            remove_entry(&path);
+                            self.remove_entry(&path);
                             report.failed += 1;
                         }
                     }
@@ -467,119 +422,72 @@ impl ArtifactCache {
     }
 }
 
-struct Header {
-    version: u32,
-    kg_fingerprint: u64,
-    params: u64,
-    pattern: String,
-    task: String,
-    extractor: String,
-}
-
-enum ParseError {
-    /// Structurally damaged: quarantine.
-    Corrupt(&'static str),
-    /// Valid file for an outdated version or a colliding key: replaceable.
-    Stale(&'static str),
-}
-
-fn read_header(mut r: impl Read) -> io::Result<Header> {
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "bad magic"));
-    }
-    let version = read_u32(&mut r)?;
-    let kg_fingerprint = read_u64(&mut r)?;
-    let params = read_u64(&mut r)?;
-    let mut strs = Vec::with_capacity(3);
-    for _ in 0..3 {
-        let len = read_u32(&mut r)? as usize;
-        if len > MAX_KEY_STR {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "key string too long"));
-        }
-        let mut buf = vec![0u8; len];
-        r.read_exact(&mut buf)?;
-        strs.push(String::from_utf8(buf).map_err(|_| {
-            io::Error::new(io::ErrorKind::InvalidData, "key string not UTF-8")
-        })?);
-    }
-    let extractor = strs.pop().unwrap_or_default();
-    let task = strs.pop().unwrap_or_default();
-    let pattern = strs.pop().unwrap_or_default();
-    Ok(Header { version, kg_fingerprint, params, pattern, task, extractor })
-}
-
-/// The artifact file for `payload` under `key`, in the module-doc layout.
-fn encode_artifact(key: &CacheKey, payload: &[u8]) -> Vec<u8> {
+/// The body of an artifact holding `payload` under `key`.
+fn artifact_body(key: &CacheKey, payload: &[u8]) -> Vec<u8> {
     let strs = [&key.pattern, &key.task, &key.extractor];
     let key_len: usize = strs.iter().map(|s| 4 + s.len()).sum();
-    let mut out = Vec::with_capacity(MAGIC.len() + 4 + 8 + 8 + key_len + 8 + payload.len() + 8);
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&key.kg_fingerprint.to_le_bytes());
-    out.extend_from_slice(&key.params.to_le_bytes());
+    let mut body = Vec::with_capacity(16 + key_len + payload.len());
+    body.extend_from_slice(&key.kg_fingerprint.to_le_bytes());
+    body.extend_from_slice(&key.params.to_le_bytes());
     for s in strs {
-        out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-        out.extend_from_slice(s.as_bytes());
+        body.extend_from_slice(&(s.len() as u32).to_le_bytes());
+        body.extend_from_slice(s.as_bytes());
     }
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&fnv64(payload).to_le_bytes());
-    out
+    body.extend_from_slice(payload);
+    body
 }
 
-/// Full validate-before-load: every check happens before the payload is
-/// handed back, so a partial or tampered artifact can never be mistaken
-/// for a subgraph.
-fn parse_artifact(bytes: &[u8], key: &CacheKey) -> Result<Vec<u8>, ParseError> {
-    let mut cursor = io::Cursor::new(bytes);
-    let header = read_header(&mut cursor).map_err(|_| ParseError::Corrupt("unreadable header"))?;
-    if header.version != FORMAT_VERSION {
-        return Err(ParseError::Stale("format version mismatch"));
+/// Validate-before-load: the frame, then the format version, then the
+/// key the body embeds, which is returned with the payload after it. A
+/// partial or tampered artifact can never be mistaken for a subgraph: it
+/// is `Corrupt` (damaged) or `Stale` (another format version).
+fn read_artifact(bytes: &[u8]) -> Result<(CacheKey, &[u8]), CacheOutcome> {
+    match read_framed(bytes, MAGIC) {
+        Err(_) => Err(CacheOutcome::Corrupt),
+        Ok((version, _)) if version != FORMAT_VERSION => Err(CacheOutcome::Stale),
+        Ok((_, body)) => split_body(body).ok_or(CacheOutcome::Corrupt),
     }
-    if header.kg_fingerprint != key.kg_fingerprint
-        || header.params != key.params
-        || header.pattern != key.pattern
-        || header.task != key.task
-        || header.extractor != key.extractor
-    {
-        // Same digest, different key: collision or tampering. Either
-        // way the entry cannot serve this request and a re-extract
-        // should overwrite it.
-        return Err(ParseError::Stale("embedded key mismatch"));
-    }
-    let payload_len = read_u64(&mut cursor).map_err(|_| ParseError::Corrupt("missing payload length"))?;
-    if payload_len > MAX_PAYLOAD {
-        return Err(ParseError::Corrupt("payload length implausible"));
-    }
-    let start = cursor.position() as usize;
-    let end = start
-        .checked_add(payload_len as usize)
-        .ok_or(ParseError::Corrupt("payload length overflow"))?;
-    // Exactly payload + trailing 8-byte checksum must remain.
-    if bytes.len() != end + 8 {
-        return Err(ParseError::Corrupt("artifact truncated or padded"));
-    }
-    let payload = &bytes[start..end];
-    let mut sum = [0u8; 8];
-    sum.copy_from_slice(&bytes[end..end + 8]);
-    if fnv64(payload) != u64::from_le_bytes(sum) {
-        return Err(ParseError::Corrupt("checksum mismatch"));
-    }
-    Ok(payload.to_vec())
 }
 
-fn read_u32(r: &mut impl Read) -> io::Result<u32> {
-    let mut buf = [0u8; 4];
-    r.read_exact(&mut buf)?;
-    Ok(u32::from_le_bytes(buf))
+/// Splits an artifact body into its key and payload.
+fn split_body(body: &[u8]) -> Option<(CacheKey, &[u8])> {
+    let (kg_fingerprint, body) = body.split_first_chunk::<8>()?;
+    let (params, mut body) = body.split_first_chunk::<8>()?;
+    let mut strs = [String::new(), String::new(), String::new()];
+    for s in &mut strs {
+        let (len, rest) = body.split_first_chunk::<4>()?;
+        let (text, rest) = rest.split_at_checked(u32::from_le_bytes(*len) as usize)?;
+        *s = std::str::from_utf8(text).ok()?.to_owned();
+        body = rest;
+    }
+    let [pattern, task, extractor] = strs;
+    let key = CacheKey {
+        kg_fingerprint: u64::from_le_bytes(*kg_fingerprint),
+        pattern,
+        task,
+        extractor,
+        params: u64::from_le_bytes(*params),
+    };
+    Some((key, body))
 }
 
-fn read_u64(r: &mut impl Read) -> io::Result<u64> {
-    let mut buf = [0u8; 8];
-    r.read_exact(&mut buf)?;
-    Ok(u64::from_le_bytes(buf))
+/// Reads one artifact file once: its listing row, plus its key and
+/// payload when it validates.
+fn read_entry(path: &Path) -> (EntryInfo, Option<(CacheKey, Vec<u8>)>) {
+    let bytes = fs::read(path).unwrap_or_default();
+    let entry = read_artifact(&bytes).ok().map(|(key, payload)| (key, payload.to_vec()));
+    let key = entry.as_ref().map(|(key, _)| key);
+    let info = EntryInfo {
+        file_name: path.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default(),
+        bytes: bytes.len() as u64,
+        kg_fingerprint: key.map(|k| k.kg_fingerprint),
+        params: key.map(|k| k.params),
+        pattern: key.map(|k| k.pattern.clone()),
+        task: key.map(|k| k.task.clone()),
+        extractor: key.map(|k| k.extractor.clone()),
+        version: key.map(|_| FORMAT_VERSION),
+    };
+    (info, entry)
 }
 
 #[cfg(test)]
@@ -672,9 +580,9 @@ mod tests {
         let cache = ArtifactCache::open(tmpdir("stale")).unwrap();
         let k = key("nc:Paper");
         let path = cache.store(&k, b"old-version-payload").unwrap();
-        let mut bytes = fs::read(&path).unwrap();
-        bytes[8..12].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
-        fs::write(&path, &bytes).unwrap();
+        // What another version's writer publishes: a sound frame.
+        let body = artifact_body(&k, b"old-version-payload");
+        write_framed(&path, MAGIC, FORMAT_VERSION + 1, &body).unwrap();
         assert_eq!(cache.lookup(&k).outcome, CacheOutcome::Stale);
         assert!(!path.exists(), "stale artifact is removed");
         assert_eq!(cache.lookup(&k).outcome, CacheOutcome::Miss);

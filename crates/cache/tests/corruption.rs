@@ -12,12 +12,12 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-use kgtosa_cache::{ArtifactCache, CacheKey, CacheOutcome};
+use kgtosa_cache::{ArtifactCache, CacheKey, CacheOutcome, SweepAction};
 use kgtosa_core::{
     decode_extraction, extract_sparql_cached, sparql_cache_key, ExtractionTask, ExtractionView,
     GraphPattern,
 };
-use kgtosa_kg::{fingerprint, write_snapshot, KnowledgeGraph};
+use kgtosa_kg::{fingerprint, fnv64, write_snapshot, KnowledgeGraph};
 use kgtosa_rdf::{FetchConfig, RdfStore};
 use proptest::prelude::*;
 
@@ -134,6 +134,37 @@ fn assert_view_agrees(payload: &[u8], parent_nodes: usize) -> Result<(), TestCas
         prop_assert_eq!(view.method(), dec.method.as_str());
     }
     Ok(())
+}
+
+/// An artifact in the layout the store wrote before it shared the frame
+/// (format version 1: magic, version, key, `payload_len`, payload, then a
+/// checksum of the payload alone) is refused by every reader — never
+/// served, never a panic — and its slot is free again.
+#[test]
+fn parent_format_artifact_is_refused() {
+    let s = setup();
+    let k = &s.key;
+    let mut old = [&b"KGTOSAA1"[..], &1u32.to_le_bytes(), &k.kg_fingerprint.to_le_bytes()].concat();
+    old.extend(k.params.to_le_bytes());
+    for text in [&k.pattern, &k.task, &k.extractor] {
+        old.extend((text.len() as u32).to_le_bytes());
+        old.extend(text.as_bytes());
+    }
+    old.extend((s.payload.len() as u64).to_le_bytes());
+    old.extend(&s.payload);
+    old.extend(fnv64(&s.payload).to_le_bytes());
+
+    let cache = ArtifactCache::open(seeded_case_dir(&old)).unwrap();
+    let outcome = cache.lookup(k).outcome;
+    assert!(matches!(outcome, CacheOutcome::Stale | CacheOutcome::Corrupt), "{outcome:?}");
+    assert_eq!(cache.disk_stats().unwrap().entries, 0, "the old artifact leaves the slot");
+    assert_eq!(cache.lookup(k).outcome, CacheOutcome::Miss);
+
+    // The listing and the delta sweep refuse it too.
+    let cache = ArtifactCache::open(seeded_case_dir(&old)).unwrap();
+    assert_eq!(cache.entries().unwrap()[0].kg_fingerprint, None);
+    let report = cache.sweep_fingerprint(k.kg_fingerprint, 1, |_, p| SweepAction::Migrate(p)).unwrap();
+    assert_eq!((report.failed, report.migrated, cache.disk_stats().unwrap().entries), (1, 0, 0));
 }
 
 proptest! {

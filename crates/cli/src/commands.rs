@@ -49,20 +49,20 @@ fn save_kg(kg: &KnowledgeGraph, path: &str) -> Result<(), String> {
     }
 }
 
-/// `--checkpoint-dir DIR`, the root under which both fetch page
-/// checkpoints and training epoch checkpoints are kept.
+/// `--checkpoint-dir DIR`: where `train`/`compare` keep their epoch
+/// checkpoints, and the directory whose checkpoints `serve` answers
+/// `/infer` from.
 fn checkpoint_dir(args: &Args) -> Option<PathBuf> {
     args.options.get("checkpoint-dir").map(PathBuf::from)
 }
 
 /// Builds the fetch-layer fault-tolerance config from the CLI flags:
 /// `--fault-spec` (deterministic fault injection), `--retry` (backoff
-/// policy), `--partial` (degrade instead of aborting), plus an optional
-/// page-checkpoint file so an interrupted extraction resumes. Unless
+/// policy) and `--partial` (degrade instead of aborting). Unless
 /// `--no-cache`, an in-memory SPARQL page cache dedups repeated
 /// rendered subqueries within the invocation (results stay bit-identical;
 /// only duplicate endpoint round-trips are saved).
-fn fetch_config(args: &Args, checkpoint: Option<PathBuf>) -> Result<FetchConfig, String> {
+fn fetch_config(args: &Args) -> Result<FetchConfig, String> {
     let mut cfg = FetchConfig::default();
     if let Some(spec) = args.options.get("fault-spec") {
         cfg.fault = Some(FaultPlan::parse(spec).map_err(|e| format!("--fault-spec: {e}"))?);
@@ -76,7 +76,6 @@ fn fetch_config(args: &Args, checkpoint: Option<PathBuf>) -> Result<FetchConfig,
     if !args.flag("no-cache") {
         cfg.page_cache = Some(PageCache::new());
     }
-    cfg.checkpoint = checkpoint;
     Ok(cfg)
 }
 
@@ -271,7 +270,7 @@ pub fn extract(args: &Args) -> Result<(), String> {
         "sparql" => {
             let pattern = pattern_by_name(args.get_or("pattern", "d1h1"))?;
             let store = RdfStore::new(&kg);
-            let fetch = fetch_config(args, checkpoint_dir(args).map(|d| d.join("fetch.ckpt")))?;
+            let fetch = fetch_config(args)?;
             let (res, outcome) = extract_sparql_maybe_cached(args, &store, &task, &pattern, &fetch)?;
             cache_outcome = outcome;
             res
@@ -567,11 +566,7 @@ pub fn train(args: &Args, compare: bool) -> Result<(), String> {
                     &task.target_class,
                     task.targets(),
                 );
-                let fetch = fetch_config(
-                    args,
-                    checkpoint_dir(args)
-                        .map(|dir| dir.join(format!("tosg-{}.fetch.ckpt", pattern.label()))),
-                )?;
+                let fetch = fetch_config(args)?;
                 let (tosg, _) =
                     extract_sparql_maybe_cached(args, &store, &ext, &pattern, &fetch)?;
                 let sub = &tosg.subgraph;
@@ -634,11 +629,7 @@ pub fn train(args: &Args, compare: bool) -> Result<(), String> {
                     task.target_nodes(&d.gen),
                     &task.predicate,
                 );
-                let fetch = fetch_config(
-                    args,
-                    checkpoint_dir(args)
-                        .map(|dir| dir.join(format!("tosg-{}.fetch.ckpt", pattern.label()))),
-                )?;
+                let fetch = fetch_config(args)?;
                 let (tosg, _) =
                     extract_sparql_maybe_cached(args, &store, &ext, &pattern, &fetch)?;
                 let sub = &tosg.subgraph;

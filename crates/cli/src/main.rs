@@ -115,11 +115,13 @@ FAULT TOLERANCE (extract with --method sparql; train/compare TOSG runs):
   --partial          Degrade to a partial subgraph (with a reported
                      completeness fraction) instead of aborting when a
                      page permanently fails
+
+CHECKPOINTS (train/compare; serve):
   --checkpoint-dir DIR
-                     Persist fetch page checkpoints and per-epoch training
-                     snapshots under DIR; re-running the same command
-                     resumes both. train/compare keep per-run
-                     subdirectories (fg/, tosg-<pattern>/)
+                     Persist per-epoch training snapshots under DIR, one
+                     subdirectory per run (fg/, tosg-<pattern>/);
+                     re-running the same command resumes them. serve
+                     answers POST /infer from the *.ckpt in DIR
   --checkpoint-interval N
                      Save a training snapshot every N epochs (default 1)
 ";

@@ -181,25 +181,18 @@ pub fn extract_sparql(
     let guard = kgtosa_obs::span!("extract.sparql");
     let subqueries = compile_subqueries(task, pattern);
     let endpoint = InProcessEndpoint::new(store);
-    // All branches share the (?s ?p ?o) projection by construction.
-    let queries: Vec<_> = subqueries.iter().map(|sq| sq.query.clone()).collect();
-    let mut triples = Vec::new();
-    // Branches can project differently-named triple vars; group by var names.
-    let mut grouped: Vec<((String, String, String), Vec<kgtosa_rdf::Query>)> = Vec::new();
-    for (sq, q) in subqueries.iter().zip(queries) {
-        match grouped.iter_mut().find(|(vars, _)| *vars == sq.triple_vars) {
-            Some((_, qs)) => qs.push(q),
-            None => grouped.push((sq.triple_vars.clone(), vec![q])),
+    // Branches can project differently-named triple vars: one fetch per
+    // set of names.
+    let mut grouped: Vec<(&(String, String, String), Vec<_>)> = Vec::new();
+    for sq in &subqueries {
+        match grouped.iter_mut().find(|(vars, _)| **vars == sq.triple_vars) {
+            Some((_, qs)) => qs.push(sq.query.clone()),
+            None => grouped.push((&sq.triple_vars, vec![sq.query.clone()])),
         }
     }
-    let mut planned_pages = 0usize;
-    let mut completed_pages = 0usize;
-    for (gi, ((s, p, o), qs)) in grouped.iter().enumerate() {
-        // Each var group is an independent fetch with its own page
-        // checkpoint: the fetch key binds a checkpoint file to one exact
-        // subquery set, so groups must not share a file.
-        let cfg = group_fetch_config(fetch, gi, grouped.len());
-        let outcome = fetch_triples_robust(&endpoint, store, qs, (s, p, o), &cfg)?;
+    let (mut triples, mut planned_pages, mut completed_pages) = (Vec::new(), 0usize, 0usize);
+    for ((s, p, o), qs) in grouped {
+        let outcome = fetch_triples_robust(&endpoint, store, &qs, (s, p, o), fetch)?;
         planned_pages += outcome.planned_pages;
         completed_pages += outcome.completed_pages;
         triples.extend(outcome.triples);
@@ -222,24 +215,6 @@ pub fn extract_sparql(
         endpoint.stats().requests(),
         completeness,
     ))
-}
-
-/// Per-group fetch config: with a single var group the user's checkpoint
-/// path is used as-is; with several, each group gets a `.g<i>`-suffixed
-/// sibling file so their checkpoints do not clobber each other.
-fn group_fetch_config(fetch: &FetchConfig, group: usize, groups: usize) -> FetchConfig {
-    let mut cfg = fetch.clone();
-    if groups > 1 {
-        if let Some(path) = &cfg.checkpoint {
-            let mut name = path
-                .file_name()
-                .map(|n| n.to_os_string())
-                .unwrap_or_else(|| "fetch.ckpt".into());
-            name.push(format!(".g{group}"));
-            cfg.checkpoint = Some(path.with_file_name(name));
-        }
-    }
-    cfg
 }
 
 #[cfg(test)]

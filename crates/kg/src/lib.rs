@@ -5,10 +5,10 @@
 //! message passing and sampling, induced-subgraph extraction, and the
 //! data-sufficiency / graph-topology quality statistics of §III-A.
 //!
-//! Everything here is pure data structure: no I/O, no randomness, no
-//! training. Other crates layer the RDF engine (`kgtosa-rdf`), samplers
-//! (`kgtosa-sampler`), the KG-TOSA extraction algorithms (`kgtosa-core`)
-//! and GNN methods (`kgtosa-models`) on top.
+//! Everything here is pure data structure — no randomness, no training,
+//! no file I/O but [`frame`]'s. Other crates layer the RDF engine
+//! (`kgtosa-rdf`), samplers (`kgtosa-sampler`), the KG-TOSA extraction
+//! algorithms (`kgtosa-core`) and GNN methods (`kgtosa-models`) on top.
 //!
 //! ## Quick tour
 //!
@@ -33,6 +33,7 @@
 pub mod delta;
 pub mod dict;
 pub mod fingerprint;
+pub mod frame;
 pub mod fxhash;
 pub mod graph;
 pub mod ids;
@@ -49,6 +50,7 @@ pub use graph::{Csr, HeteroGraph, LabeledCsr, RelAdj};
 pub use ids::{Cid, Rid, Vid};
 pub use metapath::{count_instances, schema_metapaths, Metapath, MetapathStep, SchemaMetapath};
 pub use fingerprint::{fingerprint, fnv64, Fnv64, HashingWriter};
+pub use frame::{read_framed, write_framed};
 pub use snapshot::{
     read_snapshot, write_snapshot, write_snapshot_fingerprinted, SnapshotView, SnapshotVisitor,
 };

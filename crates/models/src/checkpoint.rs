@@ -8,33 +8,37 @@
 //! weights to an uninterrupted run (the repo's determinism contract, see
 //! DESIGN.md).
 //!
-//! On-disk format (`<dir>/<method>.ckpt`):
+//! On-disk format (`<dir>/<method>.ckpt`): a [`kgtosa_kg::frame`] with
+//! magic `KGTOSAC2` and version 3, whose body is
 //!
 //! ```text
-//! magic "KGTOSAC2" | fingerprint u64 | completed_epoch u64
+//! fingerprint u64 | completed_epoch u64
 //! | trace count u64 | {epoch u64, elapsed_s f64, metric f64}*
-//! | state_len u64 | state bytes | fnv64(everything after the magic) u64
+//! | state bytes (the rest of the body)
 //! ```
 //!
 //! The fingerprint binds the file to the hyperparameters and dataset shape
-//! that produced it, and the trailing checksum covers it, the epoch and the
-//! trace as well as the state; a mismatched or corrupt checkpoint (or one in
-//! the older `KGTOSAC1` layout) is *ignored* with a
-//! warning (training restarts from scratch), never silently loaded. Saves
-//! go through a temp file + rename so a crash mid-save leaves the previous
-//! checkpoint intact.
+//! that produced it, and the frame's checksum covers every byte; a
+//! mismatched or corrupt checkpoint, or one of another version, is
+//! *ignored* with a warning (training restarts from scratch), never
+//! silently loaded. The frame's atomic publish means a crash mid-save, or
+//! a racing save, leaves a whole checkpoint behind.
 
 use std::fs;
 use std::io::{self, Read, Write};
 use std::path::PathBuf;
 
-use kgtosa_kg::{fnv64, HashingWriter, Rid, Triple, Vid};
+use kgtosa_kg::{read_framed, write_framed, Fnv64, HashingWriter, Rid, Triple, Vid};
 use kgtosa_tensor::state::{read_u64, write_u64};
 use rand::rngs::StdRng;
 
 use crate::common::{LpDataset, NcDataset, TracePoint, TrainConfig};
 
 const MAGIC: &[u8; 8] = b"KGTOSAC2";
+/// Frame version of the body layout above.
+const VERSION: u32 = 3;
+/// Serialized size of one trace point.
+const TRACE_POINT_BYTES: usize = 24;
 
 /// Where and how often trainers snapshot their state.
 #[derive(Debug, Clone)]
@@ -61,33 +65,28 @@ pub fn state_fingerprint(save: impl FnOnce(&mut dyn Write) -> io::Result<()>) ->
     w.finish()
 }
 
+/// FNV-1a over `prefix`, then each of `words` little-endian.
+fn hash_words(prefix: &[u8], words: &[u64]) -> u64 {
+    let mut h = Fnv64::new();
+    h.update(prefix);
+    for w in words {
+        h.update(&w.to_le_bytes());
+    }
+    h.finish()
+}
+
 /// Hash of the dataset shape an NC trainer's state depends on, folded into
 /// the checkpoint fingerprint so a file from a different graph is rejected
 /// before any state is overwritten.
 pub(crate) fn nc_data_key(data: &NcDataset<'_>) -> u64 {
-    let mut buf = Vec::with_capacity(32);
-    for v in [
-        data.graph.num_nodes() as u64,
-        data.graph.num_relations() as u64,
-        data.num_labels as u64,
-        data.train.len() as u64,
-    ] {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fnv64(&buf)
+    let (g, labels, train) = (data.graph, data.num_labels, data.train.len());
+    hash_words(&[], &[g.num_nodes() as u64, g.num_relations() as u64, labels as u64, train as u64])
 }
 
 /// LP counterpart of [`nc_data_key`].
 pub(crate) fn lp_data_key(data: &LpDataset<'_>) -> u64 {
-    let mut buf = Vec::with_capacity(24);
-    for v in [
-        data.graph.num_nodes() as u64,
-        data.graph.num_relations() as u64,
-        data.train.len() as u64,
-    ] {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fnv64(&buf)
+    let (g, train) = (data.graph, data.train.len());
+    hash_words(&[], &[g.num_nodes() as u64, g.num_relations() as u64, train as u64])
 }
 
 /// Binds a checkpoint to the run that may resume it. Deliberately excludes
@@ -95,20 +94,9 @@ pub(crate) fn lp_data_key(data: &LpDataset<'_>) -> u64 {
 /// same config, and the target epoch count is the one thing the caller may
 /// legitimately extend.
 fn config_fingerprint(cfg: &TrainConfig, method: &str, data_key: u64) -> u64 {
-    let mut buf = Vec::with_capacity(method.len() + 64);
-    buf.extend_from_slice(method.as_bytes());
-    for v in [
-        cfg.dim as u64,
-        cfg.seed,
-        cfg.lr.to_bits() as u64,
-        cfg.batch_size as u64,
-        cfg.negatives as u64,
-        cfg.margin.to_bits() as u64,
-        data_key,
-    ] {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fnv64(&buf)
+    let (lr, margin) = (cfg.lr.to_bits() as u64, cfg.margin.to_bits() as u64);
+    let (dim, batch, negatives) = (cfg.dim as u64, cfg.batch_size as u64, cfg.negatives as u64);
+    hash_words(method.as_bytes(), &[dim, cfg.seed, lr, batch, negatives, margin, data_key])
 }
 
 /// Filesystem-safe checkpoint file stem for a method label
@@ -120,8 +108,8 @@ fn sanitize(method: &str) -> String {
         .collect()
 }
 
-/// A `KGTOSAC2` checkpoint file parsed and checksum-verified, but not yet
-/// bound to any particular run's config fingerprint. The serving layer's
+/// A checkpoint file parsed and checksum-verified, but not yet bound to
+/// any particular run's config fingerprint. The serving layer's
 /// [`crate::registry`] works at this level: it trusts the checksum for
 /// integrity and the fingerprint for identity, without needing the
 /// originating [`TrainConfig`].
@@ -137,38 +125,28 @@ pub struct RawCheckpoint<'a> {
     pub state: &'a [u8],
 }
 
-/// Parses checkpoint `bytes`: magic, then the FNV-1a checksum over every
-/// later byte, then header, trace and state blob. Does *not* compare the
+/// Parses checkpoint `bytes`: the frame (magic, length, checksum), its
+/// version, then header, trace and state blob. Does *not* compare the
 /// fingerprint against anything — callers decide what identity means.
 pub fn parse_checkpoint_bytes(bytes: &[u8]) -> io::Result<RawCheckpoint<'_>> {
     let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
-    if bytes.get(..MAGIC.len()) != Some(MAGIC) {
-        return Err(bad("bad magic"));
-    }
-    let Some(body_len) = bytes.len().checked_sub(MAGIC.len() + 8) else {
-        return Err(bad("truncated checkpoint"));
-    };
-    let (mut r, mut sum) = bytes[MAGIC.len()..].split_at(body_len);
-    if read_u64(&mut sum)? != fnv64(r) {
-        return Err(bad("checksum mismatch"));
+    let (version, mut r) = read_framed(bytes, MAGIC)?;
+    if version != VERSION {
+        return Err(bad("unsupported checkpoint version"));
     }
     let fingerprint = read_u64(&mut r)?;
     let completed_epoch = read_u64(&mut r)? as usize;
-    let count = read_u64(&mut r)? as usize;
-    if count > bytes.len() {
-        return Err(bad("trace count exceeds file size"));
+    let count = read_u64(&mut r)?;
+    if count > (r.len() / TRACE_POINT_BYTES) as u64 {
+        return Err(bad("trace count exceeds the body"));
     }
-    let mut trace = Vec::with_capacity(count);
+    let mut trace = Vec::with_capacity(count as usize);
     for _ in 0..count {
         trace.push(TracePoint {
             epoch: read_u64(&mut r)? as usize,
             elapsed_s: f64::from_bits(read_u64(&mut r)?),
             metric: f64::from_bits(read_u64(&mut r)?),
         });
-    }
-    // The state blob is the rest of the checksummed body.
-    if read_u64(&mut r)? != r.len() as u64 {
-        return Err(bad("state length does not match the file"));
     }
     Ok(RawCheckpoint { fingerprint, completed_epoch, trace, state: r })
 }
@@ -197,7 +175,7 @@ impl Checkpointer {
     /// restored the trainer's state and the completed epoch index plus the
     /// recorded convergence trace are returned. A missing, mismatched, or
     /// corrupt file logs a warning and returns `None` — `load` is only
-    /// invoked after the magic, checksum, and fingerprint all pass,
+    /// invoked after the frame, version, and fingerprint all pass,
     /// so trainer state is never partially overwritten by a bad file.
     pub(crate) fn resume(
         &self,
@@ -274,28 +252,20 @@ impl Checkpointer {
         trace: &[TracePoint],
         save: impl FnOnce(&mut dyn Write) -> io::Result<()>,
     ) -> io::Result<()> {
-        let mut state = Vec::new();
-        save(&mut state)?;
-        let mut out = Vec::with_capacity(state.len() + 64 + trace.len() * 24);
-        out.extend_from_slice(MAGIC);
-        write_u64(&mut out, self.fingerprint)?;
-        write_u64(&mut out, epoch as u64)?;
-        write_u64(&mut out, trace.len() as u64)?;
+        let mut body = Vec::with_capacity(24 + trace.len() * TRACE_POINT_BYTES);
+        write_u64(&mut body, self.fingerprint)?;
+        write_u64(&mut body, epoch as u64)?;
+        write_u64(&mut body, trace.len() as u64)?;
         for p in trace {
-            write_u64(&mut out, p.epoch as u64)?;
-            write_u64(&mut out, p.elapsed_s.to_bits())?;
-            write_u64(&mut out, p.metric.to_bits())?;
+            write_u64(&mut body, p.epoch as u64)?;
+            write_u64(&mut body, p.elapsed_s.to_bits())?;
+            write_u64(&mut body, p.metric.to_bits())?;
         }
-        write_u64(&mut out, state.len() as u64)?;
-        out.extend_from_slice(&state);
-        let checksum = fnv64(&out[MAGIC.len()..]);
-        write_u64(&mut out, checksum)?;
+        save(&mut body)?;
         if let Some(dir) = self.path.parent() {
             fs::create_dir_all(dir)?;
         }
-        let tmp = self.path.with_extension("ckpt.tmp");
-        fs::write(&tmp, &out)?;
-        fs::rename(&tmp, &self.path)
+        write_framed(&self.path, MAGIC, VERSION, &body)
     }
 }
 
@@ -458,18 +428,28 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// Two declared lengths place the state blob: the frame's body length
+    /// (the state is the rest of the body) and the trace count ahead of it.
+    /// Forged ones are errors, even inside a frame whose checksum holds.
     #[test]
     fn forged_state_length_is_an_error() {
         let dir = temp_dir("forged-len");
         let ck = Checkpointer::from_cfg(&cfg_with(&dir), "RGCN", 3).unwrap();
         ck.maybe_save(1, 10, &[], |w| write_u64(w, 7));
-        let bytes = fs::read(dir.join("RGCN.ckpt")).unwrap();
+        let path = dir.join("RGCN.ckpt");
+        let bytes = fs::read(&path).unwrap();
         assert!(parse_checkpoint_bytes(&bytes).is_ok());
-        // No trace points: the state length follows the 32-byte header.
+        let body = read_framed(&bytes, MAGIC).unwrap().1.to_vec();
         for forged in [u64::MAX, u64::MAX - 7, bytes.len() as u64] {
+            // The body length follows the magic and the version.
             let mut bad = bytes.clone();
-            bad[32..40].copy_from_slice(&forged.to_le_bytes());
-            assert!(parse_checkpoint_bytes(&bad).is_err(), "state_len {forged}");
+            bad[12..20].copy_from_slice(&forged.to_le_bytes());
+            assert!(parse_checkpoint_bytes(&bad).is_err(), "body length {forged}");
+            // The trace count follows the fingerprint and the epoch.
+            let mut bad = body.clone();
+            bad[16..24].copy_from_slice(&forged.to_le_bytes());
+            write_framed(&path, MAGIC, VERSION, &bad).unwrap();
+            assert!(parse_checkpoint_bytes(&fs::read(&path).unwrap()).is_err(), "count {forged}");
         }
         let _ = fs::remove_dir_all(&dir);
     }
@@ -485,13 +465,61 @@ mod tests {
         ck.maybe_save(2, 10, &trace, |w| write_u64(w, 7));
         let bytes = fs::read(dir.join("RGCN.ckpt")).unwrap();
         assert!(parse_checkpoint_bytes(&bytes).is_ok());
-        // Magic, fingerprint, completed_epoch, trace count, two trace
-        // points and the state length: everything before the state blob.
-        let header_and_trace = 8 + 3 * 8 + trace.len() * 24 + 8;
+        // The frame header (magic, version, body length), fingerprint,
+        // completed_epoch, trace count and two trace points: everything
+        // before the state blob.
+        let header_and_trace = 20 + 3 * 8 + trace.len() * TRACE_POINT_BYTES;
         for bit in 0..header_and_trace * 8 {
             let mut bad = bytes.clone();
             bad[bit / 8] ^= 1 << (bit % 8);
             assert!(parse_checkpoint_bytes(&bad).is_err(), "flipped bit {bit} was trusted");
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Regression: every save of one checkpoint used to write the same
+    /// temp file, so racing saves could publish each other's half-written
+    /// bytes.
+    #[test]
+    fn racing_saves_never_publish_a_torn_checkpoint() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Barrier;
+        let dir = temp_dir("race");
+        let ck = Checkpointer::from_cfg(&cfg_with(&dir), "RGCN", 6).unwrap();
+        let state: Vec<f32> = (0..64 * 1024).map(|i| i as f32).collect();
+        let save = |w: &mut dyn Write| kgtosa_tensor::state::write_f32s(w, &state);
+        let (start, done) = (Barrier::new(4), AtomicBool::new(false));
+        let torn = std::thread::scope(|scope| {
+            let writers: Vec<_> = (0..3)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        (0..20).for_each(|_| ck.maybe_save(1, 1, &[], save));
+                    })
+                })
+                .collect();
+            let reader = scope.spawn(|| {
+                start.wait();
+                let mut torn = 0usize;
+                while !done.load(Ordering::SeqCst) {
+                    // Once published, the file is always a whole checkpoint.
+                    if let Ok(bytes) = fs::read(dir.join("RGCN.ckpt")) {
+                        torn += usize::from(parse_checkpoint_bytes(&bytes).is_err());
+                    }
+                }
+                torn
+            });
+            writers.into_iter().for_each(|w| w.join().unwrap());
+            done.store(true, Ordering::SeqCst);
+            reader.join().unwrap()
+        });
+        assert_eq!(torn, 0, "a read during racing saves saw a torn checkpoint");
+        let mut restored = vec![0.0f32; state.len()];
+        assert!(ck.resume(|r| kgtosa_tensor::state::read_f32s_into(r, &mut restored)).is_some());
+        assert_eq!(restored, state);
+        for entry in fs::read_dir(&dir).unwrap() {
+            let name = entry.unwrap().file_name();
+            assert!(!name.to_string_lossy().ends_with(".tmp"), "{name:?} left behind");
         }
         let _ = fs::remove_dir_all(&dir);
     }

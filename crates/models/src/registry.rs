@@ -2,7 +2,7 @@
 //!
 //! `kgtosa serve` answers `/infer` against trained models it finds on
 //! disk, addressed by the config+dataset *fingerprint* their trainer
-//! stamped into the `KGTOSAC2` header (see [`crate::checkpoint`]). A
+//! stamped into the checkpoint's header (see [`crate::checkpoint`]). A
 //! [`CheckpointRegistry`] scans a directory once at startup, keeps the
 //! cheap headers ([`CheckpointInfo`]) of every valid file, and loads the
 //! full state blob lazily per request via [`read_validated_state`] — the
@@ -199,6 +199,33 @@ mod tests {
         bytes[n - 12] ^= 0xff;
         fs::write(&info.path, &bytes).unwrap();
         assert!(read_validated_state(&info.path).is_err(), "checksum re-verified per load");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A checkpoint in the layout saves wrote before the shared frame
+    /// (`KGTOSAC2`: header, trace, `state_len`, state, then one checksum of
+    /// everything after the magic) is refused by the trainers' resume and
+    /// by the serving registry, even when its fingerprint matches the run.
+    #[test]
+    fn parent_format_checkpoint_is_refused() {
+        let dir = temp_dir("parent-format");
+        let cfg =
+            TrainConfig { checkpoint: Some(CheckpointConfig::new(&dir)), ..Default::default() };
+        let ck = crate::checkpoint::Checkpointer::from_cfg(&cfg, "RGCN", 5).unwrap();
+        ck.maybe_save(1, 1, &[], |w| w.write_all(&[7; 16]));
+        let path = dir.join("RGCN.ckpt");
+        let fingerprint = parse_checkpoint_bytes(&fs::read(&path).unwrap()).unwrap().fingerprint;
+        // fingerprint, completed_epoch, trace count, state_len, state
+        let words = [fingerprint, 1, 0, 16].map(u64::to_le_bytes);
+        let after_magic = [&words.concat()[..], &[7; 16]].concat();
+        let sum = kgtosa_kg::fnv64(&after_magic).to_le_bytes();
+        let old = [&b"KGTOSAC2"[..], &after_magic, &sum].concat();
+        fs::write(&path, &old).unwrap();
+
+        assert!(parse_checkpoint_bytes(&old).is_err());
+        assert!(ck.resume(|_| panic!("load must not run on a parent-format file")).is_none());
+        let reg = CheckpointRegistry::scan(&dir).unwrap();
+        assert_eq!((reg.entries().len(), reg.skipped()), (0, 1));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -18,7 +18,6 @@
 //!   page cache configured (DESIGN.md §4, "request pipeline").
 
 use std::collections::HashMap;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -28,7 +27,6 @@ use kgtosa_par::Pool;
 
 use crate::ast::{Query, Selection};
 use crate::breaker::CircuitBreaker;
-use crate::checkpoint::FetchCheckpoint;
 use crate::error::RdfError;
 use crate::exec::{ResultSet, Solved, SparqlEngine, NULL_ID};
 use crate::fault::FaultPlan;
@@ -269,8 +267,7 @@ impl SparqlEndpoint for InProcessEndpoint<'_, '_> {
 /// (after any retry policy has been exhausted).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FetchMode {
-    /// Abort the fetch on the first failed page (completed pages still
-    /// land in the checkpoint, so a re-run resumes).
+    /// Abort the fetch on the first failed page.
     #[default]
     Strict,
     /// Record the failure, keep fetching the remaining pages, and return
@@ -299,9 +296,6 @@ pub struct FetchConfig {
     /// Failure handling: strict abort (default) or degrade to a partial
     /// result with a completeness fraction.
     pub mode: FetchMode,
-    /// Page checkpoint file: completed `(subquery, offset)` pages are
-    /// persisted here so a re-run skips them.
-    pub checkpoint: Option<PathBuf>,
     /// In-memory LRU of page results, shared across fetches of the same
     /// dataset within one process (e.g. `compare` running FG plus three
     /// TOSG patterns).
@@ -319,7 +313,6 @@ impl Default for FetchConfig {
             retry: None,
             fault: None,
             mode: FetchMode::Strict,
-            checkpoint: None,
             page_cache: None,
             breaker: None,
         }
@@ -335,13 +328,10 @@ pub struct FetchOutcome {
     /// Pages the fetch believes exist (completed + failed, floored by the
     /// `getGraphSize` estimate in partial mode).
     pub planned_pages: usize,
-    /// Pages successfully retrieved (this run or resumed from the
-    /// checkpoint).
+    /// Pages successfully retrieved.
     pub completed_pages: usize,
     /// Pages that ultimately failed (after retries).
     pub failed_pages: usize,
-    /// Pages skipped because a checkpoint already had them.
-    pub resumed_pages: usize,
 }
 
 impl FetchOutcome {
@@ -462,24 +452,16 @@ impl<E: SparqlEndpoint> SparqlEndpoint for Pipeline<'_, E> {
 }
 
 /// Per-subquery result of one request handler.
+#[derive(Default)]
 struct SubFetch {
-    new_pages: Vec<(u64, Vec<Triple>)>,
+    /// The (filtered) data triples of every completed page.
+    triples: Vec<Triple>,
+    completed_pages: usize,
     exhausted: bool,
     /// `getGraphSize`-based page estimate (0 when not queried/unknown).
     estimate: usize,
     failed_pages: usize,
     error: Option<RdfError>,
-}
-
-/// Stable fingerprint of a fetch shape, binding checkpoints to the exact
-/// subqueries, page size, and projection they were written for.
-fn fetch_key(subqueries: &[Query], triple_vars: (&str, &str, &str), batch_size: usize) -> u64 {
-    let mut text = format!("bs={batch_size};vars={triple_vars:?}");
-    for q in subqueries {
-        text.push('\n');
-        text.push_str(&q.to_string());
-    }
-    fnv64(text.as_bytes())
 }
 
 /// Fetches all data triples matched by a set of subqueries.
@@ -492,11 +474,9 @@ fn fetch_key(subqueries: &[Query], triple_vars: (&str, &str, &str), batch_size: 
 /// skipped; the merged result is deduplicated (Algorithm 3 line 10).
 ///
 /// The fault-tolerance layer is engaged per `cfg`: requests go through the
-/// request pipeline it configures, completed pages resume from
-/// `cfg.checkpoint`, and [`FetchMode::Partial`] degrades to an incomplete
-/// result (with an explicit completeness fraction) instead of aborting.
-/// Even in strict mode, pages completed before the failure are saved to
-/// the checkpoint so the re-run does not repeat them.
+/// request pipeline it configures, and [`FetchMode::Partial`] degrades to
+/// an incomplete result (with an explicit completeness fraction) instead
+/// of aborting.
 pub fn fetch_triples_robust<E: SparqlEndpoint>(
     endpoint: &E,
     store: &RdfStore<'_>,
@@ -515,51 +495,26 @@ pub fn fetch_triples_robust<E: SparqlEndpoint>(
         None => endpoint,
     };
 
-    let key = fetch_key(subqueries, triple_vars, cfg.batch_size);
-    let mut ckpt = match &cfg.checkpoint {
-        Some(path) => FetchCheckpoint::load_or_new(path, key, subqueries.len()),
-        None => FetchCheckpoint::new(key, subqueries.len()),
-    };
-    let resumed_pages = ckpt.completed_pages();
-    if resumed_pages > 0 {
-        kgtosa_obs::counter("rdf.fetch.pages.resumed").add(resumed_pages as u64);
-        kgtosa_obs::info!("rdf.fetch: resuming past {resumed_pages} checkpointed pages");
-    }
-
-    let ckpt_ref = &ckpt;
     let per_subquery: Vec<SubFetch> =
-        Pool::new(cfg.threads).par_map_collect("rdf.fetch", subqueries, |i, q| {
-            page_subquery(endpoint, store, i, q, triple_vars, cfg, ckpt_ref)
+        Pool::new(cfg.threads).par_map_collect("rdf.fetch", subqueries, |_, q| {
+            page_subquery(endpoint, store, q, triple_vars, cfg)
         });
 
-    // Merge handler results into the checkpoint and tally the accounting.
+    // Tally the handlers' accounting and merge their triples.
     let (mut planned, mut completed, mut failed) = (0usize, 0usize, 0usize);
     let mut first_error: Option<RdfError> = None;
-    for (i, sub) in per_subquery.into_iter().enumerate() {
-        for (offset, triples) in sub.new_pages {
-            ckpt.record_page(i, offset, triples);
-        }
-        if sub.exhausted {
-            ckpt.mark_exhausted(i);
-        }
-        let done = ckpt.pages_done(i);
-        completed += done;
+    let mut triples = Vec::with_capacity(per_subquery.iter().map(|sub| sub.triples.len()).sum());
+    for sub in per_subquery {
+        completed += sub.completed_pages;
         failed += sub.failed_pages;
-        planned += if ckpt.is_exhausted(i) {
-            // Exhausted means the final short page was seen; any failed
-            // pages in between are still missing from the result.
-            done + sub.failed_pages
-        } else {
-            sub.estimate.max(done + sub.failed_pages)
-        };
+        // Exhausted means the final short page was seen; any failed pages
+        // in between are still missing from the result.
+        let seen = sub.completed_pages + sub.failed_pages;
+        planned += if sub.exhausted { seen } else { sub.estimate.max(seen) };
         if first_error.is_none() {
             first_error = sub.error;
         }
-    }
-    if let Some(path) = &cfg.checkpoint {
-        if let Err(e) = ckpt.save(path) {
-            kgtosa_obs::info!("rdf.fetch: cannot save checkpoint {}: {e}", path.display());
-        }
+        triples.extend(sub.triples);
     }
     if cfg.mode == FetchMode::Strict {
         if let Some(e) = first_error {
@@ -567,7 +522,6 @@ pub fn fetch_triples_robust<E: SparqlEndpoint>(
         }
     }
 
-    let mut triples = ckpt.all_triples();
     triples.sort_unstable();
     triples.dedup();
     Ok(FetchOutcome {
@@ -575,29 +529,17 @@ pub fn fetch_triples_robust<E: SparqlEndpoint>(
         planned_pages: planned,
         completed_pages: completed,
         failed_pages: failed,
-        resumed_pages,
     })
 }
 
 fn page_subquery(
     endpoint: &dyn SparqlEndpoint,
     store: &RdfStore<'_>,
-    sub: usize,
     query: &Query,
     triple_vars: (&str, &str, &str),
     cfg: &FetchConfig,
-    ckpt: &FetchCheckpoint,
 ) -> SubFetch {
-    let mut out = SubFetch {
-        new_pages: Vec::new(),
-        exhausted: ckpt.is_exhausted(sub),
-        estimate: 0,
-        failed_pages: 0,
-        error: None,
-    };
-    if out.exhausted {
-        return out;
-    }
+    let mut out = SubFetch::default();
     // Partial mode needs to know how far pagination reaches so it can step
     // over a failed page instead of stopping; Algorithm 3's `getGraphSize`
     // provides exactly that. The count is advisory: if it fails too, the
@@ -611,24 +553,17 @@ fn page_subquery(
     let mut page_idx = 0usize;
     loop {
         let offset = page_idx * cfg.batch_size;
-        if ckpt.has_page(sub, offset as u64) {
-            page_idx += 1;
-            continue;
-        }
         match endpoint.select(&query.with_page(cfg.batch_size, offset)) {
             Ok(page) => {
                 kgtosa_obs::counter("rdf.fetch.pages").inc();
-                let rows = page.len();
-                match page_triples(store, &page, triple_vars) {
-                    Ok(triples) => out.new_pages.push((offset as u64, triples)),
-                    Err(e) => {
-                        // Misprojected subquery: no page of it can succeed.
-                        out.failed_pages += 1;
-                        out.error = Some(e);
-                        return out;
-                    }
+                if let Err(e) = page_triples(store, &page, triple_vars, &mut out.triples) {
+                    // Misprojected subquery: no page of it can succeed.
+                    out.failed_pages += 1;
+                    out.error = Some(e);
+                    return out;
                 }
-                if rows < cfg.batch_size {
+                out.completed_pages += 1;
+                if page.len() < cfg.batch_size {
                     out.exhausted = true;
                     return out;
                 }
@@ -651,11 +586,14 @@ fn page_subquery(
     }
 }
 
+/// Appends `page`'s data triples to `out`; nothing when the page does not
+/// project `triple_vars`.
 fn page_triples(
     store: &RdfStore<'_>,
     page: &ResultSet,
     triple_vars: (&str, &str, &str),
-) -> Result<Vec<Triple>, RdfError> {
+    out: &mut Vec<Triple>,
+) -> Result<(), RdfError> {
     let (cs, cp, co) = (
         page.col(triple_vars.0),
         page.col(triple_vars.1),
@@ -669,7 +607,6 @@ fn page_triples(
             )))
         }
     };
-    let mut out = Vec::new();
     for i in 0..page.len() {
         let row = page.row(i);
         let (s, p, o) = (row[cs], row[cp], row[co]);
@@ -680,7 +617,7 @@ fn page_triples(
             out.push(t);
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -916,39 +853,5 @@ mod tests {
             },
         );
         assert!(strict.is_err());
-    }
-
-    #[test]
-    fn checkpoint_resume_skips_completed_pages() {
-        let kg = kg(30);
-        let store = RdfStore::new(&kg);
-        let dir = std::env::temp_dir().join("kgtosa-fetch-resume-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("fetch.ckpt");
-        let _ = std::fs::remove_file(&path);
-        let q = parse("SELECT ?s ?p ?o WHERE { ?s ?p ?o . ?s a <Author> }").unwrap();
-        let cfg = FetchConfig {
-            batch_size: 4,
-            threads: 1,
-            checkpoint: Some(path.clone()),
-            ..FetchConfig::default()
-        };
-
-        // First run completes and persists its pages.
-        let ep = InProcessEndpoint::new(&store);
-        let first =
-            fetch_triples_robust(&ep, &store, std::slice::from_ref(&q), ("s", "p", "o"), &cfg)
-                .unwrap();
-        assert_eq!(first.resumed_pages, 0);
-        assert!(first.completed_pages >= 7);
-
-        // Second run resumes everything: zero new page requests.
-        let ep2 = InProcessEndpoint::new(&store);
-        let second = fetch_triples_robust(&ep2, &store, &[q], ("s", "p", "o"), &cfg).unwrap();
-        assert_eq!(second.resumed_pages, first.completed_pages);
-        assert_eq!(ep2.stats().requests(), 0, "resumed fetch must skip all pages");
-        assert_eq!(second.triples, first.triples);
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_dir(&dir);
     }
 }

@@ -32,7 +32,6 @@
 
 pub mod ast;
 pub mod breaker;
-pub mod checkpoint;
 pub mod endpoint;
 pub mod error;
 pub mod exec;
@@ -47,7 +46,6 @@ pub mod store;
 
 pub use ast::{Element, Group, Query, Selection, Term, TriplePattern};
 pub use breaker::{BreakerPolicy, BreakerState, CircuitBreaker};
-pub use checkpoint::FetchCheckpoint;
 pub use endpoint::{
     fetch_triples_robust, EndpointStats, FetchConfig, FetchMode, FetchOutcome, InProcessEndpoint,
     SparqlEndpoint,

@@ -182,7 +182,6 @@ fn golden_run(threads: usize, breaker_spec: &str) -> (Vec<String>, Vec<String>, 
         mode: FetchMode::Partial,
         page_cache: Some(cache.clone()),
         breaker: Some(breaker.clone()),
-        ..FetchConfig::default()
     };
     let mut lines = Vec::new();
     for phase in ["cold", "warm"] {

@@ -7,8 +7,7 @@ use kgtosa::datagen;
 use kgtosa::kg::Triple;
 use kgtosa::rdf::{
     fetch_triples_robust, BreakerPolicy, CircuitBreaker, FaultPlan, FetchConfig, FetchMode,
-    InProcessEndpoint, PageCache, Query, RdfError, RdfStore, ResultSet, RetryPolicy,
-    SparqlEndpoint, SparqlEngine, NULL_ID,
+    InProcessEndpoint, PageCache, RdfStore, RetryPolicy, SparqlEndpoint, SparqlEngine, NULL_ID,
 };
 
 #[test]
@@ -110,21 +109,6 @@ fn endpoint_counts_plan_pagination() {
     }
 }
 
-/// An endpoint whose page at one offset is permanently broken.
-struct BrokenAt<'a, 's, 'kg> {
-    ep: &'a InProcessEndpoint<'s, 'kg>,
-    offset: usize,
-}
-
-impl SparqlEndpoint for BrokenAt<'_, '_, '_> {
-    fn select(&self, query: &Query) -> Result<ResultSet, RdfError> {
-        if query.offset == Some(self.offset) {
-            return Err(RdfError::exec("page permanently broken"));
-        }
-        self.ep.select(query)
-    }
-}
-
 #[test]
 fn paged_fetch_evaluates_each_subquery_once() {
     // Algorithm 3 pages every subquery off one evaluation: the request
@@ -195,28 +179,4 @@ fn paged_fetch_evaluates_each_subquery_once() {
     assert_eq!(policed_ep.stats().requests(), pages + subs.len());
     assert_eq!(policed_ep.stats().evaluations(), subs.len());
     assert_eq!(policed_ep.open_cursors(), 0);
-
-    // Checkpoint resume: a first run dies on its third page, the re-run
-    // skips the two checkpointed pages and starts mid-pagination — still
-    // one evaluation for all the pages that remain.
-    let first_ep = InProcessEndpoint::new(&store);
-    let longest = subs
-        .iter()
-        .max_by_key(|sq| first_ep.count(&sq.query).unwrap())
-        .unwrap();
-    let whole = fetch(&first_ep, longest, &strict).unwrap();
-    assert!(whole.completed_pages > 3);
-    let dir = std::env::temp_dir().join(format!("kgtosa-cursor-resume-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let resumable = FetchConfig { checkpoint: Some(dir.join("fetch.ckpt")), ..strict.clone() };
-    let broken = BrokenAt { ep: &first_ep, offset: 2 * BS };
-    assert!(fetch(&broken, longest, &resumable).is_err());
-    let resumed_ep = InProcessEndpoint::new(&store);
-    let resumed = fetch(&resumed_ep, longest, &resumable).unwrap();
-    std::fs::remove_dir_all(&dir).unwrap();
-    assert_eq!(resumed.resumed_pages, 2);
-    assert_eq!(resumed.triples, whole.triples);
-    assert_eq!(resumed_ep.stats().requests(), whole.completed_pages - 2);
-    assert_eq!(resumed_ep.stats().evaluations(), 1);
-    assert_eq!(resumed_ep.open_cursors(), 0);
 }
