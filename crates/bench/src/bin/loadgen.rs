@@ -195,10 +195,6 @@ fn summarize(regime: &str, outcomes: &[Outcome], elapsed_s: f64) -> RegimeRow {
 
 fn main() {
     let env = Env::from_env();
-    let chrome_out = std::env::var("KGTOSA_CHROME_TRACE").ok().filter(|p| !p.is_empty());
-    if chrome_out.is_some() {
-        kgtosa_obs::arm_chrome();
-    }
 
     println!(
         "loadgen — kgtosa-serve under steady / overload / fault-storm regimes (scale {})",
@@ -410,8 +406,4 @@ fn main() {
 
     let _ = std::fs::remove_dir_all(&workdir);
     kgtosa_obs::shutdown();
-    if let Some(path) = &chrome_out {
-        kgtosa_obs::write_chrome_trace(path).expect("write chrome trace");
-        eprintln!("chrome: wrote trace to {path}");
-    }
 }

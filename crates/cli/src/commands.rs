@@ -398,20 +398,22 @@ fn github_step_summary(markdown: &str) {
     }
 }
 
-/// `kgtosa trace-validate TRACE`: load-validates a Chrome-trace JSON file
-/// (as written by `--chrome-out`): event schema, monotone per-track
-/// timestamps, balanced B/E nesting, counter tracks. Exits nonzero on a
-/// malformed trace so CI can gate on the artifact it uploads.
-pub fn trace_validate(args: &Args) -> Result<(), String> {
-    let path = args
-        .positionals
-        .first()
-        .map(|s| s.as_str())
-        .ok_or("usage: kgtosa trace-validate <trace.json>")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let stats = kgtosa_obs::validate_chrome_trace(&text).map_err(|e| format!("{path}: {e}"))?;
+/// `kgtosa trace-chrome RUN.jsonl OUT.json`: renders a JSONL trace as a
+/// Chrome-trace JSON file, validates the rendering (event schema,
+/// monotone per-track timestamps, balanced B/E nesting, counter tracks)
+/// and writes it. Exits nonzero on a malformed trace or an invalid
+/// rendering, so CI can gate on the artifact it uploads.
+pub fn trace_chrome(args: &Args) -> Result<(), String> {
+    let [jsonl, out] = args.positionals.as_slice() else {
+        return Err("usage: kgtosa trace-chrome <run.jsonl> <trace.json>".into());
+    };
+    let text = std::fs::read_to_string(jsonl).map_err(|e| format!("cannot read {jsonl}: {e}"))?;
+    let chrome = kgtosa_obs::render_chrome_trace(&text).map_err(|e| format!("{jsonl}: {e}"))?;
+    let stats = kgtosa_obs::validate_chrome_trace(&chrome)
+        .map_err(|e| format!("{jsonl}: invalid rendering: {e}"))?;
+    std::fs::write(out, chrome).map_err(|e| format!("cannot write {out}: {e}"))?;
     println!(
-        "{path}: valid Chrome trace — {} span event(s), {} counter event(s), \
+        "{out}: valid Chrome trace — {} span event(s), {} counter event(s), \
          {} process track(s), max span depth {}",
         stats.span_events, stats.counter_events, stats.pids, stats.max_depth
     );
@@ -479,9 +481,9 @@ pub fn cache(args: &Args) -> Result<(), String> {
 
 /// Runs one train/compare variant (FG, or a TOSG extraction + training)
 /// inside its own [`kgtosa_obs::TelemetryContext`] so the two runs of a
-/// `compare` stay separately attributable in `/contexts` and the Chrome
-/// trace. With no telemetry consumer the closure runs
-/// uncontexted — numerics are identical either way.
+/// `compare` stay separately attributable in `/contexts` and the trace.
+/// With no telemetry consumer the closure runs uncontexted — numerics are
+/// identical either way.
 fn in_variant_ctx<T>(label: &str, f: impl FnOnce() -> Result<T, String>) -> Result<T, String> {
     let ctx = kgtosa_obs::telemetry_active()
         .then(|| kgtosa_obs::TelemetryContext::new(label));
@@ -677,8 +679,8 @@ pub fn train(args: &Args, compare: bool) -> Result<(), String> {
 /// Loads one dataset snapshot and a checkpoint registry, binds the
 /// address, and serves until SIGTERM/SIGINT (or `POST /admin/shutdown`)
 /// drains it. The drain report is printed on stdout; telemetry flushing
-/// (JSONL trace, Chrome trace, summary tree) is handled by the shared
-/// CLI epilogue, so a drained daemon exits 0 with complete traces.
+/// (JSONL trace, summary tree) is handled by the shared CLI epilogue, so
+/// a drained daemon exits 0 with a complete trace.
 pub fn serve(args: &Args) -> Result<(), String> {
     use std::time::Duration;
 

@@ -68,11 +68,12 @@ COMMANDS:
              and exit nonzero on regressions beyond the threshold
                kgtosa trace-diff OLD NEW [--threshold 25]
                [--min-seconds 0.001]
-  trace-validate
-             Load-validate a Chrome-trace JSON file (as written by
-             --chrome-out): schema, per-track span nesting discipline,
-             counter tracks; exits nonzero on malformed traces
-               kgtosa trace-validate trace.json
+  trace-chrome
+             Render a JSONL trace (a killed run's too) as a validated
+             Chrome-trace / Perfetto file for ui.perfetto.dev: a process
+             track per telemetry context, a thread track per thread;
+             exits nonzero on a malformed trace
+               kgtosa trace-chrome run.jsonl trace.json
   help       Show this message
 
 GLOBAL OPTIONS (any command):
@@ -82,13 +83,6 @@ GLOBAL OPTIONS (any command):
                      CSR build, SPARQL fetch); KGTOSA_THREADS=N does the
                      same; defaults to the machine's available parallelism.
                      Results are bit-identical at any thread count.
-  --chrome-out FILE  Write a Chrome-trace / Perfetto JSON file at exit:
-                     each telemetry context is a process track, each
-                     worker thread a thread track, with B/E span events
-                     and counter tracks sampled at exit (and once a
-                     second with --trace-out);
-                     KGTOSA_CHROME_TRACE=FILE does the same (open the
-                     result in ui.perfetto.dev or chrome://tracing)
   --quiet            Silence progress chatter on stderr (result lines on
                      stdout are unaffected)
 
@@ -131,8 +125,8 @@ CHECKPOINTS (train/compare; serve):
 /// takes the token after it as a value.
 const OPTIONS: &[(&str, bool)] = &[
     ("addr", false), ("breaker", false), ("cache-budget", false), ("cache-dir", false),
-    ("checkpoint-dir", false), ("checkpoint-interval", false), ("chrome-out", false),
-    ("dataset", false), ("default-deadline-ms", false), ("dim", false), ("epochs", false),
+    ("checkpoint-dir", false), ("checkpoint-interval", false), ("dataset", false),
+    ("default-deadline-ms", false), ("dim", false), ("epochs", false),
     ("explain", true), ("fault-spec", false), ("kg", false), ("limit", false), ("lr", false),
     ("max-body-bytes", false), ("max-deadline-ms", false), ("max-inflight-bytes", false),
     ("max-len", false), ("max-paths", false), ("method", false), ("min-seconds", false),
@@ -173,22 +167,11 @@ fn main() {
             .map_err(|e| format!("cannot open trace file {path:?}: {e}")),
         None => Ok(kgtosa_obs::init_trace_from_env()),
     };
-    // Chrome-trace export: arm the collector before any span runs so the
-    // epoch covers the whole invocation.
-    let chrome_out = args
-        .options
-        .get("chrome-out")
-        .cloned()
-        .or_else(|| std::env::var("KGTOSA_CHROME_TRACE").ok().filter(|p| !p.is_empty()));
-    if chrome_out.is_some() {
-        kgtosa_obs::arm_chrome();
-    }
     // The run context scopes every span and instrument delta of this
-    // invocation under one trace id, so the JSONL and Chrome traces see
-    // per-request numbers. Created only when one of them is written —
-    // silent runs skip the (cheap, but nonzero) scoped bookkeeping
-    // entirely.
-    let run_ctx = (kgtosa_obs::trace_enabled() || chrome_out.is_some())
+    // invocation under one trace id, so the trace sees per-request
+    // numbers. Created only when a trace is written — silent runs skip
+    // the (cheap, but nonzero) scoped bookkeeping entirely.
+    let run_ctx = kgtosa_obs::trace_enabled()
         .then(|| kgtosa_obs::TelemetryContext::new(&format!("cli.{}", args.command)));
     let result = traced.and_then(|_| {
         let _scope = run_ctx.as_ref().map(|c| c.enter());
@@ -203,7 +186,7 @@ fn main() {
             "cache" => commands::cache(&args),
             "trace-summary" => commands::trace_summary(&args),
             "trace-diff" => commands::trace_diff(&args),
-            "trace-validate" => commands::trace_validate(&args),
+            "trace-chrome" => commands::trace_chrome(&args),
             "help" | "" | "--help" | "-h" => {
                 println!("{USAGE}");
                 Ok(())
@@ -223,12 +206,6 @@ fn main() {
         }
     }
     kgtosa_obs::shutdown();
-    if let Some(path) = &chrome_out {
-        match kgtosa_obs::write_chrome_trace(path) {
-            Ok(()) => eprintln!("chrome: wrote trace to {path} (open in ui.perfetto.dev)"),
-            Err(e) => eprintln!("chrome: cannot write {path}: {e}"),
-        }
-    }
     if let Err(e) = result {
         eprintln!("error: {e}");
         std::process::exit(1);

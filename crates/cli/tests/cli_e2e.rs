@@ -105,25 +105,29 @@ fn train_command_runs() {
     assert!(stdout.contains("metric"), "{stdout}");
 }
 
-#[test]
-fn trace_out_emits_parseable_jsonl_and_summary_renders() {
-    let trace = tmp("train-trace.jsonl");
-    // `--tosg` routes through SPARQL extraction + transform, so the trace
-    // covers the whole pipeline, not just training.
+/// Runs a traced, `--quiet` `train --tosg` and returns its JSONL trace.
+/// `--tosg` routes through SPARQL extraction + transform inside a variant
+/// context, so the trace covers the whole pipeline, not just training.
+fn traced_train(name: &str) -> (PathBuf, String) {
+    let trace = tmp(name);
     let out = kgtosa()
         .args([
             "train", "--dataset", "dblp", "--task", "PV/DBLP",
             "--method", "rgcn", "--scale", "0.05", "--epochs", "3",
-            "--tosg", "d1h1", "--quiet",
-            "--trace-out", trace.to_str().unwrap(),
+            "--tosg", "d1h1", "--quiet", "--trace-out", trace.to_str().unwrap(),
         ])
         .output()
         .unwrap();
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     // --quiet: no chatter, no summary tree on stderr.
     assert!(out.stderr.is_empty(), "{}", String::from_utf8_lossy(&out.stderr));
-
     let text = std::fs::read_to_string(&trace).unwrap();
+    (trace, text)
+}
+
+#[test]
+fn trace_out_emits_parseable_jsonl_and_summary_renders() {
+    let (trace, text) = traced_train("train-trace.jsonl");
     let mut kinds = std::collections::BTreeSet::new();
     let mut epoch_events = 0usize;
     let mut saw_transform = false;
@@ -495,7 +499,7 @@ fn unknown_command_fails_with_usage() {
     // Subcommands that no longer exist are unknown like any other. (The
     // removed names are spelled in pieces here and below so that a grep
     // for them over the tree stays empty.)
-    for gone in [&["trace-", "trend"].concat(), "prof", "report"] {
+    for gone in [&["trace-", "trend"].concat(), &["trace-", "validate"].concat(), "prof", "report"] {
         let out = kgtosa().args([gone, "a", "b"]).output().unwrap();
         assert!(!out.status.success(), "{gone} must fail");
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -511,6 +515,7 @@ fn unknown_option_exits_2_naming_it() {
         ["--metrics", "-addr"].concat(),
         ["--s", "lo"].concat(),
         ["--strict", "-slo"].concat(),
+        ["--chrome", "-out"].concat(),
     ];
     for option in gone.iter().map(String::as_str).chain(["--bogus-option"]) {
         let out = kgtosa()
@@ -533,38 +538,85 @@ fn missing_options_fail_cleanly() {
 }
 
 #[test]
-fn chrome_out_writes_a_trace_that_trace_validate_accepts() {
+fn trace_chrome_renders_a_train_trace_and_rejects_malformed_jsonl() {
+    let (trace, _) = traced_train("chrome-run.jsonl");
     let chrome = tmp("chrome-trace.json");
-    let _ = std::fs::remove_file(&chrome);
-    let out = kgtosa()
-        .args([
-            "train", "--dataset", "dblp", "--task", "PV/DBLP",
-            "--method", "rgcn", "--scale", "0.03", "--epochs", "2",
-            "--quiet", "--chrome-out", chrome.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("chrome: wrote trace"), "{stderr}");
-    assert!(chrome.exists());
-
-    // Round-trip: the CLI's own validator must accept the artifact it
-    // just wrote, and report at least one span event and process track.
-    let out = kgtosa()
-        .args(["trace-validate", chrome.to_str().unwrap()])
-        .output()
-        .unwrap();
+    let render = |jsonl: &PathBuf| {
+        let args = ["trace-chrome", jsonl.to_str().unwrap(), chrome.to_str().unwrap()];
+        kgtosa().args(args).output().unwrap()
+    };
+    let out = render(&trace);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("valid Chrome trace"), "{stdout}");
+    assert!(stdout.contains("valid Chrome trace") && !stdout.contains(" 0 span"), "{stdout}");
+    let written = std::fs::read_to_string(&chrome).unwrap();
+    kgtosa_obs::validate_chrome_trace(&written).expect("written file validates");
 
-    // A malformed trace must exit nonzero.
-    let broken = tmp("chrome-broken.json");
-    std::fs::write(&broken, "{\"traceEvents\":[{\"ph\":\"E\"}]}").unwrap();
-    let out = kgtosa()
-        .args(["trace-validate", broken.to_str().unwrap()])
-        .output()
-        .unwrap();
+    // A malformed interior line exits nonzero, naming the line.
+    let broken = tmp("chrome-broken.jsonl");
+    std::fs::write(&broken, "{\"ev\":\"span\"}\n{\"ev\":\"log\",\"t\":0}\n").unwrap();
+    let out = render(&broken);
     assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("line 1"));
+}
+
+#[test]
+fn a_killed_run_still_renders() {
+    let (_, text) = traced_train("chrome-killed.jsonl");
+    // A killed run never writes the final `metrics` event: cut before it.
+    let metrics_at = text.find("{\"ev\":\"metrics\"").expect("complete run has metrics");
+    for k in 1..=16 {
+        let mut cut = metrics_at * k / 17;
+        while !text.is_char_boundary(cut) {
+            cut -= 1;
+        }
+        let head = &text[..cut];
+        let chrome = kgtosa_obs::render_chrome_trace(head)
+            .unwrap_or_else(|e| panic!("cut at byte {cut}: {e}"));
+        let stats = kgtosa_obs::validate_chrome_trace(&chrome)
+            .unwrap_or_else(|e| panic!("cut at byte {cut}: {e}"));
+        let complete = head.lines().filter(|l| kgtosa_obs::Json::parse(l).is_ok());
+        let spans = complete.filter(|l| l.contains("\"ev\":\"span\"")).count();
+        assert_eq!(stats.span_events, spans, "cut at byte {cut}");
+    }
+}
+
+#[test]
+fn rendered_trace_validates_with_real_spans() {
+    use kgtosa_obs::Json;
+    let (_, text) = traced_train("chrome-pairs.jsonl");
+    let chrome = kgtosa_obs::render_chrome_trace(&text).unwrap();
+    kgtosa_obs::validate_chrome_trace(&chrome).expect("rendering validates");
+    let lines: Vec<Json> = text.lines().map(|l| Json::parse(l).unwrap()).collect();
+    let Some(Json::Arr(events)) = Json::parse(&chrome).unwrap().get("traceEvents").cloned() else {
+        panic!("no traceEvents: {chrome}")
+    };
+    let num = |e: &Json, key: &str| e.get(key).and_then(Json::as_f64).map_or(0, |v| v as u64);
+    let str_of = |e: &Json, key: &str| e.get(key).and_then(Json::as_str).unwrap_or("").to_string();
+    // Sorted (name, pid, tid) of the events whose `kind` field is `phase`.
+    let keys = |evs: &[Json], kind: &str, phase: &str, pid: &str| {
+        let mut keys: Vec<(String, u64, u64)> = evs
+            .iter()
+            .filter(|e| str_of(e, kind) == phase)
+            .map(|e| (str_of(e, "name"), num(e, pid), num(e, "tid")))
+            .collect();
+        keys.sort();
+        keys
+    };
+
+    // Every `span` line becomes exactly one B/E pair on its (ctx, tid) track.
+    let spans = keys(&lines, "ev", "span", "ctx");
+    assert!(!spans.is_empty(), "{text}");
+    assert_eq!(keys(&events, "ph", "B", "pid"), spans);
+    assert_eq!(keys(&events, "ph", "E", "pid"), spans);
+
+    // Every `context` event names its pid track.
+    let contexts = keys(&lines, "ev", "context", "id");
+    let tracks: Vec<_> = events
+        .iter()
+        .filter(|e| str_of(e, "ph") == "M")
+        .map(|e| (e.get("args").map(|a| str_of(a, "name")).unwrap_or_default(), num(e, "pid"), 0))
+        .collect();
+    assert!(!contexts.is_empty(), "{text}");
+    assert!(contexts.iter().all(|c| tracks.contains(c)), "{contexts:?} not all in {tracks:?}");
 }

@@ -1,13 +1,13 @@
-//! Chrome-trace / Perfetto JSON exporter.
+//! Chrome-trace / Perfetto rendering of a JSONL trace.
 //!
-//! Armed with `--chrome-out PATH` (or `KGTOSA_CHROME_TRACE`), every
-//! completed span is buffered as a timed interval and rendered at
-//! shutdown into the Chrome trace-event JSON format (`chrome://tracing`,
-//! <https://ui.perfetto.dev>): `pid` = telemetry context id (0 for
-//! uncontexted work), `tid` = a small stable per-OS-thread id, spans as
-//! paired `B`/`E` duration events, plus `C` counter tracks sampled from
-//! the global registry once a second by the trace flusher and once at
-//! shutdown.
+//! The JSONL trace is the record; a Chrome trace-event document
+//! (`chrome://tracing`, <https://ui.perfetto.dev>) is rendered from it
+//! after the fact by [`render_chrome_trace`], so a killed run renders up
+//! to its last flushed event. `pid` = telemetry context id (0 for
+//! uncontexted work), `tid` = the span's small per-thread id, `span`
+//! events become paired `B`/`E` duration events, `context` events name
+//! the `pid` tracks, and the counters and gauges of every `counters` and
+//! `metrics` event become `C` counter points.
 //!
 //! The renderer re-establishes exact telescoping before emitting: span
 //! intervals come from independent `Instant` reads, so float rounding can
@@ -17,16 +17,8 @@
 //! which [`validate_chrome_trace`] (and the CI gate built on it) then
 //! verifies from the serialized text alone.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
-use std::time::Instant;
-
 use crate::json::Json;
-
-/// Hard caps so a runaway run cannot hold unbounded buffers; beyond them
-/// events are counted as dropped, not silently lost.
-const MAX_SPAN_EVENTS: usize = 1 << 18;
-const MAX_COUNTER_EVENTS: usize = 1 << 16;
+use crate::summary::for_each_event;
 
 /// Minimum rendered span width in microseconds: a zero-width interval
 /// would serialize `B` and `E` at the same timestamp and render invisibly.
@@ -41,113 +33,60 @@ struct SpanEv {
     t1_us: f64,
 }
 
-#[derive(Debug, Clone)]
-struct CounterEv {
-    name: String,
-    t_us: f64,
-    value: f64,
-}
-
-#[derive(Debug, Clone)]
-struct ProcEv {
-    pid: u64,
-    name: String,
-}
-
-static ARMED: AtomicBool = AtomicBool::new(false);
-static DROPPED: AtomicU64 = AtomicU64::new(0);
-
-#[derive(Default)]
-struct Buffers {
-    spans: Vec<SpanEv>,
-    counters: Vec<CounterEv>,
-    procs: Vec<ProcEv>,
-}
-
-fn buffers() -> MutexGuard<'static, Buffers> {
-    static BUF: OnceLock<Mutex<Buffers>> = OnceLock::new();
-    BUF.get_or_init(Mutex::default)
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Time zero for the exported trace, pinned when the exporter is armed.
-fn epoch() -> Instant {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    *EPOCH.get_or_init(Instant::now)
-}
-
-/// Arms the exporter. Spans completing from here on are buffered; spans
-/// already open keep their real end time and clamp their start to the
-/// arming instant.
-pub fn arm_chrome() {
-    epoch();
-    ARMED.store(true, Ordering::Relaxed);
-}
-
-#[inline]
-pub(crate) fn chrome_armed() -> bool {
-    ARMED.load(Ordering::Relaxed)
-}
-
 fn to_us(s: f64) -> f64 {
     s * 1e6
 }
 
-/// Buffers one completed span interval. Called from the span layer only
-/// when [`chrome_armed`] — one relaxed load on the disarmed path.
-pub(crate) fn on_span_complete(pid: u64, tid: u64, path: &str, start: Instant, wall_s: f64) {
-    let t0 = start.checked_duration_since(epoch()).map_or(0.0, |d| d.as_secs_f64());
-    let mut buf = buffers();
-    if buf.spans.len() >= MAX_SPAN_EVENTS {
-        DROPPED.fetch_add(1, Ordering::Relaxed);
-        return;
+/// The finite number at `key`.
+fn finite(ev: &Json, key: &str) -> Result<f64, String> {
+    ev.get(key)
+        .and_then(Json::as_f64)
+        .filter(|v| v.is_finite())
+        .ok_or_else(|| format!("missing or non-finite {key:?}"))
+}
+
+/// The finite, non-negative number at `key`.
+fn non_negative(ev: &Json, key: &str) -> Result<f64, String> {
+    let v = finite(ev, key)?;
+    if v < 0.0 {
+        return Err(format!("negative {key:?}"));
     }
-    buf.spans.push(SpanEv {
+    Ok(v)
+}
+
+/// Decodes a `span` event. A span opened before the trace was installed
+/// has a negative `t0`: it keeps its real end and clamps its start to 0.
+fn span_ev(ev: &Json) -> Result<SpanEv, String> {
+    let name = ev.get("name").and_then(Json::as_str).ok_or("span without name")?;
+    let t0 = finite(ev, "t0")?;
+    let wall_s = non_negative(ev, "wall_s")?;
+    let tid = non_negative(ev, "tid")? as u64;
+    let pid = if ev.get("ctx").is_some() { non_negative(ev, "ctx")? as u64 } else { 0 };
+    let t0_us = to_us(t0.max(0.0));
+    Ok(SpanEv {
         pid,
         tid,
-        name: path.to_string(),
-        t0_us: to_us(t0),
-        t1_us: to_us(t0 + wall_s.max(0.0)),
-    });
+        name: name.to_string(),
+        t0_us,
+        t1_us: to_us(t0 + wall_s).max(t0_us),
+    })
 }
 
-/// Names the `pid` track after the context (Chrome `process_name`
-/// metadata). No-op while disarmed.
-pub(crate) fn on_context_created(id: u64, name: &str) {
-    if !chrome_armed() {
-        return;
-    }
-    let mut buf = buffers();
-    if !buf.procs.iter().any(|p| p.pid == id) {
-        buf.procs.push(ProcEv { pid: id, name: name.to_string() });
-    }
-}
-
-/// Samples every registry counter and gauge into `C` counter-track
-/// events. The trace flusher calls this once a second; shutdown takes a
-/// final sample so short runs still get at least one point per track.
-pub fn sample_counter_tracks() {
-    if !chrome_armed() {
-        return;
-    }
-    let t_us = to_us(epoch().elapsed().as_secs_f64());
-    let mut rows: Vec<(String, f64)> = crate::registry::counter_values()
-        .into_iter()
-        .map(|(k, v)| (k, v as f64))
-        .collect();
-    rows.extend(crate::registry::gauge_values().into_iter().map(|(k, v)| (k, v as f64)));
-    rows.extend(crate::registry::gauge_f64_values());
-    let mut buf = buffers();
-    for (name, value) in rows {
-        if buf.counters.len() >= MAX_COUNTER_EVENTS {
-            DROPPED.fetch_add(1, Ordering::Relaxed);
-            break;
-        }
-        if value.is_finite() {
-            buf.counters.push(CounterEv { name, t_us, value });
+/// Decodes the `counters` and `gauges` objects of a `counters` or
+/// `metrics` event into `(ts, name, value)` points at its `t`. Non-finite
+/// values (serialized as `null`) have no point.
+fn counter_points(ev: &Json, out: &mut Vec<(f64, String, f64)>) -> Result<(), String> {
+    let t_us = to_us(non_negative(ev, "t")?);
+    for key in ["counters", "gauges"] {
+        match ev.get(key) {
+            Some(Json::Obj(fields)) => out.extend(fields.iter().filter_map(|(name, v)| {
+                Some((t_us, name.clone(), v.as_f64().filter(|v| v.is_finite())?))
+            })),
+            Some(_) => return Err(format!("{key:?} is not an object")),
+            None => {}
         }
     }
+    Ok(())
 }
 
 /// Per-track clamp pass: sorts spans into opening order and bounds each
@@ -180,43 +119,49 @@ fn num(v: f64) -> Json {
     Json::Num(v)
 }
 
-/// Renders the buffered events as a Chrome trace-event JSON document.
-pub fn render_chrome_trace() -> String {
-    let (mut spans, counters, procs) = {
-        let buf = buffers();
-        (buf.spans.clone(), buf.counters.clone(), buf.procs.clone())
-    };
+/// Renders a JSONL trace as a Chrome trace-event JSON document. Lines are
+/// read like [`crate::summarize_jsonl`] reads them — a truncated final
+/// line is dropped — and a malformed event is an error naming its line.
+pub fn render_chrome_trace(jsonl: &str) -> Result<String, String> {
+    let mut spans: Vec<SpanEv> = Vec::new();
+    let mut counters: Vec<(f64, String, f64)> = Vec::new();
+    // Name each context's pid track, plus the catch-all track for
+    // uncontexted work.
+    let mut procs: Vec<(u64, String)> = vec![(0, "global".into())];
+    for_each_event(jsonl, |kind, ev| {
+        match kind {
+            "span" => spans.push(span_ev(ev)?),
+            "context" => {
+                let id = non_negative(ev, "id")? as u64;
+                let name = ev.get("name").and_then(Json::as_str).ok_or("context without name")?;
+                if !procs.iter().any(|(pid, _)| *pid == id) {
+                    procs.push((id, name.to_string()));
+                }
+            }
+            "counters" | "metrics" => counter_points(ev, &mut counters)?,
+            _ => {}
+        }
+        Ok(())
+    })?;
 
     let mut events: Vec<Json> = Vec::new();
-    // Process metadata first: name each context's pid track, plus the
-    // catch-all track for uncontexted work.
-    let mut named: Vec<ProcEv> = vec![ProcEv { pid: 0, name: "global".into() }];
-    named.extend(procs);
-    for p in &named {
+    for (pid, name) in procs {
         events.push(Json::Obj(vec![
             ("ph".into(), Json::Str("M".into())),
-            ("pid".into(), num(p.pid as f64)),
+            ("pid".into(), num(pid as f64)),
             ("tid".into(), num(0.0)),
             ("name".into(), Json::Str("process_name".into())),
-            (
-                "args".into(),
-                Json::Obj(vec![("name".into(), Json::Str(p.name.clone()))]),
-            ),
+            ("args".into(), Json::Obj(vec![("name".into(), Json::Str(name))])),
         ]));
     }
 
     // Clamp per (pid, tid) track, then serialize as B/E pairs in a strict
     // total order: ts, E-before-B on ties, outermost B first (longest
-    // duration), innermost E first (shortest duration), buffer index as
+    // duration), innermost E first (shortest duration), record index as
     // the final mirrored tie-break.
     spans.sort_by_key(|s| (s.pid, s.tid));
-    let mut i = 0;
-    while i < spans.len() {
-        let j = (i..spans.len())
-            .find(|&k| (spans[k].pid, spans[k].tid) != (spans[i].pid, spans[i].tid))
-            .unwrap_or(spans.len());
-        clamp_track(&mut spans[i..j]);
-        i = j;
+    for track in spans.chunk_by_mut(|a, b| (a.pid, a.tid) == (b.pid, b.tid)) {
+        clamp_track(track);
     }
     // (ts, class, dur_key, idx_key): class E=0 < B=1; B opens longest
     // first (-dur), E closes shortest first (+dur); mirrored index keys
@@ -224,32 +169,17 @@ pub fn render_chrome_trace() -> String {
     let mut keyed: Vec<(f64, u8, f64, i64, Json)> = Vec::with_capacity(spans.len() * 2);
     for (idx, s) in spans.iter().enumerate() {
         let dur = s.t1_us - s.t0_us;
-        keyed.push((
-            s.t0_us,
-            1,
-            -dur,
-            idx as i64,
+        let event = |ph: &str, ts: f64| {
             Json::Obj(vec![
-                ("ph".into(), Json::Str("B".into())),
+                ("ph".into(), Json::Str(ph.into())),
                 ("pid".into(), num(s.pid as f64)),
                 ("tid".into(), num(s.tid as f64)),
-                ("ts".into(), num(s.t0_us)),
+                ("ts".into(), num(ts)),
                 ("name".into(), Json::Str(s.name.clone())),
-            ]),
-        ));
-        keyed.push((
-            s.t1_us,
-            0,
-            dur,
-            -(idx as i64),
-            Json::Obj(vec![
-                ("ph".into(), Json::Str("E".into())),
-                ("pid".into(), num(s.pid as f64)),
-                ("tid".into(), num(s.tid as f64)),
-                ("ts".into(), num(s.t1_us)),
-                ("name".into(), Json::Str(s.name.clone())),
-            ]),
-        ));
+            ])
+        };
+        keyed.push((s.t0_us, 1, -dur, idx as i64, event("B", s.t0_us)));
+        keyed.push((s.t1_us, 0, dur, -(idx as i64), event("E", s.t1_us)));
     }
     keyed.sort_by(|a, b| {
         a.0.total_cmp(&b.0)
@@ -259,38 +189,27 @@ pub fn render_chrome_trace() -> String {
     });
     events.extend(keyed.into_iter().map(|(_, _, _, _, ev)| ev));
 
-    let mut counters = counters;
-    counters.sort_by(|a, b| a.t_us.total_cmp(&b.t_us).then(a.name.cmp(&b.name)));
-    for c in counters {
+    counters.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    for (ts, name, value) in counters {
         events.push(Json::Obj(vec![
             ("ph".into(), Json::Str("C".into())),
             ("pid".into(), num(0.0)),
             ("tid".into(), num(0.0)),
-            ("ts".into(), num(c.t_us)),
-            ("name".into(), Json::Str(c.name.clone())),
-            (
-                "args".into(),
-                Json::Obj(vec![("value".into(), num(c.value))]),
-            ),
+            ("ts".into(), num(ts)),
+            ("name".into(), Json::Str(name)),
+            ("args".into(), Json::Obj(vec![("value".into(), num(value))])),
         ]));
     }
 
-    Json::Obj(vec![
+    Ok(Json::Obj(vec![
         ("traceEvents".into(), Json::Arr(events)),
         ("displayTimeUnit".into(), Json::Str("ms".into())),
-        ("dropped".into(), num(DROPPED.load(Ordering::Relaxed) as f64)),
     ])
-    .to_string()
-}
-
-/// Final counter sample + render + write. Called once at CLI shutdown.
-pub fn write_chrome_trace(path: &str) -> std::io::Result<()> {
-    sample_counter_tracks();
-    std::fs::write(path, render_chrome_trace())
+    .to_string())
 }
 
 /// Shape statistics proven by [`validate_chrome_trace`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChromeTraceStats {
     /// Completed spans (`B` events; `E`s are checked to pair off exactly).
     pub span_events: usize,
@@ -302,18 +221,15 @@ pub struct ChromeTraceStats {
 }
 
 fn field_f64(ev: &Json, key: &str, i: usize) -> Result<f64, String> {
-    ev.get(key)
-        .and_then(Json::as_f64)
-        .filter(|v| v.is_finite())
-        .ok_or_else(|| format!("event {i}: missing or non-finite {key:?}"))
+    finite(ev, key).map_err(|e| format!("event {i}: {e}"))
 }
 
 /// Structural validation of a serialized Chrome trace: JSON parses, every
 /// event has a known phase and its required fields, and per `(pid, tid)`
 /// track the `B`/`E` stream honours stack discipline — monotone
 /// timestamps, each `E` closing the innermost open `B` of the same name,
-/// and every track balanced at end of stream. This is what
-/// `kgtosa trace-validate` and the CI artifact gate run.
+/// and every track balanced at end of stream. `kgtosa trace-chrome` runs
+/// it on every rendering before writing it.
 pub fn validate_chrome_trace(text: &str) -> Result<ChromeTraceStats, String> {
     let doc = Json::parse(text).map_err(|e| format!("not valid JSON: {e}"))?;
     let events = match doc.get("traceEvents") {
@@ -322,12 +238,7 @@ pub fn validate_chrome_trace(text: &str) -> Result<ChromeTraceStats, String> {
     };
     let mut stacks: std::collections::HashMap<(u64, u64), (Vec<String>, f64)> =
         std::collections::HashMap::new();
-    let mut stats = ChromeTraceStats {
-        span_events: 0,
-        counter_events: 0,
-        pids: 0,
-        max_depth: 0,
-    };
+    let mut stats = ChromeTraceStats::default();
     let mut pids = std::collections::HashSet::new();
     for (i, ev) in events.iter().enumerate() {
         let ph = ev
@@ -401,6 +312,39 @@ pub fn validate_chrome_trace(text: &str) -> Result<ChromeTraceStats, String> {
 mod tests {
     use super::*;
 
+    fn span_line(name: &str, ctx: u64, tid: u64, t0: &str, wall_s: &str) -> String {
+        format!(
+            r#"{{"ev":"span","t":1,"ctx":{ctx},"name":"{name}","t0":{t0},"tid":{tid},"wall_s":{wall_s},"live_bytes":0,"peak_delta_bytes":0,"allocs":0}}"#
+        )
+    }
+
+    /// A hand-written trace of every rendered event kind.
+    fn sample_trace() -> String {
+        [
+            r#"{"ev":"context","t":0,"id":3,"name":"req"}"#.to_string(),
+            span_line("outer.inner", 3, 1, "0.1", "0.2"),
+            span_line("outer", 3, 1, "0.05", "0.5"),
+            // Opened before the trace was installed.
+            span_line("early", 0, 2, "-0.25", "1"),
+            r#"{"ev":"counters","t":1,"counters":{"n":2},"gauges":{"g":-1,"nan":null}}"#.into(),
+            r#"{"ev":"metrics","t":2,"counters":{"n":3},"gauges":{},"histograms":{},"spans":{}}"#
+                .into(),
+        ]
+        .join("\n")
+    }
+
+    fn ts_of(events: &[Json], ph: &str, name: &str) -> f64 {
+        events
+            .iter()
+            .find(|e| {
+                e.get("ph").and_then(Json::as_str) == Some(ph)
+                    && e.get("name").and_then(Json::as_str) == Some(name)
+            })
+            .and_then(|e| e.get("ts"))
+            .and_then(Json::as_f64)
+            .unwrap_or_else(|| panic!("missing {ph} for {name}"))
+    }
+
     #[test]
     fn clamp_restores_telescoping_and_nudges_zero_width() {
         let mut track = vec![
@@ -418,53 +362,66 @@ mod tests {
     }
 
     #[test]
-    fn rendered_trace_validates_with_real_spans() {
-        arm_chrome();
-        let ctx = crate::TelemetryContext::new("chrome.test.req");
-        {
-            let _g = ctx.enter();
-            let _outer = crate::span("chrome_test.outer");
-            {
-                let _inner = crate::span("inner");
-                std::thread::sleep(std::time::Duration::from_millis(2));
-            }
-        }
-        crate::counter("chrome.test.counter").add(3);
-        sample_counter_tracks();
-
-        let text = render_chrome_trace();
-        let stats = validate_chrome_trace(&text).expect("rendered trace must validate");
-        assert!(stats.span_events >= 2, "both spans present: {stats:?}");
-        assert!(stats.counter_events >= 1, "counter track sampled: {stats:?}");
-        assert!(stats.max_depth >= 2, "nesting preserved: {stats:?}");
-        assert!(
-            text.contains("chrome.test.req"),
-            "context name appears as process metadata"
-        );
-
-        // Telescoping: the inner span's interval sits inside the outer's.
-        let doc = Json::parse(&text).unwrap();
-        let events = match doc.get("traceEvents") {
-            Some(Json::Arr(e)) => e,
-            _ => unreachable!(),
+    fn renders_every_event_kind() {
+        let text = render_chrome_trace(&sample_trace()).unwrap();
+        let stats = validate_chrome_trace(&text).expect("rendering validates");
+        assert_eq!((stats.span_events, stats.pids), (3, 2));
+        assert_eq!(stats.max_depth, 2, "nesting preserved");
+        // n at t=1 and t=2, g at t=1; the null gauge has no point.
+        assert_eq!(stats.counter_events, 3);
+        assert!(text.contains(r#""args":{"name":"req"}"#), "context names its track");
+        let Some(Json::Arr(events)) = Json::parse(&text).unwrap().get("traceEvents").cloned() else {
+            panic!("no traceEvents: {text}")
         };
-        let interval = |name: &str| -> (f64, f64) {
-            let ts = |ph: &str| {
-                events
-                    .iter()
-                    .find(|e| {
-                        e.get("ph").and_then(Json::as_str) == Some(ph)
-                            && e.get("name").and_then(Json::as_str) == Some(name)
-                    })
-                    .and_then(|e| e.get("ts"))
-                    .and_then(Json::as_f64)
-                    .unwrap_or_else(|| panic!("missing {ph} for {name}"))
-            };
-            (ts("B"), ts("E"))
-        };
-        let (ob, oe) = interval("chrome_test.outer");
-        let (ib, ie) = interval("chrome_test.outer.inner");
+        let (ob, oe) = (ts_of(&events, "B", "outer"), ts_of(&events, "E", "outer"));
+        let (ib, ie) = (ts_of(&events, "B", "outer.inner"), ts_of(&events, "E", "outer.inner"));
         assert!(ob <= ib && ie <= oe, "inner [{ib},{ie}] outside outer [{ob},{oe}]");
+        assert!((ob - 0.05e6).abs() < 1e-3 && (oe - 0.55e6).abs() < 1e-3, "[{ob},{oe}]");
+        // A negative t0 clamps the start and keeps the real end.
+        assert_eq!((ts_of(&events, "B", "early"), ts_of(&events, "E", "early")), (0.0, 0.75e6));
+    }
+
+    #[test]
+    fn malformed_lines_are_errors_naming_the_line() {
+        let trace = sample_trace();
+        let mut lines: Vec<String> = trace.lines().map(str::to_string).collect();
+        let span = span_line("x", 0, 1, "0.1", "0.2");
+        let cases = [
+            "not json".to_string(),
+            span.replace(r#""t0":0.1,"#, ""),
+            span.replace(r#""tid":1,"#, ""),
+            span.replace(r#""wall_s":0.2"#, r#""wall_s":1e999"#),
+            span.replace(r#""wall_s":0.2"#, r#""wall_s":-0.2"#),
+            span.replace(r#""wall_s":0.2"#, r#""wall_s":null"#),
+            span.replace(r#""t0":0.1"#, r#""t0":1e999"#),
+            span.replace(r#""t0":0.1"#, r#""t0":-1e999"#),
+            span.replace(r#""tid":1"#, r#""tid":-1"#),
+            span.replace(r#""ctx":0"#, r#""ctx":"a""#),
+            span.replace(r#""name":"x","#, ""),
+            r#"{"ev":"context","t":0,"name":"req"}"#.into(),
+            r#"{"ev":"counters","t":1,"counters":[1]}"#.into(),
+            r#"{"ev":"counters","counters":{}}"#.into(),
+            r#"{"t":1}"#.into(),
+        ];
+        for bad in cases {
+            // In the middle of the file: the line after it is complete.
+            lines.insert(2, bad.clone());
+            let err = render_chrome_trace(&lines.join("\n")).expect_err(&bad);
+            assert!(err.starts_with("line 3: "), "{bad}: {err}");
+            lines.remove(2);
+        }
+    }
+
+    #[test]
+    fn truncated_final_line_and_empty_trace_render() {
+        let full = render_chrome_trace(&sample_trace()).unwrap();
+        let cut = format!("{}\n{{\"ev\":\"span\",\"t\":3,\"na", sample_trace());
+        assert_eq!(render_chrome_trace(&cut).unwrap(), full, "truncated tail is dropped");
+        for empty in ["", "\n\n"] {
+            let text = render_chrome_trace(empty).unwrap();
+            let stats = validate_chrome_trace(&text).expect("empty trace renders a valid document");
+            assert_eq!((stats.span_events, stats.counter_events), (0, 0));
+        }
     }
 
     #[test]

@@ -6,8 +6,11 @@
 //! still recorded globally exactly as before, and additionally into the
 //! context current on the recording thread. This is what makes two
 //! concurrent extractions attributable — each request enters its own
-//! context, and `/contexts` and the Chrome-trace exporter read the scoped
-//! view instead of the commingled globals.
+//! context, and `/contexts` reads the scoped view instead of the
+//! commingled globals. When tracing, creating a context writes a JSONL
+//! `context` event and every event emitted inside it carries its id as
+//! `ctx`, which is how a rendered Chrome trace gets one process track per
+//! context.
 //!
 //! ## Propagation
 //!
@@ -28,7 +31,7 @@
 //! a context active, a short mutex op per instrument update — the same
 //! <2% wall budget the profiler holds.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -93,12 +96,9 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// gates every interception hook when contexts are unused.
 static ENTERED: AtomicUsize = AtomicUsize::new(0);
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
-static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 
 thread_local! {
     static STACK: RefCell<Vec<Arc<ContextInner>>> = const { RefCell::new(Vec::new()) };
-    /// Small stable per-thread id for the Chrome-trace `tid` axis.
-    static TID: Cell<u64> = const { Cell::new(0) };
 }
 
 fn context_registry() -> &'static RwLock<Vec<Weak<ContextInner>>> {
@@ -134,21 +134,6 @@ pub fn context_active() -> bool {
 /// The current context's id (the `ctx` field stamped onto trace events).
 pub(crate) fn current_id() -> Option<u64> {
     current_inner().map(|c| c.id)
-}
-
-/// Stable small integer id for the calling thread, assigned on first use.
-pub(crate) fn current_tid() -> u64 {
-    TID.try_with(|c| {
-        let v = c.get();
-        if v != 0 {
-            v
-        } else {
-            let v = NEXT_TID.fetch_add(1, Ordering::Relaxed);
-            c.set(v);
-            v
-        }
-    })
-    .unwrap_or(0)
 }
 
 fn upsert<V: Default>(map: &Mutex<HashMap<String, V>>, name: &str, apply: impl FnOnce(&mut V)) {
@@ -193,20 +178,14 @@ pub(crate) fn on_histogram(name: &str, v: f64) {
 }
 
 /// Called by [`crate::span::SpanGuard`] when a span completes: records the
-/// span into the current context's tree, and hands the timed interval to
-/// the Chrome-trace buffer when the exporter is armed.
-pub(crate) fn on_span_record(path: &str, start: Instant, wall_s: f64) {
-    let ctx = current_inner();
-    if let Some(c) = &ctx {
+/// span into the current context's tree.
+pub(crate) fn on_span_record(path: &str, wall_s: f64) {
+    if let Some(c) = current_inner() {
         upsert(&c.maps.spans, path, |s| {
             s.count += 1;
             s.total_s += wall_s;
             s.max_s = s.max_s.max(wall_s);
         });
-    }
-    if crate::chrome::chrome_armed() {
-        let pid = ctx.as_ref().map_or(0, |c| c.id);
-        crate::chrome::on_span_complete(pid, current_tid(), path, start, wall_s);
     }
 }
 
@@ -227,8 +206,9 @@ pub struct ContextScope {
 }
 
 impl TelemetryContext {
-    /// Creates and registers a fresh context. Cheap: one small allocation
-    /// plus a registry push; no instrument is touched until it is entered.
+    /// Creates and registers a fresh context, and writes a `context` event
+    /// to the trace when tracing. Cheap: one small allocation plus a
+    /// registry push; no instrument is touched until it is entered.
     pub fn new(name: &str) -> Self {
         let inner = Arc::new(ContextInner {
             id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
@@ -246,7 +226,13 @@ impl TelemetryContext {
                 reg.push(Arc::downgrade(&inner));
             }
         }
-        crate::chrome::on_context_created(inner.id, name);
+        crate::sink::emit_event(
+            "context",
+            vec![
+                ("id".into(), Json::Num(inner.id as f64)),
+                ("name".into(), Json::Str(name.to_string())),
+            ],
+        );
         TelemetryContext { inner }
     }
 

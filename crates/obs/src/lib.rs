@@ -30,19 +30,20 @@
 //!   and allocations; `kgtosa trace-diff` and the CI kernel gate sit on
 //!   top.
 //! * **Sinks** — a machine-readable JSONL event stream (enabled with
-//!   `--trace-out` or `KGTOSA_TRACE=<path>`), a human-readable stderr
-//!   summary tree ([`render_summary_tree`]), and the Chrome/Perfetto
-//!   export below for the flame view.
+//!   `--trace-out` or `KGTOSA_TRACE=<path>`) and a human-readable stderr
+//!   summary tree ([`render_summary_tree`]). The JSONL stream is the
+//!   record: [`render_chrome_trace`] turns it into a Chrome/Perfetto
+//!   document for the flame view (`kgtosa trace-chrome`), and
+//!   [`validate_chrome_trace`] checks the result.
 //! * **Crash-path telemetry** — [`install_panic_hook`] arms a panic hook
 //!   that emits a final `panic` event (message, location, live span
 //!   stack) and flushes the trace before the process dies.
 //! * **Request-scoped contexts** — a [`TelemetryContext`] layers its own
 //!   span tree and scoped instrument deltas over the global registry;
 //!   workers inherit the spawning context across thread boundaries, so
-//!   concurrent requests stay attributable. The Chrome-trace exporter
-//!   ([`arm_chrome`] / [`write_chrome_trace`]) renders contexts as
-//!   Perfetto process tracks, and `/contexts` serves each live context's
-//!   scoped view.
+//!   concurrent requests stay attributable. A rendered Chrome trace shows
+//!   each context as a Perfetto process track, and `/contexts` serves
+//!   each live context's scoped view.
 //!
 //! Everything is std-only: no external dependencies, no global setup
 //! required. With no sink installed, a span costs two `Instant::now`
@@ -62,10 +63,7 @@ mod span;
 mod summary;
 mod train;
 
-pub use chrome::{
-    arm_chrome, render_chrome_trace, sample_counter_tracks, validate_chrome_trace,
-    write_chrome_trace, ChromeTraceStats,
-};
+pub use chrome::{render_chrome_trace, validate_chrome_trace, ChromeTraceStats};
 pub use context::{
     active_context_count, context_active, contexts_json, ContextScope, CtxSpanStat,
     TelemetryContext,
@@ -96,10 +94,9 @@ pub use train::{EpochEvent, Observer, TelemetryObserver, TrainObserver};
 
 /// Whether any live telemetry consumer exists — a JSONL trace sink or a
 /// [`TelemetryContext`] entered on the calling thread (its scoped deltas
-/// feed `/contexts` and the Chrome trace, so quality gauges must be
-/// captured for it). Instrumentation sites with a non-trivial cost (e.g.
-/// computing subgraph quality indicators) gate on this so silent runs
-/// stay untouched.
+/// feed `/contexts`, so quality gauges must be captured for it).
+/// Instrumentation sites with a non-trivial cost (e.g. computing subgraph
+/// quality indicators) gate on this so silent runs stay untouched.
 pub fn telemetry_active() -> bool {
     trace_enabled() || context_active()
 }

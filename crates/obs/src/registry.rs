@@ -387,42 +387,34 @@ pub fn span_stats() -> Vec<(String, SpanStat)> {
     rows
 }
 
+/// The `counters` and `gauges` fields shared by the trace's periodic
+/// `counters` event and its final `metrics` snapshot.
+pub(crate) fn counter_gauge_fields() -> Vec<(String, Json)> {
+    let counters = counter_values()
+        .into_iter()
+        .map(|(k, v)| (k, Json::Num(v as f64)))
+        .collect();
+    let mut gauges: Vec<(String, Json)> = gauge_values()
+        .into_iter()
+        .map(|(k, v)| (k, Json::Num(v as f64)))
+        .collect();
+    // Integer and float gauges share one namespace in the snapshot.
+    gauges.extend(gauge_f64_values().into_iter().map(|(k, v)| (k, Json::Num(v))));
+    gauges.sort_by(|a, b| a.0.cmp(&b.0));
+    vec![
+        ("counters".into(), Json::Obj(counters)),
+        ("gauges".into(), Json::Obj(gauges)),
+    ]
+}
+
 /// Snapshot of every instrument as a JSON object — emitted as the final
 /// `metrics` event when a trace stream shuts down.
 pub fn metrics_snapshot() -> Json {
-    let reg = registry();
-    let mut counters: Vec<(String, Json)> = reg
-        .counters
-        .read()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .iter()
-        .map(|(k, v)| (k.clone(), Json::Num(v.get() as f64)))
-        .collect();
-    counters.sort_by(|a, b| a.0.cmp(&b.0));
-
-    let mut gauges: Vec<(String, Json)> = reg
-        .gauges
-        .read()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .iter()
-        .map(|(k, v)| (k.clone(), Json::Num(v.get() as f64)))
-        .collect();
-    // Integer and float gauges share one namespace in the snapshot.
-    gauges.extend(
-        gauge_f64_values()
-            .into_iter()
-            .map(|(k, v)| (k, Json::Num(v))),
-    );
-    gauges.sort_by(|a, b| a.0.cmp(&b.0));
-
-    let mut histograms: Vec<(String, Json)> = reg
-        .histograms
-        .read()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .iter()
+    let histograms: Vec<(String, Json)> = histogram_handles()
+        .into_iter()
         .map(|(k, v)| {
             (
-                k.clone(),
+                k,
                 Json::Obj(vec![
                     ("count".into(), Json::Num(v.count() as f64)),
                     ("mean".into(), Json::Num(v.mean())),
@@ -432,7 +424,6 @@ pub fn metrics_snapshot() -> Json {
             )
         })
         .collect();
-    histograms.sort_by(|a, b| a.0.cmp(&b.0));
 
     let spans: Vec<(String, Json)> = span_stats()
         .into_iter()
@@ -450,12 +441,10 @@ pub fn metrics_snapshot() -> Json {
         })
         .collect();
 
-    Json::Obj(vec![
-        ("counters".into(), Json::Obj(counters)),
-        ("gauges".into(), Json::Obj(gauges)),
-        ("histograms".into(), Json::Obj(histograms)),
-        ("spans".into(), Json::Obj(spans)),
-    ])
+    let mut fields = counter_gauge_fields();
+    fields.push(("histograms".into(), Json::Obj(histograms)));
+    fields.push(("spans".into(), Json::Obj(spans)));
+    Json::Obj(fields)
 }
 
 #[cfg(test)]

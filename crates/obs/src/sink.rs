@@ -8,15 +8,19 @@
 //!
 //! | `ev` | fields |
 //! |---|---|
-//! | `span` | `name`, `wall_s`, `live_bytes`, `peak_delta_bytes`, `allocs` |
+//! | `span` | `name`, `t0` (seconds from the trace's t = 0 to the span's start; negative if it opened before the trace was installed), `tid` (small per-thread id), `wall_s`, `live_bytes`, `peak_delta_bytes`, `allocs` |
+//! | `context` | `id`, `name` (a [`crate::TelemetryContext`] was created; its spans carry `ctx` = `id`) |
 //! | `train.epoch` | `method`, `epoch`, `epochs`, `loss`, `metric`, `elapsed_s`, `epoch_s`, `live_bytes`, `peak_bytes`, `allocs` |
 //! | `log` | `msg` |
 //! | `extract.quality` | `method`, the Table III quality indicators of the finished extraction |
+//! | `counters` | `counters`, `gauges` (written by the flusher once a second) |
 //! | `metrics` | `counters`, `gauges`, `histograms`, `spans` (final snapshot, written by [`shutdown`]) |
 //! | `panic` | `msg`, `location`, `spans` (last event of a crashed run, written by the panic hook) |
 //!
+//! Events emitted inside a telemetry context also carry its id as `ctx`.
 //! A background flusher writes the buffered stream to disk once a second,
-//! so an interrupted run keeps every event up to its last flush.
+//! so an interrupted run keeps every event up to its last flush; the
+//! Chrome trace is rendered from this record ([`crate::render_chrome_trace`]).
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -53,21 +57,14 @@ pub fn init_trace_to(path: &str) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Flushes the trace stream to disk.
-fn flush_trace() {
-    if let Some(w) = trace_writer().lock().unwrap_or_else(std::sync::PoisonError::into_inner).as_mut() {
-        let _ = w.flush();
-    }
-}
-
 static FLUSHER_STARTED: AtomicBool = AtomicBool::new(false);
 static FLUSHER_STOP: AtomicBool = AtomicBool::new(false);
 
 /// Interval between periodic flushes.
 const FLUSH_MS: u64 = 1000;
 
-/// Starts the background flusher (idempotent). Every [`FLUSH_MS`] it
-/// samples the Chrome counter tracks and flushes the trace stream.
+/// Starts the background flusher (idempotent); it ticks every
+/// [`FLUSH_MS`].
 fn start_flusher() {
     if FLUSHER_STARTED.swap(true, Ordering::SeqCst) {
         return;
@@ -86,8 +83,7 @@ fn start_flusher() {
                 acc += slice.as_millis() as u64;
                 if acc >= FLUSH_MS {
                     acc = 0;
-                    crate::chrome::sample_counter_tracks();
-                    flush_trace();
+                    flusher_tick();
                 }
             }
         });
@@ -126,12 +122,29 @@ pub fn is_quiet() -> bool {
     QUIET.load(Ordering::Relaxed)
 }
 
-fn write_line(json: &Json) {
+fn to_line(json: &Json) -> String {
     let mut line = String::with_capacity(128);
     json.write(&mut line);
     line.push('\n');
+    line
+}
+
+fn write_line(json: &Json) {
+    let line = to_line(json);
     if let Some(w) = trace_writer().lock().unwrap_or_else(std::sync::PoisonError::into_inner).as_mut() {
         let _ = w.write_all(line.as_bytes());
+    }
+}
+
+/// One flusher tick: a `counters` event, then a flush. It checks for
+/// [`shutdown`] under the writer lock, so the event never lands after
+/// the final `metrics` event.
+fn flusher_tick() {
+    let line = to_line(&stamp("counters", registry::counter_gauge_fields()));
+    let mut guard = trace_writer().lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    if let (false, Some(w)) = (FLUSHER_STOP.load(Ordering::Relaxed), guard.as_mut()) {
+        let _ = w.write_all(line.as_bytes());
+        let _ = w.flush();
     }
 }
 
@@ -165,10 +178,7 @@ pub(crate) fn emit_event_panic_safe(kind: &str, fields: Vec<(String, Json)>) {
     if !trace_enabled() {
         return;
     }
-    let json = stamp(kind, fields);
-    let mut line = String::with_capacity(128);
-    json.write(&mut line);
-    line.push('\n');
+    let line = to_line(&stamp(kind, fields));
     let mut guard = match trace_writer().try_lock() {
         Ok(g) => g,
         Err(std::sync::TryLockError::Poisoned(p)) => p.into_inner(),
@@ -180,14 +190,22 @@ pub(crate) fn emit_event_panic_safe(kind: &str, fields: Vec<(String, Json)>) {
     }
 }
 
-pub(crate) fn emit_span(record: &SpanRecord) {
+/// Emits a finished span that opened at `start`.
+pub(crate) fn emit_span(record: &SpanRecord, start: Instant) {
     if !trace_enabled() {
         return;
     }
+    let epoch = trace_epoch();
+    let t0 = match start.checked_duration_since(epoch) {
+        Some(d) => d.as_secs_f64(),
+        None => -epoch.duration_since(start).as_secs_f64(),
+    };
     emit_event(
         "span",
         vec![
             ("name".into(), Json::Str(record.path.clone())),
+            ("t0".into(), Json::Num(t0)),
+            ("tid".into(), Json::Num(crate::span::current_tid() as f64)),
             ("wall_s".into(), Json::Num(record.wall_s)),
             ("live_bytes".into(), Json::Num(record.live_bytes as f64)),
             (
@@ -213,15 +231,12 @@ pub fn info_str(msg: &str) {
 /// the stream. Safe to call multiple times or with tracing disabled.
 pub fn shutdown() {
     FLUSHER_STOP.store(true, Ordering::Relaxed);
-    if trace_enabled() {
-        let snapshot = registry::metrics_snapshot();
-        let fields = match snapshot {
-            Json::Obj(fields) => fields,
-            other => vec![("metrics".into(), other)],
-        };
+    if let Some(Json::Obj(fields)) = trace_enabled().then(registry::metrics_snapshot) {
         write_line(&stamp("metrics", fields));
     }
-    flush_trace();
+    if let Some(w) = trace_writer().lock().unwrap_or_else(std::sync::PoisonError::into_inner).as_mut() {
+        let _ = w.flush();
+    }
 }
 
 #[cfg(test)]

@@ -4,20 +4,30 @@
 //! starts a timer; when the guard drops (or `finish()` is called) the
 //! span's wall time, live heap, peak-heap growth, and allocation count
 //! are recorded into the registry and, if a trace sink is installed,
-//! emitted as a JSONL `span` event. Nested spans produce dotted paths:
-//! a span `"train"` opened inside `"pipeline"` records as
-//! `"pipeline.train"` — unless the name already contains the full path
-//! context (both styles appear in the codebase; explicit dotted names are
-//! kept verbatim and still nest under their parents).
+//! emitted as a JSONL `span` event stamped with its start and thread.
+//! Nested spans produce dotted paths: a span `"train"` opened inside
+//! `"pipeline"` records as `"pipeline.train"` — unless the name already
+//! contains the full path context (both styles appear in the codebase;
+//! explicit dotted names are kept verbatim and still nest under their
+//! parents).
 
 use std::cell::RefCell;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use crate::registry;
 use crate::sink;
 
+static NEXT_TID: AtomicU64 = AtomicU64::new(1);
+
 thread_local! {
     static SPAN_STACK: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
+    /// Small stable per-thread id, assigned on first use: a `span` event's `tid`.
+    static TID: u64 = NEXT_TID.fetch_add(1, Ordering::Relaxed);
+}
+
+pub(crate) fn current_tid() -> u64 {
+    TID.try_with(|t| *t).unwrap_or(0)
 }
 
 /// What a finished span measured.
@@ -105,8 +115,8 @@ impl SpanGuard {
             stack.truncate(self.depth.saturating_sub(1));
         });
         registry::record_span(&record.path, record.wall_s, record.peak_delta_bytes, record.allocs);
-        crate::context::on_span_record(&record.path, self.start, record.wall_s);
-        sink::emit_span(&record);
+        crate::context::on_span_record(&record.path, record.wall_s);
+        sink::emit_span(&record, self.start);
         record
     }
 }

@@ -20,13 +20,40 @@ pub struct SpanAgg {
     pub allocs: u64,
 }
 
-/// Parses a JSONL trace and aggregates `span` and `train.epoch` events
-/// per name. Epoch events aggregate as `train.epoch[<method>]` with the
-/// per-epoch wall time as their duration. Blank lines are skipped;
-/// malformed lines are an error (the stream is machine-generated) —
-/// except on the *final* line, where a parse failure is treated as a
-/// crash- or kill-truncated write and the line is dropped, so traces of
-/// interrupted runs stay summarizable up to the last complete event.
+/// Reads a JSONL trace event by event, calling `f(kind, event)` with each
+/// event's `ev` kind; an error from `f` is prefixed with its line number.
+/// Blank lines are skipped; malformed lines are an error (the stream is
+/// machine-generated) — except on the *final* line, where a parse failure
+/// is treated as a crash- or kill-truncated write and the line is
+/// dropped, so traces of interrupted runs stay readable up to the last
+/// complete event.
+pub(crate) fn for_each_event(
+    text: &str,
+    mut f: impl FnMut(&str, &Json) -> Result<(), String>,
+) -> Result<(), String> {
+    let line_count = text.lines().count();
+    for (line, lineno) in text.lines().zip(1..) {
+        if line.trim().is_empty() {
+            continue;
+        }
+        let event = match Json::parse(line) {
+            Ok(event) => event,
+            Err(_) if lineno == line_count => continue,
+            Err(e) => return Err(format!("line {lineno}: {e}")),
+        };
+        let kind = event
+            .get("ev")
+            .and_then(Json::as_str)
+            .ok_or_else(|| format!("line {lineno}: missing 'ev'"))?;
+        f(kind, &event).map_err(|e| format!("line {lineno}: {e}"))?;
+    }
+    Ok(())
+}
+
+/// Parses a JSONL trace (read by [`for_each_event`]) and aggregates
+/// `span` and `train.epoch` events per name. Epoch events aggregate as
+/// `train.epoch[<method>]` with the per-epoch wall time as their
+/// duration.
 pub fn summarize_jsonl(text: &str) -> Result<Vec<SpanAgg>, String> {
     struct Acc {
         durations: Vec<f64>,
@@ -43,28 +70,14 @@ pub fn summarize_jsonl(text: &str) -> Result<Vec<SpanAgg>, String> {
         }
     }
 
-    let line_count = text.lines().count();
-    for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let event = match Json::parse(line) {
-            Ok(event) => event,
-            // Tolerate a truncated final line (interrupted mid-write).
-            Err(_) if lineno + 1 == line_count => continue,
-            Err(e) => return Err(format!("line {}: {e}", lineno + 1)),
-        };
-        let kind = event
-            .get("ev")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("line {}: missing 'ev'", lineno + 1))?;
+    for_each_event(text, |kind, event| {
         let num = |key: &str| event.get(key).and_then(Json::as_f64).unwrap_or(0.0);
         match kind {
             "span" => {
                 let name = event
                     .get("name")
                     .and_then(Json::as_str)
-                    .ok_or_else(|| format!("line {}: span without name", lineno + 1))?
+                    .ok_or("span without name")?
                     .to_string();
                 let i = find(&mut by_name, name);
                 let acc = &mut by_name[i].1;
@@ -81,7 +94,8 @@ pub fn summarize_jsonl(text: &str) -> Result<Vec<SpanAgg>, String> {
             }
             _ => {}
         }
-    }
+        Ok(())
+    })?;
 
     let mut rows: Vec<SpanAgg> = by_name
         .into_iter()
