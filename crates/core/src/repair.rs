@@ -179,8 +179,10 @@ fn branch_emits(
                 // Prefix pattern (v_{i+1}, p_i, v_i): predecessors are
                 // out-neighbors.
                 Step::In => {
-                    for &o in graph.merged_out().neighbors(v) {
-                        next.insert(Vid(o));
+                    for r in 0..graph.num_relations() {
+                        for &o in graph.relation(Rid(r as u32)).out.neighbors(v) {
+                            next.insert(Vid(o));
+                        }
                     }
                 }
             }
@@ -260,14 +262,14 @@ pub fn repair_extraction(
             endpoints.insert(t.s);
             endpoints.insert(t.o);
         }
-        let merged = graph.merged_out();
         for &v in &endpoints {
-            for (&o, &r) in merged.neighbors(v).iter().zip(merged.rels(v)) {
-                candidates.push(Triple::new(v, Rid(r), Vid(o)));
-            }
-            for r in 0..graph.num_relations() {
-                for &s in graph.relation(Rid(r as u32)).inc.neighbors(v) {
-                    candidates.push(Triple::new(Vid(s), Rid(r as u32), v));
+            for r in (0..graph.num_relations() as u32).map(Rid) {
+                let adj = graph.relation(r);
+                for &o in adj.out.neighbors(v) {
+                    candidates.push(Triple::new(v, r, Vid(o)));
+                }
+                for &s in adj.inc.neighbors(v) {
+                    candidates.push(Triple::new(Vid(s), r, v));
                 }
             }
         }
@@ -493,6 +495,79 @@ mod tests {
             let fresh = extract_sparql(&new_store, &task, pattern, &fetch).unwrap();
             assert_identical(&repaired, &fresh);
         }
+    }
+
+    fn add(s: &str, s_class: &str, p: &str, o: &str, o_class: &str) -> DeltaOp {
+        DeltaOp::Add {
+            s: s.into(),
+            s_class: s_class.into(),
+            p: p.into(),
+            o: o.into(),
+            o_class: o_class.into(),
+        }
+    }
+
+    /// Repairs `kg`'s d2h2 extraction (targets: every `Paper`) after
+    /// `ops` and checks it against a fresh run, which must emit `expect`.
+    fn assert_d2h2_repair_emits(kg: &KnowledgeGraph, ops: Vec<DeltaOp>, expect: [&str; 3]) {
+        let pattern = &GraphPattern::D2H2;
+        let targets = kg.nodes_of_class(kg.find_class("Paper").unwrap());
+        let task = ExtractionTask::node_classification("PV", "Paper", targets);
+        let delta = KgDelta { base_fingerprint: fingerprint(kg), ops };
+        let app = apply_delta(kg, fingerprint(kg), MultisetFingerprint::of(kg), &delta).unwrap();
+        let new_store = RdfStore::new(&app.kg);
+        let graph = HeteroGraph::build(&app.kg);
+        let fetch = FetchConfig::default();
+        let old = extract_sparql(&RdfStore::new(kg), &task, pattern, &fetch).unwrap();
+        let (repaired, report) = repair_extraction(
+            &new_store,
+            &graph,
+            &task,
+            pattern,
+            &parent_triples(kg, &old.subgraph),
+            &app.added,
+            &app.removed,
+            &fetch,
+            &RepairConfig::default(),
+        )
+        .unwrap();
+        assert!(report.fallback.is_none());
+        let fresh = extract_sparql(&new_store, &task, pattern, &fetch).unwrap();
+        let [s, p, o] = expect;
+        let t = Triple::new(
+            app.kg.find_node(s).unwrap(),
+            app.kg.find_relation(p).unwrap(),
+            app.kg.find_node(o).unwrap(),
+        );
+        assert!(
+            parent_triples(&app.kg, &fresh.subgraph).contains(&t),
+            "precondition: a fresh run emits {s} {p} {o}"
+        );
+        assert_identical(&repaired, &fresh);
+    }
+
+    #[test]
+    fn two_hop_repair_follows_out_edges() {
+        // The added triple's only chain to a Paper runs through an out-edge
+        // prefix: `?v1 writes ?v0 . ?v1 memberOf ?o` (an `In` prefix step).
+        let mut kg = KnowledgeGraph::new();
+        kg.add_triple_terms("a0", "Author", "writes", "p0", "Paper");
+        assert_d2h2_repair_emits(
+            &kg,
+            vec![add("a0", "Author", "memberOf", "o0", "Org")],
+            ["a0", "memberOf", "o0"],
+        );
+
+        // Linking the Paper to `x` makes `x`'s existing out-edge a second
+        // hop, so it must be enumerated as a candidate from the endpoint.
+        let mut kg = KnowledgeGraph::new();
+        kg.add_node("p0", "Paper");
+        kg.add_triple_terms("x", "Thing", "r", "y", "Thing");
+        assert_d2h2_repair_emits(
+            &kg,
+            vec![add("p0", "Paper", "cites", "x", "Thing")],
+            ["x", "r", "y"],
+        );
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub mod triples;
 pub use delta::{apply_delta, DeltaApplication, DeltaError, DeltaOp, KgDelta, MultisetFingerprint};
 pub use dict::Dictionary;
 pub use fxhash::{FxHashMap, FxHashSet};
-pub use graph::{Csr, HeteroGraph, LabeledCsr, RelAdj};
+pub use graph::{Csr, HeteroGraph, RelAdj};
 pub use ids::{Cid, Rid, Vid};
 pub use metapath::{count_instances, schema_metapaths, Metapath, MetapathStep, SchemaMetapath};
 pub use fingerprint::{fingerprint, fnv64, Fnv64, HashingWriter};

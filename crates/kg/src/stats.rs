@@ -48,12 +48,7 @@ pub struct SubgraphQuality {
 /// that one CSR (`2|T|` edges), not a [`HeteroGraph`].
 pub fn quality(kg: &KnowledgeGraph, targets: &[Vid]) -> SubgraphQuality {
     let n = kg.num_nodes();
-    let mut edges = Vec::with_capacity(2 * kg.num_triples());
-    for t in kg.triples() {
-        edges.push((t.s.0, t.o.0));
-        edges.push((t.o.0, t.s.0));
-    }
-    let undirected = Csr::from_edge_list(n, &edges);
+    let undirected = Csr::undirected(n, kg.triples());
     let neighbors = |v: Vid| undirected.neighbors(v);
     let target_set = NodeSet::from_iter(n, targets.iter().copied());
     let dist = bfs_distances(n, neighbors, targets);

@@ -202,13 +202,16 @@ proptest! {
         prop_assert_eq!(*unique.last().unwrap() as usize, d.len() - 1);
     }
 
-    /// Sum of per-vertex merged out-degrees equals the triple count, and the
-    /// undirected view stores exactly twice the triples.
+    /// Sum of per-vertex, per-relation out-degrees equals the triple count,
+    /// and the undirected view stores exactly twice the triples.
     #[test]
     fn csr_degree_sums(kg in arb_kg()) {
         let g = HeteroGraph::build(&kg);
-        let out_sum: usize = (0..g.num_nodes())
-            .map(|v| g.merged_out().degree(Vid(v as u32)))
+        let out_sum: usize = (0..g.num_relations())
+            .flat_map(|r| {
+                let out = &g.relation(kgtosa_kg::Rid(r as u32)).out;
+                (0..g.num_nodes()).map(|v| out.degree(Vid(v as u32)))
+            })
             .sum();
         prop_assert_eq!(out_sum, kg.num_triples());
         prop_assert_eq!(g.undirected().num_edges(), kg.num_triples() * 2);
@@ -369,14 +372,14 @@ mod parallel_csr_determinism {
         for threads in [2usize, 4, 8] {
             let g = with_threads(threads, || HeteroGraph::build(&kg));
             assert_eq!(
-                g.merged_out().targets(),
-                base.merged_out().targets(),
-                "merged targets, threads={threads}"
-            );
-            assert_eq!(
                 g.undirected().targets(),
                 base.undirected().targets(),
                 "undirected targets, threads={threads}"
+            );
+            assert_eq!(
+                g.undirected().active_rows(),
+                base.undirected().active_rows(),
+                "undirected active rows, threads={threads}"
             );
             for r in 0..3u32 {
                 assert_eq!(

@@ -10,9 +10,7 @@ use std::io::{self, Read, Write};
 use std::time::Instant;
 
 use kgtosa_kg::NodeSet;
-use kgtosa_sampler::{
-    biased_random_walk, edge_sample, node_norm_weights, uniform_random_walk, WalkConfig,
-};
+use kgtosa_sampler::{biased_random_walk, node_norm_weights, uniform_random_walk, WalkConfig};
 use kgtosa_tensor::{AdamConfig, ScratchArena, SparseAdam, StateIo};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -32,8 +30,6 @@ pub enum SaintSampler {
     Uniform,
     /// The paper's task-biased walk (Algorithm 1) — "GraphSAINT+BRW".
     Biased,
-    /// GraphSAINT's edge sampler (variance-minimizing edge probabilities).
-    Edge,
 }
 
 impl SaintSampler {
@@ -41,7 +37,6 @@ impl SaintSampler {
         match self {
             SaintSampler::Uniform => "GraphSAINT",
             SaintSampler::Biased => "GraphSAINT+BRW",
-            SaintSampler::Edge => "GraphSAINT-edge",
         }
     }
 }
@@ -77,7 +72,6 @@ fn sample(
     match sampler {
         SaintSampler::Uniform => uniform_random_walk(data.graph, walk, rng),
         SaintSampler::Biased => biased_random_walk(data.graph, data.train, walk, rng),
-        SaintSampler::Edge => edge_sample(data.graph, walk.roots * 2, rng),
     }
 }
 
@@ -218,7 +212,7 @@ mod tests {
             batch_size: 16,
             ..Default::default()
         };
-        for sampler in [SaintSampler::Uniform, SaintSampler::Biased, SaintSampler::Edge] {
+        for sampler in [SaintSampler::Uniform, SaintSampler::Biased] {
             let report = train_graphsaint_nc(&data, &cfg, sampler);
             assert!(
                 report.metric > 0.7,
@@ -233,6 +227,5 @@ mod tests {
     fn method_labels() {
         assert_eq!(SaintSampler::Uniform.label(), "GraphSAINT");
         assert_eq!(SaintSampler::Biased.label(), "GraphSAINT+BRW");
-        assert_eq!(SaintSampler::Edge.label(), "GraphSAINT-edge");
     }
 }

@@ -137,7 +137,6 @@ fn graphsaint_resumes_bit_identical() {
         for (tag, stem, sampler) in [
             ("saint-urw", "GraphSAINT", SaintSampler::Uniform),
             ("saint-brw", "GraphSAINT-BRW", SaintSampler::Biased),
-            ("saint-edge", "GraphSAINT-edge", SaintSampler::Edge),
         ] {
             assert_resumable(tag, stem, |cfg| train_graphsaint_nc(data, cfg, sampler));
         }

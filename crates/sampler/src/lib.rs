@@ -9,17 +9,14 @@
 //! * [`ibs`] — influence-based sampling (Algorithm 2): parallel per-target
 //!   PPR, top-k selection, partitioning,
 //! * [`shadow`] — ShaDow-GNN bounded ego-subgraphs,
-//! * [`edge`] — GraphSAINT's variance-minimizing edge sampler,
 //! * [`saint`] — GraphSAINT loss-normalization weights.
 
-pub mod edge;
 pub mod ibs;
 pub mod ppr;
 pub mod saint;
 pub mod shadow;
 pub mod walk;
 
-pub use edge::edge_sample;
 pub use ibs::{ibs_partitions, ibs_sample, IbsConfig, Partition};
 pub use ppr::{approximate_ppr, approximate_ppr_batch, top_k, PprConfig, PprScratch, PprWork};
 pub use saint::node_norm_weights;

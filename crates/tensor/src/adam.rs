@@ -53,8 +53,7 @@ impl Adam {
     /// Applies one update step: `param -= lr * m̂ / (sqrt(v̂) + eps)`.
     pub fn step(&mut self, param: &mut Matrix, grad: &Matrix) {
         assert_eq!(param.shape(), grad.shape(), "grad shape mismatch");
-        let g = grad.data().to_vec();
-        self.step_slice(param.data_mut(), &g);
+        self.step_slice(param.data_mut(), grad.data());
     }
 
     /// Slice variant of [`Adam::step`] for non-matrix parameters (biases).
