@@ -30,7 +30,7 @@ use kgtosa_core::{
     sparql_cache_key, sweep_cache_after_delta, ExtractionTask, GraphPattern, RepairConfig,
     StalenessOracle,
 };
-use kgtosa_kg::{apply_delta, fingerprint, DeltaOp, HeteroGraph, KgDelta, MultisetFingerprint};
+use kgtosa_kg::{apply_delta, fingerprint, DeltaOp, KgDelta, MultisetFingerprint};
 use kgtosa_rdf::{FetchConfig, RdfStore};
 
 #[global_allocator]
@@ -205,7 +205,6 @@ fn run_scale(scale: f64, seed: u64, tag: &str, records: &mut Vec<RoundRecord>) -
         let app = apply_delta(&kg, fp, multiset, &delta).expect("delta applies");
         let new_fp = fingerprint(&app.kg);
         let new_store = RdfStore::new(&app.kg);
-        let graph = HeteroGraph::build(&app.kg);
 
         // Repair vs full, differentially checked per pattern: each cached
         // payload is repaired as the daemon repairs it, and must equal the
@@ -224,7 +223,6 @@ fn run_scale(scale: f64, seed: u64, tag: &str, records: &mut Vec<RoundRecord>) -
             let t0 = Instant::now();
             let (repaired, rep_report) = repair_entry(
                 &new_store,
-                &graph,
                 info,
                 &payload,
                 kg.num_nodes(),
@@ -263,7 +261,6 @@ fn run_scale(scale: f64, seed: u64, tag: &str, records: &mut Vec<RoundRecord>) -
                 }
                 repair_entry(
                     &new_store,
-                    &graph,
                     info,
                     payload,
                     kg.num_nodes(),

@@ -481,7 +481,7 @@ pub fn cache(args: &Args) -> Result<(), String> {
 
 /// Runs one train/compare variant (FG, or a TOSG extraction + training)
 /// inside its own [`kgtosa_obs::TelemetryContext`] so the two runs of a
-/// `compare` stay separately attributable in `/contexts` and the trace.
+/// `compare` stay separately attributable in the trace.
 /// With no telemetry consumer the closure runs uncontexted — numerics are
 /// identical either way.
 fn in_variant_ctx<T>(label: &str, f: impl FnOnce() -> Result<T, String>) -> Result<T, String> {

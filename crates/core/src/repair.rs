@@ -10,8 +10,10 @@
 //!    triple incident to a delta endpoint, since a two-hop chain can gain or
 //!    lose its prefix edge there;
 //! 2. re-evaluate the branch predicate for each candidate directly against the
-//!    adjacency index, mirroring the exact branch shapes `crate::bgp` compiles
-//!    (anchor `?v0 a <class>`, then the direction sequence);
+//!    RDF store's index — membership is one SPO probe, a vertex's out-edges
+//!    one SPO range and its in-edges one OSP range — mirroring the exact
+//!    branch shapes `crate::bgp` compiles (anchor `?v0 a <class>`, then the
+//!    direction sequence);
 //! 3. splice the candidates' verdicts into the old parent-space triples by
 //!    one sorted merge, and rebuild the compacted subgraph.
 //!
@@ -31,8 +33,8 @@
 
 use kgtosa_cache::EntryInfo;
 use kgtosa_kg::{
-    sorted_unique, subgraph_from_triples_and_nodes, FxHashSet, HeteroGraph, KnowledgeGraph, Rid,
-    Triple, Vid,
+    sorted_unique, subgraph_from_triples_and_nodes, Cid, FxHashSet, HeteroGraph, KnowledgeGraph,
+    Rid, Triple, Vid,
 };
 use kgtosa_rdf::{FetchConfig, RdfError, RdfStore};
 
@@ -131,14 +133,23 @@ pub(crate) fn sort_subject_runs(triples: &mut [Triple]) {
     }
 }
 
-/// Does `t` exist in the (updated) parent KG? Candidates sourced from the
-/// delta's removed ops may no longer be present.
-fn edge_exists(graph: &HeteroGraph, t: Triple) -> bool {
-    graph
-        .relation(t.p)
-        .out
-        .neighbors(t.s)
-        .contains(&t.o.0)
+/// The out-edges of `v` in the store: one SPO range, minus `v`'s
+/// `rdf:type` row, whose object is a class (`N + cid`, see `kgtosa_rdf`'s
+/// "Id spaces"), not a vertex.
+fn out_edges<'a>(store: &'a RdfStore<'_>, v: Vid) -> impl Iterator<Item = Triple> + 'a {
+    store
+        .hexastore()
+        .scan(Some(v.0), None, None)
+        .filter_map(|[s, p, o]| store.to_data_triple(s, p, o))
+}
+
+/// The in-edges of `v` in the store: one OSP range. A type row's object is
+/// a class, never the vertex `v`, so none can appear here.
+fn in_edges<'a>(store: &'a RdfStore<'_>, v: Vid) -> impl Iterator<Item = Triple> + 'a {
+    store
+        .hexastore()
+        .scan(None, None, Some(v.0))
+        .map(|[s, p, o]| Triple::new(Vid(s), Rid(p), Vid(o)))
 }
 
 /// Would a fresh run of branch `(class, seq)` emit `t` as its final-hop
@@ -147,12 +158,7 @@ fn edge_exists(graph: &HeteroGraph, t: Triple) -> bool {
 /// *backwards* (an `Out` prefix step means the earlier chain node is an
 /// in-neighbor, `In` means an out-neighbor) until a node of the anchor class
 /// is reached.
-fn branch_emits(
-    graph: &HeteroGraph,
-    class: kgtosa_kg::Cid,
-    seq: &[Step],
-    t: Triple,
-) -> bool {
+fn branch_emits(store: &RdfStore<'_>, class: Cid, seq: &[Step], t: Triple) -> bool {
     let (last, prefix) = match seq.split_last() {
         Some(split) => split,
         None => return false,
@@ -169,22 +175,10 @@ fn branch_emits(
             match step {
                 // Prefix pattern (v_i, p_i, v_{i+1}): predecessors of the
                 // current frontier are its in-neighbors.
-                Step::Out => {
-                    for r in 0..graph.num_relations() {
-                        for &s in graph.relation(Rid(r as u32)).inc.neighbors(v) {
-                            next.insert(Vid(s));
-                        }
-                    }
-                }
+                Step::Out => next.extend(in_edges(store, v).map(|e| e.s)),
                 // Prefix pattern (v_{i+1}, p_i, v_i): predecessors are
                 // out-neighbors.
-                Step::In => {
-                    for r in 0..graph.num_relations() {
-                        for &o in graph.relation(Rid(r as u32)).out.neighbors(v) {
-                            next.insert(Vid(o));
-                        }
-                    }
-                }
+                Step::In => next.extend(out_edges(store, v).map(|e| e.o)),
             }
         }
         if next.is_empty() {
@@ -192,14 +186,16 @@ fn branch_emits(
         }
         frontier = next;
     }
-    frontier.iter().any(|&v| graph.class_of(v) == class)
+    frontier.iter().any(|&v| store.kg().class_of(v) == class)
 }
 
 /// Repairs a cached extraction after a delta, producing a result
 /// bit-identical to [`extract_sparql`] on the updated store.
 ///
-/// * `store`/`graph` — the **updated** KG (post-[`kgtosa_kg::apply_delta`]);
-///   `graph` must be built from `store.kg()`.
+/// * `store` — the **updated** KG (post-[`kgtosa_kg::apply_delta`]). Every
+///   adjacency read is one range of its index.
+/// * `_graph` — ignored. It stays only so existing callers keep compiling,
+///   until ROADMAP item 14(b) moves them to a signature without it.
 /// * `old_parent_triples` — the previous extraction's triples lifted into
 ///   parent id space (see [`parent_triples`]); ids are stable across deltas.
 ///   Strictly ascending input (what [`ExtractionView::parent_triples`]
@@ -210,7 +206,22 @@ fn branch_emits(
 #[allow(clippy::too_many_arguments)]
 pub fn repair_extraction(
     store: &RdfStore<'_>,
-    graph: &HeteroGraph,
+    _graph: &HeteroGraph,
+    task: &ExtractionTask,
+    pattern: &GraphPattern,
+    old_parent_triples: &[Triple],
+    added: &[Triple],
+    removed: &[Triple],
+    fetch: &FetchConfig,
+    cfg: &RepairConfig,
+) -> Result<(ExtractionResult, RepairReport), RdfError> {
+    repair(store, task, pattern, old_parent_triples, added, removed, fetch, cfg)
+}
+
+/// [`repair_extraction`] without the ignored graph.
+#[allow(clippy::too_many_arguments)]
+fn repair(
+    store: &RdfStore<'_>,
     task: &ExtractionTask,
     pattern: &GraphPattern,
     old_parent_triples: &[Triple],
@@ -263,15 +274,8 @@ pub fn repair_extraction(
             endpoints.insert(t.o);
         }
         for &v in &endpoints {
-            for r in (0..graph.num_relations() as u32).map(Rid) {
-                let adj = graph.relation(r);
-                for &o in adj.out.neighbors(v) {
-                    candidates.push(Triple::new(v, r, Vid(o)));
-                }
-                for &s in adj.inc.neighbors(v) {
-                    candidates.push(Triple::new(Vid(s), r, v));
-                }
-            }
+            candidates.extend(out_edges(store, v));
+            candidates.extend(in_edges(store, v));
         }
     }
     candidates.sort_unstable();
@@ -285,7 +289,7 @@ pub fn repair_extraction(
     // classes already fell back above, so every target class resolves to
     // its class anchor here.
     let seqs = direction_sequences(pattern);
-    let mut branches: Vec<(kgtosa_kg::Cid, &[Step])> = Vec::new();
+    let mut branches: Vec<(Cid, &[Step])> = Vec::new();
     for class in &task.target_classes {
         if let Some(cid) = kg.find_class(class) {
             for seq in &seqs {
@@ -306,10 +310,11 @@ pub fn repair_extraction(
         if old.first() == Some(&t) {
             old = &old[1..];
         }
-        let member = edge_exists(graph, t)
+        // Candidates sourced from the delta's removed ops may be absent.
+        let member = store.hexastore().contains(t.s.0, t.p.0, t.o.0)
             && branches
                 .iter()
-                .any(|&(cid, seq)| branch_emits(graph, cid, seq, t));
+                .any(|&(cid, seq)| branch_emits(store, cid, seq, t));
         if member {
             triples.push(t);
         }
@@ -342,7 +347,7 @@ pub fn repair_extraction(
 /// to be invalidated instead. This is what `kgtosa serve` hands
 /// [`crate::sweep_cache_after_delta`] as its repair hook.
 ///
-/// * `store`/`graph` — the **updated** KG, as for [`repair_extraction`];
+/// * `store` — the **updated** KG, as for [`repair_extraction`];
 /// * `info`/`payload` — the entry as the sweep reads it, the payload
 ///   extracted from a parent graph of `old_parent_nodes` vertices;
 /// * `added`/`removed` — the delta's resolved triples.
@@ -357,7 +362,6 @@ pub fn repair_extraction(
 #[allow(clippy::too_many_arguments)]
 pub fn repair_entry(
     store: &RdfStore<'_>,
-    graph: &HeteroGraph,
     info: &EntryInfo,
     payload: &[u8],
     old_parent_nodes: usize,
@@ -378,18 +382,8 @@ pub fn repair_entry(
         return None;
     }
     let old_triples = old.parent_triples(store.kg())?;
-    let (res, report) = repair_extraction(
-        store,
-        graph,
-        &task,
-        &pattern,
-        &old_triples,
-        added,
-        removed,
-        fetch,
-        cfg,
-    )
-    .ok()?;
+    let (res, report) =
+        repair(store, &task, &pattern, &old_triples, added, removed, fetch, cfg).ok()?;
     if res.report.completeness < 1.0 {
         return None;
     }
@@ -567,6 +561,21 @@ mod tests {
             &kg,
             vec![add("p0", "Paper", "cites", "x", "Thing")],
             ["x", "r", "y"],
+        );
+    }
+
+    #[test]
+    fn two_hop_repair_follows_in_edges() {
+        // Linking the Paper to `x` makes an existing edge *into* `x` a
+        // second hop (`?v0 cites ?v1 . ?v2 r ?v1`), so the endpoint's
+        // in-edges (one OSP range) must be enumerated as candidates too.
+        let mut kg = KnowledgeGraph::new();
+        kg.add_node("p0", "Paper");
+        kg.add_triple_terms("y", "Thing", "r", "x", "Thing");
+        assert_d2h2_repair_emits(
+            &kg,
+            vec![add("p0", "Paper", "cites", "x", "Thing")],
+            ["y", "r", "x"],
         );
     }
 

@@ -258,7 +258,6 @@ proptest! {
                     .expect("repair");
                     let (from_entry, _) = repair_entry(
                         &new_store,
-                        &graph,
                         &entry_info(&task, &pattern),
                         &old_payload,
                         old_nodes,

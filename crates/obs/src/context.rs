@@ -1,12 +1,13 @@
 //! Request-scoped telemetry contexts.
 //!
 //! A [`TelemetryContext`] is a trace identity plus its own span tree and
-//! instrument deltas, *layered over* the process-global registry: every
-//! counter add, gauge write, histogram observation, and finished span is
-//! still recorded globally exactly as before, and additionally into the
-//! context current on the recording thread. This is what makes two
+//! counter deltas, *layered over* the process-global registry: every
+//! counter add and finished span is still recorded globally exactly as
+//! before, and additionally into the context current on the recording
+//! thread. This is what makes two
 //! concurrent extractions attributable — each request enters its own
-//! context, and `/contexts` reads the scoped view instead of the
+//! context, and [`TelemetryContext::counter_delta`] and
+//! [`TelemetryContext::span_stats`] read the scoped view instead of the
 //! commingled globals. When tracing, creating a context writes a JSONL
 //! `context` event and every event emitted inside it carries its id as
 //! `ctx`, which is how a rendered Chrome trace gets one process track per
@@ -59,21 +60,9 @@ pub struct CtxSpanStat {
     pub max_s: f64,
 }
 
-/// Per-context aggregate for one histogram.
-#[derive(Debug, Default)]
-struct CtxHistStat {
-    count: u64,
-    sum: f64,
-    max: f64,
-}
-
 #[derive(Debug, Default)]
 struct ContextMaps {
     counters: Mutex<HashMap<String, u64>>,
-    gauges: Mutex<HashMap<String, i64>>,
-    /// f64 bit patterns, mirroring [`crate::GaugeF64`]'s storage.
-    gauges_f64: Mutex<HashMap<String, u64>>,
-    hists: Mutex<HashMap<String, CtxHistStat>>,
     spans: Mutex<HashMap<String, CtxSpanStat>>,
 }
 
@@ -147,33 +136,11 @@ fn upsert<V: Default>(map: &Mutex<HashMap<String, V>>, name: &str, apply: impl F
     }
 }
 
-/// Interception hooks, called by the registry instruments and the span
+/// Interception hooks, called by the registry's counters and the span
 /// layer. Each is gated on [`scoping_active`] before touching the TLS.
 pub(crate) fn on_counter(name: &str, n: u64) {
     if let Some(ctx) = current_inner() {
         upsert(&ctx.maps.counters, name, |v| *v += n);
-    }
-}
-
-pub(crate) fn on_gauge(name: &str, v: i64) {
-    if let Some(ctx) = current_inner() {
-        upsert(&ctx.maps.gauges, name, |slot| *slot = v);
-    }
-}
-
-pub(crate) fn on_gauge_f64(name: &str, v: f64) {
-    if let Some(ctx) = current_inner() {
-        upsert(&ctx.maps.gauges_f64, name, |slot| *slot = v.to_bits());
-    }
-}
-
-pub(crate) fn on_histogram(name: &str, v: f64) {
-    if let Some(ctx) = current_inner() {
-        upsert(&ctx.maps.hists, name, |h| {
-            h.count += 1;
-            h.sum += v;
-            h.max = h.max.max(v);
-        });
     }
 }
 
@@ -190,7 +157,7 @@ pub(crate) fn on_span_record(path: &str, wall_s: f64) {
 }
 
 /// A request/task-scoped telemetry identity. Cloning shares the context;
-/// it stays live (listed on `/contexts`) as long as any handle exists.
+/// it stays live (counted on `/healthz`) as long as any handle exists.
 #[derive(Debug, Clone)]
 pub struct TelemetryContext {
     inner: Arc<ContextInner>,
@@ -328,77 +295,6 @@ impl TelemetryContext {
             + self.counter_delta("cache.corrupt") as f64;
         (lookups > 0.0).then(|| hits / lookups)
     }
-
-    /// The `/contexts` summary object for this context.
-    pub fn summary_json(&self) -> Json {
-        let counters: Vec<(String, Json)> = {
-            let mut rows: Vec<_> = lock(&self.inner.maps.counters)
-                .iter()
-                .map(|(k, v)| (k.clone(), Json::Num(*v as f64)))
-                .collect();
-            rows.sort_by(|a, b| a.0.cmp(&b.0));
-            rows
-        };
-        let gauges: Vec<(String, Json)> = {
-            let mut rows: Vec<(String, Json)> = lock(&self.inner.maps.gauges)
-                .iter()
-                .map(|(k, v)| (k.clone(), Json::Num(*v as f64)))
-                .collect();
-            rows.extend(
-                lock(&self.inner.maps.gauges_f64)
-                    .iter()
-                    .map(|(k, b)| (k.clone(), Json::Num(f64::from_bits(*b)))),
-            );
-            if let Some(ratio) = self.cache_hit_ratio() {
-                rows.retain(|(k, _)| k != "cache.hit_ratio");
-                rows.push(("cache.hit_ratio".into(), Json::Num(ratio)));
-            }
-            rows.sort_by(|a, b| a.0.cmp(&b.0));
-            rows
-        };
-        let hists: Vec<(String, Json)> = {
-            let mut rows: Vec<_> = lock(&self.inner.maps.hists)
-                .iter()
-                .map(|(k, h)| {
-                    let mean = if h.count > 0 { h.sum / h.count as f64 } else { 0.0 };
-                    (
-                        k.clone(),
-                        Json::Obj(vec![
-                            ("count".into(), Json::Num(h.count as f64)),
-                            ("mean".into(), Json::Num(mean)),
-                            ("max".into(), Json::Num(h.max)),
-                        ]),
-                    )
-                })
-                .collect();
-            rows.sort_by(|a, b| a.0.cmp(&b.0));
-            rows
-        };
-        let spans: Vec<(String, Json)> = self
-            .span_stats()
-            .into_iter()
-            .map(|(k, s)| {
-                (
-                    k,
-                    Json::Obj(vec![
-                        ("count".into(), Json::Num(s.count as f64)),
-                        ("total_s".into(), Json::Num(s.total_s)),
-                        ("max_s".into(), Json::Num(s.max_s)),
-                    ]),
-                )
-            })
-            .collect();
-        Json::Obj(vec![
-            ("id".into(), Json::Num(self.inner.id as f64)),
-            ("name".into(), Json::Str(self.inner.name.clone())),
-            ("wall_s".into(), Json::Num(self.wall_s())),
-            ("finished".into(), Json::Bool(self.finished())),
-            ("spans".into(), Json::Obj(spans)),
-            ("counters".into(), Json::Obj(counters)),
-            ("gauges".into(), Json::Obj(gauges)),
-            ("histograms".into(), Json::Obj(hists)),
-        ])
-    }
 }
 
 impl Drop for ContextScope {
@@ -435,13 +331,6 @@ pub fn active_context_count() -> usize {
     live_contexts().len()
 }
 
-/// The `/contexts` payload: `{"contexts": [<summary>, ...]}`, one object
-/// per live context, oldest first.
-pub fn contexts_json() -> Json {
-    let items = live_contexts().iter().map(TelemetryContext::summary_json).collect();
-    Json::Obj(vec![("contexts".into(), Json::Arr(items))])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -458,25 +347,11 @@ mod tests {
             let _i = inner.enter();
             assert_eq!(TelemetryContext::current().unwrap().id(), inner.id());
             crate::counter("ctx.test.counter").add(10);
-            crate::gauge("ctx.test.gauge").set(-7);
-            crate::gauge_f64("ctx.test.ratio").set(0.5);
-            crate::histogram_with_bounds("ctx.test.hist", &[1.0]).observe(2.0);
         }
         crate::counter("ctx.test.counter").add(4);
 
         assert_eq!(outer.counter_delta("ctx.test.counter"), 7);
         assert_eq!(inner.counter_delta("ctx.test.counter"), 10);
-        let (inner, outer) = (inner.summary_json(), outer.summary_json());
-        let field = |s: &Json, map: &str, key: &str| {
-            s.get(map).and_then(|m| m.get(key)).map(Json::to_string)
-        };
-        let some = |text: &str| Some(text.to_string());
-        assert_eq!(field(&inner, "gauges", "ctx.test.gauge"), some("-7"));
-        assert_eq!(field(&outer, "gauges", "ctx.test.gauge"), None);
-        assert_eq!(field(&inner, "gauges", "ctx.test.ratio"), some("0.5"));
-        let hist = field(&inner, "histograms", "ctx.test.hist");
-        assert_eq!(hist, some(r#"{"count":1,"mean":2,"max":2}"#));
-        assert_eq!(field(&outer, "histograms", "ctx.test.hist"), None);
     }
 
     #[test]
@@ -539,31 +414,18 @@ mod tests {
     }
 
     #[test]
-    fn registry_lists_live_contexts_and_summary_shape() {
+    fn registry_lists_live_contexts() {
         let ctx = TelemetryContext::new("ctx.test.registry");
         {
             let _g = ctx.enter();
             crate::counter("ctx.test.registry.hits").inc();
         }
-        let json = contexts_json();
-        let items = match json.get("contexts") {
-            Some(Json::Arr(items)) => items,
-            other => panic!("expected contexts array, got {other:?}"),
-        };
-        let mine = items
-            .iter()
-            .find(|c| c.get("id").and_then(Json::as_f64) == Some(ctx.id() as f64))
-            .expect("live context listed");
-        assert_eq!(mine.get("name").and_then(Json::as_str), Some("ctx.test.registry"));
-        assert_eq!(
-            mine.get("counters")
-                .and_then(|c| c.get("ctx.test.registry.hits"))
-                .and_then(Json::as_f64),
-            Some(1.0)
-        );
-        assert_eq!(mine.get("finished").and_then(Json::as_bool), Some(false));
-        // Text round-trip stays parseable (serving path).
-        assert!(Json::parse(&json.to_string()).is_ok());
+        let live = live_contexts();
+        let mine = live.iter().find(|c| c.id() == ctx.id()).expect("live context listed");
+        assert_eq!(mine.name(), "ctx.test.registry");
+        assert_eq!(mine.counter_delta("ctx.test.registry.hits"), 1);
+        assert!(!mine.finished());
+        assert!(active_context_count() >= 1);
     }
 
     #[test]
@@ -572,10 +434,9 @@ mod tests {
             let ctx = TelemetryContext::new("ctx.test.dropme");
             ctx.id()
         };
-        let json = contexts_json().to_string();
         assert!(
             !live_contexts().iter().any(|c| c.id() == id),
-            "dropped context still listed: {json}"
+            "dropped context {id} still listed"
         );
     }
 }

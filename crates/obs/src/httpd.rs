@@ -6,8 +6,8 @@
 //! on head and body size, so a hostile or confused client cannot balloon
 //! the process. [`HttpResponse`] + [`write_response`] render the answer.
 //! [`builtin_route`] answers the observability GET routes (`/metrics`,
-//! `/prof`, `/contexts`, `/healthz`) from the live registry, so any
-//! server built on this module exposes them for free.
+//! `/healthz`) from the live registry, so any server built on this module
+//! exposes them for free.
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -246,8 +246,6 @@ pub fn builtin_route(req: &HttpRequest) -> Option<HttpResponse> {
             content_type: "text/plain; version=0.0.4; charset=utf-8".into(),
             body: render_prometheus().into_bytes(),
         },
-        "/prof" => HttpResponse::json(200, crate::prof::prof_json().to_string()),
-        "/contexts" => HttpResponse::json(200, crate::context::contexts_json().to_string()),
         "/healthz" => HttpResponse::json(200, healthz_json().to_string()),
         _ => return None,
     };
@@ -328,9 +326,9 @@ mod tests {
             ..Default::default()
         };
         assert!(builtin_route(&post).is_none());
-        // Unknown paths, `/progress` and `/spans` among them, fall through
-        // to the caller, which answers them `404`.
-        for path in ["/nope", "/progress", "/spans"] {
+        // Unknown paths fall through to the caller, which answers them
+        // `404`.
+        for path in ["/nope", "/progress", "/spans", "/prof", "/contexts"] {
             let other = HttpRequest {
                 method: "GET".into(),
                 path: path.into(),
@@ -356,9 +354,9 @@ mod tests {
     }
 
     #[test]
-    fn serves_metrics_spans_progress() {
+    fn serves_metrics_and_healthz() {
         crate::counter("test.serve.hits").add(2);
-        crate::span("test_serve_span").finish();
+        let ctx = crate::TelemetryContext::new("serve.test.request");
 
         let (status, ctype, body) = get("/metrics");
         assert_eq!(status, 200);
@@ -366,62 +364,12 @@ mod tests {
         assert!(body.contains("kgtosa_test_serve_hits_total 2"), "{body}");
         assert!(body.contains("# TYPE kgtosa_test_serve_hits_total counter"));
 
-        let (status, ctype, body) = get("/prof");
-        assert_eq!(status, 200);
-        assert!(ctype.contains("application/json"));
-        let json = Json::parse(&body).expect("prof is valid JSON");
-        let spans = match json.get("spans") {
-            Some(Json::Arr(items)) => items,
-            other => panic!("expected spans array, got {other:?}"),
-        };
-        let mine = spans
-            .iter()
-            .find(|s| s.get("name").and_then(Json::as_str) == Some("test_serve_span"))
-            .expect("span listed");
-        for field in ["max_s", "peak_delta_max"] {
-            assert!(mine.get(field).and_then(Json::as_f64).is_some(), "{field}: {body}");
-        }
-        assert!(spans.iter().all(|s| s.get("self_s").is_some()));
-    }
-
-    #[test]
-    fn serves_contexts_and_healthz() {
-        let ctx = crate::TelemetryContext::new("serve.test.request");
-        {
-            let _g = ctx.enter();
-            crate::counter("serve.test.lookups").add(4);
-            crate::span("serve_test.work").finish();
-        }
-        ctx.finish();
-
-        let (status, ctype, body) = get("/contexts");
-        assert_eq!(status, 200);
-        assert!(ctype.contains("application/json"));
-        let json = Json::parse(&body).expect("contexts is valid JSON");
-        let items = match json.get("contexts") {
-            Some(Json::Arr(items)) => items,
-            other => panic!("expected contexts array, got {other:?}"),
-        };
-        let mine = items
-            .iter()
-            .find(|c| c.get("name").and_then(Json::as_str) == Some("serve.test.request"))
-            .expect("live context listed");
-        assert_eq!(
-            mine.get("counters")
-                .and_then(|c| c.get("serve.test.lookups"))
-                .and_then(Json::as_f64),
-            Some(4.0)
-        );
-        assert!(mine
-            .get("spans")
-            .and_then(|s| s.get("serve_test.work"))
-            .is_some());
-
         let (status, ctype, body) = get("/healthz");
         assert_eq!(status, 200);
         assert!(ctype.contains("application/json"));
         let json = Json::parse(&body).expect("healthz is valid JSON");
         assert_eq!(json.get("ready").and_then(Json::as_bool), Some(true));
         assert!(json.get("active_contexts").and_then(Json::as_f64).unwrap() >= 1.0);
+        drop(ctx);
     }
 }

@@ -16,15 +16,15 @@
 //!   the model trainers' config so every epoch reports loss, wall time,
 //!   and heap without touching the math.
 //! * **Live routes** — [`builtin_route`] answers `/metrics` in Prometheus
-//!   text format plus `/prof`, `/contexts` and `/healthz` as JSON; the
-//!   `kgtosa serve` daemon mounts them. A batch run is watched through its
-//!   trace instead: a background flusher writes the `--trace-out` file to
-//!   disk once a second, so its `span` and `train.epoch` events can be
-//!   followed live and a killed run still leaves a parseable trace.
+//!   text format and `/healthz` as JSON; the `kgtosa serve` daemon mounts
+//!   them. A batch run is watched through its trace instead: a background
+//!   flusher writes the `--trace-out` file to disk once a second, so its
+//!   `span` and `train.epoch` events can be followed live and a killed run
+//!   still leaves a parseable trace.
 //! * **Cost attribution** — [`self_times`] gives every span its *self*
 //!   time (wall minus direct children), a partition of the root's wall
 //!   clock; `kgtosa trace-summary` prints it for a finished trace
-//!   ([`render_trace_table`]) and `/prof` serves it for a live run.
+//!   ([`render_trace_table`]).
 //! * **Regression diffing** — [`diff_trace_texts`] compares two JSONL
 //!   traces or `BENCH_*.json` reports per span on wall time, peak heap,
 //!   and allocations; `kgtosa trace-diff` and the CI kernel gate sit on
@@ -39,11 +39,10 @@
 //!   that emits a final `panic` event (message, location, live span
 //!   stack) and flushes the trace before the process dies.
 //! * **Request-scoped contexts** — a [`TelemetryContext`] layers its own
-//!   span tree and scoped instrument deltas over the global registry;
+//!   span tree and scoped counter deltas over the global registry;
 //!   workers inherit the spawning context across thread boundaries, so
 //!   concurrent requests stay attributable. A rendered Chrome trace shows
-//!   each context as a Perfetto process track, and `/contexts` serves
-//!   each live context's scoped view.
+//!   each context as a Perfetto process track.
 //!
 //! Everything is std-only: no external dependencies, no global setup
 //! required. With no sink installed, a span costs two `Instant::now`
@@ -65,8 +64,7 @@ mod train;
 
 pub use chrome::{render_chrome_trace, validate_chrome_trace, ChromeTraceStats};
 pub use context::{
-    active_context_count, context_active, contexts_json, ContextScope, CtxSpanStat,
-    TelemetryContext,
+    active_context_count, context_active, ContextScope, CtxSpanStat, TelemetryContext,
 };
 pub use diff::{
     diff_spans, diff_trace_texts, parse_trace_or_bench, render_markdown, DiffOptions, DiffReport,
@@ -77,7 +75,7 @@ pub use httpd::{
     MAX_BODY_BYTES, MAX_HEAD_BYTES,
 };
 pub use json::Json;
-pub use prof::{prof_json, registry_aggs, self_times, SelfTime};
+pub use prof::{self_times, SelfTime};
 pub use panic_hook::{install_panic_hook, panic_hook_installed};
 pub use prometheus::render_prometheus;
 pub use registry::{
@@ -93,8 +91,7 @@ pub use summary::{render_summary_tree, render_trace_table, summarize_jsonl, Span
 pub use train::{EpochEvent, Observer, TelemetryObserver, TrainObserver};
 
 /// Whether any live telemetry consumer exists — a JSONL trace sink or a
-/// [`TelemetryContext`] entered on the calling thread (its scoped deltas
-/// feed `/contexts`, so quality gauges must be captured for it).
+/// [`TelemetryContext`] entered on the calling thread.
 /// Instrumentation sites with a non-trivial cost (e.g. computing subgraph
 /// quality indicators) gate on this so silent runs stay untouched.
 pub fn telemetry_active() -> bool {

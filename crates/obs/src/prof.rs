@@ -5,10 +5,8 @@
 //! telescope back to the root's wall time, which is what makes them a
 //! valid cost breakdown (the paper's Table IV decomposition, computed
 //! instead of transcribed). `trace-summary` prints it for a finished
-//! run, `/prof` serves it for a live one.
+//! run.
 
-use crate::json::Json;
-use crate::registry;
 use crate::summary::SpanAgg;
 
 /// One span's position in the attribution tree.
@@ -85,48 +83,6 @@ pub fn self_times(aggs: &[SpanAgg]) -> Vec<SelfTime> {
         }
     }
     rows
-}
-
-/// Registry span aggregates in [`SpanAgg`] form (bridging the live
-/// registry into the attribution/report pipeline).
-pub fn registry_aggs() -> Vec<SpanAgg> {
-    registry::span_stats()
-        .into_iter()
-        .map(|(name, s)| SpanAgg {
-            name,
-            count: s.count,
-            total_s: s.total_s,
-            mean_s: if s.count == 0 { 0.0 } else { s.total_s / s.count as f64 },
-            p95_s: s.max_s,
-            max_s: s.max_s,
-            peak_max_bytes: s.peak_delta_max,
-            allocs: s.allocs,
-        })
-        .collect()
-}
-
-/// The `/prof` payload: live self-time attribution over the registry,
-/// each row with its span's slowest execution and largest peak-heap
-/// growth.
-pub fn prof_json() -> Json {
-    let aggs = registry_aggs();
-    let spans: Vec<Json> = self_times(&aggs)
-        .iter()
-        .zip(&aggs)
-        .map(|(r, a)| {
-            Json::Obj(vec![
-                ("name".into(), Json::Str(r.name.clone())),
-                ("depth".into(), Json::Num(r.depth as f64)),
-                ("total_s".into(), Json::Num(r.total_s)),
-                ("self_s".into(), Json::Num(r.self_s)),
-                ("self_allocs".into(), Json::Num(r.self_allocs as f64)),
-                ("count".into(), Json::Num(r.count as f64)),
-                ("max_s".into(), Json::Num(a.max_s)),
-                ("peak_delta_max".into(), Json::Num(a.peak_max_bytes as f64)),
-            ])
-        })
-        .collect();
-    Json::Obj(vec![("spans".into(), Json::Arr(spans))])
 }
 
 #[cfg(test)]

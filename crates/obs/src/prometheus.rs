@@ -60,8 +60,8 @@ fn family(out: &mut String, name: &str, kind: &str, help: &str) {
 pub fn render_prometheus() -> String {
     let mut out = String::with_capacity(4096);
 
-    // Live request-scoped contexts (the per-request view lives at
-    // `/contexts`; this is the fleet-level count a dashboard alerts on).
+    // Live request-scoped contexts: the fleet-level count a dashboard
+    // alerts on.
     family(
         &mut out,
         "kgtosa_active_contexts",

@@ -13,10 +13,10 @@ use crate::json::Json;
 
 /// Monotonically increasing event count.
 ///
-/// Registry-created instruments know their own name, which is what lets
+/// Registry-created counters know their own name, which is what lets
 /// every update additionally flow into the telemetry context current on
 /// the updating thread (see [`crate::TelemetryContext`]); a
-/// default-constructed instrument has no name and skips that layer.
+/// default-constructed counter has no name and skips that layer.
 #[derive(Debug, Default)]
 pub struct Counter {
     name: String,
@@ -47,27 +47,16 @@ impl Counter {
 /// Last-write-wins signed level (queue depths, worker counts, …).
 #[derive(Debug, Default)]
 pub struct Gauge {
-    name: String,
     value: AtomicI64,
 }
 
 impl Gauge {
-    fn named(name: &str) -> Self {
-        Gauge { name: name.to_string(), value: AtomicI64::new(0) }
-    }
-
     pub fn set(&self, v: i64) {
         self.value.store(v, Ordering::Relaxed);
-        if !self.name.is_empty() {
-            crate::context::on_gauge(&self.name, v);
-        }
     }
 
     pub fn add(&self, delta: i64) {
-        let now = self.value.fetch_add(delta, Ordering::Relaxed) + delta;
-        if !self.name.is_empty() {
-            crate::context::on_gauge(&self.name, now);
-        }
+        self.value.fetch_add(delta, Ordering::Relaxed);
     }
 
     pub fn get(&self) -> i64 {
@@ -80,30 +69,22 @@ impl Gauge {
 /// `AtomicU64`, so it stays lock-free like [`Gauge`].
 #[derive(Debug)]
 pub struct GaugeF64 {
-    name: String,
     bits: AtomicU64,
 }
 
 impl Default for GaugeF64 {
     fn default() -> Self {
-        GaugeF64 { name: String::new(), bits: AtomicU64::new(0f64.to_bits()) }
+        GaugeF64 { bits: AtomicU64::new(0f64.to_bits()) }
     }
 }
 
 impl GaugeF64 {
-    fn named(name: &str) -> Self {
-        GaugeF64 { name: name.to_string(), ..Default::default() }
-    }
-
     /// Sets the level. Non-finite values are dropped rather than stored —
     /// a ratio gauge must never poison the Prometheus exposition or the
     /// JSON snapshot with `NaN`/`inf`.
     pub fn set(&self, v: f64) {
         if v.is_finite() {
             self.bits.store(v.to_bits(), Ordering::Relaxed);
-            if !self.name.is_empty() {
-                crate::context::on_gauge_f64(&self.name, v);
-            }
         }
     }
 
@@ -118,7 +99,6 @@ impl GaugeF64 {
 /// stays lock-free.
 #[derive(Debug)]
 pub struct Histogram {
-    name: String,
     bounds: Vec<f64>,
     buckets: Vec<AtomicU64>,
     count: AtomicU64,
@@ -127,7 +107,7 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    fn new(name: &str, bounds: Vec<f64>) -> Self {
+    fn new(bounds: Vec<f64>) -> Self {
         assert!(!bounds.is_empty(), "histogram needs at least one bound");
         assert!(
             bounds.windows(2).all(|w| w[0] < w[1]),
@@ -135,7 +115,6 @@ impl Histogram {
         );
         let buckets = (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect();
         Histogram {
-            name: name.to_string(),
             bounds,
             buckets,
             count: AtomicU64::new(0),
@@ -145,9 +124,6 @@ impl Histogram {
     }
 
     pub fn observe(&self, v: f64) {
-        if !self.name.is_empty() {
-            crate::context::on_histogram(&self.name, v);
-        }
         let idx = self.bounds.partition_point(|&b| b < v);
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
@@ -273,7 +249,7 @@ pub fn gauge(name: &str) -> Arc<Gauge> {
     let mut map = registry().gauges.write().unwrap_or_else(std::sync::PoisonError::into_inner);
     Arc::clone(
         map.entry(name.to_string())
-            .or_insert_with(|| Arc::new(Gauge::named(name))),
+            .or_insert_with(|| Arc::new(Gauge::default())),
     )
 }
 
@@ -284,7 +260,7 @@ pub fn gauge_f64(name: &str) -> Arc<GaugeF64> {
     let mut map = registry().gauges_f64.write().unwrap_or_else(std::sync::PoisonError::into_inner);
     Arc::clone(
         map.entry(name.to_string())
-            .or_insert_with(|| Arc::new(GaugeF64::named(name))),
+            .or_insert_with(|| Arc::new(GaugeF64::default())),
     )
 }
 
@@ -308,7 +284,7 @@ pub fn histogram_with_bounds(name: &str, bounds: &[f64]) -> Arc<Histogram> {
     let mut map = registry().histograms.write().unwrap_or_else(std::sync::PoisonError::into_inner);
     Arc::clone(
         map.entry(name.to_string())
-            .or_insert_with(|| Arc::new(Histogram::new(name, bounds.to_vec()))),
+            .or_insert_with(|| Arc::new(Histogram::new(bounds.to_vec()))),
     )
 }
 

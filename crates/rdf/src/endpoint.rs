@@ -114,9 +114,7 @@ impl EndpointStats {
     /// Books one served request of `rows` rows by `width` columns, `start`
     /// being when it arrived.
     fn record(&self, start: Instant, rows: usize, width: usize) {
-        // Per-request latency feeds the global histogram and, through it,
-        // the scoped view of whichever telemetry context issued the
-        // request (its `/contexts` histogram).
+        // Per-request latency feeds the global histogram.
         kgtosa_obs::histogram("rdf.request_s").observe(start.elapsed().as_secs_f64());
         self.requests.fetch_add(1, Ordering::Relaxed);
         self.rows.fetch_add(rows, Ordering::Relaxed);

@@ -7,7 +7,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::sync::PoisonError;
+use std::sync::{LazyLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use kgtosa_cache::CacheOutcome;
@@ -31,8 +31,14 @@ pub(crate) fn body_json(req: &HttpRequest) -> Result<Json, String> {
     Json::parse(text)
 }
 
-fn hex_u64(s: &str) -> Option<u64> {
-    u64::from_str_radix(s.trim_start_matches("0x"), 16).ok()
+/// Parses a fingerprint as the daemon prints it: at most one `0x`, then
+/// 1–16 hex digits and nothing else (`from_str_radix` alone takes a sign).
+pub(crate) fn hex_u64(s: &str) -> Option<u64> {
+    let digits = s.strip_prefix("0x").unwrap_or(s);
+    if digits.is_empty() || digits.len() > 16 || !digits.bytes().all(|b| b.is_ascii_hexdigit()) {
+        return None;
+    }
+    u64::from_str_radix(digits, 16).ok()
 }
 
 /// The per-request deadline: JSON `deadline_ms`, else the
@@ -80,7 +86,7 @@ fn route(state: &ServeState, req: &HttpRequest, admitted: Instant) -> HttpRespon
         ("GET", "/") => HttpResponse::text(
             200,
             "kgtosa serve\nroutes: POST /extract  POST /infer  GET /serve  \
-             GET /metrics /prof /contexts /healthz  \
+             GET /metrics /healthz  \
              POST /admin/update /admin/fault /admin/shutdown\n",
         ),
         ("GET", "/serve") => serve_stats(state),
@@ -336,14 +342,14 @@ fn infer_handler(state: &ServeState, body: &Json, remaining: Duration) -> HttpRe
             for item in items {
                 match item.as_f64() {
                     Some(n)
-                        if n >= 0.0 && n.fract() == 0.0 && (n as usize) < epoch.graph.num_nodes() =>
+                        if n >= 0.0 && n.fract() == 0.0 && (n as usize) < epoch.kg.num_nodes() =>
                     {
                         out.push(Vid(n as u32))
                     }
                     _ => {
                         return HttpResponse::error(
                             400,
-                            format!("\"nodes\" entries must be node ids < {}", epoch.graph.num_nodes()),
+                            format!("\"nodes\" entries must be node ids < {}", epoch.kg.num_nodes()),
                         )
                     }
                 }
@@ -360,13 +366,16 @@ fn infer_handler(state: &ServeState, body: &Json, remaining: Duration) -> HttpRe
         Err(e @ ModelError::Misfit { .. }) => return HttpResponse::error(409, e.to_string()),
         Err(e) => return HttpResponse::error(500, e.to_string()),
     };
+    // The epoch's first `/infer` builds its adjacency here, so that build
+    // counts against the budget as model loading does.
+    let graph = LazyLock::force(&epoch.graph);
     // The forward pass is all-or-nothing; refuse it up front when the
     // remaining budget is already gone rather than burn a worker.
     if started.elapsed() >= remaining {
         kgtosa_obs::counter("serve.deadline_expired").inc();
         return HttpResponse::error(504, "deadline exhausted before inference");
     }
-    let preds = model.predict_nodes(&epoch.graph, &nodes);
+    let preds = model.predict_nodes(graph, &nodes);
     let fields = vec![
         ("status".into(), Json::Str("ok".into())),
         ("method".into(), Json::Str(info.method.clone())),

@@ -7,7 +7,11 @@
 //! Everything derived from the KG's *contents* — the RDF store, the
 //! adjacency views, the canonical and multiset fingerprints, and the
 //! SPARQL page cache — lives in one immutable [`KgEpoch`]
-//! behind an `RwLock<Arc<..>>`. Requests grab an `Arc` once and work
+//! behind an `RwLock<Arc<..>>`. The store is the epoch's one index on the
+//! update path: extraction and cache repair read it. The adjacency views
+//! exist only for `/infer`'s forward pass, so an epoch builds them the
+//! first time an `/infer` needs them, and an update that no `/infer`
+//! follows never pays for them. Requests grab an `Arc` once and work
 //! against a consistent world for their whole lifetime; `POST
 //! /admin/update` builds the next epoch off to the side and swaps the
 //! pointer, so in-flight requests never observe a half-applied delta.
@@ -18,7 +22,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, LazyLock, Mutex, PoisonError, RwLock};
 
 use kgtosa_cache::ArtifactCache;
 use kgtosa_core::transform;
@@ -44,8 +48,9 @@ pub struct KgEpoch {
     pub kg: Arc<KnowledgeGraph>,
     /// The RDF store indexing it.
     pub store: RdfStore<'static>,
-    /// Adjacency views for inference forward passes.
-    pub graph: HeteroGraph,
+    /// Adjacency views for inference forward passes, built from `kg` on
+    /// first dereference.
+    pub graph: LazyLock<HeteroGraph, Box<dyn FnOnce() -> HeteroGraph + Send>>,
     /// Canonical snapshot fingerprint (cache key component), computed
     /// once per epoch.
     pub fingerprint: u64,
@@ -70,11 +75,11 @@ impl KgEpoch {
         version: u64,
     ) -> Self {
         let store = RdfStore::shared(kg.clone());
-        let (graph, _) = transform(&kg);
+        let graph_kg = kg.clone();
         KgEpoch {
             kg,
             store,
-            graph,
+            graph: LazyLock::new(Box::new(move || transform(&graph_kg).0)),
             fingerprint,
             multiset,
             page_cache: PageCache::new(),
@@ -116,8 +121,8 @@ pub struct ServeState {
 
 impl ServeState {
     /// Builds the state for `cfg`: generates the dataset, indexes it in
-    /// the RDF store, builds adjacency for inference, scans the
-    /// checkpoint registry, and opens the artifact cache.
+    /// the RDF store, scans the checkpoint registry, and opens the
+    /// artifact cache.
     pub fn from_dataset(cfg: ServeConfig) -> Result<Arc<Self>, String> {
         let guard = kgtosa_obs::span!("serve.startup");
         let d = kgtosa_datagen::by_name(&cfg.dataset, cfg.scale, cfg.seed)?;
@@ -193,7 +198,7 @@ impl ServeState {
     }
 
     /// Loads (or returns the cached) inference model for a checkpoint,
-    /// shaped against `epoch`'s graph. The state blob is
+    /// shaped against `epoch`'s KG; the epoch's adjacency is not built. The state blob is
     /// checksum-verified on first load; later requests share one frozen
     /// in-memory model. A checkpoint trained against a differently-sized
     /// graph fails shape validation here rather than predicting garbage,
@@ -204,7 +209,7 @@ impl ServeState {
         info: &CheckpointInfo,
         num_labels: usize,
     ) -> LoadedModel {
-        let key = (info.fingerprint, epoch.graph.num_nodes());
+        let key = (info.fingerprint, epoch.kg.num_nodes());
         let models = || self.models.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(known) = models().get(&key) {
             return known.clone();
@@ -214,8 +219,8 @@ impl ServeState {
             ModelError::Unusable(format!("checkpoint {} unreadable: {e}", info.path.display()))
         })?;
         let shape = NcModelShape {
-            nodes: epoch.graph.num_nodes(),
-            relations: epoch.graph.num_relations(),
+            nodes: epoch.kg.num_nodes(),
+            relations: epoch.kg.num_relations(),
             dim: self.cfg.dim,
             num_labels,
             lr: self.cfg.lr,

@@ -7,15 +7,17 @@
 //!    enforce compare-and-swap semantics; a mismatch answers `409`);
 //! 2. [`kgtosa_kg::apply_delta`] — all-or-nothing; any rejected op leaves
 //!    the daemon serving the old epoch and answers `400`;
-//! 3. build the next [`KgEpoch`] (fresh store/adjacency/page cache,
-//!    incrementally maintained multiset fingerprint) and **swap it
-//!    in before sweeping the cache**, so the staleness window — requests
-//!    that pay a cache miss because their entry has not been migrated yet
-//!    — is bounded by the sweep, not by the epoch build;
+//! 3. build the next [`KgEpoch`] (fresh store and page cache,
+//!    incrementally maintained multiset fingerprint; its adjacency is left
+//!    to the first `/infer` that needs it) and **swap it in before
+//!    sweeping the cache**, so the staleness window — requests that pay a
+//!    cache miss because their entry has not been migrated yet — is
+//!    bounded by the sweep, not by the epoch build;
 //! 4. sweep the artifact cache: entries the [`StalenessOracle`] proves
 //!    untouched are migrated to the new fingerprint; stale entries are
-//!    incrementally repaired ([`kgtosa_core::repair_entry`]) and
-//!    republished, or invalidated when repair is disabled or inapplicable.
+//!    incrementally repaired against the new store
+//!    ([`kgtosa_core::repair_entry`]) and republished, or invalidated when
+//!    repair is disabled or inapplicable.
 //!
 //! Everything is counted: `delta.applied`, `delta.ops`,
 //! `delta.migrations`, `delta.invalidations`, `delta.repairs`,
@@ -38,7 +40,7 @@ use kgtosa_obs::httpd::{HttpRequest, HttpResponse};
 use kgtosa_obs::Json;
 use kgtosa_rdf::FetchConfig;
 
-use crate::handlers::body_json;
+use crate::handlers::{body_json, hex_u64};
 use crate::state::{KgEpoch, ServeState};
 
 fn parse_op(item: &Json) -> Result<DeltaOp, String> {
@@ -97,9 +99,9 @@ pub fn admin_update(state: &ServeState, req: &HttpRequest) -> HttpResponse {
     let old = state.epoch();
 
     if let Some(base) = body.get("base_fingerprint").and_then(Json::as_str) {
-        match u64::from_str_radix(base.trim_start_matches("0x"), 16) {
-            Ok(fp) if fp == old.fingerprint => {}
-            Ok(fp) => {
+        match hex_u64(base) {
+            Some(fp) if fp == old.fingerprint => {}
+            Some(fp) => {
                 let fields = Json::Obj(vec![
                     ("error".into(), Json::Str("base fingerprint mismatch".into())),
                     ("expected".into(), Json::Str(format!("{:016x}", old.fingerprint))),
@@ -107,7 +109,7 @@ pub fn admin_update(state: &ServeState, req: &HttpRequest) -> HttpResponse {
                 ]);
                 return HttpResponse::json(409, fields.to_string());
             }
-            Err(_) => {
+            None => {
                 return HttpResponse::error(400, "\"base_fingerprint\" must be a hex u64")
             }
         }
@@ -173,7 +175,6 @@ pub fn admin_update(state: &ServeState, req: &HttpRequest) -> HttpResponse {
                 }
                 let (bytes, report) = repair_entry(
                     &epoch.store,
-                    &epoch.graph,
                     info,
                     payload,
                     old_nodes,

@@ -313,6 +313,20 @@ fn update_validates_requests_and_invalidates_without_repair() {
         let r = post_json(daemon.addr, "/admin/update", bad, Duration::from_secs(10)).unwrap();
         assert_eq!(r.status, 400, "bad update {bad} must 400: {}", r.body);
     }
+    // A base fingerprint is at most one `0x` and then hex digits: no
+    // repeated prefix and no sign, even around the right value.
+    for base in [
+        format!("0x0x{old_kg_fp}"),
+        format!("+{old_kg_fp}"),
+        format!("0x+{old_kg_fp}"),
+        "0x0xab".into(),
+        "+ab".into(),
+        "0x+ab".into(),
+    ] {
+        let body = format!("{{\"base_fingerprint\":\"{base}\",\"ops\":{ops}}}");
+        let r = post_json(daemon.addr, "/admin/update", &body, Duration::from_secs(10)).unwrap();
+        assert_eq!(r.status, 400, "base fingerprint {base:?} must 400: {}", r.body);
+    }
     let stats = ok_json(&get(daemon.addr, "/serve", Duration::from_secs(5)).unwrap());
     assert_eq!(num(&stats, &["epoch", "version"]), 0.0, "rejected deltas must not advance the epoch");
 
