@@ -6,8 +6,12 @@
 //! (duplicate elimination on every page), Algorithm 3 *paginates each
 //! subquery independently* — so this module exposes both forms:
 //!
-//! * [`compile_subqueries`] — one `SELECT ?s ?p ?o` query per branch, the
-//!   form the paginated parallel fetcher consumes,
+//! * [`compile_subqueries`] — one `SELECT DISTINCT ?s ?p ?o` query per
+//!   branch, the form the paginated parallel fetcher consumes. `DISTINCT`
+//!   makes a 2-hop branch return each triple once rather than once per
+//!   path reaching it, and lets the engine project the middle of the path
+//!   away early; the fetcher still sorts and dedups what it merges, as it
+//!   must for any endpoint,
 //! * [`compile_union`] — the single `UNION` query (`Q^{d2h1}` in the
 //!   paper), used for counting and for documentation/tests.
 
@@ -125,7 +129,7 @@ pub fn compile_subqueries(task: &ExtractionTask, pattern: &GraphPattern) -> Vec<
             let (s, p, o) = branch_triple_vars(&seq);
             let query = Query {
                 select: Selection::Vars(vec![s.clone(), p.clone(), o.clone()]),
-                distinct: false,
+                distinct: true,
                 group: Group::of_patterns(patterns),
                 limit: None,
                 offset: None,
@@ -147,7 +151,7 @@ pub fn compile_subqueries(task: &ExtractionTask, pattern: &GraphPattern) -> Vec<
         out.push(Subquery {
             query: Query {
                 select: Selection::Vars(vec!["s".into(), "p".into(), "o".into()]),
-                distinct: false,
+                distinct: true,
                 group: Group::of_patterns(patterns),
                 limit: None,
                 offset: None,

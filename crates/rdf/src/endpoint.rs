@@ -39,8 +39,10 @@ pub trait SparqlEndpoint: Sync {
     /// Executes a parsed SELECT query.
     fn select(&self, query: &Query) -> Result<ResultSet, RdfError>;
 
-    /// Executes a count of the query's solutions (Algorithm 3's
-    /// `getGraphSize`, used to plan the pagination batches). An empty
+    /// Counts the rows the query's pages return together (Algorithm 3's
+    /// `getGraphSize`, used to plan the pagination batches). The default
+    /// sends the query's `COUNT(*)` rewrite, which counts a `DISTINCT`
+    /// query's solutions before deduplication — an upper bound. An empty
     /// result set means zero solutions, not an error.
     fn count(&self, query: &Query) -> Result<usize, RdfError> {
         Ok(counted(&self.select(&counting(query))?))
@@ -246,9 +248,10 @@ impl SparqlEndpoint for InProcessEndpoint<'_, '_> {
     }
 
     /// `getGraphSize` shares the pagination's one evaluation: it reads a
-    /// parked cursor's solution count, or evaluates `query` itself (not a
-    /// `COUNT` rewrite of it) and parks that for the pages to come. Booked
-    /// as the one-row, one-column request the `COUNT` query would be.
+    /// parked cursor's row count, or evaluates `query` itself (not a
+    /// `COUNT` rewrite of it) and parks that for the pages to come, so
+    /// the count is exact under `DISTINCT` too. Booked as the one-row,
+    /// one-column request the `COUNT` query would be.
     fn count(&self, query: &Query) -> Result<usize, RdfError> {
         let start = Instant::now();
         let key = cursor_key(query);

@@ -8,7 +8,15 @@
 //!    first, using `O(log m)` index counts as the cardinality estimate,
 //! 3. each pattern is joined by an index range scan per intermediate row,
 //! 4. `UNION` branches are evaluated per-row and concatenated (bag
-//!    semantics), then `DISTINCT` applies to the projected rows.
+//!    semantics),
+//! 5. under `DISTINCT`, a variable dies once no pattern, `FILTER` or
+//!    `UNION` still to be applied mentions it and it is not projected; the
+//!    join loop unbinds it as soon as it dies and drops the rows that then
+//!    repeat (early projection: a semi-join, as in Yannakakis). A group of
+//!    triple patterns only is then already a set over its projection —
+//!    the hexastore holds each triple once — so only a group with a
+//!    `UNION` or `FILTER` sorts its projected rows at the end. Queries
+//!    without `DISTINCT` keep every binding, and so their multiplicities.
 //!
 //! That is `SparqlEngine::solve`; `OFFSET` / `LIMIT` are a separate slice of
 //! its answer (`Solved::page`), so the endpoint, which holds on to a
@@ -121,14 +129,15 @@ impl ResultSet {
 pub(crate) struct Solved {
     /// Every projected row (deduplicated under `DISTINCT`).
     rows: ResultSet,
-    /// Solutions of the `WHERE` group — what `COUNT(*)` reports. Differs
-    /// from `rows.len()` under `DISTINCT` and for zero-width projections.
+    /// The number of rows the query's pages hold together: the group's
+    /// solutions, deduplicated under `DISTINCT`. Differs from `rows.len()`
+    /// only for zero-width projections.
     solutions: usize,
 }
 
 impl Solved {
-    /// Number of solutions of the query's group (`COUNT(*)`), before
-    /// projection and `DISTINCT`.
+    /// Number of rows the query's pages return together (`getGraphSize`):
+    /// the solutions of its group, after `DISTINCT`.
     pub(crate) fn solutions(&self) -> usize {
         self.solutions
     }
@@ -211,6 +220,17 @@ impl Rows {
         self.count += 1;
     }
 
+    /// Unbinds the `dead` columns in every row and drops the rows that
+    /// then repeat.
+    fn project_away(&mut self, dead: &[usize]) {
+        for row in self.data.chunks_exact_mut(self.width) {
+            for &col in dead {
+                row[col] = NULL_ID;
+            }
+        }
+        self.count = sort_dedup(&mut self.data, self.width);
+    }
+
     fn view(&self) -> RowsView<'_> {
         RowsView {
             data: &self.data,
@@ -218,6 +238,17 @@ impl Rows {
             remaining: self.count,
         }
     }
+}
+
+/// Sorts the `width`-cell rows of `data`, removes repeated rows and
+/// returns how many remain. `width` must be positive.
+fn sort_dedup(data: &mut Vec<u32>, width: usize) -> usize {
+    let mut sorted: Vec<&[u32]> = data.chunks_exact(width).collect();
+    sorted.sort_unstable();
+    sorted.dedup();
+    let deduped = sorted.concat();
+    *data = deduped;
+    data.len() / width
 }
 
 /// A borrowed binding table — a whole [`Rows`] or a single row of one.
@@ -332,6 +363,16 @@ struct CompiledPattern {
 }
 
 impl CompiledPattern {
+    /// The variable slots of the pattern, one per occurrence.
+    fn var_slots(&self) -> impl Iterator<Item = usize> {
+        [self.s, self.p, self.o]
+            .into_iter()
+            .filter_map(|c| match c {
+                Comp::Var(i) => Some(i),
+                _ => None,
+            })
+    }
+
     fn has_unresolvable(&self) -> bool {
         [self.s, self.p, self.o]
             .iter()
@@ -379,14 +420,19 @@ impl<'s, 'kg> SparqlEngine<'s, 'kg> {
             .iter()
             .map(|v| pred_vars.iter().any(|pv| pv == v))
             .collect();
+        // The columns that outlive the group: under `DISTINCT` only the
+        // projected ones; `COUNT(*)` and bag queries keep every binding.
+        let keep: Vec<bool> = match (&query.select, query.distinct) {
+            (Selection::Vars(vs), true) => vars.iter().map(|v| vs.contains(v)).collect(),
+            _ => vec![true; width],
+        };
         let seed = Rows::single_empty(width);
-        let rows = self.eval_group(&query.group, seed.view(), &vars, &pred_flags)?;
-        let solutions = rows.len();
+        let rows = self.eval_group(&query.group, seed.view(), &vars, &pred_flags, &keep)?;
 
         if let Selection::Count = query.select {
             return Ok(Solved {
-                rows: ResultSet::count_answer(solutions),
-                solutions,
+                rows: ResultSet::count_answer(rows.len()),
+                solutions: rows.len(),
             });
         }
 
@@ -409,40 +455,73 @@ impl<'s, 'kg> SparqlEngine<'s, 'kg> {
             }
         }
 
-        if query.distinct && rs.width > 0 {
-            let mut sorted: Vec<&[u32]> = rs.data.chunks_exact(rs.width).collect();
-            sorted.sort_unstable();
-            sorted.dedup();
-            let mut deduped = Vec::with_capacity(sorted.len() * rs.width);
-            for row in sorted {
-                deduped.extend_from_slice(row);
-            }
-            rs.data = deduped;
-        }
+        // The join loop leaves a group of triple patterns a set already;
+        // a `UNION` concatenates, and a `FILTER` keeps its columns bound
+        // until it has run, so those groups dedup here.
+        let patterns_only = query
+            .group
+            .elements
+            .iter()
+            .all(|el| matches!(el, Element::Pattern(_)));
+        let solutions = if rs.width == 0 {
+            rows.len()
+        } else if query.distinct && !patterns_only {
+            sort_dedup(&mut rs.data, rs.width)
+        } else {
+            rs.len()
+        };
         Ok(Solved {
             rows: rs,
             solutions,
         })
     }
 
-    /// Evaluates a group against every input row.
+    /// Evaluates a group against every input row. `keep` marks the
+    /// columns needed after the group; a bound column that neither `keep`
+    /// nor an element still to be applied needs is dead, and is projected
+    /// away as soon as the join loop finds it so.
     fn eval_group(
         &self,
         group: &Group,
         input: RowsView<'_>,
         vars: &[String],
         pred_flags: &[bool],
+        keep: &[bool],
     ) -> Result<Rows, RdfError> {
         // Compile and split: joinable triple patterns, UNION elements, and
         // FILTER constraints (applied last, over the group's solutions).
+        // `uses` counts, per column, `keep` and the elements that mention it.
+        let slot = |v: &String| vars.iter().position(|x| x == v).expect("collected");
+        let mut uses: Vec<usize> = keep.iter().map(|&k| usize::from(k)).collect();
         let mut patterns = Vec::new();
         let mut unions = Vec::new();
         let mut filters = Vec::new();
         for el in &group.elements {
             match el {
-                Element::Pattern(tp) => patterns.push(self.compile(tp, vars)),
-                Element::Union(branches) => unions.push(branches),
-                Element::Filter(c) => filters.push(self.compile_filter(c, vars, pred_flags)),
+                Element::Pattern(tp) => {
+                    let pattern = self.compile(tp, vars);
+                    pattern.var_slots().for_each(|i| uses[i] += 1);
+                    patterns.push(pattern);
+                }
+                Element::Union(branches) => {
+                    let mut slots: Vec<usize> = branches
+                        .iter()
+                        .flat_map(Group::variables)
+                        .map(|v| slot(&v))
+                        .collect();
+                    slots.sort_unstable();
+                    slots.dedup();
+                    slots.iter().for_each(|&i| uses[i] += 1);
+                    unions.push((branches, slots));
+                }
+                Element::Filter(c) => {
+                    for term in [&c.left, &c.right] {
+                        if let Term::Var(v) = term {
+                            uses[slot(v)] += 1;
+                        }
+                    }
+                    filters.push(self.compile_filter(c, vars, pred_flags));
+                }
             }
         }
 
@@ -456,27 +535,40 @@ impl<'s, 'kg> SparqlEngine<'s, 'kg> {
             let next = self.pick_next(&remaining, &bound);
             let pattern = remaining.swap_remove(next);
             let current = joined.as_ref().map_or(input.clone(), Rows::view);
-            let rows = self.join_pattern(&pattern, current);
-            for comp in [pattern.s, pattern.p, pattern.o] {
-                if let Comp::Var(i) = comp {
-                    bound[i] = true;
-                }
+            let mut rows = self.join_pattern(&pattern, current);
+            for i in pattern.var_slots() {
+                bound[i] = true;
+                uses[i] -= 1;
             }
             if rows.len() == 0 {
                 // Short-circuit: the join is already empty.
                 return Ok(rows);
             }
+            let dead: Vec<usize> = (0..rows.width)
+                .filter(|&i| bound[i] && uses[i] == 0)
+                .collect();
+            if !dead.is_empty() {
+                rows.project_away(&dead);
+                for &i in &dead {
+                    bound[i] = false;
+                }
+            }
             joined = Some(rows);
         }
         let mut rows = joined.unwrap_or_else(|| input.to_rows());
 
-        // Apply unions: each input row fans out across branches.
-        for branches in unions {
+        // Apply unions: each input row fans out across branches, which
+        // keep what the later unions and the filters still need.
+        for (branches, slots) in unions {
+            for i in slots {
+                uses[i] -= 1;
+            }
+            let after: Vec<bool> = uses.iter().map(|&u| u > 0).collect();
             let mut out = Rows::empty(rows.width);
             for row in rows.view() {
                 for branch in branches.iter() {
                     let produced =
-                        self.eval_group(branch, RowsView::single(row), vars, pred_flags)?;
+                        self.eval_group(branch, RowsView::single(row), vars, pred_flags, &after)?;
                     out.count += produced.count;
                     out.data.extend_from_slice(&produced.data);
                 }

@@ -8,8 +8,8 @@ use proptest::prelude::*;
 use kgtosa_core::{extract_sparql, ExtractionTask, GraphPattern};
 use kgtosa_kg::{write_snapshot, KnowledgeGraph};
 use kgtosa_rdf::{
-    fetch_triples_robust, parse, FetchConfig, Hexastore, InProcessEndpoint, Query, RdfError,
-    RdfStore, ResultSet, SparqlEndpoint, SparqlEngine,
+    fetch_triples_robust, parse, FetchConfig, Hexastore, InProcessEndpoint, Query, RdfStore,
+    ResultSet, SparqlEndpoint, SparqlEngine,
 };
 
 fn arb_triples() -> impl Strategy<Value = Vec<[u32; 3]>> {
@@ -83,15 +83,69 @@ fn fresh_page(store: &RdfStore<'_>, paged: &Query) -> ResultSet {
     SparqlEngine::new(store).execute(paged).expect("query executes")
 }
 
-/// An endpoint that has only `select`, so `count` is the trait's default
-/// `COUNT(*)` rewrite — what `InProcessEndpoint::count` was before it
-/// shared the pagination's evaluation.
-struct SelectOnly<'a, 's, 'kg>(&'a InProcessEndpoint<'s, 'kg>);
+/// One step of a random chain: subject, predicate and object choices,
+/// plus a constant/variable pick they share.
+type ChainStep = (u8, u8, u8, u8);
 
-impl SparqlEndpoint for SelectOnly<'_, '_, '_> {
-    fn select(&self, query: &Query) -> Result<ResultSet, RdfError> {
-        self.0.select(query)
+/// The `WHERE` group of a random chain BGP of 2–4 patterns, each joined to
+/// what came before (so no cross product), with repeated variables,
+/// unresolvable constants, and optionally a `FILTER` and a `UNION`.
+fn chain_group(steps: &[ChainStep], filter: u8, union: u8) -> String {
+    let mut mentioned: Vec<String> = Vec::new();
+    let mut text = String::new();
+    for (i, &(s, p, o, k)) in steps.iter().enumerate() {
+        let subject = match s {
+            _ if i == 0 => "?x0".to_string(),
+            0..=3 if mentioned.contains(&format!("?x{i}")) => format!("?x{i}"),
+            0..=4 => mentioned[k as usize % mentioned.len()].clone(),
+            _ => format!("<n{k}>"),
+        };
+        let (predicate, typed) = match p {
+            0..=3 => (format!("<r{p}>"), false),
+            4 => (format!("?p{i}"), false),
+            5 => ("?p0".to_string(), false),
+            6 => ("a".to_string(), true),
+            _ => ("<ghost>".to_string(), false),
+        };
+        let object = match o {
+            _ if typed => format!("<C{}>", k % 3),
+            0..=3 => format!("?x{}", i + 1),
+            4 => "?x0".to_string(),
+            5 => subject.clone(),
+            6 => format!("<n{k}>"),
+            _ => "<nowhere>".to_string(),
+        };
+        text += &format!("{subject} {predicate} {object} . ");
+        for term in [subject, predicate, object] {
+            if term.starts_with('?') && !mentioned.contains(&term) {
+                mentioned.push(term);
+            }
+        }
     }
+    let var = |j: usize| mentioned[j % mentioned.len()].clone();
+    text += &match union {
+        1 => format!("{{ {} <r1> ?y }} UNION {{ ?y <r2> {} }} ", var(1), var(1)),
+        2 => format!(
+            "{{ {} ?q ?y }} UNION {{ {} <r0> ?y . ?y <r3> ?z }} ",
+            var(0),
+            var(2)
+        ),
+        _ => String::new(),
+    };
+    text += &match filter {
+        1 => format!("FILTER ({} != {}) ", var(0), var(3)),
+        2 => format!("FILTER ({} = <n{}>) ", var(1), steps[0].3),
+        3 => format!("FILTER ({} != <ghost>) ", var(2)),
+        _ => String::new(),
+    };
+    text
+}
+
+/// Sorted rows of a result set.
+fn sorted_rows(rs: &ResultSet) -> Vec<Vec<u32>> {
+    let mut rows: Vec<Vec<u32>> = rs.rows().map(<[u32]>::to_vec).collect();
+    rows.sort();
+    rows
 }
 
 /// Pages `query` from offset 0 until the short page, checking each page.
@@ -139,7 +193,8 @@ proptest! {
             let was_parked = parked.contains(&key);
             // Actions 6 and 7 are `count`, the rest a page index.
             let keep_parked = if action >= 6 {
-                let expected = SelectOnly(&InProcessEndpoint::new(&store)).count(query).unwrap();
+                // `getGraphSize`: the rows the query's pages hold together.
+                let expected = fresh_page(&store, query).len();
                 prop_assert_eq!(ep.count(query).unwrap(), expected, "count of {}", query);
                 true
             } else {
@@ -341,6 +396,52 @@ proptest! {
         sorted_set.dedup();
         prop_assert_eq!(sorted_set.len(), set_rows.len(), "DISTINCT returned duplicates");
         prop_assert_eq!(sorted_set, bag_rows);
+    }
+
+    /// Early projection is invisible: `SELECT DISTINCT` over a random chain
+    /// BGP equals the same query without `DISTINCT`, sorted and deduped —
+    /// and the endpoint's `getGraphSize` counts exactly those rows. Without
+    /// `DISTINCT` the engine keeps bag semantics: exactly `COUNT(*)` rows.
+    #[test]
+    fn distinct_equals_projected_deduped_bag(
+        kg in arb_kg(),
+        steps in proptest::collection::vec((0u8..6, 0u8..8, 0u8..8, 0u8..12), 2..5),
+        filter in 0u8..4,
+        union in 0u8..3,
+        mask in 0u32..64,
+    ) {
+        let store = RdfStore::new(&kg);
+        let engine = SparqlEngine::new(&store);
+        let group = chain_group(&steps, filter, union);
+        let vars = parse(&format!("SELECT * WHERE {{ {group} }}")).unwrap().group.variables();
+        // A random non-empty projection; bit 5 adds a variable the group
+        // never binds.
+        let mut projected: Vec<String> = vars
+            .iter()
+            .enumerate()
+            .filter(|(j, _)| mask & (1 << (j % 5)) != 0)
+            .map(|(_, v)| format!("?{v}"))
+            .collect();
+        if projected.is_empty() {
+            projected.push(format!("?{}", vars[0]));
+        }
+        if mask & 32 != 0 {
+            projected.push("?free".to_string());
+        }
+        let projection = projected.join(" ");
+
+        let bag = engine.execute_str(&format!("SELECT {projection} WHERE {{ {group} }}")).unwrap();
+        let count = engine.execute_str(&format!("SELECT (COUNT(*) AS ?c) WHERE {{ {group} }}"))
+            .unwrap();
+        prop_assert_eq!(count.row(0)[0] as usize, bag.len(), "COUNT(*) of {}", group);
+
+        let distinct_text = format!("SELECT DISTINCT {projection} WHERE {{ {group} }}");
+        let distinct = engine.execute_str(&distinct_text).unwrap();
+        let mut oracle = sorted_rows(&bag);
+        oracle.dedup();
+        prop_assert_eq!(sorted_rows(&distinct), oracle, "{}", distinct_text);
+        let counted = InProcessEndpoint::new(&store).count(&parse(&distinct_text).unwrap()).unwrap();
+        prop_assert_eq!(counted, distinct.len(), "getGraphSize of {}", distinct_text);
     }
 
     /// COUNT equals the materialized row count.
