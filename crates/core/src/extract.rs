@@ -11,7 +11,7 @@
 
 use kgtosa_kg::{
     induced_subgraph, map_targets, subgraph_from_triples_and_nodes, HeteroGraph, InducedSubgraph,
-    KnowledgeGraph, Vid,
+    KnowledgeGraph, Triple, Vid,
 };
 use kgtosa_rdf::{fetch_triples_robust, FetchConfig, InProcessEndpoint, RdfError, RdfStore};
 use kgtosa_sampler::{biased_random_walk, ibs_sample, uniform_random_walk, IbsConfig, WalkConfig};
@@ -195,15 +195,13 @@ pub fn extract_sparql(
         let outcome = fetch_triples_robust(&endpoint, store, &qs, (s, p, o), fetch)?;
         planned_pages += outcome.planned_pages;
         completed_pages += outcome.completed_pages;
-        triples.extend(outcome.triples);
+        triples = merge_ascending(triples, outcome.triples);
     }
     let completeness = if planned_pages == 0 {
         1.0
     } else {
         completed_pages as f64 / planned_pages as f64
     };
-    triples.sort_unstable();
-    triples.dedup();
     let sub = subgraph_from_triples_and_nodes(kg, &triples, &task.targets);
     let sampled = sub.kg.num_nodes();
     Ok(ExtractionResult::new(
@@ -215,6 +213,34 @@ pub fn extract_sparql(
         endpoint.stats().requests(),
         completeness,
     ))
+}
+
+/// Merges two strictly ascending triple runs — what the fetcher returns
+/// per group — into one, each triple once. Linear; the inputs are dropped
+/// as soon as the output holds them.
+fn merge_ascending(a: Vec<Triple>, b: Vec<Triple>) -> Vec<Triple> {
+    let ascending = |run: &[Triple]| run.windows(2).all(|w| w[0] < w[1]);
+    debug_assert!(
+        ascending(&a) && ascending(&b),
+        "a run is not strictly ascending"
+    );
+    if a.is_empty() {
+        return b;
+    }
+    if b.is_empty() {
+        return a;
+    }
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        out.push(x.min(y));
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
 }
 
 #[cfg(test)]
@@ -246,6 +272,31 @@ mod tests {
         let targets = kg.nodes_of_class(kg.find_class("Paper").unwrap());
         let task = ExtractionTask::node_classification("PV", "Paper", targets);
         (kg, task)
+    }
+
+    #[test]
+    fn merge_equals_concatenate_sort_dedup() {
+        use kgtosa_kg::Rid;
+        let run = |ids: &[u32]| -> Vec<Triple> {
+            ids.iter()
+                .map(|&i| Triple::new(Vid(i / 100), Rid(i / 10 % 10), Vid(i % 10)))
+                .collect()
+        };
+        let cases: [(&[u32], &[u32]); 7] = [
+            (&[], &[]),
+            (&[], &[3, 150, 999]),
+            (&[3, 150, 999], &[]),
+            (&[1, 2, 3], &[10, 20, 30]),
+            (&[10, 20, 30], &[1, 2, 3]),
+            (&[1, 5, 9, 120, 480], &[2, 5, 120, 121, 999]),
+            (&[7, 70, 700], &[7, 70, 700]),
+        ];
+        for (a, b) in cases {
+            let mut expect = [run(a), run(b)].concat();
+            expect.sort_unstable();
+            expect.dedup();
+            assert_eq!(merge_ascending(run(a), run(b)), expect, "{a:?} + {b:?}");
+        }
     }
 
     #[test]

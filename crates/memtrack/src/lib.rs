@@ -141,6 +141,17 @@ mod tests {
     // NOTE: the allocator is not installed in unit tests (no
     // #[global_allocator] here), so counters only move via direct calls.
 
+    /// The counters are process-global and tests run on parallel threads:
+    /// every test that moves `PEAK` holds this, so no `reset_peak` lands
+    /// inside another test's measurement.
+    static PEAK_TESTS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        PEAK_TESTS
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn format_bytes_units() {
         assert_eq!(format_bytes(512), "512 B");
@@ -150,6 +161,7 @@ mod tests {
 
     #[test]
     fn counters_move() {
+        let _serial = serial();
         add(1000);
         assert!(live_bytes() >= 1000);
         assert!(peak_bytes() >= 1000);
@@ -160,6 +172,7 @@ mod tests {
 
     #[test]
     fn snapshot_tracks_alloc_count() {
+        let _serial = serial();
         let before = snapshot();
         add(100);
         add(200);
@@ -172,6 +185,7 @@ mod tests {
 
     #[test]
     fn measure_peak_returns_result() {
+        let _serial = serial();
         let (v, peak) = measure_peak(|| {
             add(5000);
             sub(5000);

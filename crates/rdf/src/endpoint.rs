@@ -324,7 +324,9 @@ impl Default for FetchConfig {
 /// accounting from which an explicit completeness fraction is derived.
 #[derive(Debug)]
 pub struct FetchOutcome {
-    /// The merged, deduplicated data triples.
+    /// The merged data triples, strictly ascending (sorted, deduplicated)
+    /// — in partial mode too. `extract_sparql` merges the runs of its
+    /// fetches on that.
     pub triples: Vec<Triple>,
     /// Pages the fetch believes exist (completed + failed, floored by the
     /// `getGraphSize` estimate in partial mode).

@@ -17,6 +17,10 @@
 //!    the hexastore holds each triple once — so only a group with a
 //!    `UNION` or `FILTER` sorts its projected rows at the end. Queries
 //!    without `DISTINCT` keep every binding, and so their multiplicities.
+//!    Both dedups sort the rows lexicographically by the columns that vary
+//!    only — a just-unbound column is `NULL_ID` in every row — with an LSD
+//!    radix that skips every 11-bit digit on which all rows agree, then
+//!    drop adjacent repeats: linear in the rows for ids of bounded spread.
 //!
 //! That is `SparqlEngine::solve`; `OFFSET` / `LIMIT` are a separate slice of
 //! its answer (`Solved::page`), so the endpoint, which holds on to a
@@ -24,6 +28,7 @@
 
 use crate::ast::{CompareOp, Constraint, Element, Group, Query, Selection, Term, TriplePattern};
 use crate::error::RdfError;
+use crate::hexastore::{digit, BUCKETS, DIGITS};
 use crate::store::RdfStore;
 
 /// Sentinel id representing an unbound (`NULL`) cell in a result row.
@@ -240,15 +245,121 @@ impl Rows {
     }
 }
 
-/// Sorts the `width`-cell rows of `data`, removes repeated rows and
-/// returns how many remain. `width` must be positive.
+/// Sorts the `width`-cell rows of `data` lexicographically, removes
+/// repeated rows and returns how many remain. `width` must be positive.
+///
+/// A column on which every row agrees orders nothing — the [`NULL_ID`]s
+/// of projected-away variables, a column the input row bound — so only
+/// the varying columns are sorted: they are packed to the front of each
+/// row in place, sorted by an LSD radix that skips every digit on which
+/// all rows agree, deduplicated, and spread back out around the constant
+/// cells. `O(rows × varying digits)`, in `data`'s own buffer plus one
+/// buffer of the varying cells.
 fn sort_dedup(data: &mut Vec<u32>, width: usize) -> usize {
-    let mut sorted: Vec<&[u32]> = data.chunks_exact(width).collect();
-    sorted.sort_unstable();
-    sorted.dedup();
-    let deduped = sorted.concat();
-    *data = deduped;
-    data.len() / width
+    debug_assert_eq!(data.len() % width, 0);
+    let n = data.len() / width;
+    if n < 2 {
+        return n;
+    }
+    // The first row; its constant cells are every row's.
+    let mut row = data[..width].to_vec();
+    // The bits of each column on which some row differs from the first.
+    let mut spread = vec![0u32; width];
+    for r in data.chunks_exact(width) {
+        for ((s, &v), &f) in spread.iter_mut().zip(r).zip(&row) {
+            *s |= v ^ f;
+        }
+    }
+    let varying: Vec<usize> = (0..width).filter(|&c| spread[c] != 0).collect();
+    let k = varying.len();
+    if k == 0 {
+        data.truncate(width);
+        return 1;
+    }
+    // Least significant first: the last varying column's low digit.
+    let passes: Vec<(usize, usize)> = varying
+        .iter()
+        .enumerate()
+        .rev()
+        .flat_map(|(j, &c)| {
+            let bits = spread[c];
+            (0..DIGITS)
+                .filter(move |&d| digit(bits, d) != 0)
+                .map(move |d| (j, d))
+        })
+        .collect();
+
+    // Pack each row's varying cells to the front: row `i`'s `j`-th one
+    // moves to `i * k + j`, never past a cell still to be read.
+    for i in 0..n {
+        for (j, &c) in varying.iter().enumerate() {
+            data[i * k + j] = data[i * width + c];
+        }
+    }
+    data.truncate(n * k);
+    // Ping-pong between `data` and `keys`, starting so the last pass
+    // writes into `data`.
+    let mut keys = Vec::with_capacity(n * k);
+    let (mut from, mut to) = if passes.len() % 2 == 1 {
+        keys.extend_from_slice(data);
+        (&mut keys, &mut *data)
+    } else {
+        keys.resize(n * k, 0);
+        (&mut *data, &mut keys)
+    };
+    for &(j, d) in &passes {
+        radix_pass(from, to, k, j, d);
+        std::mem::swap(&mut from, &mut to);
+    }
+    drop(keys);
+
+    let mut m = 1;
+    for i in 1..n {
+        let (kept, row_i) = (&data[(m - 1) * k..m * k], &data[i * k..(i + 1) * k]);
+        if kept.iter().zip(row_i).any(|(a, b)| a != b) {
+            data.copy_within(i * k..(i + 1) * k, m * k);
+            m += 1;
+        }
+    }
+    // Spread the rows back out, last first: row `i` moves from `i * k` to
+    // `i * width`, over cells already read.
+    data.resize(m * width, 0);
+    for i in (0..m).rev() {
+        for (j, &c) in varying.iter().enumerate() {
+            row[c] = data[i * k + j];
+        }
+        data[i * width..(i + 1) * width].copy_from_slice(&row);
+    }
+    if m < n {
+        // Give the dropped rows' memory back before the next join, into a
+        // fresh buffer: shrinking in place can return pages to the system
+        // that the next query's buffers then fault back in.
+        *data = data.to_vec();
+    }
+    m
+}
+
+/// One stable counting-sort pass over `k`-cell rows: scatters `src` into
+/// `dst` by digit `d` of cell `j`.
+fn radix_pass(src: &[u32], dst: &mut [u32], k: usize, j: usize, d: usize) {
+    let mut offsets = [0usize; BUCKETS];
+    for r in src.chunks_exact(k) {
+        offsets[digit(r[j], d)] += 1;
+    }
+    let mut next = 0;
+    for slot in offsets.iter_mut() {
+        let count = *slot;
+        *slot = next;
+        next += count;
+    }
+    for r in src.chunks_exact(k) {
+        let slot = &mut offsets[digit(r[j], d)];
+        // Cell by cell: a row is a few cells, too short for a `memcpy` call.
+        for (to, &v) in dst[*slot * k..(*slot + 1) * k].iter_mut().zip(r) {
+            *to = v;
+        }
+        *slot += 1;
+    }
 }
 
 /// A borrowed binding table — a whole [`Rows`] or a single row of one.
@@ -993,5 +1104,152 @@ mod tests {
         let a = run(&kg, "SELECT ?x WHERE { ?x a <Venue> . ?p <publishedIn> ?x }");
         let b = run(&kg, "SELECT ?x WHERE { ?p <publishedIn> ?x . ?x a <Venue> }");
         assert_eq!(a.len(), b.len());
+    }
+
+    /// The dedup this module had before it sorted by the varying columns:
+    /// a lexicographic sort of the row slices. Kept as the oracle.
+    fn slice_sort_dedup(data: &[u32], width: usize) -> Vec<u32> {
+        let mut sorted: Vec<&[u32]> = data.chunks_exact(width).collect();
+        sorted.sort_unstable();
+        sorted.dedup();
+        sorted.concat()
+    }
+
+    fn assert_sorts_like_slices(data: &[u32], width: usize) {
+        let expect = slice_sort_dedup(data, width);
+        let mut got = data.to_vec();
+        let rows = sort_dedup(&mut got, width);
+        assert_eq!(rows * width, expect.len(), "width {width}: {data:?}");
+        assert_eq!(got, expect, "width {width}: {data:?}");
+    }
+
+    /// splitmix64: reproducible cases without a dev-dependency.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// Ids at and around every radix digit boundary, and the `NULL_ID`
+    /// sentinel.
+    const EDGE_IDS: [u32; 10] = [
+        0,
+        1,
+        2047,
+        2048,
+        (1 << 22) - 1,
+        1 << 22,
+        0x0040_0801,
+        1 << 31,
+        NULL_ID - 1,
+        NULL_ID,
+    ];
+
+    #[test]
+    fn sort_dedup_matches_the_slice_sort() {
+        let mut mix = Mix(7);
+        for _ in 0..600 {
+            let width = 1 + mix.below(8);
+            // Per column: `NULL_ID` throughout, one constant, a few values
+            // (heavy duplication), edge ids, or any id.
+            let kinds: Vec<usize> = (0..width).map(|_| mix.below(5)).collect();
+            let constants: Vec<u32> = (0..width).map(|_| mix.next() as u32).collect();
+            let distinct = 1 + mix.below(40);
+            let mut pool: Vec<u32> = Vec::new();
+            for _ in 0..distinct {
+                for (c, &kind) in kinds.iter().enumerate() {
+                    pool.push(match kind {
+                        0 => NULL_ID,
+                        1 => constants[c],
+                        2 => EDGE_IDS[mix.below(3)],
+                        3 => EDGE_IDS[mix.below(EDGE_IDS.len())],
+                        _ => mix.next() as u32,
+                    });
+                }
+            }
+            // Rows drawn from `distinct` prototypes repeat heavily.
+            let rows = mix.below(400);
+            let mut data = Vec::with_capacity(rows * width);
+            for _ in 0..rows {
+                let p = mix.below(distinct);
+                data.extend_from_slice(&pool[p * width..(p + 1) * width]);
+            }
+            assert_sorts_like_slices(&data, width);
+        }
+    }
+
+    #[test]
+    fn sort_dedup_edge_shapes() {
+        // No rows, one row, all rows identical.
+        assert_sorts_like_slices(&[], 3);
+        assert_sorts_like_slices(&[5, NULL_ID, 2], 3);
+        assert_sorts_like_slices(&[9, NULL_ID, 9, NULL_ID, 9, NULL_ID], 2);
+        // One varying column among `NULL_ID`s: early projection's shape.
+        let mut mix = Mix(11);
+        let mut data = Vec::new();
+        for _ in 0..5000 {
+            data.extend([NULL_ID, mix.next() as u32 >> 10, NULL_ID, NULL_ID, NULL_ID]);
+        }
+        assert_sorts_like_slices(&data, 5);
+        // More than four varying columns, every digit of every one varying.
+        let mut data = Vec::new();
+        for i in 0..3000u32 {
+            for c in 0..7u32 {
+                data.push(match (i + c) % 3 {
+                    0 => EDGE_IDS[mix.below(EDGE_IDS.len())],
+                    1 => mix.next() as u32,
+                    _ => (i * 7919 + c) % 97,
+                });
+            }
+        }
+        let half = data[..data.len() / 2].to_vec();
+        data.extend_from_slice(&half);
+        assert_sorts_like_slices(&data, 7);
+        // A varying digit above constant ones, and a constant one between
+        // varying ones.
+        let data: Vec<u32> = [0x8000_0003u32, 3, 0x0000_0803, 0x0040_0003, 0x8040_0803]
+            .iter()
+            .flat_map(|&v| [v, 1 << 22, v ^ 0x7])
+            .collect();
+        assert_sorts_like_slices(&data, 3);
+    }
+
+    /// The pages of a `DISTINCT` `UNION` query, row for row. Their order
+    /// is the final dedup's sort order, and it is what page boundaries,
+    /// and so the request texts a fault plan draws by, depend on.
+    #[test]
+    fn distinct_union_pages_keep_their_order() {
+        let mut kg = kg();
+        kg.add_triple_terms("a3", "Author", "writes", "p1", "Paper");
+        kg.add_triple_terms("p3", "Paper", "cites", "p1", "Paper");
+        kg.add_triple_terms("p3", "Paper", "publishedIn", "v2", "Venue");
+        kg.add_triple_terms("a2", "Author", "writes", "p3", "Paper");
+        let store = RdfStore::new(&kg);
+        let engine = SparqlEngine::new(&store);
+        let page = |offset: usize| {
+            let q = format!(
+                "SELECT DISTINCT ?x ?y ?z WHERE {{ {{ ?x <writes> ?y }} UNION {{ ?y <cites> ?x }} \
+                 UNION {{ ?x <publishedIn> ?z . ?w <cites> ?x }} UNION {{ ?x <writes> ?y }} }} \
+                 LIMIT 4 OFFSET {offset}"
+            );
+            let rs = engine.execute_str(&q).unwrap();
+            (0..rs.len())
+                .map(|i| rs.row_terms(&store, i).join(" "))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(page(0), ["a1 p1 ", "a1 p2 ", "p1 p3 ", "p1  v1"]);
+        assert_eq!(page(4), ["p2 p1 ", "p2  v1", "a2 p2 ", "a2 p3 "]);
+        assert_eq!(page(8), ["a3 p1 "]);
+        assert!(page(12).is_empty());
     }
 }

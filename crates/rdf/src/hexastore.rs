@@ -102,14 +102,16 @@ impl Order {
     }
 }
 
-/// Radix of the build's counting sorts: 2¹¹ buckets keep one histogram in
-/// L1 and cover any predicate id in one pass and node ids below 2²² in two.
+/// Radix of the build's counting sorts, and of the executor's row dedup:
+/// 2¹¹ buckets keep one histogram in L1 and cover any predicate id in one
+/// pass and node ids below 2²² in two.
 const DIGIT_BITS: u32 = 11;
-const BUCKETS: usize = 1 << DIGIT_BITS;
-const DIGITS: usize = u32::BITS.div_ceil(DIGIT_BITS) as usize;
+pub(crate) const BUCKETS: usize = 1 << DIGIT_BITS;
+pub(crate) const DIGITS: usize = u32::BITS.div_ceil(DIGIT_BITS) as usize;
 
+/// Digit `d` of `value`, least significant first.
 #[inline]
-fn digit(value: u32, d: usize) -> usize {
+pub(crate) fn digit(value: u32, d: usize) -> usize {
     (value >> (d as u32 * DIGIT_BITS)) as usize & (BUCKETS - 1)
 }
 

@@ -282,3 +282,72 @@ fn policy_composition_golden() {
     assert!(evaluations <= 5, "{evaluations} evaluations");
     assert_eq!(golden_run(4, "trip=1000,cooldown=4,seed=11").0, quiet);
 }
+
+/// `FetchOutcome::triples` is strictly ascending even when pages failed
+/// and the fetch degraded: `extract_sparql` merges the runs of its
+/// fetches on that, without re-sorting. The subqueries overlap and one of
+/// them repeats triples, so each handler's pages arrive unsorted and with
+/// duplicates.
+#[test]
+fn partial_fetches_with_failed_pages_stay_strictly_ascending() {
+    use kgtosa_rdf::FetchMode;
+
+    let mut kg = KnowledgeGraph::new();
+    for v in 0..24u32 {
+        kg.add_node(&format!("n{v}"), &format!("C{}", v % 3));
+    }
+    for r in 0..3u32 {
+        kg.add_relation(&format!("r{r}"));
+    }
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    for _ in 0..90 {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let (s, p, o) = ((x >> 33) % 24, (x >> 20) % 3, (x >> 45) % 24);
+        let s = kg.find_node(&format!("n{s}")).unwrap();
+        let o = kg.find_node(&format!("n{o}")).unwrap();
+        let p = kg.find_relation(&format!("r{p}")).unwrap();
+        kg.add_triple(s, p, o);
+    }
+    let store = RdfStore::new(&kg);
+    let subs: Vec<_> = [
+        "SELECT ?s ?p ?o WHERE { ?s ?p ?o . ?o ?q ?x }",
+        "SELECT ?s ?p ?o WHERE { ?s ?p ?o . ?s a <C1> }",
+        "SELECT ?s ?p ?o WHERE { ?x ?q ?s . ?s ?p ?o }",
+    ]
+    .iter()
+    .map(|q| parse(q).expect("query parses"))
+    .collect();
+
+    let (mut degraded, mut runs) = (0, 0);
+    for seed in 0..24u64 {
+        for threads in [1, 4] {
+            let cfg = FetchConfig {
+                fault: Some(FaultPlan {
+                    seed,
+                    fault_rate: 0.3,
+                    fatal_rate: 0.3,
+                    ..Default::default()
+                }),
+                mode: FetchMode::Partial,
+                ..cfg(5, threads)
+            };
+            let endpoint = InProcessEndpoint::new(&store);
+            let outcome = fetch_triples_robust(&endpoint, &store, &subs, ("s", "p", "o"), &cfg)
+                .expect("partial mode degrades instead of failing");
+            assert!(
+                outcome.triples.windows(2).all(|w| w[0] < w[1]),
+                "seed {seed}, {threads} threads: triples not strictly ascending"
+            );
+            runs += 1;
+            if outcome.failed_pages > 0 && !outcome.triples.is_empty() {
+                degraded += 1;
+            }
+        }
+    }
+    assert!(
+        degraded * 2 >= runs,
+        "only {degraded} of {runs} fetches lost pages and kept some triples"
+    );
+}
