@@ -20,7 +20,7 @@
 //! a fresh run against the committed copy with `kgtosa trace-diff`.
 
 use kgtosa_datagen::Dataset;
-use kgtosa_kg::{Csr, HeteroGraph, KnowledgeGraph, Rid, Vid};
+use kgtosa_kg::{Csr, HeteroGraph, KnowledgeGraph, Rid, Triple, Vid};
 use kgtosa_models::{NcModelShape, RgcnNcModel};
 use kgtosa_nn::{mean_aggregate, RgcnGrads, RgcnLayer};
 use kgtosa_par::with_threads;
@@ -400,9 +400,9 @@ fn ppr_graph(rng: &mut StdRng) -> HeteroGraph {
     for v in 0..n {
         kg.add_node(&format!("n{v}"), &format!("C{}", v % 4));
     }
-    for (s, o) in random_edges(n, 120_000, rng) {
-        kg.add_triple_terms(&format!("n{s}"), "C0", "r", &format!("n{o}"), "C0");
-    }
+    let r = kg.add_relation("r");
+    let edges = random_edges(n, 120_000, rng).into_iter();
+    kg.extend_triples(edges.map(|(s, o)| Triple::new(Vid(s), r, Vid(o))));
     HeteroGraph::build(&kg)
 }
 

@@ -330,7 +330,7 @@ impl<'a> ExtractionView<'a> {
             unresolved: false,
         };
         self.snapshot.visit(&mut lift);
-        crate::repair::sort_subject_runs(&mut lift.triples);
+        kgtosa_kg::sort_subject_runs(&mut lift.triples);
         (!lift.unresolved).then_some(lift.triples)
     }
 

@@ -10,8 +10,8 @@
 //! bumps the `extract.sampled_nodes` / `extract.triples` counters.
 
 use kgtosa_kg::{
-    induced_subgraph, map_targets, subgraph_from_triples_and_nodes, HeteroGraph, InducedSubgraph,
-    KnowledgeGraph, Triple, Vid,
+    induced_subgraph, map_targets, merge_sorted, subgraph_from_triples_and_nodes, HeteroGraph,
+    InducedSubgraph, KnowledgeGraph, Vid,
 };
 use kgtosa_rdf::{fetch_triples_robust, FetchConfig, InProcessEndpoint, RdfError, RdfStore};
 use kgtosa_sampler::{biased_random_walk, ibs_sample, uniform_random_walk, IbsConfig, WalkConfig};
@@ -195,7 +195,12 @@ pub fn extract_sparql(
         let outcome = fetch_triples_robust(&endpoint, store, &qs, (s, p, o), fetch)?;
         planned_pages += outcome.planned_pages;
         completed_pages += outcome.completed_pages;
-        triples = merge_ascending(triples, outcome.triples);
+        // Each group's triples ascend: merge them in, each triple once.
+        triples = if triples.is_empty() {
+            outcome.triples
+        } else {
+            merge_sorted(&triples, &outcome.triples, &[])
+        };
     }
     let completeness = if planned_pages == 0 {
         1.0
@@ -213,34 +218,6 @@ pub fn extract_sparql(
         endpoint.stats().requests(),
         completeness,
     ))
-}
-
-/// Merges two strictly ascending triple runs — what the fetcher returns
-/// per group — into one, each triple once. Linear; the inputs are dropped
-/// as soon as the output holds them.
-fn merge_ascending(a: Vec<Triple>, b: Vec<Triple>) -> Vec<Triple> {
-    let ascending = |run: &[Triple]| run.windows(2).all(|w| w[0] < w[1]);
-    debug_assert!(
-        ascending(&a) && ascending(&b),
-        "a run is not strictly ascending"
-    );
-    if a.is_empty() {
-        return b;
-    }
-    if b.is_empty() {
-        return a;
-    }
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        let (x, y) = (a[i], b[j]);
-        out.push(x.min(y));
-        i += usize::from(x <= y);
-        j += usize::from(y <= x);
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
 }
 
 #[cfg(test)]
@@ -276,7 +253,7 @@ mod tests {
 
     #[test]
     fn merge_equals_concatenate_sort_dedup() {
-        use kgtosa_kg::Rid;
+        use kgtosa_kg::{Rid, Triple};
         let run = |ids: &[u32]| -> Vec<Triple> {
             ids.iter()
                 .map(|&i| Triple::new(Vid(i / 100), Rid(i / 10 % 10), Vid(i % 10)))
@@ -295,7 +272,7 @@ mod tests {
             let mut expect = [run(a), run(b)].concat();
             expect.sort_unstable();
             expect.dedup();
-            assert_eq!(merge_ascending(run(a), run(b)), expect, "{a:?} + {b:?}");
+            assert_eq!(merge_sorted(&run(a), &run(b), &[]), expect, "{a:?} + {b:?}");
         }
     }
 

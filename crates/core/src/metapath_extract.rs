@@ -83,8 +83,6 @@ pub fn extract_metapath(
             }
         }
     }
-    triples.sort_unstable();
-    triples.dedup();
     let subgraph = subgraph_from_triples_and_nodes(kg, &triples, &task.targets);
     let targets = kgtosa_kg::map_targets(&subgraph, &task.targets);
     let triples_count = subgraph.kg.num_triples();

@@ -33,8 +33,8 @@
 
 use kgtosa_cache::EntryInfo;
 use kgtosa_kg::{
-    sorted_unique, subgraph_from_triples_and_nodes, Cid, FxHashSet, HeteroGraph, KnowledgeGraph,
-    Rid, Triple, Vid,
+    sort_subject_runs, sorted_unique, subgraph_from_triples_and_nodes, Cid, FxHashSet,
+    HeteroGraph, KnowledgeGraph, Rid, Triple, Vid,
 };
 use kgtosa_rdf::{FetchConfig, RdfError, RdfStore};
 
@@ -120,17 +120,6 @@ pub fn parent_triples(
         .collect();
     sort_subject_runs(&mut triples);
     triples
-}
-
-/// Sorts lifted triples that already ascend by subject — a subgraph's
-/// triples do in its own id space, and `to_parent` ascends for every
-/// extractor's output — by sorting each subject's run: relation ids differ
-/// between the two spaces, so only the order within a run can change. The
-/// result ascends whenever the subjects did.
-pub(crate) fn sort_subject_runs(triples: &mut [Triple]) {
-    for run in triples.chunk_by_mut(|a, b| a.s == b.s) {
-        run.sort_unstable();
-    }
 }
 
 /// The out-edges of `v` in the store: one SPO range, minus `v`'s

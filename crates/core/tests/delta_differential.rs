@@ -78,8 +78,9 @@ fn arb_stream() -> impl Strategy<Value = Vec<Vec<OpSpec>>> {
 }
 
 /// Resolves one round of specs. Kind 0 removes an existing triple (when
-/// there is one); other kinds add, with endpoints drawn from the existing
-/// nodes plus a growing pool of brand-new `x{i}` vertices.
+/// there is one); other kinds add an absent triple, with endpoints drawn
+/// from the existing nodes plus a growing pool of brand-new `x{i}`
+/// vertices.
 fn resolve_ops(kg: &KnowledgeGraph, specs: &[OpSpec], fresh: &mut usize) -> Vec<DeltaOp> {
     let mut ops = Vec::new();
     // Ops apply sequentially, so removes must draw from the triples still
@@ -134,7 +135,12 @@ fn resolve_ops(kg: &KnowledgeGraph, specs: &[OpSpec], fresh: &mut usize) -> Vec<
         let (s, s_class) = endpoint(a);
         let (o, o_class) = endpoint(c);
         let p = RELATIONS[b % 4].to_string();
-        live.push((s.clone(), p.clone(), o.clone()));
+        // The KG is a set: an add of a live triple would reject the delta.
+        let triple = (s.clone(), p.clone(), o.clone());
+        if live.contains(&triple) {
+            continue;
+        }
+        live.push(triple);
         ops.push(DeltaOp::Add {
             s,
             s_class,

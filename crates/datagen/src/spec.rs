@@ -14,7 +14,7 @@
 //! * "misc" types/relations pad the schema to the real KG's type counts —
 //!   exactly the task-irrelevant diversity KG-TOSA prunes away.
 
-use kgtosa_kg::{KnowledgeGraph, Vid};
+use kgtosa_kg::{KnowledgeGraph, Triple, Vid};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -140,7 +140,7 @@ impl GeneratedKg {
 pub fn generate(spec: &KgSpec, seed: u64) -> GeneratedKg {
     let mut rng = StdRng::seed_from_u64(seed);
     let total_nodes: usize = spec.node_types.iter().map(|t| t.count).sum();
-    let mut kg = KnowledgeGraph::with_capacity(total_nodes, total_nodes * 4);
+    let mut kg = KnowledgeGraph::with_capacity(total_nodes, 0);
     let mut blocks = Vec::with_capacity(spec.node_types.len());
 
     // Create all node blocks first so ids are contiguous per type.
@@ -160,6 +160,7 @@ pub fn generate(spec: &KgSpec, seed: u64) -> GeneratedKg {
             .unwrap_or_else(|| panic!("edge references unknown node type {name}"))
     };
 
+    let mut triples = Vec::with_capacity(total_nodes * 4);
     for e in &spec.edge_types {
         let (src_start, src_count) = block_of(&e.src);
         let (dst_start, dst_count) = block_of(&e.dst);
@@ -187,11 +188,12 @@ pub fn generate(spec: &KgSpec, seed: u64) -> GeneratedKg {
                 } else {
                     skewed_index(dst_count, e.skew, &mut rng)
                 };
-                kg.add_triple(Vid(src_start + si as u32), rel, Vid(dst_start + di as u32));
+                let (s, o) = (Vid(src_start + si as u32), Vid(dst_start + di as u32));
+                triples.push(Triple::new(s, rel, o));
             }
         }
     }
-    kg.dedup_triples();
+    kg.extend_triples(triples);
 
     GeneratedKg {
         kg,

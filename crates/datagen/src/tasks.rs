@@ -187,9 +187,7 @@ pub fn make_lp_task(
         triples.push(Triple::new(s, rel, Vid(dst_start + di as u32)));
     }
     let (train, valid, test) = split_triples(triples, split, ratios, &mut rng);
-    for t in &train {
-        gen.kg.add_triple(t.s, t.p, t.o);
-    }
+    gen.kg.extend_triples(train.iter().copied());
     LpTask {
         name: name.to_string(),
         predicate: predicate.to_string(),

@@ -11,9 +11,9 @@
 //!
 //! ## Id stability
 //!
-//! Dictionaries are append-only and [`KnowledgeGraph::retain_triples`]
-//! never drops vertices, so every vertex/relation/class id of the base
-//! graph is valid — with the same meaning — in the patched graph. The
+//! Dictionaries are append-only and removing a triple never drops a
+//! vertex, so every vertex/relation/class id of the base graph is valid —
+//! with the same meaning — in the patched graph. The
 //! incremental TOSG repair in `kgtosa-core` depends on this: cached
 //! parent-space mappings survive a delta without remapping.
 //!
@@ -27,14 +27,20 @@
 //! op instead of O(|KG|) per epoch. [`apply_delta`] maintains it
 //! incrementally; the differential test suite asserts it always equals a
 //! from-scratch [`MultisetFingerprint::of`] over the patched graph.
+//!
+//! ## Set semantics, O(|T| + k log k)
+//!
+//! An add of a present triple is rejected like a remove of an absent one.
+//! Membership is a binary search in the base plus an overlay of the
+//! triples the delta touched; the result is one merge with the net change.
 
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
 use crate::fingerprint::Fnv64;
-use crate::fxhash::FxHashMap;
 use crate::ids::Vid;
-use crate::triples::{KnowledgeGraph, Triple};
+use crate::triples::{merge_sorted, KnowledgeGraph, Triple};
 
 /// One term-level mutation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,9 +49,9 @@ pub enum DeltaOp {
     /// The class terms only take effect when the vertex is new (first
     /// declaration wins, as at load time).
     Add { s: String, s_class: String, p: String, o: String, o_class: String },
-    /// Retract **one occurrence** of an existing triple. All three terms
-    /// must already be interned and the triple must be present, otherwise
-    /// the whole delta is rejected.
+    /// Retract a present triple. All three terms must already be
+    /// interned and the triple must be present, otherwise the whole delta
+    /// is rejected.
     Remove { s: String, p: String, o: String },
 }
 
@@ -149,8 +155,10 @@ pub enum DeltaError {
     UnknownNode(String),
     /// A remove op referenced a relation term that is not interned.
     UnknownRelation(String),
-    /// A remove op referenced a triple with no live occurrence.
+    /// A remove op referenced a triple that is not present.
     MissingTriple { s: String, p: String, o: String },
+    /// An add op asserted a triple that is already present.
+    DuplicateTriple { s: String, p: String, o: String },
 }
 
 impl fmt::Display for DeltaError {
@@ -166,6 +174,9 @@ impl fmt::Display for DeltaError {
             }
             DeltaError::MissingTriple { s, p, o } => {
                 write!(f, "remove references missing triple ({s:?}, {p:?}, {o:?})")
+            }
+            DeltaError::DuplicateTriple { s, p, o } => {
+                write!(f, "add asserts present triple ({s:?}, {p:?}, {o:?})")
             }
         }
     }
@@ -183,7 +194,7 @@ pub struct DeltaApplication {
     /// Triples asserted by the delta, in the (stable) id space of `kg`.
     /// A triple both added and removed by one delta appears in both lists.
     pub added: Vec<Triple>,
-    /// Triples retracted by the delta (one entry per retracted occurrence).
+    /// Triples retracted by the delta, in op order.
     pub removed: Vec<Triple>,
     /// Vertices interned by the delta (ids ≥ the base graph's node count).
     pub new_nodes: Vec<Vid>,
@@ -196,8 +207,9 @@ pub struct DeltaApplication {
 /// `kg_fingerprint` is the caller's cached canonical fingerprint of `kg`
 /// (so apply never pays an O(|KG|) hash); `multiset` is the matching
 /// multiset fingerprint. Ops apply sequentially — a remove may retract a
-/// triple added earlier in the same delta. Any failing op rejects the
-/// whole delta and leaves `kg` untouched.
+/// triple added earlier in the same delta, and an add may re-assert one
+/// removed earlier. Any failing op rejects the whole delta and leaves `kg`
+/// untouched.
 pub fn apply_delta(
     kg: &KnowledgeGraph,
     kg_fingerprint: u64,
@@ -216,18 +228,28 @@ pub fn apply_delta(
     let mut ms = multiset;
     let mut added = Vec::new();
     let mut removed = Vec::new();
-
-    // Live occurrence counts, built lazily on the first remove op: the
-    // common add-only delta never pays the O(|T|) scan.
-    let mut counts: Option<FxHashMap<Triple, u64>> = None;
-    let mut to_remove: FxHashMap<Triple, u64> = FxHashMap::default();
+    // Whether each touched triple is present now (others are as in the
+    // base). Ops come from outside: keep the collision-resistant hasher.
+    let mut present: HashMap<Triple, bool> = HashMap::new();
+    let in_base = |t: &Triple| kg.triples().binary_search(t).is_ok();
 
     for op in &delta.ops {
         match op {
             DeltaOp::Add { s, s_class, p, o, o_class } => {
                 let (nodes0, rels0, classes0) =
                     (new.num_nodes(), new.num_relations(), new.num_classes());
-                let t = new.add_triple_terms(s, s_class, p, o, o_class);
+                let t = Triple::new(
+                    new.add_node(s, s_class),
+                    new.add_relation(p),
+                    new.add_node(o, o_class),
+                );
+                if present.insert(t, true).unwrap_or_else(|| in_base(&t)) {
+                    return Err(DeltaError::DuplicateTriple {
+                        s: s.clone(),
+                        p: p.clone(),
+                        o: o.clone(),
+                    });
+                }
                 // Fold in any dictionary entries this op interned. Classes
                 // are interned even when the vertex already existed (first
                 // declaration wins for the vertex, but the term enters the
@@ -247,9 +269,6 @@ pub fn apply_delta(
                     ms.add(elem_hash(TAG_NODE, &[new.node_term(v), cls]));
                 }
                 ms.add(triple_hash(&new, t));
-                if let Some(c) = counts.as_mut() {
-                    *c.entry(t).or_insert(0) += 1;
-                }
                 added.push(t);
             }
             DeltaOp::Remove { s, p, o } => {
@@ -263,41 +282,28 @@ pub fn apply_delta(
                     .find_node(o)
                     .ok_or_else(|| DeltaError::UnknownNode(o.clone()))?;
                 let t = Triple::new(sv, pr, ov);
-                let counts = counts.get_or_insert_with(|| {
-                    let mut m: FxHashMap<Triple, u64> = FxHashMap::default();
-                    for &t in new.triples() {
-                        *m.entry(t).or_insert(0) += 1;
-                    }
-                    m
-                });
-                let live = counts.entry(t).or_insert(0);
-                if *live == 0 {
+                if !present.insert(t, false).unwrap_or_else(|| in_base(&t)) {
                     return Err(DeltaError::MissingTriple {
                         s: s.clone(),
                         p: p.clone(),
                         o: o.clone(),
                     });
                 }
-                *live -= 1;
                 ms.sub(triple_hash(&new, t));
-                *to_remove.entry(t).or_insert(0) += 1;
                 removed.push(t);
             }
         }
     }
 
-    // Physically drop retracted occurrences in one retain pass. Which
-    // occurrence of a duplicated triple goes is irrelevant: occurrences
-    // are indistinguishable and the canonical snapshot sorts triples.
-    if !to_remove.is_empty() {
-        new.retain_triples(|t| match to_remove.get_mut(t) {
-            Some(n) if *n > 0 => {
-                *n -= 1;
-                false
-            }
-            _ => true,
-        });
+    // The net change, [removed, added] against the base, in one merge.
+    let mut net: [Vec<Triple>; 2] = Default::default();
+    for (t, now) in present {
+        if now != in_base(&t) {
+            net[usize::from(now)].push(t);
+        }
     }
+    net.iter_mut().for_each(|run| run.sort_unstable());
+    new.set_triples(merge_sorted(kg.triples(), &net[1], &net[0]));
 
     let new_nodes = (base_nodes..new.num_nodes()).map(|v| Vid(v as u32)).collect();
     Ok(DeltaApplication { kg: new, multiset: ms, added, removed, new_nodes })
@@ -357,29 +363,49 @@ mod tests {
         let mut rebuilt = base();
         rebuilt.add_triple_terms("p3", "Paper", "cites", "p1", "Paper");
         rebuilt.add_triple_terms("a1", "Author", "writes", "p3", "Paper");
-        let gone = *rebuilt.triples().first().unwrap();
-        let mut dropped = false;
-        rebuilt.retain_triples(|t| {
-            if !dropped && *t == gone {
-                dropped = true;
-                false
-            } else {
-                true
-            }
-        });
+        let gone = Triple::new(
+            rebuilt.find_node("p1").unwrap(),
+            rebuilt.find_relation("cites").unwrap(),
+            rebuilt.find_node("p2").unwrap(),
+        );
+        assert!(rebuilt.remove_triple(gone));
+        assert_eq!(app.kg.triples(), rebuilt.triples());
         assert_eq!(fingerprint(&app.kg), fingerprint(&rebuilt));
     }
 
     #[test]
-    fn remove_takes_one_occurrence() {
-        let mut kg = base();
-        let t = kg.triples()[0];
-        kg.add_triple(t.s, t.p, t.o); // duplicate p1-cites-p2
-        let app = apply(&kg, vec![remove("p1", "cites", "p2")]).unwrap();
-        assert_eq!(app.kg.num_triples(), kg.num_triples() - 1);
-        assert_eq!(app.multiset, MultisetFingerprint::of(&app.kg));
-        // The other occurrence survives.
-        assert!(app.kg.triples().contains(&t));
+    fn add_of_a_present_triple_rejects_the_delta() {
+        let kg = base();
+        let before = kg.triples().to_vec();
+        let err = apply(
+            &kg,
+            vec![add("p9", "Paper", "cites", "p1", "Paper"), add("p1", "Paper", "cites", "p2", "Paper")],
+        )
+        .unwrap_err();
+        assert!(matches!(err, DeltaError::DuplicateTriple { .. }), "{err}");
+        // Re-adding within one delta is a duplicate too.
+        assert!(matches!(
+            apply(
+                &kg,
+                vec![add("p9", "Paper", "cites", "p1", "Paper"), add("p9", "Paper", "cites", "p1", "Paper")]
+            ),
+            Err(DeltaError::DuplicateTriple { .. })
+        ));
+        assert_eq!(kg.triples(), before, "the base is untouched");
+    }
+
+    #[test]
+    fn remove_then_add_of_one_triple_applies() {
+        let kg = base();
+        let app = apply(
+            &kg,
+            vec![remove("p1", "cites", "p2"), add("p1", "Paper", "cites", "p2", "Paper")],
+        )
+        .unwrap();
+        assert_eq!(app.kg.triples(), kg.triples());
+        assert_eq!(fingerprint(&app.kg), fingerprint(&kg));
+        assert_eq!((app.added.len(), app.removed.len()), (1, 1));
+        assert_eq!(app.multiset, MultisetFingerprint::of(&kg));
     }
 
     #[test]
@@ -393,8 +419,8 @@ mod tests {
             ],
         )
         .unwrap();
-        // Net triple count unchanged; the new vertex remains interned.
-        assert_eq!(app.kg.num_triples(), kg.num_triples());
+        // Triples unchanged; the new vertex remains interned.
+        assert_eq!(app.kg.triples(), kg.triples());
         assert!(app.kg.find_node("p9").is_some());
         assert_eq!(app.multiset, MultisetFingerprint::of(&app.kg));
     }
@@ -439,7 +465,7 @@ mod tests {
         let kg = base();
         // p1 already has class Paper; the add's conflicting class only
         // interns the term, it does not re-type the vertex.
-        let app = apply(&kg, vec![add("p1", "Imposter", "cites", "p2", "Paper")]).unwrap();
+        let app = apply(&kg, vec![add("p1", "Imposter", "cites", "p3", "Paper")]).unwrap();
         let p1 = app.kg.find_node("p1").unwrap();
         assert_eq!(app.kg.class_term(app.kg.class_of(p1)), "Paper");
         assert!(app.kg.find_class("Imposter").is_some());

@@ -2,10 +2,10 @@
 //!
 //! The fingerprint is the FNV-1a 64-bit hash of the graph's canonical
 //! snapshot byte stream (see [`crate::snapshot`]): dictionaries in id
-//! order plus subject-sorted triples. Because the snapshot layout is
-//! deterministic, two graphs with the same dictionaries and triple
-//! multiset always hash equal — regardless of insertion order of
-//! triples — and the hash can be folded incrementally while a snapshot
+//! order plus the ascending triples. Because the snapshot layout is
+//! deterministic, two graphs with the same dictionaries and triple set
+//! always hash equal — regardless of the order triples were inserted in —
+//! and the hash can be folded incrementally while a snapshot
 //! is being written, or taken over a validated snapshot's bytes
 //! ([`crate::snapshot::SnapshotView::fingerprint`]), so obtaining it
 //! alongside normal snapshot I/O costs nothing beyond the hash arithmetic

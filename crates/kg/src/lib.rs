@@ -56,7 +56,7 @@ pub use snapshot::{
 };
 pub use stats::{distances_to_targets, neighbor_type_entropy, quality, SubgraphQuality};
 pub use subgraph::{
-    induced_subgraph, live_classes, live_relations, map_targets, sorted_unique,
+    induced_subgraph, live_classes, live_relations, map_targets, sort_subject_runs, sorted_unique,
     subgraph_from_triples_and_nodes, InducedSubgraph, NodeSet,
 };
-pub use triples::{KnowledgeGraph, Triple};
+pub use triples::{merge_sorted, KnowledgeGraph, Triple};

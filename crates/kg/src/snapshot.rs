@@ -9,7 +9,7 @@
 //! u32 num_relations  then length-prefixed relation terms
 //! u32 num_nodes      then (u32 class_id, length-prefixed term) per node
 //! u64 num_triples    then (varint s, varint p, varint o) per triple,
-//!                    with subjects delta-encoded over the sorted list
+//!                    with subjects delta-encoded over the ascending list
 //! ```
 //!
 //! Varint + delta encoding makes triples ~3–5 bytes each instead of 12.
@@ -23,11 +23,12 @@
 //!   trailing `0x00` continuation group, nothing beyond 64 bits;
 //! - class terms, relation terms and node terms are each unique;
 //! - every node's class id and every triple id is in range;
-//! - triples are sorted by `(s, p, o)` (duplicates are kept: the triple
-//!   list is a multiset).
+//! - triples are strictly ascending by `(s, p, o)`: sorted, and no triple
+//!   twice, because the triple list is a set.
 //!
-//! So for every snapshot the view accepts, re-writing the decoded graph
-//! reproduces the accepted bytes, and [`SnapshotView::fingerprint`] — FNV-1a
+//! That is the order [`KnowledgeGraph::triples`] always has, so the writer
+//! emits the vector as it is, with no sort. For every snapshot the view
+//! accepts, re-writing the decoded graph reproduces the accepted bytes, and [`SnapshotView::fingerprint`] — FNV-1a
 //! over those bytes — equals [`crate::fingerprint::fingerprint`] of the
 //! graph without building it. One private walker is the only code that
 //! reads the layout: the view, [`read_snapshot`] and every consumer of a
@@ -68,12 +69,10 @@ pub fn write_snapshot(kg: &KnowledgeGraph, mut w: impl Write) -> io::Result<()> 
         write_u32(&mut w, kg.class_of(vid).raw())?;
         write_str(&mut w, kg.node_term(vid))?;
     }
-    // Triples, sorted + delta-encoded on subject.
-    let mut triples: Vec<[u32; 3]> = kg.triples().iter().map(|t| t.raw()).collect();
-    triples.sort_unstable();
-    w.write_all(&(triples.len() as u64).to_le_bytes())?;
+    // Triples, ascending and delta-encoded on subject.
+    w.write_all(&(kg.num_triples() as u64).to_le_bytes())?;
     let mut prev_s = 0u32;
-    for [s, p, o] in triples {
+    for [s, p, o] in kg.triples().iter().map(|t| t.raw()) {
         write_varint(&mut w, (s - prev_s) as u64)?;
         write_varint(&mut w, p as u64)?;
         write_varint(&mut w, o as u64)?;
@@ -114,7 +113,7 @@ pub trait SnapshotVisitor<'a> {
     fn relation(&mut self, _term: &'a str) {}
     /// The next node; ids count up from 0.
     fn node(&mut self, _class: Cid, _term: &'a str) {}
-    /// The next triple, in `(s, p, o)` order.
+    /// The next triple, strictly ascending by `(s, p, o)`.
     fn triple(&mut self, _t: Triple) {}
 }
 
@@ -263,9 +262,7 @@ fn walk<'a>(
     let num_triples = r.u64()?;
     // With ids bounded by num_nodes/num_relations there can be at most
     // nodes² · relations distinct triples; a count beyond that is a
-    // forged header (the multiset allows duplicates, but a duplicate-heavy
-    // header that large is equally implausible and would only make us
-    // loop on garbage).
+    // forged header.
     let max_triples = (num_nodes as u64)
         .saturating_mul(num_nodes as u64)
         .saturating_mul(num_relations.max(1) as u64);
@@ -273,7 +270,7 @@ fn walk<'a>(
         return Err(bad("triple count exceeds what the dictionaries allow"));
     }
     let mut prev = [0u32; 3];
-    for _ in 0..num_triples {
+    for i in 0..num_triples {
         let ds = r.varint_u32()?;
         let p = r.varint_u32()?;
         let o = r.varint_u32()?;
@@ -283,8 +280,9 @@ fn walk<'a>(
         if s as usize >= num_nodes || o as usize >= num_nodes || p as usize >= num_relations {
             return Err(bad("triple id out of range"));
         }
-        if ds == 0 && (p, o) < (prev[1], prev[2]) {
-            return Err(bad("triples not sorted"));
+        // The first triple has no predecessor (`prev` is only a zero).
+        if i > 0 && ds == 0 && (p, o) <= (prev[1], prev[2]) {
+            return Err(bad("triples not strictly ascending"));
         }
         prev = [s, p, o];
         visitor.triple(Triple::new(Vid(s), Rid(p), Vid(o)));
@@ -445,12 +443,7 @@ mod tests {
                 kg.class_term(kg.class_of(Vid(v)))
             );
         }
-        // Triple multisets match (snapshot sorts them).
-        let mut a: Vec<Triple> = kg.triples().to_vec();
-        let mut b: Vec<Triple> = back.triples().to_vec();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
+        assert_eq!(back.triples(), kg.triples());
     }
 
     #[test]
@@ -540,7 +533,7 @@ mod tests {
     }
 
     /// A snapshot of [`sample`] whose triple section is replaced by
-    /// `triples`, written raw (delta, p, o) — no sorting, no checks.
+    /// `triples`, written raw (delta, p, o) — no ordering, no checks.
     fn with_raw_triples(triples: &[[u64; 3]]) -> Vec<u8> {
         let mut buf = snapshot(&sample());
         let off = triple_count_offset(&buf);
@@ -587,13 +580,17 @@ mod tests {
     }
 
     #[test]
-    fn rejects_unsorted_triples_but_keeps_duplicates() {
+    fn rejects_unsorted_and_duplicate_triples() {
         assert_invalid(&with_raw_triples(&[[1, 1, 0], [0, 0, 5]]));
         assert_invalid(&with_raw_triples(&[[1, 0, 5], [0, 0, 4]]));
-        let dup = with_raw_triples(&[[1, 0, 5], [0, 0, 5], [1, 0, 0]]);
-        let kg = read_snapshot(Cursor::new(&dup)).unwrap();
+        assert_invalid(&with_raw_triples(&[[1, 0, 5], [0, 0, 5], [1, 0, 0]]));
+        // The all-zero triple is a duplicate too, though it equals the
+        // first triple's zero predecessor.
+        assert_invalid(&with_raw_triples(&[[0, 0, 0], [0, 0, 0]]));
+        let ok = with_raw_triples(&[[0, 0, 0], [0, 0, 1], [1, 0, 0]]);
+        let kg = read_snapshot(Cursor::new(&ok)).unwrap();
         assert_eq!(kg.num_triples(), 3);
-        assert_eq!(snapshot(&kg), dup);
+        assert_eq!(snapshot(&kg), ok);
     }
 
     #[test]
@@ -649,9 +646,7 @@ mod tests {
         SnapshotView::parse(&buf).unwrap().visit(&mut seen);
         assert_eq!(seen.relations, ["cites", "writes"]);
         assert_eq!(seen.nodes, kg.num_nodes());
-        let mut sorted = kg.triples().to_vec();
-        sorted.sort_unstable();
-        assert_eq!(seen.triples, sorted);
+        assert_eq!(seen.triples, kg.triples());
     }
 
     #[test]

@@ -174,17 +174,20 @@ pub fn sorted_unique(triples: &[Triple]) -> Cow<'_, [Triple]> {
 }
 
 /// The one compaction both extractors end in: the kept vertices in
-/// ascending parent id, then every given triple whose endpoints are kept,
-/// in the given order. Classes and relations are re-interned in order of
-/// first use, through parent-id tables rather than term lookups; every
-/// term is new to `KG'`, so it is appended without a lookup.
+/// ascending parent id, then every given triple whose endpoints are kept.
+/// Classes and relations are re-interned in order of first use, through
+/// parent-id tables rather than term lookups; every term is new to `KG'`,
+/// so it is appended without a lookup. `triples` ascend and the vertex map
+/// is monotone, so only the relation map can disorder the kept triples,
+/// and only within a subject's run: sorting each run restores the order.
 fn compact(
     kg: &KnowledgeGraph,
     keep: &NodeSet,
     triples: &[Triple],
     triple_capacity: usize,
 ) -> InducedSubgraph {
-    let mut sub = KnowledgeGraph::with_capacity(keep.len(), triple_capacity);
+    let mut sub = KnowledgeGraph::with_capacity(keep.len(), 0);
+    let mut kept = Vec::with_capacity(triple_capacity);
     let mut from_parent: Vec<Option<Vid>> = vec![None; kg.num_nodes()];
     let mut to_parent: Vec<Vid> = Vec::with_capacity(keep.len());
     let mut classes: Vec<Option<Cid>> = vec![None; kg.num_classes()];
@@ -199,13 +202,27 @@ fn compact(
         if let (Some(s), Some(o)) = (from_parent[t.s.idx()], from_parent[t.o.idx()]) {
             let p = *relations[t.p.idx()]
                 .get_or_insert_with(|| sub.push_relation(kg.relation_term(t.p)));
-            sub.add_triple(s, p, o);
+            kept.push(Triple::new(s, p, o));
         }
     }
+    sort_subject_runs(&mut kept);
+    sub.set_triples(kept);
     InducedSubgraph {
         kg: sub,
         to_parent,
         from_parent,
+    }
+}
+
+/// Sorts triples that ascend by subject, relabelled through a monotone
+/// vertex map and a relation map that is not, by sorting each subject's
+/// run: the only order such a relabelling can change. A run that still
+/// ascends costs one scan.
+pub fn sort_subject_runs(triples: &mut [Triple]) {
+    for run in triples.chunk_by_mut(|a, b| a.s == b.s) {
+        if !run.is_sorted() {
+            run.sort_unstable();
+        }
     }
 }
 

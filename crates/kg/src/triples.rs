@@ -6,12 +6,21 @@
 //! modelled as vertices carrying the reserved class [`KnowledgeGraph::LITERAL_CLASS`],
 //! which keeps all traversal code uniform while still letting statistics and
 //! extraction distinguish them.
+//!
+//! ## The triple set
+//!
+//! `T` is a set, as in RDF: [`KnowledgeGraph::triples`] is strictly
+//! ascending by `(s, p, o)`, an invariant the type keeps itself. So the
+//! canonical snapshot hashes the vector as it is, the RDF store takes it
+//! as its SPO ordering, and adjacency rows come out in PSO/POS order.
+
+use std::cmp::Ordering;
 
 use crate::dict::Dictionary;
 use crate::ids::{Cid, Rid, Vid};
 
 /// A single `(subject, predicate, object)` edge with interned ids.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Triple {
     /// Subject vertex.
     pub s: Vid,
@@ -35,12 +44,29 @@ impl Triple {
     }
 }
 
+/// `(s, p, o)` order, compared as one packed integer: two word compares
+/// instead of a branch per component.
+impl Ord for Triple {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        let key = |t: &Self| (u128::from(t.s.0) << 64) | (u128::from(t.p.0) << 32) | u128::from(t.o.0);
+        key(self).cmp(&key(other))
+    }
+}
+
+impl PartialOrd for Triple {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
 /// An in-memory heterogeneous knowledge graph.
 ///
 /// Vertices, relations and classes each have their own dense id space backed
-/// by a [`Dictionary`]. Triples are stored as a flat `Vec` in insertion
-/// order; graph views (CSR adjacency, hexastore indices) are built on demand
-/// by [`crate::graph::HeteroGraph`] and `kgtosa-rdf`.
+/// by a [`Dictionary`]. Triples are a strictly ascending `Vec` (module docs);
+/// graph views (CSR adjacency, hexastore indices) are built on demand by
+/// [`crate::graph::HeteroGraph`] and `kgtosa-rdf`.
 #[derive(Debug, Default, Clone)]
 pub struct KnowledgeGraph {
     nodes: Dictionary,
@@ -114,18 +140,53 @@ impl KnowledgeGraph {
         vid
     }
 
-    /// Appends a triple between already-created vertices.
+    /// Inserts a triple between already-created vertices in order (a push
+    /// when it sorts last); returns whether it was new. Bulk input goes
+    /// through [`Self::extend_triples`].
     ///
     /// # Panics
     /// Panics in debug builds if any id is out of range.
-    pub fn add_triple(&mut self, s: Vid, p: Rid, o: Vid) {
+    pub fn add_triple(&mut self, s: Vid, p: Rid, o: Vid) -> bool {
         debug_assert!(s.idx() < self.node_class.len(), "subject out of range");
         debug_assert!(o.idx() < self.node_class.len(), "object out of range");
         debug_assert!((p.idx()) < self.relations.len(), "relation out of range");
-        self.triples.push(Triple::new(s, p, o));
+        let t = Triple::new(s, p, o);
+        let found = match self.triples.last() {
+            Some(&last) if t <= last => self.triples.binary_search(&t),
+            _ => Err(self.triples.len()),
+        };
+        let Err(at) = found else { return false };
+        self.triples.insert(at, t);
+        true
     }
 
-    /// Convenience: intern all three terms and append the triple. The
+    /// Removes a triple; returns whether it was present.
+    pub fn remove_triple(&mut self, t: Triple) -> bool {
+        let found = self.triples.binary_search(&t).map(|at| self.triples.remove(at));
+        found.is_ok()
+    }
+
+    /// Inserts triples given in any order, repeats collapsing (Algorithm
+    /// 3's `dropDuplicates`): one sort of the new triples and one merge.
+    pub fn extend_triples(&mut self, triples: impl IntoIterator<Item = Triple>) {
+        let mut new: Vec<Triple> = triples.into_iter().collect();
+        new.sort_unstable();
+        new.dedup();
+        self.triples = if self.triples.is_empty() {
+            new
+        } else {
+            merge_sorted(&self.triples, &new, &[])
+        };
+    }
+
+    /// Replaces the triple set with `triples`, which must be strictly
+    /// ascending (checked in debug builds).
+    pub(crate) fn set_triples(&mut self, triples: Vec<Triple>) {
+        debug_assert!(triples.windows(2).all(|w| w[0] < w[1]));
+        self.triples = triples;
+    }
+
+    /// Convenience: intern all three terms and insert the triple. The
     /// subject and object classes are only used when the vertex is new.
     pub fn add_triple_terms(
         &mut self,
@@ -177,7 +238,7 @@ impl KnowledgeGraph {
         &self.node_class
     }
 
-    /// All triples in insertion order.
+    /// All triples, strictly ascending by `(s, p, o)`.
     pub fn triples(&self) -> &[Triple] {
         &self.triples
     }
@@ -245,25 +306,29 @@ impl KnowledgeGraph {
     pub fn classes(&self) -> impl Iterator<Item = (Cid, &str)> {
         self.classes.iter().map(|(i, s)| (Cid(i), s))
     }
+}
 
-    /// Keeps only the triples for which `f` returns `true`, preserving
-    /// insertion order. Vertices, relations and classes are never removed:
-    /// dictionaries are append-only so ids stay stable across mutations
-    /// (the delta layer depends on this to patch extracted subgraphs
-    /// without remapping).
-    pub fn retain_triples(&mut self, f: impl FnMut(&Triple) -> bool) {
-        self.triples.retain(f);
+/// Merges strictly ascending `add` into strictly ascending `base` in one
+/// pass, keeping one copy of a triple both hold and leaving out the
+/// ascending `remove`, each of which must be in `base`.
+pub fn merge_sorted(base: &[Triple], add: &[Triple], remove: &[Triple]) -> Vec<Triple> {
+    let mut out = Vec::with_capacity((base.len() + add.len()).saturating_sub(remove.len()));
+    let mut add = add.iter().copied().peekable();
+    let mut remove = remove.iter().peekable();
+    for &t in base {
+        while let Some(a) = add.next_if(|&a| a <= t) {
+            if a < t {
+                out.push(a);
+            }
+        }
+        if remove.next_if(|&&r| r == t).is_none() {
+            out.push(t);
+        }
     }
-
-    /// Sorts and deduplicates the triple list in place, returning the number
-    /// of duplicates removed. Mirrors the `dropDuplicates` step of
-    /// Algorithm 3 in the paper.
-    pub fn dedup_triples(&mut self) -> usize {
-        let before = self.triples.len();
-        self.triples.sort_unstable();
-        self.triples.dedup();
-        before - self.triples.len()
-    }
+    out.extend(add);
+    debug_assert!(remove.next().is_none(), "removed a triple the base lacks");
+    debug_assert!(out.windows(2).all(|w| w[0] < w[1]), "a run is not strictly ascending");
+    out
 }
 
 #[cfg(test)]
@@ -322,13 +387,29 @@ mod tests {
     }
 
     #[test]
-    fn dedup_removes_duplicates() {
+    fn re_adding_a_triple_changes_nothing() {
         let mut kg = tiny();
         let t = kg.triples()[0];
-        kg.add_triple(t.s, t.p, t.o);
-        assert_eq!(kg.num_triples(), 3);
-        assert_eq!(kg.dedup_triples(), 1);
+        assert!(!kg.add_triple(t.s, t.p, t.o));
         assert_eq!(kg.num_triples(), 2);
+        assert!(kg.remove_triple(t));
+        assert!(!kg.remove_triple(t));
+        assert!(kg.add_triple(t.s, t.p, t.o));
+        assert_eq!(kg.triples(), tiny().triples());
+    }
+
+    #[test]
+    fn extend_sorts_dedups_and_merges() {
+        let mut kg = tiny();
+        let [a, b] = [kg.triples()[0], kg.triples()[1]];
+        let c = Triple::new(a.s, b.p, a.o);
+        kg.extend_triples([c, b, c]);
+        let mut all = vec![a, b, c];
+        all.sort_unstable();
+        assert_eq!(kg.triples(), all);
+        let kept: Vec<Triple> = all.iter().copied().filter(|&t| t != b).collect();
+        assert_eq!(merge_sorted(&all, &[], &[b]), kept);
+        assert_eq!(merge_sorted(&kept, &all, &[]), all);
     }
 
     #[test]

@@ -8,9 +8,7 @@
 use proptest::prelude::*;
 use std::io::Cursor;
 
-use kgtosa_kg::{
-    fingerprint, read_snapshot, write_snapshot, KnowledgeGraph, SnapshotView, Triple, Vid,
-};
+use kgtosa_kg::{fingerprint, read_snapshot, write_snapshot, KnowledgeGraph, SnapshotView, Vid};
 
 /// A small random KG: up to 12 nodes across 3 classes, 4 relations.
 fn arb_kg() -> impl Strategy<Value = KnowledgeGraph> {
@@ -42,12 +40,6 @@ fn snapshot_bytes(kg: &KnowledgeGraph) -> Vec<u8> {
     let mut buf = Vec::new();
     write_snapshot(kg, &mut buf).expect("in-memory write cannot fail");
     buf
-}
-
-fn sorted_triples(kg: &KnowledgeGraph) -> Vec<Triple> {
-    let mut t = kg.triples().to_vec();
-    t.sort_unstable();
-    t
 }
 
 /// The view and `read_snapshot` accept the same bytes, and accepted bytes
@@ -90,6 +82,37 @@ fn padded_varint_is_rejected() {
     assert!(SnapshotView::parse(&buf).is_err());
 }
 
+/// A triple twice is not a canonical snapshot, the all-zero triple
+/// included (it equals the zero the first triple is compared against):
+/// the triple list is a set, so both readers reject the repeat.
+#[test]
+fn duplicate_triple_is_rejected() {
+    let mut kg = KnowledgeGraph::new();
+    kg.add_triple_terms("a", "A", "r", "a", "A");
+    kg.add_triple_terms("a", "A", "r", "b", "B");
+    let buf = snapshot_bytes(&kg);
+    // The triple section ends the snapshot: a u64 count, then one byte per
+    // (subject delta, predicate, object) varint for ids this small.
+    let head = &buf[..buf.len() - 8 - 3 * kg.num_triples()];
+    let with_triples = |rows: &[[u8; 3]]| {
+        let mut out = head.to_vec();
+        out.extend_from_slice(&(rows.len() as u64).to_le_bytes());
+        rows.iter().for_each(|row| out.extend_from_slice(row));
+        out
+    };
+    assert_eq!(with_triples(&[[0, 0, 0], [0, 0, 1]]), buf);
+    for rows in [
+        &[[0, 0, 0], [0, 0, 0]][..],
+        &[[0, 0, 1], [0, 0, 1]],
+        &[[0, 0, 0], [0, 0, 1], [0, 0, 1]],
+    ] {
+        let dup = with_triples(rows);
+        let err = read_snapshot(Cursor::new(&dup)).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{rows:?}");
+        assert!(SnapshotView::parse(&dup).is_err(), "{rows:?}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -125,7 +148,7 @@ proptest! {
 
     /// Truncation at every possible length errors; it never yields a graph
     /// claiming to be the original. (Only the exact full stream may decode
-    /// to the original triple multiset.)
+    /// to the original triple set.)
     #[test]
     fn truncation_never_yields_wrong_graph(kg in arb_kg(), cut_pick in 0usize..1 << 16) {
         let buf = snapshot_bytes(&kg);
@@ -138,7 +161,7 @@ proptest! {
                 // graph, never one that fingerprints like the original
                 // while differing.
                 if fingerprint(&decoded) == fingerprint(&kg) {
-                    prop_assert_eq!(sorted_triples(&decoded), sorted_triples(&kg));
+                    prop_assert_eq!(decoded.triples(), kg.triples());
                 }
             }
         }
@@ -170,7 +193,7 @@ proptest! {
         let buf = snapshot_bytes(&kg);
         let back = read_snapshot(Cursor::new(&buf)).expect("own snapshot must read");
         prop_assert_eq!(back.num_nodes(), kg.num_nodes());
-        prop_assert_eq!(sorted_triples(&back), sorted_triples(&kg));
+        prop_assert_eq!(back.triples(), kg.triples());
         for v in 0..kg.num_nodes() as u32 {
             prop_assert_eq!(back.node_term(Vid(v)), kg.node_term(Vid(v)));
         }

@@ -3,13 +3,15 @@
 use proptest::prelude::*;
 
 use kgtosa_kg::{
-    distances_to_targets, induced_subgraph, live_classes, live_relations, neighbor_type_entropy,
-    quality, subgraph_from_triples_and_nodes, write_snapshot, Dictionary, HeteroGraph,
-    InducedSubgraph, KnowledgeGraph, NodeSet, SubgraphQuality, Triple, Vid,
+    apply_delta, distances_to_targets, fingerprint, induced_subgraph, live_classes,
+    live_relations, neighbor_type_entropy, quality, read_snapshot, subgraph_from_triples_and_nodes,
+    write_snapshot, DeltaOp, Dictionary, HeteroGraph, InducedSubgraph, KgDelta, KnowledgeGraph,
+    MultisetFingerprint, NodeSet, SubgraphQuality, Triple, Vid,
 };
 
 /// Strategy: a random small KG as raw (s_class, p, o_class) edge templates
-/// over bounded id spaces, plus node counts.
+/// over bounded id spaces, plus node counts. Edges are inserted one at a
+/// time in random order, repeats included.
 fn arb_kg() -> impl Strategy<Value = KnowledgeGraph> {
     (2usize..40, 1usize..5, 1usize..6).prop_flat_map(|(n, num_rel, num_cls)| {
         let edges = proptest::collection::vec((0..n, 0..num_rel, 0..n), 0..120);
@@ -116,6 +118,37 @@ fn compact_by_terms(kg: &KnowledgeGraph, triples: &[Triple], extra: &[Vid]) -> I
     InducedSubgraph { kg: sub, to_parent, from_parent }
 }
 
+/// Sorted by `(s, p, o)`, each triple once: the invariant every
+/// `KnowledgeGraph` keeps.
+fn strictly_ascending(triples: &[Triple]) -> bool {
+    triples.windows(2).all(|w| w[0] < w[1])
+}
+
+/// `kg`'s vertices and relations, with the same ids, and no triples.
+fn terms_only(kg: &KnowledgeGraph) -> KnowledgeGraph {
+    let mut out = KnowledgeGraph::new();
+    for v in 0..kg.num_nodes() as u32 {
+        out.add_node(kg.node_term(Vid(v)), kg.class_term(kg.class_of(Vid(v))));
+    }
+    for (_, term) in kg.relations() {
+        out.add_relation(term);
+    }
+    out
+}
+
+/// `items` in a seeded xorshift shuffle.
+fn shuffled<T: Copy>(items: &[T], seed: u64) -> Vec<T> {
+    let mut out = items.to_vec();
+    let mut state = seed | 1;
+    for i in (1..out.len()).rev() {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        out.swap(i, (state % (i as u64 + 1)) as usize);
+    }
+    out
+}
+
 fn snapshot(kg: &KnowledgeGraph) -> Vec<u8> {
     let mut buf = Vec::new();
     write_snapshot(kg, &mut buf).unwrap();
@@ -131,8 +164,7 @@ fn quality_of_the_empty_graph_matches_the_hetero_graph_recomputation() {
 proptest! {
     /// `quality` is, field for field and bit for bit, what the full
     /// `HeteroGraph`'s undirected view gives — over graphs with isolated
-    /// vertices and duplicate triples, with and without (duplicate)
-    /// targets.
+    /// vertices, with and without (duplicate) targets.
     #[test]
     fn quality_matches_the_hetero_graph_recomputation(
         kg in arb_kg(),
@@ -183,6 +215,84 @@ proptest! {
             prop_assert!(sub.kg.relations().eq(from_sorted.kg.relations()));
             prop_assert!(sub.kg.classes().eq(from_sorted.kg.classes()));
         }
+    }
+
+    /// Every way of building a graph leaves its triples strictly
+    /// ascending: `add_triple` in random order with repeats (both `arb_kg`
+    /// and a shuffled, doubled replay here), the bulk `extend_triples` in
+    /// one call or two interleaving ones, a snapshot round trip, both
+    /// compactions, and `apply_delta`.
+    #[test]
+    fn every_construction_path_keeps_a_sorted_set(
+        kg in arb_kg(),
+        mask in proptest::collection::vec(any::<bool>(), 1..40),
+        ops in proptest::collection::vec((0u8..3, 0usize..64, 0usize..4, 0usize..64), 0..16),
+        seed in any::<u64>(),
+    ) {
+        prop_assert!(strictly_ascending(kg.triples()));
+        let replay: Vec<Triple> = shuffled(&[kg.triples(), kg.triples()].concat(), seed);
+
+        let mut one_by_one = terms_only(&kg);
+        for t in &replay {
+            one_by_one.add_triple(t.s, t.p, t.o);
+        }
+        prop_assert_eq!(one_by_one.triples(), kg.triples());
+        let mut bulk = terms_only(&kg);
+        bulk.extend_triples(replay.iter().copied());
+        prop_assert_eq!(bulk.triples(), kg.triples());
+        let (first, second) = replay.split_at(replay.len() / 2);
+        let mut merged = terms_only(&kg);
+        merged.extend_triples(first.iter().copied());
+        merged.extend_triples(second.iter().copied());
+        prop_assert_eq!(merged.triples(), kg.triples());
+
+        let back = read_snapshot(std::io::Cursor::new(snapshot(&kg))).unwrap();
+        prop_assert_eq!(back.triples(), kg.triples());
+
+        let keep = NodeSet::from_iter(
+            kg.num_nodes(),
+            (0..kg.num_nodes()).filter(|&v| mask[v % mask.len()]).map(|v| Vid(v as u32)),
+        );
+        prop_assert!(strictly_ascending(induced_subgraph(&kg, &keep).kg.triples()));
+        let picked: Vec<Triple> =
+            replay.iter().copied().filter(|t| keep.contains(t.s)).collect();
+        let sub = subgraph_from_triples_and_nodes(&kg, &picked, &[]);
+        prop_assert!(strictly_ascending(sub.kg.triples()));
+
+        // Removes of present triples, adds of absent ones (some to fresh
+        // vertices), and remove-then-add of one triple.
+        let term = |i: usize| format!("n{}", i % (kg.num_nodes() + 2));
+        let mut live: Vec<(String, String, String)> = kg
+            .triples()
+            .iter()
+            .map(|t| (kg.node_term(t.s).into(), kg.relation_term(t.p).into(), kg.node_term(t.o).into()))
+            .collect();
+        let mut delta_ops = Vec::new();
+        for (kind, a, r, b) in ops {
+            let t = (term(a), format!("r{r}"), term(b));
+            let present = live.iter().position(|x| *x == t);
+            match (kind, present) {
+                (0, Some(at)) => {
+                    live.swap_remove(at);
+                    delta_ops.push(DeltaOp::Remove { s: t.0, p: t.1, o: t.2 });
+                }
+                (1, Some(_)) => {
+                    delta_ops.push(DeltaOp::Remove { s: t.0.clone(), p: t.1.clone(), o: t.2.clone() });
+                    delta_ops.push(DeltaOp::Add { s: t.0, s_class: "C0".into(), p: t.1, o: t.2, o_class: "C0".into() });
+                }
+                (_, None) => {
+                    live.push(t.clone());
+                    delta_ops.push(DeltaOp::Add { s: t.0, s_class: "C0".into(), p: t.1, o: t.2, o_class: "C0".into() });
+                }
+                _ => {}
+            }
+        }
+        let fp = fingerprint(&kg);
+        let delta = KgDelta { base_fingerprint: fp, ops: delta_ops };
+        let app = apply_delta(&kg, fp, MultisetFingerprint::of(&kg), &delta).unwrap();
+        prop_assert!(strictly_ascending(app.kg.triples()));
+        prop_assert_eq!(app.kg.num_triples(), live.len());
+        prop_assert_eq!(app.multiset, MultisetFingerprint::of(&app.kg));
     }
 
     /// Interning any sequence of strings is a bijection onto 0..len.

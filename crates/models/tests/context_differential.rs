@@ -1,6 +1,6 @@
 //! Telemetry-context differential contract: training inside an entered
 //! [`kgtosa_obs::TelemetryContext`] must not change trainer outputs by a
-//! single bit, and the context must capture every instrument touch made
+//! single bit, and the context must capture every counter bump made
 //! inside it. (The bookkeeping's wall-clock overhead is a benchmark
 //! number — `bench.trace_overhead_pct` in `BENCHMARK.json` — not a
 //! unit-test assertion: a timing bound flakes on a loaded box.)
@@ -25,7 +25,6 @@ fn train_once(data: &NcDataset<'_>) -> TrainReport {
         observer: kgtosa_obs::Observer::new(kgtosa_obs::TelemetryObserver),
         ..Default::default()
     };
-    let _probe = kgtosa_obs::span!("ctxtest.train");
     train_rgcn_nc(data, &cfg)
 }
 
@@ -61,19 +60,12 @@ fn contexts_are_bit_invisible_and_capture_their_runs() {
     ctx.finish();
 
     // The context actually captured the runs: every contexted epoch's
-    // counter bump and every probe span landed in the scoped maps.
+    // counter bump landed in the scoped map.
     assert_eq!(
         ctx.counter_delta("train.epochs"),
         (12 * REPS) as u64,
         "per-epoch counter bumps missing from the context"
     );
-    let probe = ctx
-        .span_stats()
-        .into_iter()
-        .find(|(n, _)| n.contains("ctxtest.train"))
-        .map(|(_, s)| s)
-        .expect("probe span missing from the context tree");
-    assert_eq!(probe.count, REPS as u64);
 
     // Bit-identical trainer outputs: scoped telemetry only mirrors
     // instrument touches into per-context maps, it never feeds back into

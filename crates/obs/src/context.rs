@@ -1,14 +1,12 @@
 //! Request-scoped telemetry contexts.
 //!
-//! A [`TelemetryContext`] is a trace identity plus its own span tree and
-//! counter deltas, *layered over* the process-global registry: every
-//! counter add and finished span is still recorded globally exactly as
-//! before, and additionally into the context current on the recording
-//! thread. This is what makes two
+//! A [`TelemetryContext`] is a trace identity plus its own counter
+//! deltas, *layered over* the process-global registry: every counter add
+//! is still recorded globally exactly as before, and additionally into the
+//! context current on the recording thread. This is what makes two
 //! concurrent extractions attributable — each request enters its own
-//! context, and [`TelemetryContext::counter_delta`] and
-//! [`TelemetryContext::span_stats`] read the scoped view instead of the
-//! commingled globals. When tracing, creating a context writes a JSONL
+//! context, and [`TelemetryContext::counter_delta`] reads the scoped view
+//! instead of the commingled globals. When tracing, creating a context writes a JSONL
 //! `context` event and every event emitted inside it carries its id as
 //! `ctx`, which is how a rendered Chrome trace gets one process track per
 //! context.
@@ -44,27 +42,13 @@ use crate::json::Json;
 /// Sentinel bit pattern meaning "still running" in `end_s_bits`.
 const RUNNING: u64 = u64::MAX;
 
-/// Distinct keys captured per instrument map, per context. A runaway
-/// request (e.g. one minting a fresh counter name per item) saturates at
-/// the cap instead of growing its context without bound.
-const MAX_KEYS_PER_MAP: usize = 4096;
+/// Distinct counter names captured per context. A runaway request (e.g.
+/// one minting a fresh counter name per item) saturates at the cap instead
+/// of growing its context without bound.
+const MAX_COUNTER_KEYS: usize = 4096;
 
 /// Live entries kept in the process-wide context registry.
 const MAX_CONTEXTS: usize = 1024;
-
-/// Per-context aggregate for one span path.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct CtxSpanStat {
-    pub count: u64,
-    pub total_s: f64,
-    pub max_s: f64,
-}
-
-#[derive(Debug, Default)]
-struct ContextMaps {
-    counters: Mutex<HashMap<String, u64>>,
-    spans: Mutex<HashMap<String, CtxSpanStat>>,
-}
 
 #[derive(Debug)]
 pub(crate) struct ContextInner {
@@ -74,7 +58,7 @@ pub(crate) struct ContextInner {
     /// Elapsed seconds at [`TelemetryContext::finish`] as f64 bits, or
     /// [`RUNNING`].
     end_s_bits: AtomicU64,
-    maps: ContextMaps,
+    counters: Mutex<HashMap<String, u64>>,
 }
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -125,34 +109,16 @@ pub(crate) fn current_id() -> Option<u64> {
     current_inner().map(|c| c.id)
 }
 
-fn upsert<V: Default>(map: &Mutex<HashMap<String, V>>, name: &str, apply: impl FnOnce(&mut V)) {
-    let mut map = lock(map);
-    if let Some(v) = map.get_mut(name) {
-        apply(v);
-    } else if map.len() < MAX_KEYS_PER_MAP {
-        let mut v = V::default();
-        apply(&mut v);
-        map.insert(name.to_string(), v);
-    }
-}
-
-/// Interception hooks, called by the registry's counters and the span
-/// layer. Each is gated on [`scoping_active`] before touching the TLS.
+/// Interception hook, called by the registry's counters. Gated on
+/// [`scoping_active`] before touching the TLS.
 pub(crate) fn on_counter(name: &str, n: u64) {
     if let Some(ctx) = current_inner() {
-        upsert(&ctx.maps.counters, name, |v| *v += n);
-    }
-}
-
-/// Called by [`crate::span::SpanGuard`] when a span completes: records the
-/// span into the current context's tree.
-pub(crate) fn on_span_record(path: &str, wall_s: f64) {
-    if let Some(c) = current_inner() {
-        upsert(&c.maps.spans, path, |s| {
-            s.count += 1;
-            s.total_s += wall_s;
-            s.max_s = s.max_s.max(wall_s);
-        });
+        let mut map = lock(&ctx.counters);
+        if let Some(v) = map.get_mut(name) {
+            *v += n;
+        } else if map.len() < MAX_COUNTER_KEYS {
+            map.insert(name.to_string(), n);
+        }
     }
 }
 
@@ -182,7 +148,7 @@ impl TelemetryContext {
             name: name.to_string(),
             started: Instant::now(),
             end_s_bits: AtomicU64::new(RUNNING),
-            maps: ContextMaps::default(),
+            counters: Mutex::default(),
         });
         {
             let mut reg = context_registry()
@@ -270,17 +236,7 @@ impl TelemetryContext {
     /// This context's delta of a global counter (0 when never bumped
     /// inside the context).
     pub fn counter_delta(&self, name: &str) -> u64 {
-        lock(&self.inner.maps.counters).get(name).copied().unwrap_or(0)
-    }
-
-    /// This context's span tree as `(dotted path, stats)`, sorted by path.
-    pub fn span_stats(&self) -> Vec<(String, CtxSpanStat)> {
-        let mut rows: Vec<_> = lock(&self.inner.maps.spans)
-            .iter()
-            .map(|(k, v)| (k.clone(), *v))
-            .collect();
-        rows.sort_by(|a, b| a.0.cmp(&b.0));
-        rows
+        lock(&self.inner.counters).get(name).copied().unwrap_or(0)
     }
 
     /// Derived cache hit ratio over this context's own lookups — the
@@ -359,22 +315,6 @@ mod tests {
         let ctx = TelemetryContext::new("ctx.test.idle");
         crate::counter("ctx.test.idle.counter").inc();
         assert_eq!(ctx.counter_delta("ctx.test.idle.counter"), 0);
-        assert!(ctx.span_stats().is_empty());
-    }
-
-    #[test]
-    fn spans_record_into_the_current_context() {
-        let ctx = TelemetryContext::new("ctx.test.spans");
-        {
-            let _g = ctx.enter();
-            let _outer = crate::span("ctx_test_spans.outer");
-            crate::span("leaf").finish();
-        }
-        let stats = ctx.span_stats();
-        assert!(stats.iter().any(|(n, s)| n == "ctx_test_spans.outer" && s.count == 1));
-        assert!(stats
-            .iter()
-            .any(|(n, s)| n == "ctx_test_spans.outer.leaf" && s.count == 1 && s.total_s >= 0.0));
     }
 
     #[test]

@@ -38,8 +38,8 @@
 //! * **Crash-path telemetry** — [`install_panic_hook`] arms a panic hook
 //!   that emits a final `panic` event (message, location, live span
 //!   stack) and flushes the trace before the process dies.
-//! * **Request-scoped contexts** — a [`TelemetryContext`] layers its own
-//!   span tree and scoped counter deltas over the global registry;
+//! * **Request-scoped contexts** — a [`TelemetryContext`] layers scoped
+//!   counter deltas over the global registry;
 //!   workers inherit the spawning context across thread boundaries, so
 //!   concurrent requests stay attributable. A rendered Chrome trace shows
 //!   each context as a Perfetto process track.
@@ -63,9 +63,7 @@ mod summary;
 mod train;
 
 pub use chrome::{render_chrome_trace, validate_chrome_trace, ChromeTraceStats};
-pub use context::{
-    active_context_count, context_active, ContextScope, CtxSpanStat, TelemetryContext,
-};
+pub use context::{active_context_count, context_active, ContextScope, TelemetryContext};
 pub use diff::{
     diff_spans, diff_trace_texts, parse_trace_or_bench, render_markdown, DiffOptions, DiffReport,
     DiffRow,

@@ -115,7 +115,6 @@ impl SpanGuard {
             stack.truncate(self.depth.saturating_sub(1));
         });
         registry::record_span(&record.path, record.wall_s, record.peak_delta_bytes, record.allocs);
-        crate::context::on_span_record(&record.path, record.wall_s);
         sink::emit_span(&record, self.start);
         record
     }

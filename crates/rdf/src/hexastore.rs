@@ -13,11 +13,14 @@
 //! can reach OPS, so it is not built (a documented substitution — DESIGN.md
 //! §4 — not a lost access path).
 //!
-//! ## Build: sort once, derive the rest
+//! ## Build: SPO given, derive the rest
 //!
-//! SPO is sorted once with a stable LSD radix sort over its three
-//! components and deduplicated. Every further ordering is then *derived*
-//! from an already-sorted one by a single stable sort on one component:
+//! SPO comes in already strictly ascending: `RdfStore` builds it from the
+//! knowledge graph's own triple order (a set, ascending by `(s, p, o)`)
+//! plus one type row per subject, and [`Hexastore::build`] sorts and
+//! deduplicates arbitrary input first. Every further ordering is then
+//! *derived* from an already-sorted one by a single stable sort on one
+//! component:
 //! rows sorted by `(a, b, c)` and stably re-sorted by `b` are sorted by
 //! `(b, a, c)`; re-sorted by `c`, by `(c, a, b)`. So SPO → PSO, SPO → OSP,
 //! OSP → SOP and OSP → POS. Sorted, duplicate-free arrays are unique, so the
@@ -205,35 +208,24 @@ pub struct Hexastore {
 }
 
 impl Hexastore {
-    /// Builds the sorted permutations from a triple list. Duplicates are
-    /// removed. One radix sort plus four derived passes — `O(m)` for ids of
-    /// bounded spread.
+    /// Builds the sorted permutations from a triple list in any order.
+    /// Duplicates are removed.
     pub fn build(triples: &[[u32; 3]]) -> Self {
-        Self::from_triples(triples.to_vec())
+        let mut spo = triples.to_vec();
+        spo.sort_unstable();
+        spo.dedup();
+        Self::from_spo(spo)
     }
 
-    /// [`Hexastore::build`] over a triple list the caller gives up, so its
-    /// allocation is reused instead of copied.
-    pub(crate) fn from_triples(raw: Vec<[u32; 3]>) -> Self {
+    /// The index over `spo`, which must be strictly ascending (checked in
+    /// debug builds): four derived passes, `O(m)` for ids of bounded
+    /// spread, and `spo`'s allocation becomes the SPO ordering.
+    pub(crate) fn from_spo(spo: Vec<[u32; 3]>) -> Self {
+        debug_assert!(spo.windows(2).all(|w| w[0] < w[1]));
         let (s, p, o) = (0, 1, 2);
-        let (mut a, mut b, mut scratch) = (raw, Vec::new(), Vec::new());
-        // LSD over whole components: by o, then p, then s. Each step sorts
-        // on the last component and rotates it to the front, so three steps
-        // bring the layout back to (s, p, o).
-        let counts = count_digits(&a);
-        derive_into(&a, 2, &counts[o], &mut b, &mut scratch);
-        derive_into(&b, 2, &counts[p], &mut a, &mut scratch);
-        derive_into(&a, 2, &counts[s], &mut b, &mut scratch);
-        let mut spo = b;
-        let before = spo.len();
-        spo.dedup();
-        let counts = if spo.len() == before {
-            counts
-        } else {
-            count_digits(&spo)
-        };
-
-        let (mut pso, mut osp, mut sop, mut pos) = (a, Vec::new(), Vec::new(), Vec::new());
+        let counts = count_digits(&spo);
+        let mut scratch = Vec::new();
+        let (mut pso, mut osp, mut sop, mut pos) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
         derive_into(&spo, 1, &counts[p], &mut pso, &mut scratch);
         derive_into(&spo, 2, &counts[o], &mut osp, &mut scratch);
         derive_into(&osp, 1, &counts[s], &mut sop, &mut scratch);

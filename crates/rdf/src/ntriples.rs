@@ -12,7 +12,7 @@
 
 use std::io::{BufRead, Write};
 
-use kgtosa_kg::KnowledgeGraph;
+use kgtosa_kg::{KnowledgeGraph, Triple};
 
 use crate::error::RdfError;
 use crate::store::RDF_TYPE;
@@ -28,7 +28,9 @@ pub const UNTYPED_CLASS: &str = "__untyped__";
 ///
 /// `rdf:type` statements set the subject's class (first assertion wins, as
 /// in [`KnowledgeGraph::add_node`]); all other statements become data
-/// triples. Objects that are literals become literal vertices.
+/// triples. Objects that are literals become literal vertices. An RDF
+/// graph is a set of statements, so a repeated data statement is one
+/// triple.
 pub fn read_ntriples(reader: impl BufRead) -> Result<KnowledgeGraph, RdfError> {
     let mut kg = KnowledgeGraph::new();
     let mut pending: Vec<(String, String, Term)> = Vec::new();
@@ -78,6 +80,7 @@ pub fn read_ntriples(reader: impl BufRead) -> Result<KnowledgeGraph, RdfError> {
     for (s, class) in &types {
         kg.add_node(s, class);
     }
+    let mut triples = Vec::with_capacity(pending.len());
     for (s, p, o) in pending {
         let s = kg.add_node(&s, UNTYPED_CLASS);
         let p = kg.add_relation(&p);
@@ -85,8 +88,9 @@ pub fn read_ntriples(reader: impl BufRead) -> Result<KnowledgeGraph, RdfError> {
             Term::Iri(i) | Term::Blank(i) => kg.add_node(&i, UNTYPED_CLASS),
             Term::Literal(l) => kg.add_literal(&l),
         };
-        kg.add_triple(s, p, o);
+        triples.push(Triple::new(s, p, o));
     }
+    kg.extend_triples(triples);
     Ok(kg)
 }
 
@@ -303,6 +307,14 @@ _:b0 <cites> <p1> .
         let kg = read_ntriples(Cursor::new(doc)).unwrap();
         let x = kg.find_node("x").unwrap();
         assert_eq!(kg.class_term(kg.class_of(x)), "T");
+    }
+
+    #[test]
+    fn repeated_statements_are_one_triple() {
+        let doc = "<x> <r> <y> .\n<x> <r> <z> .\n<x> <r> <y> .\n";
+        let kg = read_ntriples(Cursor::new(doc)).unwrap();
+        assert_eq!(kg.num_triples(), 2);
+        assert!(kg.triples().windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]

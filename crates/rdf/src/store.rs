@@ -75,21 +75,21 @@ impl<'kg> RdfStore<'kg> {
         Self::build(KgHolder::Borrowed(kg))
     }
 
+    /// The graph's triples ascend and `rdf:type` is the largest predicate
+    /// id: each subject's run, then its type row, is SPO with no sort.
     fn build(kg: KgHolder<'kg>) -> Self {
         let num_nodes = kg.num_nodes() as u32;
         let num_relations = kg.num_relations() as u32;
         let type_rel = num_relations;
-        let mut raw: Vec<[u32; 3]> = Vec::with_capacity(kg.num_triples() + kg.num_nodes());
-        for t in kg.triples() {
-            raw.push(t.raw());
-        }
+        let mut spo: Vec<[u32; 3]> = Vec::with_capacity(kg.num_triples() + kg.num_nodes());
+        let mut triples = kg.triples().iter().peekable();
         for v in 0..num_nodes {
-            let class = kg.class_of(Vid(v));
-            raw.push([v, type_rel, num_nodes + class.raw()]);
+            spo.extend(std::iter::from_fn(|| triples.next_if(|t| t.s.raw() == v)).map(|t| t.raw()));
+            spo.push([v, type_rel, num_nodes + kg.class_of(Vid(v)).raw()]);
         }
         Self {
             kg,
-            hex: Hexastore::from_triples(raw),
+            hex: Hexastore::from_spo(spo),
             num_nodes,
             num_relations,
         }

@@ -361,8 +361,38 @@ fn update_validates_requests_and_invalidates_without_repair() {
     let _ = std::fs::remove_dir_all(&cache_dir);
 }
 
+/// The KG is a set: an add of a triple it already holds rejects the whole
+/// delta with `400`, even after an add that would have applied, and the
+/// epoch's version and fingerprint stay as they were.
+#[test]
+fn an_add_of_a_present_triple_is_a_400_that_changes_nothing() {
+    let daemon = Daemon::spawn(base_config());
+    let dataset = kgtosa_datagen::mag(SCALE, SEED);
+    let kg = &dataset.gen.kg;
+    let t = kg.triples()[0];
+    let (s, p, o) = (kg.node_term(t.s), kg.relation_term(t.p), kg.node_term(t.o));
+    let (sc, oc) = (kg.class_term(kg.class_of(t.s)), kg.class_term(kg.class_of(t.o)));
+    let before = ok_json(&get(daemon.addr, "/serve", Duration::from_secs(5)).unwrap());
+
+    let body = format!(
+        "{{\"ops\":[{{\"op\":\"add\",\"s\":\"Paper_delta_new\",\"s_class\":\"Paper\",\
+         \"p\":\"cites\",\"o\":\"{o}\",\"o_class\":\"{oc}\"}},\
+         {{\"op\":\"add\",\"s\":\"{s}\",\"s_class\":\"{sc}\",\"p\":\"{p}\",\
+         \"o\":\"{o}\",\"o_class\":\"{oc}\"}}]}}"
+    );
+    let r = post_json(daemon.addr, "/admin/update", &body, Duration::from_secs(10)).unwrap();
+    assert_eq!(r.status, 400, "an add of a present triple must 400: {}", r.body);
+    assert!(r.body.contains("present triple"), "{}", r.body);
+
+    let after = ok_json(&get(daemon.addr, "/serve", Duration::from_secs(5)).unwrap());
+    assert_eq!(num(&after, &["epoch", "version"]), num(&before, &["epoch", "version"]));
+    assert_eq!(num(&after, &["epoch", "triples"]), kg.num_triples() as f64);
+    assert_eq!(str_field(&after, "kg_fingerprint"), str_field(&before, "kg_fingerprint"));
+    daemon.shutdown();
+}
+
 /// Regression: an update that leaves the canonical fingerprint as it was —
-/// here one delta that adds and then removes the same existing triple —
+/// here one delta that removes and then re-adds the same existing triple —
 /// re-keys every entry onto its own path, and the sweep used to delete
 /// each republished file right after writing it while still counting it
 /// `migrated`.
@@ -400,9 +430,9 @@ fn an_update_that_keeps_the_fingerprint_keeps_the_cache() {
             daemon.addr,
             "/admin/update",
             &format!(
-                "{{\"ops\":[{{\"op\":\"add\",\"s\":\"{s}\",\"s_class\":\"{sc}\",\"p\":\"{p}\",\
-                 \"o\":\"{o}\",\"o_class\":\"{oc}\"}},\
-                 {{\"op\":\"remove\",\"s\":\"{s}\",\"p\":\"{p}\",\"o\":\"{o}\"}}]}}"
+                "{{\"ops\":[{{\"op\":\"remove\",\"s\":\"{s}\",\"p\":\"{p}\",\"o\":\"{o}\"}},\
+                 {{\"op\":\"add\",\"s\":\"{s}\",\"s_class\":\"{sc}\",\"p\":\"{p}\",\
+                 \"o\":\"{o}\",\"o_class\":\"{oc}\"}}]}}"
             ),
             Duration::from_secs(60),
         )
