@@ -2,9 +2,16 @@
 //!
 //! This is the well-known "Fx" multiply-rotate hash used by rustc. The
 //! standard library's SipHash is HashDoS-resistant but slow for the hot
-//! interning and adjacency maps in this workspace; all keys here are
-//! internally generated (never attacker-controlled), so the faster hash is
-//! safe to use.
+//! interning and adjacency maps in this workspace, so they use Fx.
+//!
+//! Fx is not collision-resistant, and not every key it hashes is the
+//! program's own. The term dictionary ([`crate::Dictionary`]) interns
+//! terms from outside: N-Triples input, `POST /admin/update` deltas
+//! (`apply_delta`), and the terms that `read_snapshot` and
+//! `SnapshotView::to_graph` decode from a file. A crafted set of colliding
+//! terms makes interning them quadratic. The snapshot walker's own
+//! uniqueness check uses SipHash, but that guards only the check, not the
+//! dictionary the terms go into next (ROADMAP item 15).
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

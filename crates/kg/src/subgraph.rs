@@ -177,7 +177,9 @@ pub fn sorted_unique(triples: &[Triple]) -> Cow<'_, [Triple]> {
 /// ascending parent id, then every given triple whose endpoints are kept.
 /// Classes and relations are re-interned in order of first use, through
 /// parent-id tables rather than term lookups; every term is new to `KG'`,
-/// so it is appended without a lookup. `triples` ascend and the vertex map
+/// so it is appended without a lookup. The node dictionary is sized
+/// exactly from the parent's term offsets first, so its arena is one
+/// allocation and no buffer of it grows. `triples` ascend and the vertex map
 /// is monotone, so only the relation map can disorder the kept triples,
 /// and only within a subject's run: sorting each run restores the order.
 fn compact(
@@ -186,7 +188,8 @@ fn compact(
     triples: &[Triple],
     triple_capacity: usize,
 ) -> InducedSubgraph {
-    let mut sub = KnowledgeGraph::with_capacity(keep.len(), 0);
+    let term_bytes = keep.iter().map(|v| kg.node_term_len(v)).sum();
+    let mut sub = KnowledgeGraph::with_node_terms(keep.len(), term_bytes);
     let mut kept = Vec::with_capacity(triple_capacity);
     let mut from_parent: Vec<Option<Vid>> = vec![None; kg.num_nodes()];
     let mut to_parent: Vec<Vid> = Vec::with_capacity(keep.len());

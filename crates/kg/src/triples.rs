@@ -97,6 +97,16 @@ impl KnowledgeGraph {
         }
     }
 
+    /// Creates an empty graph whose node dictionary holds `nodes` terms of
+    /// `term_bytes` bytes in all without growing: one arena allocation.
+    pub(crate) fn with_node_terms(nodes: usize, term_bytes: usize) -> Self {
+        Self {
+            nodes: Dictionary::with_capacity_and_bytes(nodes, term_bytes),
+            node_class: Vec::with_capacity(nodes),
+            ..Self::default()
+        }
+    }
+
     /// Interns (or finds) a vertex with the given term and class.
     ///
     /// If the vertex already exists its class is left unchanged — the first
@@ -246,6 +256,11 @@ impl KnowledgeGraph {
     /// Vertex term for an id.
     pub fn node_term(&self, v: Vid) -> &str {
         self.nodes.resolve(v.0)
+    }
+
+    /// Byte length of a vertex's term, read without touching the term.
+    pub(crate) fn node_term_len(&self, v: Vid) -> usize {
+        self.nodes.term_len(v.0)
     }
 
     /// Relation term for an id.

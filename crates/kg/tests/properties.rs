@@ -1,5 +1,7 @@
 //! Property-based tests for the KG data-model invariants.
 
+use std::collections::HashMap;
+
 use proptest::prelude::*;
 
 use kgtosa_kg::{
@@ -33,6 +35,71 @@ fn arb_kg() -> impl Strategy<Value = KnowledgeGraph> {
             kg
         })
     })
+}
+
+/// Interns `terms` into a [`Dictionary`] and into the model — a
+/// `HashMap` from term to id and a `Vec` of terms by id — and checks that
+/// they agree on every id, `get`, `resolve`, `try_resolve`, `iter` and
+/// `clone`.
+fn check_dictionary_model(terms: &[String]) -> Result<(), TestCaseError> {
+    let mut d = Dictionary::new();
+    let mut ids: HashMap<String, u32> = HashMap::new();
+    let mut by_id: Vec<String> = Vec::new();
+    for term in terms {
+        prop_assert_eq!(d.get(term), ids.get(term).copied());
+        let expect = *ids.entry(term.clone()).or_insert_with(|| {
+            by_id.push(term.clone());
+            u32::try_from(by_id.len() - 1).unwrap()
+        });
+        prop_assert_eq!(d.intern(term), expect);
+    }
+    prop_assert_eq!(d.len(), by_id.len());
+    prop_assert_eq!(d.is_empty(), by_id.is_empty());
+    for (id, term) in (0u32..).zip(&by_id) {
+        prop_assert_eq!(d.resolve(id), term.as_str());
+        prop_assert_eq!(d.try_resolve(id), Some(term.as_str()));
+        prop_assert_eq!(d.get(term), Some(id));
+        // A term one byte longer than an interned one is not interned
+        // unless the model says so.
+        let longer = format!("{term}\u{0}");
+        prop_assert_eq!(d.get(&longer), ids.get(&longer).copied());
+    }
+    let end = u32::try_from(by_id.len()).unwrap();
+    prop_assert_eq!(d.try_resolve(end), None);
+    let listed: Vec<(u32, &str)> = d.iter().collect();
+    let model: Vec<(u32, &str)> = (0u32..).zip(by_id.iter().map(String::as_str)).collect();
+    prop_assert_eq!(&listed, &model);
+
+    // A clone is equal, and independent of the original.
+    let mut copy = d.clone();
+    prop_assert_eq!(copy.iter().collect::<Vec<_>>(), model.clone());
+    for (id, term) in &model {
+        prop_assert_eq!(copy.get(term), Some(*id));
+    }
+    let fresh = "\u{1}not in the model";
+    prop_assert_eq!(copy.intern(fresh), end);
+    prop_assert_eq!(copy.get(fresh), Some(end));
+    prop_assert_eq!(d.get(fresh), None);
+    prop_assert_eq!(d.len(), by_id.len());
+    Ok(())
+}
+
+/// The model check over runs of thousands of terms, which cross several
+/// table growths, with every term also interned again later.
+#[test]
+fn dictionary_model_over_table_growths() {
+    for n in [0usize, 1, 7, 8, 9, 1_000, 5_000] {
+        let terms: Vec<String> = (0..n)
+            .map(|i| match i % 4 {
+                0 => format!("http://example.org/v{i}"),
+                1 => "é中".repeat(i % 5),
+                2 => "a".repeat(i % 64),
+                _ => format!("{}", i / 2),
+            })
+            .collect();
+        let twice: Vec<String> = terms.iter().chain(terms.iter().rev()).cloned().collect();
+        check_dictionary_model(&twice).unwrap_or_else(|e| panic!("{n} terms: {e}"));
+    }
 }
 
 /// `quality` as it was computed before it built its own adjacency: from
@@ -295,21 +362,24 @@ proptest! {
         prop_assert_eq!(app.multiset, MultisetFingerprint::of(&app.kg));
     }
 
-    /// Interning any sequence of strings is a bijection onto 0..len.
+    /// Interning any sequence of strings matches the model dictionary:
+    /// short terms over two letters (the empty term, and terms that are
+    /// prefixes of one another), printable terms with multi-byte
+    /// characters, and longer ASCII terms.
     #[test]
-    fn dictionary_bijection(terms in proptest::collection::vec("[a-z]{1,12}", 1..100)) {
-        let mut d = Dictionary::new();
-        let ids: Vec<u32> = terms.iter().map(|t| d.intern(t)).collect();
-        // resolve(intern(t)) == t
-        for (term, &id) in terms.iter().zip(&ids) {
-            prop_assert_eq!(d.resolve(id), term.as_str());
-        }
-        // ids are dense
-        let mut unique: Vec<u32> = ids.clone();
-        unique.sort_unstable();
-        unique.dedup();
-        prop_assert_eq!(unique.len(), d.len());
-        prop_assert_eq!(*unique.last().unwrap() as usize, d.len() - 1);
+    fn dictionary_bijection(
+        short in proptest::collection::vec("[ab]{0,3}", 0..60),
+        printable in proptest::collection::vec("\\PC{0,6}", 0..60),
+        long in proptest::collection::vec("[a-z]{1,12}", 0..60),
+    ) {
+        let terms: Vec<String> = short
+            .iter()
+            .zip(&printable)
+            .zip(&long)
+            .flat_map(|((a, b), c)| [a, b, c, a])
+            .cloned()
+            .collect();
+        check_dictionary_model(&terms)?;
     }
 
     /// Sum of per-vertex, per-relation out-degrees equals the triple count,

@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use kgtosa_kg::{fnv64, Triple};
+use kgtosa_kg::{fnv64, sort_subject_runs, Rid, Triple, Vid};
 use kgtosa_par::Pool;
 
 use crate::ast::{Query, Selection};
@@ -30,6 +30,7 @@ use crate::breaker::CircuitBreaker;
 use crate::error::RdfError;
 use crate::exec::{ResultSet, Solved, SparqlEngine, NULL_ID};
 use crate::fault::FaultPlan;
+use crate::hexastore::sort_by_first;
 use crate::pagecache::PageCache;
 use crate::retry::RetryPolicy;
 use crate::store::RdfStore;
@@ -457,8 +458,9 @@ impl<E: SparqlEndpoint> SparqlEndpoint for Pipeline<'_, E> {
 /// Per-subquery result of one request handler.
 #[derive(Default)]
 struct SubFetch {
-    /// The (filtered) data triples of every completed page.
-    triples: Vec<Triple>,
+    /// The (filtered) data triples of every completed page, as
+    /// `[s, p, o]` rows.
+    rows: Vec<[u32; 3]>,
     completed_pages: usize,
     exhausted: bool,
     /// `getGraphSize`-based page estimate (0 when not queried/unknown).
@@ -506,7 +508,7 @@ pub fn fetch_triples_robust<E: SparqlEndpoint>(
     // Tally the handlers' accounting and merge their triples.
     let (mut planned, mut completed, mut failed) = (0usize, 0usize, 0usize);
     let mut first_error: Option<RdfError> = None;
-    let mut triples = Vec::with_capacity(per_subquery.iter().map(|sub| sub.triples.len()).sum());
+    let mut rows = Vec::with_capacity(per_subquery.iter().map(|sub| sub.rows.len()).sum());
     for sub in per_subquery {
         completed += sub.completed_pages;
         failed += sub.failed_pages;
@@ -517,7 +519,7 @@ pub fn fetch_triples_robust<E: SparqlEndpoint>(
         if first_error.is_none() {
             first_error = sub.error;
         }
-        triples.extend(sub.triples);
+        rows.extend(sub.rows);
     }
     if cfg.mode == FetchMode::Strict {
         if let Some(e) = first_error {
@@ -525,10 +527,8 @@ pub fn fetch_triples_robust<E: SparqlEndpoint>(
         }
     }
 
-    triples.sort_unstable();
-    triples.dedup();
     Ok(FetchOutcome {
-        triples,
+        triples: sorted_triples(rows),
         planned_pages: planned,
         completed_pages: completed,
         failed_pages: failed,
@@ -559,7 +559,7 @@ fn page_subquery(
         match endpoint.select(&query.with_page(cfg.batch_size, offset)) {
             Ok(page) => {
                 kgtosa_obs::counter("rdf.fetch.pages").inc();
-                if let Err(e) = page_triples(store, &page, triple_vars, &mut out.triples) {
+                if let Err(e) = page_triples(store, &page, triple_vars, &mut out.rows) {
                     // Misprojected subquery: no page of it can succeed.
                     out.failed_pages += 1;
                     out.error = Some(e);
@@ -589,13 +589,31 @@ fn page_subquery(
     }
 }
 
-/// Appends `page`'s data triples to `out`; nothing when the page does not
-/// project `triple_vars`.
+/// The distinct triples of `[s, p, o]` rows, strictly ascending, in the
+/// rows' buffer. Rows that already strictly ascend, as an out-branch
+/// group's pages do, cost one scan. Others are ordered by subject with the
+/// store build's digit-skipping radix ([`sort_by_first`]), then each
+/// subject's run, a few rows, by comparison ([`sort_subject_runs`]), and
+/// deduplicated.
+fn sorted_triples(rows: Vec<[u32; 3]>) -> Vec<Triple> {
+    let triple = |[s, p, o]: [u32; 3]| Triple::new(Vid(s), Rid(p), Vid(o));
+    let unique = rows.windows(2).all(|w| triple(w[0]) < triple(w[1]));
+    let rows = if unique { rows } else { sort_by_first(rows) };
+    let mut triples: Vec<Triple> = rows.into_iter().map(triple).collect();
+    if !unique {
+        sort_subject_runs(&mut triples);
+        triples.dedup();
+    }
+    triples
+}
+
+/// Appends `page`'s data triples to `out` as `[s, p, o]` rows; nothing
+/// when the page does not project `triple_vars`.
 fn page_triples(
     store: &RdfStore<'_>,
     page: &ResultSet,
     triple_vars: (&str, &str, &str),
-    out: &mut Vec<Triple>,
+    out: &mut Vec<[u32; 3]>,
 ) -> Result<(), RdfError> {
     let (cs, cp, co) = (
         page.col(triple_vars.0),
@@ -617,7 +635,7 @@ fn page_triples(
             continue;
         }
         if let Some(t) = store.to_data_triple(s, p, o) {
-            out.push(t);
+            out.push(t.raw());
         }
     }
     Ok(())
@@ -856,5 +874,56 @@ mod tests {
             },
         );
         assert!(strict.is_err());
+    }
+
+    /// The fetcher's sort against the comparison sort it replaced, on
+    /// seeded row sets of every shape the radix treats differently.
+    #[test]
+    fn sorted_triples_matches_sort_and_dedup() {
+        use crate::fault::mix64;
+        let oracle = |rows: &[[u32; 3]]| {
+            let mut triples: Vec<Triple> =
+                rows.iter().map(|r| Triple::new(Vid(r[0]), Rid(r[1]), Vid(r[2]))).collect();
+            triples.sort_unstable();
+            triples.dedup();
+            triples
+        };
+        let random = |seed: u64, n: u64, pick: &dyn Fn(u64) -> u32| -> Vec<[u32; 3]> {
+            (0..n * 3)
+                .map(|i| pick(mix64(seed ^ i)))
+                .collect::<Vec<_>>()
+                .chunks_exact(3)
+                .map(|r| [r[0], r[1], r[2]])
+                .collect()
+        };
+        // Values on both sides of the 11-bit digit boundaries.
+        const EDGES: [u32; 10] = [
+            0,
+            1,
+            (1 << 11) - 1,
+            1 << 11,
+            (1 << 22) - 1,
+            1 << 22,
+            (1 << 22) + 1,
+            u32::MAX - 2,
+            u32::MAX - 1,
+            u32::MAX,
+        ];
+        let ascending: Vec<[u32; 3]> = (0..500).map(|i| [i / 50, i / 10 % 5, i % 10]).collect();
+        let descending: Vec<[u32; 3]> = ascending.iter().rev().copied().collect();
+        let cases: Vec<(&str, Vec<[u32; 3]>)> = vec![
+            ("empty", Vec::new()),
+            ("one row", vec![[7, 1, 9]]),
+            ("all equal", vec![[3, 2, 1]; 100]),
+            ("ascending", ascending.clone()),
+            ("ascending with repeats", ascending.iter().flat_map(|&r| [r, r]).collect()),
+            ("descending", descending),
+            ("random with repeats", random(7, 5_000, &|h| (h % 40) as u32)),
+            ("random wide ids", random(11, 5_000, &|h| h as u32)),
+            ("digit edges", random(13, 3_000, &|h| EDGES[(h % 10) as usize])),
+        ];
+        for (name, rows) in cases {
+            assert_eq!(sorted_triples(rows.clone()), oracle(&rows), "{name}");
+        }
     }
 }

@@ -121,11 +121,12 @@ pub(crate) fn digit(value: u32, d: usize) -> usize {
 /// Histograms of every radix digit of one component over a row set.
 type DigitCounts = [[usize; BUCKETS]; DIGITS];
 
-/// Counts every digit of every component in one read of `rows`. A histogram
-/// depends only on the values present, not on their order or key layout, so
-/// one count serves every ordering of the same triples.
-fn count_digits(rows: &[[u32; 3]]) -> Vec<DigitCounts> {
-    let mut counts = vec![[[0usize; BUCKETS]; DIGITS]; 3];
+/// Counts every digit of the first `components` components in one read of
+/// `rows`. A histogram depends only on the values present, not on their
+/// order or key layout, so one count serves every ordering of the same
+/// triples.
+fn count_digits(rows: &[[u32; 3]], components: usize) -> Vec<DigitCounts> {
+    let mut counts = vec![[[0usize; BUCKETS]; DIGITS]; components];
     for row in rows {
         for (component, per_digit) in counts.iter_mut().enumerate() {
             for (d, hist) in per_digit.iter_mut().enumerate() {
@@ -199,6 +200,25 @@ fn derive_into(
     }
 }
 
+/// Stably sorts `rows` by their first component (LSD radix over that
+/// component's digits, skipping each digit on which all rows agree), so
+/// rows that share it keep their input order. The fetcher's sort: each
+/// subject's run is left for a comparison sort of its few rows.
+pub(crate) fn sort_by_first(rows: Vec<[u32; 3]>) -> Vec<[u32; 3]> {
+    let Some(&first) = rows.first() else {
+        return rows;
+    };
+    let n = rows.len();
+    let counts = &count_digits(&rows, 1)[0];
+    let (mut from, mut to) = (rows, Vec::new());
+    for d in (0..DIGITS).filter(|&d| counts[d][digit(first[0], d)] != n) {
+        to.resize(n, [0; 3]);
+        scatter(&from, &mut to, 0, d, &counts[d], |t| t);
+        std::mem::swap(&mut from, &mut to);
+    }
+    from
+}
+
 /// An immutable triple index with the five reachable orderings materialized.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Hexastore {
@@ -223,7 +243,7 @@ impl Hexastore {
     pub(crate) fn from_spo(spo: Vec<[u32; 3]>) -> Self {
         debug_assert!(spo.windows(2).all(|w| w[0] < w[1]));
         let (s, p, o) = (0, 1, 2);
-        let counts = count_digits(&spo);
+        let counts = count_digits(&spo, 3);
         let mut scratch = Vec::new();
         let (mut pso, mut osp, mut sop, mut pos) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
         derive_into(&spo, 1, &counts[p], &mut pso, &mut scratch);
