@@ -14,8 +14,9 @@ use kgtosa_kg::Fnv64;
 
 /// Bumped whenever the artifact layout changes; stored as the version of
 /// the artifact's frame and checked on load. Version 2 moved the artifact
-/// onto the shared `kgtosa_kg::frame`.
-pub const FORMAT_VERSION: u32 = 2;
+/// onto the shared `kgtosa_kg::frame`; version 3 is that frame with an
+/// XXH64 checksum (magic `KGTOSAA2`).
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Everything that addresses one cached extraction artifact.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -30,4 +30,6 @@ pub mod store;
 
 pub use invalidate::{SweepAction, SweepReport};
 pub use key::{CacheKey, FORMAT_VERSION};
-pub use store::{ArtifactCache, CacheLookup, CacheOutcome, CacheStats, DiskStats, EntryInfo};
+pub use store::{
+    ArtifactCache, CacheLookup, CacheOutcome, CacheStats, DiskStats, EntryInfo, Payload,
+};

@@ -3,13 +3,12 @@
 //! One directory, one file per artifact, named by the key digest:
 //!
 //! ```text
-//! <dir>/<digest-hex>.kgc          the artifact
-//! <dir>/<digest-hex>.touch        zero-byte access marker (LRU clock)
+//! <dir>/<digest-hex>.kgc          the artifact; its mtime is its LRU clock
 //! <dir>/<digest-hex>.kgc.quarantine   a corrupt artifact, kept for autopsy
 //! <dir>/<digest-hex>.<pid>-<n>.kgc.tmp a store in flight (one per store call)
 //! ```
 //!
-//! An artifact is a [`kgtosa_kg::frame`] with magic `KGTOSAA1` and
+//! An artifact is a [`kgtosa_kg::frame`] with magic `KGTOSAA2` and
 //! version [`FORMAT_VERSION`] (the frame checksums everything, and is
 //! published by an atomic tmp + rename), whose body is
 //!
@@ -22,15 +21,23 @@
 //! Lookup classification:
 //! - file absent                           → `Miss`
 //! - frame or embedded key does not parse  → `Corrupt` (file quarantined)
-//! - version or embedded key mismatch      → `Stale` (file removed)
-//! - everything checks out                 → `Hit` (access marker refreshed)
+//! - version or embedded key mismatch, or
+//!   the `KGTOSAA1` frame of format 2      → `Stale` (file removed)
+//! - everything checks out                 → `Hit` (mtime set to now)
+//!
+//! The LRU clock is the artifact's own mtime: a store sets it by writing
+//! the file, a hit by [`fs::File::set_modified`] on the handle it read
+//! through. Caches written before format 3 kept the clock in a zero-byte
+//! `<digest-hex>.touch` marker beside each artifact; [`ArtifactCache::clear`]
+//! still removes any such marker it finds.
 //!
 //! A corrupt artifact is *moved aside*, never deleted: the differential
 //! harness (and a human) can inspect what went wrong, and the slot is
 //! free for a clean re-extract. No lookup path panics on hostile bytes.
 
 use std::fs;
-use std::io;
+use std::io::{self, Read};
+use std::ops::{Deref, Range};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -41,7 +48,10 @@ use kgtosa_kg::{read_framed, write_framed};
 use crate::invalidate::{SweepAction, SweepReport};
 use crate::key::{CacheKey, FORMAT_VERSION};
 
-const MAGIC: &[u8; 8] = b"KGTOSAA1";
+const MAGIC: &[u8; 8] = b"KGTOSAA2";
+/// The magic of format 2's frames, whose checksum was FNV-1a: such a file
+/// cannot be checked any more, only recognised as another format.
+const FORMAT_2_MAGIC: &[u8; 8] = b"KGTOSAA1";
 
 /// How a lookup resolved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,7 +84,24 @@ impl CacheOutcome {
 #[derive(Debug)]
 pub struct CacheLookup {
     pub outcome: CacheOutcome,
-    pub payload: Option<Vec<u8>>,
+    pub payload: Option<Payload>,
+}
+
+/// A hit's payload: the artifact file as it was read, once, into one
+/// buffer, dereferencing to the payload bytes inside it — a hit copies
+/// nothing out.
+#[derive(Debug)]
+pub struct Payload {
+    file: Vec<u8>,
+    range: Range<usize>,
+}
+
+impl Deref for Payload {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.file[self.range.clone()]
+    }
 }
 
 /// Per-instance lookup/store counters (race-free under concurrent test
@@ -148,40 +175,27 @@ impl ArtifactCache {
         self.dir.join(key.file_name())
     }
 
-    fn touch_path_for(&self, artifact: &Path) -> PathBuf {
-        artifact.with_extension("touch")
-    }
-
-    fn remove_entry(&self, artifact: &Path) {
-        let _ = fs::remove_file(artifact);
-        let _ = fs::remove_file(self.touch_path_for(artifact));
-    }
-
-    /// Refreshes `artifact`'s LRU clock: recreates its zero-byte marker so
-    /// the marker's mtime records this access (std cannot set mtimes).
-    fn touch(&self, artifact: &Path) {
-        let touch = self.touch_path_for(artifact);
-        let _ = fs::remove_file(&touch);
-        let _ = fs::File::create(&touch);
-    }
-
     /// Looks up `key`, validating the artifact end-to-end before any
-    /// byte of it is trusted.
+    /// byte of it is trusted. A hit sets the artifact's mtime, its LRU
+    /// clock, through the handle it was read by.
     pub fn lookup(&self, key: &CacheKey) -> CacheLookup {
         let path = self.artifact_path(key);
-        let Ok(bytes) = fs::read(&path) else {
+        let Ok((file, bytes)) = read_file(&path) else {
             return self.resolve(CacheOutcome::Miss, None);
         };
         match read_artifact(&bytes) {
             Ok((stored, payload)) if stored == *key => {
-                self.touch(&path);
-                self.resolve(CacheOutcome::Hit, Some(payload.to_vec()))
+                // `payload` borrows from `bytes`: its place there.
+                let start = payload.as_ptr() as usize - bytes.as_ptr() as usize;
+                let range = start..start + payload.len();
+                let _ = file.set_modified(SystemTime::now());
+                self.resolve(CacheOutcome::Hit, Some(Payload { file: bytes, range }))
             }
             // Same digest, different key — a collision or tampering — or
             // another format version: either way the entry cannot serve
             // this request and a re-extract should overwrite it.
             Ok(_) | Err(CacheOutcome::Stale) => {
-                self.remove_entry(&path);
+                let _ = fs::remove_file(&path);
                 self.publish_bytes_gauge();
                 self.resolve(CacheOutcome::Stale, None)
             }
@@ -189,14 +203,13 @@ impl ArtifactCache {
                 let mut quarantine = path.as_os_str().to_owned();
                 quarantine.push(".quarantine");
                 let _ = fs::rename(&path, PathBuf::from(quarantine));
-                let _ = fs::remove_file(self.touch_path_for(&path));
                 self.publish_bytes_gauge();
                 self.resolve(CacheOutcome::Corrupt, None)
             }
         }
     }
 
-    fn resolve(&self, outcome: CacheOutcome, payload: Option<Vec<u8>>) -> CacheLookup {
+    fn resolve(&self, outcome: CacheOutcome, payload: Option<Payload>) -> CacheLookup {
         let (instance, global) = match outcome {
             CacheOutcome::Hit => (&self.stats.hits, "cache.hits"),
             CacheOutcome::Miss => (&self.stats.misses, "cache.misses"),
@@ -238,8 +251,8 @@ impl ArtifactCache {
         // workers missing on it at once, or a reader re-extracting while a
         // sweep migrates it — never publish each other's half-written
         // file. Its name ends in `.kgc.tmp`, so `clear` sweeps leftovers.
+        // The write itself sets the artifact's LRU clock.
         write_framed(&path, MAGIC, FORMAT_VERSION, &artifact_body(key, payload))?;
-        self.touch(&path);
         self.stats.stores.fetch_add(1, Ordering::Relaxed);
         self.evict_to_budget()?;
         Ok(path)
@@ -253,10 +266,7 @@ impl ArtifactCache {
         let mut total = 0u64;
         for path in self.artifact_paths()? {
             let meta = fs::metadata(&path)?;
-            let accessed = fs::metadata(self.touch_path_for(&path))
-                .and_then(|m| m.modified())
-                .or_else(|_| meta.modified())
-                .unwrap_or(SystemTime::UNIX_EPOCH);
+            let accessed = meta.modified().unwrap_or(SystemTime::UNIX_EPOCH);
             total += meta.len();
             entries.push((path, meta.len(), accessed));
         }
@@ -264,14 +274,13 @@ impl ArtifactCache {
             return Ok(());
         }
         // Oldest access first; the stable sort keeps name order among
-        // markers that share an mtime granule, so eviction is deterministic.
+        // artifacts that share an mtime granule, so eviction is deterministic.
         entries.sort_by_key(|e| e.2);
         for (path, len, _) in entries {
             if total <= budget {
                 break;
             }
             fs::remove_file(&path)?;
-            let _ = fs::remove_file(self.touch_path_for(&path));
             total = total.saturating_sub(len);
             self.stats.evictions.fetch_add(1, Ordering::Relaxed);
             kgtosa_obs::counter("cache.evictions").inc();
@@ -351,7 +360,7 @@ impl ArtifactCache {
             report.scanned += 1;
             let (info, entry) = read_entry(&path);
             let Some((old_key, payload)) = entry else {
-                self.remove_entry(&path);
+                let _ = fs::remove_file(&path);
                 report.failed += 1;
                 continue;
             };
@@ -361,7 +370,7 @@ impl ArtifactCache {
             }
             match decide(&info, payload) {
                 SweepAction::Invalidate => {
-                    self.remove_entry(&path);
+                    let _ = fs::remove_file(&path);
                     report.invalidated += 1;
                     kgtosa_obs::counter("cache.invalidations").inc();
                 }
@@ -373,7 +382,7 @@ impl ArtifactCache {
                             // the entry onto its own path, which the store
                             // has just replaced.
                             if new_path != path {
-                                self.remove_entry(&path);
+                                let _ = fs::remove_file(&path);
                             }
                             report.migrated += 1;
                             kgtosa_obs::counter("cache.migrations").inc();
@@ -386,7 +395,7 @@ impl ArtifactCache {
                         // entry as failed (cold cache, never a wrong
                         // answer).
                         Err(_) => {
-                            self.remove_entry(&path);
+                            let _ = fs::remove_file(&path);
                             report.failed += 1;
                         }
                     }
@@ -397,8 +406,9 @@ impl ArtifactCache {
         Ok(report)
     }
 
-    /// Deletes every artifact, marker, temp file, and quarantined file;
-    /// returns how many artifacts were removed.
+    /// Deletes every artifact, temp file and quarantined file, and any
+    /// `.touch` marker a cache of format 2 left; returns how many artifacts
+    /// were removed.
     pub fn clear(&self) -> io::Result<usize> {
         let mut removed = 0usize;
         for entry in fs::read_dir(&self.dir)? {
@@ -443,6 +453,7 @@ fn artifact_body(key: &CacheKey, payload: &[u8]) -> Vec<u8> {
 /// is `Corrupt` (damaged) or `Stale` (another format version).
 fn read_artifact(bytes: &[u8]) -> Result<(CacheKey, &[u8]), CacheOutcome> {
     match read_framed(bytes, MAGIC) {
+        Err(_) if bytes.starts_with(FORMAT_2_MAGIC) => Err(CacheOutcome::Stale),
         Err(_) => Err(CacheOutcome::Corrupt),
         Ok((version, _)) if version != FORMAT_VERSION => Err(CacheOutcome::Stale),
         Ok((_, body)) => split_body(body).ok_or(CacheOutcome::Corrupt),
@@ -469,6 +480,15 @@ fn split_body(body: &[u8]) -> Option<(CacheKey, &[u8])> {
         params: u64::from_le_bytes(*params),
     };
     Some((key, body))
+}
+
+/// Opens `path` and reads all of it, keeping the handle.
+fn read_file(path: &Path) -> io::Result<(fs::File, Vec<u8>)> {
+    let mut file = fs::File::open(path)?;
+    let len = file.metadata().map_or(0, |m| m.len() as usize);
+    let mut bytes = Vec::with_capacity(len);
+    file.read_to_end(&mut bytes)?;
+    Ok((file, bytes))
 }
 
 /// Reads one artifact file once: its listing row, plus its key and
@@ -588,6 +608,26 @@ mod tests {
         assert_eq!(cache.lookup(&k).outcome, CacheOutcome::Miss);
     }
 
+    /// An artifact of format 2 as its writer left it: magic `KGTOSAA1`,
+    /// version 2, the same body, and an FNV-1a trailer. It is another
+    /// format, not damage: removed as stale, never quarantined.
+    #[test]
+    fn format_2_artifact_is_stale_not_corrupt() {
+        let cache = ArtifactCache::open(tmpdir("format-2")).unwrap();
+        let k = key("nc:Paper");
+        let body = artifact_body(&k, b"format-2-payload");
+        let mut old = [&FORMAT_2_MAGIC[..], &2u32.to_le_bytes(), &(body.len() as u64).to_le_bytes()]
+            .concat();
+        old.extend_from_slice(&body);
+        old.extend_from_slice(&kgtosa_kg::fnv64(&old).to_le_bytes());
+        let path = cache.artifact_path(&k);
+        fs::write(&path, &old).unwrap();
+        assert_eq!(cache.lookup(&k).outcome, CacheOutcome::Stale);
+        assert!(!path.exists(), "the old artifact leaves the slot");
+        assert_eq!(cache.lookup(&k).outcome, CacheOutcome::Miss);
+        assert_eq!(cache.disk_stats().unwrap(), DiskStats { entries: 0, bytes: 0, quarantined: 0 });
+    }
+
     #[test]
     fn lru_eviction_respects_budget_and_recency() {
         let cache = ArtifactCache::open(tmpdir("lru")).unwrap();
@@ -609,6 +649,13 @@ mod tests {
         assert_eq!(cache.lookup(&kb).outcome, CacheOutcome::Miss, "LRU entry evicted");
         assert_eq!(cache.lookup(&kc).outcome, CacheOutcome::Hit);
         assert!(cache.stats().evictions.load(Ordering::Relaxed) >= 1);
+        // The clock is the artifacts' own mtimes: nothing else is on disk.
+        let mut names: Vec<_> = fs::read_dir(cache.dir())
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        names.sort();
+        assert_eq!(names, [cache.artifact_path(&ka), cache.artifact_path(&kc)]);
     }
 
     #[test]
@@ -616,7 +663,10 @@ mod tests {
         let cache = ArtifactCache::open(tmpdir("clear")).unwrap();
         cache.store(&key("a"), b"x").unwrap();
         cache.store(&key("b"), b"y").unwrap();
+        // A marker an older cache kept as its LRU clock goes too.
+        fs::write(cache.artifact_path(&key("a")).with_extension("touch"), b"").unwrap();
         assert_eq!(cache.clear().unwrap(), 2);
+        assert_eq!(fs::read_dir(cache.dir()).unwrap().count(), 0);
         let stats = cache.disk_stats().unwrap();
         assert_eq!(stats, DiskStats { entries: 0, bytes: 0, quarantined: 0 });
         assert_eq!(cache.lookup(&key("a")).outcome, CacheOutcome::Miss);

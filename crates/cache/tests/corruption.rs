@@ -77,7 +77,7 @@ fn setup() -> &'static Setup {
         let pristine = std::fs::read(dir.join(&file_name)).unwrap();
         let mut baseline = Vec::new();
         write_snapshot(&res.subgraph.kg, &mut baseline).unwrap();
-        let payload = cache.lookup(&key).payload.expect("the published artifact hits");
+        let payload = cache.lookup(&key).payload.expect("the published artifact hits").to_vec();
         Setup { kg, key, file_name, pristine, baseline, payload }
     })
 }

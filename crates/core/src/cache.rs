@@ -13,8 +13,9 @@
 //!
 //! A hit is read through [`ExtractionView`]: the payload's bytes,
 //! validated in place, with counts, targets, the parent mapping and the
-//! subgraph fingerprint answered from them. Only callers that need the
-//! subgraph as a graph ([`decode_extraction`], the CLI's `--out`,
+//! subgraph fingerprint answered from them (the fingerprint is folded in
+//! by the same walk that validates the snapshot). Only callers that need
+//! the subgraph as a graph ([`decode_extraction`], the CLI's `--out`,
 //! training) pay for [`ExtractionView::materialise`]; the daemon answers a
 //! warm `/extract` from the view ([`load_cached`] + [`extract_and_publish`]
 //! are the two halves it composes around its own lookup).
@@ -268,7 +269,8 @@ impl<'a> ExtractionView<'a> {
     }
 
     /// The subgraph fingerprint, [`kgtosa_kg::fingerprint`] of the stored
-    /// subgraph.
+    /// subgraph: taken by [`Self::parse`]'s validating walk of the
+    /// snapshot, so answering it reads no byte again.
     pub fn fingerprint(&self) -> u64 {
         self.snapshot.fingerprint()
     }

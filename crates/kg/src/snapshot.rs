@@ -28,16 +28,18 @@
 //!
 //! That is the order [`KnowledgeGraph::triples`] always has, so the writer
 //! emits the vector as it is, with no sort. For every snapshot the view
-//! accepts, re-writing the decoded graph reproduces the accepted bytes, and [`SnapshotView::fingerprint`] — FNV-1a
-//! over those bytes — equals [`crate::fingerprint::fingerprint`] of the
-//! graph without building it. One private walker is the only code that
-//! reads the layout: the view, [`read_snapshot`] and every consumer of a
-//! view's contents go through it.
+//! accepts, re-writing the decoded graph reproduces the accepted bytes, and
+//! [`SnapshotView::fingerprint`] — FNV-1a over those bytes, folded in by
+//! the validating walk as it consumes each byte — equals
+//! [`crate::fingerprint::fingerprint`] of the graph without building it or
+//! reading the bytes a second time. One private walker is the only code
+//! that reads the layout: the view, [`read_snapshot`] and every consumer
+//! of a view's contents go through it.
 
 use std::collections::HashSet;
 use std::io::{self, Read, Write};
 
-use crate::fingerprint::{fnv64, HashingWriter};
+use crate::fingerprint::{Fnv64, HashingWriter};
 use crate::ids::{Cid, Rid, Vid};
 use crate::triples::{KnowledgeGraph, Triple};
 
@@ -120,12 +122,13 @@ pub trait SnapshotVisitor<'a> {
 /// Validation only.
 impl SnapshotVisitor<'_> for () {}
 
-/// A validated, borrowed snapshot: the bytes of one canonical snapshot and
-/// its section counts. Nothing is decoded into owned structures until a
-/// caller asks ([`Self::to_graph`], [`Self::visit`]).
+/// A validated, borrowed snapshot: the bytes of one canonical snapshot,
+/// its section counts and its fingerprint. Nothing is decoded into owned
+/// structures until a caller asks ([`Self::to_graph`], [`Self::visit`]).
 #[derive(Debug, Clone, Copy)]
 pub struct SnapshotView<'a> {
     bytes: &'a [u8],
+    fingerprint: u64,
     num_classes: usize,
     num_relations: usize,
     num_nodes: usize,
@@ -146,11 +149,12 @@ impl<'a> SnapshotView<'a> {
         self.bytes
     }
 
-    /// The content fingerprint of the snapshot's graph — equal to
-    /// [`crate::fingerprint::fingerprint`] of [`Self::to_graph`], because
+    /// The content fingerprint of the snapshot's graph — FNV-1a over
+    /// [`Self::bytes`], taken while they were validated, and equal to
+    /// [`crate::fingerprint::fingerprint`] of [`Self::to_graph`] because
     /// the bytes are canonical.
     pub fn fingerprint(&self) -> u64 {
-        fnv64(self.bytes)
+        self.fingerprint
     }
 
     pub fn num_classes(&self) -> usize {
@@ -170,8 +174,8 @@ impl<'a> SnapshotView<'a> {
     }
 
     /// Walks the snapshot again, handing its contents to `visitor`. The
-    /// terms were proven unique when the view was parsed, so this walk
-    /// does not check them again.
+    /// terms were proven unique and the fingerprint taken when the view
+    /// was parsed, so this walk does neither again.
     pub fn visit(&self, visitor: &mut impl SnapshotVisitor<'a>) {
         walk(self.bytes, visitor, false).expect("a parsed snapshot walks again");
     }
@@ -211,15 +215,18 @@ impl SnapshotVisitor<'_> for Materialise {
 }
 
 /// Validates the snapshot at the start of `bytes`, handing each class,
-/// relation, node and triple to `visitor` once it has passed its checks.
-/// This is the format's only reader. `check_terms: false` skips the
-/// term-uniqueness check, for re-walking bytes that already passed it.
+/// relation, node and triple to `visitor` once it has passed its checks,
+/// and folds every byte it consumes into the view's fingerprint. This is
+/// the format's only reader. `first: false` skips the term-uniqueness
+/// check and the fingerprint, for re-walking bytes that already passed
+/// the one and produced the other; the view it returns is then not
+/// fingerprinted.
 fn walk<'a>(
     bytes: &'a [u8],
     visitor: &mut impl SnapshotVisitor<'a>,
-    check_terms: bool,
+    first: bool,
 ) -> io::Result<SnapshotView<'a>> {
-    let mut r = Bytes { rest: bytes };
+    let mut r = Bytes { rest: bytes, hash: first.then(Fnv64::new) };
     if r.take(MAGIC.len())? != MAGIC {
         return Err(bad("bad magic: not a KGTOSA snapshot"));
     }
@@ -229,7 +236,7 @@ fn walk<'a>(
     let num_classes = r.u32()? as usize;
     for _ in 0..num_classes {
         let term = r.str()?;
-        if check_terms && !seen.insert(term) {
+        if first && !seen.insert(term) {
             return Err(bad("duplicate class term in snapshot"));
         }
         visitor.class(term);
@@ -238,14 +245,14 @@ fn walk<'a>(
     let num_relations = r.u32()? as usize;
     for _ in 0..num_relations {
         let term = r.str()?;
-        if check_terms && !seen.insert(term) {
+        if first && !seen.insert(term) {
             return Err(bad("duplicate relation term in snapshot"));
         }
         visitor.relation(term);
     }
     seen.clear();
     let num_nodes = r.u32()? as usize;
-    if check_terms {
+    if first {
         seen.reserve(num_nodes.min(MAX_PREALLOC));
     }
     for _ in 0..num_nodes {
@@ -254,7 +261,7 @@ fn walk<'a>(
         if class as usize >= num_classes {
             return Err(bad("node references unknown class"));
         }
-        if check_terms && !seen.insert(term) {
+        if first && !seen.insert(term) {
             return Err(bad("duplicate node term in snapshot"));
         }
         visitor.node(Cid(class), term);
@@ -289,6 +296,7 @@ fn walk<'a>(
     }
     Ok(SnapshotView {
         bytes: &bytes[..bytes.len() - r.rest.len()],
+        fingerprint: r.hash.map_or(0, |h| h.finish()),
         num_classes,
         num_relations,
         num_nodes,
@@ -305,9 +313,11 @@ fn truncated() -> io::Error {
 }
 
 /// A cursor over borrowed bytes: `rest` is what is still unread. Running
-/// past the end is `UnexpectedEof`.
+/// past the end is `UnexpectedEof`. With a `hash`, every byte it hands out
+/// is folded in as it goes.
 struct Bytes<'a> {
     rest: &'a [u8],
+    hash: Option<Fnv64>,
 }
 
 impl<'a> Bytes<'a> {
@@ -315,9 +325,17 @@ impl<'a> Bytes<'a> {
         if n > self.rest.len() {
             return Err(truncated());
         }
+        Ok(self.advance(n))
+    }
+
+    /// Consumes the first `n <= rest.len()` bytes.
+    fn advance(&mut self, n: usize) -> &'a [u8] {
         let (head, rest) = self.rest.split_at(n);
+        if let Some(hash) = &mut self.hash {
+            hash.update(head);
+        }
         self.rest = rest;
-        Ok(head)
+        head
     }
 
     fn u32(&mut self) -> io::Result<u32> {
@@ -349,6 +367,12 @@ impl<'a> Bytes<'a> {
     /// A minimal LEB128 varint of at most 64 bits (ten 7-bit groups, the
     /// last carrying one bit).
     fn varint(&mut self) -> io::Result<u64> {
+        // Most ids and deltas fit one group, and a lone group is always
+        // minimal (`0x00` is the canonical zero).
+        if let Some(&byte) = self.rest.first().filter(|&&b| b < 0x80) {
+            self.advance(1);
+            return Ok(u64::from(byte));
+        }
         let mut out = 0u64;
         for (i, &byte) in self.rest.iter().take(10).enumerate() {
             let low = u64::from(byte & 0x7f);
@@ -360,7 +384,7 @@ impl<'a> Bytes<'a> {
                 if byte == 0 && i > 0 {
                     return Err(bad("non-minimal varint"));
                 }
-                self.rest = &self.rest[i + 1..];
+                self.advance(i + 1);
                 return Ok(out);
             }
         }
@@ -503,8 +527,25 @@ mod tests {
         for v in [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX] {
             let mut buf = Vec::new();
             write_varint(&mut buf, v).unwrap();
-            assert_eq!(Bytes { rest: &buf }.varint().unwrap(), v);
+            assert_eq!(Bytes { rest: &buf, hash: None }.varint().unwrap(), v);
         }
+    }
+
+    /// The one-group path at its edges: a lone group below `0x80` is the
+    /// whole varint, `0x80` needs the next group, and either way the
+    /// cursor hashes exactly the bytes it consumed.
+    #[test]
+    fn one_byte_varints_are_read_and_hashed_alone() {
+        for (bytes, value, used) in
+            [(&[0x00, 0xff][..], 0, 1), (&[0x7f, 0x00], 0x7f, 1), (&[0x80, 0x01, 0x05], 0x80, 2)]
+        {
+            let mut r = Bytes { rest: bytes, hash: Some(Fnv64::new()) };
+            assert_eq!(r.varint().unwrap(), value, "{bytes:?}");
+            assert_eq!(r.rest, &bytes[used..], "{bytes:?}");
+            assert_eq!(r.hash.unwrap().finish(), crate::fnv64(&bytes[..used]), "{bytes:?}");
+        }
+        let err = Bytes { rest: &[0x80], hash: None }.varint().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
     #[test]
@@ -518,7 +559,7 @@ mod tests {
             ],
             &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02],
         ] {
-            let err = Bytes { rest: bytes }.varint().unwrap_err();
+            let err = Bytes { rest: bytes, hash: None }.varint().unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{bytes:?}");
         }
     }

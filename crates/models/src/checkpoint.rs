@@ -9,7 +9,7 @@
 //! DESIGN.md).
 //!
 //! On-disk format (`<dir>/<method>.ckpt`): a [`kgtosa_kg::frame`] with
-//! magic `KGTOSAC2` and version 3, whose body is
+//! magic `KGTOSAC3` and version 3, whose body is
 //!
 //! ```text
 //! fingerprint u64 | completed_epoch u64
@@ -22,7 +22,9 @@
 //! mismatched or corrupt checkpoint, or one of another version, is
 //! *ignored* with a warning (training restarts from scratch), never
 //! silently loaded. The frame's atomic publish means a crash mid-save, or
-//! a racing save, leaves a whole checkpoint behind.
+//! a racing save, leaves a whole checkpoint behind. A `KGTOSAC2` file is
+//! this layout in the frame's earlier FNV-1a-checksummed form; it no longer
+//! parses, so it too is ignored.
 
 use std::fs;
 use std::io::{self, Read, Write};
@@ -34,7 +36,7 @@ use rand::rngs::StdRng;
 
 use crate::common::{LpDataset, NcDataset, TracePoint, TrainConfig};
 
-const MAGIC: &[u8; 8] = b"KGTOSAC2";
+const MAGIC: &[u8; 8] = b"KGTOSAC3";
 /// Frame version of the body layout above.
 const VERSION: u32 = 3;
 /// Serialized size of one trace point.
@@ -474,6 +476,31 @@ mod tests {
             bad[bit / 8] ^= 1 << (bit % 8);
             assert!(parse_checkpoint_bytes(&bad).is_err(), "flipped bit {bit} was trusted");
         }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A checkpoint whose frame carries the FNV-1a trailer saves wrote
+    /// before the frame moved to XXH64 (magic `KGTOSAC2`, the same version
+    /// and body) starts the trainer fresh and is skipped by the serving
+    /// registry, even when its fingerprint matches the run.
+    #[test]
+    fn fnv_framed_checkpoint_starts_fresh() {
+        let dir = temp_dir("fnv-frame");
+        let ck = Checkpointer::from_cfg(&cfg_with(&dir), "RGCN", 7).unwrap();
+        ck.maybe_save(1, 10, &[], |w| write_u64(w, 7));
+        let path = dir.join("RGCN.ckpt");
+        let bytes = fs::read(&path).unwrap();
+        let body = read_framed(&bytes, MAGIC).unwrap().1;
+        let mut old = [&b"KGTOSAC2"[..], &VERSION.to_le_bytes(), &(body.len() as u64).to_le_bytes()]
+            .concat();
+        old.extend_from_slice(body);
+        old.extend_from_slice(&kgtosa_kg::fnv64(&old).to_le_bytes());
+        fs::write(&path, &old).unwrap();
+
+        assert!(parse_checkpoint_bytes(&old).is_err());
+        assert!(ck.resume(|_| panic!("load must not run on an FNV-framed file")).is_none());
+        let reg = crate::registry::CheckpointRegistry::scan(&dir).unwrap();
+        assert_eq!((reg.entries().len(), reg.skipped()), (0, 1));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -1,6 +1,6 @@
 //! Inference-only reconstruction of a trained RGCN NC model.
 //!
-//! A `KGTOSAC2` checkpoint stores the trainer's state blob —
+//! A `KGTOSAC3` checkpoint stores the trainer's state blob —
 //! [`EmbeddingTable`] then [`RgcnStack`], exactly as
 //! [`crate::rgcn_nc::train_rgcn_nc`] saves them — but not the shapes that
 //! state was created under; those are pinned by the fingerprint. Given

@@ -166,7 +166,7 @@ mod tests {
         let report = train_toy_into(&dir);
         // A non-checkpoint file and a corrupt .ckpt must both be ignored.
         fs::write(dir.join("notes.txt"), b"not a checkpoint").unwrap();
-        fs::write(dir.join("broken.ckpt"), b"KGTOSAC2 but then garbage").unwrap();
+        fs::write(dir.join("broken.ckpt"), b"KGTOSAC3 but then garbage").unwrap();
 
         let reg = CheckpointRegistry::scan(&dir).unwrap();
         assert_eq!(reg.entries().len(), 1, "only the valid RGCN checkpoint");
