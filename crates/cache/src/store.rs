@@ -5,7 +5,10 @@
 //! ```text
 //! <dir>/<digest-hex>.kgc          the artifact; its mtime is its LRU clock
 //! <dir>/<digest-hex>.kgc.quarantine   a corrupt artifact, kept for autopsy
-//! <dir>/<digest-hex>.<pid>-<n>.kgc.tmp a store in flight (one per store call)
+//! <dir>/<digest-hex>.<pid>-<n>.kgc.tmp a store in flight (one per store call,
+//!                                      and one per sweep `Migrate`, from its
+//!                                      write on the sweeping thread until the
+//!                                      sweep's flusher syncs and renames it)
 //! ```
 //!
 //! An artifact is a [`kgtosa_kg::frame`] with magic `KGTOSAA2` and
@@ -40,10 +43,11 @@ use std::io::{self, Read};
 use std::ops::{Deref, Range};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::thread::{Scope, ScopedJoinHandle};
 use std::time::SystemTime;
 
-use kgtosa_kg::{read_framed, write_framed};
+use kgtosa_kg::{read_framed, stage_framed, write_framed, StagedFrame};
 
 use crate::invalidate::{SweepAction, SweepReport};
 use crate::key::{CacheKey, FORMAT_VERSION};
@@ -237,15 +241,6 @@ impl ArtifactCache {
     /// crash mid-store leaves either the old artifact or none, never a
     /// torn file), then evicts down to the byte budget.
     pub fn store(&self, key: &CacheKey, payload: &[u8]) -> io::Result<PathBuf> {
-        let path = self.store_entry(key, payload)?;
-        self.publish_bytes_gauge();
-        Ok(path)
-    }
-
-    /// [`ArtifactCache::store`] without the `cache.bytes` refresh (a walk
-    /// of the directory), for a caller that stores many entries and
-    /// publishes the gauge once.
-    fn store_entry(&self, key: &CacheKey, payload: &[u8]) -> io::Result<PathBuf> {
         let path = self.artifact_path(key);
         // Every store writes its own temp file: writers of one key — two
         // workers missing on it at once, or a reader re-extracting while a
@@ -254,13 +249,19 @@ impl ArtifactCache {
         // The write itself sets the artifact's LRU clock.
         write_framed(&path, MAGIC, FORMAT_VERSION, &artifact_body(key, payload))?;
         self.stats.stores.fetch_add(1, Ordering::Relaxed);
-        self.evict_to_budget()?;
+        let mut evicted = 0;
+        let evict = self.evict_to_budget(&mut evicted);
+        kgtosa_obs::counter("cache.evictions").add(evicted);
+        evict?;
+        self.publish_bytes_gauge();
         Ok(path)
     }
 
     /// Removes least-recently-used artifacts until the directory is
-    /// within the byte budget.
-    fn evict_to_budget(&self) -> io::Result<()> {
+    /// within the byte budget, counting them in `evicted` (and in this
+    /// store's stats: the `cache.evictions` counter is the caller's, so
+    /// that it lands in the caller's telemetry context).
+    fn evict_to_budget(&self, evicted: &mut u64) -> io::Result<()> {
         let Some(budget) = self.budget else { return Ok(()) };
         let mut entries: Vec<(PathBuf, u64, SystemTime)> = Vec::new();
         let mut total = 0u64;
@@ -283,9 +284,34 @@ impl ArtifactCache {
             fs::remove_file(&path)?;
             total = total.saturating_sub(len);
             self.stats.evictions.fetch_add(1, Ordering::Relaxed);
-            kgtosa_obs::counter("cache.evictions").inc();
+            *evicted += 1;
         }
         Ok(())
+    }
+
+    /// Publishes one staged migration: syncs and renames the new artifact
+    /// into place, removes the file it replaces, and evicts down to the
+    /// budget — what [`ArtifactCache::store`] does after its write. The
+    /// old file goes whether or not the publish succeeds (see the sweep's
+    /// failed write).
+    fn publish_migration(&self, m: Migration, tally: &mut FlushTally) {
+        let new_path = m.staged.path().to_owned();
+        let published = m.staged.publish().and_then(|()| {
+            self.stats.stores.fetch_add(1, Ordering::Relaxed);
+            // An update that keeps the fingerprint re-keys the entry onto
+            // its own path, which the publish has just replaced.
+            if new_path != m.old {
+                let _ = fs::remove_file(&m.old);
+            }
+            self.evict_to_budget(&mut tally.evicted)
+        });
+        match published {
+            Ok(()) => tally.migrated += 1,
+            Err(_) => {
+                let _ = fs::remove_file(&m.old);
+                tally.failed += 1;
+            }
+        }
     }
 
     /// Sets the `cache.bytes` gauge to the current on-disk total.
@@ -349,6 +375,15 @@ impl ArtifactCache {
     /// `Migrate`s whose re-publish fails are removed and counted as
     /// `failed`, so a sweep always terminates with no entries left under
     /// `old_fp`.
+    ///
+    /// A `Migrate`'s new artifact is written to its temp file here, then
+    /// handed to one flusher thread (spawned on the first `Migrate`) that
+    /// syncs, renames and removes the old file, in order, while this thread
+    /// reads and decides the next entry. The sweep joins the flusher before
+    /// it returns, so every migrated entry is published — synced before its
+    /// rename — by then, and tallies what it did here: the report and the
+    /// `cache.migrations`/`cache.evictions` counters land on the calling
+    /// thread's telemetry context.
     pub fn sweep_fingerprint(
         &self,
         old_fp: u64,
@@ -356,52 +391,65 @@ impl ArtifactCache {
         mut decide: impl FnMut(&EntryInfo, Vec<u8>) -> SweepAction,
     ) -> io::Result<SweepReport> {
         let mut report = SweepReport::default();
-        for path in self.artifact_paths()? {
-            report.scanned += 1;
-            let (info, entry) = read_entry(&path);
-            let Some((old_key, payload)) = entry else {
-                let _ = fs::remove_file(&path);
-                report.failed += 1;
-                continue;
-            };
-            if old_key.kg_fingerprint != old_fp {
-                report.skipped += 1;
-                continue;
-            }
-            match decide(&info, payload) {
-                SweepAction::Invalidate => {
+        let paths = self.artifact_paths()?;
+        let flushed = std::thread::scope(|scope| {
+            let mut flusher: Option<Flusher<'_>> = None;
+            // Publishes made here: when no flusher thread could be started.
+            let mut inline = FlushTally::default();
+            for path in paths {
+                report.scanned += 1;
+                let (info, entry) = read_entry(&path);
+                let Some((old_key, payload)) = entry else {
                     let _ = fs::remove_file(&path);
-                    report.invalidated += 1;
-                    kgtosa_obs::counter("cache.invalidations").inc();
+                    report.failed += 1;
+                    continue;
+                };
+                if old_key.kg_fingerprint != old_fp {
+                    report.skipped += 1;
+                    continue;
                 }
-                SweepAction::Migrate(new_payload) => {
-                    let new_key = CacheKey { kg_fingerprint: new_fp, ..old_key };
-                    match self.store_entry(&new_key, &new_payload) {
-                        Ok(new_path) => {
-                            // An update that keeps the fingerprint re-keys
-                            // the entry onto its own path, which the store
-                            // has just replaced.
-                            if new_path != path {
-                                let _ = fs::remove_file(&path);
+                match decide(&info, payload) {
+                    SweepAction::Invalidate => {
+                        let _ = fs::remove_file(&path);
+                        report.invalidated += 1;
+                        kgtosa_obs::counter("cache.invalidations").inc();
+                    }
+                    SweepAction::Migrate(new_payload) => {
+                        let new_key = CacheKey { kg_fingerprint: new_fp, ..old_key };
+                        let new_path = self.artifact_path(&new_key);
+                        let body = artifact_body(&new_key, &new_payload);
+                        match stage_framed(&new_path, MAGIC, FORMAT_VERSION, &body) {
+                            Ok(staged) => {
+                                let m = Migration { staged, old: path };
+                                let flusher =
+                                    flusher.get_or_insert_with(|| Flusher::spawn(scope, self));
+                                if let Err(m) = flusher.send(m) {
+                                    self.publish_migration(m, &mut inline);
+                                }
                             }
-                            report.migrated += 1;
-                            kgtosa_obs::counter("cache.migrations").inc();
-                        }
-                        // A failed publish must not abort the sweep: the
-                        // old file is unreachable under the new fingerprint
-                        // anyway, and later sweeps skip foreign
-                        // fingerprints, so leaving it behind would strand
-                        // dead bytes on disk forever. Drop it and count the
-                        // entry as failed (cold cache, never a wrong
-                        // answer).
-                        Err(_) => {
-                            let _ = fs::remove_file(&path);
-                            report.failed += 1;
+                            // A failed write, like a failed publish, must
+                            // not abort the sweep: the old file is
+                            // unreachable under the new fingerprint anyway,
+                            // and later sweeps skip foreign fingerprints, so
+                            // leaving it behind would strand dead bytes on
+                            // disk forever. Drop it and count the entry as
+                            // failed (cold cache, never a wrong answer).
+                            Err(_) => {
+                                let _ = fs::remove_file(&path);
+                                report.failed += 1;
+                            }
                         }
                     }
                 }
             }
-        }
+            let mut tally = flusher.map_or_else(FlushTally::default, Flusher::join);
+            tally.add(inline);
+            tally
+        });
+        report.migrated += flushed.migrated;
+        report.failed += flushed.failed;
+        kgtosa_obs::counter("cache.migrations").add(flushed.migrated as u64);
+        kgtosa_obs::counter("cache.evictions").add(flushed.evicted);
         self.publish_bytes_gauge();
         Ok(report)
     }
@@ -429,6 +477,74 @@ impl ArtifactCache {
         }
         kgtosa_obs::gauge("cache.bytes").set(0);
         Ok(removed)
+    }
+}
+
+/// A `Migrate` of [`ArtifactCache::sweep_fingerprint`] waiting on the
+/// disk: its new artifact, staged, and the file it replaces.
+struct Migration {
+    staged: StagedFrame,
+    old: PathBuf,
+}
+
+/// What publishing migrations did, tallied where they ran.
+#[derive(Debug, Default)]
+struct FlushTally {
+    migrated: usize,
+    failed: usize,
+    evicted: u64,
+}
+
+impl FlushTally {
+    fn add(&mut self, other: FlushTally) {
+        self.migrated += other.migrated;
+        self.failed += other.failed;
+        self.evicted += other.evicted;
+    }
+}
+
+/// Staged migrations the sweep may queue ahead of its flusher. Each holds
+/// an open temp file, so the bound caps the sweep's file handles and temp
+/// files however far a run of cheap migrations outpaces the disk.
+const QUEUED_MIGRATIONS: usize = 4;
+
+/// The sweep's flusher: one scoped thread publishing migrations in the
+/// order they are sent. It only waits on the disk, so it is no part of the
+/// `kgtosa-par` pool's compute parallelism.
+struct Flusher<'scope> {
+    /// `None` when the thread could not be started.
+    thread: Option<(mpsc::SyncSender<Migration>, ScopedJoinHandle<'scope, FlushTally>)>,
+}
+
+impl<'scope> Flusher<'scope> {
+    fn spawn<'env>(scope: &'scope Scope<'scope, 'env>, cache: &'env ArtifactCache) -> Self {
+        let (jobs, queue) = mpsc::sync_channel::<Migration>(QUEUED_MIGRATIONS);
+        let thread = std::thread::Builder::new()
+            .name("kgtosa-cache-flush".into())
+            .spawn_scoped(scope, move || {
+                let mut tally = FlushTally::default();
+                for m in queue {
+                    cache.publish_migration(m, &mut tally);
+                }
+                tally
+            });
+        Flusher { thread: thread.ok().map(|handle| (jobs, handle)) }
+    }
+
+    /// Queues `m` (waiting while the queue is full), or hands it back when
+    /// there is no thread to take it.
+    fn send(&self, m: Migration) -> Result<(), Migration> {
+        match &self.thread {
+            Some((jobs, _)) => jobs.send(m).map_err(|e| e.0),
+            None => Err(m),
+        }
+    }
+
+    /// Waits for every queued migration to be published.
+    fn join(self) -> FlushTally {
+        let Some((jobs, handle)) = self.thread else { return FlushTally::default() };
+        drop(jobs);
+        handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
     }
 }
 
@@ -786,6 +902,49 @@ mod tests {
         assert_eq!(cache.lookup(&clean_new).outcome, CacheOutcome::Hit);
         // The failed store cleaned up after itself.
         assert_no_tmp_files(&cache);
+    }
+
+    /// Many migrations through the flusher under a byte budget: when the
+    /// sweep returns, each is published (a hit with its payload), its old
+    /// file is gone, no temp file is left, and each was stored once. The
+    /// budget holds what the store held before the sweep, which a sweep
+    /// never grows, so nothing is evicted.
+    #[test]
+    fn sweep_publishes_every_migration_before_it_returns() {
+        let cache = ArtifactCache::open(tmpdir("sweep-many")).unwrap();
+        let keys: Vec<CacheKey> = (0..24).map(|i| key(&format!("nc:C{i:02}"))).collect();
+        let payload = |k: &CacheKey| format!("payload of {}", k.task).repeat(40).into_bytes();
+        for k in &keys {
+            cache.store(k, &payload(k)).unwrap();
+        }
+        let budget = cache.disk_stats().unwrap().bytes;
+        let cache = cache.with_budget(budget);
+        let stores_before = cache.stats().stores.load(Ordering::Relaxed);
+        // Every third entry is invalidated, the rest migrate.
+        let dropped = |task: &str| task[4..].parse::<usize>().unwrap() % 3 == 0;
+        let report = cache
+            .sweep_fingerprint(42, 43, |info, p| match info.task.as_deref() {
+                Some(task) if dropped(task) => SweepAction::Invalidate,
+                _ => SweepAction::Migrate(p),
+            })
+            .unwrap();
+        assert_eq!((report.scanned, report.migrated, report.invalidated), (24, 16, 8));
+        assert_eq!((report.failed, report.skipped), (0, 0));
+        assert_eq!(cache.stats().stores.load(Ordering::Relaxed) - stores_before, 16);
+        assert_eq!(cache.stats().evictions.load(Ordering::Relaxed), 0);
+        assert_no_tmp_files(&cache);
+        for k in &keys {
+            let migrated = CacheKey { kg_fingerprint: 43, ..k.clone() };
+            let hit = cache.lookup(&migrated);
+            if dropped(&k.task) {
+                assert_eq!(hit.outcome, CacheOutcome::Miss, "{}", k.task);
+            } else {
+                assert_eq!(hit.outcome, CacheOutcome::Hit, "{}", k.task);
+                assert_eq!(hit.payload.as_deref(), Some(&payload(k)[..]));
+            }
+            assert_eq!(cache.lookup(k).outcome, CacheOutcome::Miss, "old file of {}", k.task);
+        }
+        assert_eq!(cache.disk_stats().unwrap().entries, 16);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! The payload bytes a hit returns must be identical with and without a
 //! context entered (telemetry never touches data).
 
-use kgtosa_cache::{ArtifactCache, CacheKey, CacheOutcome};
+use kgtosa_cache::{ArtifactCache, CacheKey, CacheOutcome, SweepAction};
 use kgtosa_obs::TelemetryContext;
 
 fn key(tag: u64) -> CacheKey {
@@ -70,6 +70,58 @@ fn contexts_attribute_cache_lookups_separately() {
     // from scoped deltas instead of the shared gauge.
     let global = kgtosa_obs::gauge_f64("cache.hit_ratio").get();
     assert!((global - 4.0 / 7.0).abs() < 1e-12, "global ratio {global}");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A sweep publishes its migrations on a flusher thread, but counts them on
+/// the thread that called it: a context entered there sees every
+/// migration and invalidation the sweep made.
+#[test]
+fn a_sweep_counts_its_migrations_in_the_callers_context() {
+    let dir = std::env::temp_dir()
+        .join("kgtosa-cache-ctx-sweep")
+        .join(format!("{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let cache = ArtifactCache::open(&dir).unwrap();
+    let old_fp = 0xD00D_5000;
+    let keyed = |task: &str| CacheKey {
+        kg_fingerprint: old_fp,
+        task: task.into(),
+        ..key(0)
+    };
+    for task in ["nc:A", "nc:B", "nc:C", "nc:D"] {
+        cache.store(&keyed(task), task.as_bytes()).unwrap();
+    }
+
+    let ctx = TelemetryContext::new("sweep");
+    let report = {
+        let _s = ctx.enter();
+        cache
+            .sweep_fingerprint(old_fp, old_fp + 1, |info, payload| {
+                if info.task.as_deref() == Some("nc:D") {
+                    SweepAction::Invalidate
+                } else {
+                    SweepAction::Migrate(payload)
+                }
+            })
+            .unwrap()
+    };
+    assert_eq!(
+        (report.migrated, report.invalidated, report.failed),
+        (3, 1, 0)
+    );
+    assert_eq!(ctx.counter_delta("cache.migrations"), 3);
+    assert_eq!(ctx.counter_delta("cache.invalidations"), 1);
+    let migrated = CacheKey {
+        kg_fingerprint: old_fp + 1,
+        ..keyed("nc:B")
+    };
+    assert_eq!(
+        cache.lookup(&migrated).payload.as_deref(),
+        Some(&b"nc:B"[..])
+    );
 
     let _ = std::fs::remove_dir_all(&dir);
 }

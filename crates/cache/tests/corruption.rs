@@ -5,8 +5,9 @@
 //! the slot usable: the damaged file is quarantined (or removed when it
 //! merely looks stale), a re-extraction repopulates the slot, and the
 //! recovered subgraph is bit-identical to the original. Below the store's
-//! checksum, the payload codec's two readers — the borrowed
-//! [`ExtractionView`] a warm `/extract` answers from and the decoder that
+//! checksum, the payload codec's readers — the borrowed [`ExtractionView`]
+//! a warm `/extract` answers from, the same parse lifting the triples into
+//! parent ids that a repair reads a stale entry with, and the decoder that
 //! builds the subgraph — accept exactly the same damaged payloads.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -14,8 +15,8 @@ use std::sync::OnceLock;
 
 use kgtosa_cache::{ArtifactCache, CacheKey, CacheOutcome, SweepAction};
 use kgtosa_core::{
-    decode_extraction, extract_sparql_cached, sparql_cache_key, ExtractionTask, ExtractionView,
-    GraphPattern,
+    decode_extraction, extract_sparql_cached, parent_triples, sparql_cache_key, ExtractionTask,
+    ExtractionView, GraphPattern,
 };
 use kgtosa_kg::{fingerprint, fnv64, write_snapshot, KnowledgeGraph};
 use kgtosa_rdf::{FetchConfig, RdfStore};
@@ -114,15 +115,25 @@ fn assert_recovers(cache: &ArtifactCache, setup: &Setup) -> Result<(), TestCaseE
     Ok(())
 }
 
-/// The view accepts `payload` exactly when the decoder does, and then
-/// answers what the decoded subgraph holds.
+/// The view — parsed alone and parsed lifting its triples into the
+/// parent's ids, as a repair reads a stale entry — accepts `payload`
+/// exactly when the decoder does, and then answers what the decoded
+/// subgraph holds.
 fn assert_view_agrees(payload: &[u8], parent_nodes: usize) -> Result<(), TestCaseError> {
+    let parent = &setup().kg;
     let view = ExtractionView::parse(payload, parent_nodes);
+    let lifted = ExtractionView::parse_lifting(payload, parent_nodes, parent);
     let decoded = decode_extraction(payload, parent_nodes);
     prop_assert_eq!(view.is_ok(), decoded.is_ok());
-    if let (Ok(view), Ok(dec)) = (view, decoded) {
+    prop_assert_eq!(lifted.is_ok(), decoded.is_ok());
+    if let (Ok(view), Ok((lifted, triples)), Ok(dec)) = (view, lifted, decoded) {
         let kg = &dec.subgraph.kg;
         prop_assert_eq!(view.fingerprint(), fingerprint(kg));
+        prop_assert_eq!(lifted.fingerprint(), fingerprint(kg));
+        // A flip inside a relation term can name one the parent lacks.
+        if kg.relations().all(|(_, term)| parent.find_relation(term).is_some()) {
+            prop_assert_eq!(triples, Some(parent_triples(parent, &dec.subgraph)));
+        }
         prop_assert_eq!(
             (
                 view.snapshot().num_nodes(),
@@ -245,13 +256,16 @@ proptest! {
         assert_view_agrees(&payload, s.kg.num_nodes() + parent_delta)?;
     }
 
-    /// Every truncation of a payload is judged the same by both readers
-    /// (and, the snapshot being the payload's end, rejected by both).
+    /// Every truncation of a payload is judged the same by every reader
+    /// (and, the snapshot being the payload's end, rejected by all).
     #[test]
     fn view_and_decoder_agree_on_truncated_payloads(cut in 0usize..1 << 16) {
         let s = setup();
         let keep = cut % s.payload.len();
         prop_assert!(ExtractionView::parse(&s.payload[..keep], s.kg.num_nodes()).is_err());
+        prop_assert!(
+            ExtractionView::parse_lifting(&s.payload[..keep], s.kg.num_nodes(), &s.kg).is_err()
+        );
         assert_view_agrees(&s.payload[..keep], s.kg.num_nodes())?;
     }
 }

@@ -170,7 +170,9 @@ proptest! {
         let targets: Vec<Vid> = view.targets().map(|t| view.map_up(t)).collect();
         let decoded: Vec<Vid> = dec.targets.iter().map(|&t| dec.subgraph.map_up(t)).collect();
         prop_assert_eq!(targets, decoded);
-        prop_assert_eq!(view.parent_triples(&kg), Some(parent_triples(&kg, &dec.subgraph)));
+        let (lifted, triples) = ExtractionView::parse_lifting(&payload, kg.num_nodes(), &kg).unwrap();
+        prop_assert_eq!(lifted.fingerprint(), view.fingerprint());
+        prop_assert_eq!(triples, Some(parent_triples(&kg, &dec.subgraph)));
     }
 }
 

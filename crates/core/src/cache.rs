@@ -194,6 +194,71 @@ impl<'a> ExtractionView<'a> {
     /// Validates `bytes` as a payload extracted from a parent graph of
     /// `parent_nodes` vertices.
     pub fn parse(bytes: &'a [u8], parent_nodes: usize) -> io::Result<Self> {
+        Self::parse_with(bytes, parent_nodes, |_, _| ()).map(|(view, ())| view)
+    }
+
+    /// [`Self::parse`], lifting the subgraph's triples into `parent`'s id
+    /// space during the same validating walk of the snapshot — what
+    /// [`crate::parent_triples`] computes from a materialised subgraph,
+    /// ascending. Each relation term is resolved once; the triples are
+    /// `None` when one is not in `parent`. A payload [`Self::parse`]
+    /// rejects is an error here too, whatever its triples hold.
+    pub fn parse_lifting(
+        bytes: &'a [u8],
+        parent_nodes: usize,
+        parent: &KnowledgeGraph,
+    ) -> io::Result<(Self, Option<Vec<Triple>>)> {
+        /// Lifts each triple as the walk passes it. The walk bounds ids by
+        /// the snapshot's own counts, and `to_parent` is checked against
+        /// them only after it, so every `to_parent` read is bounded: a
+        /// short list marks the lift unresolved and the parse then fails.
+        struct Lift<'p, 'a> {
+            parent: &'p KnowledgeGraph,
+            to_parent: &'a [u8],
+            relations: Vec<Option<Rid>>,
+            triples: Vec<Triple>,
+            unresolved: bool,
+        }
+        impl Lift<'_, '_> {
+            fn up(&self, v: Vid) -> Option<Vid> {
+                let at = v.idx().checked_mul(4)?;
+                let id = self.to_parent.get(at..at.checked_add(4)?)?;
+                Some(Vid(u32::from_le_bytes(id.try_into().expect("4 bytes"))))
+            }
+        }
+        impl<'a> SnapshotVisitor<'a> for Lift<'_, 'a> {
+            fn relation(&mut self, term: &'a str) {
+                self.relations.push(self.parent.find_relation(term));
+            }
+            fn triple(&mut self, t: Triple) {
+                let p = self.relations.get(t.p.idx()).copied().flatten();
+                match (self.up(t.s), p, self.up(t.o)) {
+                    (Some(s), Some(p), Some(o)) => self.triples.push(Triple::new(s, p, o)),
+                    _ => self.unresolved = true,
+                }
+            }
+        }
+        let (view, mut lift) = Self::parse_with(bytes, parent_nodes, |to_parent, triples| Lift {
+            parent,
+            to_parent,
+            relations: Vec::new(),
+            triples: Vec::with_capacity(triples),
+            unresolved: false,
+        })?;
+        kgtosa_kg::sort_subject_runs(&mut lift.triples);
+        Ok((view, (!lift.unresolved).then_some(lift.triples)))
+    }
+
+    /// The one validating parse: the payload's fields, then one walk of its
+    /// snapshot, which hands the contents to the visitor `make_visitor`
+    /// builds from the `to_parent` bytes and a triple-count hint (the
+    /// quality row's count, capped by the bytes that could hold that many
+    /// triples).
+    fn parse_with<V: SnapshotVisitor<'a>>(
+        bytes: &'a [u8],
+        parent_nodes: usize,
+        make_visitor: impl FnOnce(&'a [u8], usize) -> V,
+    ) -> io::Result<(Self, V)> {
         let mut r = bytes;
         let method = read_payload_prefix(&mut r, parent_nodes)?;
         let targets = read_ids(&mut r)?;
@@ -208,7 +273,9 @@ impl<'a> ExtractionView<'a> {
             *f = f64::from_bits(read_u64(&mut r)?);
         }
         let [target_ratio_pct, target_disconnected_pct, avg_dist_to_target, avg_entropy] = ratios;
-        let snapshot = SnapshotView::parse(r)?;
+        // A triple takes at least three bytes of the snapshot.
+        let mut visitor = make_visitor(to_parent, num_triples.min(r.len() / 3));
+        let snapshot = SnapshotView::parse_with(r, &mut visitor)?;
         if snapshot.bytes().len() != r.len() {
             return Err(bad("bytes after the snapshot"));
         }
@@ -250,7 +317,7 @@ impl<'a> ExtractionView<'a> {
         if view.targets().any(|v| v.idx() >= snapshot.num_nodes()) {
             return Err(bad("target id out of subgraph range"));
         }
-        Ok(view)
+        Ok((view, visitor))
     }
 
     /// The extraction method the payload was published under.
@@ -295,45 +362,6 @@ impl<'a> ExtractionView<'a> {
         Vid(u32::from_le_bytes(
             self.to_parent[at..at + 4].try_into().expect("4 bytes"),
         ))
-    }
-
-    /// The subgraph's triples in `parent`'s id space, ascending — what
-    /// [`crate::parent_triples`] computes from a materialised subgraph.
-    /// Each relation term is resolved once; `None` when one is not in
-    /// `parent`.
-    pub fn parent_triples(&self, parent: &KnowledgeGraph) -> Option<Vec<Triple>> {
-        struct Lift<'v, 'a> {
-            view: &'v ExtractionView<'a>,
-            parent: &'v KnowledgeGraph,
-            relations: Vec<Option<Rid>>,
-            triples: Vec<Triple>,
-            unresolved: bool,
-        }
-        impl<'a> SnapshotVisitor<'a> for Lift<'_, 'a> {
-            fn relation(&mut self, term: &'a str) {
-                self.relations.push(self.parent.find_relation(term));
-            }
-            fn triple(&mut self, t: Triple) {
-                match self.relations[t.p.idx()] {
-                    Some(p) => self.triples.push(Triple::new(
-                        self.view.map_up(t.s),
-                        p,
-                        self.view.map_up(t.o),
-                    )),
-                    None => self.unresolved = true,
-                }
-            }
-        }
-        let mut lift = Lift {
-            view: self,
-            parent,
-            relations: Vec::with_capacity(self.snapshot.num_relations()),
-            triples: Vec::with_capacity(self.snapshot.num_triples()),
-            unresolved: false,
-        };
-        self.snapshot.visit(&mut lift);
-        kgtosa_kg::sort_subject_runs(&mut lift.triples);
-        (!lift.unresolved).then_some(lift.triples)
     }
 
     /// Decodes the payload into owned structures, the subgraph built as a
@@ -602,14 +630,85 @@ mod tests {
         for v in 0..res.subgraph.kg.num_nodes() as u32 {
             assert_eq!(view.map_up(Vid(v)), res.subgraph.map_up(Vid(v)));
         }
-        assert_eq!(
-            view.parent_triples(&kg),
-            Some(crate::parent_triples(&kg, &view.materialise().subgraph))
-        );
+        let (lifted, triples) = ExtractionView::parse_lifting(&payload, kg.num_nodes(), &kg).unwrap();
+        assert_eq!(lifted.fingerprint(), view.fingerprint());
+        assert_eq!(triples, Some(crate::parent_triples(&kg, &view.materialise().subgraph)));
         // A relation the parent does not know cannot be lifted.
         let mut other = KnowledgeGraph::new();
         other.add_relation("writes");
-        assert_eq!(view.parent_triples(&other), None);
+        let (_, triples) = ExtractionView::parse_lifting(&payload, kg.num_nodes(), &other).unwrap();
+        assert_eq!(triples, None);
+    }
+
+    /// `payload` as a store hit serves it: through the artifact frame's
+    /// checksum, so only the payload codec can refuse it.
+    fn served(name: &str, payload: &[u8]) -> Vec<u8> {
+        let cache = ArtifactCache::open(tmpdir(name)).unwrap();
+        let key = CacheKey {
+            kg_fingerprint: 1,
+            pattern: "d1h1".into(),
+            task: "nc:Paper".into(),
+            extractor: "sparql".into(),
+            params: 2,
+        };
+        cache.store(&key, payload).unwrap();
+        let hit = cache.lookup(&key);
+        assert_eq!(hit.outcome, CacheOutcome::Hit);
+        hit.payload.unwrap().to_vec()
+    }
+
+    /// A checksum-valid payload whose `to_parent` list is one id short: the
+    /// walk meets triples of the vertex with no parent id before the length
+    /// check runs, and the lifting parse answers an error, not a panic.
+    #[test]
+    fn lifting_parse_rejects_a_short_to_parent() {
+        let (kg, task) = academic();
+        let store = RdfStore::new(&kg);
+        let res =
+            extract_sparql(&store, &task, &GraphPattern::D2H1, &FetchConfig::default()).unwrap();
+        let q = kgtosa_kg::quality(&res.subgraph.kg, &res.targets);
+        let mut short = res.subgraph.clone();
+        let last = Vid(short.to_parent.len() as u32 - 1);
+        assert!(
+            short.kg.triples().iter().any(|t| t.s == last || t.o == last),
+            "precondition: the vertex losing its parent id is in a triple"
+        );
+        short.to_parent.pop();
+        let payload = served(
+            "short-to-parent",
+            &encode_extraction_parts(&res.report.method, &short, &res.targets, kg.num_nodes(), &q),
+        );
+        assert!(ExtractionView::parse(&payload, kg.num_nodes()).is_err());
+        assert!(ExtractionView::parse_lifting(&payload, kg.num_nodes(), &kg).is_err());
+    }
+
+    /// A checksum-valid payload one of whose relation terms the parent does
+    /// not hold: it parses, and its triples cannot be lifted.
+    #[test]
+    fn lifting_parse_leaves_an_absent_relation_unlifted() {
+        let (kg, task) = academic();
+        let store = RdfStore::new(&kg);
+        let res =
+            extract_sparql(&store, &task, &GraphPattern::D2H1, &FetchConfig::default()).unwrap();
+        let q = kgtosa_kg::quality(&res.subgraph.kg, &res.targets);
+        // The same subgraph, ids and all, with every relation renamed.
+        let sub = &res.subgraph.kg;
+        let mut renamed = KnowledgeGraph::new();
+        for v in 0..sub.num_nodes() as u32 {
+            renamed.add_node(sub.node_term(Vid(v)), sub.class_term(sub.class_of(Vid(v))));
+        }
+        for (_, term) in sub.relations() {
+            renamed.add_relation(&format!("{term}-absent"));
+        }
+        renamed.extend_triples(sub.triples().iter().copied());
+        let renamed = InducedSubgraph { kg: renamed, ..res.subgraph.clone() };
+        let payload = served(
+            "absent-relation",
+            &encode_extraction_parts(&res.report.method, &renamed, &res.targets, kg.num_nodes(), &q),
+        );
+        let (view, triples) = ExtractionView::parse_lifting(&payload, kg.num_nodes(), &kg).unwrap();
+        assert_eq!(view.snapshot().num_triples(), res.subgraph.kg.num_triples());
+        assert_eq!(triples, None);
     }
 
     #[test]

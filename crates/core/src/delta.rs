@@ -14,6 +14,8 @@
 //!   either endpoint class (`d2`) falls inside that reach set;
 //! * the schema graph is taken over the updated KG **plus** the removed
 //!   triples, so reachability over-approximates both the old and new graphs.
+//!   A server keeps the updated KG's side of it as [`ClassPairCounts`],
+//!   moved by each delta, so building the oracle never walks the KG.
 //!
 //! Entries whose task/pattern cannot be parsed — and all link-prediction
 //! entries, whose connecting branch is predicate- rather than class-scoped —
@@ -49,12 +51,80 @@ pub struct StalenessOracle {
     newly_shadowed: FxHashSet<usize>,
 }
 
+/// How many triples of a KG join each (subject class, object class) pair:
+/// the schema graph the [`StalenessOracle`] reasons over, kept per epoch
+/// and moved by each delta's triples, so an update builds its oracle in
+/// O(|delta| + |class pairs|) instead of walking every triple.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ClassPairCounts {
+    counts: FxHashMap<(usize, usize), u64>,
+}
+
+impl ClassPairCounts {
+    /// Counts every triple of `kg`.
+    pub fn of(kg: &KnowledgeGraph) -> Self {
+        let mut pairs = Self::default();
+        for t in kg.triples() {
+            *pairs.counts.entry(class_pair(kg, t)).or_default() += 1;
+        }
+        pairs
+    }
+
+    /// Moves the counts of the KG a delta was applied to onto the KG it
+    /// produced: `kg` is the **updated** KG (node classes are immutable, so
+    /// it classifies the removed triples exactly) and `added`/`removed` the
+    /// delta's resolved triples ([`kgtosa_kg::DeltaApplication`] fields).
+    ///
+    /// A triple one delta both adds and removes is in both lists, whichever
+    /// op came first, so the additions are counted before the removals:
+    /// that order never takes a count below zero.
+    pub fn apply(&mut self, kg: &KnowledgeGraph, added: &[Triple], removed: &[Triple]) {
+        for t in added {
+            *self.counts.entry(class_pair(kg, t)).or_default() += 1;
+        }
+        for t in removed {
+            let pair = class_pair(kg, t);
+            let count = self.counts.get_mut(&pair);
+            debug_assert!(count.is_some(), "a removed triple was counted");
+            if let Some(count) = count {
+                *count -= 1;
+                if *count == 0 {
+                    self.counts.remove(&pair);
+                }
+            }
+        }
+    }
+
+    /// The pairs at least one triple joins.
+    fn pairs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.counts.keys().copied()
+    }
+}
+
+fn class_pair(kg: &KnowledgeGraph, t: &Triple) -> (usize, usize) {
+    (kg.class_of(t.s).idx(), kg.class_of(t.o).idx())
+}
+
 impl StalenessOracle {
     /// Builds the oracle from the **updated** KG and the delta's resolved
     /// triples ([`kgtosa_kg::DeltaApplication`] fields). `new_nodes` are the
-    /// vertices the delta interned.
+    /// vertices the delta interned. Counts the KG's class pairs, then
+    /// builds as [`Self::from_class_pairs`].
     pub fn new(
         kg: &KnowledgeGraph,
+        added: &[Triple],
+        removed: &[Triple],
+        new_nodes: &[Vid],
+    ) -> Self {
+        Self::from_class_pairs(kg, &ClassPairCounts::of(kg), added, removed, new_nodes)
+    }
+
+    /// [`Self::new`] with `pairs`, the class-pair counts of the **updated**
+    /// KG, supplied by the caller: a server keeps them per epoch
+    /// ([`ClassPairCounts::apply`]), so nothing here walks the KG.
+    pub fn from_class_pairs(
+        kg: &KnowledgeGraph,
+        pairs: &ClassPairCounts,
         added: &[Triple],
         removed: &[Triple],
         new_nodes: &[Vid],
@@ -62,17 +132,15 @@ impl StalenessOracle {
         let n = kg.num_classes();
         let mut schema_out = vec![FxHashSet::default(); n];
         let mut schema_in = vec![FxHashSet::default(); n];
+        // The updated KG's pairs plus the removed triples' (classified
+        // through the updated KG, which is exact: node classes are
+        // immutable) — the old KG's pairs plus the added triples'.
+        for (cs, co) in pairs
+            .pairs()
+            .chain(removed.iter().map(|t| class_pair(kg, t)))
         {
-            let mut edge = |t: &Triple| {
-                let cs = kg.class_of(t.s).idx();
-                let co = kg.class_of(t.o).idx();
-                schema_out[cs].insert(co);
-                schema_in[co].insert(cs);
-            };
-            // Node classes are immutable, so classifying removed (old-graph)
-            // triples through the updated KG is exact.
-            kg.triples().iter().for_each(&mut edge);
-            removed.iter().for_each(&mut edge);
+            schema_out[cs].insert(co);
+            schema_in[co].insert(cs);
         }
         let mut delta_subject_classes = FxHashSet::default();
         let mut delta_object_classes = FxHashSet::default();
@@ -254,6 +322,72 @@ mod tests {
             p: "hasGenre".into(),
             o: "g1".into(),
             o_class: "Genre".into(),
+        }
+    }
+
+    /// Counts moved by a delta equal a recount of the graph it produced,
+    /// also when one delta adds and removes the same triple, in either
+    /// order; and the oracle built from them is the one `new` builds.
+    #[test]
+    fn class_pair_counts_follow_deltas_that_add_and_remove_one_triple() {
+        let kg = fixture();
+        let t = kg.triples()[1]; // p1 -cites-> p2
+        let remove = DeltaOp::Remove {
+            s: kg.node_term(t.s).into(),
+            p: kg.relation_term(t.p).into(),
+            o: kg.node_term(t.o).into(),
+        };
+        let readd = add_op("p1", "Paper", "cites", "p2", "Paper");
+        let new_then_gone = [
+            add_op("m9", "Movie", "cites", "p1", "Paper"),
+            DeltaOp::Remove {
+                s: "m9".into(),
+                p: "cites".into(),
+                o: "p1".into(),
+            },
+        ];
+        for ops in [
+            vec![remove.clone(), readd],
+            new_then_gone.to_vec(),
+            vec![remove, movie_add()],
+        ] {
+            let delta = KgDelta {
+                base_fingerprint: fingerprint(&kg),
+                ops,
+            };
+            let app = apply_delta(&kg, fingerprint(&kg), MultisetFingerprint::of(&kg), &delta)
+                .expect("delta applies");
+            let mut pairs = ClassPairCounts::of(&kg);
+            pairs.apply(&app.kg, &app.added, &app.removed);
+            assert_eq!(pairs, ClassPairCounts::of(&app.kg));
+            let counted = StalenessOracle::from_class_pairs(
+                &app.kg,
+                &pairs,
+                &app.added,
+                &app.removed,
+                &app.new_nodes,
+            );
+            let walked = StalenessOracle::new(&app.kg, &app.added, &app.removed, &app.new_nodes);
+            for p in &GraphPattern::VARIANTS {
+                for class in ["nc:Paper", "nc:Venue", "nc:Author", "nc:Movie", "nc:Genre"] {
+                    assert_eq!(
+                        counted.entry_is_stale(&p.label(), class),
+                        walked.entry_is_stale(&p.label(), class),
+                        "{} {class}",
+                        p.label()
+                    );
+                }
+            }
+        }
+    }
+
+    fn add_op(s: &str, s_class: &str, p: &str, o: &str, o_class: &str) -> DeltaOp {
+        DeltaOp::Add {
+            s: s.into(),
+            s_class: s_class.into(),
+            p: p.into(),
+            o: o.into(),
+            o_class: o_class.into(),
         }
     }
 

@@ -50,7 +50,7 @@ pub use cache::{
     extract_sparql_cached, extract_sparql_cached_with_fingerprint, load_cached, migrate_payload,
     sparql_cache_key, task_label, task_params, DecodedExtraction, ExtractionView,
 };
-pub use delta::{sweep_cache_after_delta, DeltaSweepOutcome, StalenessOracle};
+pub use delta::{sweep_cache_after_delta, ClassPairCounts, DeltaSweepOutcome, StalenessOracle};
 pub use extract::{
     extract_brw, extract_ibs, extract_sparql, extract_urw, ExtractionReport, ExtractionResult,
 };

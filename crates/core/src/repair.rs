@@ -187,7 +187,7 @@ fn branch_emits(store: &RdfStore<'_>, class: Cid, seq: &[Step], t: Triple) -> bo
 ///   until ROADMAP item 14(b) moves them to a signature without it.
 /// * `old_parent_triples` — the previous extraction's triples lifted into
 ///   parent id space (see [`parent_triples`]); ids are stable across deltas.
-///   Strictly ascending input (what [`ExtractionView::parent_triples`]
+///   Strictly ascending input (what [`ExtractionView::parse_lifting`]
 ///   returns) is spliced as it is; anything else is sorted first.
 /// * `added`/`removed` — the delta's ops resolved to parent-space triples
 ///   ([`kgtosa_kg::DeltaApplication::added`] / `removed`).
@@ -346,8 +346,10 @@ fn repair(
 /// survive extraction, in task order), and the `params` hash must
 /// round-trip so the republished payload answers exactly the key it is
 /// stored under. The old targets and parent-space triples are read
-/// straight from the payload's [`ExtractionView`]; no subgraph graph is
-/// built. A partial result (`completeness < 1`) is never published.
+/// straight from the payload by [`ExtractionView::parse_lifting`], whose
+/// one validating walk lifts the triples as it checks them; no subgraph
+/// graph is built. A partial result (`completeness < 1`) is never
+/// published.
 #[allow(clippy::too_many_arguments)]
 pub fn repair_entry(
     store: &RdfStore<'_>,
@@ -364,13 +366,14 @@ pub fn repair_entry(
     }
     let pattern = GraphPattern::from_label(info.pattern.as_deref()?)?;
     let class = info.task.as_deref()?.strip_prefix("nc:")?;
-    let old = ExtractionView::parse(payload, old_parent_nodes).ok()?;
+    let (old, old_triples) =
+        ExtractionView::parse_lifting(payload, old_parent_nodes, store.kg()).ok()?;
     let targets: Vec<Vid> = old.targets().map(|t| old.map_up(t)).collect();
     let task = ExtractionTask::node_classification(class, class, targets);
     if info.params != Some(task_params(&task)) {
         return None;
     }
-    let old_triples = old.parent_triples(store.kg())?;
+    let old_triples = old_triples?;
     let (res, report) =
         repair(store, &task, &pattern, &old_triples, added, removed, fetch, cfg).ok()?;
     if res.report.completeness < 1.0 {

@@ -15,7 +15,10 @@
 //! 3. **The oracle never lies fresh.** Any (pattern, class) entry the
 //!    [`StalenessOracle`] declares untouched, migrated with
 //!    [`migrate_payload`], is byte-for-byte the payload a fresh extraction
-//!    on the new KG publishes — migrating its cache entry is sound.
+//!    on the new KG publishes — migrating its cache entry is sound. The
+//!    oracle a server builds from its maintained [`ClassPairCounts`]
+//!    answers every entry exactly as one built by walking the KG, and the
+//!    counts equal a recount.
 
 use std::io::Cursor;
 
@@ -24,8 +27,8 @@ use proptest::prelude::*;
 use kgtosa_cache::{EntryInfo, FORMAT_VERSION};
 use kgtosa_core::{
     encode_extraction, extract_sparql, migrate_payload, parent_triples, repair_entry,
-    repair_extraction, task_label, task_params, ExtractionResult, ExtractionTask, GraphPattern,
-    RepairConfig, StalenessOracle,
+    repair_extraction, task_label, task_params, ClassPairCounts, ExtractionResult,
+    ExtractionTask, GraphPattern, RepairConfig, StalenessOracle,
 };
 use kgtosa_kg::{
     apply_delta, fingerprint, read_snapshot, write_snapshot, DeltaOp, HeteroGraph, KgDelta,
@@ -204,6 +207,7 @@ proptest! {
         let mut twin = read_snapshot(Cursor::new(snapshot_bytes(&base))).expect("own snapshot reads");
         let mut kg = base;
         let mut multiset = MultisetFingerprint::of(&kg);
+        let mut class_pairs = ClassPairCounts::of(&kg);
         let mut fresh = 0usize;
 
         for specs in &stream {
@@ -284,6 +288,26 @@ proptest! {
             // (3) entries the oracle leaves fresh really are unchanged: the
             // migrated payload is the one a fresh extraction publishes.
             let oracle = StalenessOracle::new(&app.kg, &app.added, &app.removed, &app.new_nodes);
+            // The oracle the daemon builds, from counts moved by the delta.
+            class_pairs.apply(&app.kg, &app.added, &app.removed);
+            prop_assert_eq!(&class_pairs, &ClassPairCounts::of(&app.kg));
+            let counted = StalenessOracle::from_class_pairs(
+                &app.kg,
+                &class_pairs,
+                &app.added,
+                &app.removed,
+                &app.new_nodes,
+            );
+            let labels: Vec<String> = GraphPattern::VARIANTS.iter().map(|p| p.label()).collect();
+            for pattern in labels.iter().map(String::as_str).chain(["d9h9", ""]) {
+                for task in ["nc:A", "nc:B", "nc:C", "nc:Z", "lp:r0:A+B", ""] {
+                    prop_assert_eq!(
+                        counted.entry_is_stale(pattern, task),
+                        oracle.entry_is_stale(pattern, task),
+                        "{} / {}", pattern, task
+                    );
+                }
+            }
             for (p, class, old_payload) in old_payloads {
                 if oracle.entry_is_stale(&p.label(), &format!("nc:{class}")) {
                     continue;

@@ -2,7 +2,11 @@
 //!
 //! The artifact cache (`kgtosa-cache`) and the trainers' checkpoints
 //! (`kgtosa-models`) write their bodies through [`write_framed`] and read
-//! them back through [`read_framed`]. Layout (little-endian):
+//! them back through [`read_framed`]. A writer that has other work to do
+//! while the disk syncs (the cache's delta sweep) takes the two steps of
+//! [`write_framed`] apart: [`stage_framed`] writes the temp file, and
+//! [`StagedFrame::publish`] syncs it and renames it into place. Layout
+//! (little-endian):
 //!
 //! ```text
 //! magic [u8; 8] | version u32 | body_len u64 | body | xxh64(magic … body) u64
@@ -23,7 +27,7 @@
 
 use std::fs;
 use std::io::{self, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Bytes before the body: magic, version, body length.
@@ -31,14 +35,23 @@ const HEADER: usize = 8 + 4 + 8;
 /// Bytes after the body: the checksum.
 const TRAILER: usize = 8;
 
-/// Atomically replaces `path` with a frame holding `body`.
-///
-/// Every call writes its own temp file next to `path`
-/// (`<stem>.<pid>-<n>.<ext>.tmp`), so writers of one path never share a
-/// half-written file. The temp file is synced before the rename publishes
-/// it — a reader sees the old frame or the new one, never a torn one — and
-/// removed if any step fails.
+/// Atomically replaces `path` with a frame holding `body`: [`stage_framed`]
+/// and [`StagedFrame::publish`], one after the other.
 pub fn write_framed(path: &Path, magic: &[u8; 8], version: u32, body: &[u8]) -> io::Result<()> {
+    stage_framed(path, magic, version, body)?.publish()
+}
+
+/// Writes a frame holding `body` to a temp file of its own next to `path`
+/// (`<stem>.<pid>-<n>.<ext>.tmp`), so writers of one path never share a
+/// half-written file. Nothing is published until [`StagedFrame::publish`];
+/// the temp file is removed if a write fails, and whenever the staged frame
+/// is dropped unpublished.
+pub fn stage_framed(
+    path: &Path,
+    magic: &[u8; 8],
+    version: u32,
+    body: &[u8],
+) -> io::Result<StagedFrame> {
     static SEQ: AtomicU64 = AtomicU64::new(0);
     let seq = SEQ.fetch_add(1, Ordering::Relaxed);
     let ext = path.extension().unwrap_or_default().to_string_lossy();
@@ -50,17 +63,48 @@ pub fn write_framed(path: &Path, magic: &[u8; 8], version: u32, body: &[u8]) -> 
     let mut sum = Xxh64::new();
     sum.update(&header);
     sum.update(body);
-    let publish = || -> io::Result<()> {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(&header)?;
-        f.write_all(body)?;
-        f.write_all(&sum.finish().to_le_bytes())?;
-        f.sync_all()?;
-        fs::rename(&tmp, path)
-    };
-    publish().inspect_err(|_| {
-        let _ = fs::remove_file(&tmp);
-    })
+    let file = fs::File::create(&tmp)?;
+    let staged = StagedFrame { file, tmp, path: path.to_owned(), published: false };
+    let mut f = &staged.file;
+    f.write_all(&header)?;
+    f.write_all(body)?;
+    f.write_all(&sum.finish().to_le_bytes())?;
+    Ok(staged)
+}
+
+/// A frame written to its temp file by [`stage_framed`] and not yet
+/// published.
+#[derive(Debug)]
+pub struct StagedFrame {
+    file: fs::File,
+    tmp: PathBuf,
+    path: PathBuf,
+    published: bool,
+}
+
+impl StagedFrame {
+    /// The path [`Self::publish`] replaces.
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
+
+    /// Syncs the temp file, then renames it over the path: a reader sees
+    /// the old frame or the new one, never a torn one. On an error the temp
+    /// file is removed and the path left as it was.
+    pub fn publish(mut self) -> io::Result<()> {
+        self.file.sync_all()?;
+        fs::rename(&self.tmp, &self.path)?;
+        self.published = true;
+        Ok(())
+    }
+}
+
+impl Drop for StagedFrame {
+    fn drop(&mut self) {
+        if !self.published {
+            let _ = fs::remove_file(&self.tmp);
+        }
+    }
 }
 
 /// Checks a frame written by [`write_framed`] with `magic` and returns its
@@ -230,6 +274,36 @@ mod tests {
             assert_eq!(read_framed(&bytes, MAGIC).unwrap(), (version, body));
             assert!(read_framed(&bytes, b"KGTOSAX1").is_err(), "another container's magic");
         }
+    }
+
+    /// A staged frame is only a temp file: the path keeps its old frame
+    /// until the publish, which leaves exactly what `write_framed` would.
+    /// A staged frame dropped unpublished, or one whose rename fails,
+    /// leaves no temp file behind.
+    #[test]
+    fn a_staged_frame_is_invisible_until_published() {
+        let dir = temp_dir("staged");
+        let path = dir.join("entry.kgc");
+        write_framed(&path, MAGIC, 1, b"old body").unwrap();
+        let staged = stage_framed(&path, MAGIC, 2, b"new body").unwrap();
+        assert_eq!(staged.path(), path);
+        assert!(!no_temp_files(&dir), "the staged frame is on disk");
+        assert_eq!(read_framed(&fs::read(&path).unwrap(), MAGIC).unwrap(), (1, &b"old body"[..]));
+        staged.publish().unwrap();
+        assert!(no_temp_files(&dir));
+        let published = fs::read(&path).unwrap();
+        assert_eq!(published, framed("staged-ref", 2, b"new body"));
+
+        drop(stage_framed(&path, MAGIC, 3, b"dropped body").unwrap());
+        assert!(no_temp_files(&dir), "an unpublished frame leaves no temp file");
+        assert_eq!(fs::read(&path).unwrap(), published);
+
+        let squatted = dir.join("squatted.kgc");
+        fs::create_dir(&squatted).unwrap();
+        let staged = stage_framed(&squatted, MAGIC, 1, b"body").unwrap();
+        assert!(staged.publish().is_err(), "a directory cannot be renamed over");
+        assert!(no_temp_files(&dir), "a failed publish removes its temp file");
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     /// Magic, version, length, body and checksum: no flipped bit, no

@@ -50,7 +50,7 @@ pub use graph::{Csr, HeteroGraph, RelAdj};
 pub use ids::{Cid, Rid, Vid};
 pub use metapath::{count_instances, schema_metapaths, Metapath, MetapathStep, SchemaMetapath};
 pub use fingerprint::{fingerprint, fnv64, Fnv64, HashingWriter};
-pub use frame::{read_framed, write_framed};
+pub use frame::{read_framed, stage_framed, write_framed, StagedFrame};
 pub use snapshot::{
     read_snapshot, write_snapshot, write_snapshot_fingerprinted, SnapshotView, SnapshotVisitor,
 };

@@ -141,7 +141,14 @@ impl<'a> SnapshotView<'a> {
     /// snapshot are not part of the view ([`Self::bytes`] ends where the
     /// snapshot does).
     pub fn parse(bytes: &'a [u8]) -> io::Result<Self> {
-        walk(bytes, &mut (), true)
+        Self::parse_with(bytes, &mut ())
+    }
+
+    /// [`Self::parse`], handing the contents to `visitor` as the validating
+    /// walk passes them, so a caller that needs them reads the bytes once.
+    /// On an error the visitor has seen a prefix of the contents.
+    pub fn parse_with(bytes: &'a [u8], visitor: &mut impl SnapshotVisitor<'a>) -> io::Result<Self> {
+        walk(bytes, visitor, true)
     }
 
     /// Exactly the snapshot's bytes.

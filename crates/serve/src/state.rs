@@ -5,8 +5,8 @@
 //! ## Epochs
 //!
 //! Everything derived from the KG's *contents* — the RDF store, the
-//! adjacency views, the canonical and multiset fingerprints, and the
-//! SPARQL page cache — lives in one immutable [`KgEpoch`]
+//! adjacency views, the canonical and multiset fingerprints, the class-pair
+//! counts, and the SPARQL page cache — lives in one immutable [`KgEpoch`]
 //! behind an `RwLock<Arc<..>>`. The store is the epoch's one index on the
 //! update path: extraction and cache repair read it. The adjacency views
 //! exist only for `/infer`'s forward pass, so an epoch builds them the
@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
 use std::sync::{Arc, LazyLock, Mutex, PoisonError, RwLock};
 
 use kgtosa_cache::ArtifactCache;
-use kgtosa_core::transform;
+use kgtosa_core::{transform, ClassPairCounts};
 use kgtosa_datagen::NcTask;
 use kgtosa_kg::{HeteroGraph, KnowledgeGraph, MultisetFingerprint};
 use kgtosa_models::{
@@ -58,6 +58,9 @@ pub struct KgEpoch {
     /// invariant `MultisetFingerprint::of(kg) == multiset` is what the
     /// delta test harness checks.
     pub multiset: MultisetFingerprint,
+    /// Incrementally maintained class-pair counts of `kg`, from which an
+    /// update builds its staleness oracle without walking the graph.
+    pub class_pairs: ClassPairCounts,
     /// SPARQL page cache, fresh per epoch.
     pub page_cache: PageCache,
     /// 0 for the startup epoch, +1 per applied delta.
@@ -65,13 +68,14 @@ pub struct KgEpoch {
 }
 
 impl KgEpoch {
-    /// Builds the derived state for a graph. `fingerprint`/`multiset`
-    /// are passed in because the update path maintains them
-    /// incrementally; the startup path computes them from scratch.
+    /// Builds the derived state for a graph. `fingerprint`, `multiset`
+    /// and `class_pairs` are passed in because the update path maintains
+    /// them incrementally; the startup path computes them from scratch.
     pub fn build(
         kg: Arc<KnowledgeGraph>,
         fingerprint: u64,
         multiset: MultisetFingerprint,
+        class_pairs: ClassPairCounts,
         version: u64,
     ) -> Self {
         let store = RdfStore::shared(kg.clone());
@@ -82,6 +86,7 @@ impl KgEpoch {
             graph: LazyLock::new(Box::new(move || transform(&graph_kg).0)),
             fingerprint,
             multiset,
+            class_pairs,
             page_cache: PageCache::new(),
             version,
         }
@@ -129,7 +134,8 @@ impl ServeState {
         let kg = Arc::new(d.gen.kg);
         let fingerprint = kgtosa_kg::fingerprint(&kg);
         let multiset = MultisetFingerprint::of(&kg);
-        let epoch = KgEpoch::build(kg, fingerprint, multiset, 0);
+        let class_pairs = ClassPairCounts::of(&kg);
+        let epoch = KgEpoch::build(kg, fingerprint, multiset, class_pairs, 0);
         let registry = match &cfg.checkpoint_dir {
             Some(dir) => CheckpointRegistry::scan(dir)
                 .map_err(|e| format!("cannot scan checkpoint dir {}: {e}", dir.display()))?,

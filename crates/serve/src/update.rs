@@ -8,16 +8,22 @@
 //! 2. [`kgtosa_kg::apply_delta`] — all-or-nothing; any rejected op leaves
 //!    the daemon serving the old epoch and answers `400`;
 //! 3. build the next [`KgEpoch`] (fresh store and page cache,
-//!    incrementally maintained multiset fingerprint; its adjacency is left
-//!    to the first `/infer` that needs it) and **swap it in before
-//!    sweeping the cache**, so the staleness window — requests that pay a
-//!    cache miss because their entry has not been migrated yet — is
-//!    bounded by the sweep, not by the epoch build;
-//! 4. sweep the artifact cache: entries the [`StalenessOracle`] proves
-//!    untouched are migrated to the new fingerprint; stale entries are
-//!    incrementally repaired against the new store
-//!    ([`kgtosa_core::repair_entry`]) and republished, or invalidated when
-//!    repair is disabled or inapplicable.
+//!    incrementally maintained multiset fingerprint and class-pair counts;
+//!    its adjacency is left to the first `/infer` that needs it) and **swap
+//!    it in before sweeping the cache**, so the staleness window — requests
+//!    that pay a cache miss because their entry has not been migrated yet —
+//!    is bounded by the sweep, not by the epoch build;
+//! 4. build the [`StalenessOracle`] from the new epoch's class-pair counts
+//!    and the delta (no walk of the KG), and sweep the artifact cache:
+//!    entries the oracle proves untouched are migrated to the new
+//!    fingerprint; stale entries are incrementally repaired against the new
+//!    store ([`kgtosa_core::repair_entry`], which lifts the old triples in
+//!    the payload's one validating walk) and republished, or invalidated
+//!    when repair is disabled or inapplicable. Each republished file is
+//!    written on this thread and synced and renamed by the sweep's flusher
+//!    thread while the next entry is repaired; the sweep joins the flusher
+//!    before the reply, so every migrated or repaired entry is on disk and
+//!    visible by then.
 //!
 //! Everything is counted: `delta.applied`, `delta.ops`,
 //! `delta.migrations`, `delta.invalidations`, `delta.repairs`,
@@ -134,10 +140,13 @@ pub fn admin_update(state: &ServeState, req: &HttpRequest) -> HttpResponse {
         new_nodes,
     } = app;
     let fingerprint = kgtosa_kg::fingerprint(&kg);
+    let mut class_pairs = old.class_pairs.clone();
+    class_pairs.apply(&kg, &added, &removed);
     let epoch = Arc::new(KgEpoch::build(
         Arc::new(kg),
         fingerprint,
         multiset,
+        class_pairs,
         old.version + 1,
     ));
     // Swap *before* sweeping: the daemon serves the new graph immediately;
@@ -152,7 +161,13 @@ pub fn admin_update(state: &ServeState, req: &HttpRequest) -> HttpResponse {
     let mut outcome = DeltaSweepOutcome::default();
     let mut rebuilds = 0u64;
     if let Some(cache) = &state.cache {
-        let oracle = StalenessOracle::new(&epoch.kg, &added, &removed, &new_nodes);
+        let oracle = StalenessOracle::from_class_pairs(
+            &epoch.kg,
+            &epoch.class_pairs,
+            &added,
+            &removed,
+            &new_nodes,
+        );
         let repair_cfg = RepairConfig {
             max_candidate_ratio: state.cfg.repair_frontier_ratio,
             ..RepairConfig::default()
